@@ -122,28 +122,6 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
 # -- ray/facet bijection searches (exact, polyhedral) ------------------------
 
 
-def _positive_coefficients(mu_rows: list[list[Fraction]]):
-    """Coefficients c with (sum_k c_k mu_rows[k])_i >= 1 for all i, or None.
-
-    mu_rows are the mu-components of a null-space basis; the span is closed
-    under negation so strict positivity up to scale is what is decided.
-    """
-    k = len(mu_rows)
-    if k == 0:
-        return None
-    n = len(mu_rows[0])
-    mat: list[list[Fraction]] = []
-    for i in range(n):
-        row = [mu_rows[j][i] for j in range(k)]
-        row += [-mu_rows[j][i] for j in range(k)]
-        row += [Fraction(-1) if t == i else Fraction(0) for t in range(n)]
-        mat.append(row)
-    sol = exact.feasible_nonneg(mat, [Fraction(1)] * n)
-    if sol is None:
-        return None
-    return [sol[j] - sol[k + j] for j in range(k)]
-
-
 def _bijection_system(rays, facets, perm, symmetric: bool):
     """Null space of {T r_i = mu_i f_{perm(i)}}, unknowns (T entries, mu)."""
     d = len(rays[0])
@@ -217,7 +195,7 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
         null = _bijection_system(rays, facets, perm, symmetric=True)
         d = cone.dim
         mu_rows = [vec[d * d:] for vec in null]
-        coeffs = _positive_coefficients(mu_rows)
+        coeffs = exact.strictly_positive_in_span(mu_rows)
         if coeffs is None:
             certificates.append({"bijection": perm, "reason": "no positive scales",
                                  "solution_space_dim": len(null)})
@@ -274,7 +252,7 @@ def search_weak_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdic
     for perm in itertools.permutations(range(len(facets))):
         null = _bijection_system(rays, facets, perm, symmetric=False)
         mu_rows = [vec[d * d:] for vec in null]
-        coeffs = _positive_coefficients(mu_rows)
+        coeffs = exact.strictly_positive_in_span(mu_rows)
         if coeffs is None:
             continue
         combo = [sum((c * vec[k] for c, vec in zip(coeffs, null)), Fraction(0))

@@ -75,6 +75,7 @@ class PolyhedralCone(ConeModel):
         self.data = exact.PolyhedralData(generators)
         self.dim = self.data.dim
         self._gen_float = [np.array([float(v) for v in r]) for r in self.data.rays]
+        self._facet_float: list[tuple[np.ndarray, float]] | None = None
         if not self.data.full_dimensional:
             raise ConeError("polyhedral cone is not full-dimensional")
         if not self.data.is_pointed():
@@ -89,21 +90,21 @@ class PolyhedralCone(ConeModel):
                 for v in x]
 
     def member(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        """Within tol of every facet hyperplane's inner side, or exactly
+        inside once rounded onto the tol-grid."""
         self._check_dim(x)
-        xf = self._to_exact(x, tol)
-        if self.data.member(xf):
+        if self.margin(x) >= -tol:
             return True
-        # rounding a float input onto the rational grid can push a boundary
-        # point off a facet hyperplane; accept anything within tol of it
-        return self.margin(x) >= -tol
+        return self.data.member(self._to_exact(x, tol))
 
     def margin(self, x: np.ndarray) -> float:
         self._check_dim(x)
-        vals = []
-        for n in self.data.facets():
-            nf = np.array([float(v) for v in n])
-            vals.append(float(nf @ np.asarray(x, dtype=float)) / np.linalg.norm(nf))
-        return min(vals)
+        if self._facet_float is None:
+            normals = [np.array([float(v) for v in n])
+                       for n in self.data.facets()]
+            self._facet_float = [(nf, np.linalg.norm(nf)) for nf in normals]
+        x = np.asarray(x, dtype=float)
+        return min(float(nf @ x) / norm for nf, norm in self._facet_float)
 
     def dual_member(self, e: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         self._check_dim(e)

@@ -5,12 +5,17 @@ rank, null spaces, linear solves, and a Bland-rule phase-I simplex for
 feasibility certificates.  All polyhedral cone reasoning in this package
 goes through these routines so that verdicts on polyhedral fixtures are
 exact, not floating point.
+
+A polyhedral cone's facets come from the double-description method
+(Motzkin et al. 1953; Fukuda & Prodon 1996), and membership is read off
+that H-description.  The simplex stays in production for pointedness,
+extremality and steering only.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Row = list[Fraction]
@@ -90,6 +95,15 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def _coprime_integers(vec: Sequence[Fraction]) -> list[int]:
+    """Scale a nonzero rational vector by a positive factor to coprime
+    integers; every sign is kept."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
 def primitive(vec: Sequence[Fraction]) -> Row:
     """Scale a rational vector to coprime integers with positive leading entry."""
     v = [Fraction(x) for x in vec]
@@ -98,14 +112,7 @@ def primitive(vec: Sequence[Fraction]) -> Row:
         return v
     if lead < 0:
         v = [-x for x in v]
-    from math import gcd, lcm
-
-    den = lcm(*(x.denominator for x in v))
-    ints = [x * den for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, int(x))
-    return [x / g for x in ints]
+    return [Fraction(x) for x in _coprime_integers(v)]
 
 
 def feasible_nonneg(mat: Matrix, rhs: Row) -> Row | None:
@@ -160,9 +167,11 @@ def feasible_nonneg(mat: Matrix, rhs: Row) -> Row | None:
 
 
 def strictly_positive_in_span(basis_vecs: list[Row]) -> Row | None:
-    """Find a vector with all entries >= 1 in span(basis_vecs), or None.
+    """Coefficients c with sum_j c_j basis_vecs[j] >= 1 entrywise, or None.
 
-    Used to decide whether a subspace meets the open positive orthant.
+    Decides whether a subspace meets the open positive orthant; the span is
+    closed under negation, so strict positivity up to scale is what is
+    decided.
     """
     if not basis_vecs:
         return None
@@ -180,13 +189,38 @@ def strictly_positive_in_span(basis_vecs: list[Row]) -> Row | None:
     sol = feasible_nonneg(mat, rhs)
     if sol is None:
         return None
-    coeffs = [sol[j] - sol[k + j] for j in range(k)]
-    return [dot([bv[i] for bv in basis_vecs], coeffs) for i in range(n)]
+    return [sol[j] - sol[k + j] for j in range(k)]
+
+
+def _independent_prefix(vecs: Sequence[Sequence[Fraction]],
+                        indices, limit: int) -> list[int]:
+    """Greedily, in the order given, the first `limit` indices whose vectors
+    are linearly independent: the lexicographically smallest independent
+    subset."""
+    echelon: list[tuple[int, Row]] = []  # (pivot column, row with pivot 1)
+    chosen: list[int] = []
+    for i in indices:
+        if len(chosen) == limit:
+            break
+        v = [Fraction(x) for x in vecs[i]]
+        for p, row in echelon:
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        p = next((c for c, a in enumerate(v) if a != 0), None)
+        if p is not None:
+            echelon.append((p, [a / v[p] for a in v]))
+            chosen.append(i)
+    return chosen
 
 
 class PolyhedralData:
     """Exact V-description (rays) and derived H-description (facets) of a
-    pointed full-dimensional polyhedral cone."""
+    pointed full-dimensional polyhedral cone.
+
+    Facets come from double description; membership and face spans are
+    read off the facets.  The simplex decides pointedness and extremality.
+    """
 
     def __init__(self, rays: Sequence[Sequence]):
         self.rays: Matrix = to_fraction_matrix(rays)
@@ -214,48 +248,63 @@ class PolyhedralData:
         return feasible_nonneg(mat, rhs) is None
 
     def member(self, x: Sequence) -> bool:
-        """Exact membership: x = sum(l_i r_i), l >= 0."""
-        xf = [Fraction(v) for v in x]
-        mat = [[self.rays[j][i] for j in range(len(self.rays))] for i in range(self.dim)]
-        return feasible_nonneg(mat, xf) is not None
-
-    def member_by_facets(self, x: Sequence) -> bool:
-        """Independent membership route: all facet inequalities hold."""
+        """Exact membership: every facet inequality holds at x."""
         xf = [Fraction(v) for v in x]
         return all(dot(n, xf) >= 0 for n in self.facets())
 
     def facets(self) -> Matrix:
-        """Primitive inward facet normals, enumerated from (dim-1)-subsets."""
+        """Primitive inward facet normals, by double description.
+
+        The normals are the extreme rays of the dual cone {y : r.y >= 0}.
+        Start from the simplicial cone cut out by d independent rays (the
+        rows of B), whose extreme rays are the columns of B^-1, and cut it
+        by the remaining rays one at a time.  A positive and a negative generator are combined only
+        when adjacent: their common zero set has at least d-2 elements and
+        lies in no third generator's zero set.  Every scale factor is
+        positive, so normals keep pointing inward.
+
+        Facets are ordered by the lexicographically smallest independent
+        (d-1)-subset of their tight rays.
+        """
         if self._facets is not None:
             return self._facets
         if not self.full_dimensional:
             raise ValueError("facet enumeration requires a full-dimensional cone")
         d = self.dim
-        seen: set[tuple] = set()
-        normals: Matrix = []
-        for subset in itertools.combinations(range(len(self.rays)), d - 1):
-            sub = [self.rays[i] for i in subset]
-            ns = null_space(sub)
-            if len(ns) != 1:
-                continue
-            n = primitive(ns[0])
-            vals = [dot(n, r) for r in self.rays]
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                n = [-x for x in n]
-                vals = [-v for v in vals]
-            else:
-                continue
-            tight = [self.rays[i] for i, v in enumerate(vals) if v == 0]
-            if rank(tight) != d - 1:
-                continue
-            key = tuple(n)
-            if key not in seen:
-                seen.add(key)
-                normals.append(n)
-        self._facets = normals
-        return normals
+        rays = [_coprime_integers(r) for r in self.rays]
+        start = _independent_prefix(self.rays, range(len(rays)), d)
+        red, _ = rref([self.rays[i] + [Fraction(int(i == j)) for j in start]
+                       for i in start])
+        # (normal, bitmask of the rays it is tight at so far)
+        start_mask = sum(1 << i for i in start)
+        gens = [(_coprime_integers([red[r][d + c] for r in range(d)]),
+                 start_mask & ~(1 << start[c])) for c in range(d)]
+        for i in (j for j in range(len(rays)) if j not in start):
+            bit = 1 << i
+            vals = [sum(a * b for a, b in zip(rays[i], y)) for y, _ in gens]
+            pos = [k for k, v in enumerate(vals) if v > 0]
+            neg = [k for k, v in enumerate(vals) if v < 0]
+            nxt = [(y, z | bit if v == 0 else z)
+                   for (y, z), v in zip(gens, vals) if v >= 0]
+            for p in pos:
+                for n in neg:
+                    common = gens[p][1] & gens[n][1]
+                    if common.bit_count() < d - 2 or any(
+                            k != p and k != n and z & common == common
+                            for k, (_, z) in enumerate(gens)):
+                        continue
+                    y = [vals[p] * b - vals[n] * a
+                         for a, b in zip(gens[p][0], gens[n][0])]
+                    nxt.append((_coprime_integers(y), common | bit))
+            gens = nxt
+
+        def first_subset(mask: int) -> list[int]:
+            tight = [i for i in range(len(rays)) if mask >> i & 1]
+            return _independent_prefix(self.rays, tight, d - 1)
+
+        gens.sort(key=lambda g: first_subset(g[1]))
+        self._facets = [[Fraction(v) for v in y] for y, _ in gens]
+        return self._facets
 
     def extremal_ray_indices(self) -> list[int]:
         """Indices of generators spanning extremal rays (one per ray)."""

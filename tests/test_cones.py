@@ -11,6 +11,7 @@ from conelab.cones import (EJACone, PolyhedralCone, PositiveMap,
                            is_extremal_ray, is_order_isomorphism,
                            validate_measurement)
 from conftest import make_eja_system
+from polyhedral_oracles import member_by_lp
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -41,6 +42,21 @@ class TestMembership:
         # dual membership means nonnegative on all generators
         assert square.dual_member(np.array([0.0, 1.0, 0.0]))
         assert not square.dual_member(np.array([1.0, 0.5, 0.0]))
+
+    def test_polyhedral_float_routes(self, square, rng):
+        # float member: margin within tol, else the exact test on the
+        # tol-grid rounding; compared with an LP on that rounding
+        data = square.data
+        for _ in range(200):
+            x = rng.standard_normal(3)
+            if rng.random() < 0.5:
+                n = np.array([float(v) for v in
+                              data.facets()[rng.integers(4)]])
+                x = x - (n @ x) / (n @ n) * n + 1e-10 * rng.standard_normal(3)
+            for tol in (1e-9, 1e-6):
+                expect = (member_by_lp(data, square._to_exact(x, tol))
+                          or square.margin(x) >= -tol)
+                assert square.member(x, tol) == expect
 
     def test_shared_corner(self, shared):
         assert shared.member(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))

@@ -1,13 +1,39 @@
 """Exact rational linear algebra and polyhedral geometry."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conelab import exact
+from conelab import exact, fixtures
+from conelab.cones import PolyhedralCone
 from conelab.exact import PolyhedralData
+from polyhedral_oracles import facets_by_subsets, member_by_lp
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
+
+# sha256 of the JSON list of min-square-square's facet normals (entries as
+# strings), recorded from the subset enumerator, which takes about 25 s on
+# this fixture and is therefore not rerun here
+MIN_SQUARE_SQUARE_FACETS_SHA256 = (
+    "bb5e17efee9edcacf992fc774ffeddebd8bab6c6bc7ced4391fa4b8723b6a993")
+
+
+def builtin_polyhedral() -> dict[str, PolyhedralData]:
+    """Exact data of every builtin fixture whose cone is polyhedral."""
+    specs = fixtures.builtin_fixtures()
+    registry = {s.name: s for s in specs}
+    out = {}
+    for spec in specs:
+        if spec.kind in ("polyhedral", "composite"):
+            cone = fixtures.build_system(spec, registry).cone
+            if isinstance(cone, PolyhedralCone):
+                out[spec.name] = cone.data
+    return out
 
 
 def test_rref_rank_null_space():
@@ -41,8 +67,12 @@ def test_feasible_nonneg():
 
 
 def test_strictly_positive_in_span():
-    found = exact.strictly_positive_in_span([[F(1), F(2)], [F(0), F(1)]])
-    assert found is not None and all(v >= 1 for v in found)
+    basis = [[F(1), F(2)], [F(0), F(1)]]
+    coeffs = exact.strictly_positive_in_span(basis)
+    assert coeffs is not None and len(coeffs) == len(basis)
+    # B^T c >= 1 entrywise
+    combo = [exact.dot(coeffs, col) for col in zip(*basis)]
+    assert all(v >= 1 for v in combo)
     # the span of (1, -1) contains no entrywise positive vector
     assert exact.strictly_positive_in_span([[F(1), F(-1)]]) is None
 
@@ -59,9 +89,15 @@ class TestPolyhedralData:
         pts = [[F(0), F(1), F(0)], [F(1), F(1), F(0)], [F(2), F(1), F(0)],
                [F(1), F(2), F(1)], [F(0), F(-1), F(0)]]
         for p in pts:
-            assert self.cone.member(p) == self.cone.member_by_facets(p)
+            assert self.cone.member(p) == member_by_lp(self.cone, p)
         assert self.cone.member([F(0), F(1), F(0)])
         assert not self.cone.member([F(2), F(1), F(0)])
+        cones = builtin_polyhedral()
+        for name in ("square-cone", "pentagon-cone", "min-square-square"):
+            data = cones[name]
+            for p, inside in _membership_points(data, random.Random(name)):
+                assert data.member(p) is inside, (name, p)
+                assert member_by_lp(data, p) is inside, (name, p)
 
     def test_facets(self):
         facets = self.cone.facets()
@@ -80,3 +116,81 @@ class TestPolyhedralData:
         assert self.cone.face_span_dimension([F(1), F(1), F(0)]) == 1
         # midpoint of two adjacent rays lies on a 2-dimensional face
         assert self.cone.face_span_dimension([F(1, 2), F(1), F(1, 2)]) == 2
+
+
+def _positive_combination(rays, rng: random.Random):
+    weights = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in rays]
+    return [sum((w * r[i] for w, r in zip(weights, rays)), F(0))
+            for i in range(len(rays[0]))]
+
+
+def _membership_points(data: PolyhedralData, rng: random.Random):
+    """(point, inside) pairs: interior points, points exactly on each facet
+    (positive sums of its tight rays), and exterior points pushed off each
+    facet by a multiple of an interior point."""
+    out = []
+    interior = [_positive_combination(data.rays, rng) for _ in range(3)]
+    out += [(p, True) for p in interior]
+    for n in data.facets():
+        tight = [r for r in data.rays if exact.dot(n, r) == 0]
+        on = _positive_combination(tight, rng)
+        assert exact.dot(n, on) == 0
+        out.append((on, True))
+        s = F(1, rng.randint(1, 9))
+        off = [a - s * b for a, b in zip(on, interior[0])]
+        assert exact.dot(n, off) < 0
+        out.append((off, False))
+    return out
+
+
+def test_facets_match_subset_oracle():
+    cones = builtin_polyhedral()
+    checked = [name for name in cones if name != "min-square-square"]
+    assert {"square-cone", "pentagon-cone", "classical-bit-bit"} <= set(checked)
+    for name in checked:
+        data = cones[name]
+        assert data.facets() == facets_by_subsets(PolyhedralData(data.rays)), name
+
+
+def test_min_square_square_facets_pinned():
+    facets = builtin_polyhedral()["min-square-square"].facets()
+    assert len(facets) == 24
+    text = json.dumps([[str(v) for v in f] for f in facets])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == MIN_SQUARE_SQUARE_FACETS_SHA256
+
+
+@st.composite
+def pointed_cones(draw):
+    """Rays of a random pointed, full-dimensional rational cone: the first
+    coordinate is positive on every ray, and parallel duplicates and sums of
+    two rays are mixed in, in random order."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    coord = st.integers(min_value=-3, max_value=3)
+    rays = draw(st.lists(
+        st.lists(coord, min_size=d - 1, max_size=d - 1).map(
+            lambda v: [1] + v),
+        min_size=d, max_size=d + 3))
+    index = st.integers(min_value=0, max_value=len(rays) - 1)
+    for i, j, k in draw(st.lists(st.tuples(index, index,
+                                           st.integers(2, 3)), max_size=3)):
+        if i == j:
+            rays.append([k * a for a in rays[i]])
+        else:
+            rays.append([a + b for a, b in zip(rays[i], rays[j])])
+    order = draw(st.permutations(range(len(rays))))
+    dens = draw(st.lists(st.integers(1, 4), min_size=len(rays),
+                         max_size=len(rays)))
+    rays = [[F(a, q) for a in rays[i]] for i, q in zip(order, dens)]
+    assume(exact.rank(rays) == d)
+    return rays
+
+
+@given(rays=pointed_cones())
+@settings(max_examples=60, deadline=None)
+def test_double_description_matches_subset_oracle(rays):
+    data = PolyhedralData(rays)
+    facets = data.facets()
+    assert facets == facets_by_subsets(PolyhedralData(rays))
+    for n in facets:
+        assert all(exact.dot(n, r) >= 0 for r in rays)
