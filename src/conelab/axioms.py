@@ -120,56 +120,88 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
 
 
 # -- ray/facet bijection searches (exact, polyhedral) ------------------------
+#
+# A bijection perm pairs ray i with facet perm[i]; it is realised by a map T
+# with T r_i = mu_i f_{perm(i)} and every scale mu_i > 0.  The rays span R^d,
+# so T is fixed by its values on a ray basis S with dual basis g:
+#     T = sum_{j in S} mu_j f_{perm(j)} g_j^T,
+# and each bijection is a linear system in the n scales alone.  A ray i
+# outside S has coordinates c_ij = g_j . r_i and contributes the d rows
+#     sum_{j in S} c_ij mu_j f_{perm(j)} - mu_i f_{perm(i)} = 0;
+# a symmetric T adds one row per entry above the diagonal.  mu = 0 forces
+# T = 0, so this null space is the mu-part of the one in the unknowns
+# (T, mu), with the same RREF basis.
 
 
-def _bijection_system(rays, facets, perm, symmetric: bool):
-    """Null space of {T r_i = mu_i f_{perm(i)}}, unknowns (T entries, mu)."""
-    d = len(rays[0])
-    n = len(rays)
-    nt = d * d
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        f = facets[perm[i]]
-        for a in range(d):
-            row = [Fraction(0)] * (nt + n)
-            for b in range(d):
-                row[a * d + b] = rays[i][b]
-            row[nt + i] = -f[a]
-            rows.append(row)
-    if symmetric:
-        for a in range(d):
-            for b in range(a + 1, d):
-                row = [Fraction(0)] * (nt + n)
-                row[a * d + b] = Fraction(1)
-                row[b * d + a] = Fraction(-1)
+class _ScaleSystems:
+    """The bijection systems of one cone in the scales mu.
+
+    Holds a ray basis S (the first d independent rays), its dual basis g,
+    and every product the rows need: c_ij f for each ray i outside S, each
+    j in S and each facet f, and f_a g_b - f_b g_a for each j in S, each
+    facet f and each a < b.
+    """
+
+    def __init__(self, rays, facets):
+        self.facets = facets
+        self.n = len(rays)
+        self.basis, self.dual = exact.dual_basis(rays)
+        d = len(self.dual)
+        self.outside = [
+            (i, [[[c * x for x in f] for f in facets]
+                 for c in (exact.dot(g, r) for g in self.dual)])
+            for i, r in enumerate(rays) if i not in self.basis]
+        self.skew = [[[f[a] * g[b] - f[b] * g[a]
+                       for a in range(d) for b in range(a + 1, d)]
+                      for f in facets] for g in self.dual]
+
+    def scale_space(self, perm, symmetric: bool) -> list[list[Fraction]]:
+        """Null space of the bijection's system in the scales mu."""
+        n = self.n
+        rows: list[list[Fraction]] = []
+        for i, scaled in self.outside:
+            for a, x in enumerate(self.facets[perm[i]]):
+                row = [Fraction(0)] * n
+                for j, by_facet in zip(self.basis, scaled):
+                    row[j] = by_facet[perm[j]][a]
+                row[i] = -x
                 rows.append(row)
-    return exact.null_space(rows)
+        if symmetric:
+            for pair in range(len(self.skew[0][0])):
+                row = [Fraction(0)] * n
+                for j, by_facet in zip(self.basis, self.skew):
+                    row[j] = by_facet[perm[j]][pair]
+                rows.append(row)
+        # a simplicial cone has no rays outside S: every mu solves
+        return exact.null_space(rows or [[Fraction(0)] * n])
+
+    def map_from_scales(self, perm, mu) -> list[list[Fraction]]:
+        """T = sum_{j in S} mu_j f_{perm(j)} g_j^T."""
+        d = len(self.dual)
+        cols = [[mu[j] * x for x in self.facets[perm[j]]] for j in self.basis]
+        return [[sum((col[a] * g[b] for col, g in zip(cols, self.dual)),
+                     Fraction(0)) for b in range(d)] for a in range(d)]
+
+
+def _combine(coeffs, vecs) -> list[Fraction]:
+    return [sum((c * v[k] for c, v in zip(coeffs, vecs)), Fraction(0))
+            for k in range(len(vecs[0]))]
 
 
 def _spd_exact(t: list[list[Fraction]]) -> bool:
-    """Leading principal minors, exactly."""
-    d = len(t)
-    for k in range(1, d + 1):
-        sub = [row[:k] for row in t[:k]]
-        red, pivots = exact.rref(sub)
-        if len(pivots) < k:
+    """Sylvester's criterion by one elimination pass without pivoting: the
+    k-th pivot is D_k / D_{k-1}, the ratio of leading principal minors, so
+    every minor is positive exactly when every pivot is."""
+    m = [row[:] for row in t]
+    d = len(m)
+    for c in range(d):
+        piv = m[c][c]
+        if piv <= 0:
             return False
-        det = Fraction(1)
-        # determinant via fraction-free-enough elimination
-        m = [row[:] for row in sub]
-        for c in range(k):
-            piv = next((i for i in range(c, k) if m[i][c] != 0), None)
-            if piv is None:
-                return False
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            for i in range(c + 1, k):
-                f = m[i][c] / m[c][c]
+        for i in range(c + 1, d):
+            f = m[i][c] / piv
+            if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        if det <= 0:
-            return False
     return True
 
 
@@ -184,29 +216,32 @@ def _ray_facet_setup(cone: PolyhedralCone, cap: int):
 def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict:
     """Exhaustive search for an SPD matrix mapping extremal rays onto facet
     normals (up to positive scales); exact infeasibility certificate when
-    none exists."""
+    none exists.
+
+    Each bijection is one linear system in the n scales mu: the map is
+    T = sum_{j in S} mu_j f_{perm(j)} g_j^T over a ray basis S with dual
+    basis g, and symmetry of T adds d(d-1)/2 rows.  T is built from mu only
+    for a candidate, which must then pass the exact SPD test.
+    """
     rays, facets = _ray_facet_setup(cone, cap)
     if len(rays) != len(facets):
         return AxiomVerdict("spd-self-duality", FAILS, violation={
             "ray_count": len(rays), "facet_count": len(facets)},
             detail="ray and facet counts differ: no bijection exists")
+    systems = _ScaleSystems(rays, facets)
     certificates = []
     for perm in itertools.permutations(range(len(facets))):
-        null = _bijection_system(rays, facets, perm, symmetric=True)
-        d = cone.dim
-        mu_rows = [vec[d * d:] for vec in null]
-        coeffs = exact.strictly_positive_in_span(mu_rows)
+        null = systems.scale_space(perm, symmetric=True)
+        coeffs = exact.strictly_positive_in_span(null)
         if coeffs is None:
             certificates.append({"bijection": perm, "reason": "no positive scales",
                                  "solution_space_dim": len(null)})
             continue
-        combo = [sum((c * vec[k] for c, vec in zip(coeffs, null)), Fraction(0))
-                 for k in range(len(null[0]))]
-        t = [combo[a * d:(a + 1) * d] for a in range(d)]
+        mu = _combine(coeffs, null)
+        t = systems.map_from_scales(perm, mu)
         if _spd_exact(t):
             return AxiomVerdict("spd-self-duality", HOLDS, witness={
-                "bijection": perm, "gram": t,
-                "scales": combo[d * d:]})
+                "bijection": perm, "gram": t, "scales": mu})
         if len(null) <= 1:
             certificates.append({"bijection": perm,
                                  "reason": "unique solution is not SPD",
@@ -214,23 +249,16 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
             continue
         # Multi-dimensional solution space: the LP vertex was not SPD; decide
         # by scanning the (small) space of positive-scale solutions.
-        found = False
         for shift in range(1, 8):
             pert = [c + Fraction(shift, 17 + 3 * i)
                     for i, c in enumerate(coeffs)]
-            mu = [sum((c * row[i] for c, row in zip(pert, mu_rows)), Fraction(0))
-                  for i in range(len(rays))]
+            mu = _combine(pert, null)
             if any(m <= 0 for m in mu):
                 continue
-            combo = [sum((c * vec[k] for c, vec in zip(pert, null)), Fraction(0))
-                     for k in range(len(null[0]))]
-            t = [combo[a * d:(a + 1) * d] for a in range(d)]
+            t = systems.map_from_scales(perm, mu)
             if _spd_exact(t):
-                found = True
-                break
-        if found:
-            return AxiomVerdict("spd-self-duality", HOLDS, witness={
-                "bijection": perm, "gram": t, "scales": combo[d * d:]})
+                return AxiomVerdict("spd-self-duality", HOLDS, witness={
+                    "bijection": perm, "gram": t, "scales": mu})
         certificates.append({"bijection": perm,
                              "reason": "no SPD point found in solution space",
                              "solution_space_dim": len(null),
@@ -243,35 +271,33 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
 
 
 def search_weak_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict:
-    """Search for any invertible linear map carrying the cone onto its dual."""
+    """Search for any invertible linear map carrying the cone onto its dual.
+
+    Each bijection is one linear system in the n scales mu; the map
+    T = sum_{j in S} mu_j f_{perm(j)} g_j^T over a ray basis S with dual
+    basis g is built only for a positive mu, and is checked exactly:
+    invertible, and T r_i = mu_i f_{perm(i)} for every ray.
+    """
     rays, facets = _ray_facet_setup(cone, cap)
     if len(rays) != len(facets):
         return AxiomVerdict("weak-self-duality", FAILS, violation={
             "ray_count": len(rays), "facet_count": len(facets)})
     d = cone.dim
+    systems = _ScaleSystems(rays, facets)
     for perm in itertools.permutations(range(len(facets))):
-        null = _bijection_system(rays, facets, perm, symmetric=False)
-        mu_rows = [vec[d * d:] for vec in null]
-        coeffs = exact.strictly_positive_in_span(mu_rows)
+        null = systems.scale_space(perm, symmetric=False)
+        coeffs = exact.strictly_positive_in_span(null)
         if coeffs is None:
             continue
-        combo = [sum((c * vec[k] for c, vec in zip(coeffs, null)), Fraction(0))
-                 for k in range(len(null[0]))]
-        t = [combo[a * d:(a + 1) * d] for a in range(d)]
+        mu = _combine(coeffs, null)
+        t = systems.map_from_scales(perm, mu)
         if exact.rank(t) < d:
             continue
         # exact verification: T maps every ray onto the matched facet normal
-        ok = True
-        for i, r in enumerate(rays):
-            img = exact.mat_vec(t, r)
-            mu = combo[d * d + i]
-            expect = [mu * v for v in facets[perm[i]]]
-            if img != expect or mu <= 0:
-                ok = False
-                break
-        if ok:
+        if all(m > 0 and exact.mat_vec(t, r) == [m * v for v in facets[p]]
+               for r, m, p in zip(rays, mu, perm)):
             return AxiomVerdict("weak-self-duality", HOLDS, witness={
-                "bijection": perm, "map": t, "scales": combo[d * d:]})
+                "bijection": perm, "map": t, "scales": mu})
     return AxiomVerdict("weak-self-duality", FAILS,
                         detail="no bijection admits an invertible solution")
 

@@ -512,22 +512,6 @@ class JordanAlgebra:
                         - self.product(aa, e))
         return np.column_stack(cols)
 
-    def central_decomposition(self) -> list[dict]:
-        """Simple summands with their coordinate embeddings, verified: the
-        summand subspaces are complementary and each holds its own pures."""
-        total = sum(s.factor.dim for s in self.summands)
-        assert total == self.dim
-        out = []
-        for i, s in enumerate(self.summands):
-            out.append({
-                "index": i,
-                "family": s.factor.family,
-                "rank": s.factor.rank,
-                "dim": s.factor.dim,
-                "offset": s.offset,
-            })
-        return out
-
     def summand_of(self, a: np.ndarray, tol: float = 1e-9) -> int | None:
         """Index of the single summand supporting a, or None if spread out."""
         self._check_dim(a)
@@ -582,22 +566,6 @@ class JordanAlgebra:
 
     def __repr__(self):
         return "JordanAlgebra(" + " + ".join(repr(f) for f in self.factors) + ")"
-
-
-def jordan_product(alg: JordanAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return alg.product(a, b)
-
-
-def spectral(alg: JordanAlgebra, a: np.ndarray) -> SpectralDecomposition:
-    return alg.spectral(a)
-
-
-def trace_inner(alg: JordanAlgebra, a: np.ndarray, b: np.ndarray) -> float:
-    return alg.trace_inner(a, b)
-
-
-def quadratic_rep(alg: JordanAlgebra, a: np.ndarray) -> np.ndarray:
-    return alg.quadratic_rep(a)
 
 
 def real_sym(rank: int) -> JordanAlgebra:

@@ -26,29 +26,45 @@ def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """A rational row times the lcm of its denominators."""
+    fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr]
+
+
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in mat]
+    """Reduced row echelon form and the list of pivot columns.
+
+    Gauss-Jordan elimination runs on integer rows, each kept primitive, and
+    each pivot row is divided by its pivot only at the end.  Scaling a row by
+    a nonzero factor leaves the row space, and so its unique RREF, unchanged.
+    """
+    m = [_integer_row(row) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        p = m[r]
+        a = p[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            b = m[i][c]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    red += [[Fraction(0)] * cols for _ in range(rows - r)]
+    return red, pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -58,7 +74,11 @@ def rank(mat: Matrix) -> int:
 
 
 def null_space(mat: Matrix) -> list[Row]:
-    """Basis of {x : mat @ x = 0}."""
+    """Basis of {x : mat @ x = 0}, one vector per free column of the RREF.
+
+    An empty matrix (no rows) yields `[]`, not a basis of the whole space:
+    a caller whose system can have no rows passes one zero row instead.
+    """
     if not mat:
         return []
     cols = len(mat[0])
@@ -98,8 +118,7 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def _coprime_integers(vec: Sequence[Fraction]) -> list[int]:
     """Scale a nonzero rational vector by a positive factor to coprime
     integers; every sign is kept."""
-    den = lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(x * den) for x in vec]
+    ints = _integer_row(vec)
     g = gcd(*ints)
     return [x // g for x in ints]
 
@@ -214,6 +233,22 @@ def _independent_prefix(vecs: Sequence[Sequence[Fraction]],
     return chosen
 
 
+def dual_basis(vecs: Sequence[Sequence[Fraction]]) -> tuple[list[int], Matrix]:
+    """The first d linearly independent vectors of a spanning set of R^d
+    (their indices) and the dual basis: dual[c] . vecs[basis[k]] = (c == k).
+
+    The dual vectors are the columns of B^-1, where B has the basis vectors
+    as rows; any x in R^d is then sum_c (dual[c] . x) vecs[basis[c]].
+    """
+    d = len(vecs[0])
+    basis = _independent_prefix(vecs, range(len(vecs)), d)
+    if len(basis) < d:
+        raise ValueError("the vectors do not span the space")
+    red, _ = rref([list(vecs[i]) + [Fraction(int(i == j)) for j in basis]
+                   for i in basis])
+    return basis, [[red[r][d + c] for r in range(d)] for c in range(d)]
+
+
 class PolyhedralData:
     """Exact V-description (rays) and derived H-description (facets) of a
     pointed full-dimensional polyhedral cone.
@@ -272,13 +307,11 @@ class PolyhedralData:
             raise ValueError("facet enumeration requires a full-dimensional cone")
         d = self.dim
         rays = [_coprime_integers(r) for r in self.rays]
-        start = _independent_prefix(self.rays, range(len(rays)), d)
-        red, _ = rref([self.rays[i] + [Fraction(int(i == j)) for j in start]
-                       for i in start])
+        start, dual = dual_basis(self.rays)
         # (normal, bitmask of the rays it is tight at so far)
         start_mask = sum(1 << i for i in start)
-        gens = [(_coprime_integers([red[r][d + c] for r in range(d)]),
-                 start_mask & ~(1 << start[c])) for c in range(d)]
+        gens = [(_coprime_integers(g), start_mask & ~(1 << start[c]))
+                for c, g in enumerate(dual)]
         for i in (j for j in range(len(rays)) if j not in start):
             bit = 1 << i
             vals = [sum(a * b for a, b in zip(rays[i], y)) for y, _ in gens]

@@ -294,10 +294,6 @@ def _sample_interior(system: System, rng) -> np.ndarray:
     raise UnsupportedQuery("no interior sampler for this cone")
 
 
-def _status(verdict: AxiomVerdict) -> str:
-    return verdict.status
-
-
 def run_check(name: str, spec: FixtureSpec, system, tol: float,
               seed: int) -> dict:
     """One check on one fixture; returns a serializable result record."""

@@ -1,8 +1,14 @@
-"""Independent, slower routes to polyhedral facets and membership.
+"""Independent, slower routes to RREF, polyhedral facets, membership and
+the ray/facet bijection systems.
 
-`PolyhedralData` answers both questions from its double-description
+`exact.rref` eliminates on integer rows; `rref_by_fractions` is the
+textbook elimination over `Fraction`.
+
+`PolyhedralData` answers the first two questions from its double-description
 H-description; these oracles answer them the old way, by brute force over
-(d-1)-subsets of rays and by a phase-I simplex, so the tests can compare.
+(d-1)-subsets of rays and by a phase-I simplex.  The bijection searches
+solve each bijection's system in the n ray scales alone; the oracle here
+solves it in all d*d + n unknowns.  The tests compare the routes.
 """
 
 from __future__ import annotations
@@ -11,6 +17,32 @@ import itertools
 from fractions import Fraction
 
 from conelab import exact
+
+
+def rref_by_fractions(mat) -> tuple[exact.Matrix, list[int]]:
+    """Gauss-Jordan elimination over `Fraction`, each pivot row divided by
+    its pivot as soon as it is chosen."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
 
 
 def facets_by_subsets(data: exact.PolyhedralData) -> exact.Matrix:
@@ -46,3 +78,51 @@ def member_by_lp(data: exact.PolyhedralData, x) -> bool:
     xf = [Fraction(v) for v in x]
     mat = [[r[i] for r in data.rays] for i in range(data.dim)]
     return exact.feasible_nonneg(mat, xf) is not None
+
+
+def bijection_system(rays, facets, perm, symmetric: bool) -> list[exact.Row]:
+    """Null space of {T r_i = mu_i f_{perm(i)}} in the unknowns (T, mu): the
+    d*d entries of T row by row, then the n scales."""
+    d = len(rays[0])
+    n = len(rays)
+    nt = d * d
+    rows: exact.Matrix = []
+    for i in range(n):
+        f = facets[perm[i]]
+        for a in range(d):
+            row = [Fraction(0)] * (nt + n)
+            for b in range(d):
+                row[a * d + b] = rays[i][b]
+            row[nt + i] = -f[a]
+            rows.append(row)
+    if symmetric:
+        for a in range(d):
+            for b in range(a + 1, d):
+                row = [Fraction(0)] * (nt + n)
+                row[a * d + b] = Fraction(1)
+                row[b * d + a] = Fraction(-1)
+                rows.append(row)
+    return exact.null_space(rows)
+
+
+def spd_by_leading_minors(t: exact.Matrix) -> bool:
+    """Sylvester's criterion read literally: every leading principal minor,
+    each by its own elimination, is positive."""
+    k_max = len(t)
+    for k in range(1, k_max + 1):
+        m = [list(row[:k]) for row in t[:k]]
+        det = Fraction(1)
+        for c in range(k):
+            piv = next((i for i in range(c, k) if m[i][c] != 0), None)
+            if piv is None:
+                return False
+            if piv != c:
+                m[c], m[piv] = m[piv], m[c]
+                det = -det
+            det *= m[c][c]
+            for i in range(c + 1, k):
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        if det <= 0:
+            return False
+    return True

@@ -1,16 +1,37 @@
 """Axiom checkers: self-duality, bijection searches, homogeneity,
 pure transitivity, classical effects."""
 
+import hashlib
+import itertools
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conelab import axioms, eja, exact
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
 from conelab.cones import (ConeError, PolyhedralCone, SharedCornerCone,
                           System, UnsupportedQuery, is_order_isomorphism)
 from conftest import make_eja_system
+from polyhedral_oracles import bijection_system, spd_by_leading_minors
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
+# The regular hexagon with coordinates rounded to denominators <= 100.
+REGULAR_6 = [[F(x), F(y), F(1)] for x, y in [
+    (1, 0), (F(1, 2), F(84, 97)), (F(-1, 2), F(84, 97)), (-1, 0),
+    (F(-1, 2), F(-84, 97)), (F(1, 2), F(-84, 97))]]
+# A lattice hexagon that is not projectively self-dual: both searches
+# exhaust all 720 bijections.
+LATTICE_6 = [[3, 1, 1], [1, 3, 1], [-3, 3, 1], [-4, 0, 1], [-1, -3, 1],
+             [1, -4, 1]]
+
+
+def _pentagon():
+    from conelab.fixtures import builtin_fixtures
+    spec = next(s for s in builtin_fixtures() if s.name == "pentagon-cone")
+    return spec.params["generators"]
 
 
 @pytest.fixture
@@ -81,10 +102,7 @@ class TestBijectionSearches:
         assert v.status == HOLDS
 
     def test_pentagon_spd_holds_exact(self):
-        from conelab.fixtures import builtin_fixtures
-        spec = next(s for s in builtin_fixtures()
-                    if s.name == "pentagon-cone")
-        cone = PolyhedralCone(spec.params["generators"])
+        cone = PolyhedralCone(_pentagon())
         v = axioms.search_spd_self_duality(cone)
         assert v.status == HOLDS
         # re-verify the certificate independently: symmetric, and maps every
@@ -103,6 +121,168 @@ class TestBijectionSearches:
     def test_cap(self, square_system):
         with pytest.raises(UnsupportedQuery):
             axioms.search_spd_self_duality(square_system.cone, cap=3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_orthant_weak_holds(self, d):
+        # simplicial: no ray lies outside the ray basis, so the weak system
+        # in the scales has no rows at all
+        units = [[int(i == j) for j in range(d)] for i in range(d)]
+        v = axioms.search_weak_self_duality(PolyhedralCone(units))
+        assert v.status == HOLDS
+        assert exact.rank(v.witness["map"]) == d
+        assert all(m > 0 for m in v.witness["scales"])
+
+    @pytest.mark.parametrize("fn, rays, n_fact", [
+        ("search_spd_self_duality", SQUARE, 24),
+        ("search_weak_self_duality", LATTICE_6, 720)],
+        ids=["square-spd", "lattice-6-weak"])
+    def test_one_null_space_per_bijection(self, monkeypatch, fn, rays,
+                                          n_fact):
+        calls = []
+        inner = exact.null_space
+
+        def counting(mat):
+            calls.append(len(mat))
+            return inner(mat)
+
+        monkeypatch.setattr(exact, "null_space", counting)
+        v = getattr(axioms, fn)(PolyhedralCone(rays))
+        assert v.status == FAILS
+        assert len(calls) == n_fact
+
+
+# sha256 of repr((status, witness, violation, detail)), recorded with the
+# searches that solved each bijection in all d*d + n unknowns.
+SEARCH_DIGESTS = {
+    ("square", "search_weak_self_duality"):
+        "9dd3b400e13898559305fbffee8c9728181b715be43908829d1d5c078dfd42a5",
+    ("square", "search_spd_self_duality"):
+        "5ec2952b7f5eed0179ef44101fc0442b102a911c3f88f76d962303f3ace857e6",
+    ("pentagon", "search_weak_self_duality"):
+        "9e7db3844af0415079fea21b4f55d0140d7bee0c9eb3202dd6bb93e1ccc2e10f",
+    ("pentagon", "search_spd_self_duality"):
+        "1902a8c66be60c0caad2f817639e9c675d2a2c4f5722fbca60e2d430be27d1e6",
+    ("regular-6", "search_weak_self_duality"):
+        "46d3e628e13ea9864f7c445f519718db989c50bcb912ea1bad511415b50f1565",
+    ("regular-6", "search_spd_self_duality"):
+        "7c77f724990c5014fe01ed43b2d74febba524ee15266ff2e08b457ad92624a56",
+}
+
+
+@pytest.mark.parametrize("name, fn", sorted(SEARCH_DIGESTS))
+def test_search_verdicts_pinned(name, fn):
+    rays = {"square": SQUARE, "pentagon": _pentagon(),
+            "regular-6": REGULAR_6}[name]
+    v = getattr(axioms, fn)(PolyhedralCone(rays))
+    text = repr((v.status, v.witness, v.violation, v.detail))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == SEARCH_DIGESTS[name, fn]
+
+
+def _lifted_scale_space(rays, facets, perm, symmetric):
+    """The scale-only null basis, each vector lifted to (T row by row, mu)."""
+    systems = axioms._ScaleSystems(rays, facets)
+    out = []
+    for mu in systems.scale_space(perm, symmetric):
+        t = systems.map_from_scales(perm, mu)
+        out.append([x for row in t for x in row] + mu)
+    return out
+
+
+@pytest.mark.parametrize("rays", [SQUARE, _pentagon()],
+                         ids=["square", "pentagon"])
+def test_scale_space_matches_oracle_on_every_bijection(rays):
+    data = PolyhedralCone(rays).data
+    facets = data.facets()
+    for perm in itertools.permutations(range(len(facets))):
+        for symmetric in (False, True):
+            assert _lifted_scale_space(data.rays, facets, perm, symmetric) \
+                == bijection_system(data.rays, facets, perm, symmetric)
+
+
+def _convex_hull(points):
+    """Strict convex hull vertices, counterclockwise (monotone chain)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+@st.composite
+def lattice_polygon_cones(draw):
+    """Rays of the cone over a random lattice polygon with 3 to 7 vertices,
+    in random order, each scaled by a positive rational."""
+    coord = st.integers(min_value=-5, max_value=5)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=3,
+                           max_size=12))
+    hull = _convex_hull(points)
+    assume(3 <= len(hull) <= 7)
+    order = draw(st.permutations(range(len(hull))))
+    scales = draw(st.lists(st.fractions(min_value=F(1, 3), max_value=3),
+                           min_size=len(hull), max_size=len(hull)))
+    return [[q * hull[i][0], q * hull[i][1], q]
+            for i, q in zip(order, scales)]
+
+
+@given(rays=lattice_polygon_cones(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scale_space_matches_oracle(rays, data):
+    cone = PolyhedralCone(rays)
+    assert cone.data.extremal_ray_indices() == list(range(len(rays)))
+    rays, facets = cone.data.rays, cone.data.facets()
+    perms = data.draw(st.lists(st.permutations(range(len(rays))),
+                               min_size=1, max_size=3))
+    if len(rays) <= 5:
+        # a random bijection of a larger polygon has no solution; add one
+        # that has, so that nonempty bases are compared too
+        v = axioms.search_weak_self_duality(cone)
+        if v.holds:
+            perms.append(v.witness["bijection"])
+    for perm in perms:
+        for symmetric in (False, True):
+            assert _lifted_scale_space(rays, facets, perm, symmetric) \
+                == bijection_system(rays, facets, perm, symmetric)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of size 1-5: random entries, Gram
+    matrices A^T A (singular when A has fewer rows than columns), and Gram
+    matrices with a signed diagonal shift (often indefinite)."""
+    k = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    kind = draw(st.sampled_from(["random", "gram", "shifted"]))
+    if kind == "random":
+        upper = {(i, j): draw(entry) for i in range(k) for j in range(i, k)}
+        return [[upper[min(i, j), max(i, j)] for j in range(k)]
+                for i in range(k)]
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                      min_size=1, max_size=k + 1))
+    gram = [[sum((row[i] * row[j] for row in a), F(0)) for j in range(k)]
+            for i in range(k)]
+    if kind == "shifted":
+        for i in range(k):
+            gram[i][i] += draw(entry)
+    return gram
+
+
+@given(t=symmetric_matrices())
+@example(t=[[F(1), F(0)], [F(0), F(1)]])
+@example(t=[[F(1), F(1)], [F(1), F(1)]])
+@example(t=[[F(1), F(2)], [F(2), F(1)]])
+@example(t=[[F(0), F(0)], [F(0), F(1)]])
+@settings(max_examples=200, deadline=None)
+def test_spd_exact_matches_leading_minors(t):
+    assert axioms._spd_exact(t) == spd_by_leading_minors(t)
 
 
 class TestHomogeneity:

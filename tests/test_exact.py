@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conelab import exact, fixtures
 from conelab.cones import PolyhedralCone
 from conelab.exact import PolyhedralData
-from polyhedral_oracles import facets_by_subsets, member_by_lp
+from polyhedral_oracles import (facets_by_subsets, member_by_lp,
+                                rref_by_fractions)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -43,6 +44,35 @@ def test_rref_rank_null_space():
     assert len(null) == 1
     for row in mat:
         assert exact.dot(row, null[0]) == 0
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices with zero rows, repeated rows and sums of rows
+    mixed in, so that rank deficiency is common."""
+    cols = draw(st.integers(1, 7))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                        max_size=6))
+    for kind, i, j in draw(st.lists(st.tuples(
+            st.sampled_from(["zero", "copy", "sum"]), st.integers(0, 5),
+            st.integers(0, 5)), max_size=3)):
+        if kind == "zero":
+            mat.append([F(0)] * cols)
+        elif mat:
+            a, b = mat[i % len(mat)], mat[j % len(mat)]
+            mat.append([x * 3 for x in a] if kind == "copy"
+                       else [x + y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(mat))))
+    return [mat[i] for i in order]
+
+
+@given(mat=rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_elimination(mat):
+    red, pivots = exact.rref(mat)
+    assert (red, pivots) == rref_by_fractions(mat)
+    assert all(type(x) is F for row in red for x in row)
 
 
 def test_solve_exact():
