@@ -207,10 +207,9 @@ def _spd_exact(t: list[list[Fraction]]) -> bool:
 
 def _ray_facet_setup(cone: PolyhedralCone, cap: int):
     rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
-    facets = cone.data.facets()
     if len(rays) > cap:
         raise UnsupportedQuery(f"search space exceeded: {len(rays)} rays > cap {cap}")
-    return rays, facets
+    return rays, cone.data.facets()
 
 
 def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict:

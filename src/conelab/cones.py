@@ -6,9 +6,14 @@ top-left entry).  Composite cones live in `conelab.composite` and plug into
 the same query functions.
 
 Face spans are computed structurally (tight facets, support-idempotent
-quadratic representation, block range compressions) and then certified by
-symmetric bisection probes along the candidate span, so the reported face
-dimension is backed by actual two-sided membership tests.
+quadratic representation, block range compressions) and then probed with
+membership tests.  Each span direction d counts only if x + eps*d and
+x - eps*d are both members, with the step eps = 10^3 * tol * max(1, |x|)
+well above the membership slack tol; x itself counts, since it lies in its
+own face.  When the span is not the whole space,
+a negative control must see the probe fail: some direction orthogonal to
+the span has to leave the cone on one side, or the query is UNSUPPORTED,
+because a probe that accepts every direction certifies nothing.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from . import exact
 from .eja import JordanAlgebra
 
 DEFAULT_TOL = 1e-9
-
-BISECTION_DEPTH = 60
 
 
 class ConeError(ValueError):
@@ -334,52 +337,49 @@ def membership(cone: ConeModel, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool
     return cone.member(np.asarray(x, dtype=float), tol)
 
 
-def _bisect_feasible(cone: ConeModel, x: np.ndarray, d: np.ndarray,
-                     tol: float) -> float:
-    """Largest eps (by bisection, depth-limited) with x +- eps*d in cone."""
-    scale = np.linalg.norm(d)
-    if scale == 0:
-        return 0.0
-    d = d / scale
-    hi = 1.0 + float(np.linalg.norm(x))
-
-    def ok(eps):
-        return cone.member(x + eps * d, tol) and cone.member(x - eps * d, tol)
-
-    if not ok(tol):
-        return 0.0
-    lo, eps = tol, tol
-    for _ in range(BISECTION_DEPTH):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = eps = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return eps
+def two_sided_probe(cone: ConeModel, x: np.ndarray, d: np.ndarray,
+                    tol: float = DEFAULT_TOL) -> bool:
+    """Are x + eps*d/|d| and x - eps*d/|d| both members, with the step
+    eps = 10^3 * max(tol, 1e-12) * max(1, |x|) and membership slack
+    max(tol, 1e-12)?  The step sits well above the slack, so a direction
+    that leaves the cone to first order on one side fails."""
+    norm = float(np.linalg.norm(d))
+    if norm == 0:
+        return False
+    slack = max(tol, 1e-12)
+    step = 1e3 * slack * max(1.0, float(np.linalg.norm(x))) / norm * d
+    return cone.member(x + step, slack) and cone.member(x - step, slack)
 
 
-def face_dimension(cone: ConeModel, x: np.ndarray, probes: int | None = None,
+def face_dimension(cone: ConeModel, x: np.ndarray,
                    tol: float = DEFAULT_TOL) -> int:
-    """dim span(Face(x)): structural candidate span, certified direction by
-    direction with two-sided bisection probes."""
+    """dim span(Face(x)): the directions of the structural candidate span
+    that pass one `two_sided_probe` each, together with x itself, which
+    lies in its own face without a probe.
+
+    When the span is not the whole space, the directions of its orthogonal
+    complement are probed in turn until one fails; if none does, the probe
+    cannot tell the face from the space and UnsupportedQuery is raised.
+    """
     x = np.asarray(x, dtype=float)
-    if probes is None:
-        probes = 5 * cone.dim
-    if probes < cone.dim:
-        raise ConeError("probe budget must be at least the ambient dimension")
     if not cone.member(x, tol):
         raise ConeError("x is not a member of the cone")
     basis = cone.face_span_basis(x, tol)
-    verified = []
-    for d in basis:
-        if _bisect_feasible(cone, x, d, max(tol, 1e-12)) > 0:
-            verified.append(d)
+    verified = [d for d in basis if two_sided_probe(cone, x, d, tol)]
+    # negative control: the rows of vt past the span's rank are an
+    # orthonormal basis of its orthogonal complement
+    _, sv, vt = np.linalg.svd(np.reshape(basis, (len(basis), cone.dim)))
+    rank = int(np.sum(sv > 1e-8 * sv.max(initial=1.0)))
+    if rank < cone.dim and all(two_sided_probe(cone, x, c, tol)
+                               for c in vt[rank:]):
+        raise UnsupportedQuery("face probe accepts every direction "
+                               "orthogonal to the claimed span")
+    norm = float(np.linalg.norm(x))
+    if norm > 0:
+        verified.append(x / norm)
     if not verified:
         return 0
-    m = np.array(verified)
-    return int(np.linalg.matrix_rank(m, tol=1e-8))
+    return int(np.linalg.matrix_rank(np.array(verified), tol=1e-8))
 
 
 def is_extremal_ray(cone: ConeModel, x: np.ndarray, tol: float = DEFAULT_TOL,

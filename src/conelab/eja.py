@@ -69,7 +69,9 @@ class SimpleFactor:
         self.rank = rank
         self.dim = family_dim(family, rank, spin_dim)
         if family != SPIN:
-            self._basis = self._build_basis()
+            # (dim, side, side) stacks of the basis and of its conjugate
+            self._basis = np.array(self._build_basis())
+            self._basis_conj = self._basis.conj()
             # side length of the underlying complex matrix
             self._side = 2 * rank if family == QUAT else rank
             self._kappa = 0.5 if family == QUAT else 1.0
@@ -112,14 +114,11 @@ class SimpleFactor:
         return basis
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        m = np.zeros_like(self._basis[0])
-        for c, b in zip(coords, self._basis):
-            m = m + c * b
-        return m
+        return np.tensordot(coords, self._basis, axes=1)
 
     def from_matrix(self, m: np.ndarray) -> np.ndarray:
-        return np.array([self._kappa * np.trace(b.conj().T @ m).real
-                         for b in self._basis])
+        # trace(b^H m) = sum_ij conj(b_ij) m_ij for every basis element b
+        return self._kappa * np.einsum("kij,ij->k", self._basis_conj, m).real
 
     # -- algebra operations ------------------------------------------------
 

@@ -122,6 +122,17 @@ class TestBijectionSearches:
         with pytest.raises(UnsupportedQuery):
             axioms.search_spd_self_duality(square_system.cone, cap=3)
 
+    @pytest.mark.parametrize("search", [axioms.search_weak_self_duality,
+                                        axioms.search_spd_self_duality])
+    def test_cap_checked_before_facets(self, search, monkeypatch):
+        # an over-cap cone is refused from its extremal rays alone
+        def no_facets(self):
+            raise AssertionError("facets enumerated for an over-cap cone")
+
+        monkeypatch.setattr(exact.PolyhedralData, "facets", no_facets)
+        with pytest.raises(UnsupportedQuery):
+            search(PolyhedralCone(_pentagon()), cap=4)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthant_weak_holds(self, d):
         # simplicial: no ray lies outside the ray basis, so the weak system

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import eja
-from conelab.cones import (EJACone, PolyhedralCone, PositiveMap,
-                           SharedCornerCone, System, face_dimension,
-                           is_extremal_ray, is_order_isomorphism,
+from conelab import composite, eja, fixtures
+from conelab.axioms import UNSUPPORTED
+from conelab.cones import (DEFAULT_TOL, EJACone, PolyhedralCone, PositiveMap,
+                           SharedCornerCone, System, UnsupportedQuery,
+                           face_dimension, is_extremal_ray,
+                           is_order_isomorphism, two_sided_probe,
                            validate_measurement)
 from conftest import make_eja_system
 from polyhedral_oracles import member_by_lp
@@ -106,6 +108,86 @@ class TestFaceDimension:
         assert face_dimension(shared, t11 + t_gen) == 5
         for w in (p2, p3, t00, t11, t_gen):
             assert is_extremal_ray(shared, w)
+
+
+def _rebit_max_tensor(rng):
+    rebit = make_eja_system(eja.real_sym(2), "rebit")
+    comp = composite.CompositeSystem(rebit, rebit, composite.MAX_TENSOR)
+    w = comp.product_state(comp.factorA.sample_pure(rng),
+                           comp.factorB.sample_pure(rng))
+    return comp.cone, w
+
+
+def _pure_qubit(rng):
+    cone = EJACone(eja.complex_herm(2))
+    return cone, cone.sample_extremal(rng)
+
+
+# Extremal points of four cone variants: (cone, x) from a seeded rng.
+EXTREMAL_POINTS = {
+    "eja-pure-qubit": _pure_qubit,
+    "polyhedral-square-ray": lambda rng: (PolyhedralCone(SQUARE),
+                                          np.array([1.0, 1.0, 0.0])),
+    "shared-corner-extremal": lambda rng: (
+        SharedCornerCone(), np.array([1.0, 0.25, 4.0, 0.5, -2.0])),
+    "max-tensor-rebit-product": _rebit_max_tensor,
+}
+
+
+def _orthogonal_complement(basis, dim):
+    _, sv, vt = np.linalg.svd(np.reshape(basis, (len(basis), dim)))
+    return vt[int(np.sum(sv > 1e-8)):]
+
+
+class TestFaceProbe:
+    @pytest.mark.parametrize("case", sorted(EXTREMAL_POINTS))
+    def test_out_of_face_direction_fails(self, case, rng):
+        cone, x = EXTREMAL_POINTS[case](rng)
+        basis = cone.face_span_basis(x, DEFAULT_TOL)
+        assert len(basis) == 1
+        assert all(two_sided_probe(cone, x, d) for d in basis)
+        complement = _orthogonal_complement(basis, cone.dim)
+        assert len(complement) == cone.dim - 1
+        assert not all(two_sided_probe(cone, x, c) for c in complement)
+        assert face_dimension(cone, x) == 1
+
+    def test_hollow_span_claim_is_not_counted(self, square, monkeypatch):
+        # a structural span claiming the whole space at a ray: only x
+        # itself survives, because every coordinate direction leaves the
+        # cone on one side
+        monkeypatch.setattr(PolyhedralCone, "face_span_basis",
+                            lambda self, x, tol: list(np.eye(3)))
+        assert face_dimension(square, np.array([1.0, 1.0, 0.0])) == 1
+
+    def test_member_budget_max_tensor(self, rng, monkeypatch):
+        cone, x = _rebit_max_tensor(rng)
+        basis = cone.face_span_basis(x, DEFAULT_TOL)
+        calls = []
+        member = composite.MaxTensorCone.member
+
+        def counted(self, y, tol=DEFAULT_TOL):
+            calls.append(tol)
+            return member(self, y, tol)
+
+        monkeypatch.setattr(composite.MaxTensorCone, "member", counted)
+        assert face_dimension(cone, x) == 1
+        assert len(calls) <= 1 + 2 * len(basis) + 2 * (cone.dim - len(basis))
+
+    def test_probe_that_accepts_everything_is_unsupported(self):
+        class AcceptAll(SharedCornerCone):
+            def member(self, x, tol=DEFAULT_TOL):
+                return True
+
+        cone = AcceptAll()
+        with pytest.raises(UnsupportedQuery):
+            face_dimension(cone, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+        spec = next(s for s in fixtures.builtin_fixtures()
+                    if s.name == "shared-corner")
+        system = System(cone, np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
+                        "accept-all")
+        record = fixtures.run_check("pure-transitivity", spec, system,
+                                    DEFAULT_TOL, 7)
+        assert record["status"] == UNSUPPORTED
 
 
 class TestExtremality:

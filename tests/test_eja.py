@@ -143,3 +143,27 @@ def test_direct_sum_blocks(rng):
     assert np.allclose(prod[4:], f1.product(a[4:], b[4:]))
     w = alg.random_pure(rng, summand=1)
     assert alg.summand_of(w, tol=1e-7) == 1
+
+
+@pytest.mark.parametrize("family", ["real", "complex", "quat"])
+def test_basis_conversions_match_loops(family, rng):
+    # Reference: the per-element loops over the basis.  No two basis
+    # elements share a real or imaginary matrix entry, so to_matrix is
+    # exact.  from_matrix sums two products per coordinate (exact in any
+    # order) except off-diagonal quaternionic ones, which sum four.
+    f = eja.SimpleFactor(family, 3)
+    for _ in range(50):
+        c = rng.standard_normal(f.dim)
+        m = np.zeros_like(f._basis[0])
+        for ci, b in zip(c, f._basis):
+            m = m + ci * b
+        assert np.array_equal(f.to_matrix(c), m)
+        h = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        h = h + h.conj().T
+        loop = np.array([f._kappa * np.trace(b.conj().T @ h).real
+                         for b in f._basis])
+        if family == "quat":
+            bound = 8 * np.finfo(float).eps * np.abs(h).max()
+            assert np.max(np.abs(f.from_matrix(h) - loop)) <= bound
+        else:
+            assert np.array_equal(f.from_matrix(h), loop)
