@@ -4,13 +4,16 @@ injective, or classicality-compatible composites with themselves.
 
 All arithmetic is over plain integers; derivation traces are first-class
 outputs recording, for every examined member, the forced rank, the required
-dimension, the candidate records, and the eliminating inequality.
+dimension, the candidate records, and the eliminating inequality.  A trace is
+built from plain dicts and lists: the candidate records of each required rank
+are built once per procedure and shared by every cell that needs them, and
+`trace_json` encodes each shared list once per depth.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 FAMILIES = ("RealSym", "ComplexHerm", "QuatHerm", "SpinFactor", "Albert")
 
@@ -80,26 +83,37 @@ def family_members(family: str, max_rank: int) -> list[ClassRecord]:
     return [make_record(family, r) for r in range(2, max_rank + 1)]
 
 
-def _cell(member: ClassRecord, relation: str) -> dict:
+def _record(c: ClassRecord) -> dict:
+    return {"family": c.family, "rank": c.rank, "dim": c.dim}
+
+
+def _candidates(rank: int) -> tuple[list[dict], str]:
+    """The candidate records of one required rank, and their dims as the
+    text a failing cell quotes."""
+    cands = [_record(c) for c in records_with_rank(rank)]
+    return cands, str([c["dim"] for c in cands])
+
+
+def _cell(member: ClassRecord, relation: str,
+          candidates: tuple[list[dict], str]) -> dict:
+    cands, dims = candidates
     required_rank = member.rank ** 2
     required_dim = member.dim ** 2
-    cands = records_with_rank(required_rank)
     if relation == "==":
-        hits = [c for c in cands if c.dim == required_dim]
+        hit = next((c for c in cands if c["dim"] == required_dim), None)
     else:
-        hits = [c for c in cands if c.dim >= required_dim]
+        hit = next((c for c in cands if c["dim"] >= required_dim), None)
     out = {
-        "member": asdict(member),
+        "member": _record(member),
         "required_rank": required_rank,
         "required_dim": required_dim,
         "relation": relation,
-        "candidates": [asdict(c) for c in cands],
-        "pass": bool(hits),
+        "candidates": cands,
+        "pass": hit is not None,
     }
-    if hits:
-        out["witness"] = asdict(hits[0])
+    if hit is not None:
+        out["witness"] = hit
     else:
-        dims = [c.dim for c in cands]
         out["reason"] = (f"no simple record of rank {required_rank} has "
                          f"dim {relation} {required_dim}; available dims "
                          f"are {dims}")
@@ -110,10 +124,16 @@ def _run(procedure: str, max_rank: int, num_summands: int | None = None) -> dict
     if max_rank < 2:
         raise ValueError("max_rank must be at least 2")
     relation = "==" if procedure == LOCAL_TOMOGRAPHY else ">="
+    by_rank: dict[int, tuple[list[dict], str]] = {}
     families = {}
     survivors = []
     for family in FAMILIES:
-        cells = [_cell(m, relation) for m in family_members(family, max_rank)]
+        cells = []
+        for m in family_members(family, max_rank):
+            required_rank = m.rank ** 2
+            if required_rank not in by_rank:
+                by_rank[required_rank] = _candidates(required_rank)
+            cells.append(_cell(m, relation, by_rank[required_rank]))
         ok = all(c["pass"] for c in cells)
         families[family] = {"survives": ok, "cells": cells}
         if ok:
@@ -140,10 +160,10 @@ def near_miss_record() -> dict:
     matrix algebra."""
     return {
         "summands": 3,
-        "summand": asdict(ClassRecord("Albert", 3, 27)),
+        "summand": _record(make_record("Albert", 3)),
         "total_rank": 81,
         "total_dim": 81,
-        "coincides_with": asdict(ClassRecord("ComplexHerm", 81, 6561)),
+        "coincides_with": _record(make_record("ComplexHerm", 81)),
         "note": ("three exceptional summands give a state space whose "
                  "rank and squared dimension match the rank-81 complex "
                  "matrix algebra exactly; rank and dimension counting "
@@ -173,7 +193,71 @@ def survivors_classicality(max_rank: int, num_summands: int) -> dict:
 
 
 def trace_json(trace: dict) -> str:
-    return json.dumps(trace, indent=2, sort_keys=True)
+    """The trace as text equal byte for byte to
+    `json.dumps(trace, indent=2, sort_keys=True)`.
+
+    Values may be dicts with str keys, lists, str, int, bool and None; any
+    other type raises TypeError (traces never contain floats).  The text is
+    built as one list of pieces.  Each dict and list is memoised by its id
+    and depth: the first time it is met, the span of pieces it produced is
+    recorded; when it is met again at that depth, the span is joined once
+    and reused, so a list shared by many cells is encoded once per depth.
+    Cells with the same required rank share one `candidates` list, so treat
+    a trace as read-only.
+    """
+    out: list[str] = []
+    append = out.append
+    spans: dict[tuple[int, int], tuple[int, int] | str] = {}
+
+    def emit(o, depth: int) -> None:
+        if isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (dict, list)):
+            key = (id(o), depth)
+            seen = spans.get(key)
+            if seen is not None:
+                if isinstance(seen, tuple):
+                    seen = spans[key] = "".join(out[seen[0]:seen[1]])
+                append(seen)
+                return
+            start = len(out)
+            if not o:
+                append("{}" if isinstance(o, dict) else "[]")
+            else:
+                close = "\n" + "  " * depth
+                inner = close + "  "
+                sep = "," + inner
+                if isinstance(o, dict):
+                    append("{" + inner)
+                    for i, k in enumerate(sorted(o)):
+                        if not isinstance(k, str):
+                            raise TypeError("trace keys must be str")
+                        if i:
+                            append(sep)
+                        append(encode_basestring_ascii(k) + ": ")
+                        emit(o[k], depth + 1)
+                    append(close + "}")
+                else:
+                    append("[" + inner)
+                    for i, v in enumerate(o):
+                        if i:
+                            append(sep)
+                        emit(v, depth + 1)
+                    append(close + "]")
+            spans[key] = (start, len(out))
+        else:
+            raise TypeError(f"cannot encode {type(o).__name__} in a trace")
+
+    emit(trace, 0)
+    return "".join(out)
 
 
 def trace_text(trace: dict, max_cells_per_family: int = 6) -> str:

@@ -74,6 +74,8 @@ class SimpleFactor:
             self._basis_conj = self._basis.conj()
             # side length of the underlying complex matrix
             self._side = 2 * rank if family == QUAT else rank
+            # the basis as (dim, side * side) rows, for `to_matrix`
+            self._basis_rows = self._basis.reshape(self.dim, -1)
             self._kappa = 0.5 if family == QUAT else 1.0
             if family == QUAT:
                 j2 = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -114,7 +116,9 @@ class SimpleFactor:
         return basis
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(coords, self._basis, axes=1)
+        side = self._side
+        return (coords @ self._basis_rows).reshape(
+            coords.shape[:-1] + (side, side))
 
     def from_matrix(self, m: np.ndarray) -> np.ndarray:
         # trace(b^H m) = sum_ij conj(b_ij) m_ij for every basis element b

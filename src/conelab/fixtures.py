@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import axioms, classify
+from . import axioms
 from .axioms import AxiomVerdict, FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED
 from .composite import (CompositeSystem, LinearImageCone, canonical_self_steering_state,
                         local_tomography_report, marginal_of,

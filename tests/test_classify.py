@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classify_oracle as oracle
 from conelab import classify
@@ -132,3 +134,59 @@ def test_trace_text_renders():
 def test_trace_json_round_trips():
     trace = classify.survivors_injective_composite(3)
     assert json.loads(classify.trace_json(trace)) == trace
+
+
+# Text with the characters JSON must escape, next to arbitrary code points.
+_escapes = st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u2028')
+_texts = st.text(alphabet=st.one_of(_escapes, st.characters()), max_size=12)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(min_value=-(2**200), max_value=2**200),
+                     _texts)
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.dictionaries(_texts, children, max_size=4))
+
+
+_trees = st.recursive(_scalars, _containers, max_leaves=25)
+
+
+@st.composite
+def _trees_with_sharing(draw):
+    """A tree in which one non-empty container appears at depths 1 and 3."""
+    shared = draw(st.one_of(st.lists(_trees, min_size=1, max_size=4),
+                            st.dictionaries(_texts, _trees, min_size=1,
+                                            max_size=4)))
+    return {"shared": shared,
+            "nested": [{"again": shared, "other": draw(_trees)}],
+            "tree": draw(_trees)}
+
+
+@given(tree=st.one_of(_trees, _trees_with_sharing()))
+@settings(max_examples=150, deadline=None)
+def test_trace_json_matches_stdlib(tree):
+    assert classify.trace_json(tree) == json.dumps(tree, indent=2,
+                                                   sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{"x": [1, 0.5]}, {1: "one"}])
+def test_trace_json_rejects_floats_and_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        classify.trace_json(obj)
+
+
+def test_candidates_built_once_per_required_rank(monkeypatch):
+    calls = []
+    records_with_rank = classify.records_with_rank
+
+    def counting(rank, *args, **kwargs):
+        calls.append(rank)
+        return records_with_rank(rank, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "records_with_rank", counting)
+    trace = classify.survivors_local_tomography(8)
+    cells = [c for f in trace["families"].values() for c in f["cells"]]
+    assert len(cells) > 16000
+    assert sorted(calls) == [4, 9, 16, 25, 36, 49, 64]
+    assert {c["required_rank"] for c in cells} == set(calls)
