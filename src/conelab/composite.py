@@ -8,7 +8,7 @@ with a product functional eA (x) eB is eA^T M eB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +16,10 @@ import numpy as np
 from . import exact
 from .axioms import AxiomVerdict, FAILS, HOLDS
 from .cones import (DEFAULT_TOL, ConeError, ConeModel, EJACone,
-                    PolyhedralCone, PositiveMap, SharedCornerCone, System,
-                    UnsupportedQuery, face_dimension, is_extremal_ray,
-                    is_order_isomorphism, validate_measurement)
-from .eja import JordanAlgebra, SimpleFactor, complex_herm
+                    PolyhedralCone, PositiveMap, System, UnsupportedQuery,
+                    face_dimension, is_extremal_ray, is_order_isomorphism,
+                    validate_measurement)
+from .eja import SimpleFactor, complex_herm
 
 MIN_TENSOR = "min"
 MAX_TENSOR = "max"
@@ -31,9 +31,7 @@ def _pure_effect_minimizing(factor: SimpleFactor, x: np.ndarray):
     """(value, pure effect) minimizing <e, x> over normalized pure effects."""
     dec = factor.spectral(x)
     k = int(np.argmin(dec.eigenvalues))
-    p = dec.idempotents[k]
-    e = 2.0 * p if factor.family == "spin" else p
-    return float(dec.eigenvalues[k]), e
+    return float(dec.eigenvalues[k]), factor.metric * dec.idempotents[k]
 
 
 class LinearImageCone(ConeModel):
@@ -73,33 +71,33 @@ class MaxTensorCone(ConeModel):
     nonnegative minimum over sampled and locally minimized product effects is
     acceptance at sampling strength only."""
 
-    def __init__(self, comp: "CompositeSystem", samples: int = 200,
-                 sweeps: int = 25, seed: int = 23):
+    # product effects sampled for non-simple factors, alternating sweeps per
+    # start for simple ones, and the seed of both
+    SAMPLES = 200
+    SWEEPS = 25
+    SEED = 23
+
+    def __init__(self, comp: "CompositeSystem"):
         self.comp = comp
         self.dim = comp.dim
-        self.samples = samples
-        self.sweeps = sweeps
-        self.seed = seed
 
     def pairing_minimum(self, x: np.ndarray) -> float:
         comp = self.comp
         m = x.reshape(comp.dimA, comp.dimB)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.SEED)
         best = np.inf
         fa = comp._simple_factor(comp.factorA)
         fb = comp._simple_factor(comp.factorB)
         if fa is not None and fb is not None:
             # alternating exact minimization over pure product effects
             for _ in range(8):
-                f = comp.factorB.cone.sample_extremal(rng)
-                if fb.family == "spin":
-                    f = 2.0 * f
-                for _ in range(self.sweeps):
+                f = fb.metric * comp.factorB.cone.sample_extremal(rng)
+                for _ in range(self.SWEEPS):
                     _, e = _pure_effect_minimizing(fa, m @ f)
                     _, f = _pure_effect_minimizing(fb, m.T @ e)
                 best = min(best, float(e @ m @ f))
             return best
-        for _ in range(self.samples):
+        for _ in range(self.SAMPLES):
             e = self._dual_sample(comp.factorA, rng)
             f = self._dual_sample(comp.factorB, rng)
             best = min(best, float(e @ m @ f))
@@ -114,12 +112,7 @@ class MaxTensorCone(ConeModel):
             w = rng.random(len(facets))
             return sum(wi * f for wi, f in zip(w, facets))
         if isinstance(cone, EJACone):
-            w = cone.sample_extremal(rng)
-            out = w.copy()
-            for s in cone.algebra.summands:
-                if s.factor.family == "spin":
-                    out[s.sl] = 2.0 * w[s.sl]
-            return out
+            return cone.algebra.metric * cone.sample_extremal(rng)
         raise UnsupportedQuery("no dual sampler for this factor cone")
 
     def member(self, x, tol=DEFAULT_TOL):
@@ -494,24 +487,21 @@ def purity_preservation_check(comp: CompositeSystem, wa: np.ndarray,
 
 def _extremal_among_generators(cone: PolyhedralCone, w: np.ndarray,
                                tol: float) -> bool:
-    """Exact LP: w is extremal iff it is not a nonnegative combination of the
-    generators lying outside its ray."""
+    """Every extremal ray of a finitely generated cone is spanned by a
+    generator, so w is extremal iff it is a positive multiple of a generator
+    whose ray `extremal_ray_indices` found extremal (an exact LP per ray, run
+    once and cached)."""
     wx = cone._to_exact(w, max(tol, 1e-8))
-    others = []
-    for r in cone.data.rays:
-        lam = None
-        for a, b in zip(wx, r):
-            if b != 0:
-                lam = a / b
-                break
-        if lam is not None and lam > 0 and [lam * b for b in r] == list(wx):
-            continue
-        others.append(r)
-    if len(others) == len(cone.data.rays):
-        # w is not itself a listed generator; decide by membership twice
-        raise UnsupportedQuery("extremality LP expects w on a generator ray")
-    cols = [[r[i] for r in others] for i in range(cone.dim)]
-    return exact.feasible_nonneg(cols, list(wx)) is None
+    on_ray = []
+    for i, r in enumerate(cone.data.rays):
+        lam = next((a / b for a, b in zip(wx, r) if b != 0), None)
+        if lam is not None and lam > 0 and [lam * b for b in r] == wx:
+            on_ray.append(i)
+    if not on_ray:
+        # rounding can push w off its ray: no verdict, not a disproof
+        raise UnsupportedQuery("extremality expects w on a generator ray")
+    extremal = cone.data.extremal_ray_indices()
+    return any(i in extremal for i in on_ray)
 
 
 def local_tomography_report(comp: CompositeSystem) -> dict:

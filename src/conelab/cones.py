@@ -18,7 +18,7 @@ because a probe that accepts every direction certifies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -331,12 +331,6 @@ class SharedCornerCone(ConeModel):
 # -- generic operations ------------------------------------------------------
 
 
-def membership(cone: ConeModel, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    if tol < 0:
-        raise ConeError("tol must be nonnegative")
-    return cone.member(np.asarray(x, dtype=float), tol)
-
-
 def two_sided_probe(cone: ConeModel, x: np.ndarray, d: np.ndarray,
                     tol: float = DEFAULT_TOL) -> bool:
     """Are x + eps*d/|d| and x - eps*d/|d| both members, with the step
@@ -382,12 +376,12 @@ def face_dimension(cone: ConeModel, x: np.ndarray,
     return int(np.linalg.matrix_rank(np.array(verified), tol=1e-8))
 
 
-def is_extremal_ray(cone: ConeModel, x: np.ndarray, tol: float = DEFAULT_TOL,
-                    fast_path: bool = True) -> bool:
+def is_extremal_ray(cone: ConeModel, x: np.ndarray,
+                    tol: float = DEFAULT_TOL) -> bool:
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) < tol:
         raise ConeError("the null ray is excluded")
-    if fast_path and isinstance(cone, EJACone):
+    if isinstance(cone, EJACone):
         vals = np.sort(cone.algebra.spectral(x).eigenvalues)
         scale = max(1.0, float(np.max(np.abs(vals))))
         positive = int(np.sum(vals > tol * scale))

@@ -5,7 +5,9 @@ matrices, plus spin factors.  Quaternionic matrices are realized as complex
 2r x 2r matrices with the symplectic reality constraint J conj(H) J^{-1} = H,
 so a single complex eigensolver serves all matrix families.  Every element is
 a real coordinate vector over a fixed basis; matrix-family bases are
-orthonormal under the trace form.
+orthonormal under the trace form.  Spin-factor coordinates are (s, x) with
+trace form 2(st + x.y), so each factor carries a `metric`, the constant
+ratio of its trace form to the Euclidean dot product of coordinates.
 
 Direct sums are handled by `JordanAlgebra`, which concatenates summand
 coordinates and applies every operation blockwise.
@@ -14,7 +16,7 @@ coordinates and applies every operation blockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +36,6 @@ _Q_UNITS = [
 ]
 
 
-def family_dim(family: str, rank: int, spin_dim: int | None = None) -> int:
-    if family == REAL:
-        return rank * (rank + 1) // 2
-    if family == COMPLEX:
-        return rank * rank
-    if family == QUAT:
-        return rank * (2 * rank - 1)
-    if family == SPIN:
-        if spin_dim is None or spin_dim < 2:
-            raise ValueError("spin factor needs its own dim parameter >= 2")
-        return spin_dim
-    raise ValueError(f"unknown family {family!r}")
-
-
 @dataclass
 class SpectralDecomposition:
     eigenvalues: np.ndarray          # length = rank
@@ -57,20 +45,29 @@ class SpectralDecomposition:
 class SimpleFactor:
     """One simple EJA: product, spectral theory, frames.
 
-    Elements are real coordinate vectors of length `dim`.
+    Elements are real coordinate vectors of length `dim`, the size of the
+    basis.  The trace form is `metric` times the Euclidean dot product, so
+    `metric * x` is the coordinate vector of the effect <x, .>.
     """
 
     def __init__(self, family: str, rank: int, spin_dim: int | None = None):
+        if family not in (REAL, COMPLEX, QUAT, SPIN):
+            raise ValueError(f"unknown family {family!r}")
         if family == SPIN and rank != 2:
             raise ValueError("spin factors have rank 2")
         if family != SPIN and spin_dim is not None:
             raise ValueError("spin_dim only applies to spin factors")
         self.family = family
         self.rank = rank
-        self.dim = family_dim(family, rank, spin_dim)
-        if family != SPIN:
+        self.metric = 2.0 if family == SPIN else 1.0
+        if family == SPIN:
+            if spin_dim is None or spin_dim < 2:
+                raise ValueError("spin factor needs its own dim parameter >= 2")
+            self.dim = spin_dim
+        else:
             # (dim, side, side) stacks of the basis and of its conjugate
             self._basis = np.array(self._build_basis())
+            self.dim = len(self._basis)
             self._basis_conj = self._basis.conj()
             # side length of the underlying complex matrix
             self._side = 2 * rank if family == QUAT else rank
@@ -135,11 +132,7 @@ class SimpleFactor:
 
     def trace_functional(self) -> np.ndarray:
         """Coordinates of the trace functional under the Euclidean pairing."""
-        if self.family == SPIN:
-            u = np.zeros(self.dim)
-            u[0] = 2.0
-            return u
-        return self.unit()
+        return self.metric * self.unit()
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.family == SPIN:
@@ -153,8 +146,7 @@ class SimpleFactor:
         return self.from_matrix(0.5 * (ma @ mb + mb @ ma))
 
     def trace_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        scale = 2.0 if self.family == SPIN else 1.0
-        return scale * float(a @ b)
+        return self.metric * float(a @ b)
 
     def spectral(self, a: np.ndarray) -> SpectralDecomposition:
         if not np.all(np.isfinite(a)):
@@ -217,8 +209,8 @@ class SimpleFactor:
         """Frame of orthogonal pure states and dual effects, <w_i, e_j> = d_ij.
 
         States are the diagonal primitive idempotents (spin: the two
-        idempotents on the first spatial axis); effects pair by the Euclidean
-        coordinate product.
+        idempotents on the first spatial axis); effects are their trace-form
+        duals, which pair by the Euclidean coordinate product.
         """
         if self.family == SPIN:
             # unit has x = 0: deterministic split along the first spatial axis
@@ -227,18 +219,16 @@ class SimpleFactor:
             c2 = np.zeros(self.dim)
             c2[0], c2[1] = 0.5, -0.5
             states = [c1, c2]
-            effects = [2 * c1, 2 * c2]  # trace-form duals
-            return states, effects
-        states = []
-        for i in range(self.rank):
-            m = np.zeros((self._side, self._side), dtype=complex)
-            if self.family == QUAT:
-                m[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = np.eye(2)
-            else:
-                m[i, i] = 1.0
-            states.append(self.from_matrix(m))
-        effects = [s.copy() for s in states]
-        return states, effects
+        else:
+            states = []
+            for i in range(self.rank):
+                m = np.zeros((self._side, self._side), dtype=complex)
+                if self.family == QUAT:
+                    m[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = np.eye(2)
+                else:
+                    m[i, i] = 1.0
+                states.append(self.from_matrix(m))
+        return states, [self.metric * s for s in states]
 
     def overlap_state(self) -> np.ndarray:
         """A pure state with overlap 1/rank against every canonical frame effect."""
@@ -445,6 +435,9 @@ class JordanAlgebra:
             off += f.dim
         self.dim = off
         self.rank = sum(f.rank for f in factors)
+        # per-coordinate trace-form metric: metric * x is the effect <x, .>
+        self.metric = np.concatenate([np.full(f.dim, f.metric)
+                                      for f in factors])
 
     @property
     def factors(self) -> list[SimpleFactor]:
@@ -472,10 +465,7 @@ class JordanAlgebra:
         return out
 
     def trace_functional(self) -> np.ndarray:
-        out = np.empty(self.dim)
-        for s in self.summands:
-            out[s.sl] = s.factor.trace_functional()
-        return out
+        return self.metric * self.unit()
 
     def trace_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         self._check_dim(a, b)

@@ -123,17 +123,6 @@ def _coprime_integers(vec: Sequence[Fraction]) -> list[int]:
     return [x // g for x in ints]
 
 
-def primitive(vec: Sequence[Fraction]) -> Row:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    v = [Fraction(x) for x in vec]
-    lead = next((x for x in v if x != 0), None)
-    if lead is None:
-        return v
-    if lead < 0:
-        v = [-x for x in v]
-    return [Fraction(x) for x in _coprime_integers(v)]
-
-
 def feasible_nonneg(mat: Matrix, rhs: Row) -> Row | None:
     """Find x >= 0 with mat @ x = rhs, exactly, or None if infeasible.
 

@@ -16,17 +16,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import axioms
-from .axioms import AxiomVerdict, FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED
+from . import __version__, axioms, eja
+from .axioms import AxiomVerdict, FAILS, HOLDS, UNSUPPORTED
 from .composite import (CompositeSystem, LinearImageCone, canonical_self_steering_state,
-                        local_tomography_report, marginal_of,
-                        purity_preservation_check, steering_order_iso_check)
+                        local_tomography_report, purity_preservation_check,
+                        steering_order_iso_check)
 from .cones import (ConeError, EJACone, PolyhedralCone, SharedCornerCone,
-                    System, UnsupportedQuery, is_extremal_ray)
-from . import eja
+                    System, UnsupportedQuery)
 
 SCHEMA_VERSION = 1
-TOOLKIT_VERSION = "1.0.0"
+TOOLKIT_VERSION = __version__
 SKIPPED = "skipped"
 
 ALL_CHECKS = ("self-dual", "weak-self-duality", "spd-self-duality",
@@ -109,31 +108,24 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
 # -- building systems --------------------------------------------------------
 
 
-def _eja_system(alg: eja.JordanAlgebra, label: str) -> System:
-    unit = np.zeros(alg.dim)
-    for s in alg.summands:
-        if s.factor.family == "spin":
-            unit[s.sl.start] = 2.0
-        else:
-            unit[s.sl] = s.factor.unit()
-    return System(EJACone(alg), unit, label)
-
-
 def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
     if spec.kind == "eja":
-        if "classical" in spec.params:
-            alg = eja.classical(int(spec.params["classical"]))
-        else:
-            factors = []
-            for s in spec.params["summands"]:
-                fam = s["family"]
-                if fam == "spin":
-                    factors.append(eja.SimpleFactor("spin", 2,
-                                                    int(s["dim"])))
-                else:
-                    factors.append(eja.SimpleFactor(fam, int(s["rank"])))
-            alg = eja.JordanAlgebra(factors)
-        return _eja_system(alg, spec.name)
+        try:
+            if "classical" in spec.params:
+                alg = eja.classical(int(spec.params["classical"]))
+            else:
+                factors = []
+                for s in spec.params["summands"]:
+                    fam = s["family"]
+                    if fam == "spin":
+                        factors.append(eja.SimpleFactor("spin", 2,
+                                                        int(s["dim"])))
+                    else:
+                        factors.append(eja.SimpleFactor(fam, int(s["rank"])))
+                alg = eja.JordanAlgebra(factors)
+        except ValueError as exc:
+            raise ConeError(f"fixture '{spec.name}': {exc}") from exc
+        return System(EJACone(alg), alg.trace_functional(), spec.name)
     if spec.kind == "polyhedral":
         cone = PolyhedralCone(spec.params["generators"])
         unit = np.array([float(Fraction(v)) for v in

@@ -6,13 +6,8 @@ from conelab.cones import EJACone, System
 
 
 def make_eja_system(alg: eja.JordanAlgebra, label: str = "") -> System:
-    unit = np.zeros(alg.dim)
-    for s in alg.summands:
-        if s.factor.family == "spin":
-            unit[s.sl.start] = 2.0
-        else:
-            unit[s.sl] = s.factor.unit()
-    return System(EJACone(alg), unit, label or str(alg.descriptor()))
+    return System(EJACone(alg), alg.trace_functional(),
+                  label or str(alg.descriptor()))
 
 
 @pytest.fixture

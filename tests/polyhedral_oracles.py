@@ -1,12 +1,14 @@
-"""Independent, slower routes to RREF, polyhedral facets, membership and
-the ray/facet bijection systems.
+"""Independent, slower routes to RREF, polyhedral facets, membership,
+extremality in a composite and the ray/facet bijection systems.
 
 `exact.rref` eliminates on integer rows; `rref_by_fractions` is the
 textbook elimination over `Fraction`.
 
 `PolyhedralData` answers the first two questions from its double-description
 H-description; these oracles answer them the old way, by brute force over
-(d-1)-subsets of rays and by a phase-I simplex.  The bijection searches
+(d-1)-subsets of rays and by a phase-I simplex.  Polyhedral purity
+preservation reads the cached extremal generators; `extremal_by_lp` solves
+one exact LP per query instead.  The bijection searches
 solve each bijection's system in the n ray scales alone; the oracle here
 solves it in all d*d + n unknowns.  The tests compare the routes.
 """
@@ -14,9 +16,11 @@ solves it in all d*d + n unknowns.  The tests compare the routes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from conelab import exact
+from conelab.cones import PolyhedralCone, UnsupportedQuery
 
 
 def rref_by_fractions(mat) -> tuple[exact.Matrix, list[int]]:
@@ -45,6 +49,19 @@ def rref_by_fractions(mat) -> tuple[exact.Matrix, list[int]]:
     return m, pivots
 
 
+def primitive(vec) -> exact.Row:
+    """Scale a rational vector to coprime integers with positive leading entry."""
+    v = [Fraction(x) for x in vec]
+    lead = next((x for x in v if x != 0), None)
+    if lead is None:
+        return v
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    sign = 1 if lead > 0 else -1
+    return [Fraction(sign * (x // g)) for x in ints]
+
+
 def facets_by_subsets(data: exact.PolyhedralData) -> exact.Matrix:
     """Primitive inward facet normals, enumerated from (dim-1)-subsets of
     the rays in lexicographic order, each facet at its first subset."""
@@ -55,7 +72,7 @@ def facets_by_subsets(data: exact.PolyhedralData) -> exact.Matrix:
         ns = exact.null_space([data.rays[i] for i in subset])
         if len(ns) != 1:
             continue
-        n = exact.primitive(ns[0])
+        n = primitive(ns[0])
         vals = [exact.dot(n, r) for r in data.rays]
         if all(v >= 0 for v in vals):
             pass
@@ -78,6 +95,26 @@ def member_by_lp(data: exact.PolyhedralData, x) -> bool:
     xf = [Fraction(v) for v in x]
     mat = [[r[i] for r in data.rays] for i in range(data.dim)]
     return exact.feasible_nonneg(mat, xf) is not None
+
+
+def extremal_by_lp(cone: PolyhedralCone, w, tol: float) -> bool:
+    """Exact LP: w is extremal iff it is not a nonnegative combination of the
+    generators lying outside its ray."""
+    wx = cone._to_exact(w, max(tol, 1e-8))
+    others = []
+    for r in cone.data.rays:
+        lam = None
+        for a, b in zip(wx, r):
+            if b != 0:
+                lam = a / b
+                break
+        if lam is not None and lam > 0 and [lam * b for b in r] == list(wx):
+            continue
+        others.append(r)
+    if len(others) == len(cone.data.rays):
+        raise UnsupportedQuery("extremality LP expects w on a generator ray")
+    cols = [[r[i] for r in others] for i in range(cone.dim)]
+    return exact.feasible_nonneg(cols, list(wx)) is None
 
 
 def bijection_system(rays, facets, perm, symmetric: bool) -> list[exact.Row]:

@@ -7,7 +7,6 @@ loosened without revisiting the criterion it implements.
 import contextlib
 
 import numpy as np
-import pytest
 
 import classify_oracle as oracle
 from conelab import axioms, classify, eja, fixtures

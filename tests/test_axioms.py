@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conelab import axioms, eja, exact
-from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
+from conelab.axioms import FAILS, HOLDS
 from conelab.cones import (ConeError, PolyhedralCone, SharedCornerCone,
                           System, UnsupportedQuery, is_order_isomorphism)
 from conftest import make_eja_system
@@ -71,6 +71,25 @@ class TestSelfDuality:
     def test_rejects_indefinite_inner(self, qubit):
         with pytest.raises(ConeError):
             axioms.check_self_dual(qubit, inner=np.diag([1.0, -1.0, 1, 1]))
+
+    def test_pairwise_violation_matches_loop(self, qubit):
+        # Weighting the off-diagonal coordinates makes some pure pairs pair
+        # negatively.  Reference: one `a @ inner @ b` per pair, in
+        # combinations_with_replacement order, stopping at the first
+        # violation; the same seed draws the same members.
+        inner = np.diag([1.0, 1.0, 10.0, 10.0])
+        v = axioms.check_self_dual(qubit, inner=inner, seed=0)
+        cone = qubit.cone
+        rng = np.random.default_rng(0)
+        members = list(cone.generators())
+        members += [cone.sample_extremal(rng) for _ in range(200)]
+        ref = next((a, b, float(a @ inner @ b)) for a, b in
+                   itertools.combinations_with_replacement(members, 2)
+                   if float(a @ inner @ b) < -1e-9)
+        assert v.status == FAILS
+        a, b = v.violation["pair"]
+        assert np.array_equal(a, ref[0]) and np.array_equal(b, ref[1])
+        assert v.violation["inner_value"] == ref[2] == v.margin
 
 
 class TestBijectionSearches:

@@ -131,6 +131,21 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", "--registry", str(reg)])
         assert json.loads(result.output)["seed"] == 42
 
+    @pytest.mark.parametrize("summand, message", [
+        ({"family": "octonion", "rank": 3}, "unknown family 'octonion'"),
+        ({"family": "spin", "dim": 1},
+         "spin factor needs its own dim parameter >= 2")])
+    def test_malformed_summand_is_an_error(self, runner, tmp_path, summand,
+                                           message):
+        reg = tmp_path / "bad.json"
+        reg.write_text(json.dumps({"fixtures": [
+            {"name": "odd", "kind": "eja",
+             "params": {"summands": [summand]}}]}))
+        result = runner.invoke(main, ["check", "--registry", str(reg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: fixture 'odd': {message}" in result.output
+
     def test_timings_flag_adds_fields(self, runner, tmp_path):
         reg = tmp_path / "reg.json"
         reg.write_text(small_registry())

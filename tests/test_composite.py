@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conelab import composite as cp
-from conelab import eja
+from conelab import eja, exact
 from conelab.axioms import FAILS, HOLDS
 from conelab.cones import (ConeError, PolyhedralCone, System,
                           UnsupportedQuery, is_extremal_ray)
 from conftest import make_eja_system
+from polyhedral_oracles import extremal_by_lp
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -224,6 +225,51 @@ class TestPurityPreservation:
         pure = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ConeError):
             cp.purity_preservation_check(two_qubit, mixed, pure)
+
+
+class TestPolyhedralExtremality:
+    """Purity in the min and classical composites reads the extremal rays
+    cached at construction; the LP oracle decides each query on its own."""
+
+    def test_agrees_with_lp_on_extremal_products(self, min_square, bit_bit):
+        for comp in (min_square, bit_bit):
+            for w in comp.product_generators():
+                assert cp._extremal_among_generators(comp.cone, w, 1e-9)
+                assert extremal_by_lp(comp.cone, w, 1e-9)
+
+    def test_redundant_generator_is_not_extremal(self, min_square):
+        # (1, 2, 1) is the sum of the first two square rays
+        padded = System(PolyhedralCone(SQUARE + [[1, 2, 1]]),
+                        np.array([0.0, 1.0, 0.0]), "padded square")
+        comp = cp.CompositeSystem(padded, min_square.factorB, cp.MIN_TENSOR)
+        verdicts = []
+        for r in comp.cone.data.rays:
+            w = np.array([float(v) for v in r])
+            new = cp._extremal_among_generators(comp.cone, w, 1e-9)
+            assert new == extremal_by_lp(comp.cone, w, 1e-9)
+            verdicts.append(new)
+        assert verdicts == [True] * 16 + [False] * 4
+
+    def test_off_generator_rays_unsupported(self, min_square):
+        a, b = min_square.product_generators()[:2]
+        for route in (cp._extremal_among_generators, extremal_by_lp):
+            with pytest.raises(UnsupportedQuery):
+                route(min_square.cone, a + b, 1e-9)
+
+    def test_purity_check_solves_no_lp(self, min_square, rng, monkeypatch):
+        calls = []
+        solver = exact.feasible_nonneg
+
+        def counting(*args):
+            calls.append(args)
+            return solver(*args)
+
+        monkeypatch.setattr(exact, "feasible_nonneg", counting)
+        for _ in range(5):
+            wa = min_square.factorA.sample_pure(rng)
+            wb = min_square.factorB.sample_pure(rng)
+            assert cp.purity_preservation_check(min_square, wa, wb)
+        assert calls == []
 
 
 class TestPureMarginalLemma:

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from conelab import eja
+from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
+
+
+def spin_plus_complex() -> eja.JordanAlgebra:
+    """A spin factor beside a matrix factor: the metric differs per block."""
+    return eja.JordanAlgebra([eja.SimpleFactor(eja.SPIN, 2, spin_dim=5),
+                              eja.SimpleFactor(eja.COMPLEX, 2)])
 
 
 @pytest.fixture(params=sorted(SIMPLE_FACTORIES))
@@ -13,10 +19,78 @@ def algebra(request):
 
 
 def test_dimension_table():
-    assert eja.family_dim("real", 3) == 6
-    assert eja.family_dim("complex", 3) == 9
-    assert eja.family_dim("quat", 2) == 6
-    assert eja.family_dim("spin", 2, spin_dim=7) == 7
+    # the dimension is the size of the basis; classify owns the table
+    for family, name in ((eja.REAL, "RealSym"), (eja.COMPLEX, "ComplexHerm"),
+                         (eja.QUAT, "QuatHerm")):
+        for rank in (1, 2, 3, 4):
+            assert (eja.SimpleFactor(family, rank).dim
+                    == classify.dim_of(name, rank))
+    for n in (2, 3, 7):
+        assert (eja.SimpleFactor(eja.SPIN, 2, spin_dim=n).dim
+                == classify.dim_of("SpinFactor", 2, spin_dim=n))
+
+
+def test_invalid_factors_rejected():
+    for spin_dim in (None, 1):
+        with pytest.raises(ValueError, match="dim parameter"):
+            eja.SimpleFactor(eja.SPIN, 2, spin_dim=spin_dim)
+    with pytest.raises(ValueError, match="unknown family"):
+        eja.SimpleFactor("octonion", 3)
+
+
+def _trace_form(f: eja.SimpleFactor, a, b) -> float:
+    """tr(a o b) from matrices (half the complex trace for quaternionic
+    factors), or 2(st + x.y) for a spin factor."""
+    if f.family == eja.SPIN:
+        return 2.0 * (a[0] * b[0] + a[1:] @ b[1:])
+    kappa = 0.5 if f.family == eja.QUAT else 1.0
+    return kappa * float(np.trace(f.to_matrix(a) @ f.to_matrix(b)).real)
+
+
+@pytest.mark.parametrize("factory", [*SIMPLE_FACTORIES.values(),
+                                     spin_plus_complex])
+def test_metric_is_the_trace_form(factory, rng):
+    alg = factory()
+    for _ in range(20):
+        a = alg.random_element(rng)
+        b = alg.random_element(rng)
+        expected = sum(_trace_form(s.factor, a[s.sl], b[s.sl])
+                       for s in alg.summands)
+        assert abs((alg.metric * a) @ b - expected) < 1e-10
+        assert abs(alg.trace_inner(a, b) - expected) < 1e-10
+    assert np.array_equal(alg.trace_functional(), alg.metric * alg.unit())
+
+
+def _unit_per_summand(alg: eja.JordanAlgebra) -> np.ndarray:
+    """The unit effect as built summand by summand: 2 on the scalar
+    coordinate of a spin factor, the algebra unit elsewhere."""
+    unit = np.zeros(alg.dim)
+    for s in alg.summands:
+        if s.factor.family == "spin":
+            unit[s.sl.start] = 2.0
+        else:
+            unit[s.sl] = s.factor.unit()
+    return unit
+
+
+def _spec_of(alg: eja.JordanAlgebra) -> fixtures.FixtureSpec:
+    summands = [{"family": f.family, "dim": f.dim} if f.family == eja.SPIN
+                else {"family": f.family, "rank": f.rank} for f in alg.factors]
+    return fixtures.FixtureSpec("alg", "eja", {"summands": summands})
+
+
+def test_unit_effect_matches_per_summand_construction():
+    specs = fixtures.builtin_fixtures()
+    registry = {s.name: s for s in specs}
+    systems = [fixtures.build_system(s, registry)
+               for s in specs if s.kind == "eja"]
+    for factory in [*SIMPLE_FACTORIES.values(), spin_plus_complex]:
+        systems.append(fixtures.build_system(_spec_of(factory()), {}))
+        systems.append(make_eja_system(factory()))
+    assert len(systems) == 14 + 2 * 7
+    for system in systems:
+        ref = _unit_per_summand(system.cone.algebra)
+        assert system.unit.tobytes() == ref.tobytes()
 
 
 def test_jordan_and_euclidean_identities(algebra, rng):

