@@ -29,9 +29,9 @@ CLASSICAL = "classical"
 
 def _pure_effect_minimizing(factor: SimpleFactor, x: np.ndarray):
     """(value, pure effect) minimizing <e, x> over normalized pure effects."""
-    dec = factor.spectral(x)
-    k = int(np.argmin(dec.eigenvalues))
-    return float(dec.eigenvalues[k]), factor.metric * dec.idempotents[k]
+    vals, idempotent = factor.spectral_parts(x)
+    k = int(np.argmin(vals))
+    return float(vals[k]), factor.metric * idempotent(k)
 
 
 class LinearImageCone(ConeModel):
@@ -479,7 +479,7 @@ def purity_preservation_check(comp: CompositeSystem, wa: np.ndarray,
     if comp.model == HILBERT:
         assert isinstance(cone, LinearImageCone)
         alg = cone.inner.algebra
-        vals = alg.spectral(cone.rot @ w).eigenvalues
+        vals = alg.eigenvalues(cone.rot @ w)
         scale = max(np.max(np.abs(vals)), 1e-12)
         return int(np.sum(np.abs(vals) > 1e-8 * scale)) == 1
     return face_dimension(cone, w, tol=tol) == 1

@@ -151,7 +151,8 @@ class PolyhedralCone(ConeModel):
 
 
 class EJACone(ConeModel):
-    """Positive cone of a Euclidean Jordan algebra (spectral membership)."""
+    """Positive cone of a Euclidean Jordan algebra: x is a member when its
+    eigenvalues are nonnegative."""
 
     variant = "eja"
 
@@ -160,12 +161,11 @@ class EJACone(ConeModel):
         self.dim = algebra.dim
 
     def member(self, x, tol=DEFAULT_TOL):
-        self._check_dim(x)
-        return self.algebra.min_eigenvalue(np.asarray(x, dtype=float)) >= -tol
+        return self.margin(x) >= -tol
 
     def margin(self, x):
         self._check_dim(x)
-        return self.algebra.min_eigenvalue(np.asarray(x, dtype=float))
+        return float(self.algebra.min_eigenvalues(np.asarray(x, dtype=float)))
 
     def dual_member(self, e, tol=DEFAULT_TOL):
         # The trace form makes the cone self-dual, and the coordinate pairing
@@ -284,17 +284,10 @@ class SharedCornerCone(ConeModel):
                 p = np.zeros((2, 2))
             # constraint: block_i(d) - P block_i(d) P = 0, expanded over the
             # five coordinates
+            resid = [d[bi] - p @ d[bi] @ p for d in _UNIT_BLOCKS]
             for a in range(2):
                 for b in range(a, 2):
-                    row = np.zeros(5)
-                    for k in range(5):
-                        e = np.zeros(5)
-                        e[k] = 1.0
-                        d1, d2 = self.blocks(e)
-                        d = d1 if bi == 0 else d2
-                        resid = d - p @ d @ p
-                        row[k] = resid[a, b]
-                    rows.append(row)
+                    rows.append(np.array([r[a, b] for r in resid]))
         a = np.array(rows)
         u, sv, vt = np.linalg.svd(a)
         r = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
@@ -319,13 +312,13 @@ class SharedCornerCone(ConeModel):
     def _congruence(self, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         if abs(l1[0, 0] - l2[0, 0]) > 1e-10 * max(abs(l1[0, 0]), 1.0):
             raise ConeError("congruence pair must share the corner scale")
-        cols = []
-        for k in range(5):
-            e = np.zeros(5)
-            e[k] = 1.0
-            d1, d2 = self.blocks(e)
-            cols.append(self.from_blocks(l1 @ d1 @ l1.T, l2 @ d2 @ l2.T))
-        return np.column_stack(cols)
+        return np.column_stack([self.from_blocks(l1 @ d1 @ l1.T,
+                                                 l2 @ d2 @ l2.T)
+                                for d1, d2 in _UNIT_BLOCKS])
+
+
+# the block pairs of the five coordinate vectors
+_UNIT_BLOCKS = tuple(SharedCornerCone.blocks(e) for e in np.eye(5))
 
 
 # -- generic operations ------------------------------------------------------
@@ -382,7 +375,7 @@ def is_extremal_ray(cone: ConeModel, x: np.ndarray,
     if np.linalg.norm(x) < tol:
         raise ConeError("the null ray is excluded")
     if isinstance(cone, EJACone):
-        vals = np.sort(cone.algebra.spectral(x).eigenvalues)
+        vals = np.sort(cone.algebra.eigenvalues(x))
         scale = max(1.0, float(np.max(np.abs(vals))))
         positive = int(np.sum(vals > tol * scale))
         negative = int(np.sum(vals < -tol * scale))

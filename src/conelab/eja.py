@@ -148,35 +148,18 @@ class SimpleFactor:
     def trace_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.metric * float(a @ b)
 
-    def spectral(self, a: np.ndarray) -> SpectralDecomposition:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite input")
-        if self.family == SPIN:
-            s, x = a[0], a[1:]
-            nx = float(np.linalg.norm(x))
-            if nx < 1e-300:
-                xhat = np.zeros(self.dim - 1)
-                xhat[0] = 1.0
-            else:
-                xhat = x / nx
-            c_plus = np.concatenate(([0.5], 0.5 * xhat))
-            c_minus = np.concatenate(([0.5], -0.5 * xhat))
-            return SpectralDecomposition(np.array([s + nx, s - nx]),
-                                         [c_plus, c_minus])
+    def _eigh(self, a: np.ndarray):
+        """`np.linalg.eigh` of the matrix of a, or of each row of a stack."""
         m = self.to_matrix(a)
-        if self.family == REAL:
-            vals, vecs = np.linalg.eigh(m.real)
-        else:
-            vals, vecs = np.linalg.eigh(m)
-        if self.family != QUAT:
-            idem = [self.from_matrix(np.outer(vecs[:, k], vecs[:, k].conj()))
-                    for k in range(self._side)]
-            return SpectralDecomposition(vals, idem)
-        # Quaternionic: eigenvalues come doubled; pair each eigenvector v with
-        # its symplectic partner J conj(v) and merge into one rank-2 projector.
+        return np.linalg.eigh(m.real if self.family == REAL else m)
+
+    def _kramers_pairs(self, vecs: np.ndarray):
+        """Quaternionic eigenvalues come doubled: pair each eigenvector v
+        (a column of `vecs`, in eigenvalue order) with its symplectic partner
+        w = J conj(v), skipping columns already spanned by earlier pairs.
+        Returns one (column index, v, w) per primitive idempotent."""
         chosen: list[np.ndarray] = []
-        eigs = []
-        idem = []
+        pairs = []
         for k in range(self._side):
             v = vecs[:, k]
             if chosen:
@@ -187,11 +170,59 @@ class SimpleFactor:
                     continue
                 v = v / nv
             w = self._J @ v.conj()
-            proj = np.outer(v, v.conj()) + np.outer(w, w.conj())
-            idem.append(self.from_matrix(proj))
-            eigs.append(vals[k])
+            pairs.append((k, v, w))
             chosen.extend([v, w])
-        return SpectralDecomposition(np.array(eigs), idem)
+        return pairs
+
+    def eigenvalues(self, a: np.ndarray) -> np.ndarray:
+        """The eigenvalues `spectral` lists, bit for bit, without building
+        idempotents; a may be a (..., dim) stack, one row per element."""
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite input")
+        if self.family == SPIN:
+            s, nx = a[..., 0], _norms(a[..., 1:])
+            return np.stack([s + nx, s - nx], axis=-1)
+        vals, vecs = self._eigh(a)
+        if self.family != QUAT:
+            return vals
+        side = self._side
+        rows = [v[[k for k, _, _ in self._kramers_pairs(u)]] for v, u in
+                zip(vals.reshape(-1, side), vecs.reshape(-1, side, side))]
+        return np.reshape(rows, vals.shape[:-1] + (self.rank,))
+
+    def spectral_parts(self, a: np.ndarray):
+        """(eigenvalues, idempotent): the eigenvalues of `spectral(a)` and a
+        function k -> its k-th primitive idempotent, built only on request."""
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite input")
+        if self.family == SPIN:
+            s, x = a[0], a[1:]
+            nx = float(_norms(x))
+            if nx < 1e-300:
+                xhat = np.zeros(self.dim - 1)
+                xhat[0] = 1.0
+            else:
+                xhat = x / nx
+            signs = (0.5, -0.5)
+            return (np.array([s + nx, s - nx]),
+                    lambda k: np.concatenate(([0.5], signs[k] * xhat)))
+        vals, vecs = self._eigh(a)
+        if self.family != QUAT:
+            return vals, lambda k: self.from_matrix(
+                np.outer(vecs[:, k], vecs[:, k].conj()))
+        # one rank-2 projector per Kramers pair
+        pairs = self._kramers_pairs(vecs)
+
+        def idempotent(j):
+            _, v, w = pairs[j]
+            return self.from_matrix(np.outer(v, v.conj()) + np.outer(w, w.conj()))
+
+        return vals[[k for k, _, _ in pairs]], idempotent
+
+    def spectral(self, a: np.ndarray) -> SpectralDecomposition:
+        vals, idempotent = self.spectral_parts(a)
+        return SpectralDecomposition(vals, [idempotent(k)
+                                            for k in range(len(vals))])
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
         dec = self.spectral(a)
@@ -199,9 +230,6 @@ class SimpleFactor:
         for lam, c in zip(dec.eigenvalues, dec.idempotents):
             out += fn(lam) * c
         return out
-
-    def min_eigenvalue(self, a: np.ndarray) -> float:
-        return float(np.min(self.spectral(a).eigenvalues))
 
     # -- frames and special states ----------------------------------------
 
@@ -259,8 +287,7 @@ class SimpleFactor:
 
     def random_interior(self, rng: np.random.Generator) -> np.ndarray:
         a = self.random_element(rng)
-        dec = self.spectral(a)
-        lift = float(np.min(dec.eigenvalues))
+        lift = float(np.min(self.eigenvalues(a)))
         return a + (abs(lift) + 0.5 + rng.random()) * self.unit()
 
     def random_pure(self, rng: np.random.Generator) -> np.ndarray:
@@ -358,16 +385,12 @@ class SimpleFactor:
         return uni
 
     def _top_vector(self, w: np.ndarray) -> np.ndarray:
-        m = self.to_matrix(w)
-        vals, vecs = np.linalg.eigh(m.real if self.family == REAL else m)
-        return vecs[:, -1]
+        return self._eigh(w)[1][:, -1]
 
     def _pair_isometry(self, w: np.ndarray) -> np.ndarray:
         """2-column isometry [v, J conj(v)] spanning the quaternionic line of
         a pure quaternionic state."""
-        m = self.to_matrix(w)
-        vals, vecs = np.linalg.eigh(m)
-        v = vecs[:, -1]
+        v = self._top_vector(w)
         u = self._J @ v.conj()
         u = u - v * (v.conj() @ u)
         u /= np.linalg.norm(u)
@@ -380,6 +403,14 @@ class SimpleFactor:
 
     def descriptor(self) -> tuple:
         return (self.family, self.rank, self.dim)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of x or of each row of a stack.  A 1 x n by n x 1
+    matmul takes the BLAS dot product that `np.linalg.norm` takes on one
+    vector, so a stack gets the same bits as a loop over its rows;
+    `norm(x, axis=-1)` sums in another order."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
 def _spin_rotation(dim: int, x1: np.ndarray, x2: np.ndarray, t: float) -> np.ndarray:
@@ -448,8 +479,9 @@ class JordanAlgebra:
 
     def _check_dim(self, *elts: np.ndarray):
         for a in elts:
-            if len(a) != self.dim:
-                raise ValueError(f"dimension mismatch: {len(a)} != {self.dim}")
+            if np.shape(a)[-1] != self.dim:
+                raise ValueError(f"dimension mismatch: {np.shape(a)[-1]} "
+                                 f"!= {self.dim}")
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._check_dim(a, b)
@@ -484,8 +516,17 @@ class JordanAlgebra:
                 idem.append(full)
         return SpectralDecomposition(np.array(eigs), idem)
 
-    def min_eigenvalue(self, a: np.ndarray) -> float:
-        return float(np.min(self.spectral(a).eigenvalues))
+    def eigenvalues(self, a: np.ndarray) -> np.ndarray:
+        """The eigenvalues `spectral` lists, summand by summand, without
+        building idempotents; a may be a (..., dim) stack."""
+        self._check_dim(a)
+        return np.concatenate([s.factor.eigenvalues(a[..., s.sl])
+                               for s in self.summands], axis=-1)
+
+    def min_eigenvalues(self, a: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of a, or of each row of a stack: a lies in
+        the positive cone exactly when it is >= 0."""
+        return np.min(self.eigenvalues(a), axis=-1)
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
         out = np.empty(self.dim)

@@ -108,6 +108,13 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
 # -- building systems --------------------------------------------------------
 
 
+def _field(spec: FixtureSpec, obj: dict, key: str):
+    """obj[key], or a ConeError naming the fixture and the missing key."""
+    if key not in obj:
+        raise ConeError(f"fixture '{spec.name}': missing '{key}'")
+    return obj[key]
+
+
 def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
     if spec.kind == "eja":
         try:
@@ -115,19 +122,22 @@ def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
                 alg = eja.classical(int(spec.params["classical"]))
             else:
                 factors = []
-                for s in spec.params["summands"]:
-                    fam = s["family"]
+                for s in _field(spec, spec.params, "summands"):
+                    fam = _field(spec, s, "family")
                     if fam == "spin":
-                        factors.append(eja.SimpleFactor("spin", 2,
-                                                        int(s["dim"])))
+                        factors.append(eja.SimpleFactor(
+                            "spin", 2, int(_field(spec, s, "dim"))))
                     else:
-                        factors.append(eja.SimpleFactor(fam, int(s["rank"])))
+                        factors.append(eja.SimpleFactor(
+                            fam, int(_field(spec, s, "rank"))))
                 alg = eja.JordanAlgebra(factors)
+        except ConeError:
+            raise
         except ValueError as exc:
             raise ConeError(f"fixture '{spec.name}': {exc}") from exc
         return System(EJACone(alg), alg.trace_functional(), spec.name)
     if spec.kind == "polyhedral":
-        cone = PolyhedralCone(spec.params["generators"])
+        cone = PolyhedralCone(_field(spec, spec.params, "generators"))
         unit = np.array([float(Fraction(v)) for v in
                          spec.params["unit"]]) if "unit" in spec.params else None
         if unit is None:
@@ -142,7 +152,7 @@ def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
     if spec.kind == "composite":
         fa = build_system(registry[spec.params["factorA"]], registry)
         fb = build_system(registry[spec.params["factorB"]], registry)
-        return CompositeSystem(fa, fb, spec.params["model"])
+        return CompositeSystem(fa, fb, _field(spec, spec.params, "model"))
     raise ConeError(f"unknown fixture kind: {spec.kind}")
 
 

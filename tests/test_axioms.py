@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conelab import axioms, eja, exact
+from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS
 from conelab.cones import (ConeError, PolyhedralCone, SharedCornerCone,
                           System, UnsupportedQuery, is_order_isomorphism)
 from conftest import make_eja_system
+from eja_oracles import first_dual_extremal_outside
 from polyhedral_oracles import bijection_system, spd_by_leading_minors
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
@@ -90,6 +91,61 @@ class TestSelfDuality:
         a, b = v.violation["pair"]
         assert np.array_equal(a, ref[0]) and np.array_equal(b, ref[1])
         assert v.violation["inner_value"] == ref[2] == v.margin
+
+    @pytest.mark.parametrize("kind", ["trace", "off-diagonal"])
+    def test_dual_extremal_violation_matches_loop(self, qubit, kind):
+        # Both inner products pair every two members nonnegatively.
+        # "trace": I + t u u^T (u the trace functional) pulls a pure state e
+        # back to e - s u with s = t / (1 + 2t), outside the cone.
+        # "off-diagonal": shrinking the off-diagonal coordinates spares the
+        # diagonal frame states, so the first violation is a generic pure
+        # state, whose pull-back sums products.  Reference: one full
+        # decomposition of inv @ e per member, first violation.
+        if kind == "trace":
+            inner = np.eye(4) + 0.5 * np.outer(qubit.unit, qubit.unit)
+        else:
+            inner = np.eye(4)
+            inner[2:, 2:] = [[0.6, 0.25], [0.25, 0.4]]
+        v = axioms.check_self_dual(qubit, inner=inner, seed=0)
+        cone = qubit.cone
+        rng = np.random.default_rng(0)
+        members = list(cone.generators())
+        members += [cone.sample_extremal(rng) for _ in range(200)]
+        ref = first_dual_extremal_outside(cone.algebra, members,
+                                          np.linalg.inv(inner), 1e-9)
+        assert v.status == FAILS
+        assert "pair" not in v.violation
+        assert np.array_equal(v.violation["dual_extremal"], ref[0])
+        assert v.margin == ref[1] < -0.1
+
+    def test_holds_matches_loop_on_eja_fixtures(self):
+        for spec in fixtures.builtin_fixtures():
+            if spec.kind != "eja":
+                continue
+            system = fixtures.build_system(spec, {})
+            v = axioms.check_self_dual(system, seed=spec.seed)
+            assert v.status == HOLDS
+            cone = system.cone
+            rng = np.random.default_rng(spec.seed)
+            members = list(cone.generators())
+            members += [cone.sample_extremal(rng) for _ in range(200)]
+            assert first_dual_extremal_outside(
+                cone.algebra, members, np.eye(cone.dim), 1e-9) is None
+
+    def test_eja_membership_builds_no_idempotents(self, monkeypatch, rng):
+        calls = []
+        spectral = eja.SimpleFactor.spectral
+
+        def counting(self, a):
+            calls.append(1)
+            return spectral(self, a)
+
+        monkeypatch.setattr(eja.SimpleFactor, "spectral", counting)
+        system = make_eja_system(eja.complex_herm(3), "complex-herm-3")
+        for _ in range(20):
+            system.cone.member(system.cone.algebra.random_element(rng))
+        assert axioms.check_self_dual(system).status == HOLDS
+        assert calls == []
 
 
 class TestBijectionSearches:

@@ -1,5 +1,6 @@
 """Command-line surface, registry handling, and report stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,10 @@ from click.testing import CliRunner
 from conelab import fixtures
 from conelab.cli import main
 from conelab.cones import ConeError
+
+# sha256 of `conelab check --seed 11` over the builtin registry
+REPORT_SEED_11_SHA256 = (
+    "9ea48796c323baecc47078107c8b8a65cc08c86c07d763d1fa40758f67ebf9be")
 
 
 @pytest.fixture
@@ -97,6 +102,15 @@ class TestCheckCommand:
         out2 = runner.invoke(main, args + ["--jobs", "3"]).output
         assert out1 == out2
 
+    def test_builtin_report_digest_pinned(self, runner):
+        # The full builtin report at seed 11, byte for byte.  A change that
+        # alters a verdict, a margin or the toolkit version on purpose
+        # records the new digest together with the list of what changed.
+        result = runner.invoke(main, ["check", "--seed", "11"])
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == REPORT_SEED_11_SHA256
+
     def test_expectation_mismatch_exit_one(self, runner, tmp_path):
         specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]
         specs[0].expects["self-dual"] = "fails"
@@ -134,13 +148,24 @@ class TestCheckCommand:
     @pytest.mark.parametrize("summand, message", [
         ({"family": "octonion", "rank": 3}, "unknown family 'octonion'"),
         ({"family": "spin", "dim": 1},
-         "spin factor needs its own dim parameter >= 2")])
+         "spin factor needs its own dim parameter >= 2"),
+        ({"family": "real"}, "missing 'rank'"),
+        ({"family": "spin"}, "missing 'dim'")])
     def test_malformed_summand_is_an_error(self, runner, tmp_path, summand,
                                            message):
+        self._assert_rejected(runner, tmp_path, "eja",
+                              {"summands": [summand]}, message)
+
+    def test_polyhedral_fixture_without_generators_is_an_error(
+            self, runner, tmp_path):
+        self._assert_rejected(runner, tmp_path, "polyhedral", {},
+                              "missing 'generators'")
+
+    @staticmethod
+    def _assert_rejected(runner, tmp_path, kind, params, message):
         reg = tmp_path / "bad.json"
         reg.write_text(json.dumps({"fixtures": [
-            {"name": "odd", "kind": "eja",
-             "params": {"summands": [summand]}}]}))
+            {"name": "odd", "kind": kind, "params": params}]}))
         result = runner.invoke(main, ["check", "--registry", str(reg)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)

@@ -10,6 +10,7 @@ from conelab.axioms import FAILS, HOLDS
 from conelab.cones import (ConeError, PolyhedralCone, System,
                           UnsupportedQuery, is_extremal_ray)
 from conftest import make_eja_system
+from eja_oracles import pure_effect_minimizing_by_spectral
 from polyhedral_oracles import extremal_by_lp
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
@@ -304,3 +305,22 @@ def test_max_tensor_rejects_negative(max_rebit):
 def test_min_tensor_needs_polyhedral(qubit):
     with pytest.raises(UnsupportedQuery):
         cp.CompositeSystem(qubit, qubit, cp.MIN_TENSOR)
+
+
+@pytest.mark.parametrize("factor", [
+    eja.SimpleFactor(eja.REAL, 2), eja.SimpleFactor(eja.REAL, 3),
+    eja.SimpleFactor(eja.COMPLEX, 3), eja.SimpleFactor(eja.QUAT, 2),
+    eja.SimpleFactor(eja.QUAT, 3), eja.SimpleFactor(eja.SPIN, 2, spin_dim=5)],
+    ids=repr)
+def test_pure_effect_minimizing_matches_spectral(factor, rng):
+    # one eigendecomposition, one idempotent: the same bits as building all
+    # of them; pure states and multiples of the unit are degenerate
+    points = [factor.random_element(rng) for _ in range(20)]
+    points += [factor.random_pure(rng) for _ in range(10)]
+    points += [1e6 * factor.random_pure(rng), -3.0 * factor.unit(),
+               np.zeros(factor.dim)]
+    for x in points:
+        val, eff = cp._pure_effect_minimizing(factor, x)
+        ref_val, ref_eff = pure_effect_minimizing_by_spectral(factor, x)
+        assert val == ref_val
+        assert np.array_equal(eff, ref_eff)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
@@ -135,7 +137,7 @@ def test_positivity_equivalence(algebra, rng):
     for _ in range(20):
         a = algebra.random_element(rng)
         sq = algebra.product(a, a)
-        assert algebra.min_eigenvalue(sq) > -1e-9
+        assert algebra.min_eigenvalues(sq) > -1e-9
     pos = algebra.random_positive(rng)
     root = algebra.sqrt(pos)
     assert np.max(np.abs(algebra.product(root, root) - pos)) < 1e-8
@@ -149,8 +151,8 @@ def test_quadratic_rep(algebra, rng):
     inv = np.linalg.inv(u)
     for _ in range(10):
         p = algebra.random_positive(rng)
-        assert algebra.min_eigenvalue(u @ p) > -1e-8
-        assert algebra.min_eigenvalue(inv @ p) > -1e-8
+        assert algebra.min_eigenvalues(u @ p) > -1e-8
+        assert algebra.min_eigenvalues(inv @ p) > -1e-8
 
 
 def test_quadratic_rep_matrix_action():
@@ -200,8 +202,8 @@ def test_classical_is_orthant(rng):
     alg = eja.classical(3)
     assert alg.dim == 3
     x = np.array([0.5, 0.0, 2.0])
-    assert alg.min_eigenvalue(x) >= 0
-    assert alg.min_eigenvalue(np.array([0.5, -0.1, 2.0])) < 0
+    assert alg.min_eigenvalues(x) >= 0
+    assert alg.min_eigenvalues(np.array([0.5, -0.1, 2.0])) < 0
     assert np.allclose(alg.product(x, x), x * x)
 
 
@@ -241,3 +243,53 @@ def test_basis_conversions_match_loops(family, rng):
             assert np.max(np.abs(f.from_matrix(h) - loop)) <= bound
         else:
             assert np.array_equal(f.from_matrix(h), loop)
+
+
+# -- the eigenvalue-only route ----------------------------------------------
+
+EIGEN_ALGEBRAS = {
+    **{f"{family}-{rank}": eja.JordanAlgebra([eja.SimpleFactor(family, rank)])
+       for family in (eja.REAL, eja.COMPLEX, eja.QUAT) for rank in (1, 2, 3)},
+    **{f"spin-{n}": eja.spin_factor(n) for n in range(2, 9)},
+    "spin-5+complex-2": spin_plus_complex(),
+}
+
+
+def _eigen_test_element(alg, kind, rng):
+    if kind == "pure":
+        return alg.random_pure(rng)
+    if kind == "unit":  # every eigenvalue equal
+        return rng.standard_normal() * alg.unit()
+    return alg.random_element(rng)
+
+
+@given(name=st.sampled_from(sorted(EIGEN_ALGEBRAS)),
+       seed=st.integers(0, 2**32 - 1),
+       rows=st.lists(st.tuples(st.sampled_from(["random", "pure", "unit"]),
+                               st.integers(-8, 6)), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_eigenvalues_equal_spectral_bits(name, seed, rows):
+    # Degenerate spectra (pure states, multiples of the unit) exercise the
+    # quaternionic Kramers-pair selection; scales run from 1e-8 to 1e6.
+    alg = EIGEN_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    stack = np.array([10.0 ** e * _eigen_test_element(alg, kind, rng)
+                      for kind, e in rows])
+    vals = alg.eigenvalues(stack)
+    assert vals.shape == (len(rows), alg.rank)
+    for row, v in zip(stack, vals):
+        assert np.array_equal(v, alg.spectral(row).eigenvalues)
+        assert np.array_equal(alg.eigenvalues(row), v)
+        for s in alg.summands:
+            assert np.array_equal(s.factor.eigenvalues(row[s.sl]),
+                                  s.factor.spectral(row[s.sl]).eigenvalues)
+    assert np.array_equal(alg.eigenvalues(stack[None]), vals[None])
+    assert np.array_equal(alg.min_eigenvalues(stack), vals.min(axis=-1))
+
+
+def test_eigenvalues_reject_bad_input():
+    alg = spin_plus_complex()
+    with pytest.raises(ValueError, match="non-finite"):
+        alg.eigenvalues(np.full((2, alg.dim), np.nan))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        alg.eigenvalues(np.zeros((2, alg.dim + 1)))
