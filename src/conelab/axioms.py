@@ -52,7 +52,9 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
                     seed: int = 0) -> AxiomVerdict:
     """Is the cone equal to its dual under the given inner product?
 
-    Polyhedral cones get an exact two-sided verdict.  EJA cones are checked
+    Polyhedral cones get an exact two-sided verdict, under the inner
+    product's `Fraction` entries as given and under each float entry's
+    nearest fraction with denominator at most 10^12.  EJA cones are checked
     with the trace-form route (sampled pairwise nonnegativity plus membership
     of pulled-back dual extremals).  The shared-corner cone has a closed-form
     dual description, so violations there are explicit.  Anything else is
@@ -60,23 +62,30 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
     """
     cone = system.cone
     n = cone.dim
-    inner = np.eye(n) if inner is None else np.asarray(inner, dtype=float)
+    given = np.eye(n) if inner is None else inner
+    inner = np.asarray(given, dtype=float)
     _require_spd(inner, tol)
     rng = np.random.default_rng(seed)
 
     if isinstance(cone, PolyhedralCone):
-        g_exact = [[Fraction(inner[i, j]).limit_denominator(10**12)
-                    for j in range(n)] for i in range(n)]
+        g_exact = [[x if isinstance(x, Fraction)
+                    else Fraction(float(x)).limit_denominator(10**12)
+                    for x in row] for row in given]
         rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
-        for ri, rj in itertools.combinations_with_replacement(rays, 2):
-            val = exact.dot(exact.mat_vec(g_exact, ri), rj)
+        g_rays = [exact.mat_vec(g_exact, r) for r in rays]
+        pairs = itertools.combinations_with_replacement(range(len(rays)), 2)
+        for i, j in pairs:
+            val = exact.dot(g_rays[i], rays[j])
             if val < 0:
                 return AxiomVerdict("self-dual", FAILS, violation={
-                    "pair": (ri, rj), "inner_value": val},
+                    "pair": (rays[i], rays[j]), "inner_value": val},
                     detail="generator pair with negative inner product")
+        # G is SPD, so its rows are a basis; their dual basis is the columns
+        # of G^-1, one inverse for every facet
+        _, dual = exact.dual_basis(g_exact)
+        g_inv = [list(row) for row in zip(*dual)]
         for f in cone.data.facets():
-            pulled = exact.solve(g_exact, list(f))
-            if pulled is None or not cone.data.member(pulled):
+            if not cone.data.member(exact.mat_vec(g_inv, f)):
                 return AxiomVerdict("self-dual", FAILS, violation={
                     "facet_normal": f},
                     detail="dual extremal pulls back outside the cone")

@@ -107,10 +107,9 @@ class MaxTensorCone(ConeModel):
     def _dual_sample(system: System, rng) -> np.ndarray:
         cone = system.cone
         if isinstance(cone, PolyhedralCone):
-            facets = [np.array([float(v) for v in f])
-                      for f in cone.data.facets()]
+            facets = cone.float_facets()
             w = rng.random(len(facets))
-            return sum(wi * f for wi, f in zip(w, facets))
+            return sum(wi * f for wi, (f, _) in zip(w, facets))
         if isinstance(cone, EJACone):
             return cone.algebra.metric * cone.sample_extremal(rng)
         raise UnsupportedQuery("no dual sampler for this factor cone")
@@ -357,9 +356,8 @@ def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens, tol):
     effects = []
     for idx in range(k):
         e = np.zeros(da)
-        for j in range(nf):
-            e += float(sol[idx * nf + j]) * np.array(
-                [float(v) for v in facets[j]])
+        for j, (f, _) in enumerate(ca.float_facets()):
+            e += float(sol[idx * nf + j]) * f
         effects.append(e)
     return effects
 

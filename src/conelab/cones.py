@@ -100,14 +100,19 @@ class PolyhedralCone(ConeModel):
             return True
         return self.data.member(self._to_exact(x, tol))
 
-    def margin(self, x: np.ndarray) -> float:
-        self._check_dim(x)
+    def float_facets(self) -> list[tuple[np.ndarray, float]]:
+        """Each exact facet normal as a float array, with its norm; built
+        once per cone."""
         if self._facet_float is None:
             normals = [np.array([float(v) for v in n])
                        for n in self.data.facets()]
             self._facet_float = [(nf, np.linalg.norm(nf)) for nf in normals]
+        return self._facet_float
+
+    def margin(self, x: np.ndarray) -> float:
+        self._check_dim(x)
         x = np.asarray(x, dtype=float)
-        return min(float(nf @ x) / norm for nf, norm in self._facet_float)
+        return min(float(nf @ x) / norm for nf, norm in self.float_facets())
 
     def dual_member(self, e: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         self._check_dim(e)
@@ -123,31 +128,30 @@ class PolyhedralCone(ConeModel):
         return gens[int(rng.integers(len(gens)))].copy()
 
     def face_span_basis(self, x, tol):
-        xf = self._to_exact(x, tol)
-        if not self.data.member(xf):
-            raise ConeError("x is not a member of the cone")
-        tight = [n for n in self.data.facets() if exact.dot(n, xf) == 0]
-        if not tight:
-            basis = [[Fraction(int(i == j)) for j in range(self.dim)]
-                     for i in range(self.dim)]
-        else:
-            basis = exact.null_space(tight)
+        try:
+            basis = self.data.face_span(self._to_exact(x, tol))
+        except ValueError as exc:
+            raise ConeError(str(exc)) from exc
         return [np.array([float(v) for v in b]) for b in basis]
 
     def reducible(self) -> bool:
-        """Exact test: can the extremal rays split into two complementary
-        spanning groups?"""
-        idx = self.data.extremal_ray_indices()
-        rays = [self.data.rays[i] for i in idx]
-        n = len(rays)
-        for mask in range(1, 2 ** (n - 1)):
-            a = [rays[i] for i in range(n) if mask >> i & 1]
-            b = [rays[i] for i in range(n) if not mask >> i & 1]
-            if not a or not b:
+        """Exact test: do the extremal rays split into two groups with
+        complementary spans, i.e. is their matroid disconnected?
+
+        Its components are those of the fundamental circuits of a ray basis
+        S with dual basis g (Oxley, Matroid Theory, 2nd ed., 2011): each ray
+        r outside S merges the blocks of the j in S with g_j . r != 0.
+        """
+        rays = [self.data.rays[i] for i in self.data.extremal_ray_indices()]
+        basis, dual = exact.dual_basis(rays)
+        blocks = [{j} for j in basis]
+        for i, r in enumerate(rays):
+            if i in basis:
                 continue
-            if exact.rank(a) + exact.rank(b) == self.dim:
-                return True
-        return False
+            touched = {j for j, g in zip(basis, dual) if exact.dot(g, r) != 0}
+            merged = set().union(*(b for b in blocks if b & touched))
+            blocks = [b for b in blocks if not b & touched] + [merged]
+        return len(blocks) > 1
 
 
 class EJACone(ConeModel):

@@ -1,15 +1,15 @@
 """Exact rational linear algebra over `fractions.Fraction`.
 
-Small dense problems only (dims well under 100): reduced row echelon form,
-rank, null spaces, linear solves, and a Bland-rule phase-I simplex for
-feasibility certificates.  All polyhedral cone reasoning in this package
-goes through these routines so that verdicts on polyhedral fixtures are
-exact, not floating point.
+Small dense problems only (dims well under 100): one integer-row
+elimination (`rref`), which rank, null spaces and dual bases read, and a
+Bland-rule phase-I simplex for feasibility certificates.  All polyhedral
+cone reasoning in this package goes through these routines so that
+verdicts on polyhedral fixtures are exact, not floating point.
 
 A polyhedral cone's facets come from the double-description method
-(Motzkin et al. 1953; Fukuda & Prodon 1996), and membership is read off
-that H-description.  The simplex stays in production for pointedness,
-extremality and steering only.
+(Motzkin et al. 1953; Fukuda & Prodon 1996), ordered by the pivot columns
+of their tight rays, and membership is read off that H-description.  The
+simplex stays in production for pointedness, extremality and steering only.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 def _integer_row(row: Sequence) -> list[int]:
     """A rational row times the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return list(row)
     fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
@@ -92,19 +94,6 @@ def null_space(mat: Matrix) -> list[Row]:
             vec[p] = -red[r][f]
         basis.append(vec)
     return basis
-
-
-def solve(mat: Matrix, rhs: Row) -> Row | None:
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    cols = len(mat[0])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
-    return x
 
 
 def mat_vec(mat: Matrix, vec: Row) -> Row:
@@ -200,42 +189,22 @@ def strictly_positive_in_span(basis_vecs: list[Row]) -> Row | None:
     return [sol[j] - sol[k + j] for j in range(k)]
 
 
-def _independent_prefix(vecs: Sequence[Sequence[Fraction]],
-                        indices, limit: int) -> list[int]:
-    """Greedily, in the order given, the first `limit` indices whose vectors
-    are linearly independent: the lexicographically smallest independent
-    subset."""
-    echelon: list[tuple[int, Row]] = []  # (pivot column, row with pivot 1)
-    chosen: list[int] = []
-    for i in indices:
-        if len(chosen) == limit:
-            break
-        v = [Fraction(x) for x in vecs[i]]
-        for p, row in echelon:
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        p = next((c for c, a in enumerate(v) if a != 0), None)
-        if p is not None:
-            echelon.append((p, [a / v[p] for a in v]))
-            chosen.append(i)
-    return chosen
-
-
 def dual_basis(vecs: Sequence[Sequence[Fraction]]) -> tuple[list[int], Matrix]:
     """The first d linearly independent vectors of a spanning set of R^d
     (their indices) and the dual basis: dual[c] . vecs[basis[k]] = (c == k).
 
-    The dual vectors are the columns of B^-1, where B has the basis vectors
-    as rows; any x in R^d is then sum_c (dual[c] . x) vecs[basis[c]].
+    One RREF of [A | I], where A has the vectors as columns, gives both: the
+    pivot columns of A are the basis, and the row operations that turn its
+    columns B into I turn I into B^-1, whose rows are the dual vectors.
+    Any x in R^d is then sum_c (dual[c] . x) vecs[basis[c]].
     """
-    d = len(vecs[0])
-    basis = _independent_prefix(vecs, range(len(vecs)), d)
+    n, d = len(vecs), len(vecs[0])
+    red, pivots = rref([[v[i] for v in vecs] + [int(i == j) for j in range(d)]
+                        for i in range(d)])
+    basis = [c for c in pivots if c < n]
     if len(basis) < d:
         raise ValueError("the vectors do not span the space")
-    red, _ = rref([list(vecs[i]) + [Fraction(int(i == j)) for j in basis]
-                   for i in basis])
-    return basis, [[red[r][d + c] for r in range(d)] for c in range(d)]
+    return basis, [row[n:] for row in red]
 
 
 class PolyhedralData:
@@ -287,8 +256,9 @@ class PolyhedralData:
         lies in no third generator's zero set.  Every scale factor is
         positive, so normals keep pointing inward.
 
-        Facets are ordered by the lexicographically smallest independent
-        (d-1)-subset of their tight rays.
+        Facets are ordered by the pivot columns of the matrix whose columns
+        are their tight rays in index order: the lexicographically smallest
+        independent (d-1)-subset of those rays.
         """
         if self._facets is not None:
             return self._facets
@@ -322,40 +292,49 @@ class PolyhedralData:
 
         def first_subset(mask: int) -> list[int]:
             tight = [i for i in range(len(rays)) if mask >> i & 1]
-            return _independent_prefix(self.rays, tight, d - 1)
+            return [tight[p] for p in rref([[rays[i][c] for i in tight]
+                                            for c in range(d)])[1]]
 
         gens.sort(key=lambda g: first_subset(g[1]))
         self._facets = [[Fraction(v) for v in y] for y, _ in gens]
         return self._facets
 
     def extremal_ray_indices(self) -> list[int]:
-        """Indices of generators spanning extremal rays (one per ray)."""
+        """Indices of generators spanning extremal rays (one per ray): the
+        first generator on each line (primitive integer direction up to
+        sign) that no generator off its line combines to (one exact LP)."""
         if self._extremal is not None:
             return self._extremal
+        lines = []
+        for r in self.rays:
+            ints = _coprime_integers(r)
+            lead = next(x for x in ints if x)
+            lines.append(tuple(x if lead > 0 else -x for x in ints))
         out: list[int] = []
-        reps: list[Row] = []
+        kept: set[tuple[int, ...]] = set()
         for i, r in enumerate(self.rays):
-            if any(rank([r, p]) == 1 for p in reps):
+            if lines[i] in kept:
                 continue
-            others = [self.rays[j] for j in range(len(self.rays))
-                      if j != i and rank([self.rays[j], r]) == 2]
-            if not others:
+            others = [self.rays[j] for j, line in enumerate(lines)
+                      if line != lines[i]]
+            if not others or feasible_nonneg(
+                    [list(col) for col in zip(*others)], r) is None:
                 out.append(i)
-                reps.append(r)
-                continue
-            mat = [[others[j][c] for j in range(len(others))] for c in range(self.dim)]
-            if feasible_nonneg(mat, r) is None:
-                out.append(i)
-                reps.append(r)
+                kept.add(lines[i])
         self._extremal = out
         return out
 
-    def face_span_dimension(self, x: Sequence) -> int:
-        """dim span(Face(x)): null space of the facet normals tight at x."""
+    def face_span(self, x: Sequence) -> Matrix:
+        """Basis of span(Face(x)) for a member x: the null space of the facet
+        normals tight at x (the standard basis when none is)."""
         xf = [Fraction(v) for v in x]
-        if not self.member(xf):
+        facets = self.facets()
+        vals = [dot(n, xf) for n in facets]
+        if any(v < 0 for v in vals):
             raise ValueError("x is not a member of the cone")
-        tight = [n for n in self.facets() if dot(n, xf) == 0]
-        if not tight:
-            return self.dim
-        return self.dim - rank(tight)
+        tight = [n for n, v in zip(facets, vals) if v == 0]
+        return null_space(tight or [[0] * self.dim])
+
+    def face_span_dimension(self, x: Sequence) -> int:
+        """dim span(Face(x)) for a member x."""
+        return len(self.face_span(x))

@@ -357,7 +357,8 @@ def run_check(name: str, spec: FixtureSpec, system, tol: float,
 
 
 def _payload(v: AxiomVerdict):
-    return _jsonable({"witness": v.witness, "violation": v.violation})
+    # `run_checks` makes the whole report JSON-ready in one pass
+    return {"witness": v.witness, "violation": v.violation}
 
 
 def _pure_transitivity_check(system: System, tol, rng, finish):

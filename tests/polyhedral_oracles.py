@@ -1,16 +1,29 @@
 """Independent, slower routes to RREF, polyhedral facets, membership,
-extremality in a composite and the ray/facet bijection systems.
+extremality, reducibility, exact self-duality and the ray/facet bijection
+systems.
 
 `exact.rref` eliminates on integer rows; `rref_by_fractions` is the
-textbook elimination over `Fraction`.
+textbook elimination over `Fraction`.  Production reads every "first
+independent subset" off the pivot columns of that one elimination;
+`independent_prefix` finds it by a greedy `Fraction` echelon, and
+`dual_basis_by_prefix` takes the inverse by a second RREF.  `solve` is the
+augmented-RREF linear solve.
 
-`PolyhedralData` answers the first two questions from its double-description
+`PolyhedralData` answers facets and membership from its double-description
 H-description; these oracles answer them the old way, by brute force over
 (d-1)-subsets of rays and by a phase-I simplex.  Polyhedral purity
 preservation reads the cached extremal generators; `extremal_by_lp` solves
 one exact LP per query instead.  The bijection searches
 solve each bijection's system in the n ray scales alone; the oracle here
-solves it in all d*d + n unknowns.  The tests compare the routes.
+solves it in all d*d + n unknowns.
+
+`extremal_by_rank` drops parallel generators by two-row ranks instead of
+primitive integer directions.  `reducible_by_subsets` tries all 2^(n-1)
+splits of the extremal rays instead of matroid components, and
+`self_dual_by_solves` pairs every two rays and solves one system per facet
+instead of sharing G r_i and G^-1.  `pairing_minimum_rebuilding_facets`
+converts the facet normals to floats for every max-tensor dual sample
+instead of reading the cone's cached copy.  The tests compare the routes.
 """
 
 from __future__ import annotations
@@ -19,7 +32,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from conelab import exact
+from conelab.axioms import FAILS, HOLDS
+from conelab.composite import MaxTensorCone
 from conelab.cones import PolyhedralCone, UnsupportedQuery
 
 
@@ -163,3 +180,118 @@ def spd_by_leading_minors(t: exact.Matrix) -> bool:
         if det <= 0:
             return False
     return True
+
+
+def solve(mat, rhs) -> exact.Row | None:
+    """One solution of mat @ x = rhs, or None if inconsistent."""
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    red, pivots = exact.rref(aug)
+    cols = len(mat[0])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][cols]
+    return x
+
+
+def independent_prefix(vecs, indices, limit: int) -> list[int]:
+    """Greedily, in the order given, the first `limit` indices whose vectors
+    are linearly independent: the lexicographically smallest independent
+    subset."""
+    echelon: list[tuple[int, exact.Row]] = []  # (pivot column, pivot 1)
+    chosen: list[int] = []
+    for i in indices:
+        if len(chosen) == limit:
+            break
+        v = [Fraction(x) for x in vecs[i]]
+        for p, row in echelon:
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        p = next((c for c, a in enumerate(v) if a != 0), None)
+        if p is not None:
+            echelon.append((p, [a / v[p] for a in v]))
+            chosen.append(i)
+    return chosen
+
+
+def dual_basis_by_prefix(vecs) -> tuple[list[int], exact.Matrix]:
+    """The greedy basis, then B^-1 by a second RREF of [B | I] with the
+    basis vectors as the rows of B; the dual vectors are its columns."""
+    d = len(vecs[0])
+    basis = independent_prefix(vecs, range(len(vecs)), d)
+    if len(basis) < d:
+        raise ValueError("the vectors do not span the space")
+    red, _ = exact.rref([list(vecs[i]) + [Fraction(int(i == j)) for j in basis]
+                         for i in basis])
+    return basis, [[red[r][d + c] for r in range(d)] for c in range(d)]
+
+
+def extremal_by_rank(data: exact.PolyhedralData) -> list[int]:
+    """Extremal generator indices, one per ray, with parallel generators
+    found by the rank of each pair."""
+    out: list[int] = []
+    reps: list[exact.Row] = []
+    for i, r in enumerate(data.rays):
+        if any(exact.rank([r, p]) == 1 for p in reps):
+            continue
+        others = [data.rays[j] for j in range(len(data.rays))
+                  if j != i and exact.rank([data.rays[j], r]) == 2]
+        cols = [[o[c] for o in others] for c in range(data.dim)]
+        if not others or exact.feasible_nonneg(cols, r) is None:
+            out.append(i)
+            reps.append(r)
+    return out
+
+
+def reducible_by_subsets(cone: PolyhedralCone) -> bool:
+    """Do the extremal rays split into two groups whose ranks add up to the
+    dimension?  Every one of the 2^(n-1) - 1 splits is tried."""
+    rays = [cone.data.rays[i] for i in extremal_by_rank(cone.data)]
+    n = len(rays)
+    for mask in range(1, 2 ** (n - 1)):
+        a = [rays[i] for i in range(n) if mask >> i & 1]
+        b = [rays[i] for i in range(n) if not mask >> i & 1]
+        if a and b and exact.rank(a) + exact.rank(b) == cone.dim:
+            return True
+    return False
+
+
+def self_dual_by_solves(cone: PolyhedralCone, inner) -> tuple:
+    """(status, violation, detail) of the exact self-duality test: one
+    G r_i per pair of extremal rays, then one solve of G y = f per facet;
+    float entries of G are read at denominators up to 10^12."""
+    d = cone.dim
+    g = [[Fraction(float(inner[i][j])).limit_denominator(10**12)
+          for j in range(d)] for i in range(d)]
+    rays = [cone.data.rays[i] for i in extremal_by_rank(cone.data)]
+    for ri, rj in itertools.combinations_with_replacement(rays, 2):
+        val = exact.dot(exact.mat_vec(g, ri), rj)
+        if val < 0:
+            return (FAILS, {"pair": (ri, rj), "inner_value": val},
+                    "generator pair with negative inner product")
+    for f in cone.data.facets():
+        pulled = solve(g, list(f))
+        if pulled is None or not member_by_lp(cone.data, pulled):
+            return (FAILS, {"facet_normal": f},
+                    "dual extremal pulls back outside the cone")
+    return HOLDS, None, "exact two-sided inclusion"
+
+
+def pairing_minimum_rebuilding_facets(comp, x) -> float:
+    """The sampled pairing minimum with every dual sample converting the
+    exact facet normals to floats again."""
+    def dual_sample(cone, rng):
+        facets = [np.array([float(v) for v in f]) for f in cone.data.facets()]
+        w = rng.random(len(facets))
+        return sum(wi * f for wi, f in zip(w, facets))
+
+    m = x.reshape(comp.dimA, comp.dimB)
+    rng = np.random.default_rng(MaxTensorCone.SEED)
+    best = np.inf
+    for _ in range(MaxTensorCone.SAMPLES):
+        e = dual_sample(comp.factorA.cone, rng)
+        f = dual_sample(comp.factorB.cone, rng)
+        best = min(best, float(e @ m @ f))
+    return best

@@ -16,7 +16,8 @@ from conelab.cones import (ConeError, PolyhedralCone, SharedCornerCone,
                           System, UnsupportedQuery, is_order_isomorphism)
 from conftest import make_eja_system
 from eja_oracles import first_dual_extremal_outside
-from polyhedral_oracles import bijection_system, spd_by_leading_minors
+from polyhedral_oracles import (bijection_system, self_dual_by_solves,
+                                spd_by_leading_minors)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 # The regular hexagon with coordinates rounded to denominators <= 100.
@@ -146,6 +147,44 @@ class TestSelfDuality:
             system.cone.member(system.cone.algebra.random_element(rng))
         assert axioms.check_self_dual(system).status == HOLDS
         assert calls == []
+
+    @pytest.mark.parametrize("shift, kinds", [
+        (0.0, {"", "facet_normal"}), (0.05 * 2 ** 0.5, {"facet_normal"}),
+        (-0.05 * 2 ** 0.5, {"facet_normal", "pair"})],
+        ids=["identity", "plus", "minus"])
+    def test_polyhedral_records_match_solve_loop(self, shift, kinds):
+        # inner products I + shift (J - I): the identity holds on the
+        # orthant, a positive shift pulls some facet out of the cone, and a
+        # negative one makes a ray pair negatively on some cones; an
+        # irrational shift needs every digit of the 10^12 rationalization
+        specs = fixtures.builtin_fixtures()
+        registry = {s.name: s for s in specs}
+        seen = {}
+        for spec in specs:
+            if spec.kind not in ("polyhedral", "composite"):
+                continue
+            system = fixtures.build_system(spec, registry)
+            system = getattr(system, "system", system)
+            if not isinstance(system.cone, PolyhedralCone):
+                continue
+            d = system.dim
+            inner = np.eye(d) + shift * (np.ones((d, d)) - np.eye(d))
+            v = axioms.check_self_dual(system, inner=inner)
+            assert (v.status, v.violation, v.detail) \
+                == self_dual_by_solves(system.cone, inner), spec.name
+            seen[spec.name] = next(iter(v.violation or {}), "")
+        assert set(seen) == {"square-cone", "pentagon-cone",
+                             "min-square-square", "classical-bit-bit"}
+        assert set(seen.values()) == kinds
+
+    def test_exact_gram_entries_are_used_as_given(self):
+        cone = PolyhedralCone(_pentagon())
+        system = System(cone, np.array([0.0, 0.0, 1.0]), "pentagon")
+        gram = axioms.search_spd_self_duality(cone).witness["gram"]
+        assert axioms.check_self_dual(system, inner=gram).status == HOLDS
+        bumped = [row[:] for row in gram]
+        bumped[0][0] += F(1, 10**6)
+        assert axioms.check_self_dual(system, inner=bumped).status == FAILS
 
 
 class TestBijectionSearches:

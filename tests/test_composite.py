@@ -11,7 +11,8 @@ from conelab.cones import (ConeError, PolyhedralCone, System,
                           UnsupportedQuery, is_extremal_ray)
 from conftest import make_eja_system
 from eja_oracles import pure_effect_minimizing_by_spectral
-from polyhedral_oracles import extremal_by_lp
+from polyhedral_oracles import (extremal_by_lp,
+                                pairing_minimum_rebuilding_facets)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -300,6 +301,21 @@ def test_local_tomography(two_qubit, bit_bit, min_square, max_rebit):
 
 def test_max_tensor_rejects_negative(max_rebit):
     assert not max_rebit.cone.member(-np.eye(3).ravel())
+
+
+def test_max_tensor_dual_samples_read_cached_float_facets(rng, monkeypatch):
+    sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
+    comp = cp.CompositeSystem(sq, sq, cp.MAX_TENSOR)
+    points = [comp.sample_state(rng) for _ in range(3)]
+    points += [rng.standard_normal(comp.dim) for _ in range(3)]
+    expected = [pairing_minimum_rebuilding_facets(comp, x) for x in points]
+    sq.cone.float_facets()
+
+    def no_facets(self):
+        raise AssertionError("exact facets read after the float cache")
+
+    monkeypatch.setattr(exact.PolyhedralData, "facets", no_facets)
+    assert [comp.cone.pairing_minimum(x) for x in points] == expected
 
 
 def test_min_tensor_needs_polyhedral(qubit):

@@ -5,14 +5,16 @@ import json
 import random
 from fractions import Fraction as F
 
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from conelab import exact, fixtures
 from conelab.cones import PolyhedralCone
 from conelab.exact import PolyhedralData
-from polyhedral_oracles import (facets_by_subsets, member_by_lp, primitive,
-                                rref_by_fractions)
+from polyhedral_oracles import (dual_basis_by_prefix, extremal_by_rank,
+                                facets_by_subsets, independent_prefix,
+                                member_by_lp, primitive, reducible_by_subsets,
+                                rref_by_fractions, solve)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -76,9 +78,9 @@ def test_rref_matches_fraction_elimination(mat):
 
 def test_solve_exact():
     mat = [[2, 1], [1, 3]]
-    sol = exact.solve(mat, [F(5), F(10)])
+    sol = solve(mat, [F(5), F(10)])
     assert sol == [F(1), F(3)]
-    assert exact.solve([[1, 1], [2, 2]], [F(1), F(3)]) is None
+    assert solve([[1, 1], [2, 2]], [F(1), F(3)]) is None
 
 
 def test_primitive_scaling():
@@ -224,3 +226,136 @@ def test_double_description_matches_subset_oracle(rays):
     assert facets == facets_by_subsets(PolyhedralData(rays))
     for n in facets:
         assert all(exact.dot(n, r) >= 0 for r in rays)
+
+
+def _pivot_columns(vecs) -> list[int]:
+    return exact.rref([list(col) for col in zip(*vecs)])[1]
+
+
+@given(rays=pointed_cones(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_elimination_matches_fraction_prefix(rays, data):
+    assert exact.dual_basis(rays) == dual_basis_by_prefix(rays)
+    d = len(rays[0])
+    order = data.draw(st.permutations(range(len(rays))))
+    picked = [rays[i] for i in order]
+    assert _pivot_columns(picked) \
+        == independent_prefix(picked, range(len(picked)), d)
+    # the facet-order key: pivot columns of each facet's tight rays
+    for n in PolyhedralData(rays).facets():
+        tight = [i for i, r in enumerate(rays) if exact.dot(n, r) == 0]
+        key = [tight[p] for p in _pivot_columns([rays[i] for i in tight])]
+        assert key == independent_prefix(rays, tight, d - 1)
+
+
+def test_dual_basis_rejects_deficient_rank():
+    for route in (exact.dual_basis, dual_basis_by_prefix):
+        try:
+            route([[F(1), F(2)], [F(2), F(4)]])
+        except ValueError:
+            continue
+        raise AssertionError(f"{route.__name__} accepted a rank-1 family")
+
+
+@given(rays=pointed_cones())
+@example(rays=[[1, 0], [-1, 0], [0, 1]])  # not pointed: one line, two signs
+@settings(max_examples=60, deadline=None)
+def test_extremal_rays_match_rank_oracle(rays):
+    data = PolyhedralData(rays)
+    assert data.extremal_ray_indices() == extremal_by_rank(data)
+
+
+@st.composite
+def direct_sum_cones(draw):
+    """(rays, split): the rays of a pointed cone that is a direct sum of two
+    blocks in complementary coordinates when `split`, or of one block, under
+    a random unimodular change of basis, with scaled duplicates and sums of
+    two rays mixed in, in random order, each scaled by a positive rational.
+    Each block's rays have a positive first block coordinate."""
+    split = draw(st.booleans())
+    dims = ([draw(st.integers(1, 3)), draw(st.integers(1, 3))] if split
+            else [draw(st.integers(2, 5))])
+    d = sum(dims)
+    coord = st.integers(min_value=-2, max_value=2)
+    rays, offset = [], 0
+    for k in dims:
+        block = draw(st.lists(st.lists(coord, min_size=k - 1,
+                                       max_size=k - 1).map(lambda v: [1] + v),
+                              min_size=k, max_size=k + 2))
+        rays += [[0] * offset + r + [0] * (d - offset - k) for r in block]
+        offset += k
+    # unimodular: a few row additions and sign flips of the identity
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, d - 1),
+                                           st.integers(0, d - 1),
+                                           st.integers(-2, 2)), max_size=6)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    for i in draw(st.lists(st.integers(0, d - 1), max_size=2)):
+        u[i] = [-a for a in u[i]]
+    rays = [[sum(a * b for a, b in zip(row, r)) for row in u] for r in rays]
+    index = st.integers(min_value=0, max_value=len(rays) - 1)
+    for i, j, k in draw(st.lists(st.tuples(index, index, st.integers(2, 3)),
+                                 max_size=3)):
+        rays.append([k * a for a in rays[i]] if i == j
+                    else [a + b for a, b in zip(rays[i], rays[j])])
+    order = draw(st.permutations(range(len(rays))))
+    dens = draw(st.lists(st.integers(1, 4), min_size=len(rays),
+                         max_size=len(rays)))
+    rays = [[F(a, q) for a in rays[i]] for i, q in zip(order, dens)]
+    assume(exact.rank(rays) == d)
+    return rays, split
+
+
+@given(cone=direct_sum_cones())
+@settings(max_examples=80, deadline=None)
+def test_reducible_matches_subset_oracle_on_direct_sums(cone):
+    rays, split = cone
+    got = PolyhedralCone(rays).reducible()
+    assert got == reducible_by_subsets(PolyhedralCone(rays))
+    if split:
+        assert got
+
+
+@given(rays=pointed_cones())
+# the first six rays are the basis and each later ray touches three of
+# them; the last reaches the first block only through the basis ray that
+# the second merge must keep, so only whole-block merges leave one block
+@example(rays=[[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0],
+               [1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 1],
+               [3, 0, 0, -2, 3, 2], [3, -1, 0, 1, 3, 0], [3, 0, 3, 0, 0, 2]])
+@settings(max_examples=40, deadline=None)
+def test_reducible_matches_subset_oracle(rays):
+    assert PolyhedralCone(rays).reducible() \
+        == reducible_by_subsets(PolyhedralCone(rays))
+
+
+def test_direct_sum_cones_show_both_outcomes():
+    quiet = settings(max_examples=500, database=None, derandomize=True,
+                     phases=[Phase.generate])
+    for outcome in (True, False):
+        find(direct_sum_cones(),
+             lambda c: PolyhedralCone(c[0]).reducible() is outcome,
+             settings=quiet)
+
+
+def test_reducible_fails_fast(monkeypatch):
+    # 24 points on a parabola: every ray is extremal, and a scan of the
+    # splits would try 2^23 of them
+    cone = PolyhedralCone([[t, t * t, 1] for t in range(24)])
+    calls = {"rref": 0, "rank": 0}
+    rref, rank = exact.rref, exact.rank
+
+    def counting_rref(mat):
+        calls["rref"] += 1
+        return rref(mat)
+
+    def counting_rank(mat):
+        calls["rank"] += 1
+        return rank(mat)
+
+    monkeypatch.setattr(exact, "rref", counting_rref)
+    monkeypatch.setattr(exact, "rank", counting_rank)
+    assert not cone.reducible()
+    assert len(cone.data.extremal_ray_indices()) == 24
+    assert calls["rref"] <= 2 and calls["rank"] == 0
