@@ -28,8 +28,6 @@ def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 def _integer_row(row: Sequence) -> list[int]:
     """A rational row times the lcm of its denominators."""
-    if all(type(x) is int for x in row):
-        return list(row)
     fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
@@ -327,14 +325,8 @@ class PolyhedralData:
     def face_span(self, x: Sequence) -> Matrix:
         """Basis of span(Face(x)) for a member x: the null space of the facet
         normals tight at x (the standard basis when none is)."""
-        xf = [Fraction(v) for v in x]
-        facets = self.facets()
-        vals = [dot(n, xf) for n in facets]
-        if any(v < 0 for v in vals):
+        if not self.member(x):
             raise ValueError("x is not a member of the cone")
-        tight = [n for n, v in zip(facets, vals) if v == 0]
+        xf = [Fraction(v) for v in x]
+        tight = [n for n in self.facets() if dot(n, xf) == 0]
         return null_space(tight or [[0] * self.dim])
-
-    def face_span_dimension(self, x: Sequence) -> int:
-        """dim span(Face(x)) for a member x."""
-        return len(self.face_span(x))

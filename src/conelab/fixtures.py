@@ -298,7 +298,10 @@ def _sample_interior(system: System, rng) -> np.ndarray:
 
 def run_check(name: str, spec: FixtureSpec, system, tol: float,
               seed: int) -> dict:
-    """One check on one fixture; returns a serializable result record."""
+    """One check on one fixture; returns its result record.
+
+    The payload keeps the verdict's own values (`Fraction`s, tuples,
+    arrays); `run_checks` makes the whole report JSON-ready in one pass."""
     rng = np.random.default_rng(seed + spec.seed)
     out = {"check": name, "status": SKIPPED, "detail": "", "payload": None}
 

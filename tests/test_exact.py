@@ -144,10 +144,10 @@ class TestPolyhedralData:
         assert padded.extremal_ray_indices() == [0, 1, 2, 3]
 
     def test_face_span_dimension(self):
-        assert self.cone.face_span_dimension([F(0), F(1), F(0)]) == 3
-        assert self.cone.face_span_dimension([F(1), F(1), F(0)]) == 1
+        assert len(self.cone.face_span([F(0), F(1), F(0)])) == 3
+        assert len(self.cone.face_span([F(1), F(1), F(0)])) == 1
         # midpoint of two adjacent rays lies on a 2-dimensional face
-        assert self.cone.face_span_dimension([F(1, 2), F(1), F(1, 2)]) == 2
+        assert len(self.cone.face_span([F(1, 2), F(1), F(1, 2)])) == 2
 
 
 def _positive_combination(rays, rng: random.Random):
