@@ -118,8 +118,11 @@ class SimpleFactor:
             coords.shape[:-1] + (side, side))
 
     def from_matrix(self, m: np.ndarray) -> np.ndarray:
+        """Coordinates of a (side, side) matrix, or of each matrix of a
+        (..., side, side) stack."""
         # trace(b^H m) = sum_ij conj(b_ij) m_ij for every basis element b
-        return self._kappa * np.einsum("kij,ij->k", self._basis_conj, m).real
+        return self._kappa * np.einsum("kij,...ij->...k", self._basis_conj,
+                                       m).real
 
     # -- algebra operations ------------------------------------------------
 
@@ -135,13 +138,15 @@ class SimpleFactor:
         return self.metric * self.unit()
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Jordan product a o b.  Either argument may be a (..., dim) stack;
+        the stacks broadcast, and each row has the bits of a single call."""
         if self.family == SPIN:
-            s, x = a[0], a[1:]
-            t, y = b[0], b[1:]
-            out = np.empty(self.dim)
-            out[0] = s * t + x @ y
-            out[1:] = s * y + t * x
-            return out
+            s, x = a[..., :1], a[..., 1:]
+            t, y = b[..., :1], b[..., 1:]
+            # the per-row 1 x n @ n x 1 matmul is the dot product of one
+            # pair, as in `_norms`; a matrix-vector product sums otherwise
+            dot = (x[..., None, :] @ y[..., :, None])[..., 0]
+            return np.concatenate([s * t + dot, s * y + t * x], axis=-1)
         ma, mb = self.to_matrix(a), self.to_matrix(b)
         return self.from_matrix(0.5 * (ma @ mb + mb @ ma))
 
@@ -153,26 +158,27 @@ class SimpleFactor:
         m = self.to_matrix(a)
         return np.linalg.eigh(m.real if self.family == REAL else m)
 
-    def _kramers_pairs(self, vecs: np.ndarray):
-        """Quaternionic eigenvalues come doubled: pair each eigenvector v
-        (a column of `vecs`, in eigenvalue order) with its symplectic partner
-        w = J conj(v), skipping columns already spanned by earlier pairs.
-        Returns one (column index, v, w) per primitive idempotent."""
-        chosen: list[np.ndarray] = []
-        pairs = []
-        for k in range(self._side):
-            v = vecs[:, k]
-            if chosen:
-                basis = np.column_stack(chosen)
-                v = v - basis @ (basis.conj().T @ v)
-                nv = np.linalg.norm(v)
-                if nv < 1e-8:
-                    continue
-                v = v / nv
-            w = self._J @ v.conj()
-            pairs.append((k, v, w))
-            chosen.extend([v, w])
-        return pairs
+    def _kramers_columns(self, vecs: np.ndarray) -> np.ndarray:
+        """Quaternionic eigenvalues come doubled: each eigenvector v (a
+        column of `vecs`, in eigenvalue order) has the symplectic partner
+        w = J conj(v) for the same eigenvalue.  Column k is kept unless its
+        residual against the span of the earlier kept pairs is below 1e-8.
+        `vecs` may be a (..., side, side) stack; returns the (..., side)
+        mask of kept columns, one per primitive idempotent."""
+        side = self._side
+        cols = vecs.reshape(-1, side, side)
+        keep = np.zeros((len(cols), side), dtype=bool)
+        # orthonormal pairs of the kept columns; column k fills 2k and 2k+1
+        span = np.zeros((len(cols), side, 2 * side), dtype=complex)
+        for k in range(side):
+            v = cols[:, :, k, None]
+            v = (v - span @ (span.conj().swapaxes(1, 2) @ v))[:, :, 0]
+            nv = np.linalg.norm(v, axis=1)
+            keep[:, k] = nv >= 1e-8
+            v = np.where(keep[:, k, None], v / np.maximum(nv, 1e-8)[:, None], 0)
+            span[:, :, 2 * k] = v
+            span[:, :, 2 * k + 1] = v.conj() @ self._J.T
+        return keep.reshape(vecs.shape[:-2] + (side,))
 
     def eigenvalues(self, a: np.ndarray) -> np.ndarray:
         """The eigenvalues `spectral` lists, bit for bit, without building
@@ -185,10 +191,8 @@ class SimpleFactor:
         vals, vecs = self._eigh(a)
         if self.family != QUAT:
             return vals
-        side = self._side
-        rows = [v[[k for k, _, _ in self._kramers_pairs(u)]] for v, u in
-                zip(vals.reshape(-1, side), vecs.reshape(-1, side, side))]
-        return np.reshape(rows, vals.shape[:-1] + (self.rank,))
+        return vals[self._kramers_columns(vecs)].reshape(
+            vals.shape[:-1] + (self.rank,))
 
     def spectral_parts(self, a: np.ndarray):
         """(eigenvalues, idempotent): the eigenvalues of `spectral(a)` and a
@@ -210,14 +214,23 @@ class SimpleFactor:
         if self.family != QUAT:
             return vals, lambda k: self.from_matrix(
                 np.outer(vecs[:, k], vecs[:, k].conj()))
-        # one rank-2 projector per Kramers pair
-        pairs = self._kramers_pairs(vecs)
+        # one rank-2 projector per kept column: orthonormalize it against
+        # the earlier pairs and add its symplectic partner
+        keep = np.flatnonzero(self._kramers_columns(vecs))
+        chosen: list[np.ndarray] = []
+        for k in keep:
+            v = vecs[:, k]
+            if chosen:
+                basis = np.column_stack(chosen)
+                v = v - basis @ (basis.conj().T @ v)
+                v = v / np.linalg.norm(v)
+            chosen.extend([v, self._J @ v.conj()])
 
         def idempotent(j):
-            _, v, w = pairs[j]
+            v, w = chosen[2 * j], chosen[2 * j + 1]
             return self.from_matrix(np.outer(v, v.conj()) + np.outer(w, w.conj()))
 
-        return vals[[k for k, _, _ in pairs]], idempotent
+        return vals[keep], idempotent
 
     def spectral(self, a: np.ndarray) -> SpectralDecomposition:
         vals, idempotent = self.spectral_parts(a)
@@ -484,11 +497,11 @@ class JordanAlgebra:
                                  f"!= {self.dim}")
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Jordan product, summand by summand; either argument may be a
+        (..., dim) stack, as in `SimpleFactor.product`."""
         self._check_dim(a, b)
-        out = np.empty(self.dim)
-        for s in self.summands:
-            out[s.sl] = s.factor.product(a[s.sl], b[s.sl])
-        return out
+        return np.concatenate([s.factor.product(a[..., s.sl], b[..., s.sl])
+                               for s in self.summands], axis=-1)
 
     def unit(self) -> np.ndarray:
         out = np.empty(self.dim)
@@ -535,16 +548,18 @@ class JordanAlgebra:
         return out
 
     def quadratic_rep(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> 2 a*(a*x) - (a*a)*x on coordinates."""
+        """Matrix of x -> 2 a*(a*x) - (a*a)*x on coordinates, for one
+        element a.  It is block diagonal; with x the summand's part of a
+        and E its identity basis stacked as rows, the summand's block is
+        (2 x*(x*E) - (x*x)*E)^T: four stacked products per summand."""
         self._check_dim(a)
-        aa = self.product(a, a)
-        cols = []
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = 1.0
-            cols.append(2.0 * self.product(a, self.product(a, e))
-                        - self.product(aa, e))
-        return np.column_stack(cols)
+        out = np.zeros((self.dim, self.dim))
+        for s in self.summands:
+            f, x = s.factor, a[s.sl]
+            basis = np.eye(f.dim)
+            out[s.sl, s.sl] = (2.0 * f.product(x, f.product(x, basis))
+                               - f.product(f.product(x, x), basis)).T
+        return out
 
     def summand_of(self, a: np.ndarray, tol: float = 1e-9) -> int | None:
         """Index of the single summand supporting a, or None if spread out."""

@@ -1,10 +1,11 @@
-"""Slower routes to EJA membership questions, kept as oracles.
+"""Slower routes to EJA questions, kept as oracles.
 
 Membership reads eigenvalues alone (`JordanAlgebra.eigenvalues`, on whole
-stacks) and max-tensor pairing minimization builds only the idempotent it
-returns.  These oracles answer the same questions the old way, one full
-`spectral` decomposition per element, and the tests compare the routes bit
-for bit.
+stacks), max-tensor pairing minimization builds only the idempotent it
+returns, the quaternionic Kramers pairs are picked for a whole stack at
+once, and the quadratic representation is built from stacked products.
+These oracles answer the same questions the old way, one element or one
+column at a time, and the tests compare the routes bit for bit.
 """
 
 from __future__ import annotations
@@ -30,3 +31,36 @@ def pure_effect_minimizing_by_spectral(factor: SimpleFactor, x: np.ndarray):
     dec = factor.spectral(x)
     k = int(np.argmin(dec.eigenvalues))
     return float(dec.eigenvalues[k]), factor.metric * dec.idempotents[k]
+
+
+def kramers_columns_by_loop(factor: SimpleFactor, vecs: np.ndarray) -> list[int]:
+    """Kept eigenvector columns of one quaternionic (side, side) matrix:
+    each column is orthonormalized against the pairs (v, J conj(v)) kept
+    before it and skipped when its residual is below 1e-8."""
+    chosen: list[np.ndarray] = []
+    kept = []
+    for k in range(vecs.shape[-1]):
+        v = vecs[:, k]
+        if chosen:
+            basis = np.column_stack(chosen)
+            v = v - basis @ (basis.conj().T @ v)
+            nv = np.linalg.norm(v)
+            if nv < 1e-8:
+                continue
+            v = v / nv
+        kept.append(k)
+        chosen.extend([v, factor._J @ v.conj()])
+    return kept
+
+
+def quadratic_rep_by_columns(alg: JordanAlgebra, a: np.ndarray) -> np.ndarray:
+    """Matrix of x -> 2 a*(a*x) - (a*a)*x, one column per basis vector,
+    each from three algebra products."""
+    aa = alg.product(a, a)
+    cols = []
+    for k in range(alg.dim):
+        e = np.zeros(alg.dim)
+        e[k] = 1.0
+        cols.append(2.0 * alg.product(a, alg.product(a, e))
+                    - alg.product(aa, e))
+    return np.column_stack(cols)

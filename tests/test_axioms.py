@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conelab import axioms, eja, exact, fixtures
-from conelab.axioms import FAILS, HOLDS
-from conelab.cones import (ConeError, PolyhedralCone, SharedCornerCone,
-                          System, UnsupportedQuery, is_order_isomorphism)
+from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
+from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone,
+                          PositiveMap, SharedCornerCone, System,
+                          UnsupportedQuery, is_order_isomorphism)
 from conftest import make_eja_system
 from eja_oracles import first_dual_extremal_outside
 from polyhedral_oracles import (bijection_system, self_dual_by_solves,
@@ -432,6 +433,24 @@ class TestHomogeneity:
         assert np.max(np.abs(pmap(rho) - sig)) < 1e-9
         for _ in range(20):
             assert cone.member(pmap(cone.sample_extremal(rng)), 1e-8)
+
+    def test_missed_witness_is_inconclusive(self, monkeypatch):
+        # A witness that misses sigma by 1e-6 is a poor construction: the
+        # check runner must not report it as a disproof.
+        witness = axioms.homogeneity_witness
+
+        def perturbed(system, rho, sigma, tol=DEFAULT_TOL):
+            pmap = witness(system, rho, sigma, tol)
+            return PositiveMap(pmap.matrix + 1e-6, system, system)
+
+        monkeypatch.setattr(axioms, "homogeneity_witness", perturbed)
+        specs = fixtures.builtin_fixtures()
+        spec = next(s for s in specs if s.name == "qubit")
+        system = fixtures.build_system(spec, {s.name: s for s in specs})
+        record = fixtures.run_check("homogeneity", spec, system,
+                                    DEFAULT_TOL, 7)
+        assert record["status"] == INCONCLUSIVE
+        assert record["margin"] >= 1e-8
 
     def test_interior_precondition(self, qubit):
         boundary = np.array([1.0, 0.0, 0.0, 0.0])

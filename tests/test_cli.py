@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,9 @@ from conelab.cones import ConeError
 # sha256 of `conelab check --seed 11` over the builtin registry
 REPORT_SEED_11_SHA256 = (
     "9ea48796c323baecc47078107c8b8a65cc08c86c07d763d1fa40758f67ebf9be")
+
+# The benchmark's record of the seed-7 report; read here, owned there.
+BENCHMARK_EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 
 
 @pytest.fixture
@@ -110,6 +114,18 @@ class TestCheckCommand:
         assert result.exit_code == 0
         digest = hashlib.sha256(result.output.encode()).hexdigest()
         assert digest == REPORT_SEED_11_SHA256
+
+    def test_benchmark_report_digest_matches(self, runner):
+        # The benchmark's registry-check pins its seed's report bytes; a
+        # byte change fails here before the benchmark is run.
+        record = json.loads(BENCHMARK_EXPECTED.read_text(encoding="utf-8"))
+        pinned = record["registry-check"]
+        result = runner.invoke(main, ["check", "--seed", str(pinned["seed"]),
+                                      "--jobs", "1"])
+        assert result.exit_code == 0
+        text = result.stdout_bytes.decode("utf-8")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == pinned["report_sha256"]
 
     def test_expectation_mismatch_exit_one(self, runner, tmp_path):
         specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
+from eja_oracles import kramers_columns_by_loop, quadratic_rep_by_columns
 
 
 def spin_plus_complex() -> eja.JordanAlgebra:
@@ -293,3 +294,88 @@ def test_eigenvalues_reject_bad_input():
         alg.eigenvalues(np.full((2, alg.dim), np.nan))
     with pytest.raises(ValueError, match="dimension mismatch"):
         alg.eigenvalues(np.zeros((2, alg.dim + 1)))
+
+
+def test_quaternionic_selection_on_degenerate_stacks(rng):
+    # Automorphic images of multiples of the unit (and, in rank 3, pure
+    # states and unit + pure) have 4-fold degenerate eigenspaces whose
+    # eigenvectors are not Kramers pairs, so the kept columns are not 0::2.
+    for rank in (2, 3):
+        f = eja.SimpleFactor(eja.QUAT, rank)
+        rows = [c * f.unit() for c in (1.0, -2.5, 1e-8, 3e5)]
+        for _ in range(12):
+            rot = f.rotation_generator(f.random_pure(rng), f.random_pure(rng))
+            rows.append(rng.standard_normal() * (rot(rng.random()) @ f.unit()))
+            rows.append(f.random_pure(rng))
+            rows.append(f.unit() + f.random_pure(rng))
+        stack = np.array(rows)
+        vecs = f._eigh(stack)[1]
+        keep = f._kramers_columns(vecs)
+        for k, v in zip(keep, vecs):
+            assert list(np.flatnonzero(k)) == kramers_columns_by_loop(f, v)
+        assert not keep[:, 0::2].all(axis=1).all()
+        vals = f.eigenvalues(stack)
+        for row, v in zip(stack, vals):
+            assert np.array_equal(v, f.spectral(row).eigenvalues)
+            assert np.array_equal(f.eigenvalues(row), v)
+
+
+# -- products on stacks -----------------------------------------------------
+
+
+@given(name=st.sampled_from(sorted(EIGEN_ALGEBRAS)),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+       exps=st.tuples(st.integers(-8, 6), st.integers(-8, 6)))
+@settings(max_examples=200, deadline=None)
+def test_stacked_product_equals_row_loop(name, seed, rows, exps):
+    # values and sign bits: each row of a stacked product is the single
+    # call, for the factor and for the algebra (here also a two-summand sum)
+    alg = EIGEN_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** exps[0] * alg.random_element(rng)
+    stack = 10.0 ** exps[1] * rng.standard_normal((rows, alg.dim))
+    targets = [alg] if len(alg.summands) > 1 else [alg, alg.factors[0]]
+    for op in targets:
+        loop = np.array([op.product(a, b) for b in stack])
+        assert op.product(a, stack).tobytes() == loop.tobytes()
+        assert op.product(stack, a).tobytes() == np.array(
+            [op.product(b, a) for b in stack]).tobytes()
+
+
+def _builtin_eja_algebras():
+    specs = fixtures.builtin_fixtures()
+    registry = {s.name: s for s in specs}
+    return {s.name: fixtures.build_system(s, registry).cone.algebra
+            for s in specs if s.kind == "eja"}
+
+
+def test_quadratic_rep_equals_column_loop(rng):
+    algebras = _builtin_eja_algebras()
+    assert len(algebras) == 14
+    assert {"two-qubit-sum", "qubit-plus-rebit"} <= set(algebras)
+    for name, alg in algebras.items():
+        for _ in range(5):
+            interior = alg.random_interior(rng)
+            points = [interior, alg.random_pure(rng), alg.sqrt(interior),
+                      alg.inv_sqrt(interior)]
+            for a in points:
+                fast = alg.quadratic_rep(a)
+                slow = quadratic_rep_by_columns(alg, a)
+                assert np.array_equal(fast, slow), name
+                assert fast.tobytes() == slow.tobytes(), name
+
+
+def test_quadratic_rep_makes_four_products_per_summand(monkeypatch, rng):
+    calls = []
+    product = eja.SimpleFactor.product
+
+    def counting(self, a, b):
+        calls.append(self)
+        return product(self, a, b)
+
+    monkeypatch.setattr(eja.SimpleFactor, "product", counting)
+    for alg in _builtin_eja_algebras().values():
+        a = alg.random_interior(rng)
+        calls.clear()
+        alg.quadratic_rep(a)
+        assert 0 < len(calls) <= 4 * len(alg.summands)
