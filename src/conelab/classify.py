@@ -52,20 +52,23 @@ def dim_of(family: str, rank: int, spin_dim: int | None = None) -> int:
     raise ValueError(f"unknown family: {family}")
 
 
-def make_record(family: str, rank: int, spin_dim: int | None = None) -> ClassRecord:
-    return ClassRecord(family, rank, dim_of(family, rank, spin_dim))
+MAX_RECORD_DIM = 10000
 
 
-def records_with_rank(rank: int, max_dim: int = 10000) -> list[ClassRecord]:
-    """All simple records of the exact given rank with dim <= max_dim."""
+def make_record(family: str, rank: int) -> ClassRecord:
+    return ClassRecord(family, rank, dim_of(family, rank))
+
+
+def records_with_rank(rank: int) -> list[ClassRecord]:
+    """All simple records of the exact given rank with dim <= MAX_RECORD_DIM."""
     out = []
     for family in ("RealSym", "ComplexHerm", "QuatHerm"):
         d = dim_of(family, rank)
-        if d <= max_dim:
+        if d <= MAX_RECORD_DIM:
             out.append(ClassRecord(family, rank, d))
     if rank == 2:
         out.extend(ClassRecord("SpinFactor", 2, n)
-                   for n in range(2, max_dim + 1))
+                   for n in range(2, MAX_RECORD_DIM + 1))
     if rank == 3:
         out.append(ClassRecord("Albert", 3, 27))
     return sorted(out, key=lambda c: (c.dim, c.family))
@@ -260,7 +263,10 @@ def trace_json(trace: dict) -> str:
     return "".join(out)
 
 
-def trace_text(trace: dict, max_cells_per_family: int = 6) -> str:
+TEXT_CELLS = 6
+
+
+def trace_text(trace: dict) -> str:
     """Plain-text derivation, elided for very long member lists."""
     lines = [f"procedure: {trace['procedure']} (max_rank={trace['max_rank']})"]
     if trace["procedure"] == CLASSICALITY:
@@ -271,11 +277,11 @@ def trace_text(trace: dict, max_cells_per_family: int = 6) -> str:
         lines.append(f"{family}: {verdict}")
         shown = info["cells"]
         elided = 0
-        if len(shown) > max_cells_per_family:
+        if len(shown) > TEXT_CELLS:
             failing = [c for c in shown if not c["pass"]]
-            keep = shown[:max_cells_per_family]
+            keep = shown[:TEXT_CELLS]
             if failing and failing[0] not in keep:
-                keep = shown[:max_cells_per_family - 1] + failing[:1]
+                keep = shown[:TEXT_CELLS - 1] + failing[:1]
             elided = len(shown) - len(keep)
             shown = keep
         for c in shown:

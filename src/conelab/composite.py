@@ -27,6 +27,13 @@ HILBERT = "hilbert"
 CLASSICAL = "classical"
 
 
+def _kron_stack(fa: SimpleFactor, fb: SimpleFactor) -> np.ndarray:
+    """kron(a_i, b_j) for every pair of basis matrices, as row i * fb.dim + j."""
+    side = fa.rank * fb.rank
+    return np.einsum("iab,jcd->ijacbd", fa._basis,
+                     fb._basis).reshape(-1, side, side)
+
+
 def _pure_effect_minimizing(factor: SimpleFactor, x: np.ndarray):
     """(value, pure effect) minimizing <e, x> over normalized pure effects."""
     vals, idempotent = factor.spectral_parts(x)
@@ -79,7 +86,7 @@ class MaxTensorCone(ConeModel):
 
     def __init__(self, comp: "CompositeSystem"):
         self.comp = comp
-        self.dim = comp.dim
+        self.dim = comp.dimA * comp.dimB
 
     def pairing_minimum(self, x: np.ndarray) -> float:
         comp = self.comp
@@ -144,8 +151,9 @@ class MaxTensorCone(ConeModel):
         return [np.outer(a, b).ravel() for a in ba for b in bb]
 
 
-class CompositeSystem:
-    """Two factor systems joined by one of the four composite models."""
+class CompositeSystem(System):
+    """Two factor systems joined by one of the four composite models: a
+    System on the dimA * dimB product coordinates, with the product unit."""
 
     def __init__(self, factorA: System, factorB: System, model: str):
         if model not in (MIN_TENSOR, MAX_TENSOR, HILBERT, CLASSICAL):
@@ -155,11 +163,9 @@ class CompositeSystem:
         self.model = model
         self.dimA = factorA.dim
         self.dimB = factorB.dim
-        self.dim = self.dimA * self.dimB
-        self.unit = np.kron(factorA.unit, factorB.unit)
-        self.cone = self._build_cone()
-        self.system = System(self.cone, self.unit,
-                             f"{factorA.label} (x) {factorB.label} [{model}]")
+        System.__init__(self, self._build_cone(),
+                        np.kron(factorA.unit, factorB.unit),
+                        f"{factorA.label} (x) {factorB.label} [{model}]")
 
     @staticmethod
     def _simple_factor(system: System) -> SimpleFactor | None:
@@ -182,8 +188,8 @@ class CompositeSystem:
             if self._classical_size(self.factorA) is None or \
                     self._classical_size(self.factorB) is None:
                 raise ConeError("classical composite requires simplex factors")
-            rays = [[Fraction(int(i == k)) for i in range(self.dim)]
-                    for k in range(self.dim)]
+            n = self.dimA * self.dimB
+            rays = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
             return PolyhedralCone(rays)
         if self.model == HILBERT:
             fa = self._simple_factor(self.factorA)
@@ -193,13 +199,8 @@ class CompositeSystem:
                 raise ConeError("the quantum composite requires complex "
                                 "matrix factors")
             glob = complex_herm(fa.rank * fb.rank)
-            gf = glob.factors[0]
-            rot = np.zeros((glob.dim, self.dim))
-            for i in range(self.dimA):
-                for j in range(self.dimB):
-                    prod = np.kron(fa._basis[i], fb._basis[j])
-                    rot[:, i * self.dimB + j] = gf.from_matrix(prod)
-            return LinearImageCone(EJACone(glob), rot)
+            rot = glob.factors[0].from_matrix(_kron_stack(fa, fb))
+            return LinearImageCone(EJACone(glob), np.ascontiguousarray(rot.T))
         if self.model == MIN_TENSOR:
             ca, cb = self.factorA.cone, self.factorB.cone
             if isinstance(ca, PolyhedralCone) and isinstance(cb, PolyhedralCone):
@@ -241,10 +242,6 @@ class CompositeSystem:
         w = rng.random(len(gens))
         return sum(wi * g for wi, g in zip(w, gens))
 
-    def sample_pure(self, rng) -> np.ndarray:
-        w = self.cone.sample_extremal(rng)
-        return w / float(self.unit @ w)
-
 
 def marginal_of(comp: CompositeSystem, wab: np.ndarray, side: str) -> np.ndarray:
     wab = np.asarray(wab, dtype=float)
@@ -260,7 +257,6 @@ def marginal_of(comp: CompositeSystem, wab: np.ndarray, side: str) -> np.ndarray
 class ConditioningMap:
     """e on A  |->  sub-normalized conditional state of B."""
     matrix: np.ndarray
-    state: np.ndarray
 
     def __call__(self, e: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(e, dtype=float)
@@ -269,7 +265,7 @@ class ConditioningMap:
 def conditioning_map(comp: CompositeSystem, wab: np.ndarray) -> ConditioningMap:
     wab = np.asarray(wab, dtype=float)
     m = wab.reshape(comp.dimA, comp.dimB)
-    cmap = ConditioningMap(m.T.copy(), wab.copy())
+    cmap = ConditioningMap(m.T.copy())
     lhs = cmap(comp.factorA.unit)
     rhs = marginal_of(comp, wab, "B")
     if np.max(np.abs(lhs - rhs)) > 0:
@@ -313,12 +309,12 @@ def steer(comp: CompositeSystem, wab: np.ndarray, ensemble: list[np.ndarray],
 
     ca = comp.factorA.cone
     if isinstance(ca, PolyhedralCone):
-        return _steer_lp(comp, mt, ens, tol)
+        return _steer_lp(comp, mt, ens)
     raise UnsupportedQuery("solver unsupported for singular conditioning "
                            "maps over non-polyhedral factors")
 
 
-def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens, tol):
+def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens):
     """Exact feasibility over effect coordinates: each effect is a nonnegative
     combination of A facet normals, effects sum to the unit."""
     ca: PolyhedralCone = comp.factorA.cone
@@ -362,9 +358,13 @@ def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens, tol):
     return effects
 
 
+# ensembles a steering verdict spot-verifies, and the seed of all its samples
+SPOT_ENSEMBLES = 20
+SPOT_SEED = 7
+
+
 def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
-                             tol: float = DEFAULT_TOL,
-                             ensembles: int = 20, seed: int = 7) -> AxiomVerdict:
+                             tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Injective conditioning map with interior marginal gives an order
     isomorphism onto the B cone; then every ensemble of the marginal is
     steerable, spot-verified on random ensembles."""
@@ -379,13 +379,13 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
             "rank": rank, "needed": comp.dimA},
             detail="conditioning map is not injective")
     pmap = PositiveMap(cmap.matrix, comp.factorA, comp.factorB)
-    verdict = is_order_isomorphism(pmap, tol=tol, seed=seed)
+    verdict = is_order_isomorphism(pmap, tol=tol, seed=SPOT_SEED)
     if not verdict.ok:
         return AxiomVerdict("steering-order-iso", FAILS, violation={
             "direction": verdict.direction, "point": verdict.violation})
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPOT_SEED)
     worst = 0.0
-    for _ in range(ensembles):
+    for _ in range(SPOT_ENSEMBLES):
         ens = random_ensemble(comp.factorB, wb, 3, rng)
         effects = steer(comp, wab, ens, tol=1e-8)
         if effects == INFEASIBLE:
@@ -397,7 +397,7 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
         "steering-order-iso", HOLDS, witness=pmap, margin=worst,
         detail="injective conditioning map with interior marginal is an "
                "order isomorphism; every ensemble of the marginal is "
-               f"steerable (spot-verified on {ensembles} ensembles)")
+               f"steerable (spot-verified on {SPOT_ENSEMBLES} ensembles)")
 
 
 def random_ensemble(system: System, target: np.ndarray, parts: int,
@@ -440,24 +440,13 @@ def canonical_self_steering_state(comp: CompositeSystem) -> np.ndarray:
         vec = np.zeros(r * r)
         vec[:: r + 1] = 1.0 / np.sqrt(r)
         rho = np.outer(vec, vec)
-        m = np.zeros((comp.dimA, comp.dimB))
-        for i in range(comp.dimA):
-            for j in range(comp.dimB):
-                m[i, j] = float(np.real(np.trace(
-                    rho @ np.kron(fa._basis[i], fb._basis[j]))))
-        return m.ravel()
-    if comp.dimA != comp.dimB:
-        raise ConeError("factors must share coordinates")
+        return np.real(np.trace(rho @ _kron_stack(fa, fb), axis1=1, axis2=2))
+    # a min composite has polyhedral factors, so only max-tensor is left
     state = np.eye(comp.dimA).ravel() / fa.rank
-    if comp.model == MAX_TENSOR:
-        if comp.cone.margin(state) < -DEFAULT_TOL:
-            raise ConeError("identity-conditioning element rejected by the "
-                            "product-effect certificate")
-        return state
-    if comp.cone.member(state, 1e-8):
-        return state
-    raise ConeError("identity-conditioning element lies outside the "
-                    "min-tensor cone for these factors")
+    if comp.cone.margin(state) < -DEFAULT_TOL:
+        raise ConeError("identity-conditioning element rejected by the "
+                        "product-effect certificate")
+    return state
 
 
 def purity_preservation_check(comp: CompositeSystem, wa: np.ndarray,

@@ -27,6 +27,8 @@ from . import exact
 from .eja import JordanAlgebra
 
 DEFAULT_TOL = 1e-9
+# sampled extremals per side of a positivity or order-isomorphism check
+ISO_SAMPLES = 50
 
 
 class ConeError(ValueError):
@@ -41,7 +43,6 @@ class ConeModel:
     """Interface shared by all cone variants."""
 
     dim: int
-    variant: str
 
     def member(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise NotImplementedError
@@ -71,8 +72,6 @@ class ConeModel:
 
 class PolyhedralCone(ConeModel):
     """Cone generated by finitely many rational rays; all verdicts exact."""
-
-    variant = "polyhedral"
 
     def __init__(self, generators):
         self.data = exact.PolyhedralData(generators)
@@ -158,8 +157,6 @@ class EJACone(ConeModel):
     """Positive cone of a Euclidean Jordan algebra: x is a member when its
     eigenvalues are nonnegative."""
 
-    variant = "eja"
-
     def __init__(self, algebra: JordanAlgebra):
         self.algebra = algebra
         self.dim = algebra.dim
@@ -213,8 +210,6 @@ class SharedCornerCone(ConeModel):
     Coordinates (x1, x2, x3, x4, x5) encode blocks
     M1 = [[x1, x4], [x4, x2]] and M2 = [[x1, x5], [x5, x3]].
     """
-
-    variant = "shared-corner"
 
     def __init__(self):
         self.dim = 5
@@ -431,7 +426,6 @@ class PositiveMap:
     matrix: np.ndarray
     source: System
     target: System
-    normalized: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -439,12 +433,11 @@ class PositiveMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def check_positive(self, rng, samples: int = 50,
-                       tol: float = DEFAULT_TOL) -> bool:
+    def check_positive(self, rng, tol: float = DEFAULT_TOL) -> bool:
         for g in self.source.cone.generators():
             if not self.target.cone.member(self.matrix @ g, tol):
                 return False
-        for _ in range(samples):
+        for _ in range(ISO_SAMPLES):
             g = self.source.cone.sample_extremal(rng)
             if not self.target.cone.member(self.matrix @ g, tol):
                 return False
@@ -458,34 +451,33 @@ class PositiveMap:
 @dataclass
 class IsoVerdict:
     ok: bool
-    condition_number: float
     violation: np.ndarray | None = None
     direction: str = ""
 
 
 def is_order_isomorphism(pmap: PositiveMap, tol: float = DEFAULT_TOL,
-                         samples: int = 50, seed: int = 0) -> IsoVerdict:
+                         seed: int = 0) -> IsoVerdict:
     m = pmap.matrix
     if m.shape[0] != m.shape[1]:
         raise ConeError("order isomorphisms need a square matrix")
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] < 1e-12 * max(sv[0], 1.0):
         kernel = np.linalg.svd(m)[2][-1]
-        return IsoVerdict(False, float("inf"), kernel, "singular")
+        return IsoVerdict(False, kernel, "singular")
     cond = float(sv[0] / sv[-1])
     inv = np.linalg.inv(m)
     rng = np.random.default_rng(seed)
     src = list(pmap.source.cone.generators())
-    src += [pmap.source.cone.sample_extremal(rng) for _ in range(samples)]
+    src += [pmap.source.cone.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
     for g in src:
         if not pmap.target.cone.member(m @ g, tol * max(1.0, cond)):
-            return IsoVerdict(False, cond, g, "forward")
+            return IsoVerdict(False, g, "forward")
     tgt = list(pmap.target.cone.generators())
-    tgt += [pmap.target.cone.sample_extremal(rng) for _ in range(samples)]
+    tgt += [pmap.target.cone.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
     for g in tgt:
         if not pmap.source.cone.member(inv @ g, tol * max(1.0, cond)):
-            return IsoVerdict(False, cond, g, "inverse")
-    return IsoVerdict(True, cond)
+            return IsoVerdict(False, g, "inverse")
+    return IsoVerdict(True)
 
 
 def validate_measurement(system: System, effects: list[np.ndarray],

@@ -327,10 +327,8 @@ class SimpleFactor:
 
     def conjugation_matrix(self, u: np.ndarray) -> np.ndarray:
         """Coordinate matrix of X -> U X U^dagger for a unitary U."""
-        cols = []
-        for b in self._basis:
-            cols.append(self.from_matrix(u @ b @ u.conj().T))
-        return np.column_stack(cols)
+        return np.ascontiguousarray(
+            self.from_matrix(u @ self._basis @ u.conj().T).T)
 
     def rotation_generator(self, w1: np.ndarray, w2: np.ndarray):
         """Data for the one-parameter automorphism family carrying the pure

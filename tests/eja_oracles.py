@@ -3,9 +3,11 @@
 Membership reads eigenvalues alone (`JordanAlgebra.eigenvalues`, on whole
 stacks), max-tensor pairing minimization builds only the idempotent it
 returns, the quaternionic Kramers pairs are picked for a whole stack at
-once, and the quadratic representation is built from stacked products.
-These oracles answer the same questions the old way, one element or one
-column at a time, and the tests compare the routes bit for bit.
+once, the quadratic representation is built from stacked products, and the
+conjugation matrix and the Hilbert composite's coordinate change each come
+from one basis stack.  These oracles answer the same questions the old way,
+one element or one column at a time, and the tests compare the routes bit
+for bit.
 """
 
 from __future__ import annotations
@@ -64,3 +66,34 @@ def quadratic_rep_by_columns(alg: JordanAlgebra, a: np.ndarray) -> np.ndarray:
         cols.append(2.0 * alg.product(a, alg.product(a, e))
                     - alg.product(aa, e))
     return np.column_stack(cols)
+
+
+def conjugation_matrix_by_columns(factor: SimpleFactor,
+                                  u: np.ndarray) -> np.ndarray:
+    """Coordinate matrix of X -> U X U^dagger, one basis element a column."""
+    return np.column_stack([factor.from_matrix(u @ b @ u.conj().T)
+                            for b in factor._basis])
+
+
+def hilbert_rotation_by_pairs(fa: SimpleFactor, fb: SimpleFactor) -> np.ndarray:
+    """Coordinates in the complex rank fa.rank * fb.rank algebra of
+    kron(a_i, b_j), as column i * fb.dim + j, one pair at a time."""
+    glob = SimpleFactor("complex", fa.rank * fb.rank)
+    rot = np.zeros((glob.dim, fa.dim * fb.dim))
+    for i in range(fa.dim):
+        for j in range(fb.dim):
+            rot[:, i * fb.dim + j] = glob.from_matrix(
+                np.kron(fa._basis[i], fb._basis[j]))
+    return rot
+
+
+def hilbert_pairings_by_pairs(fa: SimpleFactor, fb: SimpleFactor,
+                              rho: np.ndarray) -> np.ndarray:
+    """Re tr(rho kron(a_i, b_j)) at position i * fb.dim + j, one pair at a
+    time."""
+    m = np.zeros((fa.dim, fb.dim))
+    for i in range(fa.dim):
+        for j in range(fb.dim):
+            m[i, j] = float(np.real(np.trace(
+                rho @ np.kron(fa._basis[i], fb._basis[j]))))
+    return m.ravel()

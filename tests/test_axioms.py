@@ -277,6 +277,39 @@ class TestBijectionSearches:
         assert len(calls) == n_fact
 
 
+def _skew_constructions(monkeypatch):
+    """Every map the searches build is off by 1/1000 in one entry."""
+    build = axioms._ScaleSystems.map_from_scales
+
+    def skewed(self, perm, mu):
+        t = build(self, perm, mu)
+        t[0][0] += F(1, 1000)
+        return t
+
+    monkeypatch.setattr(axioms._ScaleSystems, "map_from_scales", skewed)
+
+
+def test_failed_weak_construction_is_inconclusive(monkeypatch):
+    # the square is weakly self-dual; maps that fail their own re-check
+    # must not turn into "no bijection admits an invertible solution"
+    _skew_constructions(monkeypatch)
+    v = axioms.search_weak_self_duality(PolyhedralCone(SQUARE))
+    assert v.status == INCONCLUSIVE
+    assert v.violation["failed_constructions"]
+
+
+def test_failed_spd_construction_is_uncertified(monkeypatch):
+    # an SPD map that does not carry the rays is no witness
+    _skew_constructions(monkeypatch)
+    v = axioms.search_spd_self_duality(PolyhedralCone(_pentagon()))
+    assert v.status == INCONCLUSIVE
+    certs = v.violation["bijections"]
+    assert len(certs) == 120
+    failed = [c for c in certs
+              if c["reason"] == "constructed map fails the exact re-check"]
+    assert failed and all(c["certified"] is False for c in failed)
+
+
 # sha256 of repr((status, witness, violation, detail)), recorded with the
 # searches that solved each bijection in all d*d + n unknowns.
 SEARCH_DIGESTS = {
@@ -518,6 +551,42 @@ class TestPureTransitivity:
             axioms.pure_transitivity_witness(qubit, mixed, pure)
 
 
+def _faulty_rotations(monkeypatch, fault):
+    """Patch every rotation: scaled by 1.01 (misses w2 and moves the unit),
+    the identity (misses w2 only) or plus a rank-one term that kills w1 but
+    moves the unit."""
+    generator = eja.SimpleFactor.rotation_generator
+
+    def faulty(self, w1, w2):
+        rot = generator(self, w1, w2)
+        if fault == "scaled":
+            return lambda t: 1.01 * rot(t)
+        if fault == "identity":
+            return lambda t: np.eye(self.dim)
+        u = self.trace_functional()
+        b = u - (u @ w1) / (w1 @ w1) * w1
+        return lambda t: rot(t) + 1e-3 * np.outer(u, b)
+
+    monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", faulty)
+
+
+@pytest.mark.parametrize("fault", ["scaled", "identity", "unit"])
+def test_faulty_transitivity_map_is_inconclusive(fault, qubit, rng,
+                                                 monkeypatch):
+    _faulty_rotations(monkeypatch, fault)
+    w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
+    assert axioms.pure_transitivity_witness(qubit, w1, w2).status \
+        == INCONCLUSIVE
+    assert axioms.continuous_pure_transitivity(qubit, w1, w2).status \
+        == INCONCLUSIVE
+    specs = fixtures.builtin_fixtures()
+    spec = next(s for s in specs if s.name == "qubit")
+    system = fixtures.build_system(spec, {s.name: s for s in specs})
+    for check in ("pure-transitivity", "continuous-pure-transitivity"):
+        record = fixtures.run_check(check, spec, system, DEFAULT_TOL, 7)
+        assert record["status"] == INCONCLUSIVE
+
+
 class TestContinuousPureTransitivity:
     def test_path(self, qubit, rng):
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
@@ -557,6 +626,14 @@ class TestClassicalEffects:
         e = np.zeros(8)
         e[:2] = 1.0  # the unit of the first summand
         assert axioms.classical_effect_test(system, e)
+
+    def test_polyhedral_effects_on_sampled_pure_states(self, square_system):
+        # no spectral route: 0/1 values are read on sampled pure states
+        for e, classical in [([0.0, 1.0, 0.0], True), ([0.0, 0.0, 0.0], True),
+                             ([0.5, 0.5, -0.5], True),
+                             ([0.5, 0.5, 0.0], False)]:
+            assert axioms.classical_effect_test(square_system,
+                                                np.array(e)) == classical
 
     def test_effect_precondition(self, qubit):
         with pytest.raises(ConeError):

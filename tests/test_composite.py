@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from conelab import composite as cp
-from conelab import eja, exact
+from conelab import eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS
-from conelab.cones import (ConeError, PolyhedralCone, System,
-                          UnsupportedQuery, is_extremal_ray)
+from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone, System,
+                          UnsupportedQuery, is_extremal_ray,
+                          validate_measurement)
 from conftest import make_eja_system
-from eja_oracles import pure_effect_minimizing_by_spectral
+from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
+                         pure_effect_minimizing_by_spectral)
 from polyhedral_oracles import (extremal_by_lp,
                                 pairing_minimum_rebuilding_facets)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
+# the normalized pure states of the square, and its maximally mixed state
+V1, V2, V3, V4 = (np.array(r, dtype=float) for r in SQUARE)
+CENTER = np.array([0.0, 1.0, 0.0])
 
 
 @pytest.fixture
@@ -181,6 +186,88 @@ class TestSteering:
             cp.steering_order_iso_check(two_qubit, prod)
 
 
+class TestSteeringLP:
+    """Singular conditioning maps over a polyhedral A factor go to the exact
+    LP in effect coordinates."""
+
+    def _steered(self, comp, w, ens):
+        effects = cp.steer(comp, w, ens)
+        assert not isinstance(effects, str)
+        assert validate_measurement(comp.factorA, effects, 1e-8)
+        assert np.max(np.abs(sum(effects) - comp.factorA.unit)) < 1e-12
+        cmap = cp.conditioning_map(comp, w)
+        for e, t in zip(effects, ens):
+            assert np.max(np.abs(cmap(e) - t)) < 1e-8
+        return effects
+
+    def test_product_state_splits_its_marginal(self, min_square):
+        w = min_square.product_state(V1, V2)
+        self._steered(min_square, w, [0.3 * V2, 0.7 * V2])
+
+    def test_mixture_steers_its_components(self, min_square):
+        w = 0.5 * (min_square.product_state(V1, V2)
+                   + min_square.product_state(V3, V4))
+        self._steered(min_square, w, [0.5 * V2, 0.5 * V4])
+
+    def test_ensemble_outside_the_range(self, min_square):
+        w = min_square.product_state(V1, CENTER)
+        assert cp.steer(min_square, w, [0.5 * V2, 0.5 * V4]) == cp.INFEASIBLE
+
+    def test_infeasible_in_the_range(self, min_square):
+        # the ensemble would need a measurement telling V1, V2 and V3 apart
+        # perfectly, which the square does not have: V4 = V1 + V3 - V2
+        w = (min_square.product_state(V1, V1)
+             + min_square.product_state(V2, V3)
+             + min_square.product_state(V3, CENTER)) / 3
+        ens = [V1 / 3, V3 / 3, CENTER / 3]
+        assert np.linalg.matrix_rank(cp.conditioning_map(min_square, w).matrix,
+                                     tol=1e-10) == 2
+        assert cp.steer(min_square, w, ens) == cp.INFEASIBLE
+
+
+def _density(comp, x):
+    """The 4x4 matrix sum_ij x_ij kron(a_i, b_j) of a two-qubit element."""
+    ba = comp.factorA.cone.algebra.factors[0]._basis
+    bb = comp.factorB.cone.algebra.factors[0]._basis
+    return np.einsum("ij,iab,jcd->acbd", x.reshape(4, 4), ba, bb).reshape(4, 4)
+
+
+class TestLinearImageCone:
+    def test_margin_is_the_least_eigenvalue(self, two_qubit, rng):
+        cone = two_qubit.cone
+        points = [two_qubit.sample_state(rng) for _ in range(5)]
+        points += [rng.standard_normal(16) for _ in range(5)]
+        for x in points:
+            least = np.linalg.eigvalsh(_density(two_qubit, x))[0]
+            assert abs(cone.margin(x) - least) < 1e-9
+
+    def test_sampled_extremals_are_rank_one(self, two_qubit, rng):
+        for _ in range(10):
+            vals = np.linalg.eigvalsh(
+                _density(two_qubit, two_qubit.cone.sample_extremal(rng)))
+            assert np.all(np.abs(vals[:3]) < 1e-9) and vals[3] > 1e-3
+
+    def test_dual_member_matches_extremal_pairings(self, two_qubit, rng):
+        # e_ij = tr(H kron(a_i, b_j)) pairs with x as tr(H rho(x)); H is
+        # positive, or has one eigenvalue -2 that sampled pure states find
+        cone = two_qubit.cone
+        extremals = np.array([cone.sample_extremal(rng) for _ in range(300)])
+        f = two_qubit.factorA.cone.algebra.factors[0]
+        verdicts = []
+        for k in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                                + 1j * rng.standard_normal((4, 4)))
+            vals = rng.uniform(0.1, 1.0, 4)
+            if k % 2:
+                vals[0] = -2.0
+            h = q @ np.diag(vals) @ q.conj().T
+            e = hilbert_pairings_by_pairs(f, f, h)
+            inside = bool(np.min(extremals @ e) >= 0)
+            assert cone.dual_member(e) == inside
+            verdicts.append(inside)
+        assert verdicts == [True, False] * 5
+
+
 class TestCanonicalStates:
     def test_hilbert_membership(self, two_qubit):
         w = cp.canonical_self_steering_state(two_qubit)
@@ -227,6 +314,29 @@ class TestPurityPreservation:
         pure = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ConeError):
             cp.purity_preservation_check(two_qubit, mixed, pure)
+
+
+def test_purity_check_fails_on_a_dropped_ray(monkeypatch):
+    # a product of pure states that the composite's extremal rays miss is
+    # reported, through the check runner, as a purity failure
+    extremal = exact.PolyhedralData.extremal_ray_indices
+    monkeypatch.setattr(exact.PolyhedralData, "extremal_ray_indices",
+                        lambda self: extremal(self)[:-1])
+    specs = fixtures.builtin_fixtures()
+    registry = {s.name: s for s in specs}
+    spec = registry["classical-bit-bit"]
+    comp = fixtures.build_system(spec, registry)
+    record = fixtures.run_check("purity-preservation", spec, comp,
+                                DEFAULT_TOL, 7)
+    assert record["status"] == FAILS
+
+
+def test_composite_is_a_system(two_qubit, min_square):
+    for comp in (two_qubit, min_square):
+        assert isinstance(comp, System)
+        assert not hasattr(comp, "system")
+        assert comp.dim == comp.dimA * comp.dimB == len(comp.unit)
+        assert comp.label.endswith(f"[{comp.model}]")
 
 
 class TestPolyhedralExtremality:
@@ -340,3 +450,25 @@ def test_pure_effect_minimizing_matches_spectral(factor, rng):
         ref_val, ref_eff = pure_effect_minimizing_by_spectral(factor, x)
         assert val == ref_val
         assert np.array_equal(eff, ref_eff)
+
+
+@pytest.mark.parametrize("ra,rb", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_hilbert_rotation_equals_pair_loop(ra, rb):
+    sa = make_eja_system(eja.complex_herm(ra), "a")
+    sb = make_eja_system(eja.complex_herm(rb), "b")
+    rot = cp.CompositeSystem(sa, sb, cp.HILBERT).cone.rot
+    slow = hilbert_rotation_by_pairs(sa.cone.algebra.factors[0],
+                                     sb.cone.algebra.factors[0])
+    assert rot.flags.c_contiguous
+    assert rot.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_hilbert_self_steering_state_equals_pair_loop(r):
+    s = make_eja_system(eja.complex_herm(r), "a")
+    f = s.cone.algebra.factors[0]
+    vec = np.zeros(r * r)
+    vec[:: r + 1] = 1.0 / np.sqrt(r)
+    w = cp.canonical_self_steering_state(cp.CompositeSystem(s, s, cp.HILBERT))
+    assert w.tobytes() == hilbert_pairings_by_pairs(
+        f, f, np.outer(vec, vec)).tobytes()

@@ -45,6 +45,34 @@ class TestMembership:
         assert square.dual_member(np.array([0.0, 1.0, 0.0]))
         assert not square.dual_member(np.array([1.0, 0.5, 0.0]))
 
+    def test_shared_corner_dual_matches_extremal_pairings(self, shared, rng):
+        # dual membership is nonnegativity against every extremal: the two
+        # isolated ones, a fine grid of (1, s^2, t^2, s, t) and samples;
+        # each e sits 0.2 inside or outside the dual boundary, or has a
+        # negative e2
+        s, t = (g.ravel() for g in np.meshgrid(*2 * [np.linspace(-6, 6, 241)]))
+        grid = np.column_stack([np.ones_like(s), s * s, t * t, s, t])
+        extremals = np.vstack([np.eye(5)[1:3], grid,
+                               [shared.sample_extremal(rng)
+                                for _ in range(200)]])
+        points = []
+        for _ in range(60):
+            e2, e3 = rng.uniform(0.2, 2.0, 2)
+            e4, e5 = rng.uniform(-2.0, 2.0, 2)
+            e1 = e4 * e4 / (4 * e2) + e5 * e5 / (4 * e3) + rng.choice([-0.2, 0.2])
+            if rng.random() < 0.2:
+                e2 = -e2
+            points.append([e1, e2, e3, e4, e5])
+        # degenerate quadratics: e2 < 0 alone, e2 = 0 with e4 != 0, e2 = 0
+        points += [[1, -0.5, 1, 0, 0], [1, 0, 1, 0.5, 0], [1, 0, 1, 0, 0]]
+        verdicts = []
+        for e in np.array(points, dtype=float):
+            inside = bool(np.min(extremals @ e) >= 0)
+            assert shared.dual_member(e) == inside
+            verdicts.append(inside)
+        assert verdicts[-3:] == [False, False, True]
+        assert 10 < sum(verdicts) < 50
+
     def test_polyhedral_float_routes(self, square, rng):
         # float member: margin within tol, else the exact test on the
         # tol-grid rounding; compared with an LP on that rounding

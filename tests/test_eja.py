@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
-from eja_oracles import kramers_columns_by_loop, quadratic_rep_by_columns
+from eja_oracles import (conjugation_matrix_by_columns,
+                         kramers_columns_by_loop, quadratic_rep_by_columns)
 
 
 def spin_plus_complex() -> eja.JordanAlgebra:
@@ -379,3 +380,20 @@ def test_quadratic_rep_makes_four_products_per_summand(monkeypatch, rng):
         calls.clear()
         alg.quadratic_rep(a)
         assert 0 < len(calls) <= 4 * len(alg.summands)
+
+
+@pytest.mark.parametrize("family,rank", [
+    (eja.REAL, 3), (eja.COMPLEX, 2), (eja.COMPLEX, 3), (eja.COMPLEX, 4),
+    (eja.QUAT, 2), (eja.QUAT, 3)])
+def test_conjugation_matrix_equals_column_loop(family, rank, rng):
+    f = eja.SimpleFactor(family, rank)
+    side = f._basis.shape[-1]
+    for _ in range(5):
+        z = rng.standard_normal((side, side))
+        if family != eja.REAL:
+            z = z + 1j * rng.standard_normal((side, side))
+        u, _ = np.linalg.qr(z)
+        fast = f.conjugation_matrix(u)
+        slow = conjugation_matrix_by_columns(f, u)
+        assert fast.flags.c_contiguous
+        assert fast.tobytes() == slow.tobytes()

@@ -1,8 +1,11 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and every parameter
+of a package function is read.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
 string annotation or in `__all__`.  `from __future__` imports are exempt.
+A parameter must be loaded somewhere in its function's body, nested
+functions included; `self`, `cls` and bodies that only raise are exempt.
 """
 
 import ast
@@ -11,8 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "conelab").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "conelab").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -62,3 +65,45 @@ def test_scan_flags_an_unused_import():
            "import os\nimport numpy as np\nfrom a import b, c as d\n"
            "def f(x: 'd') -> None:\n    return np.zeros(1)\n")
     assert unused_imports(src) == [(2, "os"), (4, "b")]
+
+
+def _only_raises(body: list[ast.stmt]) -> bool:
+    stmts = body
+    if stmts and isinstance(stmts[0], ast.Expr) and isinstance(
+            stmts[0].value, ast.Constant) and isinstance(
+            stmts[0].value.value, str):
+        stmts = stmts[1:]
+    return bool(stmts) and all(isinstance(s, ast.Raise) for s in stmts)
+
+
+def unused_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) for each parameter its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or _only_raises(node.body):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p.arg) for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unused_parameter():
+    src = ("class C:\n"
+           "    def stub(self, x):\n        'doc'\n"
+           "        raise NotImplementedError\n"
+           "    def f(self, a, b, *args, c=1, **kw):\n"
+           "        def g():\n            return b\n"
+           "        a = 2\n        return g() + c\n")
+    assert unused_parameters(src) == [(5, "f", "a"), (5, "f", "args"),
+                                      (5, "f", "kw")]
