@@ -1,5 +1,5 @@
 """Axiom checkers: self-duality, weak self-duality, homogeneity witnesses,
-pure and continuous pure transitivity, and classical effects.
+and pure and continuous pure transitivity.
 
 Soundness discipline: a failed witness construction is never reported as a
 disproof.  Negative verdicts carry an invariant that normalized order
@@ -36,10 +36,6 @@ class AxiomVerdict:
     violation: object = None
     margin: float = float("nan")
     detail: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.status == HOLDS
 
 
 def _require_spd(inner: np.ndarray, tol: float):
@@ -352,34 +348,38 @@ def homogeneity_witness(system: System, rho: np.ndarray, sigma: np.ndarray,
     raise UnsupportedQuery("no witness constructor for this cone variant")
 
 
-def probabilistic_inverse(pmap: PositiveMap,
-                          rng=None) -> tuple[np.ndarray, float]:
-    """Sub-normalized positive left-inverse: returns (Phi_sharp, p) with
-    Phi_sharp @ Phi = p * id."""
-    inv = np.linalg.inv(pmap.matrix)
-    pts = pmap.source.base_generators()
-    if rng is not None:
-        pts += [pmap.source.sample_pure(rng) for _ in range(20)]
-    vals = [float(pmap.target.unit @ (inv @ x)) for x in pts]
-    p = 1.0 / max(max(vals), 1e-300)
-    return p * inv, p
-
-
 # -- pure transitivity -------------------------------------------------------
 
 
-def face_profile(system: System, w: np.ndarray, samples: int = 200,
-                 tol: float = 1e-9) -> int:
-    """max over sampled pure sigma of dim span Face(w + sigma): invariant
-    under normalized order automorphisms."""
-    rng = np.random.default_rng(11)
-    best = 0
-    for _ in range(samples):
-        sigma = system.sample_pure(rng)
-        best = max(best, face_dimension(system.cone, w + sigma, tol=tol))
-        if best == system.dim:
-            break
-    return best
+def face_profile(system: System, w: np.ndarray,
+                 tol: float = 1e-9) -> int | None:
+    """max over pure sigma of dim span Face(w + sigma) for a pure w of the
+    shared-corner cone, in closed form: invariant under normalized order
+    automorphisms.
+
+    dim span Face(x) = t(rank M1) + t(rank M2) - [x1 > 0], t(k) = k(k+1)/2:
+    the face of a PSD block spans the t(rank) symmetric matrices on its
+    range, and the shared corner is one more equation unless both blocks
+    vanish there.  A pure sigma has blocks of rank at most 1, so it raises
+    each block rank rho_i of w by at most 1; and x1 = 0 only when sigma
+    leaves one block at zero, which gives up at least one dimension.  So the
+    profile is at most t(rho1 + 1) + t(rho2 + 1) - 1, and the pure
+    sigma* = (1, s^2, t^2, s, t), with (1, s) and (1, t) off w's block
+    ranges, reaches it.  One `face_dimension` call at sigma* must read that
+    value; None means it did not.
+    """
+    ranks = []
+    for m in SharedCornerCone.blocks(w):
+        vals = np.linalg.eigvalsh(m)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        ranks.append(int(np.sum(vals > tol * scale)))
+    profile = sum((r + 1) * (r + 2) // 2 for r in ranks) - 1
+    x1, _, _, x4, x5 = (float(v) for v in w)
+    s, t = (1 + x4 / x1, 1 + x5 / x1) if x1 > tol else (1.0, 1.0)
+    sigma = system.normalize(np.array([1.0, s * s, t * t, s, t]))
+    if face_dimension(system.cone, w + sigma, tol=tol) != profile:
+        return None
+    return profile
 
 
 def _summand_swap(alg, i: int, j: int) -> np.ndarray:
@@ -439,6 +439,10 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
     if isinstance(cone, SharedCornerCone):
         p1 = face_profile(system, w1, tol=tol)
         p2 = face_profile(system, w2, tol=tol)
+        if p1 is None or p2 is None:
+            return AxiomVerdict("pure-transitivity", INCONCLUSIVE,
+                                detail="face dimension at sigma* misses the "
+                                       "closed-form profile")
         if p1 != p2:
             return AxiomVerdict("pure-transitivity", FAILS, violation={
                 "face_profiles": (p1, p2)},
@@ -496,31 +500,3 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
                                                  "or moves the unit")
     return AxiomVerdict("continuous-pure-transitivity", HOLDS, witness=path,
                         margin=resid)
-
-
-def classical_effect_test(system: System, e: np.ndarray,
-                          tol: float = 1e-9) -> bool:
-    """Does e evaluate to 0 or 1 on every pure state?"""
-    e = np.asarray(e, dtype=float)
-    if not system.effect_member(e, max(tol, 1e-8)):
-        raise ConeError("effect outside the interval [0, unit]")
-    cone = system.cone
-    if isinstance(cone, EJACone):
-        alg = cone.algebra
-        for s in alg.summands:
-            # the algebra element realizing the effect is e / metric
-            vals = s.factor.eigenvalues(e[s.sl] / s.factor.metric)
-            near0 = np.abs(vals) < tol
-            near1 = np.abs(vals - 1.0) < tol
-            if not np.all(near0 | near1):
-                return False
-            if np.any(near0) and np.any(near1):
-                return False
-        return True
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        w = system.sample_pure(rng)
-        v = float(e @ w)
-        if min(abs(v), abs(v - 1.0)) > max(tol, 1e-8):
-            return False
-    return True

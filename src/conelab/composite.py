@@ -222,25 +222,10 @@ class CompositeSystem(System):
             raise ConeError("dimension mismatch in product state")
         return np.outer(wa, wb).ravel()
 
-    def product_effect(self, ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-        ea = np.asarray(ea, dtype=float)
-        eb = np.asarray(eb, dtype=float)
-        if ea.shape != (self.dimA,) or eb.shape != (self.dimB,):
-            raise ConeError("dimension mismatch in product effect")
-        return np.kron(ea, eb)
-
     def product_generators(self) -> list[np.ndarray]:
         return [self.product_state(a, b)
                 for a in self.factorA.cone.generators()
                 for b in self.factorB.cone.generators()]
-
-    def sample_state(self, rng) -> np.ndarray:
-        if isinstance(self.cone, LinearImageCone):
-            inner = self.cone.inner
-            return self.cone.rot.T @ inner.algebra.random_positive(rng)
-        gens = self.product_generators()
-        w = rng.random(len(gens))
-        return sum(wi * g for wi, g in zip(w, gens))
 
 
 def marginal_of(comp: CompositeSystem, wab: np.ndarray, side: str) -> np.ndarray:
@@ -316,21 +301,35 @@ def steer(comp: CompositeSystem, wab: np.ndarray, ensemble: list[np.ndarray],
 
 def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens):
     """Exact feasibility over effect coordinates: each effect is a nonnegative
-    combination of A facet normals, effects sum to the unit."""
+    combination of A facet normals, effects sum to the unit.
+
+    Floats are read as fractions with denominator at most 10^9.  An
+    infeasible LP is answered 'infeasible' only when that reading is
+    faithful: each fraction reads back as its float, and the ensemble sums
+    exactly to the conditioned unit M u_A, a necessary condition of
+    feasibility that `steer` tests in floats within tol.  Otherwise the
+    infeasibility may come from the reading, and UnsupportedQuery is raised.
+    """
     ca: PolyhedralCone = comp.factorA.cone
     facets = ca.data.facets()
     nf = len(facets)
     k = len(ens)
     da, db = comp.dimA, comp.dimB
+    rounded = False
 
     def frac(x):
-        return Fraction(float(x)).limit_denominator(10**9)
+        nonlocal rounded
+        near = Fraction(float(x)).limit_denominator(10**9)
+        rounded = rounded or float(near) != float(x)
+        return near
 
     mt_x = [[frac(mt[i, j]) for j in range(da)] for i in range(db)]
+    ens_x = [[frac(v) for v in w] for w in ens]
+    unit_x = [frac(v) for v in comp.factorA.unit]
     fmat = [[facets[j][i] for j in range(nf)] for i in range(da)]  # da x nf
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for idx, w in enumerate(ens):
+    for idx, w in enumerate(ens_x):
         for i in range(db):
             row = [Fraction(0)] * (nf * k)
             for j in range(nf):
@@ -338,16 +337,21 @@ def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens):
                     (mt_x[i][a] * facets[j][a] for a in range(da)),
                     Fraction(0))
             rows.append(row)
-            rhs.append(frac(w[i]))
+            rhs.append(w[i])
     for a in range(da):
         row = [Fraction(0)] * (nf * k)
         for idx in range(k):
             for j in range(nf):
                 row[idx * nf + j] = fmat[a][j]
         rows.append(row)
-        rhs.append(frac(comp.factorA.unit[a]))
+        rhs.append(unit_x[a])
     sol = exact.feasible_nonneg(rows, rhs)
     if sol is None:
+        marginal = [sum(w[i] for w in ens_x) for i in range(db)]
+        if rounded or marginal != exact.mat_vec(mt_x, unit_x):
+            raise UnsupportedQuery("the LP of the inputs read as fractions is "
+                                   "infeasible, but the reading is not "
+                                   "faithful to the floats")
         return INFEASIBLE
     effects = []
     for idx in range(k):

@@ -433,16 +433,6 @@ class PositiveMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def check_positive(self, rng, tol: float = DEFAULT_TOL) -> bool:
-        for g in self.source.cone.generators():
-            if not self.target.cone.member(self.matrix @ g, tol):
-                return False
-        for _ in range(ISO_SAMPLES):
-            g = self.source.cone.sample_extremal(rng)
-            if not self.target.cone.member(self.matrix @ g, tol):
-                return False
-        return True
-
     def check_normalized(self, tol: float = 1e-8) -> bool:
         pulled = self.matrix.T @ self.target.unit
         return bool(np.max(np.abs(pulled - self.source.unit)) < tol)

@@ -150,9 +150,6 @@ class SimpleFactor:
         ma, mb = self.to_matrix(a), self.to_matrix(b)
         return self.from_matrix(0.5 * (ma @ mb + mb @ ma))
 
-    def trace_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return self.metric * float(a @ b)
-
     def _eigh(self, a: np.ndarray):
         """`np.linalg.eigh` of the matrix of a, or of each row of a stack."""
         m = self.to_matrix(a)
@@ -270,28 +267,6 @@ class SimpleFactor:
                     m[i, i] = 1.0
                 states.append(self.from_matrix(m))
         return states, [self.metric * s for s in states]
-
-    def overlap_state(self) -> np.ndarray:
-        """A pure state with overlap 1/rank against every canonical frame effect."""
-        if self.family == SPIN:
-            # any unit vector non-parallel to the frame axis works; fix the
-            # 45-degree rotation of the first axis into the second
-            c = np.zeros(self.dim)
-            c[0] = 0.5
-            if self.dim >= 3:
-                c[1] = c[2] = 0.5 / _SQ2
-            else:
-                c[1] = 0.5
-            return c
-        r, side = self.rank, self._side
-        if self.family == QUAT:
-            v = np.zeros(side, dtype=complex)
-            v[0::2] = 1.0 / math.sqrt(r)
-            w = self._J @ v.conj()
-            proj = np.outer(v, v.conj()) + np.outer(w, w.conj())
-            return self.from_matrix(proj)
-        v = np.ones(side, dtype=complex) / math.sqrt(side)
-        return self.from_matrix(np.outer(v, v.conj()))
 
     # -- sampling ----------------------------------------------------------
 
@@ -510,10 +485,6 @@ class JordanAlgebra:
     def trace_functional(self) -> np.ndarray:
         return self.metric * self.unit()
 
-    def trace_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        self._check_dim(a, b)
-        return sum(s.factor.trace_inner(a[s.sl], b[s.sl]) for s in self.summands)
-
     def spectral(self, a: np.ndarray) -> SpectralDecomposition:
         self._check_dim(a)
         eigs = []
@@ -576,11 +547,6 @@ class JordanAlgebra:
             raise ValueError("canonical_frame is defined per simple summand")
         return self.summands[0].factor.canonical_frame()
 
-    def overlap_state(self) -> np.ndarray:
-        if not self.is_simple():
-            raise ValueError("overlap_state is defined per simple summand")
-        return self.summands[0].factor.overlap_state()
-
     # -- sampling ----------------------------------------------------------
 
     def random_element(self, rng) -> np.ndarray:
@@ -591,10 +557,6 @@ class JordanAlgebra:
         for s in self.summands:
             out[s.sl] = s.factor.random_interior(rng)
         return out
-
-    def random_positive(self, rng) -> np.ndarray:
-        a = self.random_element(rng)
-        return self.apply_spectral(a, abs)
 
     def random_pure(self, rng, summand: int | None = None) -> np.ndarray:
         if summand is None:

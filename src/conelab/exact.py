@@ -2,7 +2,9 @@
 
 Small dense problems only (dims well under 100): one integer-row
 elimination (`rref`), which rank, null spaces and dual bases read, and a
-Bland-rule phase-I simplex for feasibility certificates.  All polyhedral
+Bland-rule phase-I simplex for feasibility certificates that pivots on
+integers with exact division (fraction-free, after Bareiss): its tableau
+holds no `Fraction`, only the vertex it returns does.  All polyhedral
 cone reasoning in this package goes through these routines so that
 verdicts on polyhedral fixtures are exact, not floating point.
 
@@ -113,51 +115,69 @@ def _coprime_integers(vec: Sequence[Fraction]) -> list[int]:
 def feasible_nonneg(mat: Matrix, rhs: Row) -> Row | None:
     """Find x >= 0 with mat @ x = rhs, exactly, or None if infeasible.
 
-    Phase-I simplex with Bland's rule (terminates, no tolerances).
+    Phase-I simplex with Bland's rule (terminates, no tolerances), pivoting
+    on integers.  Row i, flipped so that its rhs is >= 0, is scaled once to
+    integers by s_i.  Its artificial y_i' = s_i y_i keeps an identity column
+    and gets the weight K / s_i, K = lcm(s_i): the same LP, so the entering
+    column, the leaving row and every basis are those of the rational
+    tableau.  The cost row is the last tableau row.  A pivot on (r, e)
+    replaces every other row T_i by (P T_i - T_i[e] T_r) / D, P = T[r][e],
+    and sets D = P; each division is exact (Bareiss 1968, as Avis's lrs
+    uses it for LPs), D stays positive and the rational tableau is T / D.
     """
     m = len(mat)
     if m == 0:
         return []
     n = len(mat[0])
-    # Tableau with artificial variables; make rhs nonnegative first.
-    a = [row[:] for row in mat]
-    b = rhs[:]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # Columns: n structural + m artificial + rhs.
-    tab = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-           for i in range(m)]
+    tab: list[list[int]] = []
+    scales: list[int] = []
+    for i, (a, b) in enumerate(zip(mat, rhs)):
+        # the 1 beside the row comes back as the row's scale s_i > 0
+        *row, s, c = _integer_row([*a, 1, b])
+        if c < 0:
+            row, c = [-x for x in row], -c
+        scales.append(s)
+        tab.append(row + [int(j == i) for j in range(m)] + [c])
+    k = lcm(*scales)
+    weights = [k // s for s in scales]
+    # reduced costs, priced out at the artificial basis
+    tab.append([c - sum(w * row[j] for w, row in zip(weights, tab))
+                for j, c in enumerate([0] * n + weights + [0])])
     basis = list(range(n, n + m))
-    # Objective: minimize the sum of artificials.  Reduced-cost row, priced out.
-    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    for row in tab:
-        cost = [c - t for c, t in zip(cost, row)]
+    d = 1
     while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)  # Bland
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)  # Bland
         if enter is None:
             break
-        ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
-                  for i in range(m) if tab[i][enter] > 0]
-        if not ratios:
-            break  # phase-I is bounded below by 0; guard anyway
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        leave = None
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            a = tab[i][enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # smallest ratio rhs / a by cross-multiplying, ties by basis index
+            this = tab[i][-1] * tab[leave][enter]
+            best = tab[leave][-1] * a
+            if this < best or (this == best and basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            break  # phase-I is bounded below by 0; guard anyway
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        d = p
         basis[leave] = enter
-    if -cost[-1] != 0:  # residual artificial mass: infeasible
+    if tab[m][-1] != 0:  # residual artificial mass: infeasible
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(tab[i][-1], d)
     return x
 
 

@@ -1,0 +1,142 @@
+"""Test helpers that no package route calls, and the sampled face-profile
+oracle.
+
+`probabilistic_inverse`, `classical_effect_test`, `check_positive`,
+`sample_state`, `product_effect`, `trace_inner`, `overlap_state` and
+`random_positive` build inputs and checks for the tests.
+`face_profile_by_sampling` is the sampled route that `axioms.face_profile`
+replaced by its closed form: a maximum over sampled pure states, so only a
+lower bound on the profile.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from conelab import eja
+from conelab.composite import CompositeSystem, LinearImageCone
+from conelab.cones import (DEFAULT_TOL, ISO_SAMPLES, ConeError, EJACone,
+                           PositiveMap, System, face_dimension)
+
+
+def probabilistic_inverse(pmap: PositiveMap,
+                          rng=None) -> tuple[np.ndarray, float]:
+    """Sub-normalized positive left-inverse: returns (Phi_sharp, p) with
+    Phi_sharp @ Phi = p * id."""
+    inv = np.linalg.inv(pmap.matrix)
+    pts = pmap.source.base_generators()
+    if rng is not None:
+        pts += [pmap.source.sample_pure(rng) for _ in range(20)]
+    vals = [float(pmap.target.unit @ (inv @ x)) for x in pts]
+    p = 1.0 / max(max(vals), 1e-300)
+    return p * inv, p
+
+
+def classical_effect_test(system: System, e: np.ndarray,
+                          tol: float = 1e-9) -> bool:
+    """Does e evaluate to 0 or 1 on every pure state?"""
+    e = np.asarray(e, dtype=float)
+    if not system.effect_member(e, max(tol, 1e-8)):
+        raise ConeError("effect outside the interval [0, unit]")
+    cone = system.cone
+    if isinstance(cone, EJACone):
+        for s in cone.algebra.summands:
+            # the algebra element realizing the effect is e / metric
+            vals = s.factor.eigenvalues(e[s.sl] / s.factor.metric)
+            near0 = np.abs(vals) < tol
+            near1 = np.abs(vals - 1.0) < tol
+            if not np.all(near0 | near1):
+                return False
+            if np.any(near0) and np.any(near1):
+                return False
+        return True
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        v = float(e @ system.sample_pure(rng))
+        if min(abs(v), abs(v - 1.0)) > max(tol, 1e-8):
+            return False
+    return True
+
+
+def check_positive(pmap: PositiveMap, rng, tol: float = DEFAULT_TOL) -> bool:
+    """Does the map send every generator and ISO_SAMPLES sampled extremals
+    of its source into the target cone?"""
+    for g in pmap.source.cone.generators():
+        if not pmap.target.cone.member(pmap.matrix @ g, tol):
+            return False
+    for _ in range(ISO_SAMPLES):
+        g = pmap.source.cone.sample_extremal(rng)
+        if not pmap.target.cone.member(pmap.matrix @ g, tol):
+            return False
+    return True
+
+
+def sample_state(comp: CompositeSystem, rng) -> np.ndarray:
+    """A random composite state: a random positive element of the global
+    algebra for the Hilbert model, else a random mixture of products of
+    factor generators."""
+    if isinstance(comp.cone, LinearImageCone):
+        return comp.cone.rot.T @ random_positive(comp.cone.inner.algebra, rng)
+    gens = comp.product_generators()
+    w = rng.random(len(gens))
+    return sum(wi * g for wi, g in zip(w, gens))
+
+
+def product_effect(comp: CompositeSystem, ea: np.ndarray,
+                   eb: np.ndarray) -> np.ndarray:
+    ea = np.asarray(ea, dtype=float)
+    eb = np.asarray(eb, dtype=float)
+    if ea.shape != (comp.dimA,) or eb.shape != (comp.dimB,):
+        raise ConeError("dimension mismatch in product effect")
+    return np.kron(ea, eb)
+
+
+def face_profile_by_sampling(system: System, w: np.ndarray,
+                             samples: int = 200, tol: float = 1e-9) -> int:
+    """max over sampled pure sigma of dim span Face(w + sigma)."""
+    rng = np.random.default_rng(11)
+    best = 0
+    for _ in range(samples):
+        sigma = system.sample_pure(rng)
+        best = max(best, face_dimension(system.cone, w + sigma, tol=tol))
+        if best == system.dim:
+            break
+    return best
+
+
+def trace_inner(alg: eja.JordanAlgebra, a: np.ndarray, b: np.ndarray) -> float:
+    """The trace form: the coordinate product weighted by the metric."""
+    return float((alg.metric * a) @ b)
+
+
+def random_positive(alg: eja.JordanAlgebra, rng) -> np.ndarray:
+    """|a| of a random element a: a random member of the positive cone."""
+    return alg.apply_spectral(alg.random_element(rng), abs)
+
+
+def overlap_state(alg: eja.JordanAlgebra) -> np.ndarray:
+    """A pure state of a simple algebra with overlap 1/rank against every
+    canonical frame effect."""
+    if not alg.is_simple():
+        raise ValueError("overlap_state is defined per simple summand")
+    f = alg.factors[0]
+    if f.family == eja.SPIN:
+        # any unit vector non-parallel to the frame axis works; fix the
+        # 45-degree rotation of the first axis into the second
+        c = np.zeros(f.dim)
+        c[0] = 0.5
+        if f.dim >= 3:
+            c[1] = c[2] = 0.5 / math.sqrt(2.0)
+        else:
+            c[1] = 0.5
+        return c
+    side = f._side
+    if f.family == eja.QUAT:
+        v = np.zeros(side, dtype=complex)
+        v[0::2] = 1.0 / math.sqrt(f.rank)
+        w = f._J @ v.conj()
+        return f.from_matrix(np.outer(v, v.conj()) + np.outer(w, w.conj()))
+    v = np.ones(side, dtype=complex) / math.sqrt(side)
+    return f.from_matrix(np.outer(v, v.conj()))

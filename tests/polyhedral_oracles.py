@@ -7,7 +7,9 @@ textbook elimination over `Fraction`.  Production reads every "first
 independent subset" off the pivot columns of that one elimination;
 `independent_prefix` finds it by a greedy `Fraction` echelon, and
 `dual_basis_by_prefix` takes the inverse by a second RREF.  `solve` is the
-augmented-RREF linear solve.
+augmented-RREF linear solve.  `exact.feasible_nonneg` pivots on integers;
+`feasible_nonneg_by_fractions` is the same Bland simplex on a `Fraction`
+tableau.
 
 `PolyhedralData` answers facets and membership from its double-description
 H-description; these oracles answer them the old way, by brute force over
@@ -64,6 +66,55 @@ def rref_by_fractions(mat) -> tuple[exact.Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
+
+
+def feasible_nonneg_by_fractions(mat, rhs) -> exact.Row | None:
+    """Phase-I simplex with Bland's rule on a `Fraction` tableau: the rows
+    flipped to a nonnegative rhs, unit artificial weights, each pivot row
+    divided by its pivot, ratio ties broken by basis index."""
+    m = len(mat)
+    if m == 0:
+        return []
+    n = len(mat[0])
+    a = [[Fraction(x) for x in row] for row in mat]
+    b = [Fraction(x) for x in rhs]
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    # columns: n structural + m artificial + rhs
+    tab = [a[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]]
+           for i in range(m)]
+    basis = list(range(n, n + m))
+    # minimize the sum of artificials: reduced-cost row, priced out
+    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    for row in tab:
+        cost = [c - t for c, t in zip(cost, row)]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
+                  for i in range(m) if tab[i][enter] > 0]
+        if not ratios:
+            break
+        _, _, leave = min(ratios)
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return x
 
 
 def primitive(vec) -> exact.Row:

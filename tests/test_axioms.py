@@ -14,9 +14,12 @@ from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
 from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone,
                           PositiveMap, SharedCornerCone, System,
-                          UnsupportedQuery, is_order_isomorphism)
+                          UnsupportedQuery, face_dimension,
+                          is_order_isomorphism)
 from conftest import make_eja_system
 from eja_oracles import first_dual_extremal_outside
+from helpers import (check_positive, classical_effect_test,
+                     face_profile_by_sampling, probabilistic_inverse)
 from polyhedral_oracles import (bijection_system, self_dual_by_solves,
                                 spd_by_leading_minors)
 
@@ -404,7 +407,7 @@ def test_scale_space_matches_oracle(rays, data):
         # a random bijection of a larger polygon has no solution; add one
         # that has, so that nonempty bases are compared too
         v = axioms.search_weak_self_duality(cone)
-        if v.holds:
+        if v.status == HOLDS:
             perms.append(v.witness["bijection"])
     for perm in perms:
         for symmetric in (False, True):
@@ -456,7 +459,7 @@ class TestHomogeneity:
             sig = alg.random_interior(rng)
             pmap = axioms.homogeneity_witness(system, rho, sig)
             assert np.max(np.abs(pmap(rho) - sig)) < 1e-8
-            assert pmap.check_positive(np.random.default_rng(0))
+            assert check_positive(pmap, np.random.default_rng(0))
 
     def test_shared_corner_witness(self, shared_system, rng):
         cone = shared_system.cone
@@ -501,7 +504,7 @@ class TestHomogeneity:
         alg = qubit.cone.algebra
         pmap = axioms.homogeneity_witness(qubit, alg.random_interior(rng),
                                           alg.random_interior(rng))
-        sharp, p = axioms.probabilistic_inverse(pmap, rng)
+        sharp, p = probabilistic_inverse(pmap, rng)
         assert 0 < p <= 1.0 + 1e-12
         assert np.max(np.abs(sharp @ pmap.matrix - p * np.eye(4))) < 1e-8
 
@@ -542,7 +545,37 @@ class TestPureTransitivity:
         v = axioms.pure_transitivity_witness(shared_system, w1, w2)
         assert v.status == FAILS
         p1, p2 = v.violation["face_profiles"]
-        assert p1 <= 3 and p2 == 5
+        assert p1 == 3 and p2 == 5
+
+    def test_shared_corner_profile_is_one_face_dimension(self, shared_system,
+                                                         monkeypatch):
+        # the closed form needs one face_dimension call per pure state, and
+        # one that misses it leaves the verdict open
+        calls = []
+
+        def counted(cone, x, tol=DEFAULT_TOL):
+            calls.append(x)
+            return face_dimension(cone, x, tol)
+
+        monkeypatch.setattr(axioms, "face_dimension", counted)
+        w1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+        w2 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        v = axioms.pure_transitivity_witness(shared_system, w1, w2)
+        assert v.status == FAILS and len(calls) == 2
+        monkeypatch.setattr(axioms, "face_dimension",
+                            lambda cone, x, tol=DEFAULT_TOL: 4)
+        v = axioms.pure_transitivity_witness(shared_system, w1, w2)
+        assert v.status == INCONCLUSIVE
+
+    @pytest.mark.parametrize("w", [[0.0, 1.0, 0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 1.0, 0.0, 0.0],
+                                   [1.0, 0.0, 0.0, 0.0, 0.0],
+                                   [1.0, 0.25, 4.0, 0.5, -2.0]])
+    def test_shared_corner_profile_matches_sampling(self, shared_system, w):
+        w = shared_system.normalize(np.array(w))
+        closed = axioms.face_profile(shared_system, w)
+        assert closed in (3, 5)
+        assert closed == face_profile_by_sampling(shared_system, w)
 
     def test_requires_pure_inputs(self, qubit):
         mixed = np.array([0.5, 0.5, 0.0, 0.0])
@@ -609,15 +642,14 @@ class TestContinuousPureTransitivity:
 class TestClassicalEffects:
     def test_classical_simplex(self):
         system = make_eja_system(eja.classical(3))
-        assert axioms.classical_effect_test(system, np.array([0.0, 1.0, 1.0]))
-        assert not axioms.classical_effect_test(system,
-                                                np.array([0.5, 1.0, 0.0]))
+        assert classical_effect_test(system, np.array([0.0, 1.0, 1.0]))
+        assert not classical_effect_test(system, np.array([0.5, 1.0, 0.0]))
 
     def test_qubit(self, qubit):
         proj = np.array([1.0, 0.0, 0.0, 0.0])
-        assert not axioms.classical_effect_test(qubit, proj)
-        assert axioms.classical_effect_test(qubit, qubit.unit.copy())
-        assert axioms.classical_effect_test(qubit, np.zeros(4))
+        assert not classical_effect_test(qubit, proj)
+        assert classical_effect_test(qubit, qubit.unit.copy())
+        assert classical_effect_test(qubit, np.zeros(4))
 
     def test_direct_sum_summand_unit(self):
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],
@@ -625,28 +657,29 @@ class TestClassicalEffects:
         system = make_eja_system(alg)
         e = np.zeros(8)
         e[:2] = 1.0  # the unit of the first summand
-        assert axioms.classical_effect_test(system, e)
+        assert classical_effect_test(system, e)
 
     def test_polyhedral_effects_on_sampled_pure_states(self, square_system):
         # no spectral route: 0/1 values are read on sampled pure states
         for e, classical in [([0.0, 1.0, 0.0], True), ([0.0, 0.0, 0.0], True),
                              ([0.5, 0.5, -0.5], True),
                              ([0.5, 0.5, 0.0], False)]:
-            assert axioms.classical_effect_test(square_system,
-                                                np.array(e)) == classical
+            assert classical_effect_test(square_system,
+                                         np.array(e)) == classical
 
     def test_effect_precondition(self, qubit):
         with pytest.raises(ConeError):
-            axioms.classical_effect_test(qubit, np.array([2.0, 0.0, 0.0, 0.0]))
+            classical_effect_test(qubit, np.array([2.0, 0.0, 0.0, 0.0]))
 
 
 def test_face_profile_invariant_under_automorphism(shared_system, rng):
     # transport a pure state by a cone automorphism: its profile is unchanged
     cone = shared_system.cone
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0])  # type-(ii) pure state
-    p0 = axioms.face_profile(shared_system, w, samples=60)
+    p0 = axioms.face_profile(shared_system, w)
     l1 = np.array([[1.3, 0.0], [0.4, 0.8]])
     l2 = np.array([[1.3, 0.0], [-0.2, 1.1]])
     phi = cone._congruence(l1, l2)
-    p1 = axioms.face_profile(shared_system, phi @ w, samples=60)
+    p1 = axioms.face_profile(shared_system, phi @ w)
     assert p0 == p1 == 5
+    assert face_profile_by_sampling(shared_system, phi @ w, samples=60) == 5

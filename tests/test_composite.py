@@ -13,6 +13,7 @@ from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone, System,
 from conftest import make_eja_system
 from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          pure_effect_minimizing_by_spectral)
+from helpers import product_effect, sample_state
 from polyhedral_oracles import (extremal_by_lp,
                                 pairing_minimum_rebuilding_facets)
 
@@ -50,14 +51,14 @@ class TestProducts:
         for _ in range(50):
             wa, wb = rng.standard_normal(4), rng.standard_normal(4)
             ea, eb = rng.standard_normal(4), rng.standard_normal(4)
-            lhs = two_qubit.product_effect(ea, eb) @ \
+            lhs = product_effect(two_qubit, ea, eb) @ \
                 two_qubit.product_state(wa, wb)
             assert abs(lhs - (ea @ wa) * (eb @ wb)) < 1e-12
 
     def test_unit_is_product(self, two_qubit):
         assert np.allclose(two_qubit.unit,
-                           two_qubit.product_effect(two_qubit.factorA.unit,
-                                                    two_qubit.factorB.unit))
+                           product_effect(two_qubit, two_qubit.factorA.unit,
+                                          two_qubit.factorB.unit))
 
     def test_basis_vector(self, bit_bit):
         w = bit_bit.product_state(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -75,10 +76,10 @@ class TestProducts:
                 w = two_qubit.product_state(wi, wj)
                 for k, ek in enumerate(effects):
                     for l, el in enumerate(effects):
-                        e = two_qubit.product_effect(ek, el)
+                        e = product_effect(two_qubit, ek, el)
                         expect = 1.0 if (i == k and j == l) else 0.0
                         assert abs(float(e @ w) - expect) < 1e-12
-        total = sum(two_qubit.product_effect(ek, el)
+        total = sum(product_effect(two_qubit, ek, el)
                     for ek in effects for el in effects)
         assert np.max(np.abs(total - two_qubit.unit)) < 1e-12
 
@@ -100,7 +101,7 @@ class TestMarginals:
 
     def test_conditioning_identity_exact(self, two_qubit, rng):
         for _ in range(100):
-            w = two_qubit.sample_state(rng)
+            w = sample_state(two_qubit, rng)
             cmap = cp.conditioning_map(two_qubit, w)
             assert np.array_equal(cmap(two_qubit.factorA.unit),
                                   cp.marginal_of(two_qubit, w, "B"))
@@ -224,6 +225,37 @@ class TestSteeringLP:
                                      tol=1e-10) == 2
         assert cp.steer(min_square, w, ens) == cp.INFEASIBLE
 
+    def test_rounded_mixtures_are_never_infeasible(self, min_square):
+        # wa, wb: Dirichlet mixtures of the square's pure states.  The
+        # effects lam*u and (1-lam)*u steer [lam*wb, (1-lam)*wb], but the
+        # floats read as fractions break the LP's exact equalities
+        rng = np.random.default_rng(1)
+        pure = np.array(SQUARE, dtype=float)
+        outcomes = []
+        for _ in range(40):
+            wa = rng.dirichlet(np.ones(4)) @ pure
+            wb = rng.dirichlet(np.ones(4)) @ pure
+            lam = rng.random()
+            w = min_square.product_state(wa, wb)
+            try:
+                effects = cp.steer(min_square, w, [lam * wb, (1 - lam) * wb])
+            except UnsupportedQuery:
+                outcomes.append("unsupported")
+                continue
+            assert effects != cp.INFEASIBLE
+            outcomes.append("steered")
+        assert outcomes == ["unsupported"] * 40
+
+    def test_unfaithful_reading_of_an_infeasible_lp(self, min_square):
+        # the infeasible ensemble above, each entry moved by 1e-13: the
+        # fractions no longer read back as the floats
+        w = (min_square.product_state(V1, V1)
+             + min_square.product_state(V2, V3)
+             + min_square.product_state(V3, CENTER)) / 3
+        ens = [V1 / 3 + 1e-13, V3 / 3, CENTER / 3 - 1e-13]
+        with pytest.raises(UnsupportedQuery):
+            cp.steer(min_square, w, ens)
+
 
 def _density(comp, x):
     """The 4x4 matrix sum_ij x_ij kron(a_i, b_j) of a two-qubit element."""
@@ -235,7 +267,7 @@ def _density(comp, x):
 class TestLinearImageCone:
     def test_margin_is_the_least_eigenvalue(self, two_qubit, rng):
         cone = two_qubit.cone
-        points = [two_qubit.sample_state(rng) for _ in range(5)]
+        points = [sample_state(two_qubit, rng) for _ in range(5)]
         points += [rng.standard_normal(16) for _ in range(5)]
         for x in points:
             least = np.linalg.eigvalsh(_density(two_qubit, x))[0]
@@ -416,7 +448,7 @@ def test_max_tensor_rejects_negative(max_rebit):
 def test_max_tensor_dual_samples_read_cached_float_facets(rng, monkeypatch):
     sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
     comp = cp.CompositeSystem(sq, sq, cp.MAX_TENSOR)
-    points = [comp.sample_state(rng) for _ in range(3)]
+    points = [sample_state(comp, rng) for _ in range(3)]
     points += [rng.standard_normal(comp.dim) for _ in range(3)]
     expected = [pairing_minimum_rebuilding_facets(comp, x) for x in points]
     sq.cone.float_facets()

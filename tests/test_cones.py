@@ -13,6 +13,7 @@ from conelab.cones import (DEFAULT_TOL, EJACone, PolyhedralCone, PositiveMap,
                            is_order_isomorphism, two_sided_probe,
                            validate_measurement)
 from conftest import make_eja_system
+from helpers import random_positive
 from polyhedral_oracles import member_by_lp
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
@@ -34,7 +35,7 @@ class TestMembership:
         assert cone.member(np.array([1.0, 1.0, 0.0, 0.0]))
         assert not cone.member(np.array([1.0, -0.1, 0.0, 0.0]))
         for _ in range(20):
-            p = cone.algebra.random_positive(rng)
+            p = random_positive(cone.algebra, rng)
             assert cone.member(p)
             assert cone.dual_member(p)
 

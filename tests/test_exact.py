@@ -4,6 +4,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
@@ -12,9 +15,10 @@ from conelab import exact, fixtures
 from conelab.cones import PolyhedralCone
 from conelab.exact import PolyhedralData
 from polyhedral_oracles import (dual_basis_by_prefix, extremal_by_rank,
-                                facets_by_subsets, independent_prefix,
-                                member_by_lp, primitive, reducible_by_subsets,
-                                rref_by_fractions, solve)
+                                facets_by_subsets,
+                                feasible_nonneg_by_fractions,
+                                independent_prefix, member_by_lp, primitive,
+                                reducible_by_subsets, rref_by_fractions, solve)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -96,6 +100,77 @@ def test_feasible_nonneg():
     assert sol == [F(2), F(1)]
     # x + y = -1 has no nonnegative solution
     assert exact.feasible_nonneg([[1, 1]], [F(-1)]) is None
+
+
+@st.composite
+def phase_one_lps(draw):
+    """(mat, rhs) with 0-4 rows of ints and Fractions mixed, denominators
+    small or up to 10^9, and either a random rhs (often infeasible, some
+    rows negative) or mat @ x for a 0/1/half x, which makes ties and
+    degenerate pivots common."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.integers(-2, 2),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**9)))
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                        min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    else:
+        x = draw(st.lists(st.sampled_from([0, 0, 1, F(1, 2)]),
+                          min_size=n, max_size=n))
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in mat]
+    return mat, rhs
+
+
+@given(lp=phase_one_lps())
+# a negative rhs row, which must be flipped before the artificial basis
+@example(lp=([[F(0)], [F(-1, 2)]], [F(0), F(-1, 2)]))
+# rows of different scales: unit artificial weights pivot to another vertex
+@example(lp=([[0, 1, 2], [F(-2, 3), F(-3, 4), 2]], [1, 0]))
+# a degenerate ratio tie that only the basis index breaks as the rational
+# tableau does
+@example(lp=([[1, 2, 1, F(1, 2), 0], [0, -1, 2, 0, 0],
+              [1, 1, 0, F(1, 2), -1]], [3, -1, 1]))
+# denominators near 10^9, where a float quotient would not be exact
+@example(lp=([[F(156374401, 579938224), F(63046331, 71111227),
+               F(-939924191, 863899906), F(-619441715, 591370037),
+               F(849002453, 98356260)],
+              [3, -1, F(222750144, 37824421), F(-964157141, 486403748),
+               F(622610242, 301932635)],
+              [F(-764874969, 856081168), F(-21696461, 25974202),
+               F(-131441359, 54807244), F(-638911479, 705079555),
+               F(48011613, 28746292)],
+              [F(-308506479, 533106008), F(-949245135, 335012743),
+               F(-96084030, 854916473), F(-766436039, 272148611), 1]],
+             [F(63046331, 71111227), -1, F(-21696461, 25974202),
+              F(-949245135, 335012743)]))
+@example(lp=([], []))
+@settings(max_examples=300, deadline=None)
+def test_feasible_nonneg_matches_fraction_tableau(lp):
+    mat, rhs = lp
+    assert exact.feasible_nonneg(mat, rhs) == \
+        feasible_nonneg_by_fractions(mat, rhs)
+
+
+# the distinct inputs of every `feasible_nonneg` call in one pass (seed 7)
+# of the registry-check, bijection-search and composite-faces benchmark
+# workloads, entries as strings
+RECORDED_LPS = json.loads(
+    (Path(__file__).parent / "data" / "feasible_nonneg_lps.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED_LPS))
+def test_feasible_nonneg_replays_recorded_lps(workload):
+    lps = RECORDED_LPS[workload]
+    assert lps
+    for mat, rhs in lps:
+        mat = [[F(x) for x in row] for row in mat]
+        rhs = [F(x) for x in rhs]
+        assert exact.feasible_nonneg(mat, rhs) == \
+            feasible_nonneg_by_fractions(mat, rhs)
 
 
 def test_strictly_positive_in_span():

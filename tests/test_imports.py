@@ -1,11 +1,16 @@
-"""Every import in the package and its tests is used, and every parameter
-of a package function is read.
+"""Every import in the package and its tests is used, every parameter of a
+package function is read, and every package function has a caller in the
+package.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
 string annotation or in `__all__`.  `from __future__` imports are exempt.
 A parameter must be loaded somewhere in its function's body, nested
 functions included; `self`, `cls` and bodies that only raise are exempt.
+A module-level function or a method is called when its name appears, as a
+name or as an attribute, in the package outside its own body: a scan by
+name, so one caller keeps every method of that name.  Dunder methods and
+the entry points in `ENTRY_POINTS` are exempt.
 """
 
 import ast
@@ -107,3 +112,52 @@ def test_scan_flags_an_unused_parameter():
            "        a = 2\n        return g() + c\n")
     assert unused_parameters(src) == [(5, "f", "a"), (5, "f", "args"),
                                       (5, "f", "kw")]
+
+
+# (module, function) called from outside the package: the CLI commands, which
+# click dispatches, and the eja constructors of the simple algebras
+ENTRY_POINTS = {
+    ("cli", "check"), ("cli", "fixtures_cmd"), ("cli", "classify_cmd"),
+    ("cli", "steer_cmd"),
+    ("eja", "real_sym"), ("eja", "complex_herm"), ("eja", "quat_herm"),
+    ("eja", "spin_factor"), ("eja", "classical"),
+}
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) for each module-level function or method whose
+    name appears nowhere in the modules outside its own body."""
+    defs, refs = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(module, f) for f in body
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                refs.append((module, getattr(n, "id", None)
+                             or getattr(n, "attr", None), n.lineno))
+    return sorted(
+        (module, f.name) for module, f in defs
+        if not (f.name.startswith("__") and f.name.endswith("__"))
+        and not any(name == f.name and not (
+            where == module and f.lineno <= line <= f.end_lineno)
+            for where, name, line in refs))
+
+
+def test_every_package_function_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert set(uncalled_functions(sources)) <= ENTRY_POINTS
+    # every allowlisted entry point still exists
+    assert all(f"def {name}(" in sources[module]
+               for module, name in ENTRY_POINTS)
+
+
+def test_scan_flags_an_uncalled_function():
+    sources = {"a": ("def used():\n    return 1\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "class C:\n    def __init__(self):\n        pass\n"
+                     "    def method(self):\n        return used()\n"),
+               "b": "from a import C\nC().method()\n"}
+    assert uncalled_functions(sources) == [("a", "recursive")]
