@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -140,22 +141,40 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
 # A bijection perm pairs ray i with facet perm[i]; it is realised by a map T
 # with T r_i = mu_i f_{perm(i)} and every scale mu_i > 0.  The rays span R^d,
 # so T is fixed by its values on a ray basis S with dual basis g:
-#     T = sum_{j in S} mu_j f_{perm(j)} g_j^T,
-# and each bijection is a linear system in the n scales alone.  A ray i
-# outside S has coordinates c_ij = g_j . r_i and contributes the d rows
-#     sum_{j in S} c_ij mu_j f_{perm(j)} - mu_i f_{perm(i)} = 0;
-# a symmetric T adds one row per entry above the diagonal.  mu = 0 forces
-# T = 0, so this null space is the mu-part of the one in the unknowns
-# (T, mu), with the same RREF basis.
+#     T = sum_{j in S} mu_j f_{perm(j)} g_j^T.
+# A ray i outside S has coordinates c_ij = g_j . r_i, and
+# T r_i = sum_{j in S} c_ij mu_j f_{perm(j)} must be mu_i f_{perm(i)}: it
+# must be parallel to f_{perm(i)}, which is C(d,2) wedge rows in mu_S,
+#     sum_{j in S} c_ij mu_j (f_{perm(j)} ^ f_{perm(i)})_{ab} = 0,  a < b,
+# and then mu_i = (T r_i)_a / f_{perm(i)}_a at any a where f_{perm(i)}_a != 0.
+# A symmetric T adds one row per entry above the diagonal, also in mu_S.  So
+# each bijection is one system in the d scales mu_S, and lifting its kernel
+# to all n scales gives the kernel of the system in (T, mu) projected onto
+# mu (mu = 0 forces T = 0).  The RREF null basis of a kernel depends on the
+# subspace alone: its vector for free column f has its last nonzero entry,
+# a 1, at f and is 0 at the other free columns, so with the columns
+# reversed the basis is the subspace's RREF.  One `rref` of the lifted basis
+# on reversed columns gives that basis exactly, whatever system it came
+# from, so the LP vertex, the witnesses and the report bytes are those of
+# the system in (T, mu).
+
+
+def _to_integers(vecs) -> tuple[list[list[int]], int]:
+    """Rational vectors times s, the lcm of all their denominators, and s."""
+    s = lcm(*(x.denominator for v in vecs for x in v))
+    return [[x.numerator * (s // x.denominator) for x in v] for v in vecs], s
 
 
 class _ScaleSystems:
-    """The bijection systems of one cone in the scales mu.
+    """The bijection systems of one cone in the d basis scales mu_S.
 
-    Holds a ray basis S (the first d independent rays), its dual basis g,
-    and every product the rows need: c_ij f for each ray i outside S, each
-    j in S and each facet f, and f_a g_b - f_b g_a for each j in S, each
-    facet f and each a < b.
+    Holds a ray basis S (the first d independent rays) and its dual basis g,
+    and integer tables for the rows: for each ray i outside S, its
+    coordinates c_i scaled by the lcm s_i of their denominators and, for
+    each facet q it may be paired with, c_ij times the wedge f_p ^ f_q for
+    each j in S and each facet p; and for each j in S and each facet p, the
+    entries a < b of f_p g_j^T - g_j f_p^T, scaled by one common
+    denominator.
     """
 
     def __init__(self, rays, facets):
@@ -163,34 +182,51 @@ class _ScaleSystems:
         self.facets = facets
         self.n = len(rays)
         self.basis, self.dual = exact.dual_basis(rays)
-        d = len(self.dual)
-        self.outside = [
-            (i, [[[c * x for x in f] for f in facets]
-                 for c in (exact.dot(g, r) for g in self.dual)])
-            for i, r in enumerate(rays) if i not in self.basis]
-        self.skew = [[[f[a] * g[b] - f[b] * g[a]
-                       for a in range(d) for b in range(a + 1, d)]
-                      for f in facets] for g in self.dual]
+        pairs = list(itertools.combinations(range(len(self.dual)), 2))
+        ints, _ = _to_integers(facets)
+        wedge = [[[p[a] * q[b] - p[b] * q[a] for a, b in pairs]
+                  for p in ints] for q in ints]
+        self.outside = []
+        for i, r in enumerate(rays):
+            if i not in self.basis:
+                (c,), s = _to_integers([[exact.dot(g, r) for g in self.dual]])
+                self.outside.append((i, c, s, [
+                    [[[cj * x for x in by_p] for by_p in wedge_q] for cj in c]
+                    for wedge_q in wedge]))
+        dual, _ = _to_integers(self.dual)
+        self.skew = [[[p[a] * g[b] - p[b] * g[a] for a, b in pairs]
+                      for p in ints] for g in dual]
 
     def scale_space(self, perm, symmetric: bool) -> list[list[Fraction]]:
-        """Null space of the bijection's system in the scales mu."""
-        n = self.n
-        rows: list[list[Fraction]] = []
-        for i, scaled in self.outside:
-            for a, x in enumerate(self.facets[perm[i]]):
-                row = [Fraction(0)] * n
-                for j, by_facet in zip(self.basis, scaled):
-                    row[j] = by_facet[perm[j]][a]
-                row[i] = -x
-                rows.append(row)
+        """RREF null basis of the bijection's system in the n scales mu,
+        from one null space in the d scales mu_S."""
+        rows: list[tuple[int, ...]] = []
+        for i, _, _, table in self.outside:
+            rows += zip(*(by_facet[perm[j]]
+                          for j, by_facet in zip(self.basis, table[perm[i]])))
         if symmetric:
-            for pair in range(len(self.skew[0][0])):
-                row = [Fraction(0)] * n
-                for j, by_facet in zip(self.basis, self.skew):
-                    row[j] = by_facet[perm[j]][pair]
-                rows.append(row)
-        # a simplicial cone has no rays outside S: every mu solves
-        return exact.null_space(rows or [[Fraction(0)] * n])
+            rows += zip(*(by_facet[perm[j]]
+                          for j, by_facet in zip(self.basis, self.skew)))
+        # a simplicial cone has no rays outside S: every mu_S solves
+        kernel = exact.null_space(rows or [[0] * len(self.basis)])
+        if not kernel:
+            return []
+        lifted = [self._lift(perm, mu_s) for mu_s in kernel]
+        red, _ = exact.rref([mu[::-1] for mu in lifted])
+        return [mu[::-1] for mu in red[::-1]]
+
+    def _lift(self, perm, mu_s) -> list[Fraction]:
+        """All n scales from mu_S: mu_i = (T r_i)_a / f_{perm(i)}_a at the
+        first a with f_{perm(i)}_a != 0."""
+        mu = [Fraction(0)] * self.n
+        for j, m in zip(self.basis, mu_s):
+            mu[j] = m
+        for i, c, s, _ in self.outside:
+            f = self.facets[perm[i]]
+            a = next(k for k, x in enumerate(f) if x)
+            mu[i] = sum(cj * m * self.facets[perm[j]][a]
+                        for cj, m, j in zip(c, mu_s, self.basis)) / (s * f[a])
+        return mu
 
     def map_from_scales(self, perm, mu) -> list[list[Fraction]]:
         """T = sum_{j in S} mu_j f_{perm(j)} g_j^T."""
@@ -242,11 +278,15 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
     normals (up to positive scales); exact infeasibility certificate when
     none exists.
 
-    Each bijection is one linear system in the n scales mu: the map is
-    T = sum_{j in S} mu_j f_{perm(j)} g_j^T over a ray basis S with dual
-    basis g, and symmetry of T adds d(d-1)/2 rows.  T is built from mu only
-    for a candidate; it must carry every ray exactly, or the bijection's
-    certificate is uncertified, and then pass the exact SPD test.
+    Each bijection is one integer system in the d scales mu_S of a ray
+    basis S with dual basis g, for T = sum_{j in S} mu_j f_{perm(j)} g_j^T:
+    d(d-1)/2 wedge rows per ray outside S, which make T r_i parallel to
+    f_{perm(i)}, and d(d-1)/2 rows for the symmetry of T.  A nonzero kernel
+    is lifted to all n scales and put in the RREF null basis of the system
+    in (T, mu), which depends on the solution space alone.  T is built from
+    mu only for a candidate; it must carry every ray exactly, or the
+    bijection's certificate is uncertified, and then pass the exact SPD
+    test.
     """
     rays, facets = _ray_facet_setup(cone, cap)
     if len(rays) != len(facets):
@@ -294,11 +334,15 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
 def search_weak_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict:
     """Search for any invertible linear map carrying the cone onto its dual.
 
-    Each bijection is one linear system in the n scales mu; the map
-    T = sum_{j in S} mu_j f_{perm(j)} g_j^T over a ray basis S with dual
-    basis g is built only for a positive mu, and is checked exactly:
-    invertible, and T r_i = mu_i f_{perm(i)} for every ray.  A map that
-    fails either check is a failed construction, not a disproof.
+    Each bijection is one integer system in the d scales mu_S of a ray
+    basis S with dual basis g: d(d-1)/2 wedge rows per ray outside S, which
+    make T r_i parallel to f_{perm(i)}.  A nonzero kernel is lifted to all
+    n scales and put in the RREF null basis of the system in (T, mu), which
+    depends on the solution space alone.  The map
+    T = sum_{j in S} mu_j f_{perm(j)} g_j^T is built only for a positive
+    mu, and is checked exactly: invertible, and T r_i = mu_i f_{perm(i)}
+    for every ray.  A map that fails either check is a failed construction,
+    not a disproof.
     """
     rays, facets = _ray_facet_setup(cone, cap)
     if len(rays) != len(facets):

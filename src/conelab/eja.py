@@ -549,9 +549,6 @@ class JordanAlgebra:
 
     # -- sampling ----------------------------------------------------------
 
-    def random_element(self, rng) -> np.ndarray:
-        return rng.standard_normal(self.dim)
-
     def random_interior(self, rng) -> np.ndarray:
         out = np.empty(self.dim)
         for s in self.summands:

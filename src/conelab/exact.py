@@ -1,12 +1,12 @@
 """Exact rational linear algebra over `fractions.Fraction`.
 
 Small dense problems only (dims well under 100): one integer-row
-elimination (`rref`), which rank, null spaces and dual bases read, and a
-Bland-rule phase-I simplex for feasibility certificates that pivots on
-integers with exact division (fraction-free, after Bareiss): its tableau
-holds no `Fraction`, only the vertex it returns does.  All polyhedral
-cone reasoning in this package goes through these routines so that
-verdicts on polyhedral fixtures are exact, not floating point.
+elimination (`_echelon`), which `rref`, rank, null spaces and dual bases
+read, and a Bland-rule phase-I simplex for feasibility certificates that
+pivots on integers with exact division (fraction-free, after Bareiss): its
+tableau holds no `Fraction`, only the vertex it returns does.  All
+polyhedral cone reasoning in this package goes through these routines so
+that verdicts on polyhedral fixtures are exact, not floating point.
 
 A polyhedral cone's facets come from the double-description method
 (Motzkin et al. 1953; Fukuda & Prodon 1996), ordered by the pivot columns
@@ -29,18 +29,23 @@ def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 
 def _integer_row(row: Sequence) -> list[int]:
-    """A rational row times the lcm of its denominators."""
-    fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+    """A rational row times the lcm of its denominators.  Ints and
+    `Fraction`s are read through their numerator and denominator; any other
+    entry (a float, say) is converted to its exact `Fraction` first."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def _echelon(mat: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form, each as primitive
+    integers (row r is its RREF row times its pivot), and the pivot columns.
 
-    Gauss-Jordan elimination runs on integer rows, each kept primitive, and
-    each pivot row is divided by its pivot only at the end.  Scaling a row by
-    a nonzero factor leaves the row space, and so its unique RREF, unchanged.
+    Gauss-Jordan elimination on integer rows, each kept primitive: scaling a
+    row by a nonzero factor leaves the row space, and so its unique RREF,
+    unchanged.
     """
     m = [_integer_row(row) for row in mat]
     rows = len(m)
@@ -64,8 +69,16 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    red += [[Fraction(0)] * cols for _ in range(rows - r)]
+    return m[:r], pivots
+
+
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns: the integer
+    echelon rows, each divided by its pivot."""
+    ints, pivots = _echelon(mat)
+    cols = len(mat[0]) if mat else 0
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)]
+    red += [[Fraction(0)] * cols for _ in range(len(mat) - len(ints))]
     return red, pivots
 
 
@@ -76,7 +89,9 @@ def rank(mat: Matrix) -> int:
 
 
 def null_space(mat: Matrix) -> list[Row]:
-    """Basis of {x : mat @ x = 0}, one vector per free column of the RREF.
+    """Basis of {x : mat @ x = 0}, one vector per free column of the RREF:
+    1 at the free column f and -row[f] / row[p] at each pivot p, read off
+    the integer echelon rows, so only those entries become `Fraction`s.
 
     An empty matrix (no rows) yields `[]`, not a basis of the whole space:
     a caller whose system can have no rows passes one zero row instead.
@@ -84,14 +99,14 @@ def null_space(mat: Matrix) -> list[Row]:
     if not mat:
         return []
     cols = len(mat[0])
-    red, pivots = rref(mat)
+    ints, pivots = _echelon(mat)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
         vec = [Fraction(0)] * cols
         vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
+        for row, p in zip(ints, pivots):
+            vec[p] = Fraction(-row[f], row[p])
         basis.append(vec)
     return basis
 

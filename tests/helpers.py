@@ -2,8 +2,9 @@
 oracle.
 
 `probabilistic_inverse`, `classical_effect_test`, `check_positive`,
-`sample_state`, `product_effect`, `trace_inner`, `overlap_state` and
-`random_positive` build inputs and checks for the tests.
+`sample_state`, `product_effect`, `trace_inner`, `overlap_state`,
+`random_element` and `random_positive` build inputs and checks for the
+tests.
 `face_profile_by_sampling` is the sampled route that `axioms.face_profile`
 replaced by its closed form: a maximum over sampled pure states, so only a
 lower bound on the profile.
@@ -111,9 +112,14 @@ def trace_inner(alg: eja.JordanAlgebra, a: np.ndarray, b: np.ndarray) -> float:
     return float((alg.metric * a) @ b)
 
 
+def random_element(alg: eja.JordanAlgebra, rng) -> np.ndarray:
+    """A random element: standard normal coordinates."""
+    return rng.standard_normal(alg.dim)
+
+
 def random_positive(alg: eja.JordanAlgebra, rng) -> np.ndarray:
     """|a| of a random element a: a random member of the positive cone."""
-    return alg.apply_spectral(alg.random_element(rng), abs)
+    return alg.apply_spectral(random_element(alg, rng), abs)
 
 
 def overlap_state(alg: eja.JordanAlgebra) -> np.ndarray:

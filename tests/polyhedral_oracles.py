@@ -2,8 +2,9 @@
 extremality, reducibility, exact self-duality and the ray/facet bijection
 systems.
 
-`exact.rref` eliminates on integer rows; `rref_by_fractions` is the
-textbook elimination over `Fraction`.  Production reads every "first
+`exact.rref` and `exact.null_space` eliminate on integer rows;
+`rref_by_fractions` is the textbook elimination over `Fraction`, and
+`null_space_by_fractions` reads the null basis off it.  Production reads every "first
 independent subset" off the pivot columns of that one elimination;
 `independent_prefix` finds it by a greedy `Fraction` echelon, and
 `dual_basis_by_prefix` takes the inverse by a second RREF.  `solve` is the
@@ -16,8 +17,9 @@ H-description; these oracles answer them the old way, by brute force over
 (d-1)-subsets of rays and by a phase-I simplex.  Polyhedral purity
 preservation reads the cached extremal generators; `extremal_by_lp` solves
 one exact LP per query instead.  The bijection searches
-solve each bijection's system in the n ray scales alone; the oracle here
-solves it in all d*d + n unknowns.
+solve each bijection's system in the d scales of a ray basis and lift the
+kernel to all n scales; `scale_system_in_all_scales` solves it in the n
+scales and `bijection_system` in all d*d + n unknowns.
 
 `extremal_by_rank` drops parallel generators by two-row ranks instead of
 primitive integer directions.  `reducible_by_subsets` tries all 2^(n-1)
@@ -66,6 +68,22 @@ def rref_by_fractions(mat) -> tuple[exact.Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
+
+
+def null_space_by_fractions(mat) -> list[exact.Row]:
+    """The RREF null basis: for each free column f of `rref_by_fractions`,
+    the vector with a 1 at f, 0 at the other free columns and minus column f
+    of the RREF at the pivots."""
+    red, pivots = rref_by_fractions(mat)
+    cols = len(mat[0])
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][f]
+        basis.append(vec)
+    return basis
 
 
 def feasible_nonneg_by_fractions(mat, rhs) -> exact.Row | None:
@@ -208,6 +226,36 @@ def bijection_system(rays, facets, perm, symmetric: bool) -> list[exact.Row]:
                 row[b * d + a] = Fraction(-1)
                 rows.append(row)
     return exact.null_space(rows)
+
+
+def scale_system_in_all_scales(rays, facets, perm,
+                               symmetric: bool) -> list[exact.Row]:
+    """Null space of the bijection's system in all n scales mu: with a ray
+    basis S and its dual basis g, each ray i outside S gives the d rows
+    sum_{j in S} (g_j . r_i) mu_j f_{perm(j)} - mu_i f_{perm(i)} = 0, and a
+    symmetric T one row per entry a < b of sum_{j in S} mu_j f_{perm(j)}
+    g_j^T minus its transpose."""
+    n = len(rays)
+    basis, dual = exact.dual_basis(rays)
+    d = len(dual)
+    rows: exact.Matrix = []
+    for i in (k for k in range(n) if k not in basis):
+        coords = [exact.dot(g, rays[i]) for g in dual]
+        for a in range(d):
+            row = [Fraction(0)] * n
+            for j, c in zip(basis, coords):
+                row[j] = c * facets[perm[j]][a]
+            row[i] = -facets[perm[i]][a]
+            rows.append(row)
+    if symmetric:
+        for a in range(d):
+            for b in range(a + 1, d):
+                row = [Fraction(0)] * n
+                for j, g in zip(basis, dual):
+                    f = facets[perm[j]]
+                    row[j] = f[a] * g[b] - f[b] * g[a]
+                rows.append(row)
+    return exact.null_space(rows or [[Fraction(0)] * n])
 
 
 def spd_by_leading_minors(t: exact.Matrix) -> bool:

@@ -17,7 +17,8 @@ from conelab.exact import PolyhedralData
 from polyhedral_oracles import (dual_basis_by_prefix, extremal_by_rank,
                                 facets_by_subsets,
                                 feasible_nonneg_by_fractions,
-                                independent_prefix, member_by_lp, primitive,
+                                independent_prefix, member_by_lp,
+                                null_space_by_fractions, primitive,
                                 reducible_by_subsets, rref_by_fractions, solve)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
@@ -78,6 +79,24 @@ def test_rref_matches_fraction_elimination(mat):
     red, pivots = exact.rref(mat)
     assert (red, pivots) == rref_by_fractions(mat)
     assert all(type(x) is F for row in red for x in row)
+
+
+@given(mat=rational_matrices(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_int_fraction_and_mixed_entries_agree(mat, data):
+    assume(mat)
+    # 420 = lcm(1, ..., 7) clears every denominator the strategy draws
+    ints = [[int(x * 420) for x in row] for row in mat]
+    fractions = [[F(x) for x in row] for row in ints]
+    mixed = [[x if data.draw(st.booleans()) else F(x) for x in row]
+             for row in ints]
+    expected = rref_by_fractions(fractions)
+    null = null_space_by_fractions(fractions)
+    for given_as in (ints, fractions, mixed):
+        assert exact.rref(given_as) == expected
+        basis = exact.null_space(given_as)
+        assert basis == null
+        assert all(type(x) is F for vec in basis for x in vec)
 
 
 def test_solve_exact():

@@ -8,9 +8,10 @@ string annotation or in `__all__`.  `from __future__` imports are exempt.
 A parameter must be loaded somewhere in its function's body, nested
 functions included; `self`, `cls` and bodies that only raise are exempt.
 A module-level function or a method is called when its name appears, as a
-name or as an attribute, in the package outside its own body: a scan by
-name, so one caller keeps every method of that name.  Dunder methods and
-the entry points in `ENTRY_POINTS` are exempt.
+name or as an attribute, in the package outside its own body.  A
+`self.<name>` reference counts only for the methods its class can dispatch
+to: its own, its ancestors' and its descendants'.  Dunder methods and the
+entry points in `ENTRY_POINTS` are exempt.
 """
 
 import ast
@@ -125,25 +126,56 @@ ENTRY_POINTS = {
 
 
 def uncalled_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, function) for each module-level function or method whose
-    name appears nowhere in the modules outside its own body."""
-    defs, refs = [], []
+    """(module, function) for each module-level function, and (module,
+    "Class.method") for each method, that nothing outside its own body
+    calls.  A reference `self.<name>` inside a class calls the methods of
+    that name on the class, its ancestors and its descendants, the ones
+    the call can dispatch to; any other name or attribute reference calls
+    every function of that name."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs, refs, bases = [], [], {}
     for module, source in sources.items():
         tree = ast.parse(source)
+        self_refs = set()
         for node in tree.body:
-            body = node.body if isinstance(node, ast.ClassDef) else [node]
-            defs += [(module, f) for f in body
-                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for n in ast.walk(tree):
-            if isinstance(n, (ast.Name, ast.Attribute)):
-                refs.append((module, getattr(n, "id", None)
-                             or getattr(n, "attr", None), n.lineno))
+            if isinstance(node, funcs):
+                defs.append((module, None, node))
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", None)
+                                    or getattr(b, "attr", None)
+                                    for b in node.bases}
+                defs += [(module, node.name, f) for f in node.body
+                         if isinstance(f, funcs)]
+                for n in ast.walk(node):
+                    if isinstance(n, ast.Attribute) and isinstance(
+                            n.value, ast.Name) and n.value.id == "self":
+                        refs.append((module, node.name, n.attr, n.lineno))
+                        self_refs.add(n)
+        refs += [(module, None, getattr(n, "id", None)
+                  or getattr(n, "attr", None), n.lineno)
+                 for n in ast.walk(tree) if n not in self_refs
+                 and isinstance(n, (ast.Name, ast.Attribute))]
+
+    def ancestors(cls: str) -> set[str]:
+        out, todo = set(), [cls]
+        while todo:
+            new = bases.get(todo.pop(), set()) - out
+            out |= new
+            todo += new
+        return out
+
+    def dispatches(owner: str, cls: str) -> bool:
+        return owner == cls or owner in ancestors(cls) \
+            or cls in ancestors(owner)
+
     return sorted(
-        (module, f.name) for module, f in defs
+        (module, f.name if cls is None else f"{cls}.{f.name}")
+        for module, cls, f in defs
         if not (f.name.startswith("__") and f.name.endswith("__"))
-        and not any(name == f.name and not (
-            where == module and f.lineno <= line <= f.end_lineno)
-            for where, name, line in refs))
+        and not any(name == f.name and (
+            owner is None or cls is not None and dispatches(owner, cls))
+            and not (where == module and f.lineno <= line <= f.end_lineno)
+            for where, owner, name, line in refs))
 
 
 def test_every_package_function_has_a_caller():
@@ -161,3 +193,13 @@ def test_scan_flags_an_uncalled_function():
                      "    def method(self):\n        return used()\n"),
                "b": "from a import C\nC().method()\n"}
     assert uncalled_functions(sources) == [("a", "recursive")]
+
+
+def test_scan_resolves_self_calls_to_their_class():
+    # A.f calls self.g, which reaches A.g and its override C.g, not B.g
+    sources = {"a": ("class A:\n    def f(self):\n        return self.g()\n"
+                     "    def g(self):\n        return 1\n"
+                     "class B:\n    def g(self):\n        return 2\n"
+                     "class C(A):\n    def g(self):\n        return 3\n"),
+               "b": "from a import A\nA().f()\n"}
+    assert uncalled_functions(sources) == [("a", "B.g")]
