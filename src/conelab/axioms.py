@@ -10,33 +10,21 @@ anything else is reported as inconclusive or unsupported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from . import exact
-from .cones import (ConeError, EJACone, PolyhedralCone, PositiveMap,
-                    SharedCornerCone, System, UnsupportedQuery,
-                    face_dimension, is_extremal_ray)
+from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
+                    PolyhedralCone, PositiveMap, SharedCornerCone, System,
+                    UnsupportedQuery, Verdict, face_dimension,
+                    is_extremal_ray)
 
-HOLDS = "holds"
-FAILS = "fails"
-INCONCLUSIVE = "inconclusive"
-UNSUPPORTED = "unsupported"
 # sampled members (and dual points) of a non-polyhedral self-duality check
 SELF_DUAL_SAMPLES = 200
-
-
-@dataclass
-class AxiomVerdict:
-    axiom: str
-    status: str
-    witness: object = None
-    violation: object = None
-    margin: float = float("nan")
-    detail: str = ""
+# most extremal rays a bijection search takes; it tries up to n! bijections
+SEARCH_CAP = 8
 
 
 def _require_spd(inner: np.ndarray, tol: float):
@@ -47,7 +35,7 @@ def _require_spd(inner: np.ndarray, tol: float):
 
 
 def check_self_dual(system: System, inner: np.ndarray | None = None,
-                    tol: float = 1e-9, seed: int = 0) -> AxiomVerdict:
+                    tol: float = 1e-9, seed: int = 0) -> Verdict:
     """Is the cone equal to its dual under the given inner product?
 
     Polyhedral cones get an exact two-sided verdict, under the inner
@@ -75,7 +63,7 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
         for i, j in pairs:
             val = exact.dot(g_rays[i], rays[j])
             if val < 0:
-                return AxiomVerdict("self-dual", FAILS, violation={
+                return Verdict(FAILS, violation={
                     "pair": (rays[i], rays[j]), "inner_value": val},
                     detail="generator pair with negative inner product")
         # G is SPD, so its rows are a basis; their dual basis is the columns
@@ -84,11 +72,11 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
         g_inv = [list(row) for row in zip(*dual)]
         for f in cone.data.facets():
             if not cone.data.member(exact.mat_vec(g_inv, f)):
-                return AxiomVerdict("self-dual", FAILS, violation={
-                    "facet_normal": f},
-                    detail="dual extremal pulls back outside the cone")
-        return AxiomVerdict("self-dual", HOLDS, witness={"inner": inner},
-                            margin=0.0, detail="exact two-sided inclusion")
+                return Verdict(FAILS, violation={"facet_normal": f},
+                               detail="dual extremal pulls back outside "
+                                      "the cone")
+        return Verdict(HOLDS, witness={"inner": inner}, margin=0.0,
+                       detail="exact two-sided inclusion")
 
     inv = np.linalg.inv(inner)
     members = list(cone.generators())
@@ -101,7 +89,7 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
     if bad.size:
         k = bad[0]
         v = float(values[k])
-        return AxiomVerdict("self-dual", FAILS, violation={
+        return Verdict(FAILS, violation={
             "pair": (members[rows[k]], members[cols[k]]), "inner_value": v},
             margin=v)
     worst = float(values.min())
@@ -114,10 +102,10 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
         outside = np.flatnonzero(margins < -tol)
         if outside.size:
             k = outside[0]
-            return AxiomVerdict("self-dual", FAILS, violation={
+            return Verdict(FAILS, violation={
                 "dual_extremal": members[k]}, margin=float(margins[k]))
-        return AxiomVerdict("self-dual", HOLDS, witness={"inner": inner},
-                            margin=worst, detail="trace-form route")
+        return Verdict(HOLDS, witness={"inner": inner}, margin=worst,
+                       detail="trace-form route")
 
     if isinstance(cone, SharedCornerCone):
         for _ in range(SELF_DUAL_SAMPLES):
@@ -127,13 +115,13 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
                           e2, e3, e4, e5])
             pulled = inv @ e
             if not cone.member(pulled, tol):
-                return AxiomVerdict("self-dual", FAILS, violation={
+                return Verdict(FAILS, violation={
                     "dual_extremal": e}, margin=cone.margin(pulled),
                     detail="closed-form dual boundary point outside the cone")
-        return AxiomVerdict("self-dual", INCONCLUSIVE, margin=worst)
+        return Verdict(INCONCLUSIVE, margin=worst)
 
-    return AxiomVerdict("self-dual", INCONCLUSIVE, margin=worst,
-                        detail="sampled inclusion only")
+    return Verdict(INCONCLUSIVE, margin=worst,
+                   detail="sampled inclusion only")
 
 
 # -- ray/facet bijection searches (exact, polyhedral) ------------------------
@@ -266,14 +254,15 @@ def _spd_exact(t: list[list[Fraction]]) -> bool:
     return True
 
 
-def _ray_facet_setup(cone: PolyhedralCone, cap: int):
+def _ray_facet_setup(cone: PolyhedralCone):
     rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
-    if len(rays) > cap:
-        raise UnsupportedQuery(f"search space exceeded: {len(rays)} rays > cap {cap}")
+    if len(rays) > SEARCH_CAP:
+        raise UnsupportedQuery(f"search space exceeded: {len(rays)} rays > "
+                               f"cap {SEARCH_CAP}")
     return rays, cone.data.facets()
 
 
-def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict:
+def search_spd_self_duality(cone: PolyhedralCone) -> Verdict:
     """Exhaustive search for an SPD matrix mapping extremal rays onto facet
     normals (up to positive scales); exact infeasibility certificate when
     none exists.
@@ -288,9 +277,9 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
     bijection's certificate is uncertified, and then pass the exact SPD
     test.
     """
-    rays, facets = _ray_facet_setup(cone, cap)
+    rays, facets = _ray_facet_setup(cone)
     if len(rays) != len(facets):
-        return AxiomVerdict("spd-self-duality", FAILS, violation={
+        return Verdict(FAILS, violation={
             "ray_count": len(rays), "facet_count": len(facets)},
             detail="ray and facet counts differ: no bijection exists")
     systems = _ScaleSystems(rays, facets)
@@ -317,7 +306,7 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
                 reason = "constructed map fails the exact re-check"
                 break
             if _spd_exact(t):
-                return AxiomVerdict("spd-self-duality", HOLDS, witness={
+                return Verdict(HOLDS, witness={
                     "bijection": perm, "gram": t, "scales": mu})
         cert = {"bijection": perm, "reason": reason,
                 "solution_space_dim": len(null)}
@@ -326,12 +315,11 @@ def search_spd_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict
         certificates.append(cert)
     certified = all(c.get("certified", True) for c in certificates)
     status = FAILS if certified else INCONCLUSIVE
-    return AxiomVerdict("spd-self-duality", status,
-                        violation={"bijections": certificates},
-                        detail=f"all {len(certificates)} bijections exhausted")
+    return Verdict(status, violation={"bijections": certificates},
+                   detail=f"all {len(certificates)} bijections exhausted")
 
 
-def search_weak_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdict:
+def search_weak_self_duality(cone: PolyhedralCone) -> Verdict:
     """Search for any invertible linear map carrying the cone onto its dual.
 
     Each bijection is one integer system in the d scales mu_S of a ray
@@ -344,9 +332,9 @@ def search_weak_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdic
     for every ray.  A map that fails either check is a failed construction,
     not a disproof.
     """
-    rays, facets = _ray_facet_setup(cone, cap)
+    rays, facets = _ray_facet_setup(cone)
     if len(rays) != len(facets):
-        return AxiomVerdict("weak-self-duality", FAILS, violation={
+        return Verdict(FAILS, violation={
             "ray_count": len(rays), "facet_count": len(facets)})
     d = cone.dim
     systems = _ScaleSystems(rays, facets)
@@ -359,14 +347,13 @@ def search_weak_self_duality(cone: PolyhedralCone, cap: int = 12) -> AxiomVerdic
         mu = _combine(coeffs, null)
         t = systems.map_from_scales(perm, mu)
         if exact.rank(t) == d and systems.carries_rays(perm, mu, t):
-            return AxiomVerdict("weak-self-duality", HOLDS, witness={
+            return Verdict(HOLDS, witness={
                 "bijection": perm, "map": t, "scales": mu})
         failed.append(perm)
     if failed:
-        return AxiomVerdict("weak-self-duality", INCONCLUSIVE, violation={
+        return Verdict(INCONCLUSIVE, violation={
             "failed_constructions": failed})
-    return AxiomVerdict("weak-self-duality", FAILS,
-                        detail="no bijection admits an invertible solution")
+    return Verdict(FAILS, detail="no bijection admits an invertible solution")
 
 
 # -- homogeneity -------------------------------------------------------------
@@ -438,7 +425,7 @@ def _summand_swap(alg, i: int, j: int) -> np.ndarray:
 
 
 def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
-                              tol: float = 1e-9) -> AxiomVerdict:
+                              tol: float = 1e-9) -> Verdict:
     """Normalized order isomorphism carrying pure w1 to pure w2, or an
     automorphism-invariant reason none exists."""
     cone = system.cone
@@ -457,7 +444,7 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
         f1 = alg.summands[i1].factor
         f2 = alg.summands[i2].factor
         if f1.descriptor() != f2.descriptor():
-            return AxiomVerdict("pure-transitivity", FAILS, violation={
+            return Verdict(FAILS, violation={
                 "summands": (f1.descriptor(), f2.descriptor())},
                 detail="pure states lie in non-isomorphic simple summands")
         phi = np.eye(alg.dim)
@@ -474,27 +461,26 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
         pmap = PositiveMap(phi, system, system)
         resid = float(np.max(np.abs(phi @ w1 - w2)))
         if not (resid < 1e-8 and pmap.check_normalized()):
-            return AxiomVerdict("pure-transitivity", INCONCLUSIVE,
-                                margin=resid, detail="constructed map misses "
-                                                     "w2 or moves the unit")
-        return AxiomVerdict("pure-transitivity", HOLDS, witness=pmap,
-                            margin=resid)
+            return Verdict(INCONCLUSIVE, margin=resid,
+                           detail="constructed map misses w2 or moves the "
+                                  "unit")
+        return Verdict(HOLDS, witness=pmap, margin=resid)
 
     if isinstance(cone, SharedCornerCone):
         p1 = face_profile(system, w1, tol=tol)
         p2 = face_profile(system, w2, tol=tol)
         if p1 is None or p2 is None:
-            return AxiomVerdict("pure-transitivity", INCONCLUSIVE,
-                                detail="face dimension at sigma* misses the "
-                                       "closed-form profile")
+            return Verdict(INCONCLUSIVE,
+                           detail="face dimension at sigma* misses the "
+                                  "closed-form profile")
         if p1 != p2:
-            return AxiomVerdict("pure-transitivity", FAILS, violation={
-                "face_profiles": (p1, p2)},
-                detail="face-dimension profiles differ; normalized order "
-                       "isomorphisms preserve them")
-        return AxiomVerdict("pure-transitivity", INCONCLUSIVE,
-                            detail="profiles agree; no constructor and no "
-                                   "separating invariant")
+            return Verdict(FAILS, violation={"face_profiles": (p1, p2)},
+                           detail="face-dimension profiles differ; "
+                                  "normalized order isomorphisms preserve "
+                                  "them")
+        return Verdict(INCONCLUSIVE,
+                       detail="profiles agree; no constructor and no "
+                              "separating invariant")
 
     raise UnsupportedQuery("pure transitivity checker needs an EJA or "
                            "shared-corner system")
@@ -502,7 +488,7 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
 
 def continuous_pure_transitivity(system: System, w1: np.ndarray,
                                  w2: np.ndarray, steps: int = 16,
-                                 tol: float = 1e-9) -> AxiomVerdict:
+                                 tol: float = 1e-9) -> Verdict:
     """Continuous path of pure states carried by normalized automorphisms,
     or the disjoint-summand obstruction."""
     if steps <= 0:
@@ -520,10 +506,9 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
     i1 = alg.summand_of(w1, tol=1e-7)
     i2 = alg.summand_of(w2, tol=1e-7)
     if i1 != i2:
-        return AxiomVerdict("continuous-pure-transitivity", FAILS, violation={
-            "summands": (i1, i2)},
-            detail="pure states of distinct summands lie in subspaces "
-                   "intersecting only in {0}")
+        return Verdict(FAILS, violation={"summands": (i1, i2)},
+                       detail="pure states of distinct summands lie in "
+                              "subspaces intersecting only in {0}")
     f = alg.summands[i1].factor
     sl = alg.summands[i1].sl
     rot = f.rotation_generator(w1[sl], w2[sl])
@@ -534,13 +519,11 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
         full[sl.start:sl.stop, sl.start:sl.stop] = rot(t)
         wt = full @ w1
         if not is_extremal_ray(cone, wt, tol):
-            return AxiomVerdict("continuous-pure-transitivity", INCONCLUSIVE,
-                                detail=f"constructed path loses purity at t={t}")
+            return Verdict(INCONCLUSIVE,
+                           detail=f"constructed path loses purity at t={t}")
         path.append((wt, PositiveMap(full, system, system)))
     resid = float(np.max(np.abs(path[-1][0] - w2)))
     if not (resid < 1e-8 and all(p.check_normalized() for _, p in path)):
-        return AxiomVerdict("continuous-pure-transitivity", INCONCLUSIVE,
-                            margin=resid, detail="constructed path misses w2 "
-                                                 "or moves the unit")
-    return AxiomVerdict("continuous-pure-transitivity", HOLDS, witness=path,
-                        margin=resid)
+        return Verdict(INCONCLUSIVE, margin=resid,
+                       detail="constructed path misses w2 or moves the unit")
+    return Verdict(HOLDS, witness=path, margin=resid)

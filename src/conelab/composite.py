@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .axioms import AxiomVerdict, FAILS, HOLDS
-from .cones import (DEFAULT_TOL, ConeError, ConeModel, EJACone,
-                    PolyhedralCone, PositiveMap, System, UnsupportedQuery,
-                    face_dimension, is_extremal_ray, is_order_isomorphism,
+from .cones import (DEFAULT_TOL, FAILS, HOLDS, ConeError, ConeModel,
+                    EJACone, PolyhedralCone, PositiveMap, System,
+                    UnsupportedQuery, Verdict, face_dimension,
+                    is_extremal_ray, is_order_isomorphism,
                     validate_measurement)
 from .eja import SimpleFactor, complex_herm
 
@@ -368,7 +368,7 @@ SPOT_SEED = 7
 
 
 def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
-                             tol: float = DEFAULT_TOL) -> AxiomVerdict:
+                             tol: float = DEFAULT_TOL) -> Verdict:
     """Injective conditioning map with interior marginal gives an order
     isomorphism onto the B cone; then every ensemble of the marginal is
     steerable, spot-verified on random ensembles."""
@@ -379,26 +379,24 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
     cmap = conditioning_map(comp, wab)
     rank = int(np.linalg.matrix_rank(cmap.matrix, tol=1e-10))
     if rank < comp.dimA:
-        return AxiomVerdict("steering-order-iso", FAILS, violation={
-            "rank": rank, "needed": comp.dimA},
-            detail="conditioning map is not injective")
+        return Verdict(FAILS, violation={"rank": rank, "needed": comp.dimA},
+                       detail="conditioning map is not injective")
     pmap = PositiveMap(cmap.matrix, comp.factorA, comp.factorB)
     verdict = is_order_isomorphism(pmap, tol=tol, seed=SPOT_SEED)
-    if not verdict.ok:
-        return AxiomVerdict("steering-order-iso", FAILS, violation={
-            "direction": verdict.direction, "point": verdict.violation})
+    if verdict.status != HOLDS:
+        return verdict
     rng = np.random.default_rng(SPOT_SEED)
     worst = 0.0
     for _ in range(SPOT_ENSEMBLES):
         ens = random_ensemble(comp.factorB, wb, 3, rng)
         effects = steer(comp, wab, ens, tol=1e-8)
         if effects == INFEASIBLE:
-            return AxiomVerdict("steering-order-iso", FAILS, violation={
-                "ensemble": ens}, detail="spot ensemble not steerable")
+            return Verdict(FAILS, violation={"ensemble": ens},
+                           detail="spot ensemble not steerable")
         for e, w in zip(effects, ens):
             worst = max(worst, float(np.max(np.abs(cmap(e) - w))))
-    return AxiomVerdict(
-        "steering-order-iso", HOLDS, witness=pmap, margin=worst,
+    return Verdict(
+        HOLDS, witness=pmap, margin=worst,
         detail="injective conditioning map with interior marginal is an "
                "order isomorphism; every ensemble of the marginal is "
                f"steerable (spot-verified on {SPOT_ENSEMBLES} ensembles)")
@@ -495,12 +493,12 @@ def _extremal_among_generators(cone: PolyhedralCone, w: np.ndarray,
     return any(i in extremal for i in on_ray)
 
 
-def local_tomography_report(comp: CompositeSystem) -> dict:
-    """Dimension identity that characterizes local tomography."""
-    return {
-        "dim_A": comp.dimA,
-        "dim_B": comp.dimB,
-        "dim_AB": comp.dim,
-        "locally_tomographic": comp.dim == comp.dimA * comp.dimB,
-        "criterion": "dim V_AB = dim V_A dim V_B",
-    }
+def local_tomography_check(comp: CompositeSystem) -> Verdict:
+    """Dimension identity that characterizes local tomography; the
+    dimensions are the witness of a HOLDS or the violation of a FAILS."""
+    dims = {"dim_A": comp.dimA, "dim_B": comp.dimB, "dim_AB": comp.dim,
+            "locally_tomographic": comp.dim == comp.dimA * comp.dimB,
+            "criterion": "dim V_AB = dim V_A dim V_B"}
+    if dims["locally_tomographic"]:
+        return Verdict(HOLDS, witness=dims, detail=dims["criterion"])
+    return Verdict(FAILS, violation=dims, detail=dims["criterion"])

@@ -31,6 +31,12 @@ DEFAULT_TOL = 1e-9
 ISO_SAMPLES = 50
 
 
+HOLDS = "holds"
+FAILS = "fails"
+INCONCLUSIVE = "inconclusive"
+UNSUPPORTED = "unsupported"
+
+
 class ConeError(ValueError):
     pass
 
@@ -439,35 +445,40 @@ class PositiveMap:
 
 
 @dataclass
-class IsoVerdict:
-    ok: bool
-    violation: np.ndarray | None = None
-    direction: str = ""
+class Verdict:
+    """A checker's answer: HOLDS, FAILS, INCONCLUSIVE or UNSUPPORTED, with
+    the witness of a HOLDS or violation of a FAILS, a margin and a detail."""
+
+    status: str
+    witness: object = None
+    violation: object = None
+    margin: float = float("nan")
+    detail: str = ""
 
 
 def is_order_isomorphism(pmap: PositiveMap, tol: float = DEFAULT_TOL,
-                         seed: int = 0) -> IsoVerdict:
+                         seed: int = 0) -> Verdict:
+    """A FAILS names its direction and the point that leaves the cone."""
     m = pmap.matrix
     if m.shape[0] != m.shape[1]:
         raise ConeError("order isomorphisms need a square matrix")
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] < 1e-12 * max(sv[0], 1.0):
         kernel = np.linalg.svd(m)[2][-1]
-        return IsoVerdict(False, kernel, "singular")
-    cond = float(sv[0] / sv[-1])
-    inv = np.linalg.inv(m)
+        return Verdict(FAILS, violation={"direction": "singular",
+                                         "point": kernel})
+    slack = tol * max(1.0, float(sv[0] / sv[-1]))
     rng = np.random.default_rng(seed)
-    src = list(pmap.source.cone.generators())
-    src += [pmap.source.cone.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
-    for g in src:
-        if not pmap.target.cone.member(m @ g, tol * max(1.0, cond)):
-            return IsoVerdict(False, g, "forward")
-    tgt = list(pmap.target.cone.generators())
-    tgt += [pmap.target.cone.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
-    for g in tgt:
-        if not pmap.source.cone.member(inv @ g, tol * max(1.0, cond)):
-            return IsoVerdict(False, g, "inverse")
-    return IsoVerdict(True)
+    a, b = pmap.source.cone, pmap.target.cone
+    for direction, t, src, tgt in (("forward", m, a, b),
+                                   ("inverse", np.linalg.inv(m), b, a)):
+        points = list(src.generators())
+        points += [src.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
+        for g in points:
+            if not tgt.member(t @ g, slack):
+                return Verdict(FAILS, violation={"direction": direction,
+                                                 "point": g})
+    return Verdict(HOLDS)
 
 
 def validate_measurement(system: System, effects: list[np.ndarray],

@@ -10,6 +10,7 @@ wall-clock fields unless explicitly requested.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,21 +18,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, axioms, eja
-from .axioms import AxiomVerdict, FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED
 from .composite import (CompositeSystem, LinearImageCone, canonical_self_steering_state,
-                        local_tomography_report, purity_preservation_check,
+                        local_tomography_check, purity_preservation_check,
                         steering_order_iso_check)
-from .cones import (ConeError, EJACone, PolyhedralCone, SharedCornerCone,
-                    System, UnsupportedQuery)
+from .cones import (FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED, ConeError,
+                    EJACone, PolyhedralCone, PositiveMap, SharedCornerCone,
+                    System, UnsupportedQuery, Verdict)
 
 SCHEMA_VERSION = 1
 TOOLKIT_VERSION = __version__
+# the runner's own statuses: the check does not apply; it raised a ConeError
 SKIPPED = "skipped"
-
-ALL_CHECKS = ("self-dual", "weak-self-duality", "spd-self-duality",
-              "homogeneity", "pure-transitivity",
-              "continuous-pure-transitivity", "reducibility",
-              "steering", "purity-preservation", "local-tomography")
+ERROR = "error"
 
 
 @dataclass
@@ -296,102 +294,66 @@ def _sample_interior(system: System, rng) -> np.ndarray:
     raise UnsupportedQuery("no interior sampler for this cone")
 
 
-def run_check(name: str, spec: FixtureSpec, system, tol: float,
-              seed: int) -> dict:
-    """One check on one fixture; returns its result record.
-
-    The payload keeps the verdict's own values (`Fraction`s, tuples,
-    arrays); `run_checks` makes the whole report JSON-ready in one pass."""
-    rng = np.random.default_rng(seed + spec.seed)
-    out = {"check": name, "status": SKIPPED, "detail": "", "payload": None}
-
-    def finish(status, detail="", payload=None, margin=None):
-        out.update(status=status, detail=detail, payload=payload)
-        if margin is not None:
-            out["margin"] = margin
-        return out
-
-    try:
-        if isinstance(system, CompositeSystem):
-            return _composite_check(name, system, tol, rng, finish)
-        cone = system.cone
-        if name == "self-dual":
-            v = axioms.check_self_dual(system, tol=tol,
-                                       seed=seed + spec.seed)
-            return finish(v.status, v.detail, _payload(v), v.margin)
-        if name in ("weak-self-duality", "spd-self-duality"):
-            if not isinstance(cone, PolyhedralCone):
-                return finish(SKIPPED, "bijection searches are polyhedral")
-            search = (axioms.search_weak_self_duality
-                      if name == "weak-self-duality"
-                      else axioms.search_spd_self_duality)
-            v = search(cone)
-            return finish(v.status, v.detail, _payload(v))
-        if name == "homogeneity":
-            pairs, worst = 10, 0.0
-            for _ in range(pairs):
-                rho = _sample_interior(system, rng)
-                sig = _sample_interior(system, rng)
-                pmap = axioms.homogeneity_witness(system, rho, sig, tol)
-                worst = max(worst, float(np.max(np.abs(pmap(rho) - sig))))
-            # a witness that misses sigma is a poor construction, not a
-            # disproof of homogeneity
-            status = HOLDS if worst < 1e-8 else INCONCLUSIVE
-            return finish(status, f"{pairs} interior pairs", None, worst)
-        if name == "pure-transitivity":
-            return _pure_transitivity_check(system, tol, rng, finish)
-        if name == "continuous-pure-transitivity":
-            return _continuous_pt_check(system, tol, rng, finish)
-        if name == "reducibility":
-            if isinstance(cone, EJACone):
-                reducible = len(cone.algebra.summands) > 1
-            elif isinstance(cone, PolyhedralCone):
-                reducible = cone.reducible()
-            else:
-                return finish(UNSUPPORTED, "no splitting test for this cone")
-            return finish(HOLDS if reducible else FAILS,
-                          "direct-sum splitting of the cone")
-        if name in ("steering", "purity-preservation", "local-tomography"):
-            return finish(SKIPPED, "composite-only check")
-        return finish(SKIPPED, f"unknown check '{name}'")
-    except UnsupportedQuery as exc:
-        return finish(UNSUPPORTED, str(exc))
-    except ConeError as exc:
-        return finish(FAILS, f"precondition failure: {exc}")
+_Inputs = namedtuple("_Inputs", "system tol seed rng")
 
 
-def _payload(v: AxiomVerdict):
-    # `run_checks` makes the whole report JSON-ready in one pass
-    return {"witness": v.witness, "violation": v.violation}
+def _composite_self_dual(c: _Inputs) -> Verdict:
+    comp, cone = c.system, c.system.cone
+    if isinstance(cone, LinearImageCone):
+        v = axioms.check_self_dual(
+            System(cone.inner, cone.rot @ comp.unit, comp.label), tol=c.tol)
+        v.detail = "after orthogonal change of coordinates"
+        return v
+    if isinstance(cone, PolyhedralCone):
+        return axioms.check_self_dual(comp, tol=c.tol)
+    return Verdict(SKIPPED, detail="sampled max-tensor membership cannot "
+                                   "settle self-duality")
 
 
-def _pure_transitivity_check(system: System, tol, rng, finish):
-    cone = system.cone
+def _search(cone, search) -> Verdict:
+    if not isinstance(cone, PolyhedralCone):
+        return Verdict(SKIPPED, detail="bijection searches are polyhedral")
+    return search(cone)
+
+
+def _homogeneity(c: _Inputs) -> Verdict:
+    pairs, worst = 10, 0.0
+    for _ in range(pairs):
+        rho = _sample_interior(c.system, c.rng)
+        sig = _sample_interior(c.system, c.rng)
+        pmap = axioms.homogeneity_witness(c.system, rho, sig, c.tol)
+        worst = max(worst, float(np.max(np.abs(pmap(rho) - sig))))
+    # a witness that misses sigma is a poor construction, not a disproof
+    status = HOLDS if worst < 1e-8 else INCONCLUSIVE
+    return Verdict(status, margin=worst, detail=f"{pairs} interior pairs")
+
+
+def _pure_transitivity(c: _Inputs) -> Verdict:
+    system, cone, rng = c.system, c.system.cone, c.rng
     if isinstance(cone, SharedCornerCone):
-        w1 = np.array([0., 1., 0., 0., 0.])
-        w2 = np.array([1., 0., 0., 0., 0.])
-        v = axioms.pure_transitivity_witness(system, w1, w2, tol)
-        return finish(v.status, v.detail, _payload(v))
-    if not isinstance(cone, EJACone):
+        pairs = [(np.array([0., 1., 0., 0., 0.]),
+                  np.array([1., 0., 0., 0., 0.]))]
+    elif isinstance(cone, EJACone):
+        alg = cone.algebra
+        pairs = [(system.sample_pure(rng), system.sample_pure(rng))
+                 for _ in range(5)]
+        if len(alg.summands) > 1:
+            pairs.append((system.normalize(alg.random_pure(rng, summand=0)),
+                          system.normalize(alg.random_pure(rng, summand=1))))
+    else:
         raise UnsupportedQuery("pure transitivity checker needs an EJA or "
                                "shared-corner system")
-    alg = cone.algebra
-    pairs = [(system.sample_pure(rng), system.sample_pure(rng))
-             for _ in range(5)]
-    if len(alg.summands) > 1:
-        pairs.append((system.normalize(alg.random_pure(rng, summand=0)),
-                      system.normalize(alg.random_pure(rng, summand=1))))
     worst = 0.0
     for w1, w2 in pairs:
-        v = axioms.pure_transitivity_witness(system, w1, w2, tol)
+        v = axioms.pure_transitivity_witness(system, w1, w2, c.tol)
         if v.status != HOLDS:
-            return finish(v.status, v.detail, _payload(v))
+            return v
         worst = max(worst, v.margin)
-    return finish(HOLDS, f"{len(pairs)} pure pairs", None, worst)
+    return Verdict(HOLDS, margin=worst, detail=f"{len(pairs)} pure pairs")
 
 
-def _continuous_pt_check(system: System, tol, rng, finish):
-    cone = system.cone
+def _continuous_pt(c: _Inputs) -> Verdict:
+    system, cone, rng = c.system, c.system.cone, c.rng
     if not isinstance(cone, EJACone):
         raise UnsupportedQuery("continuous pure transitivity checker needs "
                                "an EJA system")
@@ -401,46 +363,106 @@ def _continuous_pt_check(system: System, tol, rng, finish):
         w2 = system.normalize(alg.random_pure(rng, summand=1))
     else:
         w1, w2 = system.sample_pure(rng), system.sample_pure(rng)
-    v = axioms.continuous_pure_transitivity(system, w1, w2, steps=16, tol=tol)
-    payload = None if v.status == HOLDS else _payload(v)
-    return finish(v.status, v.detail, payload,
-                  v.margin if v.status == HOLDS else None)
+    return axioms.continuous_pure_transitivity(system, w1, w2, steps=16,
+                                               tol=c.tol)
 
 
-def _composite_check(name, comp: CompositeSystem, tol, rng, finish):
-    if name == "self-dual":
-        cone = comp.cone
-        if isinstance(cone, LinearImageCone):
-            inner_sys = System(cone.inner, cone.rot @ comp.unit, comp.label)
-            v = axioms.check_self_dual(inner_sys, tol=tol)
-            return finish(v.status, "after orthogonal change of coordinates",
-                          _payload(v), v.margin)
-        if isinstance(cone, PolyhedralCone):
-            v = axioms.check_self_dual(comp, tol=tol)
-            return finish(v.status, v.detail, _payload(v), v.margin)
-        return finish(SKIPPED, "sampled max-tensor membership cannot settle "
-                               "self-duality")
-    if name == "steering":
-        try:
-            w = canonical_self_steering_state(comp)
-        except ConeError as exc:
-            return finish(SKIPPED, str(exc))
-        v = steering_order_iso_check(comp, w, tol)
-        return finish(v.status, v.detail, _payload(v), v.margin)
-    if name == "purity-preservation":
-        ok = True
-        for _ in range(10):
-            wa = comp.factorA.sample_pure(rng)
-            wb = comp.factorB.sample_pure(rng)
-            if not purity_preservation_check(comp, wa, wb, tol):
-                ok = False
-                break
-        return finish(HOLDS if ok else FAILS, "10 pure product pairs")
-    if name == "local-tomography":
-        rep = local_tomography_report(comp)
-        return finish(HOLDS if rep["locally_tomographic"] else FAILS,
-                      rep["criterion"], rep)
-    return finish(SKIPPED, "check applies to single systems")
+def _reducibility(c: _Inputs) -> Verdict:
+    cone = c.system.cone
+    if isinstance(cone, EJACone):
+        reducible = len(cone.algebra.summands) > 1
+    elif isinstance(cone, PolyhedralCone):
+        reducible = cone.reducible()
+    else:
+        raise UnsupportedQuery("no splitting test for this cone")
+    return Verdict(HOLDS if reducible else FAILS,
+                   detail="direct-sum splitting of the cone")
+
+
+def _steering(c: _Inputs) -> Verdict:
+    try:
+        w = canonical_self_steering_state(c.system)
+    except ConeError as exc:
+        return Verdict(SKIPPED, detail=str(exc))
+    return steering_order_iso_check(c.system, w, c.tol)
+
+
+def _purity_preservation(c: _Inputs) -> Verdict:
+    comp = c.system
+    preserved = all(purity_preservation_check(
+        comp, comp.factorA.sample_pure(c.rng),
+        comp.factorB.sample_pure(c.rng), c.tol) for _ in range(10))
+    return Verdict(HOLDS if preserved else FAILS,
+                   detail="10 pure product pairs")
+
+
+# check -> (route on a single system, route on a composite, record shape); a
+# missing route skips the check.  The shape is what a decided record carries
+# beside status and detail (README, "File formats").
+CHECKS = {
+    "self-dual": (lambda c: axioms.check_self_dual(c.system, tol=c.tol,
+                                                   seed=c.seed),
+                  _composite_self_dual, "payload+margin"),
+    "weak-self-duality": (
+        lambda c: _search(c.system.cone, axioms.search_weak_self_duality),
+        None, "payload"),
+    "spd-self-duality": (
+        lambda c: _search(c.system.cone, axioms.search_spd_self_duality),
+        None, "payload"),
+    "homogeneity": (_homogeneity, None, "margin"),
+    "pure-transitivity": (_pure_transitivity, None, "margin-if-holds"),
+    "continuous-pure-transitivity": (_continuous_pt, None, "margin-if-holds"),
+    "reducibility": (_reducibility, None, ""),
+    "steering": (None, _steering, "payload+margin"),
+    "purity-preservation": (None, _purity_preservation, ""),
+    "local-tomography": (None, lambda c: local_tomography_check(c.system),
+                         "evidence"),
+}
+ALL_CHECKS = tuple(CHECKS)
+
+
+def run_check(name: str, spec: FixtureSpec, system, tol: float,
+              seed: int) -> dict:
+    """One check on one fixture; returns its report record."""
+    single, composite, _ = CHECKS[name]
+    route = composite if isinstance(system, CompositeSystem) else single
+    seed += spec.seed
+    try:
+        if route is None:
+            v = Verdict(SKIPPED, detail="composite-only check" if composite
+                        else "check applies to single systems")
+        else:
+            v = route(_Inputs(system, tol, seed, np.random.default_rng(seed)))
+    except UnsupportedQuery as exc:
+        v = Verdict(UNSUPPORTED, detail=str(exc))
+    except ConeError as exc:
+        v = Verdict(ERROR, detail=f"precondition failure: {exc}")
+    return _record(name, v, spec.expects.get(name))
+
+
+def _record(name: str, v: Verdict, expected: str | None) -> dict:
+    """A check's report record.  The payload keeps the verdict's own values;
+    `run_checks` makes the whole report JSON-ready in one pass."""
+    if v.status == ERROR:
+        match = False
+    elif expected is None or v.status in (SKIPPED, UNSUPPORTED):
+        match = None
+    else:
+        match = v.status == expected
+    out = {"check": name, "status": v.status, "detail": v.detail,
+           "payload": None, "expected": expected, "match": match}
+    if v.status in (SKIPPED, UNSUPPORTED, ERROR):
+        return out
+    shape = CHECKS[name][2]
+    if shape == "margin-if-holds":
+        shape = "margin" if v.status == HOLDS else "payload"
+    if shape == "evidence":
+        out["payload"] = v.witness if v.status == HOLDS else v.violation
+    elif shape in ("payload", "payload+margin"):
+        out["payload"] = {"witness": v.witness, "violation": v.violation}
+    if shape in ("margin", "payload+margin"):
+        out["margin"] = v.margin
+    return out
 
 
 # -- report assembly ---------------------------------------------------------
@@ -455,18 +477,13 @@ def _jsonable(obj):
         return _jsonable(obj.tolist())
     if isinstance(obj, Fraction):
         return _rat(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, (int, float, str, bool)) or obj is None:
         return obj
-    if hasattr(obj, "matrix"):
-        return {"matrix": _jsonable(np.asarray(obj.matrix))}
-    return repr(obj)
-
-
-NEUTRAL = (SKIPPED, UNSUPPORTED)
+    if isinstance(obj, PositiveMap):
+        return {"matrix": _jsonable(obj.matrix)}
+    raise TypeError(f"cannot write a {type(obj).__name__} into a report")
 
 
 def run_checks(specs: list[FixtureSpec], checks=None, seed: int = 7,
@@ -484,19 +501,8 @@ def run_checks(specs: list[FixtureSpec], checks=None, seed: int = 7,
     def one(spec: FixtureSpec) -> dict:
         t0 = time.monotonic()
         system = build_system(spec, registry)
-        results = []
-        mismatches = []
-        for c in checks:
-            res = run_check(c, spec, system, tol, seed)
-            expected = spec.expects.get(c)
-            res["expected"] = expected
-            if expected is None or res["status"] in NEUTRAL:
-                res["match"] = None
-            else:
-                res["match"] = (res["status"] == expected)
-                if not res["match"]:
-                    mismatches.append(c)
-            results.append(res)
+        results = [run_check(c, spec, system, tol, seed) for c in checks]
+        mismatches = [r["check"] for r in results if r["match"] is False]
         rec = {"fixture": spec.name, "kind": spec.kind,
                "checks": results, "mismatches": mismatches}
         if timings:

@@ -4,6 +4,7 @@ pure transitivity, classical effects."""
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -40,6 +41,10 @@ LATTICE_6 = [[3, 1, 1], [1, 3, 1], [-3, 3, 1], [-4, 0, 1], [-1, -3, 1],
 REGULAR_7 = [[F(math.cos(2 * math.pi * k / 7)).limit_denominator(100),
               F(math.sin(2 * math.pi * k / 7)).limit_denominator(100), F(1)]
              for k in range(7)]
+# The regular 9-gon rounded the same way: one ray over the search cap.
+REGULAR_9 = [[F(math.cos(2 * math.pi * k / 9)).limit_denominator(100),
+              F(math.sin(2 * math.pi * k / 9)).limit_denominator(100), F(1)]
+             for k in range(9)]
 # The cone over a square pyramid, base first: ray 3 = r0 - r1 + r2, so the
 # ray basis is S = [0, 1, 2, 4], not a prefix.  A self-dual polytope.
 PYRAMID = [[1, 0, 0, 1], [0, 1, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1],
@@ -250,9 +255,17 @@ class TestBijectionSearches:
                            for x in facets[perm[i]]]
             assert v.witness["scales"][i] > 0
 
-    def test_cap(self, square_system):
-        with pytest.raises(UnsupportedQuery):
-            axioms.search_spd_self_duality(square_system.cone, cap=3)
+    def test_cap(self):
+        # 9! bijections would take about a minute; the refusal takes one LP
+        # per ray
+        for search in (axioms.search_weak_self_duality,
+                       axioms.search_spd_self_duality):
+            t0 = time.perf_counter()
+            with pytest.raises(UnsupportedQuery,
+                               match=f"9 rays > cap {axioms.SEARCH_CAP}"):
+                search(PolyhedralCone(REGULAR_9))
+            assert time.perf_counter() - t0 < 1.0
+        assert axioms.SEARCH_CAP == 8
 
     @pytest.mark.parametrize("search", [axioms.search_weak_self_duality,
                                         axioms.search_spd_self_duality])
@@ -263,7 +276,7 @@ class TestBijectionSearches:
 
         monkeypatch.setattr(exact.PolyhedralData, "facets", no_facets)
         with pytest.raises(UnsupportedQuery):
-            search(PolyhedralCone(_pentagon()), cap=4)
+            search(PolyhedralCone(REGULAR_9))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthant_weak_holds(self, d):
@@ -571,7 +584,7 @@ class TestPureTransitivity:
         v = axioms.pure_transitivity_witness(qubit, w1, w2)
         assert v.status == HOLDS
         assert np.max(np.abs(v.witness(w1) - w2)) < 1e-9
-        assert is_order_isomorphism(v.witness, seed=2).ok
+        assert is_order_isomorphism(v.witness, seed=2).status == HOLDS
         assert v.witness.check_normalized()
 
     def test_cross_isomorphic_summands(self, rng):
@@ -583,7 +596,7 @@ class TestPureTransitivity:
         v = axioms.pure_transitivity_witness(system, w1, w2)
         assert v.status == HOLDS
         assert np.max(np.abs(v.witness(w1) - w2)) < 1e-9
-        assert is_order_isomorphism(v.witness, seed=2).ok
+        assert is_order_isomorphism(v.witness, seed=2).status == HOLDS
 
     def test_non_isomorphic_summands(self, rng):
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],

@@ -2,18 +2,27 @@
 
 import hashlib
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conelab import fixtures
+from conelab import axioms, fixtures
 from conelab.cli import main
 from conelab.cones import ConeError
 
 # sha256 of `conelab check --seed 11` over the builtin registry
 REPORT_SEED_11_SHA256 = (
     "9ea48796c323baecc47078107c8b8a65cc08c86c07d763d1fa40758f67ebf9be")
+
+# sha256 of `run_checks(wider_registry(), seed=7)`, as JSON the way the CLI
+# writes it and as `report_text`; recorded before the runner read one
+# verdict record.
+WIDER_SEED_7_JSON_SHA256 = (
+    "ed7c96d0543a97bfb14b7c410b0e95276dd4f5b5d992fbd947a7ffdd4fd59daf")
+WIDER_SEED_7_TEXT_SHA256 = (
+    "4fa3c36a0a114e2d4d27b2fb7cd01d1b90c8bc3e09aad45114e7737c5cdd0a5f")
 
 # The benchmark's record of the seed-7 report; read here, owned there.
 BENCHMARK_EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
@@ -28,6 +37,27 @@ def small_registry() -> str:
     specs = [s for s in fixtures.builtin_fixtures()
              if s.name in ("qubit", "square-cone", "classical-simplex-2")]
     return fixtures.registry_to_json(specs)
+
+
+def wider_registry() -> list[fixtures.FixtureSpec]:
+    """Five builtin fixtures, a lattice hexagon with no invertible
+    ray-to-facet map, and three max-tensor composites."""
+    keep = ("real-sym-2", "qubit", "classical-simplex-2", "square-cone",
+            "shared-corner")
+    specs = [s for s in fixtures.builtin_fixtures() if s.name in keep]
+    hexagon = [(4, 1), (2, 3), (-2, 3), (-4, 0), (-2, -3), (3, -3)]
+    specs.append(fixtures.FixtureSpec(
+        "hexagon", "polyhedral",
+        {"generators": [[F(x), F(y), F(1)] for x, y in hexagon],
+         "unit": ["0", "0", "1"]}, seed=14))
+    for i, (name, a, b) in enumerate((
+            ("max-rebit-rebit", "real-sym-2", "real-sym-2"),
+            ("max-square-qubit", "square-cone", "qubit"),
+            ("max-corner-bit", "shared-corner", "classical-simplex-2"))):
+        specs.append(fixtures.FixtureSpec(
+            name, "composite", {"model": "max", "factorA": a, "factorB": b},
+            seed=15 + i))
+    return specs
 
 
 class TestRegistry:
@@ -126,6 +156,53 @@ class TestCheckCommand:
         text = result.stdout_bytes.decode("utf-8")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == pinned["report_sha256"]
+
+    def test_wider_report_digest_pinned(self):
+        # every record shape: self-dual and steering payload and margin,
+        # search payloads (the hexagon's weak FAILS is all null), PT margins
+        # and payloads, homogeneity margins, local tomography reports, and
+        # skipped and unsupported records with neither
+        report = fixtures.run_checks(wider_registry(), seed=7)
+        records = {(f["fixture"], r["check"]): r
+                   for f in report["fixtures"] for r in f["checks"]}
+        weak = records["hexagon", "weak-self-duality"]
+        assert weak["status"] == "fails"
+        assert weak["payload"] == {"witness": None, "violation": None}
+        purity = [records[f"max-{pair}", "purity-preservation"]
+                  for pair in ("square-qubit", "corner-bit")]
+        assert [r["status"] for r in purity] == ["unsupported"] * 2
+        assert purity[0]["detail"] != purity[1]["detail"]
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == WIDER_SEED_7_JSON_SHA256
+        assert hashlib.sha256(fixtures.report_text(report).encode()) \
+            .hexdigest() == WIDER_SEED_7_TEXT_SHA256
+
+    @pytest.mark.parametrize("declared", ["fails", "error"])
+    def test_cone_error_is_an_error_that_never_matches(
+            self, runner, tmp_path, monkeypatch, declared):
+        # a check that raises is neither a FAILS nor neutral
+        def broken(*args, **kwargs):
+            raise ConeError("numerical breakdown")
+
+        monkeypatch.setattr(axioms, "check_self_dual", broken)
+        specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]
+        specs[0].expects = {"self-dual": declared}
+        reg = tmp_path / "reg.json"
+        reg.write_text(fixtures.registry_to_json(specs))
+        result = runner.invoke(main, ["check", "--registry", str(reg),
+                                      "--checks", "self-dual"])
+        assert result.exit_code == 1
+        record = json.loads(result.output)["fixtures"][0]["checks"][0]
+        assert record["status"] == "error"
+        assert record["detail"] == "precondition failure: numerical breakdown"
+        assert record["match"] is False
+        assert record["payload"] is None and "margin" not in record
+
+    def test_report_refuses_values_it_cannot_write(self):
+        # a repr could carry a memory address into a byte-stable report
+        with pytest.raises(TypeError, match="object"):
+            fixtures._jsonable({"payload": {"witness": object()}})
 
     def test_expectation_mismatch_exit_one(self, runner, tmp_path):
         specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]

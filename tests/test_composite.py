@@ -436,7 +436,9 @@ class TestPureMarginalLemma:
 
 def test_local_tomography(two_qubit, bit_bit, min_square, max_rebit):
     for comp in (two_qubit, bit_bit, min_square, max_rebit):
-        rep = cp.local_tomography_report(comp)
+        v = cp.local_tomography_check(comp)
+        assert v.status == HOLDS
+        rep = v.witness
         assert rep["locally_tomographic"]
         assert rep["dim_AB"] == rep["dim_A"] * rep["dim_B"]
 

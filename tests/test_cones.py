@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import composite, eja, fixtures
-from conelab.axioms import UNSUPPORTED
-from conelab.cones import (DEFAULT_TOL, EJACone, PolyhedralCone, PositiveMap,
-                           SharedCornerCone, System, UnsupportedQuery,
+from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, UNSUPPORTED, EJACone,
+                           PolyhedralCone, PositiveMap, SharedCornerCone,
+                           System, UnsupportedQuery,
                            face_dimension, is_extremal_ray,
                            is_order_isomorphism, two_sided_probe,
                            validate_measurement)
@@ -259,16 +259,16 @@ class TestOrderIso:
         # transpose flips the sign of the imaginary coordinate
         t = np.diag([1.0, 1.0, 1.0, -1.0])
         pmap = PositiveMap(t, qubit, qubit)
-        assert is_order_isomorphism(pmap, seed=1).ok
+        assert is_order_isomorphism(pmap, seed=1).status == HOLDS
 
     def test_classical_shear_rejected(self):
         sys2 = make_eja_system(eja.classical(2), "bits")
         shear = np.array([[1.0, 0.0], [1.0, 1.0]])
         pmap = PositiveMap(shear, sys2, sys2)
         verdict = is_order_isomorphism(pmap, seed=1)
-        assert not verdict.ok
-        assert verdict.direction == "inverse"
-        assert np.allclose(verdict.violation, [1.0, 0.0])
+        assert verdict.status == FAILS
+        assert verdict.violation["direction"] == "inverse"
+        assert np.allclose(verdict.violation["point"], [1.0, 0.0])
 
 
 class TestMeasurements:

@@ -1,6 +1,6 @@
 """Every import in the package and its tests is used, every parameter of a
-package function is read, and every package function has a caller in the
-package.
+package function is read, every package function has a caller in the
+package, and every field of a package dataclass is read in the package.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
@@ -11,7 +11,8 @@ A module-level function or a method is called when its name appears, as a
 name or as an attribute, in the package outside its own body.  A
 `self.<name>` reference counts only for the methods its class can dispatch
 to: its own, its ancestors' and its descendants'.  Dunder methods and the
-entry points in `ENTRY_POINTS` are exempt.
+entry points in `ENTRY_POINTS` are exempt.  A dataclass field is read when
+its name is loaded as an attribute, `x.<field>`, anywhere in the package.
 """
 
 import ast
@@ -203,3 +204,47 @@ def test_scan_resolves_self_calls_to_their_class():
                      "class C(A):\n    def g(self):\n        return 3\n"),
                "b": "from a import A\nA().f()\n"}
     assert uncalled_functions(sources) == [("a", "B.g")]
+
+
+def unread_dataclass_fields(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, "Class.field") for each field of a `@dataclass` class whose
+    name nothing loads as an attribute.  Matched by name, as the caller
+    scan matches methods: any `x.<field>` read keeps every field of that
+    name."""
+    def is_dataclass(decorator) -> bool:
+        f = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return "dataclass" in (getattr(f, "id", None), getattr(f, "attr", None))
+
+    fields, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    is_dataclass(d) for d in node.decorator_list):
+                fields += [(module, node.name, f.target.id) for f in node.body
+                           if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((module, f"{cls}.{name}") for module, cls, name in fields
+                  if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_dataclass_fields(sources) == []
+
+
+def test_scan_flags_an_unread_field():
+    sources = {"a": ("from dataclasses import dataclass\n"
+                     "import dataclasses\n"
+                     "@dataclass\nclass V:\n    status: str\n"
+                     "    axiom: str = ''\n    kind: int = 0\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass W:\n"
+                     "    label: str\n"
+                     "class Plain:\n    note: str\n"),
+               "b": ("def f(v, w):\n    w.label = v.status\n"
+                     "    return v.kind\n")}
+    # a store is not a read, and only dataclasses are scanned
+    assert unread_dataclass_fields(sources) == [("a", "V.axiom"),
+                                                ("a", "W.label")]
