@@ -113,7 +113,8 @@ def classify_cmd(procedure, max_rank, num_summands, out, fmt):
 @click.option("--fixture", default="two-qubit-hilbert", show_default=True,
               help="A composite fixture from the registry.")
 @click.option("--registry", type=click.Path(exists=True), default=None)
-@click.option("--parts", type=int, default=3, show_default=True)
+@click.option("--parts", type=click.IntRange(min=1), default=3,
+              show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -143,7 +144,7 @@ def steer_cmd(fixture, registry, parts, seed, out, fmt):
         payload = {"fixture": fixture, "result": result}
         residual = None
     else:
-        residual = max(float(np.max(np.abs(cmap(e) - t)))
+        residual = max(float(np.max(np.abs(cmap @ e - t)))
                        for e, t in zip(result, ensemble))
         payload = {
             "fixture": fixture, "result": "measurement", "parts": parts,

@@ -8,12 +8,10 @@ with a product functional eA (x) eB is eA^T M eB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import exact
 from .cones import (DEFAULT_TOL, FAILS, HOLDS, ConeError, ConeModel,
                     EJACone, PolyhedralCone, PositiveMap, System,
                     UnsupportedQuery, Verdict, face_dimension,
@@ -238,128 +236,49 @@ def marginal_of(comp: CompositeSystem, wab: np.ndarray, side: str) -> np.ndarray
     raise ConeError("side must be 'A' or 'B'")
 
 
-@dataclass
-class ConditioningMap:
-    """e on A  |->  sub-normalized conditional state of B."""
-    matrix: np.ndarray
-
-    def __call__(self, e: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(e, dtype=float)
-
-
-def conditioning_map(comp: CompositeSystem, wab: np.ndarray) -> ConditioningMap:
-    wab = np.asarray(wab, dtype=float)
-    m = wab.reshape(comp.dimA, comp.dimB)
-    cmap = ConditioningMap(m.T.copy())
-    lhs = cmap(comp.factorA.unit)
-    rhs = marginal_of(comp, wab, "B")
-    if np.max(np.abs(lhs - rhs)) > 0:
-        raise ConeError("conditioning map fails the marginal identity")
-    return cmap
+def conditioning_map(comp: CompositeSystem, wab: np.ndarray) -> np.ndarray:
+    """The dimB x dimA matrix taking an effect e on A to the sub-normalized
+    conditional state of B; it takes the A unit to the B marginal."""
+    m = np.asarray(wab, dtype=float).reshape(comp.dimA, comp.dimB)
+    return m.T.copy()
 
 
 INFEASIBLE = "infeasible"
 
 
-def steer(comp: CompositeSystem, wab: np.ndarray, ensemble: list[np.ndarray],
-          tol: float = 1e-8):
-    """Measurement on A whose conditional states realize the ensemble, the
-    string 'infeasible' when none exists, or UnsupportedQuery when this
-    solver cannot decide."""
+def steer(comp: CompositeSystem, wab: np.ndarray, ensemble: list[np.ndarray]):
+    """Measurement on A whose conditional states realize the ensemble, or the
+    string 'infeasible' when none exists.
+
+    An invertible conditioning map leaves one candidate effect per target,
+    its preimage: the answer is that measurement, or 'infeasible' when it
+    fails `validate_measurement`.  A singular map is answered 'infeasible'
+    when some target lies off its range (least-squares residual above
+    1e-8); with every target in range it raises UnsupportedQuery."""
     wab = np.asarray(wab, dtype=float)
     cmap = conditioning_map(comp, wab)
     wb = marginal_of(comp, wab, "B")
     ens = [np.asarray(w, dtype=float) for w in ensemble]
     for w in ens:
-        if not comp.factorB.cone.member(w, max(tol, 1e-8)):
+        if not comp.factorB.cone.member(w, 1e-8):
             raise ConeError("ensemble member outside the B cone")
-    if np.max(np.abs(sum(ens) - wb)) > tol:
+    if np.max(np.abs(sum(ens) - wb)) > 1e-8:
         raise ConeError("ensemble does not sum to the B marginal")
 
-    mt = cmap.matrix  # dimB x dimA
-    # image check: targets outside the range of the conditioning map are
-    # unreachable regardless of effect constraints
-    for w in ens:
-        sol, res, *_ = np.linalg.lstsq(mt, w, rcond=None)
-        if np.max(np.abs(mt @ sol - w)) > max(tol, 1e-8):
-            return INFEASIBLE
-
     if comp.dimA == comp.dimB and \
-            np.linalg.matrix_rank(mt, tol=1e-10) == comp.dimA:
-        inv = np.linalg.inv(mt)
+            np.linalg.matrix_rank(cmap, tol=1e-10) == comp.dimA:
+        inv = np.linalg.inv(cmap)
         effects = [inv @ w for w in ens]
-        if validate_measurement(comp.factorA, effects, max(tol, 1e-8)):
+        if validate_measurement(comp.factorA, effects, 1e-8):
             return effects
         return INFEASIBLE
-
-    ca = comp.factorA.cone
-    if isinstance(ca, PolyhedralCone):
-        return _steer_lp(comp, mt, ens)
-    raise UnsupportedQuery("solver unsupported for singular conditioning "
-                           "maps over non-polyhedral factors")
-
-
-def _steer_lp(comp: CompositeSystem, mt: np.ndarray, ens):
-    """Exact feasibility over effect coordinates: each effect is a nonnegative
-    combination of A facet normals, effects sum to the unit.
-
-    Floats are read as fractions with denominator at most 10^9.  An
-    infeasible LP is answered 'infeasible' only when that reading is
-    faithful: each fraction reads back as its float, and the ensemble sums
-    exactly to the conditioned unit M u_A, a necessary condition of
-    feasibility that `steer` tests in floats within tol.  Otherwise the
-    infeasibility may come from the reading, and UnsupportedQuery is raised.
-    """
-    ca: PolyhedralCone = comp.factorA.cone
-    facets = ca.data.facets()
-    nf = len(facets)
-    k = len(ens)
-    da, db = comp.dimA, comp.dimB
-    rounded = False
-
-    def frac(x):
-        nonlocal rounded
-        near = Fraction(float(x)).limit_denominator(10**9)
-        rounded = rounded or float(near) != float(x)
-        return near
-
-    mt_x = [[frac(mt[i, j]) for j in range(da)] for i in range(db)]
-    ens_x = [[frac(v) for v in w] for w in ens]
-    unit_x = [frac(v) for v in comp.factorA.unit]
-    fmat = [[facets[j][i] for j in range(nf)] for i in range(da)]  # da x nf
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for idx, w in enumerate(ens_x):
-        for i in range(db):
-            row = [Fraction(0)] * (nf * k)
-            for j in range(nf):
-                row[idx * nf + j] = sum(
-                    (mt_x[i][a] * facets[j][a] for a in range(da)),
-                    Fraction(0))
-            rows.append(row)
-            rhs.append(w[i])
-    for a in range(da):
-        row = [Fraction(0)] * (nf * k)
-        for idx in range(k):
-            for j in range(nf):
-                row[idx * nf + j] = fmat[a][j]
-        rows.append(row)
-        rhs.append(unit_x[a])
-    sol = exact.feasible_nonneg(rows, rhs)
-    if sol is None:
-        marginal = [sum(w[i] for w in ens_x) for i in range(db)]
-        if rounded or marginal != exact.mat_vec(mt_x, unit_x):
-            raise UnsupportedQuery("the LP of the inputs read as fractions is "
-                                   "infeasible, but the reading is not "
-                                   "faithful to the floats")
-        return INFEASIBLE
-    effects = []
-    for idx in range(k):
-        e = np.zeros(da)
-        for j, (f, _) in enumerate(ca.float_facets()):
-            e += float(sol[idx * nf + j]) * f
-        effects.append(e)
-    return effects
+    # range certificate: a target off the image has no preimage at all
+    for w in ens:
+        sol = np.linalg.lstsq(cmap, w, rcond=None)[0]
+        if np.max(np.abs(cmap @ sol - w)) > 1e-8:
+            return INFEASIBLE
+    raise UnsupportedQuery("singular conditioning map with every target in "
+                           "its range")
 
 
 # ensembles a steering verdict spot-verifies, and the seed of all its samples
@@ -377,11 +296,11 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
     if comp.factorB.cone.margin(wb) <= tol:
         raise ConeError("steering check requires an interior B marginal")
     cmap = conditioning_map(comp, wab)
-    rank = int(np.linalg.matrix_rank(cmap.matrix, tol=1e-10))
+    rank = int(np.linalg.matrix_rank(cmap, tol=1e-10))
     if rank < comp.dimA:
         return Verdict(FAILS, violation={"rank": rank, "needed": comp.dimA},
                        detail="conditioning map is not injective")
-    pmap = PositiveMap(cmap.matrix, comp.factorA, comp.factorB)
+    pmap = PositiveMap(cmap, comp.factorA, comp.factorB)
     verdict = is_order_isomorphism(pmap, tol=tol, seed=SPOT_SEED)
     if verdict.status != HOLDS:
         return verdict
@@ -389,12 +308,12 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
     worst = 0.0
     for _ in range(SPOT_ENSEMBLES):
         ens = random_ensemble(comp.factorB, wb, 3, rng)
-        effects = steer(comp, wab, ens, tol=1e-8)
+        effects = steer(comp, wab, ens)
         if effects == INFEASIBLE:
             return Verdict(FAILS, violation={"ensemble": ens},
                            detail="spot ensemble not steerable")
         for e, w in zip(effects, ens):
-            worst = max(worst, float(np.max(np.abs(cmap(e) - w))))
+            worst = max(worst, float(np.max(np.abs(cmap @ e - w))))
     return Verdict(
         HOLDS, witness=pmap, margin=worst,
         detail="injective conditioning map with interior marginal is an "

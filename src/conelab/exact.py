@@ -11,7 +11,8 @@ that verdicts on polyhedral fixtures are exact, not floating point.
 A polyhedral cone's facets come from the double-description method
 (Motzkin et al. 1953; Fukuda & Prodon 1996), ordered by the pivot columns
 of their tight rays, and membership is read off that H-description.  The
-simplex stays in production for pointedness, extremality and steering only.
+simplex stays in production for pointedness, extremality and the bijection
+searches' positive scales only.
 """
 
 from __future__ import annotations

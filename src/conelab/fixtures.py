@@ -83,6 +83,7 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
         raise ConeError(f"registry parse error: {exc}") from exc
     specs = []
     names = set()
+    statuses = (HOLDS, FAILS, INCONCLUSIVE, UNSUPPORTED, SKIPPED, ERROR)
     for i, f in enumerate(obj.get("fixtures", [])):
         for key in ("name", "kind"):
             if key not in f:
@@ -93,7 +94,17 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
         if f["name"] in names:
             raise ConeError(f"duplicate fixture name '{f['name']}'")
         names.add(f["name"])
-        specs.append(spec_from_json(f))
+        spec = spec_from_json(f)
+        bad = [f"expects unknown check '{k}' (allowed: "
+               f"{', '.join(ALL_CHECKS)})"
+               for k in spec.expects if k not in ALL_CHECKS]
+        bad += [f"expects unknown status '{v}' for '{k}' (allowed: "
+                f"{', '.join(statuses)})"
+                for k, v in spec.expects.items() if v not in statuses]
+        if bad:
+            raise ConeError(f"registry fixture '{spec.name}': "
+                            + "; ".join(bad))
+        specs.append(spec)
     for s in specs:
         if s.kind == "composite":
             for ref in (s.params.get("factorA"), s.params.get("factorB")):

@@ -27,7 +27,10 @@ splits of the extremal rays instead of matroid components, and
 `self_dual_by_solves` pairs every two rays and solves one system per facet
 instead of sharing G r_i and G^-1.  `pairing_minimum_rebuilding_facets`
 converts the facet normals to floats for every max-tensor dual sample
-instead of reading the cone's cached copy.  The tests compare the routes.
+instead of reading the cone's cached copy.  `steer_by_lp` decides steering
+over a polyhedral A factor by an exact LP in effect coordinates, singular
+conditioning maps included, where `composite.steer` inverts an invertible
+map.  The tests compare the routes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from conelab import exact
 from conelab.axioms import FAILS, HOLDS
-from conelab.composite import MaxTensorCone
+from conelab.composite import INFEASIBLE, MaxTensorCone, conditioning_map
 from conelab.cones import PolyhedralCone, UnsupportedQuery
 
 
@@ -394,3 +397,60 @@ def pairing_minimum_rebuilding_facets(comp, x) -> float:
         f = dual_sample(comp.factorB.cone, rng)
         best = min(best, float(e @ m @ f))
     return best
+
+
+def steer_by_lp(comp, wab, ensemble):
+    """Steering over a polyhedral A factor as an exact LP in effect
+    coordinates: each effect is a nonnegative combination of A facet
+    normals, the conditioning map takes it to its target, and the effects
+    sum to the unit.  It decides singular conditioning maps, where
+    `composite.steer` answers only off-range targets.
+
+    Floats are read as fractions with denominator at most 10^9.  An
+    infeasible LP is answered 'infeasible' only when that reading is
+    faithful: each fraction reads back as its float, and the ensemble sums
+    exactly to the conditioned unit M u_A.  Otherwise the infeasibility may
+    come from the reading, and UnsupportedQuery is raised.
+    """
+    mt = conditioning_map(comp, wab)
+    ca: PolyhedralCone = comp.factorA.cone
+    facets = ca.data.facets()
+    nf = len(facets)
+    k = len(ensemble)
+    da, db = comp.dimA, comp.dimB
+    rounded = False
+
+    def frac(x):
+        nonlocal rounded
+        near = Fraction(float(x)).limit_denominator(10**9)
+        rounded = rounded or float(near) != float(x)
+        return near
+
+    mt_x = [[frac(mt[i, j]) for j in range(da)] for i in range(db)]
+    ens_x = [[frac(v) for v in w] for w in ensemble]
+    unit_x = [frac(v) for v in comp.factorA.unit]
+    rows: list[exact.Row] = []
+    rhs: exact.Row = []
+    for idx, w in enumerate(ens_x):
+        for i in range(db):
+            row = [Fraction(0)] * (nf * k)
+            for j in range(nf):
+                row[idx * nf + j] = sum(
+                    (mt_x[i][a] * facets[j][a] for a in range(da)),
+                    Fraction(0))
+            rows.append(row)
+            rhs.append(w[i])
+    for a in range(da):
+        rows.append([facets[j][a] for _ in range(k) for j in range(nf)])
+        rhs.append(unit_x[a])
+    sol = exact.feasible_nonneg(rows, rhs)
+    if sol is None:
+        marginal = [sum(w[i] for w in ens_x) for i in range(db)]
+        if rounded or marginal != exact.mat_vec(mt_x, unit_x):
+            raise UnsupportedQuery("the LP of the inputs read as fractions is "
+                                   "infeasible, but the reading is not "
+                                   "faithful to the floats")
+        return INFEASIBLE
+    return [sum(float(sol[idx * nf + j]) * f
+                for j, (f, _) in enumerate(ca.float_facets()))
+            for idx in range(k)]

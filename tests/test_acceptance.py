@@ -187,7 +187,7 @@ def test_criterion_7_steering_suite():
             assert not isinstance(effects, str)
             assert validate_measurement(two_qubit.factorA, effects, 1e-8)
             for e, t in zip(effects, ens):
-                assert np.max(np.abs(cmap(e) - t)) < 1e-8
+                assert np.max(np.abs(cmap @ e - t)) < 1e-8
         half = np.array([0.5, 0.5, 0.0, 0.0])
         prod = two_qubit.product_state(half, half)
         ens = cp.random_ensemble(two_qubit.factorB, wb, 2, rng)

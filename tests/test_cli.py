@@ -111,6 +111,24 @@ class TestRegistry:
                  "params": {"model": "hilbert", "factorA": "a",
                             "factorB": "b"}}]}))
 
+    def test_mistyped_expectations_rejected(self, runner, tmp_path):
+        # a mistyped check name would never be compared, and a mistyped
+        # status would only mismatch
+        specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]
+        specs[0].expects = {"self_dual": "fails", "reducibility": "hold"}
+        text = fixtures.registry_to_json(specs)
+        with pytest.raises(ConeError, match="fixture 'qubit'"):
+            fixtures.registry_from_json(text)
+        reg = tmp_path / "typo.json"
+        reg.write_text(text)
+        result = runner.invoke(main, ["check", "--registry", str(reg),
+                                      "--checks", "self-dual,reducibility"])
+        assert result.exit_code == 1
+        error = next(line for line in result.output.splitlines()
+                     if line.startswith("Error:"))
+        assert "'self_dual'" in error and "'hold'" in error
+        assert "self-dual" in error and "holds" in error
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ConeError, match="unknown check"):
             fixtures.run_checks(fixtures.builtin_fixtures()[:1],
@@ -304,6 +322,13 @@ class TestOtherCommands:
         obj = json.loads(result.output)
         assert obj["result"] == "measurement"
         assert obj["residual"] < 1e-8
+
+    @pytest.mark.parametrize("parts", ["0", "-3"])
+    def test_steer_needs_a_positive_part_count(self, runner, parts):
+        result = runner.invoke(main, ["steer", "--parts", parts,
+                                      "--format", "json"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--parts'" in result.output
 
     def test_steer_non_composite_rejected(self, runner):
         result = runner.invoke(main, ["steer", "--fixture", "qubit"])

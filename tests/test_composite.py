@@ -15,7 +15,8 @@ from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          pure_effect_minimizing_by_spectral)
 from helpers import product_effect, sample_state
 from polyhedral_oracles import (extremal_by_lp,
-                                pairing_minimum_rebuilding_facets)
+                                pairing_minimum_rebuilding_facets,
+                                steer_by_lp)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 # the normalized pure states of the square, and its maximally mixed state
@@ -103,7 +104,7 @@ class TestMarginals:
         for _ in range(100):
             w = sample_state(two_qubit, rng)
             cmap = cp.conditioning_map(two_qubit, w)
-            assert np.array_equal(cmap(two_qubit.factorA.unit),
+            assert np.array_equal(cmap @ two_qubit.factorA.unit,
                                   cp.marginal_of(two_qubit, w, "B"))
 
     def test_conditioning_positivity(self, two_qubit, rng):
@@ -111,25 +112,25 @@ class TestMarginals:
         cmap = cp.conditioning_map(two_qubit, w)
         for _ in range(20):
             e = two_qubit.factorA.sample_pure(rng)  # pure effects = pure states
-            assert two_qubit.factorB.cone.member(cmap(e), 1e-9)
+            assert two_qubit.factorB.cone.member(cmap @ e, 1e-9)
 
     def test_maximally_entangled_is_scaled_transpose(self, two_qubit):
         ment = cp.canonical_self_steering_state(two_qubit)
         cmap = cp.conditioning_map(two_qubit, ment)
         # the transpose flips the imaginary coordinate in this basis
-        assert np.allclose(cmap.matrix, np.diag([0.5, 0.5, 0.5, -0.5]))
+        assert np.allclose(cmap, np.diag([0.5, 0.5, 0.5, -0.5]))
 
     def test_classical_correlated_is_scaled_identity(self, bit_bit):
         w = cp.canonical_self_steering_state(bit_bit)
         cmap = cp.conditioning_map(bit_bit, w)
-        assert np.allclose(cmap.matrix, 0.5 * np.eye(2))
+        assert np.allclose(cmap, 0.5 * np.eye(2))
 
     def test_product_conditioning_rank_one(self, two_qubit, rng):
         wa = two_qubit.factorA.sample_pure(rng)
         wb = two_qubit.factorB.sample_pure(rng)
         cmap = cp.conditioning_map(two_qubit,
                                    two_qubit.product_state(wa, wb))
-        assert np.linalg.matrix_rank(cmap.matrix, tol=1e-10) == 1
+        assert np.linalg.matrix_rank(cmap, tol=1e-10) == 1
 
 
 class TestSteering:
@@ -152,7 +153,7 @@ class TestSteering:
             from conelab.cones import validate_measurement
             assert validate_measurement(two_qubit.factorA, effects, 1e-8)
             for e, t in zip(effects, ens):
-                assert np.max(np.abs(cmap(e) - t)) < 1e-8
+                assert np.max(np.abs(cmap @ e - t)) < 1e-8
 
     def test_product_state_infeasible(self, two_qubit, rng):
         wb = np.array([0.5, 0.5, 0.0, 0.0])
@@ -188,17 +189,21 @@ class TestSteering:
 
 
 class TestSteeringLP:
-    """Singular conditioning maps over a polyhedral A factor go to the exact
-    LP in effect coordinates."""
+    """The exact LP in effect coordinates, `steer_by_lp`, decides singular
+    conditioning maps over a polyhedral A factor; production `steer`
+    certifies only off-range targets there and answers in-range ones
+    UNSUPPORTED."""
 
     def _steered(self, comp, w, ens):
-        effects = cp.steer(comp, w, ens)
+        effects = steer_by_lp(comp, w, ens)
         assert not isinstance(effects, str)
         assert validate_measurement(comp.factorA, effects, 1e-8)
         assert np.max(np.abs(sum(effects) - comp.factorA.unit)) < 1e-12
         cmap = cp.conditioning_map(comp, w)
         for e, t in zip(effects, ens):
-            assert np.max(np.abs(cmap(e) - t)) < 1e-8
+            assert np.max(np.abs(cmap @ e - t)) < 1e-8
+        with pytest.raises(UnsupportedQuery):
+            cp.steer(comp, w, ens)
         return effects
 
     def test_product_state_splits_its_marginal(self, min_square):
@@ -212,7 +217,9 @@ class TestSteeringLP:
 
     def test_ensemble_outside_the_range(self, min_square):
         w = min_square.product_state(V1, CENTER)
-        assert cp.steer(min_square, w, [0.5 * V2, 0.5 * V4]) == cp.INFEASIBLE
+        ens = [0.5 * V2, 0.5 * V4]
+        assert steer_by_lp(min_square, w, ens) == cp.INFEASIBLE
+        assert cp.steer(min_square, w, ens) == cp.INFEASIBLE
 
     def test_infeasible_in_the_range(self, min_square):
         # the ensemble would need a measurement telling V1, V2 and V3 apart
@@ -221,9 +228,11 @@ class TestSteeringLP:
              + min_square.product_state(V2, V3)
              + min_square.product_state(V3, CENTER)) / 3
         ens = [V1 / 3, V3 / 3, CENTER / 3]
-        assert np.linalg.matrix_rank(cp.conditioning_map(min_square, w).matrix,
+        assert np.linalg.matrix_rank(cp.conditioning_map(min_square, w),
                                      tol=1e-10) == 2
-        assert cp.steer(min_square, w, ens) == cp.INFEASIBLE
+        assert steer_by_lp(min_square, w, ens) == cp.INFEASIBLE
+        with pytest.raises(UnsupportedQuery):
+            cp.steer(min_square, w, ens)
 
     def test_rounded_mixtures_are_never_infeasible(self, min_square):
         # wa, wb: Dirichlet mixtures of the square's pure states.  The
@@ -238,7 +247,8 @@ class TestSteeringLP:
             lam = rng.random()
             w = min_square.product_state(wa, wb)
             try:
-                effects = cp.steer(min_square, w, [lam * wb, (1 - lam) * wb])
+                effects = steer_by_lp(min_square, w,
+                                      [lam * wb, (1 - lam) * wb])
             except UnsupportedQuery:
                 outcomes.append("unsupported")
                 continue
@@ -254,7 +264,55 @@ class TestSteeringLP:
              + min_square.product_state(V3, CENTER)) / 3
         ens = [V1 / 3 + 1e-13, V3 / 3, CENTER / 3 - 1e-13]
         with pytest.raises(UnsupportedQuery):
-            cp.steer(min_square, w, ens)
+            steer_by_lp(min_square, w, ens)
+
+
+class TestSteeringRoutesAgree:
+    """On invertible conditioning maps the closed form `steer` and the LP
+    oracle `steer_by_lp` give the same answer."""
+
+    @staticmethod
+    def _agree(comp, w, ens):
+        by_inverse = cp.steer(comp, w, ens)
+        by_lp = steer_by_lp(comp, w, ens)
+        if isinstance(by_inverse, str) or isinstance(by_lp, str):
+            assert by_inverse == by_lp
+            return by_inverse
+        assert len(by_inverse) == len(by_lp) == len(ens)
+        for a, b in zip(by_inverse, by_lp):
+            assert np.max(np.abs(a - b)) < 1e-12
+        return by_inverse
+
+    def test_classical_bit_bit(self, bit_bit):
+        # the LP needs a polyhedral A factor: the min composite of two
+        # polyhedral bits has the classical composite's cone, coordinates
+        # and unit, so both take the classical canonical state as it is
+        pbit = System(PolyhedralCone([[1, 0], [0, 1]]), np.ones(2), "pbit")
+        poly = cp.CompositeSystem(pbit, pbit, cp.MIN_TENSOR)
+        w = cp.canonical_self_steering_state(bit_bit)
+        for ens, expect in (
+                ([np.array([0.5, 0.0]), np.array([0.0, 0.5])],
+                 [[1.0, 0.0], [0.0, 1.0]]),
+                ([np.array([0.3, 0.1]), np.array([0.2, 0.4])],
+                 [[0.6, 0.2], [0.4, 0.8]])):
+            effects = self._agree(poly, w, ens)
+            assert np.max(np.abs(np.array(effects) - expect)) < 1e-12
+            classical = cp.steer(bit_bit, w, ens)
+            assert np.array_equal(np.array(classical), np.array(effects))
+
+    def test_min_square_square(self, min_square):
+        w = (min_square.product_state(V1, V1)
+             + min_square.product_state(V2, V2)
+             + min_square.product_state(V3, V3)) / 3
+        assert np.linalg.matrix_rank(cp.conditioning_map(min_square, w),
+                                     tol=1e-10) == 3
+        # a perfect three-outcome measurement, which the square lacks
+        assert self._agree(min_square, w, [V1 / 3, V2 / 3, V3 / 3]) \
+            == cp.INFEASIBLE
+        effects = self._agree(min_square, w,
+                              [V1 / 3 + V2 / 6, V2 / 6 + V3 / 3])
+        assert np.max(np.abs(effects[0] - [0.5, 0.5, 0.0])) < 1e-12
+        assert np.max(np.abs(effects[1] - [-0.5, 0.5, 0.0])) < 1e-12
 
 
 def _density(comp, x):

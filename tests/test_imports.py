@@ -1,6 +1,7 @@
 """Every import in the package and its tests is used, every parameter of a
 package function is read, every package function has a caller in the
-package, and every field of a package dataclass is read in the package.
+package, every field of a package dataclass is read in the package, and
+only the functions in `LP_CALLERS` solve an exact LP.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
@@ -13,6 +14,8 @@ name or as an attribute, in the package outside its own body.  A
 to: its own, its ancestors' and its descendants'.  Dunder methods and the
 entry points in `ENTRY_POINTS` are exempt.  A dataclass field is read when
 its name is loaded as an attribute, `x.<field>`, anywhere in the package.
+A function refers to `exact.feasible_nonneg` when that name appears, as a
+name or as an attribute, inside its body.
 """
 
 import ast
@@ -248,3 +251,52 @@ def test_scan_flags_an_unread_field():
     # a store is not a read, and only dataclasses are scanned
     assert unread_dataclass_fields(sources) == [("a", "V.axiom"),
                                                 ("a", "W.label")]
+
+
+# the package functions that may solve an exact LP: pointedness, extremal
+# rays and the bijection searches' positive scales.  Slower LP routes, such
+# as LP membership or LP steering, live in `tests/polyhedral_oracles.py`.
+LP_CALLERS = {("exact", "PolyhedralData.is_pointed"),
+              ("exact", "PolyhedralData.extremal_ray_indices"),
+              ("exact", "strictly_positive_in_span")}
+
+
+def referrers(sources: dict[str, str], name: str) -> set[tuple[str, str]]:
+    """(module, function) for each module-level function, and (module,
+    "Class.method") for each method, whose body refers to `name` as a name
+    or as an attribute; (module, "<module>") for a reference outside
+    every function."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        spans = []
+        for node in tree.body:
+            if isinstance(node, funcs):
+                spans.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                spans += [(f"{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, funcs)]
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)) and name in (
+                    getattr(n, "id", None), getattr(n, "attr", None)):
+                out.add((module, next(
+                    (qual for qual, f in spans
+                     if f.lineno <= n.lineno <= f.end_lineno), "<module>")))
+    return out
+
+
+def test_only_the_lp_callers_solve_an_lp():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert referrers(sources, "feasible_nonneg") == LP_CALLERS
+
+
+def test_scan_flags_an_lp_caller():
+    sources = {"a": ("from b import feasible_nonneg\n"
+                     "def f():\n    return feasible_nonneg([], [])\n"
+                     "class C:\n    def g(self, exact):\n"
+                     "        return exact.feasible_nonneg\n"
+                     "    def h(self):\n        return 1\n"
+                     "SOLVE = feasible_nonneg\n")}
+    assert referrers(sources, "feasible_nonneg") == {
+        ("a", "f"), ("a", "C.g"), ("a", "<module>")}
