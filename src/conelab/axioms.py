@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact
 from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
-                    PolyhedralCone, PositiveMap, SharedCornerCone, System,
+                    PolyhedralCone, SharedCornerCone, System,
                     UnsupportedQuery, Verdict, face_dimension,
                     is_extremal_ray)
 
@@ -25,6 +25,8 @@ from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
 SELF_DUAL_SAMPLES = 200
 # most extremal rays a bijection search takes; it tries up to n! bijections
 SEARCH_CAP = 8
+# maps along a continuous pure-transitivity path, past the identity
+PATH_STEPS = 16
 
 
 def _require_spd(inner: np.ndarray, tol: float):
@@ -360,8 +362,9 @@ def search_weak_self_duality(cone: PolyhedralCone) -> Verdict:
 
 
 def homogeneity_witness(system: System, rho: np.ndarray, sigma: np.ndarray,
-                        tol: float = 1e-9) -> PositiveMap:
-    """Order automorphism carrying the interior point rho to sigma."""
+                        tol: float = 1e-9) -> np.ndarray:
+    """Matrix of an order automorphism carrying the interior point rho to
+    sigma."""
     cone = system.cone
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -369,13 +372,11 @@ def homogeneity_witness(system: System, rho: np.ndarray, sigma: np.ndarray,
         alg = cone.algebra
         if min(alg.min_eigenvalues(np.array([rho, sigma]))) <= tol:
             raise ConeError("homogeneity witness requires interior points")
-        phi = alg.quadratic_rep(alg.sqrt(sigma)) @ alg.quadratic_rep(alg.inv_sqrt(rho))
-        return PositiveMap(phi, system, system)
+        return alg.quadratic_rep(alg.sqrt(sigma)) @ alg.quadratic_rep(alg.inv_sqrt(rho))
     if isinstance(cone, SharedCornerCone):
         if cone.margin(rho) <= tol or cone.margin(sigma) <= tol:
             raise ConeError("homogeneity witness requires interior points")
-        phi = cone.transport_from_basepoint(sigma) @ cone.transport_to_basepoint(rho)
-        return PositiveMap(phi, system, system)
+        return cone.transport_from_basepoint(sigma) @ cone.transport_to_basepoint(rho)
     raise UnsupportedQuery("no witness constructor for this cone variant")
 
 
@@ -413,6 +414,12 @@ def face_profile(system: System, w: np.ndarray,
     return profile
 
 
+def preserves_unit(m: np.ndarray, unit: np.ndarray) -> bool:
+    """Is the unit functional pulled back through m the unit again, within
+    1e-8: is u(m x) = u(x) for every x?"""
+    return bool(np.max(np.abs(m.T @ unit - unit)) < 1e-8)
+
+
 def _summand_swap(alg, i: int, j: int) -> np.ndarray:
     si, sj = alg.summands[i].sl, alg.summands[j].sl
     m = np.eye(alg.dim)
@@ -437,8 +444,8 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
 
     if isinstance(cone, EJACone):
         alg = cone.algebra
-        i1 = alg.summand_of(w1, tol=1e-7)
-        i2 = alg.summand_of(w2, tol=1e-7)
+        i1 = alg.summand_of(w1)
+        i2 = alg.summand_of(w2)
         if i1 is None or i2 is None:
             raise ConeError("pure states must live in a single summand")
         f1 = alg.summands[i1].factor
@@ -458,13 +465,12 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
         sl = alg.summands[i2].sl
         full[sl.start:sl.stop, sl.start:sl.stop] = rot(1.0)
         phi = full @ phi
-        pmap = PositiveMap(phi, system, system)
         resid = float(np.max(np.abs(phi @ w1 - w2)))
-        if not (resid < 1e-8 and pmap.check_normalized()):
+        if not (resid < 1e-8 and preserves_unit(phi, system.unit)):
             return Verdict(INCONCLUSIVE, margin=resid,
                            detail="constructed map misses w2 or moves the "
                                   "unit")
-        return Verdict(HOLDS, witness=pmap, margin=resid)
+        return Verdict(HOLDS, witness=phi, margin=resid)
 
     if isinstance(cone, SharedCornerCone):
         p1 = face_profile(system, w1, tol=tol)
@@ -487,12 +493,10 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
 
 
 def continuous_pure_transitivity(system: System, w1: np.ndarray,
-                                 w2: np.ndarray, steps: int = 16,
-                                 tol: float = 1e-9) -> Verdict:
+                                 w2: np.ndarray, tol: float = 1e-9) -> Verdict:
     """Continuous path of pure states carried by normalized automorphisms,
-    or the disjoint-summand obstruction."""
-    if steps <= 0:
-        raise ConeError("steps must be positive")
+    PATH_STEPS + 1 (state, matrix) pairs, or the disjoint-summand
+    obstruction."""
     cone = system.cone
     if not isinstance(cone, EJACone):
         raise UnsupportedQuery("continuous pure transitivity checker needs "
@@ -503,8 +507,8 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
         if not is_extremal_ray(cone, w, tol):
             raise ConeError("inputs must be pure")
     alg = cone.algebra
-    i1 = alg.summand_of(w1, tol=1e-7)
-    i2 = alg.summand_of(w2, tol=1e-7)
+    i1 = alg.summand_of(w1)
+    i2 = alg.summand_of(w2)
     if i1 != i2:
         return Verdict(FAILS, violation={"summands": (i1, i2)},
                        detail="pure states of distinct summands lie in "
@@ -513,17 +517,18 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
     sl = alg.summands[i1].sl
     rot = f.rotation_generator(w1[sl], w2[sl])
     path = []
-    for k in range(steps + 1):
-        t = k / steps
+    for k in range(PATH_STEPS + 1):
+        t = k / PATH_STEPS
         full = np.eye(alg.dim)
         full[sl.start:sl.stop, sl.start:sl.stop] = rot(t)
         wt = full @ w1
         if not is_extremal_ray(cone, wt, tol):
             return Verdict(INCONCLUSIVE,
                            detail=f"constructed path loses purity at t={t}")
-        path.append((wt, PositiveMap(full, system, system)))
+        path.append((wt, full))
     resid = float(np.max(np.abs(path[-1][0] - w2)))
-    if not (resid < 1e-8 and all(p.check_normalized() for _, p in path)):
+    if not (resid < 1e-8
+            and all(preserves_unit(m, system.unit) for _, m in path)):
         return Verdict(INCONCLUSIVE, margin=resid,
                        detail="constructed path misses w2 or moves the unit")
     return Verdict(HOLDS, witness=path, margin=resid)

@@ -301,7 +301,7 @@ def trace_text(trace: dict) -> str:
     if "near_miss" in trace:
         nm = trace["near_miss"]
         lines.append(f"near miss on record counting alone: {nm['summands']} "
-                     f"x {nm['summand']['family']} has rank "
+                     f"x {nm['summand']['family']} has squared rank "
                      f"{nm['total_rank']} and squared dimension "
                      f"{nm['coincides_with']['dim']}, {nm['note']}")
     return "\n".join(lines)

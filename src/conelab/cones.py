@@ -27,8 +27,10 @@ from . import exact
 from .eja import JordanAlgebra
 
 DEFAULT_TOL = 1e-9
-# sampled extremals per side of a positivity or order-isomorphism check
+# sampled extremals per side of a positivity or order-isomorphism check,
+# and the seed of an order-isomorphism check's samples
 ISO_SAMPLES = 50
+ISO_SEED = 7
 
 
 HOLDS = "holds"
@@ -426,25 +428,6 @@ class System:
 
 
 @dataclass
-class PositiveMap:
-    """Dense linear map between system spaces."""
-
-    matrix: np.ndarray
-    source: System
-    target: System
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def check_normalized(self, tol: float = 1e-8) -> bool:
-        pulled = self.matrix.T @ self.target.unit
-        return bool(np.max(np.abs(pulled - self.source.unit)) < tol)
-
-
-@dataclass
 class Verdict:
     """A checker's answer: HOLDS, FAILS, INCONCLUSIVE or UNSUPPORTED, with
     the witness of a HOLDS or violation of a FAILS, a margin and a detail."""
@@ -456,10 +439,10 @@ class Verdict:
     detail: str = ""
 
 
-def is_order_isomorphism(pmap: PositiveMap, tol: float = DEFAULT_TOL,
-                         seed: int = 0) -> Verdict:
-    """A FAILS names its direction and the point that leaves the cone."""
-    m = pmap.matrix
+def is_order_isomorphism(m: np.ndarray, a: ConeModel, b: ConeModel,
+                         tol: float = DEFAULT_TOL) -> Verdict:
+    """Does the matrix m carry cone a onto cone b?  A FAILS names its
+    direction and the point that leaves the cone."""
     if m.shape[0] != m.shape[1]:
         raise ConeError("order isomorphisms need a square matrix")
     sv = np.linalg.svd(m, compute_uv=False)
@@ -468,8 +451,7 @@ def is_order_isomorphism(pmap: PositiveMap, tol: float = DEFAULT_TOL,
         return Verdict(FAILS, violation={"direction": "singular",
                                          "point": kernel})
     slack = tol * max(1.0, float(sv[0] / sv[-1]))
-    rng = np.random.default_rng(seed)
-    a, b = pmap.source.cone, pmap.target.cone
+    rng = np.random.default_rng(ISO_SEED)
     for direction, t, src, tgt in (("forward", m, a, b),
                                    ("inverse", np.linalg.inv(m), b, a)):
         points = list(src.generators())

@@ -530,11 +530,12 @@ class JordanAlgebra:
                                - f.product(f.product(x, x), basis)).T
         return out
 
-    def summand_of(self, a: np.ndarray, tol: float = 1e-9) -> int | None:
-        """Index of the single summand supporting a, or None if spread out."""
+    def summand_of(self, a: np.ndarray) -> int | None:
+        """Index of the summand where a has norm above 1e-7, or None
+        unless exactly one summand does."""
         self._check_dim(a)
         live = [i for i, s in enumerate(self.summands)
-                if np.linalg.norm(a[s.sl]) > tol]
+                if np.linalg.norm(a[s.sl]) > 1e-7]
         return live[0] if len(live) == 1 else None
 
     def embed(self, index: int, coords: np.ndarray) -> np.ndarray:

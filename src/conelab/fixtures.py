@@ -22,8 +22,8 @@ from .composite import (CompositeSystem, LinearImageCone, canonical_self_steerin
                         local_tomography_check, purity_preservation_check,
                         steering_order_iso_check)
 from .cones import (FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED, ConeError,
-                    EJACone, PolyhedralCone, PositiveMap, SharedCornerCone,
-                    System, UnsupportedQuery, Verdict)
+                    EJACone, PolyhedralCone, SharedCornerCone, System,
+                    UnsupportedQuery, Verdict)
 
 SCHEMA_VERSION = 1
 TOOLKIT_VERSION = __version__
@@ -94,7 +94,10 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
         if f["name"] in names:
             raise ConeError(f"duplicate fixture name '{f['name']}'")
         names.add(f["name"])
-        spec = spec_from_json(f)
+        try:
+            spec = spec_from_json(f)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConeError(f"registry fixture '{f['name']}': {exc}") from exc
         bad = [f"expects unknown check '{k}' (allowed: "
                f"{', '.join(ALL_CHECKS)})"
                for k in spec.expects if k not in ALL_CHECKS]
@@ -146,15 +149,19 @@ def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
             raise ConeError(f"fixture '{spec.name}': {exc}") from exc
         return System(EJACone(alg), alg.trace_functional(), spec.name)
     if spec.kind == "polyhedral":
-        cone = PolyhedralCone(_field(spec, spec.params, "generators"))
-        unit = np.array([float(Fraction(v)) for v in
-                         spec.params["unit"]]) if "unit" in spec.params else None
-        if unit is None:
-            rays = np.array([[float(v) for v in r]
-                             for r in spec.params["generators"]])
-            unit = rays.mean(axis=0)
-            unit /= np.linalg.norm(unit) ** 2 * 1.0
-        return System(cone, unit, spec.name)
+        gens = _field(spec, spec.params, "generators")
+        try:
+            cone = PolyhedralCone(gens)
+            if "unit" in spec.params:
+                unit = np.array([float(Fraction(v))
+                                 for v in spec.params["unit"]])
+            else:
+                unit = np.array([[float(v) for v in r]
+                                 for r in gens]).mean(axis=0)
+                unit /= np.linalg.norm(unit) ** 2
+            return System(cone, unit, spec.name)
+        except ValueError as exc:  # a ConeError too: name the fixture
+            raise ConeError(f"fixture '{spec.name}': {exc}") from exc
     if spec.kind == "shared-corner":
         return System(SharedCornerCone(), np.array([1., 1., 1., 0., 0.]),
                       spec.name)
@@ -332,8 +339,8 @@ def _homogeneity(c: _Inputs) -> Verdict:
     for _ in range(pairs):
         rho = _sample_interior(c.system, c.rng)
         sig = _sample_interior(c.system, c.rng)
-        pmap = axioms.homogeneity_witness(c.system, rho, sig, c.tol)
-        worst = max(worst, float(np.max(np.abs(pmap(rho) - sig))))
+        phi = axioms.homogeneity_witness(c.system, rho, sig, c.tol)
+        worst = max(worst, float(np.max(np.abs(phi @ rho - sig))))
     # a witness that misses sigma is a poor construction, not a disproof
     status = HOLDS if worst < 1e-8 else INCONCLUSIVE
     return Verdict(status, margin=worst, detail=f"{pairs} interior pairs")
@@ -374,8 +381,7 @@ def _continuous_pt(c: _Inputs) -> Verdict:
         w2 = system.normalize(alg.random_pure(rng, summand=1))
     else:
         w1, w2 = system.sample_pure(rng), system.sample_pure(rng)
-    return axioms.continuous_pure_transitivity(system, w1, w2, steps=16,
-                                               tol=c.tol)
+    return axioms.continuous_pure_transitivity(system, w1, w2, tol=c.tol)
 
 
 def _reducibility(c: _Inputs) -> Verdict:
@@ -492,8 +498,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, (int, float, str, bool)) or obj is None:
         return obj
-    if isinstance(obj, PositiveMap):
-        return {"matrix": _jsonable(obj.matrix)}
     raise TypeError(f"cannot write a {type(obj).__name__} into a report")
 
 

@@ -19,18 +19,18 @@ import numpy as np
 from conelab import eja
 from conelab.composite import CompositeSystem, LinearImageCone
 from conelab.cones import (DEFAULT_TOL, ISO_SAMPLES, ConeError, EJACone,
-                           PositiveMap, System, face_dimension)
+                           System, face_dimension)
 
 
-def probabilistic_inverse(pmap: PositiveMap,
+def probabilistic_inverse(m: np.ndarray, source: System, target: System,
                           rng=None) -> tuple[np.ndarray, float]:
-    """Sub-normalized positive left-inverse: returns (Phi_sharp, p) with
-    Phi_sharp @ Phi = p * id."""
-    inv = np.linalg.inv(pmap.matrix)
-    pts = pmap.source.base_generators()
+    """Sub-normalized positive left-inverse of the map m from source to
+    target: returns (Phi_sharp, p) with Phi_sharp @ m = p * id."""
+    inv = np.linalg.inv(m)
+    pts = source.base_generators()
     if rng is not None:
-        pts += [pmap.source.sample_pure(rng) for _ in range(20)]
-    vals = [float(pmap.target.unit @ (inv @ x)) for x in pts]
+        pts += [source.sample_pure(rng) for _ in range(20)]
+    vals = [float(target.unit @ (inv @ x)) for x in pts]
     p = 1.0 / max(max(vals), 1e-300)
     return p * inv, p
 
@@ -61,15 +61,16 @@ def classical_effect_test(system: System, e: np.ndarray,
     return True
 
 
-def check_positive(pmap: PositiveMap, rng, tol: float = DEFAULT_TOL) -> bool:
-    """Does the map send every generator and ISO_SAMPLES sampled extremals
-    of its source into the target cone?"""
-    for g in pmap.source.cone.generators():
-        if not pmap.target.cone.member(pmap.matrix @ g, tol):
+def check_positive(m: np.ndarray, source: System, target: System, rng,
+                   tol: float = DEFAULT_TOL) -> bool:
+    """Does the map m send every generator and ISO_SAMPLES sampled
+    extremals of the source cone into the target cone?"""
+    for g in source.cone.generators():
+        if not target.cone.member(m @ g, tol):
             return False
     for _ in range(ISO_SAMPLES):
-        g = pmap.source.cone.sample_extremal(rng)
-        if not pmap.target.cone.member(pmap.matrix @ g, tol):
+        g = source.cone.sample_extremal(rng)
+        if not target.cone.member(m @ g, tol):
             return False
     return True
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
 from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone,
-                          PositiveMap, SharedCornerCone, System,
+                          SharedCornerCone, System,
                           UnsupportedQuery, face_dimension,
                           is_order_isomorphism)
 from conftest import make_eja_system
@@ -526,18 +526,19 @@ class TestHomogeneity:
         for _ in range(10):
             rho = alg.random_interior(rng)
             sig = alg.random_interior(rng)
-            pmap = axioms.homogeneity_witness(system, rho, sig)
-            assert np.max(np.abs(pmap(rho) - sig)) < 1e-8
-            assert check_positive(pmap, np.random.default_rng(0))
+            phi = axioms.homogeneity_witness(system, rho, sig)
+            assert np.max(np.abs(phi @ rho - sig)) < 1e-8
+            assert check_positive(phi, system, system,
+                                  np.random.default_rng(0))
 
     def test_shared_corner_witness(self, shared_system, rng):
         cone = shared_system.cone
         rho = np.array([2.0, 1.5, 1.2, 0.3, -0.2])
         sig = np.array([1.0, 2.0, 3.0, 0.5, 0.7])
-        pmap = axioms.homogeneity_witness(shared_system, rho, sig)
-        assert np.max(np.abs(pmap(rho) - sig)) < 1e-9
+        phi = axioms.homogeneity_witness(shared_system, rho, sig)
+        assert np.max(np.abs(phi @ rho - sig)) < 1e-9
         for _ in range(20):
-            assert cone.member(pmap(cone.sample_extremal(rng)), 1e-8)
+            assert cone.member(phi @ cone.sample_extremal(rng), 1e-8)
 
     def test_missed_witness_is_inconclusive(self, monkeypatch):
         # A witness that misses sigma by 1e-6 is a poor construction: the
@@ -545,8 +546,7 @@ class TestHomogeneity:
         witness = axioms.homogeneity_witness
 
         def perturbed(system, rho, sigma, tol=DEFAULT_TOL):
-            pmap = witness(system, rho, sigma, tol)
-            return PositiveMap(pmap.matrix + 1e-6, system, system)
+            return witness(system, rho, sigma, tol) + 1e-6
 
         monkeypatch.setattr(axioms, "homogeneity_witness", perturbed)
         specs = fixtures.builtin_fixtures()
@@ -571,11 +571,11 @@ class TestHomogeneity:
 
     def test_probabilistic_inverse(self, qubit, rng):
         alg = qubit.cone.algebra
-        pmap = axioms.homogeneity_witness(qubit, alg.random_interior(rng),
-                                          alg.random_interior(rng))
-        sharp, p = probabilistic_inverse(pmap, rng)
+        phi = axioms.homogeneity_witness(qubit, alg.random_interior(rng),
+                                         alg.random_interior(rng))
+        sharp, p = probabilistic_inverse(phi, qubit, qubit, rng)
         assert 0 < p <= 1.0 + 1e-12
-        assert np.max(np.abs(sharp @ pmap.matrix - p * np.eye(4))) < 1e-8
+        assert np.max(np.abs(sharp @ phi - p * np.eye(4))) < 1e-8
 
 
 class TestPureTransitivity:
@@ -583,9 +583,10 @@ class TestPureTransitivity:
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
         v = axioms.pure_transitivity_witness(qubit, w1, w2)
         assert v.status == HOLDS
-        assert np.max(np.abs(v.witness(w1) - w2)) < 1e-9
-        assert is_order_isomorphism(v.witness, seed=2).status == HOLDS
-        assert v.witness.check_normalized()
+        assert np.max(np.abs(v.witness @ w1 - w2)) < 1e-9
+        assert is_order_isomorphism(v.witness, qubit.cone,
+                                    qubit.cone).status == HOLDS
+        assert axioms.preserves_unit(v.witness, qubit.unit)
 
     def test_cross_isomorphic_summands(self, rng):
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],
@@ -595,8 +596,9 @@ class TestPureTransitivity:
         w2 = system.normalize(alg.random_pure(rng, summand=1))
         v = axioms.pure_transitivity_witness(system, w1, w2)
         assert v.status == HOLDS
-        assert np.max(np.abs(v.witness(w1) - w2)) < 1e-9
-        assert is_order_isomorphism(v.witness, seed=2).status == HOLDS
+        assert np.max(np.abs(v.witness @ w1 - w2)) < 1e-9
+        assert is_order_isomorphism(v.witness, system.cone,
+                                    system.cone).status == HOLDS
 
     def test_non_isomorphic_summands(self, rng):
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],
@@ -653,6 +655,19 @@ class TestPureTransitivity:
             axioms.pure_transitivity_witness(qubit, mixed, pure)
 
 
+def test_unit_rule_pulls_the_unit_back():
+    # m preserves the unit functional u when u(m x) = u(x) for every x,
+    # that is m.T @ u = u; this m does, yet m @ u != u, so a rule that
+    # applied m to u itself would reject it and accept its transpose
+    u = make_eja_system(eja.classical(2)).unit
+    m = np.array([[1.0, 0.5], [0.0, 0.5]])
+    assert np.array_equal(u, [1.0, 1.0])
+    assert not np.allclose(m @ u, u)
+    assert axioms.preserves_unit(m, u)
+    assert not axioms.preserves_unit(m.T, u)
+    assert not axioms.preserves_unit(m + 1e-7, u)
+
+
 def _faulty_rotations(monkeypatch, fault):
     """Patch every rotation: scaled by 1.01 (misses w2 and moves the unit),
     the identity (misses w2 only) or plus a rank-one term that kills w1 but
@@ -692,7 +707,7 @@ def test_faulty_transitivity_map_is_inconclusive(fault, qubit, rng,
 class TestContinuousPureTransitivity:
     def test_path(self, qubit, rng):
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
-        v = axioms.continuous_pure_transitivity(qubit, w1, w2, steps=16)
+        v = axioms.continuous_pure_transitivity(qubit, w1, w2)
         assert v.status == HOLDS
         assert len(v.witness) == 17
         assert v.margin < 1e-9

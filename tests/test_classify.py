@@ -118,6 +118,16 @@ def test_near_miss_record():
                                     "dim": 6561}
 
 
+def test_near_miss_text_calls_81_the_squared_rank():
+    # three Albert summands have rank 9 and dimension 81; their composite
+    # needs rank 81 and dimension 6561, the squares
+    lines = classify.trace_text(classify.survivors_classicality(4, 3)) \
+        .splitlines()
+    near = next(line for line in lines if line.startswith("near miss"))
+    assert "3 x Albert has squared rank 81 and squared dimension 6561," \
+        in near
+
+
 def test_spin_enumeration_bound():
     members = classify.family_members("SpinFactor", 3)
     assert members[0].dim == 2

@@ -272,15 +272,26 @@ class TestCheckCommand:
         self._assert_rejected(runner, tmp_path, "polyhedral", {},
                               "missing 'generators'")
 
+    def test_polyhedral_zero_generator_is_an_error(self, runner, tmp_path):
+        self._assert_rejected(runner, tmp_path, "polyhedral",
+                              {"generators": [[0, 0, 0], [1, 0, 1]]},
+                              "zero generator")
+
+    def test_non_integer_seed_is_an_error(self, runner, tmp_path):
+        self._assert_rejected(runner, tmp_path, "shared-corner", {},
+                              "invalid literal for int()",
+                              prefix="registry ", seed="x")
+
     @staticmethod
-    def _assert_rejected(runner, tmp_path, kind, params, message):
+    def _assert_rejected(runner, tmp_path, kind, params, message,
+                         prefix="", **fields):
         reg = tmp_path / "bad.json"
         reg.write_text(json.dumps({"fixtures": [
-            {"name": "odd", "kind": kind, "params": params}]}))
+            {"name": "odd", "kind": kind, "params": params, **fields}]}))
         result = runner.invoke(main, ["check", "--registry", str(reg)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert f"Error: fixture 'odd': {message}" in result.output
+        assert f"Error: {prefix}fixture 'odd': {message}" in result.output
 
     def test_timings_flag_adds_fields(self, runner, tmp_path):
         reg = tmp_path / "reg.json"

@@ -221,7 +221,7 @@ def test_direct_sum_blocks(rng):
     assert np.allclose(prod[:4], f0.product(a[:4], b[:4]))
     assert np.allclose(prod[4:], f1.product(a[4:], b[4:]))
     w = alg.random_pure(rng, summand=1)
-    assert alg.summand_of(w, tol=1e-7) == 1
+    assert alg.summand_of(w) == 1
 
 
 @pytest.mark.parametrize("family", ["real", "complex", "quat"])
