@@ -206,61 +206,64 @@ def trace_json(trace: dict) -> str:
     recorded; when it is met again at that depth, the span is joined once
     and reused, so a list shared by many cells is encoded once per depth.
     Cells with the same required rank share one `candidates` list, so treat
-    a trace as read-only.
+    a trace as read-only.  The encoder is a module function, not a closure
+    that refers to itself, so the pieces and the memo are freed on return
+    without waiting for the cycle collector.
     """
     out: list[str] = []
-    append = out.append
-    spans: dict[tuple[int, int], tuple[int, int] | str] = {}
-
-    def emit(o, depth: int) -> None:
-        if isinstance(o, str):
-            append(encode_basestring_ascii(o))
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        elif isinstance(o, (dict, list)):
-            key = (id(o), depth)
-            seen = spans.get(key)
-            if seen is not None:
-                if isinstance(seen, tuple):
-                    seen = spans[key] = "".join(out[seen[0]:seen[1]])
-                append(seen)
-                return
-            start = len(out)
-            if not o:
-                append("{}" if isinstance(o, dict) else "[]")
-            else:
-                close = "\n" + "  " * depth
-                inner = close + "  "
-                sep = "," + inner
-                if isinstance(o, dict):
-                    append("{" + inner)
-                    for i, k in enumerate(sorted(o)):
-                        if not isinstance(k, str):
-                            raise TypeError("trace keys must be str")
-                        if i:
-                            append(sep)
-                        append(encode_basestring_ascii(k) + ": ")
-                        emit(o[k], depth + 1)
-                    append(close + "}")
-                else:
-                    append("[" + inner)
-                    for i, v in enumerate(o):
-                        if i:
-                            append(sep)
-                        emit(v, depth + 1)
-                    append(close + "]")
-            spans[key] = (start, len(out))
-        else:
-            raise TypeError(f"cannot encode {type(o).__name__} in a trace")
-
-    emit(trace, 0)
+    _emit(trace, 0, out, out.append, {})
     return "".join(out)
+
+
+def _emit(o, depth: int, out: list[str], append,
+          spans: dict[tuple[int, int], tuple[int, int] | str]) -> None:
+    """Append the pieces of o at the given depth to out (see `trace_json`);
+    `append` is `out.append`."""
+    if isinstance(o, str):
+        append(encode_basestring_ascii(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, (dict, list)):
+        key = (id(o), depth)
+        seen = spans.get(key)
+        if seen is not None:
+            if isinstance(seen, tuple):
+                seen = spans[key] = "".join(out[seen[0]:seen[1]])
+            append(seen)
+            return
+        start = len(out)
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+        else:
+            close = "\n" + "  " * depth
+            inner = close + "  "
+            sep = "," + inner
+            if isinstance(o, dict):
+                append("{" + inner)
+                for i, k in enumerate(sorted(o)):
+                    if not isinstance(k, str):
+                        raise TypeError("trace keys must be str")
+                    if i:
+                        append(sep)
+                    append(encode_basestring_ascii(k) + ": ")
+                    _emit(o[k], depth + 1, out, append, spans)
+                append(close + "}")
+            else:
+                append("[" + inner)
+                for i, v in enumerate(o):
+                    if i:
+                        append(sep)
+                    _emit(v, depth + 1, out, append, spans)
+                append(close + "]")
+        spans[key] = (start, len(out))
+    else:
+        raise TypeError(f"cannot encode {type(o).__name__} in a trace")
 
 
 TEXT_CELLS = 6

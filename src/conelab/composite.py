@@ -32,13 +32,6 @@ def _kron_stack(fa: SimpleFactor, fb: SimpleFactor) -> np.ndarray:
                      fb._basis).reshape(-1, side, side)
 
 
-def _pure_effect_minimizing(factor: SimpleFactor, x: np.ndarray):
-    """(value, pure effect) minimizing <e, x> over normalized pure effects."""
-    vals, idempotent = factor.spectral_parts(x)
-    k = int(np.argmin(vals))
-    return float(vals[k]), factor.metric * idempotent(k)
-
-
 class LinearImageCone(ConeModel):
     """Cone obtained from another cone by an orthogonal change of coordinates;
     x belongs here exactly when R @ x belongs to the wrapped cone."""
@@ -74,11 +67,19 @@ class MaxTensorCone(ConeModel):
     """All bipartite elements nonnegative against product effects.  Membership
     is a sampling certificate: a negative pairing is a hard rejection, while a
     nonnegative minimum over sampled and locally minimized product effects is
-    acceptance at sampling strength only."""
+    acceptance at sampling strength only.
 
-    # product effects sampled for non-simple factors, alternating sweeps per
-    # start for simple ones, and the seed of both
+    Over two simple factors the minimum alternates exact minimizations over
+    pure effects of A and of B from STARTS seeded pure effects of B, all
+    starts as one stack: a half-sweep is one stacked eigendecomposition in
+    `SimpleFactor.min_pure_effects`.  Otherwise it pairs SAMPLES seeded
+    dual samples of A and B in one stacked product.  Either way every
+    pairing has the bits of `e @ m @ f` for its own pair."""
+
+    # product effects sampled for non-simple factors, starts and alternating
+    # sweeps for simple ones, and the seed of both
     SAMPLES = 200
+    STARTS = 8
     SWEEPS = 25
     SEED = 23
 
@@ -90,23 +91,25 @@ class MaxTensorCone(ConeModel):
         comp = self.comp
         m = x.reshape(comp.dimA, comp.dimB)
         rng = np.random.default_rng(self.SEED)
-        best = np.inf
         fa = comp._simple_factor(comp.factorA)
         fb = comp._simple_factor(comp.factorB)
         if fa is not None and fb is not None:
-            # alternating exact minimization over pure product effects
-            for _ in range(8):
-                f = fb.metric * comp.factorB.cone.sample_extremal(rng)
-                for _ in range(self.SWEEPS):
-                    _, e = _pure_effect_minimizing(fa, m @ f)
-                    _, f = _pure_effect_minimizing(fb, m.T @ e)
-                best = min(best, float(e @ m @ f))
-            return best
-        for _ in range(self.SAMPLES):
-            e = self._dual_sample(comp.factorA, rng)
-            f = self._dual_sample(comp.factorB, rng)
-            best = min(best, float(e @ m @ f))
-        return best
+            # alternating exact minimization over pure product effects, the
+            # starts swept together as one (STARTS, dim) stack per side
+            f = np.array([fb.metric * comp.factorB.cone.sample_extremal(rng)
+                          for _ in range(self.STARTS)])
+            for _ in range(self.SWEEPS):
+                e = fa.min_pure_effects((m @ f[:, :, None])[:, :, 0])
+                f = fb.min_pure_effects((m.T @ e[:, :, None])[:, :, 0])
+            return min(np.inf, *(float(ei @ m @ fi) for ei, fi in zip(e, f)))
+        e, f = (np.array(side) for side in zip(*[
+            (self._dual_sample(comp.factorA, rng),
+             self._dual_sample(comp.factorB, rng))
+            for _ in range(self.SAMPLES)]))
+        # a 1 x dimA by m product, then a 1 x n by n x 1 one, per row: the
+        # bits of `e @ m @ f` for one pair, which `e @ m` on the stack lacks
+        pairings = (e[:, None, :] @ m) @ f[:, :, None]
+        return min(np.inf, *pairings.ravel().tolist())
 
     @staticmethod
     def _dual_sample(system: System, rng) -> np.ndarray:

@@ -191,9 +191,7 @@ class SimpleFactor:
         return vals[self._kramers_columns(vecs)].reshape(
             vals.shape[:-1] + (self.rank,))
 
-    def spectral_parts(self, a: np.ndarray):
-        """(eigenvalues, idempotent): the eigenvalues of `spectral(a)` and a
-        function k -> its k-th primitive idempotent, built only on request."""
+    def spectral(self, a: np.ndarray) -> SpectralDecomposition:
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite input")
         if self.family == SPIN:
@@ -204,16 +202,19 @@ class SimpleFactor:
                 xhat[0] = 1.0
             else:
                 xhat = x / nx
-            signs = (0.5, -0.5)
-            return (np.array([s + nx, s - nx]),
-                    lambda k: np.concatenate(([0.5], signs[k] * xhat)))
+            return SpectralDecomposition(
+                np.array([s + nx, s - nx]),
+                [np.concatenate(([0.5], 0.5 * xhat)),
+                 np.concatenate(([0.5], -0.5 * xhat))])
         vals, vecs = self._eigh(a)
         if self.family != QUAT:
-            return vals, lambda k: self.from_matrix(
-                np.outer(vecs[:, k], vecs[:, k].conj()))
+            return SpectralDecomposition(vals, [
+                self.from_matrix(np.outer(vecs[:, k], vecs[:, k].conj()))
+                for k in range(len(vals))])
         # one rank-2 projector per kept column: orthonormalize it against
         # the earlier pairs and add its symplectic partner
         keep = np.flatnonzero(self._kramers_columns(vecs))
+        idempotents = []
         chosen: list[np.ndarray] = []
         for k in keep:
             v = vecs[:, k]
@@ -221,18 +222,43 @@ class SimpleFactor:
                 basis = np.column_stack(chosen)
                 v = v - basis @ (basis.conj().T @ v)
                 v = v / np.linalg.norm(v)
-            chosen.extend([v, self._J @ v.conj()])
+            w = self._J @ v.conj()
+            chosen.extend([v, w])
+            idempotents.append(self.from_matrix(np.outer(v, v.conj())
+                                                + np.outer(w, w.conj())))
+        return SpectralDecomposition(vals[keep], idempotents)
 
-        def idempotent(j):
-            v, w = chosen[2 * j], chosen[2 * j + 1]
-            return self.from_matrix(np.outer(v, v.conj()) + np.outer(w, w.conj()))
+    def min_pure_effects(self, a: np.ndarray) -> np.ndarray:
+        """For each row x of a (n, dim) stack, the pure effect minimizing
+        <e, x> over normalized pure effects: `metric` times the primitive
+        idempotent of x's smallest eigenvalue.  Each row has the bits of
+        that idempotent in `spectral(x)`, the first of them on a tie.
 
-        return vals[keep], idempotent
-
-    def spectral(self, a: np.ndarray) -> SpectralDecomposition:
-        vals, idempotent = self.spectral_parts(a)
-        return SpectralDecomposition(vals, [idempotent(k)
-                                            for k in range(len(vals))])
+        `eigh` sorts eigenvalues ascending, so the matrix families take
+        the argmin eigenvector column; for quaternionic ones that column
+        is the first kept Kramers column, which is paired with J conj(v)
+        and needs no orthonormalization.  Spin factors take the closed
+        form, where s + |x| and s - |x| tie when x is small."""
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite input")
+        if self.family == SPIN:
+            s, x = a[:, 0], a[:, 1:]
+            nx = _norms(x)
+            k = np.argmin(np.stack([s + nx, s - nx], axis=-1), axis=-1)
+            tiny = nx < 1e-300
+            xhat = x / np.where(tiny, 1.0, nx)[:, None]
+            xhat[tiny] = np.eye(1, self.dim - 1)
+            signs = np.where(k == 0, 0.5, -0.5)[:, None]
+            return self.metric * np.concatenate(
+                [np.full((len(a), 1), 0.5), signs * xhat], axis=-1)
+        vals, vecs = self._eigh(a)
+        k = np.argmin(vals, axis=-1)
+        v = vecs[np.arange(len(a)), :, k]
+        proj = v[:, :, None] * v.conj()[:, None, :]
+        if self.family == QUAT:
+            w = v.conj() @ self._J.T
+            proj = proj + w[:, :, None] * w.conj()[:, None, :]
+        return self.metric * self.from_matrix(proj)
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
         dec = self.spectral(a)

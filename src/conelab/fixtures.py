@@ -81,13 +81,21 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConeError(f"registry parse error: {exc}") from exc
+    if not isinstance(obj, dict) or \
+            not isinstance(obj.get("fixtures", []), list):
+        raise ConeError("registry must be a JSON object with a list of "
+                        "fixtures")
     specs = []
     names = set()
     statuses = (HOLDS, FAILS, INCONCLUSIVE, UNSUPPORTED, SKIPPED, ERROR)
     for i, f in enumerate(obj.get("fixtures", [])):
+        if not isinstance(f, dict):
+            raise ConeError(f"registry fixture #{i}: not a JSON object")
         for key in ("name", "kind"):
             if key not in f:
                 raise ConeError(f"registry fixture #{i}: missing '{key}'")
+        if not isinstance(f["name"], str):
+            raise ConeError(f"registry fixture #{i}: 'name' must be a string")
         if f["kind"] not in ("eja", "polyhedral", "shared-corner", "composite"):
             raise ConeError(f"registry fixture '{f['name']}': unknown kind "
                             f"'{f['kind']}'")

@@ -1,11 +1,11 @@
 """Slower routes to EJA questions, kept as oracles.
 
 Membership reads eigenvalues alone (`JordanAlgebra.eigenvalues`, on whole
-stacks), max-tensor pairing minimization builds only the idempotent it
-returns, the quaternionic Kramers pairs are picked for a whole stack at
-once, the quadratic representation is built from stacked products, and the
-conjugation matrix and the Hilbert composite's coordinate change each come
-from one basis stack.  These oracles answer the same questions the old way,
+stacks), max-tensor pairing minimization sweeps all its starts as one stack
+and builds only the idempotent each row needs, the quaternionic Kramers
+pairs are picked for a whole stack at once, the quadratic representation
+is built from stacked products, and the conjugation matrix and the Hilbert
+composite's coordinate change each come from one basis stack.  These oracles answer the same questions the old way,
 one element or one column at a time, and the tests compare the routes bit
 for bit.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from conelab.composite import MaxTensorCone
 from conelab.eja import JordanAlgebra, SimpleFactor
 
 
@@ -33,6 +34,24 @@ def pure_effect_minimizing_by_spectral(factor: SimpleFactor, x: np.ndarray):
     dec = factor.spectral(x)
     k = int(np.argmin(dec.eigenvalues))
     return float(dec.eigenvalues[k]), factor.metric * dec.idempotents[k]
+
+
+def pairing_minimum_by_starts(comp, x: np.ndarray) -> float:
+    """The max-tensor pairing minimum over two simple factors, one start at
+    a time: each half-sweep minimizes over the pure effects of one factor
+    from a full decomposition of one element."""
+    fa = comp.factorA.cone.algebra.factors[0]
+    fb = comp.factorB.cone.algebra.factors[0]
+    m = x.reshape(comp.dimA, comp.dimB)
+    rng = np.random.default_rng(MaxTensorCone.SEED)
+    best = np.inf
+    for _ in range(MaxTensorCone.STARTS):
+        f = fb.metric * comp.factorB.cone.sample_extremal(rng)
+        for _ in range(MaxTensorCone.SWEEPS):
+            _, e = pure_effect_minimizing_by_spectral(fa, m @ f)
+            _, f = pure_effect_minimizing_by_spectral(fb, m.T @ e)
+        best = min(best, float(e @ m @ f))
+    return best
 
 
 def kramers_columns_by_loop(factor: SimpleFactor, vecs: np.ndarray) -> list[int]:

@@ -27,7 +27,8 @@ splits of the extremal rays instead of matroid components, and
 `self_dual_by_solves` pairs every two rays and solves one system per facet
 instead of sharing G r_i and G^-1.  `pairing_minimum_rebuilding_facets`
 converts the facet normals to floats for every max-tensor dual sample
-instead of reading the cone's cached copy.  `steer_by_lp` decides steering
+instead of reading the cone's cached copy, and `pairing_minimum_by_pairs`
+pairs the dual samples one pair at a time instead of as one stack.  `steer_by_lp` decides steering
 over a polyhedral A factor by an exact LP in effect coordinates, singular
 conditioning maps included, where `composite.steer` inverts an invertible
 map.  The tests compare the routes.
@@ -395,6 +396,18 @@ def pairing_minimum_rebuilding_facets(comp, x) -> float:
     for _ in range(MaxTensorCone.SAMPLES):
         e = dual_sample(comp.factorA.cone, rng)
         f = dual_sample(comp.factorB.cone, rng)
+        best = min(best, float(e @ m @ f))
+    return best
+
+
+def pairing_minimum_by_pairs(comp, x) -> float:
+    """The sampled pairing minimum, one dual-sample pair at a time."""
+    m = x.reshape(comp.dimA, comp.dimB)
+    rng = np.random.default_rng(MaxTensorCone.SEED)
+    best = np.inf
+    for _ in range(MaxTensorCone.SAMPLES):
+        e = MaxTensorCone._dual_sample(comp.factorA, rng)
+        f = MaxTensorCone._dual_sample(comp.factorB, rng)
         best = min(best, float(e @ m @ f))
     return best
 

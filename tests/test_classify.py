@@ -1,6 +1,8 @@
 """Reconstruction decision procedures against the brute-force oracle."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,25 @@ def test_trace_json_matches_stdlib(tree):
 def test_trace_json_rejects_floats_and_non_str_keys(obj):
     with pytest.raises(TypeError):
         classify.trace_json(obj)
+
+
+def test_trace_json_frees_its_pieces_without_the_cycle_collector():
+    # an encoder that refers to itself keeps its pieces and its memo, some
+    # 5 MB here, alive until the cycle collector runs
+    trace = classify.survivors_local_tomography(5)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = classify.trace_json(trace)
+        assert len(text) > 10**6
+        del text
+        assert tracemalloc.get_traced_memory()[0] - before < 2**20
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
 
 
 def test_candidates_built_once_per_required_rank(monkeypatch):

@@ -282,6 +282,21 @@ class TestCheckCommand:
                               "invalid literal for int()",
                               prefix="registry ", seed="x")
 
+    @pytest.mark.parametrize("registry,message", [
+        ([1], "registry must be a JSON object with a list of fixtures"),
+        ({"fixtures": [1]}, "registry fixture #0: not a JSON object"),
+        ({"fixtures": [{"name": ["a"], "kind": "shared-corner"}]},
+         "registry fixture #0: 'name' must be a string")],
+        ids=["top-level-list", "fixture-not-object", "unhashable-name"])
+    def test_malformed_registry_is_an_error(self, runner, tmp_path, registry,
+                                            message):
+        reg = tmp_path / "bad.json"
+        reg.write_text(json.dumps(registry))
+        result = runner.invoke(main, ["check", "--registry", str(reg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+
     @staticmethod
     def _assert_rejected(runner, tmp_path, kind, params, message,
                          prefix="", **fields):

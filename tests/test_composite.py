@@ -12,9 +12,10 @@ from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone, System,
                           validate_measurement)
 from conftest import make_eja_system
 from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
+                         pairing_minimum_by_starts,
                          pure_effect_minimizing_by_spectral)
 from helpers import product_effect, sample_state
-from polyhedral_oracles import (extremal_by_lp,
+from polyhedral_oracles import (extremal_by_lp, pairing_minimum_by_pairs,
                                 pairing_minimum_rebuilding_facets,
                                 steer_by_lp)
 
@@ -520,6 +521,19 @@ def test_max_tensor_dual_samples_read_cached_float_facets(rng, monkeypatch):
     assert [comp.cone.pairing_minimum(x) for x in points] == expected
 
 
+def test_sampled_pairing_minimum_equals_pair_by_pair_loop(qubit, rng):
+    # square (x) qubit elements are 3 x 4 and 4 x 3 matrices, where e @ m
+    # on the whole stack of samples sums in another order than for one pair
+    sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
+    for a, b in ((sq, qubit), (qubit, sq)):
+        comp = cp.CompositeSystem(a, b, cp.MAX_TENSOR)
+        points = [comp.cone.sample_extremal(rng) for _ in range(3)]
+        points += [rng.standard_normal(comp.dim) for _ in range(5)]
+        for x in points:
+            assert comp.cone.pairing_minimum(x).hex() == \
+                pairing_minimum_by_pairs(comp, x).hex()
+
+
 def test_min_tensor_needs_polyhedral(qubit):
     with pytest.raises(UnsupportedQuery):
         cp.CompositeSystem(qubit, qubit, cp.MIN_TENSOR)
@@ -531,17 +545,52 @@ def test_min_tensor_needs_polyhedral(qubit):
     eja.SimpleFactor(eja.QUAT, 3), eja.SimpleFactor(eja.SPIN, 2, spin_dim=5)],
     ids=repr)
 def test_pure_effect_minimizing_matches_spectral(factor, rng):
-    # one eigendecomposition, one idempotent: the same bits as building all
-    # of them; pure states and multiples of the unit are degenerate
+    # one stacked eigendecomposition, one idempotent per row: the bits of
+    # building all of them for each row alone; pure states and multiples of
+    # the unit are degenerate, and zero ties a spin factor's two eigenvalues
     points = [factor.random_element(rng) for _ in range(20)]
     points += [factor.random_pure(rng) for _ in range(10)]
     points += [1e6 * factor.random_pure(rng), -3.0 * factor.unit(),
                np.zeros(factor.dim)]
+    effects = factor.min_pure_effects(np.array(points))
+    assert effects.shape == (len(points), factor.dim)
+    for eff, x in zip(effects, points):
+        _, ref_eff = pure_effect_minimizing_by_spectral(factor, x)
+        assert eff.tobytes() == ref_eff.tobytes()
+
+
+def _max_composite(alg_a, alg_b):
+    return cp.CompositeSystem(make_eja_system(alg_a, "a"),
+                              make_eja_system(alg_b, "b"), cp.MAX_TENSOR)
+
+
+@pytest.mark.parametrize("alg_a,alg_b", [
+    (eja.real_sym(2), eja.real_sym(2)), (eja.real_sym(3), eja.real_sym(2)),
+    (eja.complex_herm(2), eja.complex_herm(2)),
+    (eja.quat_herm(2), eja.quat_herm(2)),
+    (eja.spin_factor(4), eja.spin_factor(4)),
+    (eja.real_sym(3), eja.spin_factor(4))],
+    ids=["rebit-rebit", "sym3-rebit", "qubit-qubit", "quat-quat",
+         "spin-spin", "sym3-spin"])
+def test_pairing_minimum_equals_start_by_start_loop(alg_a, alg_b, rng):
+    # pure products, their negatives, the identity-conditioning element of
+    # isomorphic factors, zero and random elements
+    comp = _max_composite(alg_a, alg_b)
+    points = [comp.cone.sample_extremal(rng) for _ in range(2)]
+    points += [-points[0], np.zeros(comp.dim)]
+    points += [rng.standard_normal(comp.dim) for _ in range(3)]
+    if comp.dimA == comp.dimB:
+        points.append(np.eye(comp.dimA).ravel())
     for x in points:
-        val, eff = cp._pure_effect_minimizing(factor, x)
-        ref_val, ref_eff = pure_effect_minimizing_by_spectral(factor, x)
-        assert val == ref_val
-        assert np.array_equal(eff, ref_eff)
+        got = comp.cone.pairing_minimum(x)
+        assert got.hex() == pairing_minimum_by_starts(comp, x).hex()
+
+
+def test_pairing_minimum_of_a_pure_product_is_zero(rng):
+    comp = _max_composite(eja.quat_herm(2), eja.spin_factor(4))
+    w = comp.cone.sample_extremal(rng)
+    assert abs(comp.cone.pairing_minimum(w)) < 1e-12
+    assert comp.cone.pairing_minimum(-w) < -0.1
 
 
 @pytest.mark.parametrize("ra,rb", [(2, 2), (2, 3), (3, 2), (3, 3)])
