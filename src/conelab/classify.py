@@ -6,16 +6,24 @@ All arithmetic is over plain integers; derivation traces are first-class
 outputs recording, for every examined member, the forced rank, the required
 dimension, the candidate records, and the eliminating inequality.  A trace is
 built from plain dicts and lists: the candidate records of each required rank
-are built once per procedure and shared by every cell that needs them, and
-`trace_json` encodes each shared list once per depth.
+are built once per procedure and shared by every cell that needs them, and a
+cell finds its witness by bisection on their dims.  `trace_json` writes the
+bytes of `json.dumps(trace, indent=2, sort_keys=True)`: it sorts and escapes
+the keys once per dict layout (key order and depth), writes each scalar in
+the same piece as its key, and encodes each shared list once per depth.
+`max_rank` runs from 2 to `MAX_RANK` = 8, the largest rank whose required
+ranks keep every matrix-family record in the record table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
 from json.encoder import encode_basestring_ascii
 
 FAMILIES = ("RealSym", "ComplexHerm", "QuatHerm", "SpinFactor", "Albert")
+MATRIX_FAMILIES = FAMILIES[:3]
 
 LOCAL_TOMOGRAPHY = "local-tomography"
 INJECTIVE_COMPOSITE = "injective-composite"
@@ -62,7 +70,7 @@ def make_record(family: str, rank: int) -> ClassRecord:
 def records_with_rank(rank: int) -> list[ClassRecord]:
     """All simple records of the exact given rank with dim <= MAX_RECORD_DIM."""
     out = []
-    for family in ("RealSym", "ComplexHerm", "QuatHerm"):
+    for family in MATRIX_FAMILIES:
         d = dim_of(family, rank)
         if d <= MAX_RECORD_DIM:
             out.append(ClassRecord(family, rank, d))
@@ -74,10 +82,21 @@ def records_with_rank(rank: int) -> list[ClassRecord]:
     return sorted(out, key=lambda c: (c.dim, c.family))
 
 
+# The largest max_rank the procedures accept: every matrix-family record of
+# each required rank r**2 <= MAX_RANK**2 lies in the record table.  Above
+# it the table loses QuatHerm (rank 81 has dim 13041), so cells would quote
+# wrong available dims, and from max_rank 11 it loses ComplexHerm (rank
+# 121 has dim 14641), which the procedures would then eliminate.
+MAX_RANK = next(r for r in count(1) if any(
+    dim_of(f, (r + 1) ** 2) > MAX_RECORD_DIM for f in MATRIX_FAMILIES))
+
+
 def family_members(family: str, max_rank: int) -> list[ClassRecord]:
-    """The members each procedure must examine.  Spin dimensions are bounded
-    by 4*max_rank**4, which covers every dimension that could still satisfy
-    dim >= d**2 against rank-4 candidates."""
+    """The members each procedure examines.  Spin dimensions run from 2 to
+    4*max_rank**4: that is the enumeration range the traces pin (the oracle
+    and the classify digests list the same cells), not a bound the
+    decision needs, since every spin member with dim >= 6 fails against the
+    rank-4 candidates (dims 10, 16, 28) under both relations."""
     if family == "SpinFactor":
         return [ClassRecord("SpinFactor", 2, n)
                 for n in range(2, 4 * max_rank**4 + 1)]
@@ -90,22 +109,26 @@ def _record(c: ClassRecord) -> dict:
     return {"family": c.family, "rank": c.rank, "dim": c.dim}
 
 
-def _candidates(rank: int) -> tuple[list[dict], str]:
-    """The candidate records of one required rank, and their dims as the
-    text a failing cell quotes."""
+def _candidates(rank: int) -> tuple[list[dict], list[int], str]:
+    """The candidate records of one required rank, their dims, and those
+    dims as the text a failing cell quotes."""
     cands = [_record(c) for c in records_with_rank(rank)]
-    return cands, str([c["dim"] for c in cands])
+    dims = [c["dim"] for c in cands]
+    return cands, dims, str(dims)
 
 
 def _cell(member: ClassRecord, relation: str,
-          candidates: tuple[list[dict], str]) -> dict:
-    cands, dims = candidates
+          candidates: tuple[list[dict], list[int], str]) -> dict:
+    cands, dims, text = candidates
     required_rank = member.rank ** 2
     required_dim = member.dim ** 2
-    if relation == "==":
-        hit = next((c for c in cands if c["dim"] == required_dim), None)
-    else:
-        hit = next((c for c in cands if c["dim"] >= required_dim), None)
+    # the candidates are sorted by (dim, family), so i is the first record
+    # with dim >= required_dim, and the first with dim == required_dim if
+    # there is one
+    i = bisect_left(dims, required_dim)
+    hit = None
+    if i < len(dims) and (relation == ">=" or dims[i] == required_dim):
+        hit = cands[i]
     out = {
         "member": _record(member),
         "required_rank": required_rank,
@@ -119,15 +142,20 @@ def _cell(member: ClassRecord, relation: str,
     else:
         out["reason"] = (f"no simple record of rank {required_rank} has "
                          f"dim {relation} {required_dim}; available dims "
-                         f"are {dims}")
+                         f"are {text}")
     return out
 
 
 def _run(procedure: str, max_rank: int, num_summands: int | None = None) -> dict:
     if max_rank < 2:
         raise ValueError("max_rank must be at least 2")
+    if max_rank > MAX_RANK:
+        raise ValueError(
+            f"max_rank must be at most {MAX_RANK}: above it the record table "
+            f"(dim <= {MAX_RECORD_DIM}) lacks matrix-family records of rank "
+            f"{(MAX_RANK + 1) ** 2}")
     relation = "==" if procedure == LOCAL_TOMOGRAPHY else ">="
-    by_rank: dict[int, tuple[list[dict], str]] = {}
+    by_rank: dict[int, tuple[list[dict], list[int], str]] = {}
     families = {}
     survivors = []
     for family in FAMILIES:
@@ -201,35 +229,85 @@ def trace_json(trace: dict) -> str:
 
     Values may be dicts with str keys, lists, str, int, bool and None; any
     other type raises TypeError (traces never contain floats).  The text is
-    built as one list of pieces.  Each dict and list is memoised by its id
-    and depth: the first time it is met, the span of pieces it produced is
-    recorded; when it is met again at that depth, the span is joined once
-    and reused, so a list shared by many cells is encoded once per depth.
-    Cells with the same required rank share one `candidates` list, so treat
-    a trace as read-only.  The encoder is a module function, not a closure
-    that refers to itself, so the pieces and the memo are freed on return
-    without waiting for the cycle collector.
+    built as one list of pieces, with two memos that live for one call:
+
+    - Layouts.  A dict's layout is keyed by its keys in insertion order and
+      its depth.  It holds the sorted keys and, for each key, the piece
+      written before its value: the opening brace or the separator, the
+      indent, the escaped key and ": ".  The 16 405 cells of a max-rank 8
+      trace share a handful of layouts, so keys are sorted and escaped once
+      per layout, and a non-str key raises when its layout is built.
+    - Spans.  Each list is memoised by its id and depth: the first time it
+      is met, the span of pieces it produced is recorded; when it is met
+      again at that depth, the span is joined once and reused, so a list
+      shared by many cells is encoded once per depth.  Cells with the same
+      required rank share one `candidates` list, so treat a trace as
+      read-only.  Dicts are not memoised: the dicts a trace shares are
+      three-key candidate records, which cost less to write again than a
+      memo entry costs each of the 32 810 cell and member dicts of a
+      max-rank 8 trace.
+
+    A scalar value is written in the same piece as its key (or its list
+    separator), through `_SCALARS`, which dispatches on the exact type;
+    only containers recurse, and other types (str and int subclasses, or
+    floats, which raise) take `_emit`'s isinstance rules.  The encoder is a
+    module function, not a closure that refers to itself, so the pieces and
+    the memos are freed on return without waiting for the cycle collector.
     """
     out: list[str] = []
-    _emit(trace, 0, out, out.append, {})
+    _emit(trace, 0, out, out.append, {}, {})
     return "".join(out)
 
 
+# How each exact scalar type is written; `bool` is not `int` here.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _layout(d: dict, depth: int) -> tuple[tuple[tuple[str, str], ...], str]:
+    """The (key, piece before its value) pairs of d in sorted key order, and
+    the piece that closes d, for a dict at the given depth."""
+    if not all(isinstance(k, str) for k in d):
+        raise TypeError("trace keys must be str")
+    close = "\n" + "  " * depth
+    inner = close + "  "
+    keys = sorted(d)
+    heads = ["{" + inner] + ["," + inner] * (len(keys) - 1)
+    return (tuple((k, h + encode_basestring_ascii(k) + ": ")
+                  for k, h in zip(keys, heads)), close + "}")
+
+
 def _emit(o, depth: int, out: list[str], append,
-          spans: dict[tuple[int, int], tuple[int, int] | str]) -> None:
+          spans: dict[tuple[int, int], tuple[int, int] | str],
+          layouts: dict[tuple[tuple, int], tuple]) -> None:
     """Append the pieces of o at the given depth to out (see `trace_json`);
     `append` is `out.append`."""
-    if isinstance(o, str):
-        append(encode_basestring_ascii(o))
-    elif o is None:
-        append("null")
-    elif o is True:
-        append("true")
-    elif o is False:
-        append("false")
-    elif isinstance(o, int):
-        append(int.__repr__(o))
-    elif isinstance(o, (dict, list)):
+    enc = _SCALARS.get(type(o))
+    if enc is not None:
+        append(enc(o))
+    elif isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        shape = (tuple(o), depth)
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _layout(o, depth)
+        pieces, close = layout
+        for k, head in pieces:
+            v = o[k]
+            enc = _SCALARS.get(type(v))
+            if enc is not None:
+                append(head + enc(v))
+            else:
+                append(head)
+                _emit(v, depth + 1, out, append, spans, layouts)
+        append(close)
+    elif isinstance(o, list):
         key = (id(o), depth)
         seen = spans.get(key)
         if seen is not None:
@@ -239,29 +317,24 @@ def _emit(o, depth: int, out: list[str], append,
             return
         start = len(out)
         if not o:
-            append("{}" if isinstance(o, dict) else "[]")
+            append("[]")
         else:
             close = "\n" + "  " * depth
-            inner = close + "  "
-            sep = "," + inner
-            if isinstance(o, dict):
-                append("{" + inner)
-                for i, k in enumerate(sorted(o)):
-                    if not isinstance(k, str):
-                        raise TypeError("trace keys must be str")
-                    if i:
-                        append(sep)
-                    append(encode_basestring_ascii(k) + ": ")
-                    _emit(o[k], depth + 1, out, append, spans)
-                append(close + "}")
-            else:
-                append("[" + inner)
-                for i, v in enumerate(o):
-                    if i:
-                        append(sep)
-                    _emit(v, depth + 1, out, append, spans)
-                append(close + "]")
+            head, sep = "[" + close + "  ", "," + close + "  "
+            for v in o:
+                enc = _SCALARS.get(type(v))
+                if enc is not None:
+                    append(head + enc(v))
+                else:
+                    append(head)
+                    _emit(v, depth + 1, out, append, spans, layouts)
+                head = sep
+            append(close + "]")
         spans[key] = (start, len(out))
+    elif isinstance(o, str):
+        append(encode_basestring_ascii(o))
+    elif isinstance(o, int):
+        append(int.__repr__(o))
     else:
         raise TypeError(f"cannot encode {type(o).__name__} in a trace")
 

@@ -90,6 +90,9 @@ class MaxTensorCone(ConeModel):
     def pairing_minimum(self, x: np.ndarray) -> float:
         comp = self.comp
         m = x.reshape(comp.dimA, comp.dimB)
+        # a NaN pairing would drop out of the min folds below
+        if not np.all(np.isfinite(m)):
+            raise ValueError("non-finite input")
         rng = np.random.default_rng(self.SEED)
         fa = comp._simple_factor(comp.factorA)
         fb = comp._simple_factor(comp.factorB)

@@ -1,5 +1,6 @@
 """Reconstruction decision procedures against the brute-force oracle."""
 
+import enum
 import gc
 import json
 import tracemalloc
@@ -148,12 +149,23 @@ def test_trace_json_round_trips():
     assert json.loads(classify.trace_json(trace)) == trace
 
 
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class _Name(str):
+    pass
+
+
 # Text with the characters JSON must escape, next to arbitrary code points.
 _escapes = st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u2028')
 _texts = st.text(alphabet=st.one_of(_escapes, st.characters()), max_size=12)
+# int and str subclasses take the encoder's isinstance rules, not its
+# exact-type table, and must still write what json.dumps writes
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(),
                      st.integers(min_value=-(2**200), max_value=2**200),
-                     _texts)
+                     _texts, st.sampled_from(_Level), st.builds(_Name, _texts))
 
 
 def _containers(children):
@@ -175,11 +187,44 @@ def _trees_with_sharing(draw):
             "tree": draw(_trees)}
 
 
-@given(tree=st.one_of(_trees, _trees_with_sharing()))
+@st.composite
+def _one_key_set_at_many_depths(draw):
+    """Dicts with one key set, nested two to four deep, each inserting the
+    keys in a drawn order: one dict layout at several depths, and one key
+    set in several orders."""
+    keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
+    tree = draw(_scalars)
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.permutations(keys))
+        values = [draw(_scalars) for _ in order]
+        values[draw(st.integers(0, len(keys) - 1))] = tree
+        tree = dict(zip(order, values))
+    return [tree, {"again": tree}]
+
+
+# bools next to the ints they equal, which an int-first dispatch would merge
+_bools_beside_ints = st.lists(st.sampled_from([True, False, 0, 1, 2]),
+                              min_size=2, max_size=8)
+
+
+@given(tree=st.one_of(_trees, _trees_with_sharing(),
+                      _one_key_set_at_many_depths(), _bools_beside_ints))
 @settings(max_examples=150, deadline=None)
 def test_trace_json_matches_stdlib(tree):
     assert classify.trace_json(tree) == json.dumps(tree, indent=2,
                                                    sort_keys=True)
+
+
+def test_trace_json_keeps_no_state_between_calls():
+    # the second trace's containers are likely to reuse the ids of the
+    # first's, so a memo that outlived the first call would splice the
+    # first trace's text into the second
+    first = classify.survivors_injective_composite(3)
+    classify.trace_json(first)
+    del first
+    second = classify.survivors_local_tomography(3)
+    assert classify.trace_json(second) == json.dumps(second, indent=2,
+                                                     sort_keys=True)
 
 
 @pytest.mark.parametrize("obj", [{"x": [1, 0.5]}, {1: "one"}])
@@ -205,6 +250,38 @@ def test_trace_json_frees_its_pieces_without_the_cycle_collector():
         tracemalloc.stop()
         if enabled:
             gc.enable()
+
+
+def test_trace_json_peak_memory_stays_near_the_text():
+    # pieces, memos and the joined text; one piece per scalar and key, as
+    # an encoder without inline scalars writes, peaks above 3.3x
+    trace = classify.survivors_local_tomography(5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = classify.trace_json(trace)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * len(text)
+
+
+def test_max_rank_stops_where_the_record_table_is_complete():
+    # QuatHerm of rank 81 has dim 13041 > MAX_RECORD_DIM, so max rank 9
+    # would quote candidate lists without it
+    assert classify.MAX_RANK == 8
+    for run in (classify.survivors_local_tomography,
+                classify.survivors_injective_composite,
+                lambda r: classify.survivors_classicality(r, 2)):
+        with pytest.raises(ValueError, match="at most 8"):
+            run(9)
+    trace = classify.survivors_injective_composite(8)
+    lists = {id(c["candidates"]): c["candidates"]
+             for f in trace["families"].values() for c in f["cells"]}
+    assert len(lists) == 7
+    for cands in lists.values():
+        assert set(classify.MATRIX_FAMILIES) <= {c["family"] for c in cands}
 
 
 def test_candidates_built_once_per_required_rank(monkeypatch):

@@ -336,6 +336,13 @@ class TestOtherCommands:
         obj = json.loads(result.output)
         assert obj["survivors"] == ["RealSym", "ComplexHerm"]
 
+    def test_classify_refuses_a_truncated_record_table(self, runner):
+        # rank 121 ComplexHerm (dim 14641) lies outside the record table,
+        # so max rank 11 would eliminate the family the paper singles out
+        result = runner.invoke(main, ["classify", "--max-rank", "11"])
+        assert result.exit_code == 1
+        assert "Error: max_rank must be at most 8" in result.output
+
     def test_steer_text(self, runner):
         result = runner.invoke(main, ["steer", "--seed", "3"])
         assert result.exit_code == 0

@@ -506,6 +506,26 @@ def test_max_tensor_rejects_negative(max_rebit):
     assert not max_rebit.cone.member(-np.eye(3).ravel())
 
 
+@pytest.mark.parametrize("factors", ["square-qubit", "corner-bit",
+                                     "qubit-qubit"])
+def test_max_tensor_refuses_non_finite_input(factors, qubit):
+    # the sampled branch (square, corner) once let NaN pairings drop out of
+    # its min fold and accepted these; the simple-factor branch raised
+    sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
+    specs = {s.name: s for s in fixtures.builtin_fixtures()}
+    corner = fixtures.build_system(specs["shared-corner"], specs)
+    bit = make_eja_system(eja.classical(2), "bit")
+    a, b = {"square-qubit": (sq, qubit), "corner-bit": (corner, bit),
+            "qubit-qubit": (qubit, qubit)}[factors]
+    cone = cp.CompositeSystem(a, b, cp.MAX_TENSOR).cone
+    one_nan = -np.ones(cone.dim)
+    one_nan[3] = np.nan
+    for x in (np.full(cone.dim, np.nan), one_nan):
+        for query in (cone.member, cone.margin):
+            with pytest.raises(ValueError, match="non-finite input"):
+                query(x)
+
+
 def test_max_tensor_dual_samples_read_cached_float_facets(rng, monkeypatch):
     sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
     comp = cp.CompositeSystem(sq, sq, cp.MAX_TENSOR)
