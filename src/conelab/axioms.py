@@ -23,7 +23,9 @@ from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
 
 # sampled members (and dual points) of a non-polyhedral self-duality check
 SELF_DUAL_SAMPLES = 200
-# most extremal rays a bijection search takes; it tries up to n! bijections
+# most extremal rays a bijection search takes; it tries up to n! bijections,
+# and at 8! a lattice octagon's weak or SPD search FAILS after about 2 s
+# (2-core host, Python 3.11)
 SEARCH_CAP = 8
 # maps along a continuous pure-transitivity path, past the identity
 PATH_STEPS = 16
@@ -242,7 +244,8 @@ def _combine(coeffs, vecs) -> list[Fraction]:
 def _spd_exact(t: list[list[Fraction]]) -> bool:
     """Sylvester's criterion by one elimination pass without pivoting: the
     k-th pivot is D_k / D_{k-1}, the ratio of leading principal minors, so
-    every minor is positive exactly when every pivot is."""
+    every minor is positive exactly when every pivot is.  T must be
+    symmetric: the criterion reads nothing above the diagonal."""
     m = [row[:] for row in t]
     d = len(m)
     for c in range(d):
@@ -275,9 +278,9 @@ def search_spd_self_duality(cone: PolyhedralCone) -> Verdict:
     f_{perm(i)}, and d(d-1)/2 rows for the symmetry of T.  A nonzero kernel
     is lifted to all n scales and put in the RREF null basis of the system
     in (T, mu), which depends on the solution space alone.  T is built from
-    mu only for a candidate; it must carry every ray exactly, or the
-    bijection's certificate is uncertified, and then pass the exact SPD
-    test.
+    mu only for a candidate; it must carry every ray exactly and equal its
+    transpose, or the bijection's certificate is uncertified, and then pass
+    the exact SPD test.
     """
     rays, facets = _ray_facet_setup(cone)
     if len(rays) != len(facets):
@@ -304,7 +307,9 @@ def search_spd_self_duality(cone: PolyhedralCone) -> Verdict:
             if any(m <= 0 for m in mu):
                 continue
             t = systems.map_from_scales(perm, mu)
-            if not systems.carries_rays(perm, mu, t):
+            # Sylvester's criterion below presumes T = T^T
+            if not (systems.carries_rays(perm, mu, t)
+                    and t == [list(col) for col in zip(*t)]):
                 reason = "constructed map fails the exact re-check"
                 break
             if _spd_exact(t):

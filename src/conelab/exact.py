@@ -4,7 +4,9 @@ Small dense problems only (dims well under 100): one integer-row
 elimination (`_echelon`), which `rref`, rank, null spaces and dual bases
 read, and a Bland-rule phase-I simplex for feasibility certificates that
 pivots on integers with exact division (fraction-free, after Bareiss): its
-tableau holds no `Fraction`, only the vertex it returns does.  All
+tableau holds no `Fraction`, only the vertex it returns does.  The
+elimination takes the rows one at a time and stops once the rank equals the
+column count; every row is converted to integers before it starts.  All
 polyhedral cone reasoning in this package goes through these routines so
 that verdicts on polyhedral fixtures are exact, not floating point.
 
@@ -44,33 +46,45 @@ def _echelon(mat: Matrix) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of the reduced row echelon form, each as primitive
     integers (row r is its RREF row times its pivot), and the pivot columns.
 
-    Gauss-Jordan elimination on integer rows, each kept primitive: scaling a
-    row by a nonzero factor leaves the row space, and so its unique RREF,
-    unchanged.
+    Row-incremental Gauss-Jordan elimination on integer rows, each kept
+    primitive: scaling a row by a nonzero factor leaves the row space, and
+    so its unique RREF, unchanged.  Every row is converted by
+    `_integer_row` first, so a bad entry raises wherever it sits.  Each row
+    is then reduced against the pivot rows so far; a nonzero remainder,
+    made primitive, becomes a new pivot row and is eliminated from the
+    earlier ones, so they stay fully reduced.  Once the rank equals the
+    column count the RREF is the identity and every later row lies in its
+    span, so elimination stops there.
     """
     m = [_integer_row(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
+    cols = len(m[0]) if m else 0
+    reduced: dict[int, list[int]] = {}  # pivot column -> its row
+    for row in m:
+        for k, p in reduced.items():
+            b = row[k]
+            if b:
+                a = p[k]
+                row = [a * x - b * y for x, y in zip(row, p)]
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r]
-        a = p[c]
-        for i in range(rows):
-            b = m[i][c]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(m[i], p)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == rows:
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+        a = row[c]
+        for k, p in reduced.items():
+            b = p[c]
+            if b:
+                q = [a * x - b * y for x, y in zip(p, row)]
+                g = gcd(*q)
+                reduced[k] = [x // g for x in q] if g > 1 else q
+        reduced[c] = row
+        if len(reduced) == cols:
             break
-    return m[:r], pivots
+    pivots = sorted(reduced)
+    return [reduced[c] for c in pivots], pivots
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -84,9 +98,8 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(mat: Matrix) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
+    """The number of pivots of the integer elimination."""
+    return len(_echelon(mat)[1])
 
 
 def null_space(mat: Matrix) -> list[Row]:

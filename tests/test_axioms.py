@@ -37,6 +37,10 @@ REGULAR_6 = [[F(x), F(y), F(1)] for x, y in [
 # bijection-search workload draws at seed 1.
 LATTICE_6 = [[3, 1, 1], [1, 3, 1], [-3, 3, 1], [-4, 0, 1], [-1, -3, 1],
              [1, -4, 1]]
+# A lattice octagon at the search cap, not projectively self-dual: both
+# searches exhaust all 8! bijections, the slowest path a user can hit.
+LATTICE_8 = [[x, y, 1] for x, y in [(5, 0), (4, 3), (1, 5), (-2, 4), (-4, 1),
+                                    (-4, -2), (-1, -4), (3, -3)]]
 # The regular 7-gon with coordinates rounded to denominators <= 100.
 REGULAR_7 = [[F(math.cos(2 * math.pi * k / 7)).limit_denominator(100),
               F(math.sin(2 * math.pi * k / 7)).limit_denominator(100), F(1)]
@@ -294,9 +298,11 @@ class TestBijectionSearches:
         ("search_spd_self_duality", SQUARE, 24),
         ("search_weak_self_duality", LATTICE_6, 720),
         ("search_spd_self_duality", LATTICE_6, 720),
-        ("search_spd_self_duality", REGULAR_6, 720)],
+        ("search_spd_self_duality", REGULAR_6, 720),
+        ("search_weak_self_duality", LATTICE_8, 40320),
+        ("search_spd_self_duality", LATTICE_8, 40320)],
         ids=["square-spd", "lattice-6-weak", "lattice-6-spd",
-             "regular-6-spd"])
+             "regular-6-spd", "lattice-8-weak", "lattice-8-spd"])
     def test_one_null_space_per_bijection(self, monkeypatch, fn, rays,
                                           n_fact):
         calls = []
@@ -341,6 +347,19 @@ def test_failed_spd_construction_is_uncertified(monkeypatch):
     certs = v.violation["bijections"]
     assert len(certs) == 120
     failed = [c for c in certs
+              if c["reason"] == "constructed map fails the exact re-check"]
+    assert failed and all(c["certified"] is False for c in failed)
+
+
+def test_non_symmetric_spd_construction_is_uncertified(monkeypatch):
+    # without its symmetry rows the system admits non-symmetric maps, which
+    # Sylvester's criterion would pass as SPD; they are failed constructions
+    space = axioms._ScaleSystems.scale_space
+    monkeypatch.setattr(axioms._ScaleSystems, "scale_space",
+                        lambda self, perm, symmetric: space(self, perm, False))
+    v = axioms.search_spd_self_duality(PolyhedralCone(REGULAR_6))
+    assert v.status == INCONCLUSIVE
+    failed = [c for c in v.violation["bijections"]
               if c["reason"] == "constructed map fails the exact re-check"]
     assert failed and all(c["certified"] is False for c in failed)
 

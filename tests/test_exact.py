@@ -99,6 +99,51 @@ def test_int_fraction_and_mixed_entries_agree(mat, data):
         assert all(type(x) is F for vec in basis for x in vec)
 
 
+@st.composite
+def tall_systems(draw):
+    """Integer or `Fraction` systems of 1-8 columns and up to four times as
+    many rows, and the bijection shapes 9x3, 12x3 and 18x3.  Zero rows and
+    combinations of earlier rows are mixed in, so rows often arrive after
+    the rank is full, and some systems never reach it."""
+    rows, cols = draw(st.one_of(
+        st.sampled_from([(9, 3), (12, 3), (18, 3)]),
+        st.integers(1, 8).flatmap(
+            lambda c: st.tuples(st.integers(1, 4 * c), st.just(c)))))
+    entry = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7)]))
+    mat = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["new", "zero", "combination"]))
+        if kind == "zero":
+            mat.append([0] * cols)
+        elif kind == "combination" and mat:
+            a, b = draw(st.sampled_from(mat)), draw(st.sampled_from(mat))
+            k = draw(st.integers(-3, 3))
+            mat.append([x + k * y for x, y in zip(a, b)])
+        else:
+            mat.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return mat
+
+
+@given(mat=tall_systems())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_fraction_oracle_on_tall_systems(mat):
+    expected = rref_by_fractions(mat)
+    assert exact.rref(mat) == expected
+    assert exact.rank(mat) == len(expected[1])
+    assert exact.null_space(mat) == null_space_by_fractions(mat)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+def test_bad_entry_after_full_rank_raises(bad):
+    # the first three rows already have full rank; the last is still read
+    mat = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, bad, 0]]
+    for fn in (exact.rref, exact.rank, exact.null_space):
+        with pytest.raises((ValueError, OverflowError)):
+            fn(mat)
+
+
 def test_solve_exact():
     mat = [[2, 1], [1, 3]]
     sol = solve(mat, [F(5), F(10)])
