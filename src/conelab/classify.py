@@ -5,21 +5,18 @@ injective, or classicality-compatible composites with themselves.
 All arithmetic is over plain integers; derivation traces are first-class
 outputs recording, for every examined member, the forced rank, the required
 dimension, the candidate records, and the eliminating inequality.  A trace is
-built from plain dicts and lists: the candidate records of each required rank
-are built once per procedure and shared by every cell that needs them, and a
-cell finds its witness by bisection on their dims.  `trace_json` writes the
-bytes of `json.dumps(trace, indent=2, sort_keys=True)`: it sorts and escapes
-the keys once per dict layout (key order and depth), writes each scalar in
-the same piece as its key, and encodes each shared list once per depth.
-`max_rank` runs from 2 to `MAX_RANK` = 8, the largest rank whose required
-ranks keep every matrix-family record in the record table.
+plain dicts and lists computed by `dim_of`: the candidates of each required
+rank are built once per procedure and shared by every cell that needs them,
+and a cell finds its witness by bisection on their dims.  `trace_json` writes
+the bytes of `json.dumps(trace, indent=2, sort_keys=True)`: it sorts and
+escapes the keys once per dict layout (key order and depth), writes each
+scalar in the same piece as its key, and encodes each shared list once per
+depth.  `max_rank` runs from 2 to `MAX_RANK` = 8, a bound on the trace size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import count
 from json.encoder import encode_basestring_ascii
 
 FAMILIES = ("RealSym", "ComplexHerm", "QuatHerm", "SpinFactor", "Albert")
@@ -28,13 +25,6 @@ MATRIX_FAMILIES = FAMILIES[:3]
 LOCAL_TOMOGRAPHY = "local-tomography"
 INJECTIVE_COMPOSITE = "injective-composite"
 CLASSICALITY = "classicality"
-
-
-@dataclass(frozen=True, order=True)
-class ClassRecord:
-    family: str
-    rank: int
-    dim: int
 
 
 def dim_of(family: str, rank: int, spin_dim: int | None = None) -> int:
@@ -60,85 +50,57 @@ def dim_of(family: str, rank: int, spin_dim: int | None = None) -> int:
     raise ValueError(f"unknown family: {family}")
 
 
-MAX_RECORD_DIM = 10000
+# The largest max_rank the procedures accept.  Spin members run to dimension
+# 4*max_rank**4, so a max-rank 8 trace is already 16 405 cells and 12 MB,
+# and the independent oracle in the tests checks nothing above 8.
+MAX_RANK = 8
 
 
-def make_record(family: str, rank: int) -> ClassRecord:
-    return ClassRecord(family, rank, dim_of(family, rank))
-
-
-def records_with_rank(rank: int) -> list[ClassRecord]:
-    """All simple records of the exact given rank with dim <= MAX_RECORD_DIM."""
-    out = []
-    for family in MATRIX_FAMILIES:
-        d = dim_of(family, rank)
-        if d <= MAX_RECORD_DIM:
-            out.append(ClassRecord(family, rank, d))
-    if rank == 2:
-        out.extend(ClassRecord("SpinFactor", 2, n)
-                   for n in range(2, MAX_RECORD_DIM + 1))
-    if rank == 3:
-        out.append(ClassRecord("Albert", 3, 27))
-    return sorted(out, key=lambda c: (c.dim, c.family))
-
-
-# The largest max_rank the procedures accept: every matrix-family record of
-# each required rank r**2 <= MAX_RANK**2 lies in the record table.  Above
-# it the table loses QuatHerm (rank 81 has dim 13041), so cells would quote
-# wrong available dims, and from max_rank 11 it loses ComplexHerm (rank
-# 121 has dim 14641), which the procedures would then eliminate.
-MAX_RANK = next(r for r in count(1) if any(
-    dim_of(f, (r + 1) ** 2) > MAX_RECORD_DIM for f in MATRIX_FAMILIES))
-
-
-def family_members(family: str, max_rank: int) -> list[ClassRecord]:
-    """The members each procedure examines.  Spin dimensions run from 2 to
-    4*max_rank**4: that is the enumeration range the traces pin (the oracle
-    and the classify digests list the same cells), not a bound the
-    decision needs, since every spin member with dim >= 6 fails against the
-    rank-4 candidates (dims 10, 16, 28) under both relations."""
+def family_members(family: str, max_rank: int):
+    """The (rank, dim) of each member a procedure examines.  Spin dims run
+    from 2 to 4*max_rank**4, the range the traces pin; the decision needs
+    fewer, since every spin member with dim >= 6 fails against the rank-4
+    candidates (dims 10, 16, 28) under both relations."""
     if family == "SpinFactor":
-        return [ClassRecord("SpinFactor", 2, n)
-                for n in range(2, 4 * max_rank**4 + 1)]
-    if family == "Albert":
-        return [ClassRecord("Albert", 3, 27)]
-    return [make_record(family, r) for r in range(2, max_rank + 1)]
-
-
-def _record(c: ClassRecord) -> dict:
-    return {"family": c.family, "rank": c.rank, "dim": c.dim}
+        for n in range(2, 4 * max_rank**4 + 1):
+            yield 2, n
+    elif family == "Albert":
+        yield 3, 27
+    else:
+        for r in range(2, max_rank + 1):
+            yield r, dim_of(family, r)
 
 
 def _candidates(rank: int) -> tuple[list[dict], list[int], str]:
-    """The candidate records of one required rank, their dims, and those
-    dims as the text a failing cell quotes."""
-    cands = [_record(c) for c in records_with_rank(rank)]
+    """The candidate records of a required rank R = r**2 >= 4, their dims,
+    and those dims as the text a failing cell quotes.  No spin factor
+    (rank 2) or Albert algebra (rank 3) has rank R, so the candidates are
+    the matrix families, whose dims increase strictly in that order since
+    R(R+1)/2 < R**2 < R(2R-1): `_cell`'s bisect_left finds the first with
+    dim >= required_dim, and the one with dim == required_dim if any."""
+    cands = [{"family": f, "rank": rank, "dim": dim_of(f, rank)}
+             for f in MATRIX_FAMILIES]
     dims = [c["dim"] for c in cands]
     return cands, dims, str(dims)
 
 
-def _cell(member: ClassRecord, relation: str,
+def _cell(family: str, rank: int, dim: int, relation: str,
           candidates: tuple[list[dict], list[int], str]) -> dict:
     cands, dims, text = candidates
-    required_rank = member.rank ** 2
-    required_dim = member.dim ** 2
-    # the candidates are sorted by (dim, family), so i is the first record
-    # with dim >= required_dim, and the first with dim == required_dim if
-    # there is one
+    required_rank = rank ** 2
+    required_dim = dim ** 2
     i = bisect_left(dims, required_dim)
-    hit = None
-    if i < len(dims) and (relation == ">=" or dims[i] == required_dim):
-        hit = cands[i]
+    ok = i < len(dims) and (relation == ">=" or dims[i] == required_dim)
     out = {
-        "member": _record(member),
+        "member": {"family": family, "rank": rank, "dim": dim},
         "required_rank": required_rank,
         "required_dim": required_dim,
         "relation": relation,
         "candidates": cands,
-        "pass": hit is not None,
+        "pass": ok,
     }
-    if hit is not None:
-        out["witness"] = hit
+    if ok:
+        out["witness"] = cands[i]
     else:
         out["reason"] = (f"no simple record of rank {required_rank} has "
                          f"dim {relation} {required_dim}; available dims "
@@ -150,25 +112,18 @@ def _run(procedure: str, max_rank: int, num_summands: int | None = None) -> dict
     if max_rank < 2:
         raise ValueError("max_rank must be at least 2")
     if max_rank > MAX_RANK:
-        raise ValueError(
-            f"max_rank must be at most {MAX_RANK}: above it the record table "
-            f"(dim <= {MAX_RECORD_DIM}) lacks matrix-family records of rank "
-            f"{(MAX_RANK + 1) ** 2}")
+        raise ValueError(f"max_rank must be at most {MAX_RANK}: the spin "
+                         "family alone lists 4*max_rank**4 members")
     relation = "==" if procedure == LOCAL_TOMOGRAPHY else ">="
-    by_rank: dict[int, tuple[list[dict], list[int], str]] = {}
+    # members have ranks 2..max_rank, and the Albert member has rank 3
+    by_rank = {r: _candidates(r * r) for r in range(2, max(max_rank, 3) + 1)}
     families = {}
-    survivors = []
     for family in FAMILIES:
-        cells = []
-        for m in family_members(family, max_rank):
-            required_rank = m.rank ** 2
-            if required_rank not in by_rank:
-                by_rank[required_rank] = _candidates(required_rank)
-            cells.append(_cell(m, relation, by_rank[required_rank]))
-        ok = all(c["pass"] for c in cells)
-        families[family] = {"survives": ok, "cells": cells}
-        if ok:
-            survivors.append(family)
+        cells = [_cell(family, rank, dim, relation, by_rank[rank])
+                 for rank, dim in family_members(family, max_rank)]
+        families[family] = {"survives": all(c["pass"] for c in cells),
+                            "cells": cells}
+    survivors = [f for f in FAMILIES if families[f]["survives"]]
     out = {
         "procedure": procedure,
         "max_rank": max_rank,
@@ -191,10 +146,11 @@ def near_miss_record() -> dict:
     matrix algebra."""
     return {
         "summands": 3,
-        "summand": _record(make_record("Albert", 3)),
+        "summand": {"family": "Albert", "rank": 3, "dim": dim_of("Albert", 3)},
         "total_rank": 81,
         "total_dim": 81,
-        "coincides_with": _record(make_record("ComplexHerm", 81)),
+        "coincides_with": {"family": "ComplexHerm", "rank": 81,
+                           "dim": dim_of("ComplexHerm", 81)},
         "note": ("three exceptional summands give a state space whose "
                  "rank and squared dimension match the rank-81 complex "
                  "matrix algebra exactly; rank and dimension counting "

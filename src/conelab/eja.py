@@ -53,6 +53,8 @@ class SimpleFactor:
     def __init__(self, family: str, rank: int, spin_dim: int | None = None):
         if family not in (REAL, COMPLEX, QUAT, SPIN):
             raise ValueError(f"unknown family {family!r}")
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, got {rank}")
         if family == SPIN and rank != 2:
             raise ValueError("spin factors have rank 2")
         if family != SPIN and spin_dim is not None:

@@ -116,67 +116,72 @@ def registry_from_json(text: str) -> list[FixtureSpec]:
             raise ConeError(f"registry fixture '{spec.name}': "
                             + "; ".join(bad))
         specs.append(spec)
-    for s in specs:
-        if s.kind == "composite":
-            for ref in (s.params.get("factorA"), s.params.get("factorB")):
-                if ref not in names:
-                    raise ConeError(f"fixture '{s.name}': unknown factor "
-                                    f"'{ref}'")
+    factors = {s.name: (s.params.get("factorA"), s.params.get("factorB"))
+               for s in specs if s.kind == "composite"}
+    done: set[str] = set()
+    for name in factors:
+        _check_factors(factors, names, [name], done)
     return specs
+
+
+def _check_factors(factors: dict[str, tuple], names: set, path: list[str],
+                   done: set[str]) -> None:
+    """Reject an unknown factor of the composite at the end of path, or a
+    cycle of composite factors through it; done holds the composites
+    already checked."""
+    for ref in factors[path[-1]]:
+        if not isinstance(ref, str) or ref not in names:
+            raise ConeError(f"fixture '{path[-1]}': unknown factor '{ref}'")
+        if ref in path:
+            cycle = " -> ".join(path[path.index(ref):] + [ref])
+            raise ConeError(f"fixture '{ref}': composite factors form a "
+                            f"cycle {cycle}")
+        if ref in factors and ref not in done:
+            _check_factors(factors, names, path + [ref], done)
+    done.add(path[-1])
 
 
 # -- building systems --------------------------------------------------------
 
 
-def _field(spec: FixtureSpec, obj: dict, key: str):
-    """obj[key], or a ConeError naming the fixture and the missing key."""
-    if key not in obj:
-        raise ConeError(f"fixture '{spec.name}': missing '{key}'")
-    return obj[key]
-
-
 def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
-    if spec.kind == "eja":
-        try:
-            if "classical" in spec.params:
-                alg = eja.classical(int(spec.params["classical"]))
+    """The system a fixture describes.  A missing or malformed parameter
+    raises a ConeError that names the fixture; a composite's factors are
+    built first, so their errors name the factor."""
+    if spec.kind == "composite":
+        fa, fb = (build_system(registry[spec.params[k]], registry)
+                  for k in ("factorA", "factorB"))
+    params = spec.params
+    try:
+        if spec.kind == "eja":
+            if "classical" in params:
+                alg = eja.classical(int(params["classical"]))
             else:
-                factors = []
-                for s in _field(spec, spec.params, "summands"):
-                    fam = _field(spec, s, "family")
-                    if fam == "spin":
-                        factors.append(eja.SimpleFactor(
-                            "spin", 2, int(_field(spec, s, "dim"))))
-                    else:
-                        factors.append(eja.SimpleFactor(
-                            fam, int(_field(spec, s, "rank"))))
-                alg = eja.JordanAlgebra(factors)
-        except ConeError:
-            raise
-        except ValueError as exc:
-            raise ConeError(f"fixture '{spec.name}': {exc}") from exc
-        return System(EJACone(alg), alg.trace_functional(), spec.name)
-    if spec.kind == "polyhedral":
-        gens = _field(spec, spec.params, "generators")
-        try:
+                alg = eja.JordanAlgebra([
+                    eja.SimpleFactor("spin", 2, int(s["dim"]))
+                    if s["family"] == "spin"
+                    else eja.SimpleFactor(s["family"], int(s["rank"]))
+                    for s in params["summands"]])
+            return System(EJACone(alg), alg.trace_functional(), spec.name)
+        if spec.kind == "polyhedral":
+            gens = params["generators"]
             cone = PolyhedralCone(gens)
-            if "unit" in spec.params:
-                unit = np.array([float(Fraction(v))
-                                 for v in spec.params["unit"]])
+            if "unit" in params:
+                unit = np.array([float(Fraction(v)) for v in params["unit"]])
             else:
                 unit = np.array([[float(v) for v in r]
                                  for r in gens]).mean(axis=0)
                 unit /= np.linalg.norm(unit) ** 2
             return System(cone, unit, spec.name)
-        except ValueError as exc:  # a ConeError too: name the fixture
-            raise ConeError(f"fixture '{spec.name}': {exc}") from exc
-    if spec.kind == "shared-corner":
-        return System(SharedCornerCone(), np.array([1., 1., 1., 0., 0.]),
-                      spec.name)
-    if spec.kind == "composite":
-        fa = build_system(registry[spec.params["factorA"]], registry)
-        fb = build_system(registry[spec.params["factorB"]], registry)
-        return CompositeSystem(fa, fb, _field(spec, spec.params, "model"))
+        if spec.kind == "shared-corner":
+            return System(SharedCornerCone(), np.array([1., 1., 1., 0., 0.]),
+                          spec.name)
+        if spec.kind == "composite":
+            return CompositeSystem(fa, fb, params["model"])
+    except KeyError as exc:
+        raise ConeError(f"fixture '{spec.name}': missing {exc}") from exc
+    except (ValueError, TypeError) as exc:  # a ConeError is a ValueError
+        raise ConeError(f"fixture '{spec.name}': {exc}") from exc
     raise ConeError(f"unknown fixture kind: {spec.kind}")
 
 

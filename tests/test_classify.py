@@ -132,9 +132,22 @@ def test_near_miss_text_calls_81_the_squared_rank():
 
 
 def test_spin_enumeration_bound():
-    members = classify.family_members("SpinFactor", 3)
-    assert members[0].dim == 2
-    assert members[-1].dim == 4 * 3**4
+    members = list(classify.family_members("SpinFactor", 3))
+    assert members[0] == (2, 2)
+    assert members[-1] == (2, 4 * 3**4)
+
+
+def test_candidates_are_the_matrix_families_in_dim_order():
+    # bisect_left in _cell needs the candidate dims strictly increasing
+    for r in range(2, classify.MAX_RANK + 1):
+        cands, dims, text = classify._candidates(r * r)
+        assert [c["family"] for c in cands] == list(classify.MATRIX_FAMILIES)
+        assert all(c["rank"] == r * r for c in cands)
+        assert dims == [classify.dim_of(f, r * r)
+                        for f in classify.MATRIX_FAMILIES]
+        assert dims == [c["dim"] for c in cands]
+        assert dims[0] < dims[1] < dims[2]
+        assert text == str(dims)
 
 
 def test_trace_text_renders():
@@ -268,8 +281,9 @@ def test_trace_json_peak_memory_stays_near_the_text():
 
 
 def test_max_rank_stops_where_the_record_table_is_complete():
-    # QuatHerm of rank 81 has dim 13041 > MAX_RECORD_DIM, so max rank 9
-    # would quote candidate lists without it
+    # spin members run to dim 4*max_rank**4, so max rank 9 would list
+    # 26 243 spin cells; the oracle's record table (dim <= 10000) would
+    # also lack QuatHerm of rank 81 (dim 13041)
     assert classify.MAX_RANK == 8
     for run in (classify.survivors_local_tomography,
                 classify.survivors_injective_composite,
@@ -286,13 +300,13 @@ def test_max_rank_stops_where_the_record_table_is_complete():
 
 def test_candidates_built_once_per_required_rank(monkeypatch):
     calls = []
-    records_with_rank = classify.records_with_rank
+    candidates = classify._candidates
 
     def counting(rank, *args, **kwargs):
         calls.append(rank)
-        return records_with_rank(rank, *args, **kwargs)
+        return candidates(rank, *args, **kwargs)
 
-    monkeypatch.setattr(classify, "records_with_rank", counting)
+    monkeypatch.setattr(classify, "_candidates", counting)
     trace = classify.survivors_local_tomography(8)
     cells = [c for f in trace["families"].values() for c in f["cells"]]
     assert len(cells) > 16000

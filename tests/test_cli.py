@@ -286,8 +286,44 @@ class TestCheckCommand:
         ([1], "registry must be a JSON object with a list of fixtures"),
         ({"fixtures": [1]}, "registry fixture #0: not a JSON object"),
         ({"fixtures": [{"name": ["a"], "kind": "shared-corner"}]},
-         "registry fixture #0: 'name' must be a string")],
-        ids=["top-level-list", "fixture-not-object", "unhashable-name"])
+         "registry fixture #0: 'name' must be a string"),
+        ({"fixtures": [{"name": "c", "kind": "eja",
+                        "params": {"classical": None}}]},
+         "fixture 'c': int() argument must be"),
+        ({"fixtures": [{"name": "s", "kind": "eja",
+                        "params": {"summands": 5}}]},
+         "fixture 's': 'int' object is not iterable"),
+        ({"fixtures": [{"name": "s", "kind": "eja",
+                        "params": {"summands": [1]}}]},
+         "fixture 's': 'int' object is not subscriptable"),
+        ({"fixtures": [{"name": "s", "kind": "eja", "params": {
+            "summands": [{"family": "spin", "dim": None}]}}]},
+         "fixture 's': int() argument must be"),
+        ({"fixtures": [{"name": "q", "kind": "eja", "params": {
+            "summands": [{"family": "quat", "rank": 0}]}}]},
+         "fixture 'q': rank must be at least 1, got 0"),
+        ({"fixtures": [{"name": "p", "kind": "polyhedral", "params": {
+            "generators": [[1, 0], [0, 1]], "unit": 5}}]},
+         "fixture 'p': 'int' object is not iterable"),
+        ({"fixtures": [
+            {"name": "x", "kind": "composite",
+             "params": {"factorA": "y", "factorB": "y", "model": "max"}},
+            {"name": "y", "kind": "composite",
+             "params": {"factorA": "x", "factorB": "x", "model": "max"}}]},
+         "fixture 'x': composite factors form a cycle x -> y -> x"),
+        ({"fixtures": [{"name": "x", "kind": "composite", "params": {
+            "factorA": "x", "factorB": "x", "model": "max"}}]},
+         "fixture 'x': composite factors form a cycle x -> x"),
+        ({"fixtures": [
+            {"name": "q", "kind": "eja", "params": {
+                "summands": [{"family": "complex", "rank": 2}]}},
+            {"name": "m", "kind": "composite",
+             "params": {"factorA": "q", "factorB": "q", "model": "min"}}]},
+         "fixture 'm': exact min-tensor cone needs polyhedral factors")],
+        ids=["top-level-list", "fixture-not-object", "unhashable-name",
+             "classical-null", "summands-int", "summand-int", "spin-dim-null",
+             "rank-zero", "unit-int", "factor-cycle", "self-factor",
+             "min-of-eja"])
     def test_malformed_registry_is_an_error(self, runner, tmp_path, registry,
                                             message):
         reg = tmp_path / "bad.json"
@@ -337,8 +373,8 @@ class TestOtherCommands:
         assert obj["survivors"] == ["RealSym", "ComplexHerm"]
 
     def test_classify_refuses_a_truncated_record_table(self, runner):
-        # rank 121 ComplexHerm (dim 14641) lies outside the record table,
-        # so max rank 11 would eliminate the family the paper singles out
+        # spin members run to dim 4*max_rank**4, so the trace grows as
+        # max_rank**4; the cap is a bound on its size
         result = runner.invoke(main, ["classify", "--max-rank", "11"])
         assert result.exit_code == 1
         assert "Error: max_rank must be at most 8" in result.output

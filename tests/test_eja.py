@@ -42,6 +42,9 @@ def test_invalid_factors_rejected():
             eja.SimpleFactor(eja.SPIN, 2, spin_dim=spin_dim)
     with pytest.raises(ValueError, match="unknown family"):
         eja.SimpleFactor("octonion", 3)
+    for family in (eja.REAL, eja.COMPLEX, eja.QUAT):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            eja.SimpleFactor(family, 0)
 
 
 def _trace_form(f: eja.SimpleFactor, a, b) -> float:
