@@ -83,12 +83,11 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
                        detail="exact two-sided inclusion")
 
     inv = np.linalg.inv(inner)
-    members = list(cone.generators())
-    members += [cone.sample_extremal(rng) for _ in range(SELF_DUAL_SAMPLES)]
+    members = np.concatenate([np.reshape(cone.generators(), (-1, n)),
+                              cone.sample_extremals(rng, SELF_DUAL_SAMPLES)])
     # every pair (i <= j) at once, in combinations_with_replacement order
-    stacked = np.array(members)
     rows, cols = np.triu_indices(len(members))
-    values = (stacked @ inner @ stacked.T)[rows, cols]
+    values = (members @ inner @ members.T)[rows, cols]
     bad = np.flatnonzero(values < -tol)
     if bad.size:
         k = bad[0]
@@ -101,7 +100,7 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
     if isinstance(cone, EJACone):
         # trace-form dual extremals coincide with primal ones; pull them all
         # back at once, one matrix-vector product per member as in inv @ e
-        pulled = (inv @ stacked[:, :, None])[:, :, 0]
+        pulled = (inv @ members[:, :, None])[:, :, 0]
         margins = cone.algebra.min_eigenvalues(pulled)
         outside = np.flatnonzero(margins < -tol)
         if outside.size:
@@ -369,19 +368,29 @@ def search_weak_self_duality(cone: PolyhedralCone) -> Verdict:
 def homogeneity_witness(system: System, rho: np.ndarray, sigma: np.ndarray,
                         tol: float = 1e-9) -> np.ndarray:
     """Matrix of an order automorphism carrying the interior point rho to
-    sigma."""
+    sigma, or the (k, d, d) stack of them for (k, d) stacks of pairs.
+
+    On an EJA cone it is P(sqrt(sigma)) P(rho^(-1/2)) (Faraut & Koranyi,
+    Analysis on Symmetric Cones, 1994), with every square root, inverse
+    square root and quadratic representation of the stack at once; each
+    matrix has the bits of its pair's own witness."""
     cone = system.cone
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    if rho.ndim == 1:
+        return homogeneity_witness(system, rho[None], sigma[None], tol)[0]
     if isinstance(cone, EJACone):
         alg = cone.algebra
-        if min(alg.min_eigenvalues(np.array([rho, sigma]))) <= tol:
+        if np.min(alg.min_eigenvalues(np.concatenate([rho, sigma]))) <= tol:
             raise ConeError("homogeneity witness requires interior points")
-        return alg.quadratic_rep(alg.sqrt(sigma)) @ alg.quadratic_rep(alg.inv_sqrt(rho))
+        return (alg.quadratic_rep(alg.sqrt(sigma))
+                @ alg.quadratic_rep(alg.inv_sqrt(rho)))
     if isinstance(cone, SharedCornerCone):
-        if cone.margin(rho) <= tol or cone.margin(sigma) <= tol:
+        if min(map(cone.margin, [*rho, *sigma])) <= tol:
             raise ConeError("homogeneity witness requires interior points")
-        return cone.transport_from_basepoint(sigma) @ cone.transport_to_basepoint(rho)
+        return np.array([cone.transport_from_basepoint(s)
+                         @ cone.transport_to_basepoint(r)
+                         for r, s in zip(rho, sigma)])
     raise UnsupportedQuery("no witness constructor for this cone variant")
 
 

@@ -99,8 +99,8 @@ class MaxTensorCone(ConeModel):
         if fa is not None and fb is not None:
             # alternating exact minimization over pure product effects, the
             # starts swept together as one (STARTS, dim) stack per side
-            f = np.array([fb.metric * comp.factorB.cone.sample_extremal(rng)
-                          for _ in range(self.STARTS)])
+            f = fb.metric * comp.factorB.cone.sample_extremals(rng,
+                                                               self.STARTS)
             for _ in range(self.SWEEPS):
                 e = fa.min_pure_effects((m @ f[:, :, None])[:, :, 0])
                 f = fb.min_pure_effects((m.T @ e[:, :, None])[:, :, 0])

@@ -55,6 +55,10 @@ class ConeModel:
     def member(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise NotImplementedError
 
+    def members(self, xs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`member` of each row of a (k, dim) stack, as a bool array."""
+        return np.array([self.member(x, tol) for x in xs], dtype=bool)
+
     def margin(self, x: np.ndarray) -> float:
         """Signed membership margin (>= 0 inside, < 0 outside)."""
         raise NotImplementedError
@@ -68,6 +72,12 @@ class ConeModel:
 
     def sample_extremal(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+    def sample_extremals(self, rng: np.random.Generator,
+                         count: int) -> np.ndarray:
+        """`count` calls of `sample_extremal`, as a (count, dim) stack."""
+        return np.array([self.sample_extremal(rng)
+                         for _ in range(count)]).reshape(count, self.dim)
 
     def face_span_basis(self, x: np.ndarray, tol: float) -> list[np.ndarray]:
         """Basis of the candidate span of Face(x)."""
@@ -168,9 +178,16 @@ class EJACone(ConeModel):
     def __init__(self, algebra: JordanAlgebra):
         self.algebra = algebra
         self.dim = algebra.dim
+        self._generators: list[np.ndarray] | None = None
 
     def member(self, x, tol=DEFAULT_TOL):
         return self.margin(x) >= -tol
+
+    def members(self, xs, tol=DEFAULT_TOL):
+        """All rows of the stack from one stacked `min_eigenvalues` call."""
+        # the transpose has one row per coordinate
+        self._check_dim(np.transpose(xs))
+        return self.algebra.min_eigenvalues(xs) >= -tol
 
     def margin(self, x):
         self._check_dim(x)
@@ -182,17 +199,25 @@ class EJACone(ConeModel):
         return self.member(e, tol)
 
     def generators(self):
-        out = []
-        for i, s in enumerate(self.algebra.summands):
-            ws, _ = s.factor.canonical_frame()
-            out.extend(self.algebra.embed(i, w) for w in ws)
-        ov_rng = np.random.default_rng(7)
-        for i, s in enumerate(self.algebra.summands):
-            out.append(self.algebra.embed(i, s.factor.random_pure(ov_rng)))
-        return out
+        """Each summand's canonical frame, then one seeded pure state per
+        summand; built once per cone, and every call returns copies."""
+        if self._generators is None:
+            alg = self.algebra
+            gens = []
+            for i, s in enumerate(alg.summands):
+                ws, _ = s.factor.canonical_frame()
+                gens.extend(alg.embed(i, w) for w in ws)
+            ov_rng = np.random.default_rng(7)
+            for i, s in enumerate(alg.summands):
+                gens.append(alg.embed(i, s.factor.random_pure(ov_rng)))
+            self._generators = gens
+        return [g.copy() for g in self._generators]
 
     def sample_extremal(self, rng):
         return self.algebra.random_pure(rng)
+
+    def sample_extremals(self, rng, count):
+        return self.algebra.random_pures(rng, count)
 
     def face_span_basis(self, x, tol):
         x = np.asarray(x, dtype=float)
@@ -454,12 +479,14 @@ def is_order_isomorphism(m: np.ndarray, a: ConeModel, b: ConeModel,
     rng = np.random.default_rng(ISO_SEED)
     for direction, t, src, tgt in (("forward", m, a, b),
                                    ("inverse", np.linalg.inv(m), b, a)):
-        points = list(src.generators())
-        points += [src.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
-        for g in points:
-            if not tgt.member(t @ g, slack):
-                return Verdict(FAILS, violation={"direction": direction,
-                                                 "point": g})
+        points = np.concatenate([np.reshape(src.generators(), (-1, src.dim)),
+                                 src.sample_extremals(rng, ISO_SAMPLES)])
+        # one matrix-vector product per point, as in t @ g for one point
+        inside = tgt.members((t @ points[:, :, None])[:, :, 0], slack)
+        outside = np.flatnonzero(~inside)
+        if outside.size:
+            return Verdict(FAILS, violation={"direction": direction,
+                                             "point": points[outside[0]]})
     return Verdict(HOLDS)
 
 
@@ -468,12 +495,13 @@ def validate_measurement(system: System, effects: list[np.ndarray],
     if not effects:
         raise ConeError("empty effect list")
     effects = [np.asarray(e, dtype=float) for e in effects]
+    states = system.base_generators()
     for e in effects:
         if len(e) != system.dim:
             raise ConeError("effect dimension mismatch")
         if not system.effect_member(e, tol):
             return False
-        for w in system.base_generators():
+        for w in states:
             v = float(e @ w)
             if v < -tol or v > 1 + tol:
                 return False

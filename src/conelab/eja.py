@@ -193,26 +193,39 @@ class SimpleFactor:
         return vals[self._kramers_columns(vecs)].reshape(
             vals.shape[:-1] + (self.rank,))
 
-    def spectral(self, a: np.ndarray) -> SpectralDecomposition:
+    def _spectral_rows(self, a: np.ndarray):
+        """Eigenvalues, (n, rank), and primitive idempotents, a list of
+        rank (n, dim) arrays, of each row of a (n, dim) stack, from one
+        stacked decomposition; each row has the bits of its own.  Not for
+        quaternionic factors, whose Kramers pairs are orthonormalized one
+        element at a time in `spectral`."""
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite input")
         if self.family == SPIN:
-            s, x = a[0], a[1:]
-            nx = float(_norms(x))
-            if nx < 1e-300:
-                xhat = np.zeros(self.dim - 1)
-                xhat[0] = 1.0
+            s, x = a[:, :1], a[:, 1:]
+            nx = _norms(x)[:, None]
+            tiny = nx[:, 0] < 1e-300
+            if tiny.any():
+                xhat = x / np.where(tiny[:, None], 1.0, nx)
+                xhat[tiny] = np.eye(1, self.dim - 1)
             else:
                 xhat = x / nx
-            return SpectralDecomposition(
-                np.array([s + nx, s - nx]),
-                [np.concatenate(([0.5], 0.5 * xhat)),
-                 np.concatenate(([0.5], -0.5 * xhat))])
+            half = np.full((len(a), 1), 0.5)
+            return (np.concatenate([s + nx, s - nx], axis=-1),
+                    [np.concatenate([half, 0.5 * xhat], axis=-1),
+                     np.concatenate([half, -0.5 * xhat], axis=-1)])
         vals, vecs = self._eigh(a)
+        return vals, [self.from_matrix(_outers(vecs[:, :, k],
+                                               vecs[:, :, k].conj()))
+                      for k in range(vals.shape[-1])]
+
+    def spectral(self, a: np.ndarray) -> SpectralDecomposition:
         if self.family != QUAT:
-            return SpectralDecomposition(vals, [
-                self.from_matrix(np.outer(vecs[:, k], vecs[:, k].conj()))
-                for k in range(len(vals))])
+            vals, idempotents = self._spectral_rows(a[None])
+            return SpectralDecomposition(vals[0], [c[0] for c in idempotents])
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite input")
+        vals, vecs = self._eigh(a)
         # one rank-2 projector per kept column: orthonormalize it against
         # the earlier pairs and add its symplectic partner
         keep = np.flatnonzero(self._kramers_columns(vecs))
@@ -263,11 +276,23 @@ class SimpleFactor:
         return self.metric * self.from_matrix(proj)
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
-        dec = self.spectral(a)
-        out = np.zeros(self.dim)
-        for lam, c in zip(dec.eigenvalues, dec.idempotents):
-            out += fn(lam) * c
-        return out
+        """sum_k fn(lambda_k) c_k over the spectral decomposition of a, or
+        of each row of a (..., dim) stack; fn maps an array of eigenvalues
+        elementwise.  Each row has the bits of its own decomposition:
+        quaternionic rows are decomposed one at a time, the other families
+        as one stack."""
+        rows = np.reshape(a, (-1, self.dim))
+        out = np.zeros(rows.shape)
+        if self.family == QUAT:
+            for acc, x in zip(out, rows):
+                dec = self.spectral(x)
+                for lam, c in zip(dec.eigenvalues, dec.idempotents):
+                    acc += fn(lam) * c
+        else:
+            vals, idempotents = self._spectral_rows(rows)
+            for k, c in enumerate(idempotents):
+                out += fn(vals[:, k])[:, None] * c
+        return out.reshape(np.shape(a))
 
     # -- frames and special states ----------------------------------------
 
@@ -298,33 +323,53 @@ class SimpleFactor:
 
     # -- sampling ----------------------------------------------------------
 
-    def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim)
+    def _pure_draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The normal draws of `count` pure states, a (count, parts, n)
+        array: per state one block of n = dim - 1 (spin) or side values,
+        then for complex and quaternionic factors a second block, the
+        imaginary parts.  The generator fills an array one variate at a
+        time in C order, so this is the stream of drawing each block of
+        each state in turn."""
+        n = self.dim - 1 if self.family == SPIN else self._side
+        parts = 2 if self.family in (COMPLEX, QUAT) else 1
+        return rng.standard_normal((count, parts, n))
 
-    def random_interior(self, rng: np.random.Generator) -> np.ndarray:
-        a = self.random_element(rng)
-        lift = float(np.min(self.eigenvalues(a)))
-        return a + (abs(lift) + 0.5 + rng.random()) * self.unit()
+    def _pures_from_draws(self, z: np.ndarray) -> np.ndarray:
+        """The (count, dim) pure states of `_pure_draws` output: each draw
+        normalized to a unit vector v, then the projector onto v (and, for
+        quaternionic factors, onto its symplectic partner).  Norms and
+        inner products go through `_norms`' per-row BLAS dot and complex
+        vectors keep their strided real and imaginary parts, so each row
+        has the bits of its sample transformed alone."""
+        if self.family == SPIN:
+            x = z[:, 0]
+            x = x / _norms(x)[:, None]
+            return np.concatenate([np.full((len(x), 1), 0.5), 0.5 * x],
+                                  axis=-1)
+        if self.family == REAL:
+            v = z[:, 0]
+            v = v / _norms(v)[:, None]
+            return self.from_matrix(_outers(v, v).astype(complex))
+        v = z[:, 0] + 1j * z[:, 1]
+        v = v / _complex_norms(v)[:, None]
+        proj = _outers(v, v.conj())
+        if self.family == QUAT:
+            w = (self._J @ v.conj()[:, :, None])[:, :, 0]
+            w = w - v * (v.conj()[:, None, :] @ w[:, :, None])[:, :, 0]
+            w = w / _complex_norms(w)[:, None]
+            proj = proj + _outers(w, w.conj())
+        return self.from_matrix(proj)
+
+    def random_pures(self, rng: np.random.Generator,
+                     count: int) -> np.ndarray:
+        """`count` unit-trace extremal elements (pure states of the trace
+        base) as a (count, dim) stack.  Every draw comes first; each row
+        has the draws and bits of a sample drawn and transformed alone."""
+        return self._pures_from_draws(self._pure_draws(rng, count))
 
     def random_pure(self, rng: np.random.Generator) -> np.ndarray:
-        """Unit-trace extremal element (pure state of the trace base)."""
-        if self.family == SPIN:
-            x = rng.standard_normal(self.dim - 1)
-            x /= np.linalg.norm(x)
-            return np.concatenate(([0.5], 0.5 * x))
-        side = self._side
-        if self.family == REAL:
-            v = rng.standard_normal(side)
-            v /= np.linalg.norm(v)
-            return self.from_matrix(np.outer(v, v).astype(complex))
-        v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
-        v /= np.linalg.norm(v)
-        if self.family == COMPLEX:
-            return self.from_matrix(np.outer(v, v.conj()))
-        w = self._J @ v.conj()
-        w = w - v * (v.conj() @ w)
-        w /= np.linalg.norm(w)
-        return self.from_matrix(np.outer(v, v.conj()) + np.outer(w, w.conj()))
+        """One unit-trace extremal element: `random_pures` of one."""
+        return self.random_pures(rng, 1)[0]
 
     # -- automorphisms -----------------------------------------------------
 
@@ -425,6 +470,20 @@ def _norms(x: np.ndarray) -> np.ndarray:
     vector, so a stack gets the same bits as a loop over its rows;
     `norm(x, axis=-1)` sums in another order."""
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _complex_norms(v: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each complex row of a stack, bit for bit: the
+    root of the dot products of the real and of the imaginary parts, taken
+    on their strided views as `norm` takes them on one vector."""
+    re, im = v.real, v.imag
+    return np.sqrt((re[..., None, :] @ re[..., :, None])[..., 0, 0]
+                   + (im[..., None, :] @ im[..., :, None])[..., 0, 0])
+
+
+def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.outer` of each pair of rows of two (n, side) stacks."""
+    return a[:, :, None] * b[:, None, :]
 
 
 def _spin_rotation(dim: int, x1: np.ndarray, x2: np.ndarray, t: float) -> np.ndarray:
@@ -539,23 +598,26 @@ class JordanAlgebra:
         return np.min(self.eigenvalues(a), axis=-1)
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
-        out = np.empty(self.dim)
-        for s in self.summands:
-            out[s.sl] = s.factor.apply_spectral(a[s.sl], fn)
-        return out
+        """`SimpleFactor.apply_spectral` summand by summand; a may be a
+        (..., dim) stack."""
+        self._check_dim(a)
+        return np.concatenate([s.factor.apply_spectral(a[..., s.sl], fn)
+                               for s in self.summands], axis=-1)
 
     def quadratic_rep(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> 2 a*(a*x) - (a*a)*x on coordinates, for one
-        element a.  It is block diagonal; with x the summand's part of a
-        and E its identity basis stacked as rows, the summand's block is
+        element a, or the (..., dim, dim) stack of them for a (..., dim)
+        stack.  It is block diagonal; with x the summand's part of a and E
+        its identity basis stacked as rows, the summand's block is
         (2 x*(x*E) - (x*x)*E)^T: four stacked products per summand."""
         self._check_dim(a)
-        out = np.zeros((self.dim, self.dim))
+        out = np.zeros(np.shape(a)[:-1] + (self.dim, self.dim))
         for s in self.summands:
-            f, x = s.factor, a[s.sl]
+            f, x = s.factor, a[..., None, s.sl]
             basis = np.eye(f.dim)
-            out[s.sl, s.sl] = (2.0 * f.product(x, f.product(x, basis))
-                               - f.product(f.product(x, x), basis)).T
+            out[..., s.sl, s.sl] = (
+                2.0 * f.product(x, f.product(x, basis))
+                - f.product(f.product(x, x), basis)).swapaxes(-1, -2)
         return out
 
     def summand_of(self, a: np.ndarray) -> int | None:
@@ -578,23 +640,63 @@ class JordanAlgebra:
 
     # -- sampling ----------------------------------------------------------
 
-    def random_interior(self, rng) -> np.ndarray:
-        out = np.empty(self.dim)
-        for s in self.summands:
-            out[s.sl] = s.factor.random_interior(rng)
+    def random_interiors(self, rng, count: int) -> np.ndarray:
+        """`count` interior points as a (count, dim) stack.  Each point
+        takes, summand by summand, a standard normal element a and a
+        uniform u, and is a + (|lambda_min(a)| + 0.5 + u) * unit there.
+        Every draw comes first, in that point-by-point order, and each
+        summand's lifts come from one stacked `eigenvalues` call."""
+        a = np.empty((count, self.dim))
+        u = np.empty((count, len(self.summands)))
+        for k in range(count):
+            for i, s in enumerate(self.summands):
+                a[k, s.sl] = rng.standard_normal(s.factor.dim)
+                u[k, i] = rng.random()
+        out = np.empty_like(a)
+        for i, s in enumerate(self.summands):
+            f = s.factor
+            lift = np.min(f.eigenvalues(a[:, s.sl]), axis=-1)
+            out[:, s.sl] = (a[:, s.sl]
+                            + (np.abs(lift) + 0.5 + u[:, i])[:, None]
+                            * f.unit())
+        return out
+
+    def random_pures(self, rng, count: int,
+                     summand: int | None = None) -> np.ndarray:
+        """`count` pure states as a (count, dim) stack, each in one summand:
+        `summand` if given, else one that `rng.integers` picks before the
+        sample's draws.  Every draw comes first, and then each summand's
+        rows are transformed together; each row has the draws and bits of
+        a sample drawn alone."""
+        out = np.zeros((count, self.dim))
+        if summand is None and len(self.summands) > 1:
+            picks = np.empty(count, dtype=int)
+            draws = []
+            for k in range(count):
+                picks[k] = rng.integers(len(self.summands))
+                draws.append(self.summands[picks[k]].factor._pure_draws(rng, 1))
+            for i, s in enumerate(self.summands):
+                rows = np.flatnonzero(picks == i)
+                if rows.size:
+                    out[rows, s.sl] = s.factor._pures_from_draws(
+                        np.concatenate([draws[k] for k in rows]))
+            return out
+        # `rng.integers(1)` draws nothing, so one summand needs no pick
+        s = self.summands[summand or 0]
+        out[:, s.sl] = s.factor.random_pures(rng, count)
         return out
 
     def random_pure(self, rng, summand: int | None = None) -> np.ndarray:
-        if summand is None:
-            summand = int(rng.integers(len(self.summands)))
-        s = self.summands[summand]
-        return self.embed(summand, s.factor.random_pure(rng))
+        """One pure state: `random_pures` of one."""
+        return self.random_pures(rng, 1, summand)[0]
 
     def sqrt(self, a: np.ndarray) -> np.ndarray:
-        return self.apply_spectral(a, lambda x: math.sqrt(max(x, 0.0)))
+        """Square root of a, or of each row of a (..., dim) stack."""
+        return self.apply_spectral(a, lambda x: np.sqrt(np.maximum(x, 0.0)))
 
     def inv_sqrt(self, a: np.ndarray) -> np.ndarray:
-        return self.apply_spectral(a, lambda x: 1.0 / math.sqrt(x))
+        """Inverse square root of an interior a, or of each row of a stack."""
+        return self.apply_spectral(a, lambda x: 1.0 / np.sqrt(x))
 
     def descriptor(self) -> list[tuple]:
         return [s.factor.descriptor() for s in self.summands]

@@ -6,9 +6,10 @@ read, and a Bland-rule phase-I simplex for feasibility certificates that
 pivots on integers with exact division (fraction-free, after Bareiss): its
 tableau holds no `Fraction`, only the vertex it returns does.  The
 elimination takes the rows one at a time and stops once the rank equals the
-column count; every row is converted to integers before it starts.  All
-polyhedral cone reasoning in this package goes through these routines so
-that verdicts on polyhedral fixtures are exact, not floating point.
+column count; a matrix with any non-int entry has every row converted to
+integers before it starts.  All polyhedral cone reasoning in this package
+goes through these routines so that verdicts on polyhedral fixtures are
+exact, not floating point.
 
 A polyhedral cone's facets come from the double-description method
 (Motzkin et al. 1953; Fukuda & Prodon 1996), ordered by the pivot columns
@@ -20,6 +21,7 @@ searches' positive scales only.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -48,16 +50,21 @@ def _echelon(mat: Matrix) -> tuple[list[list[int]], list[int]]:
 
     Row-incremental Gauss-Jordan elimination on integer rows, each kept
     primitive: scaling a row by a nonzero factor leaves the row space, and
-    so its unique RREF, unchanged.  Every row is converted by
-    `_integer_row` first, so a bad entry raises wherever it sits.  Each row
-    is then reduced against the pivot rows so far; a nonzero remainder,
+    so its unique RREF, unchanged.  One type check reads every entry: an
+    all-int matrix is read as it is, each row copied only when elimination
+    reaches it, so no returned row aliases the caller's; otherwise every
+    row is converted by `_integer_row` first, so a bad entry raises
+    wherever it sits.  Each row is then reduced against the pivot rows so far; a nonzero remainder,
     made primitive, becomes a new pivot row and is eliminated from the
     earlier ones, so they stay fully reduced.  Once the rank equals the
     column count the RREF is the identity and every later row lies in its
     span, so elimination stops there.
     """
-    m = [_integer_row(row) for row in mat]
-    cols = len(m[0]) if m else 0
+    if set(map(type, chain.from_iterable(mat))) <= {int}:
+        m = map(list, mat)
+    else:
+        m = [_integer_row(row) for row in mat]
+    cols = len(mat[0]) if mat else 0
     reduced: dict[int, list[int]] = {}  # pivot column -> its row
     for row in m:
         for k, p in reduced.items():

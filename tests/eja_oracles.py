@@ -5,17 +5,23 @@ stacks), max-tensor pairing minimization sweeps all its starts as one stack
 and builds only the idempotent each row needs, the quaternionic Kramers
 pairs are picked for a whole stack at once, the quadratic representation
 is built from stacked products, and the conjugation matrix and the Hilbert
-composite's coordinate change each come from one basis stack.  These oracles answer the same questions the old way,
-one element or one column at a time, and the tests compare the routes bit
-for bit.
+composite's coordinate change each come from one basis stack.  Pure states
+and interior points are drawn as stacks, order isomorphisms test all their
+images at once, and homogeneity builds all its witnesses as one stack.
+These oracles answer the same questions the old way, one element or one
+column at a time, and the tests compare the routes bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from conelab.composite import MaxTensorCone
-from conelab.eja import JordanAlgebra, SimpleFactor
+from conelab.cones import (FAILS, HOLDS, ISO_SAMPLES, ISO_SEED, ConeModel,
+                           Verdict)
+from conelab.eja import COMPLEX, QUAT, REAL, SPIN, JordanAlgebra, SimpleFactor
 
 
 def first_dual_extremal_outside(alg: JordanAlgebra, members, inv: np.ndarray,
@@ -116,3 +122,90 @@ def hilbert_pairings_by_pairs(fa: SimpleFactor, fb: SimpleFactor,
             m[i, j] = float(np.real(np.trace(
                 rho @ np.kron(fa._basis[i], fb._basis[j]))))
     return m.ravel()
+
+
+def random_pure_by_sample(alg: JordanAlgebra, rng) -> np.ndarray:
+    """One pure state of the algebra: a summand picked by `rng.integers`,
+    then a unit vector drawn and normalized on its own and its projector
+    (for quaternionic factors, with its symplectic partner)."""
+    i = int(rng.integers(len(alg.summands)))
+    f = alg.summands[i].factor
+    if f.family == SPIN:
+        x = rng.standard_normal(f.dim - 1)
+        x /= np.linalg.norm(x)
+        return alg.embed(i, np.concatenate(([0.5], 0.5 * x)))
+    side = f._side
+    if f.family == REAL:
+        v = rng.standard_normal(side)
+        v /= np.linalg.norm(v)
+        return alg.embed(i, f.from_matrix(np.outer(v, v).astype(complex)))
+    v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+    v /= np.linalg.norm(v)
+    if f.family == COMPLEX:
+        return alg.embed(i, f.from_matrix(np.outer(v, v.conj())))
+    assert f.family == QUAT
+    w = f._J @ v.conj()
+    w = w - v * (v.conj() @ w)
+    w /= np.linalg.norm(w)
+    return alg.embed(i, f.from_matrix(np.outer(v, v.conj())
+                                      + np.outer(w, w.conj())))
+
+
+def random_interior_by_point(alg: JordanAlgebra, rng) -> np.ndarray:
+    """One interior point, summand by summand: a normal element lifted by
+    its smallest eigenvalue, 0.5 and a uniform draw times the unit."""
+    out = np.empty(alg.dim)
+    for s in alg.summands:
+        a = rng.standard_normal(s.factor.dim)
+        lift = float(np.min(s.factor.spectral(a).eigenvalues))
+        out[s.sl] = a + (abs(lift) + 0.5 + rng.random()) * s.factor.unit()
+    return out
+
+
+def spectral_map_by_summand(alg: JordanAlgebra, a: np.ndarray,
+                             fn) -> np.ndarray:
+    """sum_k fn(lambda_k) c_k, one summand and one idempotent at a time."""
+    out = np.empty(alg.dim)
+    for s in alg.summands:
+        acc = np.zeros(s.factor.dim)
+        dec = s.factor.spectral(a[s.sl])
+        for lam, c in zip(dec.eigenvalues, dec.idempotents):
+            acc += fn(lam) * c
+        out[s.sl] = acc
+    return out
+
+
+def homogeneity_margin_by_pairs(alg: JordanAlgebra, rng,
+                                pairs: int) -> float:
+    """max |phi rho - sigma| over `pairs` interior pairs drawn one after
+    the other, each with its own witness P(sqrt(sigma)) P(rho^(-1/2))."""
+    worst = 0.0
+    for _ in range(pairs):
+        rho = random_interior_by_point(alg, rng)
+        sig = random_interior_by_point(alg, rng)
+        root = spectral_map_by_summand(alg, sig,
+                                        lambda x: math.sqrt(max(x, 0.0)))
+        inv_root = spectral_map_by_summand(alg, rho,
+                                            lambda x: 1.0 / math.sqrt(x))
+        phi = (quadratic_rep_by_columns(alg, root)
+               @ quadratic_rep_by_columns(alg, inv_root))
+        worst = max(worst, float(np.max(np.abs(phi @ rho - sig))))
+    return worst
+
+
+def is_order_isomorphism_by_point(m: np.ndarray, a: ConeModel, b: ConeModel,
+                                  tol: float) -> Verdict:
+    """`cones.is_order_isomorphism` for an invertible m, one sampled point
+    and one membership test at a time."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    slack = tol * max(1.0, float(sv[0] / sv[-1]))
+    rng = np.random.default_rng(ISO_SEED)
+    for direction, t, src, tgt in (("forward", m, a, b),
+                                   ("inverse", np.linalg.inv(m), b, a)):
+        points = list(src.generators())
+        points += [src.sample_extremal(rng) for _ in range(ISO_SAMPLES)]
+        for g in points:
+            if not tgt.member(t @ g, slack):
+                return Verdict(FAILS, violation={"direction": direction,
+                                                 "point": g})
+    return Verdict(HOLDS)

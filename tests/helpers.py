@@ -3,8 +3,8 @@ oracle.
 
 `probabilistic_inverse`, `classical_effect_test`, `check_positive`,
 `sample_state`, `product_effect`, `trace_inner`, `overlap_state`,
-`random_element` and `random_positive` build inputs and checks for the
-tests.
+`random_element`, `random_interior` and `random_positive` build inputs and
+checks for the tests, and `assert_same_text` compares long texts.
 `face_profile_by_sampling` is the sampled route that `axioms.face_profile`
 replaced by its closed form: a maximum over sampled pure states, so only a
 lower bound on the profile.
@@ -108,6 +108,23 @@ def face_profile_by_sampling(system: System, w: np.ndarray,
     return best
 
 
+def assert_same_text(a: str, b: str) -> None:
+    """Fail unless a == b, naming the first offset where they differ and
+    80 characters of each around it, so that two long texts are never
+    diffed whole."""
+    if a == b:
+        return
+    # find the first differing 4096-character block, then the character
+    block = 4096
+    start = next((k for k in range(0, min(len(a), len(b)), block)
+                  if a[k:k + block] != b[k:k + block]), min(len(a), len(b)))
+    at = next((k for k in range(start, min(len(a), len(b), start + block))
+               if a[k] != b[k]), min(len(a), len(b), start + block))
+    lo = max(0, at - 40)
+    raise AssertionError(f"texts differ at offset {at} (lengths {len(a)} and "
+                         f"{len(b)}): {a[lo:lo + 80]!r} != {b[lo:lo + 80]!r}")
+
+
 def trace_inner(alg: eja.JordanAlgebra, a: np.ndarray, b: np.ndarray) -> float:
     """The trace form: the coordinate product weighted by the metric."""
     return float((alg.metric * a) @ b)
@@ -116,6 +133,11 @@ def trace_inner(alg: eja.JordanAlgebra, a: np.ndarray, b: np.ndarray) -> float:
 def random_element(alg: eja.JordanAlgebra, rng) -> np.ndarray:
     """A random element: standard normal coordinates."""
     return rng.standard_normal(alg.dim)
+
+
+def random_interior(alg: eja.JordanAlgebra, rng) -> np.ndarray:
+    """One interior point: `random_interiors` of one."""
+    return alg.random_interiors(rng, 1)[0]
 
 
 def random_positive(alg: eja.JordanAlgebra, rng) -> np.ndarray:

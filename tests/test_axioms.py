@@ -19,10 +19,11 @@ from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone,
                           UnsupportedQuery, face_dimension,
                           is_order_isomorphism)
 from conftest import make_eja_system
-from eja_oracles import first_dual_extremal_outside
+from eja_oracles import (first_dual_extremal_outside,
+                         homogeneity_margin_by_pairs)
 from helpers import (check_positive, classical_effect_test,
                      face_profile_by_sampling, probabilistic_inverse,
-                     random_element)
+                     random_element, random_interior)
 from polyhedral_oracles import (bijection_system,
                                 scale_system_in_all_scales,
                                 self_dual_by_solves, spd_by_leading_minors)
@@ -543,12 +544,27 @@ class TestHomogeneity:
         system = make_eja_system(factory())
         alg = system.cone.algebra
         for _ in range(10):
-            rho = alg.random_interior(rng)
-            sig = alg.random_interior(rng)
+            rho = random_interior(alg, rng)
+            sig = random_interior(alg, rng)
             phi = axioms.homogeneity_witness(system, rho, sig)
             assert np.max(np.abs(phi @ rho - sig)) < 1e-8
             assert check_positive(phi, system, system,
                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_stacked_margin_equals_pair_loop(self, seed):
+        # all 20 points drawn first and all 10 witnesses built as one
+        # stack: the margin of drawing and solving one pair at a time
+        specs = fixtures.builtin_fixtures()
+        registry = {s.name: s for s in specs}
+        for spec in (s for s in specs if s.kind == "eja"):
+            system = fixtures.build_system(spec, registry)
+            record = fixtures.run_check("homogeneity", spec, system,
+                                        DEFAULT_TOL, seed)
+            ref = homogeneity_margin_by_pairs(
+                system.cone.algebra, np.random.default_rng(seed + spec.seed),
+                10)
+            assert record["margin"] == ref, spec.name
 
     def test_shared_corner_witness(self, shared_system, rng):
         cone = shared_system.cone
@@ -590,8 +606,8 @@ class TestHomogeneity:
 
     def test_probabilistic_inverse(self, qubit, rng):
         alg = qubit.cone.algebra
-        phi = axioms.homogeneity_witness(qubit, alg.random_interior(rng),
-                                         alg.random_interior(rng))
+        phi = axioms.homogeneity_witness(qubit, random_interior(alg, rng),
+                                         random_interior(alg, rng))
         sharp, p = probabilistic_inverse(phi, qubit, qubit, rng)
         assert 0 < p <= 1.0 + 1e-12
         assert np.max(np.abs(sharp @ phi - p * np.eye(4))) < 1e-8

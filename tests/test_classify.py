@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import classify_oracle as oracle
 from conelab import classify
+from helpers import assert_same_text
 
 
 def test_dimension_table():
@@ -56,10 +57,20 @@ def test_oracle_agreement_byte_for_byte(max_rank):
     for proc in (classify.LOCAL_TOMOGRAPHY, classify.INJECTIVE_COMPOSITE):
         mine = classify.trace_json(classify._run(proc, max_rank))
         theirs = oracle.to_json(oracle.run(proc, max_rank))
-        assert mine == theirs
+        assert_same_text(mine, theirs)
     mine = classify.trace_json(classify.survivors_classicality(max_rank, 2))
     theirs = oracle.to_json(oracle.run(classify.CLASSICALITY, max_rank, 2))
-    assert mine == theirs
+    assert_same_text(mine, theirs)
+
+
+@pytest.mark.parametrize("a, b, offset", [
+    ("x" * 10_000 + "a" + "y" * 50, "x" * 10_000 + "b" + "y" * 50, 10_000),
+    ("abc", "abcd", 3), ("", "z", 0)])
+def test_assert_same_text_names_the_first_difference(a, b, offset):
+    assert_same_text(a, a)
+    with pytest.raises(AssertionError, match=f"at offset {offset} ") as exc:
+        assert_same_text(a, b)
+    assert len(str(exc.value)) < 300
 
 
 @pytest.mark.parametrize("max_rank", [2, 3, 4, 5, 6, 7, 8])

@@ -568,7 +568,7 @@ def test_pure_effect_minimizing_matches_spectral(factor, rng):
     # one stacked eigendecomposition, one idempotent per row: the bits of
     # building all of them for each row alone; pure states and multiples of
     # the unit are degenerate, and zero ties a spin factor's two eigenvalues
-    points = [factor.random_element(rng) for _ in range(20)]
+    points = [rng.standard_normal(factor.dim) for _ in range(20)]
     points += [factor.random_pure(rng) for _ in range(10)]
     points += [1e6 * factor.random_pure(rng), -3.0 * factor.unit(),
                np.zeros(factor.dim)]

@@ -13,6 +13,7 @@ from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, UNSUPPORTED, EJACone,
                            is_order_isomorphism, two_sided_probe,
                            validate_measurement)
 from conftest import make_eja_system
+from eja_oracles import is_order_isomorphism_by_point
 from helpers import random_positive
 from polyhedral_oracles import member_by_lp
 
@@ -27,6 +28,24 @@ def square():
 @pytest.fixture
 def shared():
     return SharedCornerCone()
+
+
+def test_eja_generators_are_built_once_and_copied(monkeypatch):
+    cone = EJACone(eja.JordanAlgebra([eja.SimpleFactor(eja.COMPLEX, 2),
+                                      eja.SimpleFactor(eja.REAL, 2)]))
+    draws = []
+    random_pure = eja.SimpleFactor.random_pure
+    monkeypatch.setattr(eja.SimpleFactor, "random_pure",
+                        lambda f, rng: draws.append(f) or random_pure(f, rng))
+    first = cone.generators()
+    kept = [g.copy() for g in first]
+    for g in first:
+        g[:] = 99.0
+    second = cone.generators()
+    assert len(draws) == 2  # one seeded pure state per summand, once
+    assert len(second) == len(kept) == 6
+    for g, k in zip(second, kept):
+        assert np.array_equal(g, k)
 
 
 class TestMembership:
@@ -268,6 +287,34 @@ class TestOrderIso:
         assert verdict.status == FAILS
         assert verdict.violation["direction"] == "inverse"
         assert np.allclose(verdict.violation["point"], [1.0, 0.0])
+
+    def test_stacked_membership_names_the_first_failing_point(self, qubit):
+        # the 0.7-depolarizing map x -> 0.7 x + 0.3 tr(x) unit / 2 keeps the
+        # cone, and its inverse sends every pure state outside: many points
+        # fail, and the verdict names the one the point loop meets first
+        alg = qubit.cone.algebra
+        m = 0.7 * np.eye(4) + 0.15 * np.outer(alg.unit(),
+                                              alg.trace_functional())
+        verdict = is_order_isomorphism(m, qubit.cone, qubit.cone)
+        ref = is_order_isomorphism_by_point(m, qubit.cone, qubit.cone,
+                                            DEFAULT_TOL)
+        assert verdict.status == ref.status == FAILS
+        assert verdict.violation["direction"] == "inverse"
+        assert ref.violation["direction"] == "inverse"
+        assert np.array_equal(verdict.violation["point"],
+                              ref.violation["point"])
+
+    def test_point_loop_route_for_other_cones(self, square):
+        # polyhedral targets keep one `member` call per point
+        assert is_order_isomorphism(np.eye(3), square, square).status == HOLDS
+        shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        verdict = is_order_isomorphism(shear, square, square)
+        ref = is_order_isomorphism_by_point(shear, square, square,
+                                            DEFAULT_TOL)
+        assert verdict.status == ref.status == FAILS
+        assert verdict.violation["direction"] == ref.violation["direction"]
+        assert np.array_equal(verdict.violation["point"],
+                              ref.violation["point"])
 
 
 class TestMeasurements:

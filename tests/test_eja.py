@@ -1,5 +1,7 @@
 """Jordan algebra structure: products, spectra, frames, and rotations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
 from eja_oracles import (conjugation_matrix_by_columns,
-                         kramers_columns_by_loop, quadratic_rep_by_columns)
-from helpers import (overlap_state, random_element, random_positive,
-                     trace_inner)
+                         kramers_columns_by_loop, quadratic_rep_by_columns,
+                         random_interior_by_point, random_pure_by_sample,
+                         spectral_map_by_summand)
+from helpers import (overlap_state, random_element, random_interior,
+                     random_positive, trace_inner)
 
 
 def spin_plus_complex() -> eja.JordanAlgebra:
@@ -150,7 +154,7 @@ def test_positivity_equivalence(algebra, rng):
 
 
 def test_quadratic_rep(algebra, rng):
-    a = algebra.random_interior(rng)
+    a = random_interior(algebra, rng)
     u = algebra.quadratic_rep(a)
     assert np.max(np.abs(u @ algebra.unit() - algebra.product(a, a))) < 1e-9
     # order automorphism: positive elements stay positive both ways
@@ -325,6 +329,84 @@ def test_quaternionic_selection_on_degenerate_stacks(rng):
             assert np.array_equal(f.eigenvalues(row), v)
 
 
+# -- sampling on stacks -----------------------------------------------------
+
+
+SAMPLED_ALGEBRAS = {
+    **{f"{family}-{rank}": eja.JordanAlgebra([eja.SimpleFactor(family, rank)])
+       for family in (eja.REAL, eja.COMPLEX, eja.QUAT)
+       for rank in (1, 2, 3, 4)},
+    **{f"spin-{n}": eja.spin_factor(n) for n in range(3, 9)},
+    **{f"classical-{n}": eja.classical(n) for n in (1, 2, 3, 4)},
+    "qubit+rebit": eja.JordanAlgebra([eja.SimpleFactor(eja.COMPLEX, 2),
+                                      eja.SimpleFactor(eja.REAL, 2)]),
+}
+
+
+@given(name=st.sampled_from(sorted(SAMPLED_ALGEBRAS)),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_stacked_pures_equal_sample_by_sample(name, seed, count):
+    # the same draws in the same order, and each row the bits of its
+    # sample alone; a sum picks each sample's summand before its draws
+    alg = SAMPLED_ALGEBRAS[name]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = alg.random_pures(rng, count)
+    assert stack.shape == (count, alg.dim)
+    for row in stack:
+        assert np.array_equal(row, random_pure_by_sample(alg, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if alg.is_simple():
+        again = np.random.default_rng(seed)
+        assert np.array_equal(alg.factors[0].random_pures(again, count),
+                              stack)
+        assert again.bit_generator.state == ref.bit_generator.state
+
+
+@given(name=st.sampled_from(sorted(SAMPLED_ALGEBRAS)),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_stacked_interiors_equal_point_by_point(name, seed, count):
+    alg = SAMPLED_ALGEBRAS[name]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = alg.random_interiors(rng, count)
+    assert stack.shape == (count, alg.dim)
+    for row in stack:
+        assert np.array_equal(row, random_interior_by_point(alg, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_fixed_summand_draws_no_pick(rng):
+    alg = SAMPLED_ALGEBRAS["qubit+rebit"]
+    state = rng.bit_generator.state
+    rows = alg.random_pures(rng, 5, summand=1)
+    assert not rows[:, alg.summands[0].sl].any()
+    again = np.random.default_rng()
+    again.bit_generator.state = state
+    assert np.array_equal(rows[:, alg.summands[1].sl],
+                          alg.factors[1].random_pures(again, 5))
+
+
+def test_stacked_square_roots_equal_row_loop(rng):
+    # every family, and a sum whose quaternionic rows go one at a time
+    for alg in (*_builtin_eja_algebras().values(), spin_plus_complex(),
+                eja.JordanAlgebra([eja.SimpleFactor(eja.QUAT, 2),
+                                   eja.SimpleFactor(eja.SPIN, 2, spin_dim=4)])):
+        stack = alg.random_interiors(rng, 6)
+        for fn, scalar in ((alg.sqrt, lambda x: math.sqrt(max(x, 0.0))),
+                           (alg.inv_sqrt, lambda x: 1.0 / math.sqrt(x))):
+            rows = fn(stack)
+            assert rows.shape == stack.shape
+            for x, row in zip(stack, rows):
+                assert fn(x).tobytes() == row.tobytes()
+                assert spectral_map_by_summand(
+                    alg, x, scalar).tobytes() == row.tobytes()
+        quad = alg.quadratic_rep(stack)
+        assert quad.shape == (6, alg.dim, alg.dim)
+        for x, q in zip(stack, quad):
+            assert q.tobytes() == quadratic_rep_by_columns(alg, x).tobytes()
+
+
 # -- products on stacks -----------------------------------------------------
 
 
@@ -360,7 +442,7 @@ def test_quadratic_rep_equals_column_loop(rng):
     assert {"two-qubit-sum", "qubit-plus-rebit"} <= set(algebras)
     for name, alg in algebras.items():
         for _ in range(5):
-            interior = alg.random_interior(rng)
+            interior = random_interior(alg, rng)
             points = [interior, alg.random_pure(rng), alg.sqrt(interior),
                       alg.inv_sqrt(interior)]
             for a in points:
@@ -380,7 +462,7 @@ def test_quadratic_rep_makes_four_products_per_summand(monkeypatch, rng):
 
     monkeypatch.setattr(eja.SimpleFactor, "product", counting)
     for alg in _builtin_eja_algebras().values():
-        a = alg.random_interior(rng)
+        a = random_interior(alg, rng)
         calls.clear()
         alg.quadratic_rep(a)
         assert 0 < len(calls) <= 4 * len(alg.summands)
