@@ -19,7 +19,7 @@ from . import exact
 from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
                     PolyhedralCone, SharedCornerCone, System,
                     UnsupportedQuery, Verdict, face_dimension,
-                    is_extremal_ray)
+                    first_non_extremal)
 
 # sampled members (and dual points) of a non-polyhedral self-duality check
 SELF_DUAL_SAMPLES = 200
@@ -61,24 +61,21 @@ def check_self_dual(system: System, inner: np.ndarray | None = None,
         g_exact = [[x if isinstance(x, Fraction)
                     else Fraction(float(x)).limit_denominator(10**12)
                     for x in row] for row in given]
-        rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
-        g_rays = [exact.mat_vec(g_exact, r) for r in rays]
-        pairs = itertools.combinations_with_replacement(range(len(rays)), 2)
-        for i, j in pairs:
-            val = exact.dot(g_rays[i], rays[j])
-            if val < 0:
-                return Verdict(FAILS, violation={
-                    "pair": (rays[i], rays[j]), "inner_value": val},
-                    detail="generator pair with negative inner product")
+        data = cone.data
+        pair = data.negative_pair(g_exact)
+        if pair is not None:
+            ri, rj = (data.rays[i] for i in pair)
+            return Verdict(FAILS, violation={
+                "pair": (ri, rj),
+                "inner_value": exact.dot(exact.mat_vec(g_exact, ri), rj)},
+                detail="generator pair with negative inner product")
         # G is SPD, so its rows are a basis; their dual basis is the columns
         # of G^-1, one inverse for every facet
         _, dual = exact.dual_basis(g_exact)
-        g_inv = [list(row) for row in zip(*dual)]
-        for f in cone.data.facets():
-            if not cone.data.member(exact.mat_vec(g_inv, f)):
-                return Verdict(FAILS, violation={"facet_normal": f},
-                               detail="dual extremal pulls back outside "
-                                      "the cone")
+        k = data.facet_leaving([list(row) for row in zip(*dual)])
+        if k is not None:
+            return Verdict(FAILS, violation={"facet_normal": data.facets()[k]},
+                           detail="dual extremal pulls back outside the cone")
         return Verdict(HOLDS, witness={"inner": inner}, margin=0.0,
                        detail="exact two-sided inclusion")
 
@@ -452,9 +449,8 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
     cone = system.cone
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    for w in (w1, w2):
-        if not is_extremal_ray(cone, w, tol):
-            raise ConeError("pure transitivity requires extremal inputs")
+    if first_non_extremal(cone, np.array([w1, w2]), tol) is not None:
+        raise ConeError("pure transitivity requires extremal inputs")
 
     if isinstance(cone, EJACone):
         alg = cone.algebra
@@ -517,9 +513,8 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
                                "an EJA system")
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    for w in (w1, w2):
-        if not is_extremal_ray(cone, w, tol):
-            raise ConeError("inputs must be pure")
+    if first_non_extremal(cone, np.array([w1, w2]), tol) is not None:
+        raise ConeError("inputs must be pure")
     alg = cone.algebra
     i1 = alg.summand_of(w1)
     i2 = alg.summand_of(w2)
@@ -530,16 +525,17 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
     f = alg.summands[i1].factor
     sl = alg.summands[i1].sl
     rot = f.rotation_generator(w1[sl], w2[sl])
-    path = []
+    maps = []
     for k in range(PATH_STEPS + 1):
-        t = k / PATH_STEPS
         full = np.eye(alg.dim)
-        full[sl.start:sl.stop, sl.start:sl.stop] = rot(t)
-        wt = full @ w1
-        if not is_extremal_ray(cone, wt, tol):
-            return Verdict(INCONCLUSIVE,
-                           detail=f"constructed path loses purity at t={t}")
-        path.append((wt, full))
+        full[sl.start:sl.stop, sl.start:sl.stop] = rot(k / PATH_STEPS)
+        maps.append(full)
+    states = np.array([full @ w1 for full in maps])
+    lost = first_non_extremal(cone, states, tol)
+    if lost is not None:
+        return Verdict(INCONCLUSIVE, detail="constructed path loses purity "
+                                            f"at t={lost / PATH_STEPS}")
+    path = list(zip(states, maps))
     resid = float(np.max(np.abs(path[-1][0] - w2)))
     if not (resid < 1e-8
             and all(preserves_unit(m, system.unit) for _, m in path)):

@@ -405,12 +405,7 @@ def _extremal_among_generators(cone: PolyhedralCone, w: np.ndarray,
     generator, so w is extremal iff it is a positive multiple of a generator
     whose ray `extremal_ray_indices` found extremal (an exact LP per ray, run
     once and cached)."""
-    wx = cone._to_exact(w, max(tol, 1e-8))
-    on_ray = []
-    for i, r in enumerate(cone.data.rays):
-        lam = next((a / b for a, b in zip(wx, r) if b != 0), None)
-        if lam is not None and lam > 0 and [lam * b for b in r] == wx:
-            on_ray.append(i)
+    on_ray = cone.data.rays_through(cone._to_exact(w, max(tol, 1e-8)))
     if not on_ray:
         # rounding can push w off its ray: no verdict, not a disproof
         raise UnsupportedQuery("extremality expects w on a generator ray")

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .eja import JordanAlgebra
+from .eja import JordanAlgebra, _norms
 
 DEFAULT_TOL = 1e-9
 # sampled extremals per side of a positivity or order-isomorphism check,
@@ -133,8 +133,7 @@ class PolyhedralCone(ConeModel):
 
     def dual_member(self, e: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         self._check_dim(e)
-        ef = self._to_exact(e, tol)
-        return all(exact.dot(ef, r) >= 0 for r in self.data.rays)
+        return min(self.data.pairings(self._to_exact(e, tol))) >= 0
 
     def generators(self) -> list[np.ndarray]:
         idx = self.data.extremal_ray_indices()
@@ -159,13 +158,15 @@ class PolyhedralCone(ConeModel):
         S with dual basis g (Oxley, Matroid Theory, 2nd ed., 2011): each ray
         r outside S merges the blocks of the j in S with g_j . r != 0.
         """
-        rays = [self.data.rays[i] for i in self.data.extremal_ray_indices()]
-        basis, dual = exact.dual_basis(rays)
+        idx = self.data.extremal_ray_indices()
+        basis, dual = exact.dual_basis([self.data.rays[i] for i in idx])
+        # each dual vector's pairing with every ray, up to positive factors
+        pairings = [self.data.pairings(g) for g in dual]
         blocks = [{j} for j in basis]
-        for i, r in enumerate(rays):
-            if i in basis:
+        for k, i in enumerate(idx):
+            if k in basis:
                 continue
-            touched = {j for j, g in zip(basis, dual) if exact.dot(g, r) != 0}
+            touched = {j for j, p in zip(basis, pairings) if p[i] != 0}
             merged = set().union(*(b for b in blocks if b & touched))
             blocks = [b for b in blocks if not b & touched] + [merged]
         return len(blocks) > 1
@@ -401,18 +402,52 @@ def face_dimension(cone: ConeModel, x: np.ndarray,
     return int(np.linalg.matrix_rank(np.array(verified), tol=1e-8))
 
 
+def _eja_extremal_rows(cone: EJACone, xs: np.ndarray,
+                       tol: float) -> np.ndarray:
+    """Is each row of a (k, dim) stack of finite nonzero elements on an
+    extremal ray: exactly one eigenvalue above tol * scale and none below
+    its negative, scale = max(1, max |eigenvalue|) per row, from one
+    stacked `eigenvalues` call."""
+    vals = cone.algebra.eigenvalues(xs)
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
+    positive = np.sum(vals > tol * scale, axis=-1)
+    negative = np.sum(vals < -tol * scale, axis=-1)
+    return (negative == 0) & (positive == 1)
+
+
 def is_extremal_ray(cone: ConeModel, x: np.ndarray,
                     tol: float = DEFAULT_TOL) -> bool:
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) < tol:
         raise ConeError("the null ray is excluded")
     if isinstance(cone, EJACone):
-        vals = np.sort(cone.algebra.eigenvalues(x))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        positive = int(np.sum(vals > tol * scale))
-        negative = int(np.sum(vals < -tol * scale))
-        return negative == 0 and positive == 1
+        return bool(_eja_extremal_rows(cone, x[None], tol)[0])
     return face_dimension(cone, x, tol=tol) == 1
+
+
+def first_non_extremal(cone: ConeModel, xs: np.ndarray,
+                       tol: float = DEFAULT_TOL) -> int | None:
+    """The index of the first row of a (k, dim) stack that `is_extremal_ray`
+    rejects, or None; a row it raises on raises here at its turn.
+
+    Other cones call `is_extremal_ray` row by row.  An EJA cone tests the
+    rows before the first null or non-finite one with one stacked
+    eigenvalue call; each row's null-ray guard has the bits of the 1-D
+    `np.linalg.norm` (`eja._norms`)."""
+    xs = np.asarray(xs, dtype=float)
+    if not isinstance(cone, EJACone):
+        return next((k for k, x in enumerate(xs)
+                     if not is_extremal_ray(cone, x, tol)), None)
+    norms = _norms(xs)
+    finite = np.all(np.isfinite(xs), axis=-1)
+    stop = next((k for k in range(len(xs))
+                 if norms[k] < tol or not finite[k]), len(xs))
+    rejected = np.flatnonzero(~_eja_extremal_rows(cone, xs[:stop], tol))
+    if rejected.size:
+        return int(rejected[0])
+    if stop < len(xs):
+        is_extremal_ray(cone, xs[stop], tol)  # raises as the loop would
+    return None
 
 
 @dataclass

@@ -16,13 +16,24 @@ A polyhedral cone's facets come from the double-description method
 of their tight rays, and membership is read off that H-description.  The
 simplex stays in production for pointedness, extremality and the bijection
 searches' positive scales only.
+
+`PolyhedralData` keeps each ray and each facet normal as a primitive
+integer row, a positive multiple of the rational one, and answers every
+sign question about its cone on those rows: membership, the facets tight
+at a point, pairings with the rays, "is x on this ray" and the self-dual
+pairings.  A rational point is scaled once to integers by its positive
+common denominator (`_integer_row`), so each sign, and each answer, is
+that of the `Fraction` sums, with integer products in place of them (as
+in Avis's lrs).  `Fraction`s stay what leaves the layer: `rays`,
+`facets()`, null-space bases and LP vertices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Row = list[Fraction]
@@ -42,6 +53,17 @@ def _integer_row(row: Sequence) -> list[int]:
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
+
+
+def _integer_matrix(mat: Sequence[Sequence]) -> list[list[int]]:
+    """A rational matrix times the lcm of all its denominators."""
+    flat = _integer_row(list(chain.from_iterable(mat)))
+    cols = len(mat[0])
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 def _echelon(mat: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -267,6 +289,8 @@ class PolyhedralData:
 
     Facets come from double description; membership and face spans are
     read off the facets.  The simplex decides pointedness and extremality.
+    Each ray and each facet normal is also kept as its primitive integer
+    row, and every sign question is an integer dot product on those rows.
     """
 
     def __init__(self, rays: Sequence[Sequence]):
@@ -276,28 +300,77 @@ class PolyhedralData:
         self.dim = len(self.rays[0])
         if any(all(x == 0 for x in r) for r in self.rays):
             raise ValueError("zero generator")
+        self._ray_rows = [_coprime_integers(r) for r in self.rays]
         self._facets: Matrix | None = None
+        self._facet_rows: list[list[int]] | None = None
         self._extremal: list[int] | None = None
 
     @property
     def full_dimensional(self) -> bool:
-        return rank(self.rays) == self.dim
+        return rank(self._ray_rows) == self.dim
 
     def is_pointed(self) -> bool:
         """No nonzero x with x and -x both in the cone.
 
         Pointed iff 0 is not a nontrivial nonneg combination of the rays,
         i.e. the only solution of sum(l_i r_i) = 0, l >= 0, sum(l) = 1 is none.
+        Scaling a ray by a positive factor keeps that, so the integer rows
+        stand in for the rays.
         """
-        mat = [[self.rays[j][i] for j in range(len(self.rays))] for i in range(self.dim)]
-        mat.append([Fraction(1)] * len(self.rays))
-        rhs = [Fraction(0)] * self.dim + [Fraction(1)]
-        return feasible_nonneg(mat, rhs) is None
+        mat = [list(col) for col in zip(*self._ray_rows)]
+        mat.append([1] * len(self.rays))
+        return feasible_nonneg(mat, [0] * self.dim + [1]) is None
+
+    def _normals(self) -> list[list[int]]:
+        """The facet normals as primitive integer rows."""
+        if self._facet_rows is None:
+            self.facets()
+        return self._facet_rows
+
+    def _inside(self, x: list[int]) -> bool:
+        return all(_dot(n, x) >= 0 for n in self._normals())
 
     def member(self, x: Sequence) -> bool:
         """Exact membership: every facet inequality holds at x."""
-        xf = [Fraction(v) for v in x]
-        return all(dot(n, xf) >= 0 for n in self.facets())
+        return self._inside(_integer_row(x))
+
+    def pairings(self, y: Sequence) -> list[int]:
+        """y . r for each ray r, each times its own positive factor: the
+        signs of the exact pairings, in ray order."""
+        yi = _integer_row(y)
+        return [_dot(yi, r) for r in self._ray_rows]
+
+    def rays_through(self, x: Sequence) -> list[int]:
+        """Indices of the rays of which x is a positive multiple: those
+        whose primitive integer row is x's."""
+        xi = _integer_row(x)
+        if not any(xi):
+            return []
+        g = gcd(*xi)
+        xi = [v // g for v in xi]
+        return [i for i, r in enumerate(self._ray_rows) if r == xi]
+
+    def negative_pair(self, g: Matrix) -> tuple[int, int] | None:
+        """The first pair (i, j), i <= j, of extremal-ray indices in
+        `combinations_with_replacement` order with r_i . G r_j < 0, or None.
+        G is read times one positive integer, which keeps every sign."""
+        gi = _integer_matrix(g)
+        idx = self.extremal_ray_indices()
+        rays = [self._ray_rows[i] for i in idx]
+        g_rays = [[_dot(row, r) for row in gi] for r in rays]
+        for a, b in combinations_with_replacement(range(len(rays)), 2):
+            if _dot(g_rays[a], rays[b]) < 0:
+                return idx[a], idx[b]
+        return None
+
+    def facet_leaving(self, m: Matrix) -> int | None:
+        """The index of the first facet normal f whose image m f is not a
+        member, or None.  m is read times one positive integer."""
+        mi = _integer_matrix(m)
+        for k, f in enumerate(self._normals()):
+            if not self._inside([_dot(row, f) for row in mi]):
+                return k
+        return None
 
     def facets(self) -> Matrix:
         """Primitive inward facet normals, by double description.
@@ -308,7 +381,10 @@ class PolyhedralData:
         by the remaining rays one at a time.  A positive and a negative generator are combined only
         when adjacent: their common zero set has at least d-2 elements and
         lies in no third generator's zero set.  Every scale factor is
-        positive, so normals keep pointing inward.
+        positive, so normals keep pointing inward.  The integer rows stand
+        in for the rays: a positive scale of a ray keeps the pivots of B and
+        scales its dual vector by a positive factor, which the primitive
+        form drops.
 
         Facets are ordered by the pivot columns of the matrix whose columns
         are their tight rays in index order: the lexicographically smallest
@@ -319,15 +395,15 @@ class PolyhedralData:
         if not self.full_dimensional:
             raise ValueError("facet enumeration requires a full-dimensional cone")
         d = self.dim
-        rays = [_coprime_integers(r) for r in self.rays]
-        start, dual = dual_basis(self.rays)
+        rays = self._ray_rows
+        start, dual = dual_basis(rays)
         # (normal, bitmask of the rays it is tight at so far)
         start_mask = sum(1 << i for i in start)
         gens = [(_coprime_integers(g), start_mask & ~(1 << start[c]))
                 for c, g in enumerate(dual)]
         for i in (j for j in range(len(rays)) if j not in start):
             bit = 1 << i
-            vals = [sum(a * b for a, b in zip(rays[i], y)) for y, _ in gens]
+            vals = [_dot(rays[i], y) for y, _ in gens]
             pos = [k for k, v in enumerate(vals) if v > 0]
             neg = [k for k, v in enumerate(vals) if v < 0]
             nxt = [(y, z | bit if v == 0 else z)
@@ -350,26 +426,27 @@ class PolyhedralData:
                                             for c in range(d)])[1]]
 
         gens.sort(key=lambda g: first_subset(g[1]))
-        self._facets = [[Fraction(v) for v in y] for y, _ in gens]
+        self._facet_rows = [y for y, _ in gens]
+        self._facets = [[Fraction(v) for v in y] for y in self._facet_rows]
         return self._facets
 
     def extremal_ray_indices(self) -> list[int]:
         """Indices of generators spanning extremal rays (one per ray): the
         first generator on each line (primitive integer direction up to
-        sign) that no generator off its line combines to (one exact LP)."""
+        sign) that no generator off its line combines to (one exact LP, on
+        the integer rows: positive scales keep its feasibility)."""
         if self._extremal is not None:
             return self._extremal
         lines = []
-        for r in self.rays:
-            ints = _coprime_integers(r)
+        for ints in self._ray_rows:
             lead = next(x for x in ints if x)
             lines.append(tuple(x if lead > 0 else -x for x in ints))
         out: list[int] = []
         kept: set[tuple[int, ...]] = set()
-        for i, r in enumerate(self.rays):
+        for i, r in enumerate(self._ray_rows):
             if lines[i] in kept:
                 continue
-            others = [self.rays[j] for j, line in enumerate(lines)
+            others = [self._ray_rows[j] for j, line in enumerate(lines)
                       if line != lines[i]]
             if not others or feasible_nonneg(
                     [list(col) for col in zip(*others)], r) is None:
@@ -381,8 +458,8 @@ class PolyhedralData:
     def face_span(self, x: Sequence) -> Matrix:
         """Basis of span(Face(x)) for a member x: the null space of the facet
         normals tight at x (the standard basis when none is)."""
-        if not self.member(x):
+        xi = _integer_row(x)
+        if not self._inside(xi):
             raise ValueError("x is not a member of the cone")
-        xf = [Fraction(v) for v in x]
-        tight = [n for n in self.facets() if dot(n, xf) == 0]
+        tight = [n for n in self._normals() if _dot(n, xi) == 0]
         return null_space(tight or [[0] * self.dim])

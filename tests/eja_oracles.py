@@ -8,7 +8,10 @@ is built from stacked products, and the conjugation matrix and the Hilbert
 composite's coordinate change each come from one basis stack.  Pure states
 and interior points are drawn as stacks, order isomorphisms test all their
 images at once, and homogeneity builds all its witnesses as one stack.
-These oracles answer the same questions the old way, one element or one
+Pure-transitivity checks test the purity of their inputs and path states
+as one stack (`cones.first_non_extremal`); `first_non_extremal_by_point`
+tests one element at a time with a sorted 1-D eigenvalue call.  These
+oracles answer the same questions the old way, one element or one
 column at a time, and the tests compare the routes bit for bit.
 """
 
@@ -22,6 +25,21 @@ from conelab.composite import MaxTensorCone
 from conelab.cones import (FAILS, HOLDS, ISO_SAMPLES, ISO_SEED, ConeModel,
                            Verdict)
 from conelab.eja import COMPLEX, QUAT, REAL, SPIN, JordanAlgebra, SimpleFactor
+
+
+def first_non_extremal_by_point(alg: JordanAlgebra, xs, tol: float):
+    """The index of the first element with a norm of at least tol that is
+    not on an extremal ray (one eigenvalue above tol * scale, none below its
+    negative), or None; a null element raises ValueError at its turn."""
+    for k, x in enumerate(xs):
+        if np.linalg.norm(x) < tol:
+            raise ValueError("the null ray is excluded")
+        vals = np.sort(alg.eigenvalues(x))
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if not (int(np.sum(vals < -tol * scale)) == 0
+                and int(np.sum(vals > tol * scale)) == 1):
+            return k
+    return None
 
 
 def first_dual_extremal_outside(alg: JordanAlgebra, members, inv: np.ndarray,

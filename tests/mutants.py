@@ -1,0 +1,120 @@
+"""Seeded mutants of the package, each with the tests that must kill it.
+
+An entry names a file, a text that occurs in it exactly once, the text
+that replaces it, and the pytest node ids that must fail on the mutated
+code.  From the root of a checkout,
+
+    python tests/mutants.py [ID ...]
+
+copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
+(under $TMPDIR), runs every killing test there once on the unmutated copy,
+which must pass, and then applies each mutant in turn and runs its tests,
+which must fail.  It prints one line per mutant and exits 0 when every
+mutant is killed, 1 when one survives and 2 when the unmutated copy fails.
+Tier-1 (`tests/test_mutants.py`) checks only that each entry still applies.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ORACLES = "tests/test_exact.py::test_integer_queries_match_fraction_oracles"
+_DATA = "tests/test_exact.py::TestPolyhedralData"
+
+MUTANTS = (
+    Mutant("member-strict", "src/conelab/exact.py",
+           "return all(_dot(n, x) >= 0 for n in self._normals())",
+           "return all(_dot(n, x) > 0 for n in self._normals())",
+           (_ORACLES, f"{_DATA}::test_membership_routes_agree")),
+    Mutant("member-negated-point", "src/conelab/exact.py",
+           "return self._inside(_integer_row(x))",
+           "return self._inside([-v for v in _integer_row(x)])",
+           (_ORACLES, f"{_DATA}::test_membership_routes_agree")),
+    Mutant("face-span-loose-tight", "src/conelab/exact.py",
+           "if _dot(n, xi) == 0]",
+           "if _dot(n, xi) >= 0]",
+           (_ORACLES, f"{_DATA}::test_face_span_dimension")),
+    Mutant("ray-negative-multiple", "src/conelab/exact.py",
+           "if r == xi]",
+           "if r in (xi, [-v for v in xi])]",
+           (_ORACLES, "tests/test_exact.py::"
+                      "test_rays_through_takes_positive_multiples_only")),
+    Mutant("path-last-failure", "src/conelab/cones.py",
+           "return int(rejected[0])",
+           "return int(rejected[-1])",
+           ("tests/test_axioms.py::TestContinuousPureTransitivity::"
+            "test_path_names_the_first_state_that_loses_purity",
+            "tests/test_cones.py::TestExtremality::"
+            "test_stack_names_the_first_non_extremal_row")),
+    Mutant("continuous-pt-ignores-split", "src/conelab/fixtures.py",
+           "    if len(alg.summands) > 1:\n"
+           "        w1 = system.normalize(alg.random_pure(rng, summand=0))\n",
+           "    if False:\n"
+           "        w1 = system.normalize(alg.random_pure(rng, summand=0))\n",
+           ("tests/test_cli.py::test_theorem_implications",)),
+)
+
+
+def _pytest(tmp: Path, node_ids) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tmp / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *node_ids], cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(ids: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not ids or m.id in ids]
+    unknown = set(ids) - {m.id for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant ids: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="conelab-mutants-") as name:
+        tmp = Path(name)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", tmp)
+        every = sorted({t for m in chosen for t in m.tests})
+        if _pytest(tmp, every) != 0:
+            print("the killing tests fail on the unmutated copy")
+            return 2
+        survivors = []
+        for m in chosen:
+            target = tmp / m.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"{m.id}: old text found {text.count(m.old)} times")
+                return 2
+            target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            code = _pytest(tmp, m.tests)
+            target.write_text(text, encoding="utf-8")
+            # 1 is "tests failed"; a collection or usage error kills nothing
+            killed = code == 1
+            print(f"{m.id}: {'killed' if killed else f'SURVIVED (exit {code})'}")
+            if not killed:
+                survivors.append(m.id)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,11 @@ tableau.
 
 `PolyhedralData` answers facets and membership from its double-description
 H-description; these oracles answer them the old way, by brute force over
-(d-1)-subsets of rays and by a phase-I simplex.  Polyhedral purity
+(d-1)-subsets of rays and by a phase-I simplex.  It answers every sign
+question on primitive integer rows; `member_by_fractions`,
+`face_span_by_fractions`, `dual_member_by_fractions`,
+`extremal_among_generators_by_fractions` and `self_dual_by_fractions` sum
+`Fraction` products over the rational rays and facets instead.  Polyhedral purity
 preservation reads the cached extremal generators; `extremal_by_lp` solves
 one exact LP per query instead.  The bijection searches
 solve each bijection's system in the d scales of a ray basis and lift the
@@ -185,6 +189,70 @@ def member_by_lp(data: exact.PolyhedralData, x) -> bool:
     xf = [Fraction(v) for v in x]
     mat = [[r[i] for r in data.rays] for i in range(data.dim)]
     return exact.feasible_nonneg(mat, xf) is not None
+
+
+def member_by_fractions(data: exact.PolyhedralData, x) -> bool:
+    """Every facet normal pairs nonnegatively with x, by `Fraction` sums."""
+    xf = [Fraction(v) for v in x]
+    return all(exact.dot(n, xf) >= 0 for n in data.facets())
+
+
+def face_span_by_fractions(data: exact.PolyhedralData, x) -> exact.Matrix:
+    """The null space of the rational facet normals whose `Fraction`
+    pairing with the member x is 0 (the standard basis when none is)."""
+    if not member_by_fractions(data, x):
+        raise ValueError("x is not a member of the cone")
+    xf = [Fraction(v) for v in x]
+    tight = [n for n in data.facets() if exact.dot(n, xf) == 0]
+    return exact.null_space(tight or [[0] * data.dim])
+
+
+def dual_member_by_fractions(cone: PolyhedralCone, e, tol: float) -> bool:
+    """e, rounded onto the cone's tol-grid, pairs nonnegatively with every
+    rational ray, by `Fraction` sums."""
+    ef = cone._to_exact(e, tol)
+    return all(exact.dot(ef, r) >= 0 for r in cone.data.rays)
+
+
+def extremal_among_generators_by_fractions(cone: PolyhedralCone, w,
+                                           tol: float) -> bool:
+    """w is on a generator ray when w = lam r with the `Fraction` lam > 0
+    read off r's first nonzero entry; it is extremal when one of those
+    generators is."""
+    wx = cone._to_exact(w, max(tol, 1e-8))
+    on_ray = []
+    for i, r in enumerate(cone.data.rays):
+        lam = next((a / b for a, b in zip(wx, r) if b != 0), None)
+        if lam is not None and lam > 0 and [lam * b for b in r] == wx:
+            on_ray.append(i)
+    if not on_ray:
+        raise UnsupportedQuery("extremality expects w on a generator ray")
+    extremal = cone.data.extremal_ray_indices()
+    return any(i in extremal for i in on_ray)
+
+
+def self_dual_by_fractions(cone: PolyhedralCone, inner) -> tuple:
+    """(status, violation, detail) of the exact self-duality test with every
+    pairing a `Fraction` sum: G r_i for each extremal ray, each pair i <= j,
+    then G^-1 f for each facet f through `member_by_fractions`.  Entries of
+    G are read as `check_self_dual` reads them."""
+    g = [[x if isinstance(x, Fraction)
+          else Fraction(float(x)).limit_denominator(10**12) for x in row]
+         for row in inner]
+    rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
+    g_rays = [exact.mat_vec(g, r) for r in rays]
+    for i, j in itertools.combinations_with_replacement(range(len(rays)), 2):
+        val = exact.dot(g_rays[i], rays[j])
+        if val < 0:
+            return (FAILS, {"pair": (rays[i], rays[j]), "inner_value": val},
+                    "generator pair with negative inner product")
+    _, dual = exact.dual_basis(g)
+    g_inv = [list(row) for row in zip(*dual)]
+    for f in cone.data.facets():
+        if not member_by_fractions(cone.data, exact.mat_vec(g_inv, f)):
+            return (FAILS, {"facet_normal": f},
+                    "dual extremal pulls back outside the cone")
+    return HOLDS, None, "exact two-sided inclusion"
 
 
 def extremal_by_lp(cone: PolyhedralCone, w, tol: float) -> bool:

@@ -747,6 +747,32 @@ class TestContinuousPureTransitivity:
         assert len(v.witness) == 17
         assert v.margin < 1e-9
 
+    def test_path_names_the_first_state_that_loses_purity(self, qubit, rng,
+                                                          monkeypatch):
+        # the maps from t = 1/4 to t = 3/4 carry w1 to the unit, which is
+        # not pure: the verdict names t = 1/4, not a later step
+        generator = eja.SimpleFactor.rotation_generator
+
+        def lossy(self, w1, w2):
+            rot = generator(self, w1, w2)
+            to_unit = np.outer(self.unit(), w1) / (w1 @ w1)
+            return lambda t: to_unit if 0.25 <= t <= 0.75 else rot(t)
+
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", lossy)
+        w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
+        v = axioms.continuous_pure_transitivity(qubit, w1, w2)
+        assert v.status == INCONCLUSIVE
+        assert v.detail == "constructed path loses purity at t=0.25"
+
+    @pytest.mark.parametrize("check", [
+        axioms.pure_transitivity_witness, axioms.continuous_pure_transitivity])
+    def test_either_input_must_be_pure(self, check, qubit, rng):
+        pure = qubit.sample_pure(rng)
+        mixed = qubit.normalize(pure + qubit.sample_pure(rng))
+        for w1, w2 in ((mixed, pure), (pure, mixed)):
+            with pytest.raises(ConeError):
+                check(qubit, w1, w2)
+
     def test_cross_summand_obstruction(self, rng):
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],
                                  eja.complex_herm(2).factors[0]])

@@ -60,6 +60,37 @@ def wider_registry() -> list[fixtures.FixtureSpec]:
     return specs
 
 
+# the checks that the theorem's implications read
+IMPLICATION_CHECKS = ("self-dual", "spd-self-duality", "homogeneity",
+                      "pure-transitivity", "continuous-pure-transitivity",
+                      "reducibility")
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("registry", ["builtin", "wider"])
+def test_theorem_implications(registry, seed):
+    # homogeneity and pure transitivity imply self-duality, under the trace
+    # form or, on a polyhedral cone, under some SPD inner product; and
+    # continuous pure transitivity rules out a direct-sum splitting.  Each
+    # premise holds on some fixture, so neither implication is vacuous.
+    specs = (fixtures.builtin_fixtures() if registry == "builtin"
+             else wider_registry())
+    report = fixtures.run_checks(specs, IMPLICATION_CHECKS, seed=seed)
+    status = {(f["fixture"], r["check"]): r["status"]
+              for f in report["fixtures"] for r in f["checks"]}
+    names = [f["fixture"] for f in report["fixtures"]]
+    transitive = [n for n in names if status[n, "homogeneity"] == "holds"
+                  and status[n, "pure-transitivity"] == "holds"]
+    continuous = [n for n in names
+                  if status[n, "continuous-pure-transitivity"] == "holds"]
+    assert transitive and continuous
+    for n in transitive:
+        assert "holds" in (status[n, "self-dual"],
+                           status[n, "spd-self-duality"]), n
+    for n in continuous:
+        assert status[n, "reducibility"] == "fails", n
+
+
 class TestRegistry:
     def test_round_trip(self):
         specs = fixtures.builtin_fixtures()

@@ -9,11 +9,12 @@ from conelab import composite, eja, fixtures
 from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, UNSUPPORTED, EJACone,
                            PolyhedralCone, SharedCornerCone,
                            System, UnsupportedQuery,
-                           face_dimension, is_extremal_ray,
-                           is_order_isomorphism, two_sided_probe,
-                           validate_measurement)
+                           ConeError, face_dimension, first_non_extremal,
+                           is_extremal_ray, is_order_isomorphism,
+                           two_sided_probe, validate_measurement)
 from conftest import make_eja_system
-from eja_oracles import is_order_isomorphism_by_point
+from eja_oracles import (first_non_extremal_by_point,
+                         is_order_isomorphism_by_point)
 from helpers import random_positive
 from polyhedral_oracles import member_by_lp
 
@@ -255,6 +256,44 @@ class TestExtremality:
         cone = EJACone(eja.classical(3))
         assert not is_extremal_ray(cone, np.array([1.0, 1.0, 0.0]))
         assert is_extremal_ray(cone, np.array([0.0, 1.0, 0.0]))
+
+
+    @pytest.mark.parametrize("alg", [
+        eja.complex_herm(2), eja.quat_herm(3), eja.spin_factor(5),
+        eja.classical(3),
+        eja.JordanAlgebra(eja.real_sym(2).factors + eja.spin_factor(4).factors)],
+        ids=["complex-2", "quat-3", "spin-5", "classical-3", "real-2+spin-4"])
+    def test_stack_names_the_first_non_extremal_row(self, alg, rng):
+        cone = EJACone(alg)
+        for _ in range(20):
+            rows = [alg.random_pure(rng) if rng.random() < 0.7
+                    else alg.random_pure(rng) + alg.random_pure(rng)
+                    for _ in range(6)]
+            xs = np.array(rows)
+            assert first_non_extremal(cone, xs) \
+                == first_non_extremal_by_point(alg, xs, DEFAULT_TOL)
+            flags = [is_extremal_ray(cone, x) for x in xs]
+            assert first_non_extremal(cone, xs) \
+                == next((k for k, f in enumerate(flags) if not f), None)
+
+    def test_stack_raises_where_the_loop_would(self):
+        cone = EJACone(eja.complex_herm(2))
+        pure, mixed = np.array([1.0, 0, 0, 0]), np.array([1.0, 1, 0, 0])
+        null = np.zeros(4)
+        nan = np.array([np.nan, 0, 0, 0])
+        assert first_non_extremal(cone, np.array([pure, mixed, null])) == 1
+        assert first_non_extremal(cone, np.array([pure, mixed, nan])) == 1
+        assert first_non_extremal(cone, np.array([pure, pure])) is None
+        with pytest.raises(ConeError, match="null ray"):
+            first_non_extremal(cone, np.array([pure, null, mixed]))
+        with pytest.raises(ValueError, match="non-finite"):
+            first_non_extremal(cone, np.array([pure, nan, mixed]))
+
+    def test_other_cones_test_row_by_row(self, square):
+        rows = np.array([[1.0, 1, 0], [0, 1, 1], [1, 2, 1], [0, 1, 1],
+                         [2, 3, 1]])
+        assert first_non_extremal(square, rows) == 2
+        assert first_non_extremal(square, rows[:2]) is None
 
 
 class TestSharedCornerTransport:

@@ -6,20 +6,27 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
-from conelab import exact, fixtures
-from conelab.cones import PolyhedralCone
+from conelab import axioms, exact, fixtures
+from conelab.composite import _extremal_among_generators
+from conelab.cones import PolyhedralCone, System, UnsupportedQuery
 from conelab.exact import PolyhedralData
-from polyhedral_oracles import (dual_basis_by_prefix, extremal_by_rank,
+from polyhedral_oracles import (dual_basis_by_prefix,
+                                dual_member_by_fractions,
+                                extremal_among_generators_by_fractions,
+                                extremal_by_rank, face_span_by_fractions,
                                 facets_by_subsets,
                                 feasible_nonneg_by_fractions,
-                                independent_prefix, member_by_lp,
-                                null_space_by_fractions, primitive,
-                                reducible_by_subsets, rref_by_fractions, solve)
+                                independent_prefix, member_by_fractions,
+                                member_by_lp, null_space_by_fractions,
+                                primitive, reducible_by_subsets,
+                                rref_by_fractions, self_dual_by_fractions,
+                                solve)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -369,6 +376,121 @@ def test_double_description_matches_subset_oracle(rays):
 
 def _pivot_columns(vecs) -> list[int]:
     return exact.rref([list(col) for col in zip(*vecs)])[1]
+
+
+@st.composite
+def cone_points(draw):
+    """(cone, points): a random pointed cone and rational points inside it,
+    on its faces and just off them, with weights of mixed denominators up to
+    10^6, each point also rounded from floats as `PolyhedralCone._to_exact`
+    rounds at slack 1e-12 (denominators up to 2 * 10^12)."""
+    rays = draw(pointed_cones())
+    cone = PolyhedralCone(rays)
+    data = cone.data
+    weight = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6))
+
+    def combination(vecs):
+        ws = draw(st.lists(weight, min_size=len(vecs), max_size=len(vecs)))
+        return [sum((w * v[i] for w, v in zip(ws, vecs)), F(0))
+                for i in range(data.dim)]
+
+    inside = combination(rays)
+    points = [inside]
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from(data.facets()))
+        tight = [r for r in rays if exact.dot(n, r) == 0]
+        some = draw(st.lists(st.sampled_from(tight), min_size=1,
+                             max_size=len(tight)))
+        on = combination(some)
+        step = F(1, 10 ** draw(st.integers(1, 12)))
+        points += [on, [a - step * b for a, b in zip(on, n)],
+                   [a + step * b for a, b in zip(on, inside)]]
+    points += draw(st.lists(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+        min_size=data.dim, max_size=data.dim), max_size=2))
+    rounded = [cone._to_exact(np.array([float(v) for v in p]), 1e-12)
+               for p in points]
+    return cone, points + rounded
+
+
+@given(case=cone_points(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_queries_match_fraction_oracles(case, data):
+    cone, points = case
+    rays = cone.data.rays
+    members = 0
+    for x in points:
+        inside = cone.data.member(x)
+        assert inside is member_by_fractions(cone.data, x)
+        members += inside
+        if inside:
+            assert cone.data.face_span(x) == face_span_by_fractions(
+                cone.data, x)
+        sign = [(v > 0) - (v < 0) for v in cone.data.pairings(x)]
+        assert sign == [(v > 0) - (v < 0)
+                        for v in (exact.dot(x, r) for r in rays)]
+        e = np.array([float(v) for v in x])
+        for tol in (1e-9, 1e-12):
+            assert cone.dual_member(e, tol) \
+                == dual_member_by_fractions(cone, e, tol)
+    assert members
+    for n in cone.data.facets():
+        e = np.array([float(v) for v in n])
+        assert cone.dual_member(e) == dual_member_by_fractions(cone, e, 1e-9)
+    ray = np.array([float(v) for v in data.draw(st.sampled_from(rays))])
+    other = np.array([float(v) for v in points[0]])
+    for w in (ray, 2.5 * ray, -ray, other):
+        try:
+            expected = extremal_among_generators_by_fractions(cone, w, 1e-9)
+        except UnsupportedQuery:
+            with pytest.raises(UnsupportedQuery):
+                _extremal_among_generators(cone, w, 1e-9)
+            continue
+        assert _extremal_among_generators(cone, w, 1e-9) is expected
+    d = len(rays[0])
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+    a = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                           min_size=d, max_size=d))
+    shift = data.draw(st.sampled_from([0, 1, 4]))
+    gram = [[sum((a[k][i] * a[k][j] for k in range(d)), F(0))
+             + F(shift * (i == j)) for j in range(d)] for i in range(d)]
+    assume(np.linalg.eigvalsh(np.array(gram, dtype=float)).min() > 1e-6)
+    system = System(cone, np.eye(d)[0])
+    v = axioms.check_self_dual(system, inner=gram)
+    assert (v.status, v.violation, v.detail) \
+        == self_dual_by_fractions(cone, gram)
+
+
+def test_polyhedral_self_dual_fails_carry_fractions():
+    # a wide pyramid pairs two opposite rays negatively; a narrow one pairs
+    # every two rays positively, but its facet normals lie outside it
+    for rays, key in (([[1, 2, 0], [1, -2, 0], [1, 0, 2], [1, 0, -2]], "pair"),
+                      ([[2, 1, 0], [2, -1, 0], [2, 0, 1], [2, 0, -1]],
+                       "facet_normal")):
+        cone = PolyhedralCone(rays)
+        v = axioms.check_self_dual(System(cone, np.array([1.0, 0, 0])))
+        assert v.status == axioms.FAILS
+        assert set(v.violation) == ({"pair", "inner_value"} if key == "pair"
+                                    else {"facet_normal"})
+        if key == "pair":
+            ri, rj = v.violation["pair"]
+            assert all(type(x) is F for x in ri + rj)
+            assert type(v.violation["inner_value"]) is F
+            assert v.violation["inner_value"] == exact.dot(ri, rj) < 0
+        else:
+            n = v.violation["facet_normal"]
+            assert all(type(x) is F for x in n)
+            assert not cone.data.member(n)
+        assert (v.status, v.violation, v.detail) \
+            == self_dual_by_fractions(cone, np.eye(3))
+
+
+def test_rays_through_takes_positive_multiples_only():
+    data = PolyhedralData(SQUARE + [[2, 2, 0]])
+    assert data.rays_through([F(3), F(3), F(0)]) == [0, 4]
+    assert data.rays_through([F(-1), F(-1), F(0)]) == []
+    assert data.rays_through([F(1), F(1), F(1)]) == []
+    assert data.rays_through([0, 0, 0]) == []
 
 
 @given(rays=pointed_cones(), data=st.data())
