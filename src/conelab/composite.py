@@ -72,9 +72,13 @@ class MaxTensorCone(ConeModel):
     Over two simple factors the minimum alternates exact minimizations over
     pure effects of A and of B from STARTS seeded pure effects of B, all
     starts as one stack: a half-sweep is one stacked eigendecomposition in
-    `SimpleFactor.min_pure_effects`.  Otherwise it pairs SAMPLES seeded
-    dual samples of A and B in one stacked product.  Either way every
-    pairing has the bits of `e @ m @ f` for its own pair."""
+    `SimpleFactor.min_pure_effects`.  Each sweep is a fixed function of its
+    start stack, so once a start stack repeats (bit for bit) the state after
+    SWEEPS sweeps is one already seen, and the sweeps stop there.  Over
+    other factors it pairs SAMPLES seeded dual samples of A and B in one
+    stacked product.  The seeded starts or dual samples are drawn once per
+    cone, on the first call.
+    Either way every pairing has the bits of `e @ m @ f` for its own pair."""
 
     # product effects sampled for non-simple factors, starts and alternating
     # sweeps for simple ones, and the seed of both
@@ -86,6 +90,10 @@ class MaxTensorCone(ConeModel):
     def __init__(self, comp: "CompositeSystem"):
         self.comp = comp
         self.dim = comp.dimA * comp.dimB
+        self._factors = (comp._simple_factor(comp.factorA),
+                         comp._simple_factor(comp.factorB))
+        # the start stack, or the (e, f) dual sample stacks; drawn on first use
+        self._draws = None
 
     def pairing_minimum(self, x: np.ndarray) -> float:
         comp = self.comp
@@ -93,26 +101,49 @@ class MaxTensorCone(ConeModel):
         # a NaN pairing would drop out of the min folds below
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite input")
-        rng = np.random.default_rng(self.SEED)
-        fa = comp._simple_factor(comp.factorA)
-        fb = comp._simple_factor(comp.factorB)
+        if self._draws is None:
+            self._draws = self._draw()
+        fa, fb = self._factors
         if fa is not None and fb is not None:
-            # alternating exact minimization over pure product effects, the
-            # starts swept together as one (STARTS, dim) stack per side
-            f = fb.metric * comp.factorB.cone.sample_extremals(rng,
-                                                               self.STARTS)
-            for _ in range(self.SWEEPS):
-                e = fa.min_pure_effects((m @ f[:, :, None])[:, :, 0])
-                f = fb.min_pure_effects((m.T @ e[:, :, None])[:, :, 0])
+            e, f = self._sweeps(fa, fb, m, self._draws)
             return min(np.inf, *(float(ei @ m @ fi) for ei, fi in zip(e, f)))
-        e, f = (np.array(side) for side in zip(*[
-            (self._dual_sample(comp.factorA, rng),
-             self._dual_sample(comp.factorB, rng))
-            for _ in range(self.SAMPLES)]))
+        e, f = self._draws
         # a 1 x dimA by m product, then a 1 x n by n x 1 one, per row: the
         # bits of `e @ m @ f` for one pair, which `e @ m` on the stack lacks
         pairings = (e[:, None, :] @ m) @ f[:, :, None]
         return min(np.inf, *pairings.ravel().tolist())
+
+    def _draw(self):
+        """The seeded draws of every call: the (STARTS, dimB) start stack of
+        pure effects of B over two simple factors, else the stacked dual
+        samples of A and B."""
+        comp = self.comp
+        rng = np.random.default_rng(self.SEED)
+        fa, fb = self._factors
+        if fa is not None and fb is not None:
+            return fb.metric * comp.factorB.cone.sample_extremals(
+                rng, self.STARTS)
+        return tuple(np.array(side) for side in zip(*[
+            (self._dual_sample(comp.factorA, rng),
+             self._dual_sample(comp.factorB, rng))
+            for _ in range(self.SAMPLES)]))
+
+    def _sweeps(self, fa: SimpleFactor, fb: SimpleFactor, m: np.ndarray,
+                f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (e, f) stacks after SWEEPS alternating sweeps from the start
+        stack f.  The state after sweep i is `states[i]`; when the start of
+        sweep k is that of sweep j, the states from j on repeat with period
+        k - j.  Keys are the stacks' bytes, which keep -0.0 and 0.0 apart."""
+        seen: dict[bytes, int] = {}
+        states = []
+        for k in range(self.SWEEPS):
+            j = seen.setdefault(f.tobytes(), k)
+            if j < k:
+                return states[j + (self.SWEEPS - 1 - j) % (k - j)]
+            e = fa.min_pure_effects((m @ f[:, :, None])[:, :, 0])
+            f = fb.min_pure_effects((m.T @ e[:, :, None])[:, :, 0])
+            states.append((e, f))
+        return e, f
 
     @staticmethod
     def _dual_sample(system: System, rng) -> np.ndarray:

@@ -19,7 +19,6 @@ because a probe that accepts every direction certifies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,13 +100,16 @@ class PolyhedralCone(ConeModel):
         if not self.data.is_pointed():
             raise ConeError("polyhedral cone is not pointed")
 
-    def _to_exact(self, x: np.ndarray, tol: float) -> list[Fraction]:
-        # Round coordinates onto a tol-grid so float noise cannot flip an
-        # exact verdict; exact inputs pass through unchanged.
-        if tol <= 0:
-            return [Fraction(float(v)).limit_denominator(10**12) for v in x]
-        return [Fraction(float(v)).limit_denominator(max(10, int(2.0 / tol)))
-                for v in x]
+    @staticmethod
+    def _to_exact(x: np.ndarray, tol: float) -> list[int]:
+        """x rounded onto a tol-grid (denominators at most 2 / tol, or
+        10^12 at tol <= 0), so float noise cannot flip an exact verdict;
+        exact inputs pass through unchanged.  The result is an integer row,
+        a positive multiple of the rounded point (`exact.rounded_row`):
+        membership, face spans, pairing signs and the rays through a point
+        are the same for every positive multiple of it."""
+        return exact.rounded_row(
+            x, 10**12 if tol <= 0 else max(10, int(2.0 / tol)))
 
     def member(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Within tol of every facet hyperplane's inner side, or exactly

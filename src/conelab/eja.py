@@ -47,7 +47,8 @@ class SimpleFactor:
 
     Elements are real coordinate vectors of length `dim`, the size of the
     basis.  The trace form is `metric` times the Euclidean dot product, so
-    `metric * x` is the coordinate vector of the effect <x, .>.
+    `metric * x` is the coordinate vector of the effect <x, .>.  A spin
+    factor needs `spin_dim` >= 3: spin dim 2 is R + R, which is not simple.
     """
 
     def __init__(self, family: str, rank: int, spin_dim: int | None = None):
@@ -63,8 +64,11 @@ class SimpleFactor:
         self.rank = rank
         self.metric = 2.0 if family == SPIN else 1.0
         if family == SPIN:
-            if spin_dim is None or spin_dim < 2:
-                raise ValueError("spin factor needs its own dim parameter >= 2")
+            if spin_dim is None or spin_dim < 3:
+                raise ValueError(
+                    f"spin factor needs its own dim parameter >= 3, got "
+                    f"{spin_dim} (spin dim 2 is the quadrant R + R: ask for "
+                    f"classical 2)")
             self.dim = spin_dim
         else:
             # (dim, side, side) stacks of the basis and of its conjugate

@@ -24,8 +24,10 @@ at a point, pairings with the rays, "is x on this ray" and the self-dual
 pairings.  A rational point is scaled once to integers by its positive
 common denominator (`_integer_row`), so each sign, and each answer, is
 that of the `Fraction` sums, with integer products in place of them (as
-in Avis's lrs).  `Fraction`s stay what leaves the layer: `rays`,
-`facets()`, null-space bases and LP vertices.
+in Avis's lrs).  A float point is rounded onto a grid of bounded
+denominators straight into such an integer row (`rounded_row`).
+`Fraction`s stay what leaves the layer: `rays`, `facets()`, null-space
+bases and LP vertices.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -60,6 +62,42 @@ def _integer_matrix(mat: Sequence[Sequence]) -> list[list[int]]:
     flat = _integer_row(list(chain.from_iterable(mat)))
     cols = len(mat[0])
     return [flat[i:i + cols] for i in range(0, len(flat), cols)]
+
+
+def rounded_row(values: Iterable, max_den: int) -> list[int]:
+    """Each value, as a float, rounded to the nearest fraction whose
+    denominator is at most max_den, the one `Fraction.limit_denominator`
+    picks (the convergent wins a tie), and the row times the lcm of those
+    denominators: a positive multiple of the rounded point, in integers.
+
+    The continued-fraction steps run on `float.as_integer_ratio()`, so no
+    `Fraction` is built.  NaN raises ValueError and an infinity
+    OverflowError, as `Fraction(v)` does."""
+    nums, dens = [], []
+    for v in values:
+        n, d = float(v).as_integer_ratio()
+        if d > max_den:
+            den = d
+            p0, q0, p1, q1 = 0, 1, 1, 0
+            while True:
+                a = n // d
+                q2 = q0 + a * q1
+                if q2 > max_den:
+                    break
+                p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+                n, d = d, n - a * d
+            k = (max_den - q0) // q1
+            q = q0 + k * q1
+            # p1/q1 is d / (q1 den) from the value, the other candidate
+            # 1 / (q1 q) - d / (q1 den)
+            if 2 * d * q <= den:
+                n, d = p1, q1
+            else:
+                n, d = p0 + k * p1, q
+        nums.append(n)
+        dens.append(d)
+    scale = lcm(*dens)
+    return [n * (scale // d) for n, d in zip(nums, dens)]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -70,6 +70,24 @@ MUTANTS = (
            "    if False:\n"
            "        w1 = system.normalize(alg.random_pure(rng, summand=0))\n",
            ("tests/test_cli.py::test_theorem_implications",)),
+    Mutant("cycle-index-off-by-one", "src/conelab/composite.py",
+           "states[j + (self.SWEEPS - 1 - j) % (k - j)]",
+           "states[j + (self.SWEEPS - j) % (k - j)]",
+           ("tests/test_composite.py::"
+            "test_pairing_minimum_cycle_exits_equal_start_by_start_loop",)),
+    Mutant("rounding-tie-to-semiconvergent", "src/conelab/exact.py",
+           "if 2 * d * q <= den:",
+           "if 2 * d * q < den:",
+           ("tests/test_exact.py::test_rounding_tie_takes_the_convergent",
+            "tests/test_exact.py::"
+            "test_integer_rounding_matches_limit_denominator")),
+    Mutant("min-effect-last-column", "src/conelab/eja.py",
+           "v = vecs[np.arange(len(a)), :, k]",
+           "v = vecs[np.arange(len(a)), :, -1]",
+           ("tests/test_composite.py::"
+            "test_pure_effect_minimizing_matches_spectral",
+            "tests/test_composite.py::"
+            "test_pairing_minimum_equals_start_by_start_loop")),
 )
 
 

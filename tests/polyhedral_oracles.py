@@ -18,7 +18,12 @@ H-description; these oracles answer them the old way, by brute force over
 question on primitive integer rows; `member_by_fractions`,
 `face_span_by_fractions`, `dual_member_by_fractions`,
 `extremal_among_generators_by_fractions` and `self_dual_by_fractions` sum
-`Fraction` products over the rational rays and facets instead.  Polyhedral purity
+`Fraction` products over the rational rays and facets instead.
+`PolyhedralCone._to_exact` rounds a float point onto its tol-grid by
+integer continued-fraction steps into one integer row;
+`to_exact_by_fractions` rounds each coordinate by
+`Fraction.limit_denominator`, and the oracles above that round a float
+point use it.  Polyhedral purity
 preservation reads the cached extremal generators; `extremal_by_lp` solves
 one exact LP per query instead.  The bijection searches
 solve each bijection's system in the d scales of a ray basis and lift the
@@ -207,10 +212,19 @@ def face_span_by_fractions(data: exact.PolyhedralData, x) -> exact.Matrix:
     return exact.null_space(tight or [[0] * data.dim])
 
 
+def to_exact_by_fractions(x, tol: float) -> list[Fraction]:
+    """Each coordinate of x as its own `Fraction`, rounded by
+    `limit_denominator` onto the tol-grid of `PolyhedralCone._to_exact`."""
+    if tol <= 0:
+        return [Fraction(float(v)).limit_denominator(10**12) for v in x]
+    return [Fraction(float(v)).limit_denominator(max(10, int(2.0 / tol)))
+            for v in x]
+
+
 def dual_member_by_fractions(cone: PolyhedralCone, e, tol: float) -> bool:
     """e, rounded onto the cone's tol-grid, pairs nonnegatively with every
     rational ray, by `Fraction` sums."""
-    ef = cone._to_exact(e, tol)
+    ef = to_exact_by_fractions(e, tol)
     return all(exact.dot(ef, r) >= 0 for r in cone.data.rays)
 
 
@@ -219,7 +233,7 @@ def extremal_among_generators_by_fractions(cone: PolyhedralCone, w,
     """w is on a generator ray when w = lam r with the `Fraction` lam > 0
     read off r's first nonzero entry; it is extremal when one of those
     generators is."""
-    wx = cone._to_exact(w, max(tol, 1e-8))
+    wx = to_exact_by_fractions(w, max(tol, 1e-8))
     on_ray = []
     for i, r in enumerate(cone.data.rays):
         lam = next((a / b for a, b in zip(wx, r) if b != 0), None)
@@ -258,7 +272,7 @@ def self_dual_by_fractions(cone: PolyhedralCone, inner) -> tuple:
 def extremal_by_lp(cone: PolyhedralCone, w, tol: float) -> bool:
     """Exact LP: w is extremal iff it is not a nonnegative combination of the
     generators lying outside its ray."""
-    wx = cone._to_exact(w, max(tol, 1e-8))
+    wx = to_exact_by_fractions(w, max(tol, 1e-8))
     others = []
     for r in cone.data.rays:
         lam = None

@@ -290,7 +290,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("summand, message", [
         ({"family": "octonion", "rank": 3}, "unknown family 'octonion'"),
         ({"family": "spin", "dim": 1},
-         "spin factor needs its own dim parameter >= 2"),
+         "spin factor needs its own dim parameter >= 3, got 1"),
         ({"family": "real"}, "missing 'rank'"),
         ({"family": "spin"}, "missing 'dim'")])
     def test_malformed_summand_is_an_error(self, runner, tmp_path, summand,
@@ -333,6 +333,10 @@ class TestCheckCommand:
         ({"fixtures": [{"name": "q", "kind": "eja", "params": {
             "summands": [{"family": "quat", "rank": 0}]}}]},
          "fixture 'q': rank must be at least 1, got 0"),
+        ({"fixtures": [{"name": "quadrant", "kind": "eja", "params": {
+            "summands": [{"family": "spin", "dim": 2}]}}]},
+         "fixture 'quadrant': spin factor needs its own dim parameter >= 3, "
+         "got 2 (spin dim 2 is the quadrant R + R: ask for classical 2)"),
         ({"fixtures": [{"name": "p", "kind": "polyhedral", "params": {
             "generators": [[1, 0], [0, 1]], "unit": 5}}]},
          "fixture 'p': 'int' object is not iterable"),
@@ -353,8 +357,8 @@ class TestCheckCommand:
          "fixture 'm': exact min-tensor cone needs polyhedral factors")],
         ids=["top-level-list", "fixture-not-object", "unhashable-name",
              "classical-null", "summands-int", "summand-int", "spin-dim-null",
-             "rank-zero", "unit-int", "factor-cycle", "self-factor",
-             "min-of-eja"])
+             "rank-zero", "spin-dim-2", "unit-int", "factor-cycle",
+             "self-factor", "min-of-eja"])
     def test_malformed_registry_is_an_error(self, runner, tmp_path, registry,
                                             message):
         reg = tmp_path / "bad.json"

@@ -7,9 +7,9 @@ import pytest
 from conelab import composite as cp
 from conelab import eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS
-from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone, System,
-                          UnsupportedQuery, is_extremal_ray,
-                          validate_measurement)
+from conelab.cones import (DEFAULT_TOL, ConeError, EJACone, PolyhedralCone,
+                          System, UnsupportedQuery, face_dimension,
+                          is_extremal_ray, validate_measurement)
 from conftest import make_eja_system
 from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          pairing_minimum_by_starts,
@@ -604,6 +604,78 @@ def test_pairing_minimum_equals_start_by_start_loop(alg_a, alg_b, rng):
     for x in points:
         got = comp.cone.pairing_minimum(x)
         assert got.hex() == pairing_minimum_by_starts(comp, x).hex()
+
+
+def _faces_decision_points(max_rebit, monkeypatch) -> list[np.ndarray]:
+    """The points whose pairing minimum one purity decision on a pure
+    product of max rebit (x) rebit asks for: the product x, x + step * d
+    and x - step * d along its face span, and the directions off the face
+    until one leaves the cone."""
+    rebit = max_rebit.factorA
+    rng = np.random.default_rng(13)
+    w = max_rebit.product_state(rebit.sample_pure(rng), rebit.sample_pure(rng))
+    points = []
+    minimum = cp.MaxTensorCone.pairing_minimum
+    with monkeypatch.context() as patch:
+        patch.setattr(cp.MaxTensorCone, "pairing_minimum",
+                      lambda cone, x: points.append(x) or minimum(cone, x))
+        assert face_dimension(max_rebit.cone, w) == 1
+    return points
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """A list that grows by one entry per call of `owner.name`."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_pairing_minimum_cycle_exits_equal_start_by_start_loop(max_rebit,
+                                                               monkeypatch):
+    # the pure product's start stack repeats at sweep 3 with period 2, so
+    # the state after SWEEPS sweeps is the one after sweep 1 (2 if the
+    # cycle index were off by one); the last probe, off the face, runs all
+    # SWEEPS sweeps
+    points = _faces_decision_points(max_rebit, monkeypatch)
+    calls = _count_calls(monkeypatch, eja.SimpleFactor, "min_pure_effects")
+    sweeps = []
+    for x in points:
+        before = len(calls)
+        got = max_rebit.cone.pairing_minimum(x)
+        sweeps.append((len(calls) - before) // 2)
+        assert got.hex() == pairing_minimum_by_starts(max_rebit, x).hex()
+    assert sweeps[0] == 3
+    assert sweeps[-1] == cp.MaxTensorCone.SWEEPS
+    assert min(sweeps[1:-1]) < cp.MaxTensorCone.SWEEPS
+
+
+def test_pure_product_pairing_minimum_stops_sweeping(max_rebit, monkeypatch):
+    # two stacked decompositions a sweep; a pure product's start stack
+    # repeats long before SWEEPS sweeps
+    x = _faces_decision_points(max_rebit, monkeypatch)[0]
+    calls = _count_calls(monkeypatch, eja.SimpleFactor, "min_pure_effects")
+    max_rebit.cone.pairing_minimum(x)
+    assert len(calls) < 2 * cp.MaxTensorCone.SWEEPS
+
+
+def test_pairing_minimum_draws_its_starts_once(max_rebit, rng, monkeypatch):
+    # the seeded start stack is drawn on the first call only, and a
+    # non-finite element is refused before it
+    with pytest.raises(ValueError, match="non-finite input"):
+        max_rebit.cone.pairing_minimum(np.full(max_rebit.dim, np.nan))
+    draws = _count_calls(monkeypatch, EJACone, "sample_extremals")
+    points = [max_rebit.cone.sample_extremal(rng) for _ in range(2)]
+    points += [rng.standard_normal(max_rebit.dim) for _ in range(2)]
+    for x in points:
+        assert max_rebit.cone.pairing_minimum(x).hex() == \
+            pairing_minimum_by_starts(max_rebit, x).hex()
+    assert len(draws) == 1
 
 
 def test_pairing_minimum_of_a_pure_product_is_zero(rng):

@@ -16,7 +16,7 @@ from conftest import make_eja_system
 from eja_oracles import (first_non_extremal_by_point,
                          is_order_isomorphism_by_point)
 from helpers import random_positive
-from polyhedral_oracles import member_by_lp
+from polyhedral_oracles import member_by_lp, to_exact_by_fractions
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -105,7 +105,7 @@ class TestMembership:
                               data.facets()[rng.integers(4)]])
                 x = x - (n @ x) / (n @ n) * n + 1e-10 * rng.standard_normal(3)
             for tol in (1e-9, 1e-6):
-                expect = (member_by_lp(data, square._to_exact(x, tol))
+                expect = (member_by_lp(data, to_exact_by_fractions(x, tol))
                           or square.margin(x) >= -tol)
                 assert square.member(x, tol) == expect
 

@@ -35,14 +35,14 @@ def test_dimension_table():
         for rank in (1, 2, 3, 4):
             assert (eja.SimpleFactor(family, rank).dim
                     == classify.dim_of(name, rank))
-    for n in (2, 3, 7):
+    for n in (3, 7):
         assert (eja.SimpleFactor(eja.SPIN, 2, spin_dim=n).dim
                 == classify.dim_of("SpinFactor", 2, spin_dim=n))
 
 
 def test_invalid_factors_rejected():
-    for spin_dim in (None, 1):
-        with pytest.raises(ValueError, match="dim parameter"):
+    for spin_dim in (None, 1, 2):
+        with pytest.raises(ValueError, match="dim parameter >= 3"):
             eja.SimpleFactor(eja.SPIN, 2, spin_dim=spin_dim)
     with pytest.raises(ValueError, match="unknown family"):
         eja.SimpleFactor("octonion", 3)
@@ -260,7 +260,7 @@ def test_basis_conversions_match_loops(family, rng):
 EIGEN_ALGEBRAS = {
     **{f"{family}-{rank}": eja.JordanAlgebra([eja.SimpleFactor(family, rank)])
        for family in (eja.REAL, eja.COMPLEX, eja.QUAT) for rank in (1, 2, 3)},
-    **{f"spin-{n}": eja.spin_factor(n) for n in range(2, 9)},
+    **{f"spin-{n}": eja.spin_factor(n) for n in range(3, 9)},
     "spin-5+complex-2": spin_plus_complex(),
 }
 

@@ -26,7 +26,7 @@ from polyhedral_oracles import (dual_basis_by_prefix,
                                 member_by_lp, null_space_by_fractions,
                                 primitive, reducible_by_subsets,
                                 rref_by_fractions, self_dual_by_fractions,
-                                solve)
+                                solve, to_exact_by_fractions)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 
@@ -378,12 +378,70 @@ def _pivot_columns(vecs) -> list[int]:
     return exact.rref([list(col) for col in zip(*vecs)])[1]
 
 
+# the largest denominators of `PolyhedralCone._to_exact` at tol >= 0.2,
+# 1e-8, near 1e-9 and 0
+ROUNDING_GRIDS = (10, 2 * 10**8, 2 * 10**9, 10**12)
+
+
+def rounding_inputs():
+    """Floats to round: zeros of both signs, integers, values on every
+    grid (k/8 exactly, p/q for q <= 10 as the nearest float) and magnitudes
+    from 1e-12 to 1e12 of either sign."""
+    magnitude = st.floats(1e-12, 1e12)
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-10**6, 10**6).map(float),
+        st.builds(lambda p, e: p / 2**e, st.integers(-10**6, 10**6),
+                  st.integers(0, 3)),
+        st.builds(lambda p, q: p / q, st.integers(-10**6, 10**6),
+                  st.integers(1, 10)),
+        magnitude, magnitude.map(lambda v: -v))
+
+
+# 1/32 and -3 - 1/32 lie halfway between their two candidates at
+# denominators up to 16 (0 and 1/16, -3 and -49/16)
+TIES = [2.0**-5, -3 - 2.0**-5]
+
+
+@given(values=st.lists(rounding_inputs(), min_size=1, max_size=6),
+       max_den=st.sampled_from(ROUNDING_GRIDS),
+       tol=st.sampled_from([1.0, 1e-8, 1e-9, 0.0]))
+@example(values=TIES, max_den=16, tol=0.0)
+@settings(max_examples=300, deadline=None)
+def test_integer_rounding_matches_limit_denominator(values, max_den, tol):
+    fractions = [F(v).limit_denominator(max_den) for v in values]
+    assert exact.rounded_row(values, max_den) \
+        == exact._integer_row(fractions)
+    x = np.array(values)
+    assert PolyhedralCone._to_exact(x, tol) \
+        == exact._integer_row(to_exact_by_fractions(x, tol))
+
+
+def test_rounding_tie_takes_the_convergent():
+    # limit_denominator keeps the convergent (0, -3) on a tie, and the
+    # row is scaled by the lcm 1 of those denominators
+    assert [F(v).limit_denominator(16) for v in TIES] == [0, -3]
+    assert exact.rounded_row(TIES, 16) == [0, -3]
+    assert exact.rounded_row([2.0**-5, 5.5], 16) == [0, 11]
+
+
+def test_rounding_refuses_non_finite_values():
+    for bad, error in ((np.nan, ValueError), (np.inf, OverflowError),
+                       (-np.inf, OverflowError)):
+        for tol in (1e-9, 0.0):
+            with pytest.raises(error):
+                PolyhedralCone._to_exact(np.array([1.0, bad]), tol)
+        with pytest.raises(error):
+            F(bad)
+
+
 @st.composite
 def cone_points(draw):
     """(cone, points): a random pointed cone and rational points inside it,
     on its faces and just off them, with weights of mixed denominators up to
-    10^6, each point also rounded from floats as `PolyhedralCone._to_exact`
-    rounds at slack 1e-12 (denominators up to 2 * 10^12)."""
+    10^6, each point also rounded from floats by `limit_denominator`, as
+    `PolyhedralCone._to_exact` rounds at slack 1e-12 (denominators up to
+    2 * 10^12)."""
     rays = draw(pointed_cones())
     cone = PolyhedralCone(rays)
     data = cone.data
@@ -408,7 +466,7 @@ def cone_points(draw):
     points += draw(st.lists(st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
         min_size=data.dim, max_size=data.dim), max_size=2))
-    rounded = [cone._to_exact(np.array([float(v) for v in p]), 1e-12)
+    rounded = [to_exact_by_fractions([float(v) for v in p], 1e-12)
                for p in points]
     return cone, points + rounded
 
