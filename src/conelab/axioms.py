@@ -460,10 +460,15 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
             raise ConeError("pure states must live in a single summand")
         f1 = alg.summands[i1].factor
         f2 = alg.summands[i2].factor
-        if f1.descriptor() != f2.descriptor():
+        # (rank, dim) is a complete invariant of the simple summands: real
+        # 2, complex 2 and quat 2 are spin 3, 4 and 6, and rank 1 is R
+        if (f1.rank, f1.dim) != (f2.rank, f2.dim):
             return Verdict(FAILS, violation={
                 "summands": (f1.descriptor(), f2.descriptor())},
                 detail="pure states lie in non-isomorphic simple summands")
+        if f1.family != f2.family:
+            return Verdict(INCONCLUSIVE,
+                           detail="isomorphic summands; no map built")
         phi = np.eye(alg.dim)
         moved = w1
         if i1 != i2:

@@ -53,11 +53,12 @@ def main():
               help="Write the report here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Fixtures checked in parallel.")
+# accepted and ignored: fixtures are checked one after the other
+@click.option("--jobs", type=click.IntRange(min=1), default=1, hidden=True,
+              expose_value=False)
 @click.option("--timings", is_flag=True,
               help="Include wall-clock fields (breaks byte-stability).")
-def check(registry, checks, seed, tol, out, fmt, jobs, timings):
+def check(registry, checks, seed, tol, out, fmt, timings):
     """Run checks across a fixture registry; exit 0 iff every declared
     expectation matches."""
     seed = _default_seed() if seed is None else seed
@@ -65,7 +66,7 @@ def check(registry, checks, seed, tol, out, fmt, jobs, timings):
         specs = _load_registry(registry)
         selected = [c.strip() for c in checks.split(",")] if checks else None
         report = fixtures.run_checks(specs, selected, seed=seed, tol=tol,
-                                     jobs=jobs, timings=timings)
+                                     timings=timings)
     except ConeError as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":

@@ -200,9 +200,10 @@ class SimpleFactor:
     def _spectral_rows(self, a: np.ndarray):
         """Eigenvalues, (n, rank), and primitive idempotents, a list of
         rank (n, dim) arrays, of each row of a (n, dim) stack, from one
-        stacked decomposition; each row has the bits of its own.  Not for
-        quaternionic factors, whose Kramers pairs are orthonormalized one
-        element at a time in `spectral`."""
+        stacked decomposition; each row has the bits of its own.
+        Quaternionic rows keep one column per Kramers pair: each kept
+        column is orthonormalized against the earlier pairs, row by row,
+        and paired with its symplectic partner J conj(v)."""
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite input")
         if self.family == SPIN:
@@ -219,33 +220,30 @@ class SimpleFactor:
                     [np.concatenate([half, 0.5 * xhat], axis=-1),
                      np.concatenate([half, -0.5 * xhat], axis=-1)])
         vals, vecs = self._eigh(a)
-        return vals, [self.from_matrix(_outers(vecs[:, :, k],
-                                               vecs[:, :, k].conj()))
-                      for k in range(vals.shape[-1])]
+        if self.family != QUAT:
+            return vals, [self.from_matrix(_outers(vecs[:, :, k],
+                                                   vecs[:, :, k].conj()))
+                          for k in range(vals.shape[-1])]
+        keep = self._kramers_columns(vecs)
+        side = self._side
+        projs = np.empty((len(a), self.rank, side, side), dtype=complex)
+        for row, cols, proj in zip(vecs, keep, projs):
+            chosen: list[np.ndarray] = []
+            for j, k in enumerate(np.flatnonzero(cols)):
+                v = row[:, k]
+                if chosen:
+                    basis = np.column_stack(chosen)
+                    v = v - basis @ (basis.conj().T @ v)
+                    v = v / np.linalg.norm(v)
+                w = self._J @ v.conj()
+                chosen.extend([v, w])
+                proj[j] = np.outer(v, v.conj()) + np.outer(w, w.conj())
+        return (vals[keep].reshape(len(a), self.rank),
+                [self.from_matrix(projs[:, j]) for j in range(self.rank)])
 
     def spectral(self, a: np.ndarray) -> SpectralDecomposition:
-        if self.family != QUAT:
-            vals, idempotents = self._spectral_rows(a[None])
-            return SpectralDecomposition(vals[0], [c[0] for c in idempotents])
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite input")
-        vals, vecs = self._eigh(a)
-        # one rank-2 projector per kept column: orthonormalize it against
-        # the earlier pairs and add its symplectic partner
-        keep = np.flatnonzero(self._kramers_columns(vecs))
-        idempotents = []
-        chosen: list[np.ndarray] = []
-        for k in keep:
-            v = vecs[:, k]
-            if chosen:
-                basis = np.column_stack(chosen)
-                v = v - basis @ (basis.conj().T @ v)
-                v = v / np.linalg.norm(v)
-            w = self._J @ v.conj()
-            chosen.extend([v, w])
-            idempotents.append(self.from_matrix(np.outer(v, v.conj())
-                                                + np.outer(w, w.conj())))
-        return SpectralDecomposition(vals[keep], idempotents)
+        vals, idempotents = self._spectral_rows(a[None])
+        return SpectralDecomposition(vals[0], [c[0] for c in idempotents])
 
     def min_pure_effects(self, a: np.ndarray) -> np.ndarray:
         """For each row x of a (n, dim) stack, the pure effect minimizing
@@ -253,23 +251,18 @@ class SimpleFactor:
         idempotent of x's smallest eigenvalue.  Each row has the bits of
         that idempotent in `spectral(x)`, the first of them on a tie.
 
-        `eigh` sorts eigenvalues ascending, so the matrix families take
-        the argmin eigenvector column; for quaternionic ones that column
-        is the first kept Kramers column, which is paired with J conj(v)
-        and needs no orthonormalization.  Spin factors take the closed
-        form, where s + |x| and s - |x| tie when x is small."""
+        Spin factors pick from `_spectral_rows`' two idempotents, where
+        s + |x| and s - |x| tie when x is small.  `eigh` sorts eigenvalues
+        ascending, so the matrix families take the argmin eigenvector
+        column; for quaternionic ones that column is the first kept
+        Kramers column, which is paired with J conj(v) and needs no
+        orthonormalization."""
+        if self.family == SPIN:
+            vals, (c0, c1) = self._spectral_rows(a)
+            k = np.argmin(vals, axis=-1)
+            return self.metric * np.where(k[:, None] == 0, c0, c1)
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite input")
-        if self.family == SPIN:
-            s, x = a[:, 0], a[:, 1:]
-            nx = _norms(x)
-            k = np.argmin(np.stack([s + nx, s - nx], axis=-1), axis=-1)
-            tiny = nx < 1e-300
-            xhat = x / np.where(tiny, 1.0, nx)[:, None]
-            xhat[tiny] = np.eye(1, self.dim - 1)
-            signs = np.where(k == 0, 0.5, -0.5)[:, None]
-            return self.metric * np.concatenate(
-                [np.full((len(a), 1), 0.5), signs * xhat], axis=-1)
         vals, vecs = self._eigh(a)
         k = np.argmin(vals, axis=-1)
         v = vecs[np.arange(len(a)), :, k]
@@ -281,21 +274,13 @@ class SimpleFactor:
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
         """sum_k fn(lambda_k) c_k over the spectral decomposition of a, or
-        of each row of a (..., dim) stack; fn maps an array of eigenvalues
-        elementwise.  Each row has the bits of its own decomposition:
-        quaternionic rows are decomposed one at a time, the other families
-        as one stack."""
+        of each row of a (..., dim) stack, from one `_spectral_rows` call;
+        fn maps an array of eigenvalues elementwise."""
         rows = np.reshape(a, (-1, self.dim))
+        vals, idempotents = self._spectral_rows(rows)
         out = np.zeros(rows.shape)
-        if self.family == QUAT:
-            for acc, x in zip(out, rows):
-                dec = self.spectral(x)
-                for lam, c in zip(dec.eigenvalues, dec.idempotents):
-                    acc += fn(lam) * c
-        else:
-            vals, idempotents = self._spectral_rows(rows)
-            for k, c in enumerate(idempotents):
-                out += fn(vals[:, k])[:, None] * c
+        for k, c in enumerate(idempotents):
+            out += fn(vals[:, k])[:, None] * c
         return out.reshape(np.shape(a))
 
     # -- frames and special states ----------------------------------------
@@ -400,50 +385,36 @@ class SimpleFactor:
                 cos = min(norm, 1.0)
             else:
                 cos = 0.0
-            if cos > 1.0 - 1e-14:
-                return lambda t: np.eye(self.dim)
-            w = q - p * cos
-            w = w / np.linalg.norm(w[:, 0])
-            theta = math.acos(cos)
-
-            def uni(t):
-                c, s = math.cos(t * theta), math.sin(t * theta)
-                u = (np.eye(self._side, dtype=complex)
-                     + (c - 1.0) * (p @ p.conj().T + w @ w.conj().T)
-                     + s * (w @ p.conj().T - p @ w.conj().T))
-                return self.conjugation_matrix(u)
-
-            return uni
+            return self._plane_rotation(p, q, cos)
         # real / complex: rank-1 projectors, rotate the top eigenvector
         v1 = self._top_vector(w1)
         v2 = self._top_vector(w2)
         ip = v1.conj() @ v2
-        if self.family == COMPLEX and abs(ip) > 1e-12:
+        if abs(ip) > 1e-12:     # align the phase (real: the sign) of v2
             v2 = v2 * (ip.conjugate() / abs(ip))
             ip = v1.conj() @ v2
-        if self.family == REAL and ip.real < 0:
-            v2 = -v2
-            ip = v1.conj() @ v2
-        cos = min(max(ip.real, -1.0), 1.0)
+        # aligned, so cos >= -1e-12 and v2 - cos v1 is not null
+        return self._plane_rotation(v1[:, None], v2[:, None],
+                                    min(ip.real, 1.0))
+
+    def _plane_rotation(self, p: np.ndarray, q: np.ndarray, cos: float):
+        """t -> coordinate matrix of the unitary that turns the columns of
+        p toward those of q by t acos(cos) and fixes the rest: p and q are
+        (side, 1) unit columns or (side, 2) quaternionic line isometries,
+        aligned so that p* q = cos."""
         if cos > 1.0 - 1e-14:
             return lambda t: np.eye(self.dim)
-        if cos < -1.0 + 1e-14 or np.linalg.norm(v2 - cos * v1) < 1e-12:
-            # antipodal real case: route through an arbitrary orthogonal axis
-            aux = _orthogonal_unit(v1)
-            mid = self.from_matrix(np.outer(aux, aux.conj()))
-            half1 = self.rotation_generator(w1, mid)
-            half2 = self.rotation_generator(mid, w2)
-            return lambda t: (half2(max(0.0, 2 * t - 1)) @ half1(min(1.0, 2 * t)))
-        w = v2 - cos * v1
-        w = w / np.linalg.norm(w)
+        w = q - cos * p
+        w = w / np.linalg.norm(w[:, 0])
         theta = math.acos(cos)
+        # the plane's projector and the rotation's generator, formed once
+        plane = _adjoint_product(p, p) + _adjoint_product(w, w)
+        gen = _adjoint_product(w, p) - _adjoint_product(p, w)
+        eye = np.eye(self._side, dtype=complex)
 
         def uni(t):
             c, s = math.cos(t * theta), math.sin(t * theta)
-            u = (np.eye(self._side, dtype=complex)
-                 + (c - 1.0) * (np.outer(v1, v1.conj()) + np.outer(w, w.conj()))
-                 + s * (np.outer(w, v1.conj()) - np.outer(v1, w.conj())))
-            return self.conjugation_matrix(u)
+            return self.conjugation_matrix(eye + (c - 1.0) * plane + s * gen)
 
         return uni
 
@@ -488,6 +459,14 @@ def _complex_norms(v: np.ndarray) -> np.ndarray:
 def _outers(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`np.outer` of each pair of rows of two (n, side) stacks."""
     return a[:, :, None] * b[:, None, :]
+
+
+def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y^dagger for two (side, k) column blocks.  A single column takes
+    `np.outer`: a matrix product rounds its complex products otherwise."""
+    if x.shape[1] == 1:
+        return np.outer(x, y.conj())
+    return x @ y.conj().T
 
 
 def _spin_rotation(dim: int, x1: np.ndarray, x2: np.ndarray, t: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from .cones import (FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED, ConeError,
 
 SCHEMA_VERSION = 1
 TOOLKIT_VERSION = __version__
-# the runner's own statuses: the check does not apply; it raised a ConeError
+# the runner's own statuses: the check does not apply; it raised
 SKIPPED = "skipped"
 ERROR = "error"
 
@@ -472,6 +471,8 @@ def run_check(name: str, spec: FixtureSpec, system, tol: float,
         v = Verdict(UNSUPPORTED, detail=str(exc))
     except ConeError as exc:
         v = Verdict(ERROR, detail=f"precondition failure: {exc}")
+    except Exception as exc:  # a broken route is its record, not a traceback
+        v = Verdict(ERROR, detail=f"{type(exc).__name__}: {exc}")
     return _record(name, v, spec.expects.get(name))
 
 
@@ -520,8 +521,7 @@ def _jsonable(obj):
 
 
 def run_checks(specs: list[FixtureSpec], checks=None, seed: int = 7,
-               tol: float = 1e-9, jobs: int = 1,
-               timings: bool = False) -> dict:
+               tol: float = 1e-9, timings: bool = False) -> dict:
     """Run the selected checks across the registry; the report is
     deterministic for a fixed seed unless timings are requested."""
     import time
@@ -531,7 +531,8 @@ def run_checks(specs: list[FixtureSpec], checks=None, seed: int = 7,
         raise ConeError(f"unknown check names: {unknown}")
     registry = {s.name: s for s in specs}
 
-    def one(spec: FixtureSpec) -> dict:
+    fixture_reports = []
+    for spec in specs:
         t0 = time.monotonic()
         system = build_system(spec, registry)
         results = [run_check(c, spec, system, tol, seed) for c in checks]
@@ -540,13 +541,7 @@ def run_checks(specs: list[FixtureSpec], checks=None, seed: int = 7,
                "checks": results, "mismatches": mismatches}
         if timings:
             rec["elapsed_s"] = time.monotonic() - t0
-        return rec
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fixture_reports = list(pool.map(one, specs))
-    else:
-        fixture_reports = [one(s) for s in specs]
+        fixture_reports.append(rec)
     total_mismatch = sum(len(r["mismatches"]) for r in fixture_reports)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -2,8 +2,10 @@
 
 Membership reads eigenvalues alone (`JordanAlgebra.eigenvalues`, on whole
 stacks), max-tensor pairing minimization sweeps all its starts as one stack
-and builds only the idempotent each row needs, the quaternionic Kramers
-pairs are picked for a whole stack at once, the quadratic representation
+and builds only the idempotent each row needs (a spin factor's from its
+spectral idempotents, here in closed form), the quaternionic Kramers
+pairs are picked for a whole stack at once and orthonormalized inside
+one stacked decomposition, the quadratic representation
 is built from stacked products, and the conjugation matrix and the Hilbert
 composite's coordinate change each come from one basis stack.  Pure states
 and interior points are drawn as stacks, order isomorphisms test all their
@@ -53,11 +55,30 @@ def first_dual_extremal_outside(alg: JordanAlgebra, members, inv: np.ndarray,
     return None
 
 
-def pure_effect_minimizing_by_spectral(factor: SimpleFactor, x: np.ndarray):
-    """(value, pure effect) minimizing <e, x>, from the full decomposition."""
+def spin_min_pure_effects(factor: SimpleFactor, a: np.ndarray) -> np.ndarray:
+    """For each row (s, x) of a spin factor's stack, the pure effect
+    minimizing <e, x> in closed form: metric (1/2, -+x/2|x|) for the
+    smaller of s + |x| and s - |x|, the first on a tie, with the first
+    spatial axis for x/|x| when |x| is below 1e-300."""
+    s, x = a[:, 0], a[:, 1:]
+    nx = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    k = np.argmin(np.stack([s + nx, s - nx], axis=-1), axis=-1)
+    tiny = nx < 1e-300
+    xhat = x / np.where(tiny, 1.0, nx)[:, None]
+    xhat[tiny] = np.eye(1, factor.dim - 1)
+    signs = np.where(k == 0, 0.5, -0.5)[:, None]
+    return factor.metric * np.concatenate(
+        [np.full((len(a), 1), 0.5), signs * xhat], axis=-1)
+
+
+def pure_effect_minimizing_by_point(factor: SimpleFactor,
+                                    x: np.ndarray) -> np.ndarray:
+    """The pure effect minimizing <e, x>: for a spin factor the closed
+    form, for a matrix factor from the full decomposition of x alone."""
+    if factor.family == SPIN:
+        return spin_min_pure_effects(factor, x[None])[0]
     dec = factor.spectral(x)
-    k = int(np.argmin(dec.eigenvalues))
-    return float(dec.eigenvalues[k]), factor.metric * dec.idempotents[k]
+    return factor.metric * dec.idempotents[int(np.argmin(dec.eigenvalues))]
 
 
 def pairing_minimum_by_starts(comp, x: np.ndarray) -> float:
@@ -72,8 +93,8 @@ def pairing_minimum_by_starts(comp, x: np.ndarray) -> float:
     for _ in range(MaxTensorCone.STARTS):
         f = fb.metric * comp.factorB.cone.sample_extremal(rng)
         for _ in range(MaxTensorCone.SWEEPS):
-            _, e = pure_effect_minimizing_by_spectral(fa, m @ f)
-            _, f = pure_effect_minimizing_by_spectral(fb, m.T @ e)
+            e = pure_effect_minimizing_by_point(fa, m @ f)
+            f = pure_effect_minimizing_by_point(fb, m.T @ e)
         best = min(best, float(e @ m @ f))
     return best
 
@@ -96,6 +117,27 @@ def kramers_columns_by_loop(factor: SimpleFactor, vecs: np.ndarray) -> list[int]
         kept.append(k)
         chosen.extend([v, factor._J @ v.conj()])
     return kept
+
+
+def quaternionic_spectral_by_element(factor: SimpleFactor, a: np.ndarray):
+    """(eigenvalues, idempotents) of one quaternionic element from its own
+    decomposition: each kept column is orthonormalized against the pairs
+    kept before it, renormalized, and paired with J conj(v)."""
+    vals, vecs = np.linalg.eigh(factor.to_matrix(a))
+    keep = kramers_columns_by_loop(factor, vecs)
+    idempotents = []
+    chosen: list[np.ndarray] = []
+    for k in keep:
+        v = vecs[:, k]
+        if chosen:
+            basis = np.column_stack(chosen)
+            v = v - basis @ (basis.conj().T @ v)
+            v = v / np.linalg.norm(v)
+        w = factor._J @ v.conj()
+        chosen.extend([v, w])
+        idempotents.append(factor.from_matrix(np.outer(v, v.conj())
+                                              + np.outer(w, w.conj())))
+    return vals[keep], idempotents
 
 
 def quadratic_rep_by_columns(alg: JordanAlgebra, a: np.ndarray) -> np.ndarray:

@@ -88,6 +88,25 @@ MUTANTS = (
             "test_pure_effect_minimizing_matches_spectral",
             "tests/test_composite.py::"
             "test_pairing_minimum_equals_start_by_start_loop")),
+    Mutant("pt-invariant-compares-family", "src/conelab/axioms.py",
+           "if (f1.rank, f1.dim) != (f2.rank, f2.dim):",
+           "if f1.descriptor() != f2.descriptor():",
+           ("tests/test_axioms.py::TestPureTransitivity::"
+            "test_isomorphic_summands_of_other_families_stay_open",
+            "tests/test_metamorphic.py::"
+            "test_isomorphic_systems_agree_where_both_decide")),
+    Mutant("quat-pair-not-renormalized", "src/conelab/eja.py",
+           "v = v / np.linalg.norm(v)",
+           "v = 1.0 * v",
+           ("tests/test_eja.py::"
+            "test_quaternionic_spectral_equals_element_loop",)),
+    Mutant("spin-min-effect-other-idempotent", "src/conelab/eja.py",
+           "np.where(k[:, None] == 0, c0, c1)",
+           "np.where(k[:, None] == 0, c1, c0)",
+           ("tests/test_composite.py::"
+            "test_pure_effect_minimizing_matches_spectral",
+            "tests/test_composite.py::"
+            "test_pairing_minimum_equals_start_by_start_loop")),
 )
 
 

@@ -645,6 +645,29 @@ class TestPureTransitivity:
         assert v.status == FAILS
         assert v.violation["summands"] == (("complex", 2, 4), ("real", 2, 3))
 
+    @pytest.mark.parametrize("summands", [
+        [{"family": "real", "rank": 2}, {"family": "spin", "dim": 3}],
+        [{"family": "complex", "rank": 2}, {"family": "spin", "dim": 4}],
+        [{"family": "real", "rank": 1}, {"family": "complex", "rank": 1}]],
+        ids=["real2+spin3", "complex2+spin4", "real1+complex1"])
+    def test_isomorphic_summands_of_other_families_stay_open(self, summands,
+                                                             rng):
+        # equal (rank, dim) is an isomorphism no map is built for: the
+        # verdict stays open and is never a disproof
+        spec = fixtures.FixtureSpec("sum", "eja", {"summands": summands})
+        for seed in (1, 7, 11):
+            report = fixtures.run_checks([spec], ["pure-transitivity"],
+                                         seed=seed)
+            record = report["fixtures"][0]["checks"][0]
+            assert record["status"] == INCONCLUSIVE
+            assert record["detail"] == "isomorphic summands; no map built"
+        system = fixtures.build_system(spec, {})
+        alg = system.cone.algebra
+        w1 = system.normalize(alg.random_pure(rng, summand=0))
+        w2 = system.normalize(alg.random_pure(rng, summand=1))
+        assert axioms.pure_transitivity_witness(system, w1, w2).status \
+            == INCONCLUSIVE
+
     def test_shared_corner_profile_violation(self, shared_system):
         w1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         w2 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])

@@ -230,23 +230,31 @@ class TestCheckCommand:
     @pytest.mark.parametrize("declared", ["fails", "error"])
     def test_cone_error_is_an_error_that_never_matches(
             self, runner, tmp_path, monkeypatch, declared):
-        # a check that raises is neither a FAILS nor neutral
-        def broken(*args, **kwargs):
-            raise ConeError("numerical breakdown")
-
-        monkeypatch.setattr(axioms, "check_self_dual", broken)
+        # a check that raises is neither a FAILS nor neutral, and any
+        # exception a route lets out is its record, not a traceback
         specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]
         specs[0].expects = {"self-dual": declared}
         reg = tmp_path / "reg.json"
         reg.write_text(fixtures.registry_to_json(specs))
-        result = runner.invoke(main, ["check", "--registry", str(reg),
-                                      "--checks", "self-dual"])
-        assert result.exit_code == 1
-        record = json.loads(result.output)["fixtures"][0]["checks"][0]
-        assert record["status"] == "error"
-        assert record["detail"] == "precondition failure: numerical breakdown"
-        assert record["match"] is False
-        assert record["payload"] is None and "margin" not in record
+        for exc, detail in (
+                (ConeError("numerical breakdown"),
+                 "precondition failure: numerical breakdown"),
+                (ValueError("non-finite input"),
+                 "ValueError: non-finite input"),
+                (ZeroDivisionError("float division by zero"),
+                 "ZeroDivisionError: float division by zero")):
+            def broken(*args, exc=exc, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(axioms, "check_self_dual", broken)
+            result = runner.invoke(main, ["check", "--registry", str(reg),
+                                          "--checks", "self-dual"])
+            assert result.exit_code == 1
+            record = json.loads(result.output)["fixtures"][0]["checks"][0]
+            assert record["status"] == "error"
+            assert record["detail"] == detail
+            assert record["match"] is False
+            assert record["payload"] is None and "margin" not in record
 
     def test_report_refuses_values_it_cannot_write(self):
         # a repr could carry a memory address into a byte-stable report

@@ -13,7 +13,7 @@ from conelab.cones import (DEFAULT_TOL, ConeError, EJACone, PolyhedralCone,
 from conftest import make_eja_system
 from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          pairing_minimum_by_starts,
-                         pure_effect_minimizing_by_spectral)
+                         pure_effect_minimizing_by_point)
 from helpers import product_effect, sample_state
 from polyhedral_oracles import (extremal_by_lp, pairing_minimum_by_pairs,
                                 pairing_minimum_rebuilding_facets,
@@ -565,8 +565,9 @@ def test_min_tensor_needs_polyhedral(qubit):
     eja.SimpleFactor(eja.QUAT, 3), eja.SimpleFactor(eja.SPIN, 2, spin_dim=5)],
     ids=repr)
 def test_pure_effect_minimizing_matches_spectral(factor, rng):
-    # one stacked eigendecomposition, one idempotent per row: the bits of
-    # building all of them for each row alone; pure states and multiples of
+    # matrix factors: one stacked eigendecomposition, one idempotent per
+    # row, with the bits of building all of them for each row alone; spin
+    # factors: the bits of the closed form.  Pure states and multiples of
     # the unit are degenerate, and zero ties a spin factor's two eigenvalues
     points = [rng.standard_normal(factor.dim) for _ in range(20)]
     points += [factor.random_pure(rng) for _ in range(10)]
@@ -575,7 +576,7 @@ def test_pure_effect_minimizing_matches_spectral(factor, rng):
     effects = factor.min_pure_effects(np.array(points))
     assert effects.shape == (len(points), factor.dim)
     for eff, x in zip(effects, points):
-        _, ref_eff = pure_effect_minimizing_by_spectral(factor, x)
+        ref_eff = pure_effect_minimizing_by_point(factor, x)
         assert eff.tobytes() == ref_eff.tobytes()
 
 

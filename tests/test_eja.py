@@ -11,6 +11,7 @@ from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
 from eja_oracles import (conjugation_matrix_by_columns,
                          kramers_columns_by_loop, quadratic_rep_by_columns,
+                         quaternionic_spectral_by_element,
                          random_interior_by_point, random_pure_by_sample,
                          spectral_map_by_summand)
 from helpers import (overlap_state, random_element, random_interior,
@@ -305,19 +306,23 @@ def test_eigenvalues_reject_bad_input():
         alg.eigenvalues(np.zeros((2, alg.dim + 1)))
 
 
+def _degenerate_quaternionic_stack(f: eja.SimpleFactor, rng) -> np.ndarray:
+    """Automorphic images of multiples of the unit (and, in rank 3, pure
+    states and unit + pure) have 4-fold degenerate eigenspaces whose
+    eigenvectors are not Kramers pairs, so the kept columns are not 0::2."""
+    rows = [c * f.unit() for c in (1.0, -2.5, 1e-8, 3e5)]
+    for _ in range(12):
+        rot = f.rotation_generator(f.random_pure(rng), f.random_pure(rng))
+        rows.append(rng.standard_normal() * (rot(rng.random()) @ f.unit()))
+        rows.append(f.random_pure(rng))
+        rows.append(f.unit() + f.random_pure(rng))
+    return np.array(rows)
+
+
 def test_quaternionic_selection_on_degenerate_stacks(rng):
-    # Automorphic images of multiples of the unit (and, in rank 3, pure
-    # states and unit + pure) have 4-fold degenerate eigenspaces whose
-    # eigenvectors are not Kramers pairs, so the kept columns are not 0::2.
     for rank in (2, 3):
         f = eja.SimpleFactor(eja.QUAT, rank)
-        rows = [c * f.unit() for c in (1.0, -2.5, 1e-8, 3e5)]
-        for _ in range(12):
-            rot = f.rotation_generator(f.random_pure(rng), f.random_pure(rng))
-            rows.append(rng.standard_normal() * (rot(rng.random()) @ f.unit()))
-            rows.append(f.random_pure(rng))
-            rows.append(f.unit() + f.random_pure(rng))
-        stack = np.array(rows)
+        stack = _degenerate_quaternionic_stack(f, rng)
         vecs = f._eigh(stack)[1]
         keep = f._kramers_columns(vecs)
         for k, v in zip(keep, vecs):
@@ -327,6 +332,27 @@ def test_quaternionic_selection_on_degenerate_stacks(rng):
         for row, v in zip(stack, vals):
             assert np.array_equal(v, f.spectral(row).eigenvalues)
             assert np.array_equal(f.eigenvalues(row), v)
+
+
+def test_quaternionic_spectral_equals_element_loop(rng):
+    # the Gram-Schmidt of the kept columns runs row by row inside one
+    # stacked decomposition, with the bits of each element decomposed alone
+    for rank in (1, 2, 3, 4):
+        f = eja.SimpleFactor(eja.QUAT, rank)
+        stack = np.concatenate([_degenerate_quaternionic_stack(f, rng),
+                                rng.standard_normal((8, f.dim))])
+        roots = f.apply_spectral(stack, np.abs)
+        for x, root in zip(stack, roots):
+            vals, idempotents = quaternionic_spectral_by_element(f, x)
+            dec = f.spectral(x)
+            assert vals.tobytes() == dec.eigenvalues.tobytes()
+            assert len(dec.idempotents) == len(idempotents) == rank
+            for c, ref in zip(dec.idempotents, idempotents):
+                assert c.tobytes() == ref.tobytes()
+            acc = np.zeros(f.dim)
+            for lam, c in zip(vals, idempotents):
+                acc += abs(lam) * c
+            assert root.tobytes() == acc.tobytes()
 
 
 # -- sampling on stacks -----------------------------------------------------
@@ -388,7 +414,7 @@ def test_fixed_summand_draws_no_pick(rng):
 
 
 def test_stacked_square_roots_equal_row_loop(rng):
-    # every family, and a sum whose quaternionic rows go one at a time
+    # every family, and a sum with a quaternionic summand
     for alg in (*_builtin_eja_algebras().values(), spin_plus_complex(),
                 eja.JordanAlgebra([eja.SimpleFactor(eja.QUAT, 2),
                                    eja.SimpleFactor(eja.SPIN, 2, spin_dim=4)])):

@@ -1,0 +1,85 @@
+"""Metamorphic invariance: isomorphic systems get the same verdicts.
+
+Each pair below names one system twice: its summands in another order, a
+simple Jordan algebra as the spin factor of the same rank and dimension,
+or a polyhedral cone as its image under an invertible integer matrix. On
+every check that both sides decide, the two statuses must be equal. A
+decided verdict against an open one (INCONCLUSIVE or UNSUPPORTED) is
+listed, not failed: a route may lack a constructor on one side. An
+`error` record on either side fails.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from conelab import fixtures
+from conelab.cones import FAILS, HOLDS
+
+SEEDS = (1, 7, 11)
+SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
+SQUARE_UNIT = [0, 1, 0]
+GL_MAP = np.array([[2, 1, 0], [1, 1, 0], [1, 0, 1]])
+# self-duality is read in the given coordinates; the others are not
+COORDINATE_FREE = tuple(c for c in fixtures.ALL_CHECKS if c != "self-dual")
+
+
+def _eja(name: str, *summands: tuple) -> fixtures.FixtureSpec:
+    return fixtures.FixtureSpec(name, "eja", {"summands": [
+        {"family": "spin", "dim": n} if family == "spin"
+        else {"family": family, "rank": n} for family, n in summands]})
+
+
+def _polyhedral(name: str, generators, unit) -> fixtures.FixtureSpec:
+    return fixtures.FixtureSpec(name, "polyhedral", {
+        "generators": [[F(int(v)) for v in g] for g in generators],
+        "unit": [str(int(v)) for v in unit]})
+
+
+def _gl_image() -> fixtures.FixtureSpec:
+    """The square cone under GL_MAP; the unit functional u becomes
+    A^-T u, so it takes the same values on the images."""
+    unit = np.rint(np.linalg.solve(GL_MAP.T, SQUARE_UNIT)).astype(int)
+    assert np.array_equal(GL_MAP.T @ unit, SQUARE_UNIT)
+    return _polyhedral("square-image", [GL_MAP @ g for g in SQUARE], unit)
+
+
+PAIRS = {
+    "qubit+rebit": (_eja("a", ("complex", 2), ("real", 2)),
+                    _eja("b", ("real", 2), ("complex", 2)), fixtures.ALL_CHECKS),
+    "complex2=spin4": (_eja("a", ("complex", 2)), _eja("b", ("spin", 4)),
+                       fixtures.ALL_CHECKS),
+    "quat2=spin6": (_eja("a", ("quat", 2)), _eja("b", ("spin", 6)),
+                    fixtures.ALL_CHECKS),
+    "real2=spin3": (_eja("a", ("real", 2)), _eja("b", ("spin", 3)),
+                    fixtures.ALL_CHECKS),
+    "real2+spin3": (_eja("a", ("real", 2), ("spin", 3)),
+                    _eja("b", ("real", 2), ("real", 2)), fixtures.ALL_CHECKS),
+    "real1+complex1": (_eja("a", ("real", 1), ("complex", 1)),
+                       fixtures.FixtureSpec("b", "eja", {"classical": 2}),
+                       fixtures.ALL_CHECKS),
+    "square-gl": (_polyhedral("a", SQUARE, SQUARE_UNIT), _gl_image(),
+                  COORDINATE_FREE),
+}
+
+
+def _statuses(spec: fixtures.FixtureSpec, checks, seed: int) -> dict:
+    report = fixtures.run_checks([spec], list(checks), seed=seed)
+    return {r["check"]: r["status"] for r in report["fixtures"][0]["checks"]}
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_isomorphic_systems_agree_where_both_decide(pair):
+    left, right, checks = PAIRS[pair]
+    listed = []
+    for seed in SEEDS:
+        a, b = _statuses(left, checks, seed), _statuses(right, checks, seed)
+        for check in checks:
+            assert "error" not in (a[check], b[check]), (seed, check, a, b)
+            decided = {a[check], b[check]} <= {HOLDS, FAILS}
+            if decided:
+                assert a[check] == b[check], (seed, check)
+            elif a[check] != b[check]:
+                listed.append((seed, check, a[check], b[check]))
+    print(pair, "decided on one side only:", listed)
