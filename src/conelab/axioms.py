@@ -432,14 +432,38 @@ def preserves_unit(m: np.ndarray, unit: np.ndarray) -> bool:
 
 
 def _summand_swap(alg, i: int, j: int) -> np.ndarray:
+    """The coordinate permutation exchanging summands i and j of equal dim
+    (the identity when i == j): the identity with its rows permuted."""
+    order = list(range(alg.dim))
     si, sj = alg.summands[i].sl, alg.summands[j].sl
-    m = np.eye(alg.dim)
-    m[si.start:si.stop, si.start:si.stop] = 0.0
-    m[sj.start:sj.stop, sj.start:sj.stop] = 0.0
-    for a in range(alg.summands[i].factor.dim):
-        m[sj.start + a, si.start + a] = 1.0
-        m[si.start + a, sj.start + a] = 1.0
-    return m
+    order[si], order[sj] = order[sj], order[si]
+    return np.eye(alg.dim)[order]
+
+
+def _in_summand(alg, i: int, m: np.ndarray) -> np.ndarray:
+    """The map acting as m on summand i and as the identity elsewhere."""
+    full = np.eye(alg.dim)
+    sl = alg.summands[i].sl
+    full[sl, sl] = m
+    return full
+
+
+def _pure_inputs(system: System, w1, w2, tol: float):
+    """w1 and w2 as float arrays, and on an EJA cone the index of the
+    summand each lies in (None elsewhere).  Raises ConeError unless both
+    are pure states, each in a single summand."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    cone = system.cone
+    pure = first_non_extremal(cone, np.array([w1, w2]), tol) is None
+    where = None
+    if pure and isinstance(cone, EJACone):
+        where = cone.algebra.summand_of(w1), cone.algebra.summand_of(w2)
+        pure = None not in where
+    if not pure:
+        raise ConeError("transitivity checks need pure states, each in a "
+                        "single summand")
+    return w1, w2, where
 
 
 def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
@@ -447,17 +471,11 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
     """Normalized order isomorphism carrying pure w1 to pure w2, or an
     automorphism-invariant reason none exists."""
     cone = system.cone
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if first_non_extremal(cone, np.array([w1, w2]), tol) is not None:
-        raise ConeError("pure transitivity requires extremal inputs")
+    w1, w2, where = _pure_inputs(system, w1, w2, tol)
 
     if isinstance(cone, EJACone):
         alg = cone.algebra
-        i1 = alg.summand_of(w1)
-        i2 = alg.summand_of(w2)
-        if i1 is None or i2 is None:
-            raise ConeError("pure states must live in a single summand")
+        i1, i2 = where
         f1 = alg.summands[i1].factor
         f2 = alg.summands[i2].factor
         # (rank, dim) is a complete invariant of the simple summands: real
@@ -469,17 +487,12 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
         if f1.family != f2.family:
             return Verdict(INCONCLUSIVE,
                            detail="isomorphic summands; no map built")
-        phi = np.eye(alg.dim)
-        moved = w1
-        if i1 != i2:
-            phi = _summand_swap(alg, i1, i2)
-            moved = phi @ w1
-        rot = f2.rotation_generator(moved[alg.summands[i2].sl],
-                                    w2[alg.summands[i2].sl])
-        full = np.eye(alg.dim)
+        swap = _summand_swap(alg, i1, i2)
+        # the identity's product would turn w1's -0.0 entries into 0.0
+        moved = w1 if i1 == i2 else swap @ w1
         sl = alg.summands[i2].sl
-        full[sl.start:sl.stop, sl.start:sl.stop] = rot(1.0)
-        phi = full @ phi
+        rot = f2.rotation_generator(moved[sl], w2[sl])
+        phi = _in_summand(alg, i2, rot(1.0)) @ swap
         resid = float(np.max(np.abs(phi @ w1 - w2)))
         if not (resid < 1e-8 and preserves_unit(phi, system.unit)):
             return Verdict(INCONCLUSIVE, margin=resid,
@@ -516,25 +529,20 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
     if not isinstance(cone, EJACone):
         raise UnsupportedQuery("continuous pure transitivity checker needs "
                                "an EJA system")
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if first_non_extremal(cone, np.array([w1, w2]), tol) is not None:
-        raise ConeError("inputs must be pure")
-    alg = cone.algebra
-    i1 = alg.summand_of(w1)
-    i2 = alg.summand_of(w2)
+    w1, w2, (i1, i2) = _pure_inputs(system, w1, w2, tol)
     if i1 != i2:
         return Verdict(FAILS, violation={"summands": (i1, i2)},
                        detail="pure states of distinct summands lie in "
                               "subspaces intersecting only in {0}")
-    f = alg.summands[i1].factor
+    alg = cone.algebra
     sl = alg.summands[i1].sl
-    rot = f.rotation_generator(w1[sl], w2[sl])
-    maps = []
-    for k in range(PATH_STEPS + 1):
-        full = np.eye(alg.dim)
-        full[sl.start:sl.stop, sl.start:sl.stop] = rot(k / PATH_STEPS)
-        maps.append(full)
+    rot = alg.summands[i1].factor.rotation_generator(w1[sl], w2[sl])
+    maps = [_in_summand(alg, i1, rot(k / PATH_STEPS))
+            for k in range(PATH_STEPS + 1)]
+    broken = [k for k, m in enumerate(maps) if not np.all(np.isfinite(m))]
+    if broken:
+        return Verdict(INCONCLUSIVE, detail="constructed path is not finite "
+                                            f"at t={broken[0] / PATH_STEPS}")
     states = np.array([full @ w1 for full in maps])
     lost = first_non_extremal(cone, states, tol)
     if lost is not None:

@@ -15,6 +15,7 @@ coordinates and applies every operation blockwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,15 @@ _Q_UNITS = [
     np.array([[0, 1], [-1, 0]], dtype=complex),
     np.array([[0, 1j], [1j, 0]], dtype=complex),
 ]
+
+# (upper, lower) off-diagonal blocks of each matrix family's basis, before
+# the 1/sqrt(2): k x k with k = 2 for quaternions and 1 otherwise.  The
+# lower blocks are the adjoints, written out: -1j keeps its real part -0.0.
+_OFF_DIAGONAL_UNITS = {
+    REAL: [(1, 1)],
+    COMPLEX: [(1, 1), (1j, -1j)],
+    QUAT: [(q, q.conj().T) for q in _Q_UNITS],
+}
 
 
 @dataclass
@@ -71,51 +81,38 @@ class SimpleFactor:
                     f"classical 2)")
             self.dim = spin_dim
         else:
+            # side length of the underlying complex matrix
+            self._side = 2 * rank if family == QUAT else rank
             # (dim, side, side) stacks of the basis and of its conjugate
             self._basis = np.array(self._build_basis())
             self.dim = len(self._basis)
             self._basis_conj = self._basis.conj()
-            # side length of the underlying complex matrix
-            self._side = 2 * rank if family == QUAT else rank
             # the basis as (dim, side * side) rows, for `to_matrix`
             self._basis_rows = self._basis.reshape(self.dim, -1)
             self._kappa = 0.5 if family == QUAT else 1.0
             if family == QUAT:
-                j2 = np.array([[0, 1], [-1, 0]], dtype=complex)
-                self._J = np.kron(np.eye(rank), j2)
+                # the unit j in each diagonal block: J conj(H) J^-1 = H
+                self._J = np.kron(np.eye(rank), _Q_UNITS[2])
 
     # -- matrix-family plumbing -------------------------------------------
 
     def _build_basis(self) -> list[np.ndarray]:
-        r = self.rank
+        """The diagonal identity blocks E_ii, then for each i < j one
+        element per entry of `_OFF_DIAGONAL_UNITS`: its upper block at
+        (i, j) and its lower block at (j, i), over sqrt(2)."""
+        r, k = self.rank, self._side // self.rank
+        blocks = [slice(k * i, k * i + k) for i in range(r)]
         basis = []
-        if self.family in (REAL, COMPLEX):
-            for i in range(r):
-                e = np.zeros((r, r), dtype=complex)
-                e[i, i] = 1.0
+        for b in blocks:
+            e = np.zeros((self._side, self._side), dtype=complex)
+            e[b, b] = np.eye(k)
+            basis.append(e)
+        for i, j in itertools.combinations(range(r), 2):
+            for upper, lower in _OFF_DIAGONAL_UNITS[self.family]:
+                e = np.zeros((self._side, self._side), dtype=complex)
+                e[blocks[i], blocks[j]] = upper / _SQ2
+                e[blocks[j], blocks[i]] = lower / _SQ2
                 basis.append(e)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    e = np.zeros((r, r), dtype=complex)
-                    e[i, j] = e[j, i] = 1.0 / _SQ2
-                    basis.append(e)
-                    if self.family == COMPLEX:
-                        e = np.zeros((r, r), dtype=complex)
-                        e[i, j] = 1j / _SQ2
-                        e[j, i] = -1j / _SQ2
-                        basis.append(e)
-        else:  # QUAT: complex 2r x 2r with symplectic reality
-            for i in range(r):
-                e = np.zeros((2 * r, 2 * r), dtype=complex)
-                e[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = np.eye(2)
-                basis.append(e)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    for q in _Q_UNITS:
-                        e = np.zeros((2 * r, 2 * r), dtype=complex)
-                        e[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = q / _SQ2
-                        e[2 * j: 2 * j + 2, 2 * i: 2 * i + 2] = q.conj().T / _SQ2
-                        basis.append(e)
         return basis
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
@@ -134,9 +131,7 @@ class SimpleFactor:
 
     def unit(self) -> np.ndarray:
         if self.family == SPIN:
-            u = np.zeros(self.dim)
-            u[0] = 1.0
-            return u
+            return np.eye(1, self.dim)[0]
         return self.from_matrix(np.eye(self._side, dtype=complex))
 
     def trace_functional(self) -> np.ndarray:
@@ -161,6 +156,11 @@ class SimpleFactor:
         m = self.to_matrix(a)
         return np.linalg.eigh(m.real if self.family == REAL else m)
 
+    def _partner(self, v: np.ndarray) -> np.ndarray:
+        """The symplectic partner J conj(v) of a quaternionic column v, or
+        of each row of a (..., side) stack."""
+        return v.conj() @ self._J.T
+
     def _kramers_columns(self, vecs: np.ndarray) -> np.ndarray:
         """Quaternionic eigenvalues come doubled: each eigenvector v (a
         column of `vecs`, in eigenvalue order) has the symplectic partner
@@ -180,7 +180,7 @@ class SimpleFactor:
             keep[:, k] = nv >= 1e-8
             v = np.where(keep[:, k, None], v / np.maximum(nv, 1e-8)[:, None], 0)
             span[:, :, 2 * k] = v
-            span[:, :, 2 * k + 1] = v.conj() @ self._J.T
+            span[:, :, 2 * k + 1] = self._partner(v)
         return keep.reshape(vecs.shape[:-2] + (side,))
 
     def eigenvalues(self, a: np.ndarray) -> np.ndarray:
@@ -235,7 +235,7 @@ class SimpleFactor:
                     basis = np.column_stack(chosen)
                     v = v - basis @ (basis.conj().T @ v)
                     v = v / np.linalg.norm(v)
-                w = self._J @ v.conj()
+                w = self._partner(v)
                 chosen.extend([v, w])
                 proj[j] = np.outer(v, v.conj()) + np.outer(w, w.conj())
         return (vals[keep].reshape(len(a), self.rank),
@@ -266,10 +266,10 @@ class SimpleFactor:
         vals, vecs = self._eigh(a)
         k = np.argmin(vals, axis=-1)
         v = vecs[np.arange(len(a)), :, k]
-        proj = v[:, :, None] * v.conj()[:, None, :]
+        proj = _outers(v, v.conj())
         if self.family == QUAT:
-            w = v.conj() @ self._J.T
-            proj = proj + w[:, :, None] * w.conj()[:, None, :]
+            w = self._partner(v)
+            proj = proj + _outers(w, w.conj())
         return self.metric * self.from_matrix(proj)
 
     def apply_spectral(self, a: np.ndarray, fn) -> np.ndarray:
@@ -288,26 +288,17 @@ class SimpleFactor:
     def canonical_frame(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Frame of orthogonal pure states and dual effects, <w_i, e_j> = d_ij.
 
-        States are the diagonal primitive idempotents (spin: the two
-        idempotents on the first spatial axis); effects are their trace-form
-        duals, which pair by the Euclidean coordinate product.
+        States are the diagonal primitive idempotents, the first `rank`
+        basis elements (spin: the two idempotents on the first spatial
+        axis); effects are their trace-form duals, which pair by the
+        Euclidean coordinate product.
         """
         if self.family == SPIN:
             # unit has x = 0: deterministic split along the first spatial axis
-            c1 = np.zeros(self.dim)
-            c1[0], c1[1] = 0.5, 0.5
-            c2 = np.zeros(self.dim)
-            c2[0], c2[1] = 0.5, -0.5
-            states = [c1, c2]
+            e = np.eye(self.dim)
+            states = [0.5 * (e[0] + e[1]), 0.5 * (e[0] - e[1])]
         else:
-            states = []
-            for i in range(self.rank):
-                m = np.zeros((self._side, self._side), dtype=complex)
-                if self.family == QUAT:
-                    m[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = np.eye(2)
-                else:
-                    m[i, i] = 1.0
-                states.append(self.from_matrix(m))
+            states = [self.from_matrix(m) for m in self._basis[:self.rank]]
         return states, [self.metric * s for s in states]
 
     # -- sampling ----------------------------------------------------------
@@ -343,7 +334,7 @@ class SimpleFactor:
         v = v / _complex_norms(v)[:, None]
         proj = _outers(v, v.conj())
         if self.family == QUAT:
-            w = (self._J @ v.conj()[:, :, None])[:, :, 0]
+            w = self._partner(v)
             w = w - v * (v.conj()[:, None, :] @ w[:, :, None])[:, :, 0]
             w = w / _complex_norms(w)[:, None]
             proj = proj + _outers(w, w.conj())
@@ -374,7 +365,8 @@ class SimpleFactor:
         if self.family == SPIN:
             x1 = w1[1:] / np.linalg.norm(w1[1:])
             x2 = w2[1:] / np.linalg.norm(w2[1:])
-            return lambda t: _spin_rotation(self.dim, x1, x2, t)
+            return self._plane_rotation(x1[:, None], x2[:, None],
+                                        float(np.clip(x1 @ x2, -1.0, 1.0)))
         if self.family == QUAT:
             p = self._pair_isometry(w1)
             q = self._pair_isometry(w2)
@@ -398,23 +390,37 @@ class SimpleFactor:
                                     min(ip.real, 1.0))
 
     def _plane_rotation(self, p: np.ndarray, q: np.ndarray, cos: float):
-        """t -> coordinate matrix of the unitary that turns the columns of
-        p toward those of q by t acos(cos) and fixes the rest: p and q are
-        (side, 1) unit columns or (side, 2) quaternionic line isometries,
-        aligned so that p* q = cos."""
+        """t -> coordinate matrix of the automorphism of the unitary
+        u(t) = I + (cos t theta - 1)(PP* + WW*) + sin t theta (WP* - PW*),
+        theta = acos(cos), which turns p's columns toward q's and fixes the
+        rest.  p and q are (n, 1) unit columns or (side, 2) quaternionic
+        line isometries, aligned so that p* q = cos.  A matrix family
+        conjugates by u(t); a spin factor turns its spatial block by u(t).
+        Only spin axes can be antipodal: W then comes from
+        `_orthogonal_unit`, in complex arithmetic, which fixes its bits."""
         if cos > 1.0 - 1e-14:
             return lambda t: np.eye(self.dim)
-        w = q - cos * p
+        if cos < -1.0 + 1e-14:
+            x = p[:, 0]
+            aux = _orthogonal_unit(x.astype(complex)).real
+            w = (aux - (x @ aux) * x)[:, None]
+        else:
+            w = q - cos * p
         w = w / np.linalg.norm(w[:, 0])
         theta = math.acos(cos)
         # the plane's projector and the rotation's generator, formed once
         plane = _adjoint_product(p, p) + _adjoint_product(w, w)
         gen = _adjoint_product(w, p) - _adjoint_product(p, w)
-        eye = np.eye(self._side, dtype=complex)
+        eye = np.eye(len(p), dtype=p.dtype)
 
         def uni(t):
             c, s = math.cos(t * theta), math.sin(t * theta)
-            return self.conjugation_matrix(eye + (c - 1.0) * plane + s * gen)
+            u = eye + (c - 1.0) * plane + s * gen
+            if self.family != SPIN:
+                return self.conjugation_matrix(u)
+            out = np.eye(self.dim)
+            out[1:, 1:] = u
+            return out
 
         return uni
 
@@ -425,7 +431,7 @@ class SimpleFactor:
         """2-column isometry [v, J conj(v)] spanning the quaternionic line of
         a pure quaternionic state."""
         v = self._top_vector(w)
-        u = self._J @ v.conj()
+        u = self._partner(v)
         u = u - v * (v.conj() @ u)
         u /= np.linalg.norm(u)
         return np.column_stack([v, u])
@@ -467,27 +473,6 @@ def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape[1] == 1:
         return np.outer(x, y.conj())
     return x @ y.conj().T
-
-
-def _spin_rotation(dim: int, x1: np.ndarray, x2: np.ndarray, t: float) -> np.ndarray:
-    n = dim - 1
-    cos = float(np.clip(x1 @ x2, -1.0, 1.0))
-    if cos > 1.0 - 1e-14:
-        rot = np.eye(n)
-    else:
-        if cos < -1.0 + 1e-14:
-            aux = _orthogonal_unit(x1.astype(complex)).real
-            w = aux - (x1 @ aux) * x1
-        else:
-            w = x2 - cos * x1
-        w = w / np.linalg.norm(w)
-        theta = math.acos(cos)
-        c, s = math.cos(t * theta), math.sin(t * theta)
-        rot = (np.eye(n) + (c - 1.0) * (np.outer(x1, x1) + np.outer(w, w))
-               + s * (np.outer(w, x1) - np.outer(x1, w)))
-    out = np.eye(dim)
-    out[1:, 1:] = rot
-    return out
 
 
 def _orthogonal_unit(v: np.ndarray) -> np.ndarray:

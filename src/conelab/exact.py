@@ -460,8 +460,8 @@ class PolyhedralData:
 
         def first_subset(mask: int) -> list[int]:
             tight = [i for i in range(len(rays)) if mask >> i & 1]
-            return [tight[p] for p in rref([[rays[i][c] for i in tight]
-                                            for c in range(d)])[1]]
+            return [tight[p] for p in _echelon([[rays[i][c] for i in tight]
+                                                for c in range(d)])[1]]
 
         gens.sort(key=lambda g: first_subset(g[1]))
         self._facet_rows = [y for y, _ in gens]

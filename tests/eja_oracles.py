@@ -12,9 +12,12 @@ and interior points are drawn as stacks, order isomorphisms test all their
 images at once, and homogeneity builds all its witnesses as one stack.
 Pure-transitivity checks test the purity of their inputs and path states
 as one stack (`cones.first_non_extremal`); `first_non_extremal_by_point`
-tests one element at a time with a sorted 1-D eigenvalue call.  These
-oracles answer the same questions the old way, one element or one
-column at a time, and the tests compare the routes bit for bit.
+tests one element at a time with a sorted 1-D eigenvalue call.  The
+matrix bases come from one table of off-diagonal units, here from a
+branch per family, and one plane rotation turns every family, here a
+spin factor's spatial axes by their own formula.  These oracles answer
+the same questions the old way, one element or one column at a time,
+and the tests compare the routes bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import numpy as np
 from conelab.composite import MaxTensorCone
 from conelab.cones import (FAILS, HOLDS, ISO_SAMPLES, ISO_SEED, ConeModel,
                            Verdict)
-from conelab.eja import COMPLEX, QUAT, REAL, SPIN, JordanAlgebra, SimpleFactor
+from conelab.eja import (_Q_UNITS, COMPLEX, QUAT, REAL, SPIN, JordanAlgebra,
+                         SimpleFactor, _orthogonal_unit)
+
+_SQ2 = math.sqrt(2.0)
 
 
 def first_non_extremal_by_point(alg: JordanAlgebra, xs, tol: float):
@@ -138,6 +144,70 @@ def quaternionic_spectral_by_element(factor: SimpleFactor, a: np.ndarray):
         idempotents.append(factor.from_matrix(np.outer(v, v.conj())
                                               + np.outer(w, w.conj())))
     return vals[keep], idempotents
+
+
+def basis_by_family_branches(family: str, rank: int) -> np.ndarray:
+    """The (dim, side, side) basis of a matrix family, one branch per
+    family: E_ii, then for each i < j the symmetric unit over sqrt(2), the
+    complex one's (i, -i) pair, or the four quaternion units and their
+    adjoints in 2 x 2 blocks."""
+    r = rank
+    basis = []
+    if family in (REAL, COMPLEX):
+        for i in range(r):
+            e = np.zeros((r, r), dtype=complex)
+            e[i, i] = 1.0
+            basis.append(e)
+        for i in range(r):
+            for j in range(i + 1, r):
+                e = np.zeros((r, r), dtype=complex)
+                e[i, j] = e[j, i] = 1.0 / _SQ2
+                basis.append(e)
+                if family == COMPLEX:
+                    e = np.zeros((r, r), dtype=complex)
+                    e[i, j] = 1j / _SQ2
+                    e[j, i] = -1j / _SQ2
+                    basis.append(e)
+    else:
+        assert family == QUAT
+        for i in range(r):
+            e = np.zeros((2 * r, 2 * r), dtype=complex)
+            e[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = np.eye(2)
+            basis.append(e)
+        for i in range(r):
+            for j in range(i + 1, r):
+                for q in _Q_UNITS:
+                    e = np.zeros((2 * r, 2 * r), dtype=complex)
+                    e[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = q / _SQ2
+                    e[2 * j: 2 * j + 2, 2 * i: 2 * i + 2] = q.conj().T / _SQ2
+                    basis.append(e)
+    return np.array(basis)
+
+
+def spin_rotation_by_axes(dim: int, x1: np.ndarray, x2: np.ndarray,
+                          t: float) -> np.ndarray:
+    """Coordinate matrix of the spin-factor automorphism turning the unit
+    spatial axis x1 toward x2 by t times their angle, in real arithmetic
+    on the axes alone; antipodal axes turn in the plane of x1 and the
+    axis `_orthogonal_unit` picks."""
+    n = dim - 1
+    cos = float(np.clip(x1 @ x2, -1.0, 1.0))
+    if cos > 1.0 - 1e-14:
+        rot = np.eye(n)
+    else:
+        if cos < -1.0 + 1e-14:
+            aux = _orthogonal_unit(x1.astype(complex)).real
+            w = aux - (x1 @ aux) * x1
+        else:
+            w = x2 - cos * x1
+        w = w / np.linalg.norm(w)
+        theta = math.acos(cos)
+        c, s = math.cos(t * theta), math.sin(t * theta)
+        rot = (np.eye(n) + (c - 1.0) * (np.outer(x1, x1) + np.outer(w, w))
+               + s * (np.outer(w, x1) - np.outer(x1, w)))
+    out = np.eye(dim)
+    out[1:, 1:] = rot
+    return out
 
 
 def quadratic_rep_by_columns(alg: JordanAlgebra, a: np.ndarray) -> np.ndarray:

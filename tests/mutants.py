@@ -107,6 +107,39 @@ MUTANTS = (
             "test_pure_effect_minimizing_matches_spectral",
             "tests/test_composite.py::"
             "test_pairing_minimum_equals_start_by_start_loop")),
+    Mutant("partner-without-conj", "src/conelab/eja.py",
+           "return v.conj() @ self._J.T",
+           "return v @ self._J.T",
+           ("tests/test_eja.py::"
+            "test_quaternionic_spectral_equals_element_loop",
+            "tests/test_eja.py::"
+            "test_quaternionic_selection_on_degenerate_stacks")),
+    Mutant("complex-lower-unit-adjoint-sign", "src/conelab/eja.py",
+           "COMPLEX: [(1, 1), (1j, -1j)],",
+           "COMPLEX: [(1, 1), (1j, 1j)],",
+           ("tests/test_eja.py::"
+            "test_unit_table_basis_equals_family_branches",)),
+    Mutant("spin-antipode-never-fires", "src/conelab/eja.py",
+           "if cos < -1.0 + 1e-14:",
+           "if cos < -1.0 - 1e-14:",
+           ("tests/test_eja.py::"
+            "test_spin_plane_rotation_equals_axis_rotation",
+            "tests/test_axioms.py::"
+            "test_transitivity_reaches_the_orthogonal_spin_state")),
+    Mutant("summand-swap-one-block", "src/conelab/axioms.py",
+           "order[si], order[sj] = order[sj], order[si]",
+           "order[sj] = order[si]",
+           ("tests/test_axioms.py::TestPureTransitivity::"
+            "test_cross_isomorphic_summands",)),
+    Mutant("continuous-pt-skips-finiteness", "src/conelab/axioms.py",
+           "    if broken:\n",
+           "    if False:\n",
+           ("tests/test_axioms.py::TestContinuousPureTransitivity::"
+            "test_non_finite_path_is_a_failed_construction",)),
+    Mutant("preserves-unit-pushes-forward", "src/conelab/axioms.py",
+           "np.abs(m.T @ unit - unit)",
+           "np.abs(m @ unit - unit)",
+           ("tests/test_axioms.py::test_unit_rule_pulls_the_unit_back",)),
 )
 
 

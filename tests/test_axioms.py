@@ -762,6 +762,27 @@ def test_faulty_transitivity_map_is_inconclusive(fault, qubit, rng,
         assert record["status"] == INCONCLUSIVE
 
 
+def _builtin_system(name: str):
+    specs = fixtures.builtin_fixtures()
+    spec = next(s for s in specs if s.name == name)
+    return spec, fixtures.build_system(spec, {s.name: s for s in specs})
+
+
+@pytest.mark.parametrize("name", ["spin-factor-3", "spin-factor-4",
+                                  "spin-factor-8"])
+def test_transitivity_reaches_the_orthogonal_spin_state(name, rng):
+    # w's orthogonal pure state negates its spatial part: the axes are
+    # antipodal, so the rotation's plane is picked, not spanned by them
+    _, system = _builtin_system(name)
+    w1 = system.sample_pure(rng)
+    w2 = np.concatenate([w1[:1], -w1[1:]])
+    for check in (axioms.pure_transitivity_witness,
+                  axioms.continuous_pure_transitivity):
+        v = check(system, w1, w2)
+        assert v.status == HOLDS, check
+        assert v.margin < 1e-12
+
+
 class TestContinuousPureTransitivity:
     def test_path(self, qubit, rng):
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
@@ -787,6 +808,27 @@ class TestContinuousPureTransitivity:
         assert v.status == INCONCLUSIVE
         assert v.detail == "constructed path loses purity at t=0.25"
 
+    def test_non_finite_path_is_a_failed_construction(self, qubit, rng,
+                                                      monkeypatch):
+        # maps that are NaN for t in (0.4, 0.6) are a failed construction
+        # named at their first step, t = 7/16, not an error
+        generator = eja.SimpleFactor.rotation_generator
+
+        def broken(self, w1, w2):
+            rot = generator(self, w1, w2)
+            return lambda t: rot(t) * (np.nan if 0.4 < t < 0.6 else 1.0)
+
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", broken)
+        w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
+        v = axioms.continuous_pure_transitivity(qubit, w1, w2)
+        assert v.status == INCONCLUSIVE
+        assert v.detail == "constructed path is not finite at t=0.4375"
+        spec, system = _builtin_system("qubit")
+        record = fixtures.run_check("continuous-pure-transitivity", spec,
+                                    system, DEFAULT_TOL, 7)
+        assert record["status"] == INCONCLUSIVE
+        assert record["detail"] == v.detail
+
     @pytest.mark.parametrize("check", [
         axioms.pure_transitivity_witness, axioms.continuous_pure_transitivity])
     def test_either_input_must_be_pure(self, check, qubit, rng):
@@ -795,6 +837,18 @@ class TestContinuousPureTransitivity:
         for w1, w2 in ((mixed, pure), (pure, mixed)):
             with pytest.raises(ConeError):
                 check(qubit, w1, w2)
+
+    @pytest.mark.parametrize("check", [
+        axioms.pure_transitivity_witness, axioms.continuous_pure_transitivity])
+    def test_states_in_no_single_summand_are_rejected(self, check, rng):
+        # 1e-8 times a pure state is extremal, but its norm is below the
+        # summand lookup's 1e-7 in every summand
+        system = make_eja_system(eja.JordanAlgebra(
+            [eja.SimpleFactor(eja.COMPLEX, 2)] * 2))
+        pure = system.normalize(system.cone.algebra.random_pure(rng))
+        for w1, w2 in ((1e-8 * pure, pure), (pure, 1e-8 * pure)):
+            with pytest.raises(ConeError, match="single summand"):
+                check(system, w1, w2)
 
     def test_cross_summand_obstruction(self, rng):
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],

@@ -89,6 +89,17 @@ def test_theorem_implications(registry, seed):
                            status[n, "spd-self-duality"]), n
     for n in continuous:
         assert status[n, "reducibility"] == "fails", n
+    # a homogeneous, purely transitive Jordan-algebraic system has
+    # isomorphic summands, and the shared-corner cone is never purely
+    # transitive
+    registry = {s.name: s for s in specs}
+    for spec in specs:
+        if spec.kind == "eja" and spec.name in transitive:
+            alg = fixtures.build_system(spec, registry).cone.algebra
+            assert len({(f.rank, f.dim) for f in alg.factors}) == 1, spec.name
+    corner = [s.name for s in specs if s.kind == "shared-corner"]
+    assert corner and all(status[n, "pure-transitivity"] != "holds"
+                          for n in corner)
 
 
 class TestRegistry:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from conelab import classify, eja, fixtures
 from conftest import SIMPLE_FACTORIES, make_eja_system
-from eja_oracles import (conjugation_matrix_by_columns,
+from eja_oracles import (basis_by_family_branches,
+                         conjugation_matrix_by_columns,
                          kramers_columns_by_loop, quadratic_rep_by_columns,
                          quaternionic_spectral_by_element,
                          random_interior_by_point, random_pure_by_sample,
-                         spectral_map_by_summand)
+                         spectral_map_by_summand, spin_rotation_by_axes)
 from helpers import (overlap_state, random_element, random_interior,
                      random_positive, trace_inner)
 
@@ -254,6 +255,38 @@ def test_basis_conversions_match_loops(family, rng):
             assert np.max(np.abs(f.from_matrix(h) - loop)) <= bound
         else:
             assert np.array_equal(f.from_matrix(h), loop)
+
+
+@pytest.mark.parametrize("family", [eja.REAL, eja.COMPLEX, eja.QUAT])
+def test_unit_table_basis_equals_family_branches(family):
+    # bit for bit, signed zeros included: the complex lower unit -1j has
+    # real part -0.0, which the adjoint of 1j would not give
+    for rank in (1, 2, 3, 4):
+        f = eja.SimpleFactor(family, rank)
+        assert f._basis.tobytes() \
+            == basis_by_family_branches(family, rank).tobytes()
+        states, _ = f.canonical_frame()
+        assert np.array_equal(states, np.eye(rank, f.dim))
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_spin_plane_rotation_equals_axis_rotation(dim, rng):
+    # a random pair, a state with itself, its antipode (spatial part
+    # negated) and the canonical frame's two states, which are antipodal
+    f = eja.SimpleFactor(eja.SPIN, 2, spin_dim=dim)
+    w = f.random_pure(rng)
+    antipode = np.concatenate([w[:1], -w[1:]])
+    frame, _ = f.canonical_frame()
+    antipodal = 0
+    for w1, w2 in ((w, f.random_pure(rng)), (w, w), (w, antipode), frame):
+        x1 = w1[1:] / np.linalg.norm(w1[1:])
+        x2 = w2[1:] / np.linalg.norm(w2[1:])
+        antipodal += x1 @ x2 < -1.0 + 1e-14
+        rot = f.rotation_generator(w1, w2)
+        for t in (0.0, 0.3, 1.0):
+            assert rot(t).tobytes() \
+                == spin_rotation_by_axes(dim, x1, x2, t).tobytes()
+    assert antipodal == 2
 
 
 # -- the eigenvalue-only route ----------------------------------------------

@@ -2,7 +2,8 @@
 
 Each pair below names one system twice: its summands in another order, a
 simple Jordan algebra as the spin factor of the same rank and dimension,
-or a polyhedral cone as its image under an invertible integer matrix. On
+a rank-1 algebra as R, or a polyhedral cone as its image under an
+invertible integer matrix. On
 every check that both sides decide, the two statuses must be equal. A
 decided verdict against an open one (INCONCLUSIVE or UNSUPPORTED) is
 listed, not failed: a route may lack a constructor on one side. An
@@ -20,6 +21,9 @@ from conelab.cones import FAILS, HOLDS
 SEEDS = (1, 7, 11)
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 SQUARE_UNIT = [0, 1, 0]
+# the wider registry's lattice hexagon, with no invertible ray-to-facet map
+HEXAGON = [[x, y, 1] for x, y in [(4, 1), (2, 3), (-2, 3), (-4, 0),
+                                  (-2, -3), (3, -3)]]
 GL_MAP = np.array([[2, 1, 0], [1, 1, 0], [1, 0, 1]])
 # self-duality is read in the given coordinates; the others are not
 COORDINATE_FREE = tuple(c for c in fixtures.ALL_CHECKS if c != "self-dual")
@@ -33,16 +37,20 @@ def _eja(name: str, *summands: tuple) -> fixtures.FixtureSpec:
 
 def _polyhedral(name: str, generators, unit) -> fixtures.FixtureSpec:
     return fixtures.FixtureSpec(name, "polyhedral", {
-        "generators": [[F(int(v)) for v in g] for g in generators],
+        "generators": [[F(v) for v in g] for g in generators],
         "unit": [str(int(v)) for v in unit]})
 
 
-def _gl_image() -> fixtures.FixtureSpec:
-    """The square cone under GL_MAP; the unit functional u becomes
-    A^-T u, so it takes the same values on the images."""
-    unit = np.rint(np.linalg.solve(GL_MAP.T, SQUARE_UNIT)).astype(int)
-    assert np.array_equal(GL_MAP.T @ unit, SQUARE_UNIT)
-    return _polyhedral("square-image", [GL_MAP @ g for g in SQUARE], unit)
+def _gl_pair(generators, unit) -> tuple:
+    """A polyhedral cone and its image under GL_MAP, exactly; the unit
+    functional u becomes A^-T u, so it takes the same values on the
+    images.  GL_MAP has determinant 1, so A^-T u is an integer vector."""
+    image_unit = np.rint(np.linalg.solve(GL_MAP.T, unit)).astype(int)
+    assert np.array_equal(GL_MAP.T @ image_unit, unit)
+    image = [[sum(int(a) * F(v) for a, v in zip(row, g)) for row in GL_MAP]
+             for g in generators]
+    return (_polyhedral("a", generators, unit),
+            _polyhedral("b", image, image_unit), COORDINATE_FREE)
 
 
 PAIRS = {
@@ -59,8 +67,16 @@ PAIRS = {
     "real1+complex1": (_eja("a", ("real", 1), ("complex", 1)),
                        fixtures.FixtureSpec("b", "eja", {"classical": 2}),
                        fixtures.ALL_CHECKS),
-    "square-gl": (_polyhedral("a", SQUARE, SQUARE_UNIT), _gl_image(),
-                  COORDINATE_FREE),
+    "square-gl": _gl_pair(SQUARE, SQUARE_UNIT),
+    "complex2+complex2=spin4+spin4": (
+        _eja("a", ("complex", 2), ("complex", 2)),
+        _eja("b", ("spin", 4), ("spin", 4)), fixtures.ALL_CHECKS),
+    "quat1=real1": (_eja("a", ("quat", 1)), _eja("b", ("real", 1)),
+                    fixtures.ALL_CHECKS),
+    "complex1=real1": (_eja("a", ("complex", 1)), _eja("b", ("real", 1)),
+                       fixtures.ALL_CHECKS),
+    "pentagon-gl": _gl_pair(fixtures._pent_coords(), [0, 0, 1]),
+    "hexagon-gl": _gl_pair(HEXAGON, [0, 0, 1]),
 }
 
 
