@@ -493,6 +493,9 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
         sl = alg.summands[i2].sl
         rot = f2.rotation_generator(moved[sl], w2[sl])
         phi = _in_summand(alg, i2, rot(1.0)) @ swap
+        if not np.all(np.isfinite(phi)):
+            return Verdict(INCONCLUSIVE,
+                           detail="constructed map is not finite")
         resid = float(np.max(np.abs(phi @ w1 - w2)))
         if not (resid < 1e-8 and preserves_unit(phi, system.unit)):
             return Verdict(INCONCLUSIVE, margin=resid,

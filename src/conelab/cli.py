@@ -1,5 +1,13 @@
 """Command-line surface: fixture checks, registry dumps, classification
-procedures, and a steering demonstration."""
+procedures, and a steering demonstration.
+
+Each command loads only the layers it runs.  At module level this file
+imports `click` and `classify`, which is standard-library only, so
+`conelab classify` and `--help` load neither numpy nor the check layers.
+The `check`, `fixtures` and `steer` commands import numpy, `fixtures`,
+`composite` and `cones` inside their own bodies, and read each function
+from its module at call time.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +16,8 @@ import os
 import sys
 
 import click
-import numpy as np
 
-from . import classify, fixtures
-from .composite import (canonical_self_steering_state, conditioning_map,
-                        marginal_of, random_ensemble, steer)
-from .cones import ConeError
+from . import classify
 
 
 def _default_seed() -> int:
@@ -22,6 +26,7 @@ def _default_seed() -> int:
 
 
 def _load_registry(path: str | None) -> list[fixtures.FixtureSpec]:
+    from . import fixtures
     if path is None:
         return fixtures.builtin_fixtures()
     with open(path, "r", encoding="utf-8") as fh:
@@ -61,6 +66,8 @@ def main():
 def check(registry, checks, seed, tol, out, fmt, timings):
     """Run checks across a fixture registry; exit 0 iff every declared
     expectation matches."""
+    from . import fixtures
+    from .cones import ConeError
     seed = _default_seed() if seed is None else seed
     try:
         specs = _load_registry(registry)
@@ -80,6 +87,7 @@ def check(registry, checks, seed, tol, out, fmt, timings):
 @click.option("--out", type=click.Path(), default=None)
 def fixtures_cmd(out):
     """Dump the builtin fixture registry as JSON."""
+    from . import fixtures
     _emit(fixtures.registry_to_json(fixtures.builtin_fixtures()), out)
 
 
@@ -123,6 +131,10 @@ def classify_cmd(procedure, max_rank, num_summands, out, fmt):
 def steer_cmd(fixture, registry, parts, seed, out, fmt):
     """Steer a random ensemble of the canonical self-steering state's
     marginal and report the recovered measurement."""
+    import numpy as np
+
+    from . import composite, fixtures
+    from .cones import ConeError
     seed = _default_seed() if seed is None else seed
     try:
         specs = _load_registry(registry)
@@ -133,14 +145,14 @@ def steer_cmd(fixture, registry, parts, seed, out, fmt):
         if spec.kind != "composite":
             raise ConeError(f"fixture '{fixture}' is not a composite")
         comp = fixtures.build_system(spec, lookup)
-        wab = canonical_self_steering_state(comp)
+        wab = composite.canonical_self_steering_state(comp)
         rng = np.random.default_rng(seed)
-        wb = marginal_of(comp, wab, "B")
-        ensemble = random_ensemble(comp.factorB, wb, parts, rng)
-        result = steer(comp, wab, ensemble)
+        wb = composite.marginal_of(comp, wab, "B")
+        ensemble = composite.random_ensemble(comp.factorB, wb, parts, rng)
+        result = composite.steer(comp, wab, ensemble)
     except ConeError as exc:
         raise click.ClickException(str(exc))
-    cmap = conditioning_map(comp, wab)
+    cmap = composite.conditioning_map(comp, wab)
     if isinstance(result, str):
         payload = {"fixture": fixture, "result": result}
         residual = None

@@ -140,6 +140,28 @@ MUTANTS = (
            "np.abs(m.T @ unit - unit)",
            "np.abs(m @ unit - unit)",
            ("tests/test_axioms.py::test_unit_rule_pulls_the_unit_back",)),
+    Mutant("cli-loads-check-layers", "src/conelab/cli.py",
+           "from . import classify\n",
+           "from . import classify, fixtures\n",
+           ("tests/test_cli.py::TestOtherCommands::"
+            "test_classify_loads_no_check_layer",)),
+    Mutant("pt-skips-finiteness", "src/conelab/axioms.py",
+           "        if not np.all(np.isfinite(phi)):\n",
+           "        if False:\n",
+           ("tests/test_axioms.py::TestPureTransitivity::"
+            "test_non_finite_map_is_a_failed_construction",)),
+    # `_cell` is bisect_left's only caller in classify.py
+    Mutant("classify-bisect-right", "src/conelab/classify.py",
+           "from bisect import bisect_left",
+           "from bisect import bisect_right as bisect_left",
+           ("tests/test_classify.py::test_local_tomography_survivors",
+            "tests/test_classify.py::test_oracle_agreement_byte_for_byte")),
+    Mutant("elimination-exits-one-early", "src/conelab/exact.py",
+           "if len(reduced) == cols:",
+           "if len(reduced) == cols - 1:",
+           ("tests/test_exact.py::test_rref_matches_fraction_elimination",
+            "tests/test_exact.py::"
+            "test_elimination_matches_fraction_oracle_on_tall_systems")),
 )
 
 

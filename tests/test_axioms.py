@@ -706,6 +706,27 @@ class TestPureTransitivity:
         assert closed in (3, 5)
         assert closed == face_profile_by_sampling(shared_system, w)
 
+    def test_non_finite_map_is_a_failed_construction(self, qubit, rng,
+                                                     monkeypatch):
+        # a NaN map is a failed construction named as such, not a map
+        # that misses w2 by a NaN residual
+        generator = eja.SimpleFactor.rotation_generator
+
+        def broken(self, w1, w2):
+            rot = generator(self, w1, w2)
+            return lambda t: rot(t) * np.nan
+
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", broken)
+        w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
+        v = axioms.pure_transitivity_witness(qubit, w1, w2)
+        assert v.status == INCONCLUSIVE
+        assert v.detail == "constructed map is not finite"
+        spec, system = _builtin_system("qubit")
+        record = fixtures.run_check("pure-transitivity", spec, system,
+                                    DEFAULT_TOL, 7)
+        assert record["status"] == INCONCLUSIVE
+        assert record["detail"] == v.detail
+
     def test_requires_pure_inputs(self, qubit):
         mixed = np.array([0.5, 0.5, 0.0, 0.0])
         pure = np.array([1.0, 0.0, 0.0, 0.0])

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conelab import axioms, fixtures
+from conelab import axioms, classify, fixtures
 from conelab.cli import main
 from conelab.cones import ConeError
 
@@ -26,6 +29,25 @@ WIDER_SEED_7_TEXT_SHA256 = (
 
 # The benchmark's record of the seed-7 report; read here, owned there.
 BENCHMARK_EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
+
+SRC = Path(__file__).parents[1] / "src"
+# the layers that `conelab --help` and `conelab classify` never run
+CHECK_LAYERS = ("numpy", "conelab.fixtures", "conelab.eja", "conelab.exact",
+                "conelab.cones", "conelab.axioms", "conelab.composite")
+# run in a fresh interpreter: prints which of the layers named in argv[1]
+# are loaded after the import and after each command, and classify's output
+COLD_START = """\
+import json, sys
+from click.testing import CliRunner
+from conelab import cli
+layers = json.loads(sys.argv[1])
+loaded = {"import": [m for m in layers if m in sys.modules]}
+for args in (["--help"], ["classify", "--max-rank", "3", "--format", "json"]):
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    loaded[args[0]] = [m for m in layers if m in sys.modules]
+print(json.dumps({"loaded": loaded, "output": result.output}))
+"""
 
 
 @pytest.fixture
@@ -425,6 +447,17 @@ class TestOtherCommands:
             "--num-summands", "2", "--format", "json"])
         obj = json.loads(result.output)
         assert obj["survivors"] == ["RealSym", "ComplexHerm"]
+
+    def test_classify_loads_no_check_layer(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, json.dumps(CHECK_LAYERS)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["loaded"] == {"import": [], "--help": [], "classify": []}
+        trace = classify.survivors_local_tomography(3)
+        assert got["output"] == classify.trace_json(trace) + "\n"
 
     def test_classify_refuses_a_truncated_record_table(self, runner):
         # spin members run to dim 4*max_rank**4, so the trace grows as

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used, every parameter of a
 package function is read, every package function has a caller in the
 package, every field of a package dataclass is read in the package, and
-only the functions in `LP_CALLERS` solve an exact LP.
+only the functions in `LP_CALLERS` solve an exact LP, and `classify.py`
+imports only the standard library.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
@@ -15,10 +16,12 @@ to: its own, its ancestors' and its descendants'.  Dunder methods and the
 entry points in `ENTRY_POINTS` are exempt.  A dataclass field is read when
 its name is loaded as an attribute, `x.<field>`, anywhere in the package.
 A function refers to `exact.feasible_nonneg` when that name appears, as a
-name or as an attribute, inside its body.
+name or as an attribute, inside its body.  An import's root is its first
+dotted name, or "." for a relative import.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,3 +303,32 @@ def test_scan_flags_an_lp_caller():
                      "SOLVE = feasible_nonneg\n")}
     assert referrers(sources, "feasible_nonneg") == {
         ("a", "f"), ("a", "C.g"), ("a", "<module>")}
+
+
+def imported_roots(source: str) -> set[str]:
+    """The root module of each import: its first dotted name, or "." for a
+    relative import."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." if node.level else node.module.split(".")[0])
+    return roots
+
+
+def test_classify_imports_only_the_standard_library():
+    # `conelab classify` loads only cli and classify: no numpy and no other
+    # conelab layer
+    source = (ROOT / "src" / "conelab" / "classify.py").read_text(
+        encoding="utf-8")
+    assert imported_roots(source) <= sys.stdlib_module_names
+
+
+def test_scan_flags_a_non_standard_import():
+    src = ("from __future__ import annotations\nimport os.path\n"
+           "from . import exact\nfrom conelab.cones import HOLDS\n"
+           "def f():\n    import numpy as np\n    return np, exact, HOLDS\n")
+    roots = imported_roots(src)
+    assert roots == {"__future__", "os", ".", "conelab", "numpy"}
+    assert roots - sys.stdlib_module_names == {".", "conelab", "numpy"}

@@ -1,13 +1,13 @@
 """Metamorphic invariance: isomorphic systems get the same verdicts.
 
 Each pair below names one system twice: its summands in another order, a
-simple Jordan algebra as the spin factor of the same rank and dimension,
-a rank-1 algebra as R, or a polyhedral cone as its image under an
-invertible integer matrix. On
-every check that both sides decide, the two statuses must be equal. A
-decided verdict against an open one (INCONCLUSIVE or UNSUPPORTED) is
-listed, not failed: a route may lack a constructor on one side. An
-`error` record on either side fails.
+simple Jordan algebra or a sum of them as the spin factors of the same
+rank and dimension, a rank-1 algebra or classical 1 as R, classical 2 as
+the polyhedral quadrant, or a polyhedral cone as its image under an
+invertible integer matrix.  On every check that both sides decide, the
+two statuses must be equal.  A decided verdict against an open one
+(INCONCLUSIVE, UNSUPPORTED or skipped) is listed, not failed: a route may
+lack a constructor on one side.  An `error` record on either side fails.
 """
 
 from fractions import Fraction as F
@@ -77,6 +77,18 @@ PAIRS = {
                        fixtures.ALL_CHECKS),
     "pentagon-gl": _gl_pair(fixtures._pent_coords(), [0, 0, 1]),
     "hexagon-gl": _gl_pair(HEXAGON, [0, 0, 1]),
+    "real2+real2=spin3+spin3": (_eja("a", ("real", 2), ("real", 2)),
+                                _eja("b", ("spin", 3), ("spin", 3)),
+                                fixtures.ALL_CHECKS),
+    "quat2+quat2=spin6+spin6": (_eja("a", ("quat", 2), ("quat", 2)),
+                                _eja("b", ("spin", 6), ("spin", 6)),
+                                fixtures.ALL_CHECKS),
+    "classical1=real1": (fixtures.FixtureSpec("a", "eja", {"classical": 1}),
+                         _eja("b", ("real", 1)), fixtures.ALL_CHECKS),
+    # the coordinate axes are rays of both cones and the unit sums them
+    "classical2=quadrant": (fixtures.FixtureSpec("a", "eja", {"classical": 2}),
+                            _polyhedral("b", [[1, 0], [0, 1]], [1, 1]),
+                            COORDINATE_FREE),
 }
 
 
