@@ -20,11 +20,13 @@ searches' positive scales only.
 `PolyhedralData` keeps each ray and each facet normal as a primitive
 integer row, a positive multiple of the rational one, and answers every
 sign question about its cone on those rows: membership, the facets tight
-at a point, pairings with the rays, "is x on this ray" and the self-dual
-pairings.  A rational point is scaled once to integers by its positive
-common denominator (`_integer_row`), so each sign, and each answer, is
-that of the `Fraction` sums, with integer products in place of them (as
-in Avis's lrs).  A float point is rounded onto a grid of bounded
+at a point, pairings with the rays and "is x on this ray".  Self-duality
+under the dot product, K* = K, takes two of them: the pairings of the
+extremal rays and the membership of the facet normals.  A rational point
+is scaled once to integers by its positive common denominator
+(`_integer_row`), so each sign, and each answer, is that of the
+`Fraction` sums, with integer products in place of them (as in Avis's
+lrs).  A float point is rounded onto a grid of bounded
 denominators straight into such an integer row (`rounded_row`).
 `Fraction`s stay what leaves the layer: `rays`, `facets()`, null-space
 bases and LP vertices.
@@ -33,7 +35,7 @@ bases and LP vertices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -55,13 +57,6 @@ def _integer_row(row: Sequence) -> list[int]:
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
-
-
-def _integer_matrix(mat: Sequence[Sequence]) -> list[list[int]]:
-    """A rational matrix times the lcm of all its denominators."""
-    flat = _integer_row(list(chain.from_iterable(mat)))
-    cols = len(mat[0])
-    return [flat[i:i + cols] for i in range(0, len(flat), cols)]
 
 
 def rounded_row(values: Iterable, max_den: int) -> list[int]:
@@ -328,7 +323,8 @@ class PolyhedralData:
     Facets come from double description; membership and face spans are
     read off the facets.  The simplex decides pointedness and extremality.
     Each ray and each facet normal is also kept as its primitive integer
-    row, and every sign question is an integer dot product on those rows.
+    row, and every sign question is an integer dot product on those rows;
+    `pairings` and `member` also answer K* = K under the dot product.
     """
 
     def __init__(self, rays: Sequence[Sequence]):
@@ -387,28 +383,6 @@ class PolyhedralData:
         g = gcd(*xi)
         xi = [v // g for v in xi]
         return [i for i, r in enumerate(self._ray_rows) if r == xi]
-
-    def negative_pair(self, g: Matrix) -> tuple[int, int] | None:
-        """The first pair (i, j), i <= j, of extremal-ray indices in
-        `combinations_with_replacement` order with r_i . G r_j < 0, or None.
-        G is read times one positive integer, which keeps every sign."""
-        gi = _integer_matrix(g)
-        idx = self.extremal_ray_indices()
-        rays = [self._ray_rows[i] for i in idx]
-        g_rays = [[_dot(row, r) for row in gi] for r in rays]
-        for a, b in combinations_with_replacement(range(len(rays)), 2):
-            if _dot(g_rays[a], rays[b]) < 0:
-                return idx[a], idx[b]
-        return None
-
-    def facet_leaving(self, m: Matrix) -> int | None:
-        """The index of the first facet normal f whose image m f is not a
-        member, or None.  m is read times one positive integer."""
-        mi = _integer_matrix(m)
-        for k, f in enumerate(self._normals()):
-            if not self._inside([_dot(row, f) for row in mi]):
-                return k
-        return None
 
     def facets(self) -> Matrix:
         """Primitive inward facet normals, by double description.

@@ -150,6 +150,26 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_axioms.py::TestPureTransitivity::"
             "test_non_finite_map_is_a_failed_construction",)),
+    Mutant("search-accepts-any-map", "src/conelab/axioms.py",
+           "return all(m > 0 and exact.mat_vec(t, r)",
+           "return True or all(m > 0 and exact.mat_vec(t, r)",
+           ("tests/test_axioms.py::"
+            "test_failed_weak_construction_is_inconclusive",
+            "tests/test_axioms.py::"
+            "test_wrongly_lifted_scale_is_a_failed_construction")),
+    Mutant("unit-rule-accepts-any-map", "src/conelab/axioms.py",
+           "return bool(np.max(np.abs(m.T @ unit - unit)) < 1e-8)",
+           "return True",
+           ("tests/test_axioms.py::test_unit_rule_pulls_the_unit_back",
+            "tests/test_axioms.py::"
+            "test_faulty_transitivity_map_is_inconclusive")),
+    Mutant("self-dual-facets-never-leave", "src/conelab/axioms.py",
+           "if not data.member(f)), None)",
+           "if False), None)",
+           ("tests/test_axioms.py::TestSelfDuality::"
+            "test_square_fails_with_witness",
+            "tests/test_exact.py::"
+            "test_polyhedral_self_dual_fails_carry_fractions")),
     # `_cell` is bisect_left's only caller in classify.py
     Mutant("classify-bisect-right", "src/conelab/classify.py",
            "from bisect import bisect_left",

@@ -33,8 +33,9 @@ scales and `bijection_system` in all d*d + n unknowns.
 `extremal_by_rank` drops parallel generators by two-row ranks instead of
 primitive integer directions.  `reducible_by_subsets` tries all 2^(n-1)
 splits of the extremal rays instead of matroid components, and
-`self_dual_by_solves` pairs every two rays and solves one system per facet
-instead of sharing G r_i and G^-1.  `pairing_minimum_rebuilding_facets`
+`self_dual_by_solves` pairs every two rays and solves one system per facet,
+under any inner product G, where `check_self_dual` reads ray pairings and
+facet membership off the integer rows under the dot product.  `pairing_minimum_rebuilding_facets`
 converts the facet normals to floats for every max-tensor dual sample
 instead of reading the cone's cached copy, and `pairing_minimum_by_pairs`
 pairs the dual samples one pair at a time instead of as one stack.  `steer_by_lp` decides steering
@@ -248,8 +249,9 @@ def extremal_among_generators_by_fractions(cone: PolyhedralCone, w,
 def self_dual_by_fractions(cone: PolyhedralCone, inner) -> tuple:
     """(status, violation, detail) of the exact self-duality test with every
     pairing a `Fraction` sum: G r_i for each extremal ray, each pair i <= j,
-    then G^-1 f for each facet f through `member_by_fractions`.  Entries of
-    G are read as `check_self_dual` reads them."""
+    then G^-1 f for each facet f through `member_by_fractions`.  `Fraction`
+    entries of G are read as given, float ones at their nearest fraction
+    with denominator at most 10^12."""
     g = [[x if isinstance(x, Fraction)
           else Fraction(float(x)).limit_denominator(10**12) for x in row]
          for row in inner]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
+from conelab.composite import LinearImageCone
 from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone,
                           SharedCornerCone, System,
                           UnsupportedQuery, face_dimension,
@@ -26,7 +27,8 @@ from helpers import (check_positive, classical_effect_test,
                      random_element, random_interior)
 from polyhedral_oracles import (bijection_system,
                                 scale_system_in_all_scales,
-                                self_dual_by_solves, spd_by_leading_minors)
+                                self_dual_by_fractions, self_dual_by_solves,
+                                spd_by_leading_minors)
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 # The regular hexagon with coordinates rounded to denominators <= 100.
@@ -54,6 +56,8 @@ REGULAR_9 = [[F(math.cos(2 * math.pi * k / 9)).limit_denominator(100),
 # ray basis is S = [0, 1, 2, 4], not a prefix.  A self-dual polytope.
 PYRAMID = [[1, 0, 0, 1], [0, 1, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1],
            [0, 0, 1, 1]]
+# Two opposite rays of this pyramid pair negatively under the dot product.
+WIDE_PYRAMID = [[1, 2, 0], [1, -2, 0], [1, 0, 2], [1, 0, -2]]
 # A simplicial cone in R^4: no ray lies outside the ray basis.
 SIMPLICIAL_4 = [[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 3, 0], [1, 0, 1, 2]]
 
@@ -98,54 +102,25 @@ class TestSelfDuality:
         e = np.asarray(v.violation["dual_extremal"], dtype=float)
         assert not shared_system.cone.member(e)
 
-    def test_rejects_indefinite_inner(self, qubit):
-        with pytest.raises(ConeError):
-            axioms.check_self_dual(qubit, inner=np.diag([1.0, -1.0, 1, 1]))
-
-    def test_pairwise_violation_matches_loop(self, qubit):
-        # Weighting the off-diagonal coordinates makes some pure pairs pair
-        # negatively.  Reference: one `a @ inner @ b` per pair, in
-        # combinations_with_replacement order, stopping at the first
-        # violation; the same seed draws the same members.
-        inner = np.diag([1.0, 1.0, 10.0, 10.0])
-        v = axioms.check_self_dual(qubit, inner=inner, seed=0)
-        cone = qubit.cone
+    def test_pairwise_violation_matches_loop(self):
+        # A rotated wide pyramid takes the sampled route, and two of its
+        # rays pair negatively under the dot product.  Reference: one
+        # `a @ b` per pair, in combinations_with_replacement order,
+        # stopping at the first violation; the same seed draws the same
+        # members.
+        rot = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+        cone = LinearImageCone(PolyhedralCone(WIDE_PYRAMID), rot)
+        v = axioms.check_self_dual(System(cone, rot.T @ [1.0, 0, 0]), seed=0)
         rng = np.random.default_rng(0)
         members = list(cone.generators())
         members += [cone.sample_extremal(rng) for _ in range(200)]
-        ref = next((a, b, float(a @ inner @ b)) for a, b in
+        ref = next((a, b, float(a @ b)) for a, b in
                    itertools.combinations_with_replacement(members, 2)
-                   if float(a @ inner @ b) < -1e-9)
+                   if float(a @ b) < -1e-9)
         assert v.status == FAILS
         a, b = v.violation["pair"]
         assert np.array_equal(a, ref[0]) and np.array_equal(b, ref[1])
-        assert v.violation["inner_value"] == ref[2] == v.margin
-
-    @pytest.mark.parametrize("kind", ["trace", "off-diagonal"])
-    def test_dual_extremal_violation_matches_loop(self, qubit, kind):
-        # Both inner products pair every two members nonnegatively.
-        # "trace": I + t u u^T (u the trace functional) pulls a pure state e
-        # back to e - s u with s = t / (1 + 2t), outside the cone.
-        # "off-diagonal": shrinking the off-diagonal coordinates spares the
-        # diagonal frame states, so the first violation is a generic pure
-        # state, whose pull-back sums products.  Reference: one full
-        # decomposition of inv @ e per member, first violation.
-        if kind == "trace":
-            inner = np.eye(4) + 0.5 * np.outer(qubit.unit, qubit.unit)
-        else:
-            inner = np.eye(4)
-            inner[2:, 2:] = [[0.6, 0.25], [0.25, 0.4]]
-        v = axioms.check_self_dual(qubit, inner=inner, seed=0)
-        cone = qubit.cone
-        rng = np.random.default_rng(0)
-        members = list(cone.generators())
-        members += [cone.sample_extremal(rng) for _ in range(200)]
-        ref = first_dual_extremal_outside(cone.algebra, members,
-                                          np.linalg.inv(inner), 1e-9)
-        assert v.status == FAILS
-        assert "pair" not in v.violation
-        assert np.array_equal(v.violation["dual_extremal"], ref[0])
-        assert v.margin == ref[1] < -0.1
+        assert v.violation["inner_value"] == ref[2] == v.margin < -2.9
 
     def test_holds_matches_loop_on_eja_fixtures(self):
         for spec in fixtures.builtin_fixtures():
@@ -154,6 +129,8 @@ class TestSelfDuality:
             system = fixtures.build_system(spec, {})
             v = axioms.check_self_dual(system, seed=spec.seed)
             assert v.status == HOLDS
+            # the trace form's dual extremals are the sampled members; one
+            # full decomposition each finds them in the cone
             cone = system.cone
             rng = np.random.default_rng(spec.seed)
             members = list(cone.generators())
@@ -177,42 +154,51 @@ class TestSelfDuality:
         assert calls == []
 
     @pytest.mark.parametrize("shift, kinds", [
-        (0.0, {"", "facet_normal"}), (0.05 * 2 ** 0.5, {"facet_normal"}),
-        (-0.05 * 2 ** 0.5, {"facet_normal", "pair"})],
+        (0, {"", "pair", "facet_normal"}),
+        (F(1, 14), {"pair", "facet_normal"}),
+        (F(-1, 14), {"pair", "facet_normal"})],
         ids=["identity", "plus", "minus"])
     def test_polyhedral_records_match_solve_loop(self, shift, kinds):
-        # inner products I + shift (J - I): the identity holds on the
-        # orthant, a positive shift pulls some facet out of the cone, and a
-        # negative one makes a ray pair negatively on some cones; an
-        # irrational shift needs every digit of the 10^12 rationalization
+        # each builtin polyhedral cone and the wide pyramid, mapped by
+        # A = I + shift (J - I): the image is self-dual under the dot
+        # product exactly when the cone is self-dual under A^T A.  The
+        # identity keeps the classical bit self-dual, a positive shift moves
+        # its facet normals out of it, and a negative one makes its rays
+        # pair negatively.
         specs = fixtures.builtin_fixtures()
         registry = {s.name: s for s in specs}
-        seen = {}
+        cones = {"wide-pyramid": PolyhedralCone(WIDE_PYRAMID)}
         for spec in specs:
-            if spec.kind not in ("polyhedral", "composite"):
-                continue
-            system = fixtures.build_system(spec, registry)
-            system = getattr(system, "system", system)
-            if not isinstance(system.cone, PolyhedralCone):
-                continue
-            d = system.dim
-            inner = np.eye(d) + shift * (np.ones((d, d)) - np.eye(d))
-            v = axioms.check_self_dual(system, inner=inner)
+            if spec.kind in ("polyhedral", "composite"):
+                system = fixtures.build_system(spec, registry)
+                system = getattr(system, "system", system)
+                if isinstance(system.cone, PolyhedralCone):
+                    cones[spec.name] = system.cone
+        seen = {}
+        for name, cone in cones.items():
+            d = cone.dim
+            a = [[F(int(i == j)) + shift * (i != j) for j in range(d)]
+                 for i in range(d)]
+            image = PolyhedralCone([exact.mat_vec(a, r)
+                                    for r in cone.data.rays])
+            unit = np.sum(np.array(image.data.facets(), dtype=float), axis=0)
+            v = axioms.check_self_dual(System(image, unit))
             assert (v.status, v.violation, v.detail) \
-                == self_dual_by_solves(system.cone, inner), spec.name
-            seen[spec.name] = next(iter(v.violation or {}), "")
-        assert set(seen) == {"square-cone", "pentagon-cone",
+                == self_dual_by_solves(image, np.eye(d)), name
+            seen[name] = next(iter(v.violation or {}), "")
+        assert set(seen) == {"square-cone", "pentagon-cone", "wide-pyramid",
                              "min-square-square", "classical-bit-bit"}
         assert set(seen.values()) == kinds
 
     def test_exact_gram_entries_are_used_as_given(self):
+        # the SPD search's gram is exact: the pentagon is self-dual under
+        # it, and not once one entry moves by 10^-6
         cone = PolyhedralCone(_pentagon())
-        system = System(cone, np.array([0.0, 0.0, 1.0]), "pentagon")
         gram = axioms.search_spd_self_duality(cone).witness["gram"]
-        assert axioms.check_self_dual(system, inner=gram).status == HOLDS
+        assert self_dual_by_fractions(cone, gram)[0] == HOLDS
         bumped = [row[:] for row in gram]
         bumped[0][0] += F(1, 10**6)
-        assert axioms.check_self_dual(system, inner=bumped).status == FAILS
+        assert self_dual_by_fractions(cone, bumped)[0] == FAILS
 
 
 class TestBijectionSearches:
@@ -335,6 +321,23 @@ def test_failed_weak_construction_is_inconclusive(monkeypatch):
     # the square is weakly self-dual; maps that fail their own re-check
     # must not turn into "no bijection admits an invertible solution"
     _skew_constructions(monkeypatch)
+    v = axioms.search_weak_self_duality(PolyhedralCone(SQUARE))
+    assert v.status == INCONCLUSIVE
+    assert v.violation["failed_constructions"]
+
+
+def test_wrongly_lifted_scale_is_a_failed_construction(monkeypatch):
+    # a lift that doubles the scale of the first ray outside the basis keeps
+    # every scale positive, but T no longer carries that ray to its scaled
+    # facet: the exact re-check must catch it
+    lift = axioms._ScaleSystems._lift
+
+    def corrupted(self, perm, mu_s):
+        mu = lift(self, perm, mu_s)
+        mu[self.outside[0][0]] *= 2
+        return mu
+
+    monkeypatch.setattr(axioms._ScaleSystems, "_lift", corrupted)
     v = axioms.search_weak_self_duality(PolyhedralCone(SQUARE))
     assert v.status == INCONCLUSIVE
     assert v.violation["failed_constructions"]

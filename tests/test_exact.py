@@ -506,17 +506,9 @@ def test_integer_queries_match_fraction_oracles(case, data):
             continue
         assert _extremal_among_generators(cone, w, 1e-9) is expected
     d = len(rays[0])
-    entries = st.fractions(min_value=-2, max_value=2, max_denominator=9)
-    a = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
-                           min_size=d, max_size=d))
-    shift = data.draw(st.sampled_from([0, 1, 4]))
-    gram = [[sum((a[k][i] * a[k][j] for k in range(d)), F(0))
-             + F(shift * (i == j)) for j in range(d)] for i in range(d)]
-    assume(np.linalg.eigvalsh(np.array(gram, dtype=float)).min() > 1e-6)
-    system = System(cone, np.eye(d)[0])
-    v = axioms.check_self_dual(system, inner=gram)
+    v = axioms.check_self_dual(System(cone, np.eye(d)[0]))
     assert (v.status, v.violation, v.detail) \
-        == self_dual_by_fractions(cone, gram)
+        == self_dual_by_fractions(cone, np.eye(d))
 
 
 def test_polyhedral_self_dual_fails_carry_fractions():

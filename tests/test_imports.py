@@ -2,7 +2,7 @@
 package function is read, every package function has a caller in the
 package, every field of a package dataclass is read in the package, and
 only the functions in `LP_CALLERS` solve an exact LP, and `classify.py`
-imports only the standard library.
+and `exact.py` import only the standard library.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
@@ -319,10 +319,11 @@ def imported_roots(source: str) -> set[str]:
 
 def test_classify_imports_only_the_standard_library():
     # `conelab classify` loads only cli and classify: no numpy and no other
-    # conelab layer
-    source = (ROOT / "src" / "conelab" / "classify.py").read_text(
-        encoding="utf-8")
-    assert imported_roots(source) <= sys.stdlib_module_names
+    # conelab layer; the exact layer is plain integers and `Fraction`s
+    for name in ("classify.py", "exact.py"):
+        source = (ROOT / "src" / "conelab" / name).read_text(
+            encoding="utf-8")
+        assert imported_roots(source) <= sys.stdlib_module_names, name
 
 
 def test_scan_flags_a_non_standard_import():
