@@ -24,8 +24,8 @@ from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
 # sampled members (and dual points) of a non-polyhedral self-duality check
 SELF_DUAL_SAMPLES = 200
 # most extremal rays a bijection search takes; it tries up to n! bijections,
-# and at 8! a lattice octagon's weak or SPD search FAILS after about 2 s
-# (2-core host, Python 3.11)
+# one integer system each, and at 8! a lattice octagon's weak or SPD search
+# FAILS after about 0.7 s (2-core host, Python 3.11)
 SEARCH_CAP = 8
 # maps along a continuous pure-transitivity path, past the identity
 PATH_STEPS = 16
@@ -110,9 +110,11 @@ def check_self_dual(system: System, tol: float = 1e-9,
 #     T = sum_{j in S} mu_j f_{perm(j)} g_j^T.
 # A ray i outside S has coordinates c_ij = g_j . r_i, and
 # T r_i = sum_{j in S} c_ij mu_j f_{perm(j)} must be mu_i f_{perm(i)}: it
-# must be parallel to f_{perm(i)}, which is C(d,2) wedge rows in mu_S,
-#     sum_{j in S} c_ij mu_j (f_{perm(j)} ^ f_{perm(i)})_{ab} = 0,  a < b,
-# and then mu_i = (T r_i)_a / f_{perm(i)}_a at any a where f_{perm(i)}_a != 0.
+# must be parallel to f_{perm(i)}.  With c the first coordinate where
+# q = f_{perm(i)} is nonzero, v is parallel to q exactly when
+# v_a q_c = v_c q_a for every a != c, so that is d - 1 wedge rows in mu_S,
+#     sum_{j in S} c_ij mu_j (f_{perm(j)} ^ q)_{ac} = 0,  a != c,
+# and then mu_i = (T r_i)_a / q_a at any a where q_a != 0.
 # A symmetric T adds one row per entry above the diagonal, also in mu_S.  So
 # each bijection is one system in the d scales mu_S, and lifting its kernel
 # to all n scales gives the kernel of the system in (T, mu) projected onto
@@ -137,7 +139,8 @@ class _ScaleSystems:
     Holds a ray basis S (the first d independent rays) and its dual basis g,
     and integer tables for the rows: for each ray i outside S, its
     coordinates c_i scaled by the lcm s_i of their denominators and, for
-    each facet q it may be paired with, c_ij times the wedge f_p ^ f_q for
+    each facet q it may be paired with, c_ij times the d - 1 wedge entries
+    p_a q_c - p_c q_a (a != c, c the first nonzero coordinate of q) for
     each j in S and each facet p; and for each j in S and each facet p, the
     entries a < b of f_p g_j^T - g_j f_p^T, scaled by one common
     denominator.
@@ -148,10 +151,13 @@ class _ScaleSystems:
         self.facets = facets
         self.n = len(rays)
         self.basis, self.dual = exact.dual_basis(rays)
-        pairs = list(itertools.combinations(range(len(self.dual)), 2))
+        d = len(self.dual)
         ints, _ = _to_integers(facets)
-        wedge = [[[p[a] * q[b] - p[b] * q[a] for a, b in pairs]
-                  for p in ints] for q in ints]
+        wedge = []
+        for q in ints:
+            c = next(a for a, x in enumerate(q) if x)
+            wedge.append([[p[a] * q[c] - p[c] * q[a] for a in range(d)
+                           if a != c] for p in ints])
         self.outside = []
         for i, r in enumerate(rays):
             if i not in self.basis:
@@ -160,6 +166,7 @@ class _ScaleSystems:
                     [[[cj * x for x in by_p] for by_p in wedge_q] for cj in c]
                     for wedge_q in wedge]))
         dual, _ = _to_integers(self.dual)
+        pairs = list(itertools.combinations(range(d), 2))
         self.skew = [[[p[a] * g[b] - p[b] * g[a] for a, b in pairs]
                       for p in ints] for g in dual]
 
@@ -248,7 +255,7 @@ def search_spd_self_duality(cone: PolyhedralCone) -> Verdict:
 
     Each bijection is one integer system in the d scales mu_S of a ray
     basis S with dual basis g, for T = sum_{j in S} mu_j f_{perm(j)} g_j^T:
-    d(d-1)/2 wedge rows per ray outside S, which make T r_i parallel to
+    d - 1 wedge rows per ray outside S, which make T r_i parallel to
     f_{perm(i)}, and d(d-1)/2 rows for the symmetry of T.  A nonzero kernel
     is lifted to all n scales and put in the RREF null basis of the system
     in (T, mu), which depends on the solution space alone.  T is built from
@@ -304,7 +311,7 @@ def search_weak_self_duality(cone: PolyhedralCone) -> Verdict:
     """Search for any invertible linear map carrying the cone onto its dual.
 
     Each bijection is one integer system in the d scales mu_S of a ray
-    basis S with dual basis g: d(d-1)/2 wedge rows per ray outside S, which
+    basis S with dual basis g: d - 1 wedge rows per ray outside S, which
     make T r_i parallel to f_{perm(i)}.  A nonzero kernel is lifted to all
     n scales and put in the RREF null basis of the system in (T, mu), which
     depends on the solution space alone.  The map

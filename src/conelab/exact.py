@@ -1,13 +1,17 @@
 """Exact rational linear algebra over `fractions.Fraction`.
 
-Small dense problems only (dims well under 100): one integer-row
-elimination (`_echelon`), which `rref`, rank, null spaces and dual bases
-read, and a Bland-rule phase-I simplex for feasibility certificates that
-pivots on integers with exact division (fraction-free, after Bareiss): its
-tableau holds no `Fraction`, only the vertex it returns does.  The
-elimination takes the rows one at a time and stops once the rank equals the
-column count; a matrix with any non-int entry has every row converted to
-integers before it starts.  All polyhedral cone reasoning in this package
+Small dense problems only (dims well under 100): one fraction-free forward
+elimination on integer rows (`_forward`), which rank, null spaces, `rref`
+and dual bases read, and a Bland-rule phase-I simplex for feasibility
+certificates that pivots on integers with exact division (fraction-free,
+after Bareiss): its tableau holds no `Fraction`, only the vertex it
+returns does.  The forward pass takes the rows one at a time, keeps its
+pivot rows primitive and never eliminates upwards, and stops once the rank
+equals the column count; a matrix with any non-int entry has every row
+converted to integers before it starts.  Rank, the facet order key and a
+full-rank null space read the forward pass alone; `rref` and a
+rank-deficient null space back-substitute its rows once
+(`_back_substitute`).  All polyhedral cone reasoning in this package
 goes through these routines so that verdicts on polyhedral fixtures are
 exact, not floating point.
 
@@ -34,6 +38,7 @@ bases and LP vertices.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -99,30 +104,29 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _echelon(mat: Matrix) -> tuple[list[list[int]], list[int]]:
-    """The nonzero rows of the reduced row echelon form, each as primitive
-    integers (row r is its RREF row times its pivot), and the pivot columns.
+def _forward(mat: Matrix) -> list[tuple[int, list[int]]]:
+    """A row echelon form of mat: (pivot column, row) pairs in pivot-column
+    order, each row primitive integers that are 0 left of its pivot.
 
-    Row-incremental Gauss-Jordan elimination on integer rows, each kept
-    primitive: scaling a row by a nonzero factor leaves the row space, and
-    so its unique RREF, unchanged.  One type check reads every entry: an
-    all-int matrix is read as it is, each row copied only when elimination
-    reaches it, so no returned row aliases the caller's; otherwise every
-    row is converted by `_integer_row` first, so a bad entry raises
-    wherever it sits.  Each row is then reduced against the pivot rows so far; a nonzero remainder,
-    made primitive, becomes a new pivot row and is eliminated from the
-    earlier ones, so they stay fully reduced.  Once the rank equals the
-    column count the RREF is the identity and every later row lies in its
-    span, so elimination stops there.
+    A fraction-free forward pass.  One type check reads every entry: an
+    all-int matrix is read as it is; otherwise every row is converted by
+    `_integer_row` first, so a bad entry raises wherever it sits.  Each row
+    is reduced against the pivot rows in pivot-column order, a x - b p with
+    a = p[k] and b = x[k], which leaves it 0 at every pivot column; a
+    nonzero remainder, made primitive, becomes a new pivot row.  Pivot rows
+    are never changed again, so a row of the caller's may be returned but
+    none is modified in place.  Once the rank equals the column count every
+    later row lies in their span, so the pass stops there.  The pivot
+    columns are those of the RREF, which depend on the row space alone.
     """
     if set(map(type, chain.from_iterable(mat))) <= {int}:
-        m = map(list, mat)
+        m = mat
     else:
         m = [_integer_row(row) for row in mat]
     cols = len(mat[0]) if mat else 0
-    reduced: dict[int, list[int]] = {}  # pivot column -> its row
+    echelon: list[tuple[int, list[int]]] = []
     for row in m:
-        for k, p in reduced.items():
+        for k, p in echelon:
             b = row[k]
             if b:
                 a = p[k]
@@ -135,39 +139,54 @@ def _echelon(mat: Matrix) -> tuple[list[list[int]], list[int]]:
         g = gcd(*row)
         if g > 1:
             row = [x // g for x in row]
-        a = row[c]
-        for k, p in reduced.items():
-            b = p[c]
-            if b:
-                q = [a * x - b * y for x, y in zip(p, row)]
-                g = gcd(*q)
-                reduced[k] = [x // g for x in q] if g > 1 else q
-        reduced[c] = row
-        if len(reduced) == cols:
+        insort(echelon, (c, row))
+        if len(echelon) == cols:
             break
-    pivots = sorted(reduced)
-    return [reduced[c] for c in pivots], pivots
+    return echelon
+
+
+def _back_substitute(echelon: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """The nonzero RREF rows, each a primitive integer multiple of its RREF
+    row, from the forward pass's rows: from the last pivot up, each row,
+    already 0 at every later pivot column, clears its own pivot column from
+    the rows above it."""
+    rows = [row for _, row in echelon]
+    for i in range(len(rows) - 1, 0, -1):
+        k = echelon[i][0]
+        p = rows[i]
+        a = p[k]
+        for h in range(i):
+            b = rows[h][k]
+            if b:
+                q = [a * x - b * y for x, y in zip(rows[h], p)]
+                g = gcd(*q)
+                rows[h] = [x // g for x in q] if g > 1 else q
+    return rows
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns: the integer
-    echelon rows, each divided by its pivot."""
-    ints, pivots = _echelon(mat)
+    """Reduced row echelon form and the list of pivot columns: the forward
+    pass, back-substituted once, each row divided by its pivot."""
+    echelon = _forward(mat)
+    pivots = [c for c, _ in echelon]
     cols = len(mat[0]) if mat else 0
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)]
-    red += [[Fraction(0)] * cols for _ in range(len(mat) - len(ints))]
+    red = [[Fraction(x, row[c]) for x in row]
+           for row, c in zip(_back_substitute(echelon), pivots)]
+    red += [[Fraction(0)] * cols for _ in range(len(mat) - len(echelon))]
     return red, pivots
 
 
 def rank(mat: Matrix) -> int:
-    """The number of pivots of the integer elimination."""
-    return len(_echelon(mat)[1])
+    """The number of pivots of the forward pass."""
+    return len(_forward(mat))
 
 
 def null_space(mat: Matrix) -> list[Row]:
     """Basis of {x : mat @ x = 0}, one vector per free column of the RREF:
     1 at the free column f and -row[f] / row[p] at each pivot p, read off
-    the integer echelon rows, so only those entries become `Fraction`s.
+    the back-substituted integer rows, so only those entries become
+    `Fraction`s.  At full column rank the kernel is 0 and the forward pass
+    alone answers.
 
     An empty matrix (no rows) yields `[]`, not a basis of the whole space:
     a caller whose system can have no rows passes one zero row instead.
@@ -175,7 +194,11 @@ def null_space(mat: Matrix) -> list[Row]:
     if not mat:
         return []
     cols = len(mat[0])
-    ints, pivots = _echelon(mat)
+    echelon = _forward(mat)
+    if len(echelon) == cols:
+        return []
+    pivots = [c for c, _ in echelon]
+    ints = _back_substitute(echelon)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -434,8 +457,8 @@ class PolyhedralData:
 
         def first_subset(mask: int) -> list[int]:
             tight = [i for i in range(len(rays)) if mask >> i & 1]
-            return [tight[p] for p in _echelon([[rays[i][c] for i in tight]
-                                                for c in range(d)])[1]]
+            return [tight[p] for p, _ in _forward([[rays[i][c] for i in tight]
+                                                  for c in range(d)])]
 
         gens.sort(key=lambda g: first_subset(g[1]))
         self._facet_rows = [y for y, _ in gens]

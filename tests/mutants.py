@@ -177,11 +177,27 @@ MUTANTS = (
            ("tests/test_classify.py::test_local_tomography_survivors",
             "tests/test_classify.py::test_oracle_agreement_byte_for_byte")),
     Mutant("elimination-exits-one-early", "src/conelab/exact.py",
-           "if len(reduced) == cols:",
-           "if len(reduced) == cols - 1:",
+           "        insort(echelon, (c, row))\n"
+           "        if len(echelon) == cols:\n",
+           "        insort(echelon, (c, row))\n"
+           "        if len(echelon) == cols - 1:\n",
            ("tests/test_exact.py::test_rref_matches_fraction_elimination",
             "tests/test_exact.py::"
             "test_elimination_matches_fraction_oracle_on_tall_systems")),
+    Mutant("back-substitution-skips-a-row", "src/conelab/exact.py",
+           "for i in range(len(rows) - 1, 0, -1):",
+           "for i in range(len(rows) - 2, 0, -1):",
+           ("tests/test_exact.py::test_rref_matches_fraction_elimination",
+            "tests/test_exact.py::"
+            "test_elimination_matches_fraction_oracle_on_tall_systems")),
+    # the last coordinate is where a polygon cone's rays are 1, and a
+    # facet normal can be 0 there
+    Mutant("wedge-pair-off-first-nonzero", "src/conelab/axioms.py",
+           "c = next(a for a, x in enumerate(q) if x)",
+           "c = len(q) - 1",
+           ("tests/test_axioms.py::test_scale_space_matches_oracle",
+            "tests/test_axioms.py::"
+            "test_scale_space_matches_oracle_on_every_bijection")),
 )
 
 

@@ -303,6 +303,40 @@ class TestBijectionSearches:
         v = getattr(axioms, fn)(PolyhedralCone(rays))
         assert v.status == FAILS
         assert len(calls) == n_fact
+        # d - 1 wedge rows per ray outside the ray basis, and d(d-1)/2
+        # symmetry rows for SPD
+        n, d = len(rays), len(rays[0])
+        rows = (n - d) * (d - 1) + (d * (d - 1) // 2 if "spd" in fn else 0)
+        assert set(calls) == {rows}
+
+    def test_zero_kernels_never_back_substitute(self, monkeypatch):
+        # every bijection of the lattice hexagon's weak search has a zero
+        # kernel, which the forward pass answers alone; the one
+        # back-substitution is the dual basis of the ray basis
+        cone = PolyhedralCone(LATTICE_6)
+        cone.data.facets()
+        subs = {"all": 0, "in_null_space": 0}
+        solving = []
+        back, null = exact._back_substitute, exact.null_space
+
+        def counting_back(echelon):
+            subs["all"] += 1
+            subs["in_null_space"] += bool(solving)
+            return back(echelon)
+
+        def counting_null(mat):
+            solving.append(mat)
+            try:
+                return null(mat)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(exact, "_back_substitute", counting_back)
+        monkeypatch.setattr(exact, "null_space", counting_null)
+        v = axioms.search_weak_self_duality(cone)
+        assert v.status == FAILS
+        assert v.detail == "no bijection admits an invertible solution"
+        assert subs == {"all": 1, "in_null_space": 0}
 
 
 def _skew_constructions(monkeypatch):
