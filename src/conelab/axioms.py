@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import getitem
 
 import numpy as np
 
@@ -41,9 +42,12 @@ def check_self_dual(system: System, tol: float = 1e-9,
     only, by pairing about 200 sampled pure states two by two; K* in K
     rests on the trace form, under which an EJA's dual extremals are its
     own pure states (Faraut & Koranyi, Analysis on Symmetric Cones, 1994),
-    and is not re-tested.  The shared-corner cone has a closed-form dual
-    description, so violations there are explicit.  Anything else is
-    inconclusive by sampling.
+    and is not re-tested.  Every sampled pairing is read from one Gram
+    matrix of the members: a FAILS names the first pair i <= j with a
+    negative entry, and the margin of any other verdict is its smallest
+    entry.  The shared-corner cone has a closed-form dual description, so
+    violations there are explicit.  Anything else is inconclusive by
+    sampling.
     """
     cone = system.cone
     n = cone.dim
@@ -70,17 +74,18 @@ def check_self_dual(system: System, tol: float = 1e-9,
 
     members = np.concatenate([np.reshape(cone.generators(), (-1, n)),
                               cone.sample_extremals(rng, SELF_DUAL_SAMPLES)])
-    # every pair (i <= j) at once, in combinations_with_replacement order
-    rows, cols = np.triu_indices(len(members))
-    values = (members @ members.T)[rows, cols]
-    bad = np.flatnonzero(values < -tol)
-    if bad.size:
-        k = bad[0]
-        v = float(values[k])
+    # exactly symmetric: one syrk, mirrored (or, without BLAS, the same sum
+    # both ways), so its upper triangle read row by row is every pair
+    # i <= j in combinations_with_replacement order
+    gram = members @ members.T
+    # the mask decides, not the minimum, so a NaN hides no negative pair
+    bad = gram < -tol
+    if bad.any():
+        i, j = divmod(int(np.argmax(np.triu(bad))), len(members))
+        v = float(gram[i, j])
         return Verdict(FAILS, violation={
-            "pair": (members[rows[k]], members[cols[k]]), "inner_value": v},
-            margin=v)
-    worst = float(values.min())
+            "pair": (members[i], members[j]), "inner_value": v}, margin=v)
+    worst = float(gram.min())
 
     if isinstance(cone, EJACone):
         return Verdict(HOLDS, witness={"inner": np.eye(n)}, margin=worst,
@@ -169,17 +174,23 @@ class _ScaleSystems:
         pairs = list(itertools.combinations(range(d), 2))
         self.skew = [[[p[a] * g[b] - p[b] * g[a] for a, b in pairs]
                       for p in ints] for g in dual]
+        # the symmetry rows of each basis image (perm[j] for j in S), built
+        # the first time a bijection has it
+        self._skew_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def scale_space(self, perm, symmetric: bool) -> list[list[Fraction]]:
         """RREF null basis of the bijection's system in the n scales mu,
         from one null space in the d scales mu_S."""
+        images = tuple(map(perm.__getitem__, self.basis))
         rows: list[tuple[int, ...]] = []
         for i, _, _, table in self.outside:
-            rows += zip(*(by_facet[perm[j]]
-                          for j, by_facet in zip(self.basis, table[perm[i]])))
+            rows += zip(*map(getitem, table[perm[i]], images))
         if symmetric:
-            rows += zip(*(by_facet[perm[j]]
-                          for j, by_facet in zip(self.basis, self.skew)))
+            skew = self._skew_rows.get(images)
+            if skew is None:
+                skew = self._skew_rows[images] = list(
+                    zip(*map(getitem, self.skew, images)))
+            rows += skew
         # a simplicial cone has no rays outside S: every mu_S solves
         kernel = exact.null_space(rows or [[0] * len(self.basis)])
         if not kernel:
@@ -412,8 +423,9 @@ def face_profile(system: System, w: np.ndarray,
 
 def preserves_unit(m: np.ndarray, unit: np.ndarray) -> bool:
     """Is the unit functional pulled back through m the unit again, within
-    1e-8: is u(m x) = u(x) for every x?"""
-    return bool(np.max(np.abs(m.T @ unit - unit)) < 1e-8)
+    1e-8: is u(m x) = u(x) for every x?  m may be one matrix or a
+    (..., d, d) stack, which passes when every matrix in it does."""
+    return bool(np.max(np.abs(np.swapaxes(m, -1, -2) @ unit - unit)) < 1e-8)
 
 
 def _summand_swap(alg, i: int, j: int) -> np.ndarray:
@@ -426,10 +438,11 @@ def _summand_swap(alg, i: int, j: int) -> np.ndarray:
 
 
 def _in_summand(alg, i: int, m: np.ndarray) -> np.ndarray:
-    """The map acting as m on summand i and as the identity elsewhere."""
-    full = np.eye(alg.dim)
+    """The map acting as m on summand i and as the identity elsewhere, or
+    the (k, dim, dim) stack of them for a (k, d_i, d_i) stack m."""
+    full = np.tile(np.eye(alg.dim), np.shape(m)[:-2] + (1, 1))
     sl = alg.summands[i].sl
-    full[sl, sl] = m
+    full[..., sl, sl] = m
     return full
 
 
@@ -525,21 +538,22 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
     alg = cone.algebra
     sl = alg.summands[i1].sl
     rot = alg.summands[i1].factor.rotation_generator(w1[sl], w2[sl])
-    maps = [_in_summand(alg, i1, rot(k / PATH_STEPS))
-            for k in range(PATH_STEPS + 1)]
-    broken = [k for k, m in enumerate(maps) if not np.all(np.isfinite(m))]
-    if broken:
+    # the PATH_STEPS + 1 maps as one (PATH_STEPS + 1, dim, dim) stack
+    maps = _in_summand(alg, i1, np.array([rot(k / PATH_STEPS)
+                                          for k in range(PATH_STEPS + 1)]))
+    finite = np.all(np.isfinite(maps), axis=(-2, -1))
+    if not finite.all():
+        k = int(np.argmin(finite))
         return Verdict(INCONCLUSIVE, detail="constructed path is not finite "
-                                            f"at t={broken[0] / PATH_STEPS}")
+                                            f"at t={k / PATH_STEPS}")
+    # one matrix-vector product per map, as for a map built alone
     states = np.array([full @ w1 for full in maps])
     lost = first_non_extremal(cone, states, tol)
     if lost is not None:
         return Verdict(INCONCLUSIVE, detail="constructed path loses purity "
                                             f"at t={lost / PATH_STEPS}")
-    path = list(zip(states, maps))
-    resid = float(np.max(np.abs(path[-1][0] - w2)))
-    if not (resid < 1e-8
-            and all(preserves_unit(m, system.unit) for _, m in path)):
+    resid = float(np.max(np.abs(states[-1] - w2)))
+    if not (resid < 1e-8 and preserves_unit(maps, system.unit)):
         return Verdict(INCONCLUSIVE, margin=resid,
                        detail="constructed path misses w2 or moves the unit")
-    return Verdict(HOLDS, witness=path, margin=resid)
+    return Verdict(HOLDS, witness=list(zip(states, maps)), margin=resid)

@@ -20,9 +20,24 @@ import click
 from . import classify
 
 
-def _default_seed() -> int:
-    env = os.environ.get("CONELAB_SEED")
-    return int(env) if env else 7
+def _seed(ctx, param, value: int | None) -> int:
+    """The --seed value, else CONELAB_SEED, else 7.  numpy's generators
+    take only nonnegative integer seeds, so a negative or non-integer seed
+    from either source is a usage error (exit 2) before any check runs."""
+    hint = None
+    if value is None:
+        text = os.environ.get("CONELAB_SEED")
+        if not text:
+            return 7
+        hint = "CONELAB_SEED"
+        try:
+            value = int(text)
+        except ValueError:
+            raise click.BadParameter(f"{text!r} is not a valid integer.", ctx,
+                                     param, hint) from None
+    if value < 0:
+        raise click.BadParameter(f"{value} is negative.", ctx, param, hint)
+    return value
 
 
 def _load_registry(path: str | None) -> list[fixtures.FixtureSpec]:
@@ -51,8 +66,9 @@ def main():
               help="Registry JSON file (defaults to the builtin fixtures).")
 @click.option("--checks", default=None,
               help="Comma-separated check names (default: all).")
-@click.option("--seed", type=int, default=None,
-              help="Deterministic seed (CONELAB_SEED overrides the default).")
+@click.option("--seed", type=int, default=None, callback=_seed,
+              help="Deterministic nonnegative seed (CONELAB_SEED overrides "
+                   "the default).")
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the report here instead of stdout.")
@@ -68,7 +84,6 @@ def check(registry, checks, seed, tol, out, fmt, timings):
     expectation matches."""
     from . import fixtures
     from .cones import ConeError
-    seed = _default_seed() if seed is None else seed
     try:
         specs = _load_registry(registry)
         selected = [c.strip() for c in checks.split(",")] if checks else None
@@ -124,7 +139,7 @@ def classify_cmd(procedure, max_rank, num_summands, out, fmt):
 @click.option("--registry", type=click.Path(exists=True), default=None)
 @click.option("--parts", type=click.IntRange(min=1), default=3,
               show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None, callback=_seed)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="text", show_default=True)
@@ -135,7 +150,6 @@ def steer_cmd(fixture, registry, parts, seed, out, fmt):
 
     from . import composite, fixtures
     from .cones import ConeError
-    seed = _default_seed() if seed is None else seed
     try:
         specs = _load_registry(registry)
         lookup = {s.name: s for s in specs}

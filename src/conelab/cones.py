@@ -474,7 +474,11 @@ class System:
         return self.cone.dim
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        return x / float(self.unit @ x)
+        """x scaled to unit value, or each row of a (k, dim) stack.  Each
+        row is divided by its 1 x n @ n x 1 product with the unit, the BLAS
+        dot that `unit @ x` takes on one vector (as in `eja._norms`), so a
+        stack has the bits of a loop over its rows."""
+        return x / (self.unit @ x[..., :, None])
 
     def base_generators(self) -> list[np.ndarray]:
         return [self.normalize(g) for g in self.cone.generators()]

@@ -370,8 +370,9 @@ def _pure_transitivity(c: _Inputs) -> Verdict:
                   np.array([1., 0., 0., 0., 0.]))]
     elif isinstance(cone, EJACone):
         alg = cone.algebra
-        pairs = [(system.sample_pure(rng), system.sample_pure(rng))
-                 for _ in range(5)]
+        # ten `sample_pure` draws as one stack, paired (0, 1), (2, 3), ...
+        states = system.normalize(cone.sample_extremals(rng, 10))
+        pairs = list(zip(states[0::2], states[1::2]))
         if len(alg.summands) > 1:
             pairs.append((system.normalize(alg.random_pure(rng, summand=0)),
                           system.normalize(alg.random_pure(rng, summand=1))))

@@ -15,9 +15,14 @@ as one stack (`cones.first_non_extremal`); `first_non_extremal_by_point`
 tests one element at a time with a sorted 1-D eigenvalue call.  The
 matrix bases come from one table of off-diagonal units, here from a
 branch per family, and one plane rotation turns every family, here a
-spin factor's spatial axes by their own formula.  These oracles answer
-the same questions the old way, one element or one column at a time,
-and the tests compare the routes bit for bit.
+spin factor's spatial axes by their own formula.  The sampled
+self-duality check reads its pairs in place from one symmetric Gram
+matrix, here gathered through `np.triu_indices`; the `pure-transitivity`
+check draws and normalizes its ten states as one stack, here one
+`sample_pure` at a time; and a continuous path's maps form one stack,
+here built, tested and checked for the unit one map at a time.  These
+oracles answer the same questions the old way, one element or one column
+at a time, and the tests compare the routes bit for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import math
 
 import numpy as np
 
+from conelab import axioms
 from conelab.composite import MaxTensorCone
-from conelab.cones import (FAILS, HOLDS, ISO_SAMPLES, ISO_SEED, ConeModel,
-                           Verdict)
+from conelab.cones import (FAILS, HOLDS, INCONCLUSIVE, ISO_SAMPLES, ISO_SEED,
+                           ConeModel, EJACone, SharedCornerCone, System,
+                           Verdict, first_non_extremal)
 from conelab.eja import (_Q_UNITS, COMPLEX, QUAT, REAL, SPIN, JordanAlgebra,
                          SimpleFactor, _orthogonal_unit)
 
@@ -339,3 +346,88 @@ def is_order_isomorphism_by_point(m: np.ndarray, a: ConeModel, b: ConeModel,
                 return Verdict(FAILS, violation={"direction": direction,
                                                  "point": g})
     return Verdict(HOLDS)
+
+
+def self_dual_by_pair_gather(system: System, tol: float = 1e-9,
+                             seed: int = 0) -> Verdict:
+    """`axioms.check_self_dual` on a non-polyhedral cone: every pair i <= j
+    gathered from the Gram matrix by `np.triu_indices`, in
+    combinations_with_replacement order, and the first negative one or the
+    smallest value read off the gathered list."""
+    cone = system.cone
+    n = cone.dim
+    rng = np.random.default_rng(seed)
+    members = np.concatenate([
+        np.reshape(cone.generators(), (-1, n)),
+        cone.sample_extremals(rng, axioms.SELF_DUAL_SAMPLES)])
+    rows, cols = np.triu_indices(len(members))
+    values = (members @ members.T)[rows, cols]
+    bad = np.flatnonzero(values < -tol)
+    if bad.size:
+        k = bad[0]
+        v = float(values[k])
+        return Verdict(FAILS, violation={
+            "pair": (members[rows[k]], members[cols[k]]), "inner_value": v},
+            margin=v)
+    worst = float(values.min())
+    if isinstance(cone, EJACone):
+        return Verdict(HOLDS, witness={"inner": np.eye(n)}, margin=worst,
+                       detail="trace-form route")
+    if isinstance(cone, SharedCornerCone):
+        for _ in range(axioms.SELF_DUAL_SAMPLES):
+            e2, e3 = rng.random(2) + 0.1
+            e4, e5 = 2.0 * rng.standard_normal(2)
+            e = np.array([e4 * e4 / (4 * e2) + e5 * e5 / (4 * e3),
+                          e2, e3, e4, e5])
+            if not cone.member(e, tol):
+                return Verdict(FAILS, violation={
+                    "dual_extremal": e}, margin=cone.margin(e),
+                    detail="closed-form dual boundary point outside the cone")
+        return Verdict(INCONCLUSIVE, margin=worst)
+    return Verdict(INCONCLUSIVE, margin=worst,
+                   detail="sampled inclusion only")
+
+
+def pure_pairs_by_sample(system: System, rng) -> list[tuple]:
+    """The pure pairs of the `pure-transitivity` check on an EJA system:
+    five pairs of `sample_pure` states, drawn and normalized one at a time,
+    and on a direct sum one more pair from summands 0 and 1."""
+    alg = system.cone.algebra
+    pairs = [(system.sample_pure(rng), system.sample_pure(rng))
+             for _ in range(5)]
+    if len(alg.summands) > 1:
+        pairs.append((system.normalize(alg.random_pure(rng, summand=0)),
+                      system.normalize(alg.random_pure(rng, summand=1))))
+    return pairs
+
+
+def continuous_pt_by_map(system: System, w1, w2, tol: float) -> Verdict:
+    """`axioms.continuous_pure_transitivity` for pure w1 and w2 of one
+    summand of an EJA system, one path map at a time: each built in its own
+    identity, tested for finiteness and checked for the unit on its own."""
+    alg = system.cone.algebra
+    i = alg.summand_of(w1)
+    sl = alg.summands[i].sl
+    rot = alg.summands[i].factor.rotation_generator(w1[sl], w2[sl])
+    maps = []
+    for k in range(axioms.PATH_STEPS + 1):
+        full = np.eye(alg.dim)
+        full[sl, sl] = rot(k / axioms.PATH_STEPS)
+        maps.append(full)
+    broken = [k for k, m in enumerate(maps) if not np.all(np.isfinite(m))]
+    if broken:
+        return Verdict(INCONCLUSIVE, detail="constructed path is not finite "
+                       f"at t={broken[0] / axioms.PATH_STEPS}")
+    states = np.array([full @ w1 for full in maps])
+    lost = first_non_extremal(system.cone, states, tol)
+    if lost is not None:
+        return Verdict(INCONCLUSIVE, detail="constructed path loses purity "
+                       f"at t={lost / axioms.PATH_STEPS}")
+    path = list(zip(states, maps))
+    resid = float(np.max(np.abs(path[-1][0] - w2)))
+    if not (resid < 1e-8 and all(
+            np.max(np.abs(m.T @ system.unit - system.unit)) < 1e-8
+            for _, m in path)):
+        return Verdict(INCONCLUSIVE, margin=resid,
+                       detail="constructed path misses w2 or moves the unit")
+    return Verdict(HOLDS, witness=path, margin=resid)

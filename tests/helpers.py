@@ -4,7 +4,9 @@ oracle.
 `probabilistic_inverse`, `classical_effect_test`, `check_positive`,
 `sample_state`, `product_effect`, `trace_inner`, `overlap_state`,
 `random_element`, `random_interior` and `random_positive` build inputs and
-checks for the tests, and `assert_same_text` compares long texts.
+checks for the tests, `assert_same_text` compares long texts, and
+`same_bits` and `assert_same_verdict` compare values and verdicts bit for
+bit.
 `face_profile_by_sampling` is the sampled route that `axioms.face_profile`
 replaced by its closed form: a maximum over sampled pure states, so only a
 lower bound on the profile.
@@ -123,6 +125,31 @@ def assert_same_text(a: str, b: str) -> None:
     lo = max(0, at - 40)
     raise AssertionError(f"texts differ at offset {at} (lengths {len(a)} and "
                          f"{len(b)}): {a[lo:lo + 80]!r} != {b[lo:lo + 80]!r}")
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal bits: floats by their hex form, arrays by
+    shape, dtype and bytes, containers element by element."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(same_bits(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(same_bits, a, b)))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.shape == b.shape
+                and a.dtype == b.dtype and a.tobytes() == b.tobytes())
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    return a == b
+
+
+def assert_same_verdict(v, ref) -> None:
+    """Two verdicts agree in status and detail, and bit for bit in margin,
+    witness and violation."""
+    assert (v.status, v.detail) == (ref.status, ref.detail)
+    for name in ("margin", "witness", "violation"):
+        assert same_bits(getattr(v, name), getattr(ref, name)), name
 
 
 def trace_inner(alg: eja.JordanAlgebra, a: np.ndarray, b: np.ndarray) -> float:

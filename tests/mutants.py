@@ -132,12 +132,12 @@ MUTANTS = (
            ("tests/test_axioms.py::TestPureTransitivity::"
             "test_cross_isomorphic_summands",)),
     Mutant("continuous-pt-skips-finiteness", "src/conelab/axioms.py",
-           "    if broken:\n",
+           "    if not finite.all():\n",
            "    if False:\n",
            ("tests/test_axioms.py::TestContinuousPureTransitivity::"
             "test_non_finite_path_is_a_failed_construction",)),
     Mutant("preserves-unit-pushes-forward", "src/conelab/axioms.py",
-           "np.abs(m.T @ unit - unit)",
+           "np.abs(np.swapaxes(m, -1, -2) @ unit - unit)",
            "np.abs(m @ unit - unit)",
            ("tests/test_axioms.py::test_unit_rule_pulls_the_unit_back",)),
     Mutant("cli-loads-check-layers", "src/conelab/cli.py",
@@ -158,7 +158,8 @@ MUTANTS = (
             "tests/test_axioms.py::"
             "test_wrongly_lifted_scale_is_a_failed_construction")),
     Mutant("unit-rule-accepts-any-map", "src/conelab/axioms.py",
-           "return bool(np.max(np.abs(m.T @ unit - unit)) < 1e-8)",
+           "return bool(np.max(np.abs(np.swapaxes(m, -1, -2) @ unit - unit))"
+           " < 1e-8)",
            "return True",
            ("tests/test_axioms.py::test_unit_rule_pulls_the_unit_back",
             "tests/test_axioms.py::"
@@ -170,6 +171,18 @@ MUTANTS = (
             "test_square_fails_with_witness",
             "tests/test_exact.py::"
             "test_polyhedral_self_dual_fails_carry_fractions")),
+    Mutant("self-dual-first-pair-lower-triangle", "src/conelab/axioms.py",
+           "np.argmax(np.triu(bad))",
+           "np.argmax(np.tril(bad))",
+           ("tests/test_axioms.py::TestSelfDuality::"
+            "test_pairwise_violation_matches_loop",
+            "tests/test_axioms.py::TestSelfDuality::"
+            "test_sampled_route_matches_pair_oracle")),
+    Mutant("pt-pairs-misaligned", "src/conelab/fixtures.py",
+           "pairs = list(zip(states[0::2], states[1::2]))",
+           "pairs = list(zip(states[:5], states[5:]))",
+           ("tests/test_axioms.py::TestPureTransitivity::"
+            "test_stacked_pairs_match_sample_oracle",)),
     # `_cell` is bisect_left's only caller in classify.py
     Mutant("classify-bisect-right", "src/conelab/classify.py",
            "from bisect import bisect_left",

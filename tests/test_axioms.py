@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
 from conelab.composite import LinearImageCone
-from conelab.cones import (DEFAULT_TOL, ConeError, PolyhedralCone,
-                          SharedCornerCone, System,
-                          UnsupportedQuery, face_dimension,
+from conelab.cones import (DEFAULT_TOL, ConeError, ConeModel,
+                          PolyhedralCone, SharedCornerCone, System,
+                          UnsupportedQuery, Verdict, face_dimension,
                           is_order_isomorphism)
 from conftest import make_eja_system
-from eja_oracles import (first_dual_extremal_outside,
-                         homogeneity_margin_by_pairs)
-from helpers import (check_positive, classical_effect_test,
-                     face_profile_by_sampling, probabilistic_inverse,
-                     random_element, random_interior)
+from eja_oracles import (continuous_pt_by_map, first_dual_extremal_outside,
+                         homogeneity_margin_by_pairs, pure_pairs_by_sample,
+                         self_dual_by_pair_gather)
+from helpers import (assert_same_verdict, check_positive,
+                     classical_effect_test, face_profile_by_sampling,
+                     probabilistic_inverse, random_element, random_interior,
+                     same_bits)
 from polyhedral_oracles import (bijection_system,
                                 scale_system_in_all_scales,
                                 self_dual_by_fractions, self_dual_by_solves,
@@ -68,6 +70,45 @@ def _pentagon():
     return spec.params["generators"]
 
 
+# a rotation of the plane's first two coordinates: the wide pyramid's
+# image under it takes the sampled self-duality route
+ROT = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _sampled_route_systems():
+    """(name, seed offset, system) of the cones `check_self_dual` samples:
+    every builtin EJA fixture and the shared-corner cone, each with its
+    fixture seed, and the rotated wide pyramid."""
+    out = [(s.name, s.seed, fixtures.build_system(s, {}))
+           for s in fixtures.builtin_fixtures()
+           if s.kind in ("eja", "shared-corner")]
+    cone = LinearImageCone(PolyhedralCone(WIDE_PYRAMID), ROT)
+    out.append(("rotated-wide-pyramid", 0,
+                System(cone, ROT.T @ [1.0, 0, 0])))
+    return out
+
+
+def _builtin_eja_systems():
+    """(spec, system) of every builtin EJA fixture."""
+    return [(s, fixtures.build_system(s, {}))
+            for s in fixtures.builtin_fixtures() if s.kind == "eja"]
+
+
+class _GivenMembers(ConeModel):
+    """A cone model whose generators are given rows, every sample its
+    second row: `check_self_dual` pairs them on its last, sampled route."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+        self.dim = self.rows.shape[1]
+
+    def generators(self):
+        return list(self.rows)
+
+    def sample_extremals(self, rng, count):
+        return np.tile(self.rows[1], (count, 1))
+
+
 @pytest.fixture
 def square_system():
     return System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
@@ -108,9 +149,8 @@ class TestSelfDuality:
         # `a @ b` per pair, in combinations_with_replacement order,
         # stopping at the first violation; the same seed draws the same
         # members.
-        rot = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
-        cone = LinearImageCone(PolyhedralCone(WIDE_PYRAMID), rot)
-        v = axioms.check_self_dual(System(cone, rot.T @ [1.0, 0, 0]), seed=0)
+        cone = LinearImageCone(PolyhedralCone(WIDE_PYRAMID), ROT)
+        v = axioms.check_self_dual(System(cone, ROT.T @ [1.0, 0, 0]), seed=0)
         rng = np.random.default_rng(0)
         members = list(cone.generators())
         members += [cone.sample_extremal(rng) for _ in range(200)]
@@ -137,6 +177,39 @@ class TestSelfDuality:
             members += [cone.sample_extremal(rng) for _ in range(200)]
             assert first_dual_extremal_outside(
                 cone.algebra, members, np.eye(cone.dim), 1e-9) is None
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_sampled_route_matches_pair_oracle(self, seed):
+        # the pairs read in place from the Gram matrix give the verdict,
+        # pair, value and margin that gathering them gave
+        statuses = set()
+        for _, offset, system in _sampled_route_systems():
+            v = axioms.check_self_dual(system, seed=seed + offset)
+            ref = self_dual_by_pair_gather(system, seed=seed + offset)
+            assert_same_verdict(v, ref)
+            statuses.add(v.status)
+        assert statuses == {HOLDS, FAILS}
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_sampled_gram_is_exactly_symmetric(self, seed):
+        # what lets one triangle stand for every pair
+        for name, offset, system in _sampled_route_systems():
+            cone = system.cone
+            rng = np.random.default_rng(seed + offset)
+            members = np.concatenate([
+                np.reshape(cone.generators(), (-1, cone.dim)),
+                cone.sample_extremals(rng, axioms.SELF_DUAL_SAMPLES)])
+            gram = members @ members.T
+            assert gram.tobytes() == gram.T.tobytes(), name
+
+    def test_nan_pairing_hides_no_negative_pair(self):
+        # row 0 pairs to NaN with every row, so the smallest entry is NaN;
+        # the pair (1, 2) is still negative and is reported
+        cone = _GivenMembers([[np.nan, 1.0], [1.0, 1.0], [-1.0, 0.5]])
+        v = axioms.check_self_dual(System(cone, np.array([0.0, 1.0])))
+        assert v.status == FAILS and v.margin == -0.5
+        a, b = v.violation["pair"]
+        assert a.tolist() == [1.0, 1.0] and b.tolist() == [-1.0, 0.5]
 
     def test_eja_membership_builds_no_idempotents(self, monkeypatch, rng):
         calls = []
@@ -268,6 +341,12 @@ class TestBijectionSearches:
         monkeypatch.setattr(exact.PolyhedralData, "facets", no_facets)
         with pytest.raises(UnsupportedQuery):
             search(PolyhedralCone(REGULAR_9))
+
+    def test_one_ray_cone(self):
+        # d = 1: a bijection's basis image is one index, still a tuple
+        for search in (axioms.search_weak_self_duality,
+                       axioms.search_spd_self_duality):
+            assert search(PolyhedralCone([[2]])).status == HOLDS
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthant_weak_holds(self, d):
@@ -764,6 +843,38 @@ class TestPureTransitivity:
         assert record["status"] == INCONCLUSIVE
         assert record["detail"] == v.detail
 
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_stacked_pairs_match_sample_oracle(self, seed, monkeypatch):
+        # every builtin EJA fixture, qubit + rebit and classical 3 among
+        # them for the summand picks: the check's pairs, in order, and its
+        # verdict are those of ten `sample_pure` draws
+        witness = axioms.pure_transitivity_witness
+        seen = []
+        monkeypatch.setattr(
+            axioms, "pure_transitivity_witness",
+            lambda system, w1, w2, tol: seen.append((w1, w2))
+            or witness(system, w1, w2, tol))
+        statuses = set()
+        for spec, system in _builtin_eja_systems():
+            s = seed + spec.seed
+            seen.clear()
+            v = fixtures._pure_transitivity(fixtures._Inputs(
+                system, DEFAULT_TOL, s, np.random.default_rng(s)))
+            pairs = pure_pairs_by_sample(system, np.random.default_rng(s))
+            worst, ref = 0.0, None
+            for w1, w2 in pairs:
+                r = witness(system, w1, w2, DEFAULT_TOL)
+                if r.status != HOLDS:
+                    ref = r
+                    break
+                worst = max(worst, r.margin)
+            ref = ref or Verdict(HOLDS, margin=worst,
+                                 detail=f"{len(pairs)} pure pairs")
+            assert same_bits(seen, pairs[:len(seen)]), spec.name
+            assert_same_verdict(v, ref)
+            statuses.add(v.status)
+        assert statuses == {HOLDS, FAILS}
+
     def test_requires_pure_inputs(self, qubit):
         mixed = np.array([0.5, 0.5, 0.0, 0.0])
         pure = np.array([1.0, 0.0, 0.0, 0.0])
@@ -782,6 +893,9 @@ def test_unit_rule_pulls_the_unit_back():
     assert axioms.preserves_unit(m, u)
     assert not axioms.preserves_unit(m.T, u)
     assert not axioms.preserves_unit(m + 1e-7, u)
+    # a stack passes when every map in it does
+    assert axioms.preserves_unit(np.array([np.eye(2), m]), u)
+    assert not axioms.preserves_unit(np.array([m, m.T]), u)
 
 
 def _faulty_rotations(monkeypatch, fault):
@@ -848,6 +962,25 @@ class TestContinuousPureTransitivity:
         assert v.status == HOLDS
         assert len(v.witness) == 17
         assert v.margin < 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_stacked_path_matches_map_oracle(self, seed):
+        # every builtin EJA fixture with both states in one summand: the
+        # fixture's own draws on a simple algebra, two per summand on a
+        # sum, so the path maps act on part of the coordinates there
+        for spec, system in _builtin_eja_systems():
+            alg = system.cone.algebra
+            rng = np.random.default_rng(seed + spec.seed)
+            if len(alg.summands) == 1:
+                draws = [(system.sample_pure(rng), system.sample_pure(rng))]
+            else:
+                draws = [system.normalize(alg.random_pures(rng, 2, i))
+                         for i in range(len(alg.summands))]
+            for w1, w2 in draws:
+                v = axioms.continuous_pure_transitivity(system, w1, w2)
+                assert v.status == HOLDS, spec.name
+                assert_same_verdict(
+                    v, continuous_pt_by_map(system, w1, w2, DEFAULT_TOL))
 
     def test_path_names_the_first_state_that_loses_purity(self, qubit, rng,
                                                           monkeypatch):

@@ -328,6 +328,36 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", "--registry", str(reg)])
         assert json.loads(result.output)["seed"] == 42
 
+    def test_flag_seed_wins_over_env(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONELAB_SEED", "abc")
+        reg = tmp_path / "reg.json"
+        reg.write_text(small_registry())
+        result = runner.invoke(main, ["check", "--registry", str(reg),
+                                      "--seed", "0"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["seed"] == 0
+
+    @pytest.mark.parametrize("command", ["check", "steer"])
+    @pytest.mark.parametrize("flag, env, message", [
+        ("-100", None, "Invalid value for '--seed': -100 is negative."),
+        (None, "abc",
+         "Invalid value for CONELAB_SEED: 'abc' is not a valid integer."),
+        (None, "-3", "Invalid value for CONELAB_SEED: -3 is negative.")],
+        ids=["negative-flag", "non-integer-env", "negative-env"])
+    def test_bad_seed_is_a_usage_error(self, runner, monkeypatch, command,
+                                       flag, env, message):
+        # numpy's generators take no negative seed: one usage error before
+        # any check runs, not one error record per check or a traceback
+        if env is None:
+            monkeypatch.delenv("CONELAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONELAB_SEED", env)
+        args = [command] + (["--seed", flag] if flag else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines()
+                if "Error" in line] == [f"Error: {message}"]
+
     @pytest.mark.parametrize("summand, message", [
         ({"family": "octonion", "rank": 3}, "unknown family 'octonion'"),
         ({"family": "spin", "dim": 1},

@@ -372,6 +372,20 @@ class TestMeasurements:
         assert not validate_measurement(qubit, [bad, good])
 
 
+def test_normalize_stack_equals_row_loop(rng):
+    # each row of a stack has the bits of the row divided by the float of
+    # its own `unit @ x`
+    specs = fixtures.builtin_fixtures()
+    for spec in specs:
+        if spec.kind not in ("eja", "shared-corner"):
+            continue
+        system = fixtures.build_system(spec, {})
+        xs = system.cone.sample_extremals(rng, 7) * (0.5 + rng.random((7, 1)))
+        ref = np.array([x / float(system.unit @ x) for x in xs])
+        assert system.normalize(xs).tobytes() == ref.tobytes(), spec.name
+        assert system.normalize(xs[0]).tobytes() == ref[0].tobytes()
+
+
 def test_polyhedral_reducibility(square):
     assert not square.reducible()
     orthant = PolyhedralCone([[1, 0], [0, 1]])
