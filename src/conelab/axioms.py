@@ -447,30 +447,63 @@ def _in_summand(alg, i: int, m: np.ndarray) -> np.ndarray:
 
 
 def _pure_inputs(system: System, w1, w2, tol: float):
-    """w1 and w2 as float arrays, and on an EJA cone the index of the
-    summand each lies in (None elsewhere).  Raises ConeError unless both
-    are pure states, each in a single summand."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
+    """For a pair of states, or (k, dim) stacks of pairs: the summand index
+    pairs (None off EJA cones) of the leading pairs of pure states, each in
+    one summand, and the ConeError of the first other pair, or None.  One
+    `first_non_extremal` and one `summand_of` call take every state."""
+    # w1[0], w2[0], w1[1], ...: the rows of the pairs in turn
+    states = np.array([w1, w2], dtype=float).swapaxes(0, -2)
+    states = states.reshape(-1, states.shape[-1])
     cone = system.cone
-    pure = first_non_extremal(cone, np.array([w1, w2]), tol) is None
-    where = None
-    if pure and isinstance(cone, EJACone):
-        where = cone.algebra.summand_of(w1), cone.algebra.summand_of(w2)
-        pure = None not in where
-    if not pure:
-        raise ConeError("transitivity checks need pure states, each in a "
-                        "single summand")
-    return w1, w2, where
+    try:
+        lost = first_non_extremal(cone, states, tol)
+    except ValueError as exc:
+        # a state raised: test pair by pair, so that it raises at its turn
+        if len(states) == 2:
+            return [], exc
+        found = []
+        for pair in zip(states[0::2], states[1::2]):
+            where, error = _pure_inputs(system, *pair, tol)
+            found += where
+            if error:
+                break
+        return found, error
+    pure = len(states) // 2 if lost is None else lost // 2
+    where = [None] * pure
+    if isinstance(cone, EJACone):
+        where = cone.algebra.summand_of(states[:2 * pure])
+        where = list(zip(where[0::2], where[1::2]))
+        pure = next((k for k, p in enumerate(where) if None in p), pure)
+    return where[:pure], None if 2 * pure == len(states) else ConeError(
+        "transitivity checks need pure states, each in a single summand")
 
 
 def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
                               tol: float = 1e-9) -> Verdict:
     """Normalized order isomorphism carrying pure w1 to pure w2, or an
-    automorphism-invariant reason none exists."""
-    cone = system.cone
-    w1, w2, where = _pure_inputs(system, w1, w2, tol)
+    automorphism-invariant reason none exists.  For (k, dim) stacks of
+    pairs: the verdict of the first pair that does not hold, else HOLDS with
+    the maps and the largest residual; an invalid pair raises at its turn."""
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    where, error = _pure_inputs(system, w1, w2, tol)
+    held = []
+    for a, b, pair in zip(np.atleast_2d(w1), np.atleast_2d(w2), where):
+        v = _transitivity_map(system, a, b, pair, tol)
+        if v.status != HOLDS:
+            return v
+        held.append(v)
+    if error:
+        raise error
+    if w1.ndim == 1:
+        return held[0]
+    return Verdict(HOLDS, witness=[v.witness for v in held],
+                   margin=max([0.0] + [v.margin for v in held]))
 
+
+def _transitivity_map(system: System, w1: np.ndarray, w2: np.ndarray, where,
+                      tol: float) -> Verdict:
+    """`pure_transitivity_witness` on one valid pair, in summands `where`."""
+    cone = system.cone
     if isinstance(cone, EJACone):
         alg = cone.algebra
         i1, i2 = where
@@ -530,7 +563,11 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
     if not isinstance(cone, EJACone):
         raise UnsupportedQuery("continuous pure transitivity checker needs "
                                "an EJA system")
-    w1, w2, (i1, i2) = _pure_inputs(system, w1, w2, tol)
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    where, error = _pure_inputs(system, w1, w2, tol)
+    if error:
+        raise error
+    [(i1, i2)] = where
     if i1 != i2:
         return Verdict(FAILS, violation={"summands": (i1, i2)},
                        detail="pure states of distinct summands lie in "

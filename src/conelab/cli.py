@@ -53,7 +53,8 @@ def _emit(payload: str, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
-        click.echo(payload)
+        # click's cached default-stdout wrapper would keep the stream alive
+        click.echo(payload, file=sys.stdout)
 
 
 @click.group()

@@ -283,39 +283,51 @@ def conditioning_map(comp: CompositeSystem, wab: np.ndarray) -> np.ndarray:
 INFEASIBLE = "infeasible"
 
 
-def steer(comp: CompositeSystem, wab: np.ndarray, ensemble: list[np.ndarray]):
-    """Measurement on A whose conditional states realize the ensemble, or the
-    string 'infeasible' when none exists.
+def steer(comp: CompositeSystem, wab: np.ndarray, ensemble):
+    """Measurement on A whose conditional states realize the ensemble, or
+    the string 'infeasible' when none exists; for an (n, parts, dimB) stack,
+    the (m, parts, dimA) stack of the measurements of the first m
+    ensembles, m < n naming the first infeasible one.
 
     An invertible conditioning map leaves one candidate effect per target,
     its preimage: the answer is that measurement, or 'infeasible' when it
-    fails `validate_measurement`.  A singular map is answered 'infeasible'
-    when some target lies off its range (least-squares residual above
-    1e-8); with every target in range it raises UnsupportedQuery."""
-    wab = np.asarray(wab, dtype=float)
+    fails `validate_measurement` (one call for a stack).  A singular map is
+    answered 'infeasible' when some target lies off its range (least-squares
+    residual above 1e-8), else UnsupportedQuery.  An ensemble off the B cone
+    or the B marginal raises ConeError once those before it have steered."""
+    ens = np.asarray(ensemble, dtype=float)
+    if ens.ndim != 3:
+        effects = steer(comp, wab, np.reshape(ens, (1, len(ens), comp.dimB)))
+        return list(effects[0]) if len(effects) else INFEASIBLE
     cmap = conditioning_map(comp, wab)
+    inside = comp.factorB.cone.members(ens.reshape(-1, comp.dimB), 1e-8)
+    outside = ~inside.reshape(ens.shape[:2]).all(axis=1)
     wb = marginal_of(comp, wab, "B")
-    ens = [np.asarray(w, dtype=float) for w in ensemble]
-    for w in ens:
-        if not comp.factorB.cone.member(w, 1e-8):
-            raise ConeError("ensemble member outside the B cone")
-    if np.max(np.abs(sum(ens) - wb)) > 1e-8:
-        raise ConeError("ensemble does not sum to the B marginal")
-
-    if comp.dimA == comp.dimB and \
-            np.linalg.matrix_rank(cmap, tol=1e-10) == comp.dimA:
-        inv = np.linalg.inv(cmap)
-        effects = [inv @ w for w in ens]
-        if validate_measurement(comp.factorA, effects, 1e-8):
-            return effects
-        return INFEASIBLE
-    # range certificate: a target off the image has no preimage at all
-    for w in ens:
-        sol = np.linalg.lstsq(cmap, w, rcond=None)[0]
-        if np.max(np.abs(cmap @ sol - w)) > 1e-8:
-            return INFEASIBLE
-    raise UnsupportedQuery("singular conditioning map with every target in "
-                           "its range")
+    bad = outside | (np.max(np.abs(np.sum(ens, axis=1) - wb), axis=-1) > 1e-8)
+    n = int(np.argmax(bad)) if bad.any() else len(ens)
+    if n < len(ens):
+        error = ConeError("ensemble member outside the B cone" if outside[n]
+                          else "ensemble does not sum to the B marginal")
+        if n == 0:
+            raise error
+    if comp.dimA != comp.dimB or \
+            np.linalg.matrix_rank(cmap, tol=1e-10) < comp.dimA:
+        # range certificate: a target off the image has no preimage at all,
+        # so the first ensemble is infeasible or raises
+        for w in ens[0]:
+            sol = np.linalg.lstsq(cmap, w, rcond=None)[0]
+            if np.max(np.abs(cmap @ sol - w)) > 1e-8:
+                return np.empty((0,) + ens.shape[1:-1] + (comp.dimA,))
+        raise UnsupportedQuery("singular conditioning map with every target "
+                               "in its range")
+    # one matrix-vector product per target, as in inv @ w for one
+    effects = (np.linalg.inv(cmap) @ ens[:n, ..., None])[..., 0]
+    valid = validate_measurement(comp.factorA, effects, 1e-8)
+    if not valid.all():
+        return effects[:np.argmin(valid)]
+    if n < len(ens):
+        raise error
+    return effects
 
 
 # ensembles a steering verdict spot-verifies, and the seed that draws them
@@ -327,7 +339,8 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
                              tol: float = DEFAULT_TOL) -> Verdict:
     """Injective conditioning map with interior marginal gives an order
     isomorphism onto the B cone; then every ensemble of the marginal is
-    steerable, spot-verified on random ensembles."""
+    steerable, spot-verified on random ensembles steered as one stack.  A
+    FAILS names the first infeasible one."""
     wab = np.asarray(wab, dtype=float)
     wb = marginal_of(comp, wab, "B")
     if comp.factorB.cone.margin(wb) <= tol:
@@ -342,38 +355,52 @@ def steering_order_iso_check(comp: CompositeSystem, wab: np.ndarray,
     if verdict.status != HOLDS:
         return verdict
     rng = np.random.default_rng(SPOT_SEED)
-    worst = 0.0
-    for _ in range(SPOT_ENSEMBLES):
-        ens = random_ensemble(comp.factorB, wb, 3, rng)
-        effects = steer(comp, wab, ens)
-        if effects == INFEASIBLE:
-            return Verdict(FAILS, violation={"ensemble": ens},
-                           detail="spot ensemble not steerable")
-        for e, w in zip(effects, ens):
-            worst = max(worst, float(np.max(np.abs(cmap @ e - w))))
+    ens = random_ensembles(comp.factorB, wb, 3, rng, SPOT_ENSEMBLES)
+    effects = steer(comp, wab, ens)
+    if len(effects) < SPOT_ENSEMBLES:
+        return Verdict(FAILS, violation={"ensemble": list(ens[len(effects)])},
+                       detail="spot ensemble not steerable")
+    resid = np.abs((cmap @ effects[..., None])[..., 0] - ens)
     return Verdict(
-        HOLDS, witness={"matrix": cmap}, margin=worst,
+        HOLDS, witness={"matrix": cmap},
+        margin=max([0.0] + np.max(resid, axis=-1).ravel().tolist()),
         detail="injective conditioning map with interior marginal is an "
                "order isomorphism; every ensemble of the marginal is "
                f"steerable (spot-verified on {SPOT_ENSEMBLES} ensembles)")
 
 
+def random_ensembles(system: System, target: np.ndarray, parts: int, rng,
+                     count: int) -> np.ndarray:
+    """`count` random decompositions of target into `parts` cone members,
+    as a (count, parts, dim) stack.  Each part but the last takes u * hi / 2
+    of an extremal cand of unit value, hi the first of 1, 1/2, ..., 2^-19
+    with rest - hi * cand in the cone (2^-20 if none), in one `members` call
+    for all ensembles; every cand and uniform u is drawn first, in turn."""
+    splits = max(parts - 1, 0)
+    cand, u = np.empty((count, splits, system.dim)), np.empty((count, splits))
+    for k in np.ndindex(count, splits):
+        cand[k], u[k] = system.cone.sample_extremal(rng), rng.random()
+    # 1 x dim by dim x 1 products, the bits of `unit @ cand` for one
+    cand = cand / np.maximum(system.unit @ cand[..., None], 1e-12)
+    halvings = np.ldexp(1.0, -np.arange(20))
+    out = np.empty((count, splits + 1, system.dim))
+    out[:, -1] = target
+    for p in range(splits):
+        trial = out[:, -1, None] - halvings[:, None] * cand[:, p, None]
+        inside = system.cone.members(trial.reshape(-1, system.dim), 1e-12)
+        inside = inside.reshape(count, len(halvings))
+        first = np.where(inside.any(axis=1), np.argmax(inside, axis=1),
+                         len(halvings))
+        out[:, p] = (0.5 * np.ldexp(1.0, -first) * u[:, p])[:, None] \
+            * cand[:, p]
+        out[:, -1] -= out[:, p]
+    return out
+
+
 def random_ensemble(system: System, target: np.ndarray, parts: int,
                     rng) -> list[np.ndarray]:
-    """Random decomposition of target into `parts` cone members."""
-    out = []
-    rest = target.copy()
-    for _ in range(parts - 1):
-        cand = system.cone.sample_extremal(rng)
-        cand = cand / max(float(system.unit @ cand), 1e-12)
-        hi = 1.0
-        while hi > 1e-6 and not system.cone.member(rest - hi * cand, 1e-12):
-            hi *= 0.5
-        take = 0.5 * hi * rng.random()
-        out.append(take * cand)
-        rest = rest - take * cand
-    out.append(rest)
-    return out
+    """One ensemble of `random_ensembles`, as a list."""
+    return list(random_ensembles(system, target, parts, rng, 1)[0])
 
 
 def canonical_self_steering_state(comp: CompositeSystem) -> np.ndarray:

@@ -65,6 +65,11 @@ class ConeModel:
     def dual_member(self, e: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise NotImplementedError
 
+    def dual_members(self, es: np.ndarray,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`dual_member` of each row of a (k, dim) stack, as a bool array."""
+        return np.array([self.dual_member(e, tol) for e in es], dtype=bool)
+
     def generators(self) -> list[np.ndarray]:
         """A finite spanning family of cone members (extremal where known)."""
         raise NotImplementedError
@@ -200,6 +205,8 @@ class EJACone(ConeModel):
         # The trace form makes the cone self-dual, and the coordinate pairing
         # equals the trace form up to a positive per-summand scale.
         return self.member(e, tol)
+
+    dual_members = members
 
     def generators(self):
         """Each summand's canonical frame, then one seeded pure state per
@@ -411,9 +418,10 @@ def _eja_extremal_rows(cone: EJACone, xs: np.ndarray,
     its negative, scale = max(1, max |eigenvalue|) per row, from one
     stacked `eigenvalues` call."""
     vals = cone.algebra.eigenvalues(xs)
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
-    positive = np.sum(vals > tol * scale, axis=-1)
-    negative = np.sum(vals < -tol * scale, axis=-1)
+    # the array methods: the same reductions, without the np.* dispatch
+    scale = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
+    positive = (vals > tol * scale).sum(axis=-1)
+    negative = (vals < -tol * scale).sum(axis=-1)
     return (negative == 0) & (positive == 1)
 
 
@@ -441,7 +449,7 @@ def first_non_extremal(cone: ConeModel, xs: np.ndarray,
         return next((k for k, x in enumerate(xs)
                      if not is_extremal_ray(cone, x, tol)), None)
     norms = _norms(xs)
-    finite = np.all(np.isfinite(xs), axis=-1)
+    finite = np.isfinite(xs).all(axis=-1)
     stop = next((k for k in range(len(xs))
                  if norms[k] < tol or not finite[k]), len(xs))
     rejected = np.flatnonzero(~_eja_extremal_rows(cone, xs[:stop], tol))
@@ -486,12 +494,6 @@ class System:
     def sample_pure(self, rng) -> np.ndarray:
         return self.normalize(self.cone.sample_extremal(rng))
 
-    def effect_member(self, e: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """e in the order interval [0, unit] of the dual."""
-        e = np.asarray(e, dtype=float)
-        return (self.cone.dual_member(e, tol)
-                and self.cone.dual_member(self.unit - e, tol))
-
 
 @dataclass
 class Verdict:
@@ -531,20 +533,26 @@ def is_order_isomorphism(m: np.ndarray, a: ConeModel, b: ConeModel,
     return Verdict(HOLDS)
 
 
-def validate_measurement(system: System, effects: list[np.ndarray],
-                         tol: float = DEFAULT_TOL) -> bool:
-    if not effects:
+def validate_measurement(system: System, effects,
+                         tol: float = DEFAULT_TOL):
+    """Are the effects a measurement: each in [0, unit] of the dual cone
+    and in [-tol, 1 + tol] on every base generator, summing to the unit
+    within max(tol, 1e-10)?  A bool for one (k, dim) measurement, a bool
+    array for an (..., k, dim) stack: one `dual_members` call, and each
+    value a 1 x dim by dim x 1 product, the bits of `e @ w`."""
+    effects = np.asarray(effects, dtype=float)
+    if effects.size == 0:
         raise ConeError("empty effect list")
-    effects = [np.asarray(e, dtype=float) for e in effects]
-    states = system.base_generators()
-    for e in effects:
-        if len(e) != system.dim:
-            raise ConeError("effect dimension mismatch")
-        if not system.effect_member(e, tol):
-            return False
-        for w in states:
-            v = float(e @ w)
-            if v < -tol or v > 1 + tol:
-                return False
-    total = np.sum(effects, axis=0)
-    return bool(np.max(np.abs(total - system.unit)) <= max(tol, 1e-10))
+    if effects.ndim < 2 or effects.shape[-1] != system.dim:
+        raise ConeError("effect dimension mismatch")
+    flat = effects.reshape(-1, system.dim)
+    dual = system.cone.dual_members(
+        np.concatenate([flat, system.unit - flat]), tol)
+    states = np.array(system.base_generators())
+    values = (flat[:, None, None, :] @ states[:, :, None])[..., 0, 0]
+    ok = (dual[:len(flat)] & dual[len(flat):]
+          & ~np.any((values < -tol) | (values > 1 + tol), axis=-1))
+    ok = ok.reshape(effects.shape[:-1]).all(axis=-1)
+    total = np.sum(effects, axis=-2)
+    ok &= np.max(np.abs(total - system.unit), axis=-1) <= max(tol, 1e-10)
+    return bool(ok) if ok.ndim == 0 else ok

@@ -186,7 +186,7 @@ class SimpleFactor:
     def eigenvalues(self, a: np.ndarray) -> np.ndarray:
         """The eigenvalues `spectral` lists, bit for bit, without building
         idempotents; a may be a (..., dim) stack, one row per element."""
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("non-finite input")
         if self.family == SPIN:
             s, nx = a[..., 0], _norms(a[..., 1:])
@@ -588,13 +588,16 @@ class JordanAlgebra:
                 - f.product(f.product(x, x), basis)).swapaxes(-1, -2)
         return out
 
-    def summand_of(self, a: np.ndarray) -> int | None:
+    def summand_of(self, a: np.ndarray):
         """Index of the summand where a has norm above 1e-7, or None
-        unless exactly one summand does."""
+        unless exactly one summand does, or the list of them for the rows
+        of a (k, dim) stack; `_norms` has the bits of `np.linalg.norm`."""
         self._check_dim(a)
-        live = [i for i, s in enumerate(self.summands)
-                if np.linalg.norm(a[s.sl]) > 1e-7]
-        return live[0] if len(live) == 1 else None
+        rows = np.asarray(a, dtype=float).reshape(-1, self.dim)
+        live = zip(*[(_norms(rows[:, s.sl]) > 1e-7).tolist()
+                     for s in self.summands])
+        found = [row.index(True) if sum(row) == 1 else None for row in live]
+        return found if np.ndim(a) > 1 else found[0]
 
     def embed(self, index: int, coords: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim)

@@ -20,9 +20,14 @@ self-duality check reads its pairs in place from one symmetric Gram
 matrix, here gathered through `np.triu_indices`; the `pure-transitivity`
 check draws and normalizes its ten states as one stack, here one
 `sample_pure` at a time; and a continuous path's maps form one stack,
-here built, tested and checked for the unit one map at a time.  These
-oracles answer the same questions the old way, one element or one column
-at a time, and the tests compare the routes bit for bit.
+here built, tested and checked for the unit one map at a time.  The
+steering check draws, steers and validates its spot ensembles as one
+stack, here one halving loop, one `steer` and one effect at a time
+(`steering_check_by_ensemble`); and the `pure-transitivity` check
+validates all its pairs with one stacked call, here pair by pair
+(`pure_transitivity_by_pair`).  These oracles answer the same questions
+the old way, one element or one column at a time, and the tests compare
+the routes bit for bit.
 """
 
 from __future__ import annotations
@@ -32,10 +37,13 @@ import math
 import numpy as np
 
 from conelab import axioms
+from conelab import composite as cp
 from conelab.composite import MaxTensorCone
-from conelab.cones import (FAILS, HOLDS, INCONCLUSIVE, ISO_SAMPLES, ISO_SEED,
-                           ConeModel, EJACone, SharedCornerCone, System,
-                           Verdict, first_non_extremal)
+from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, INCONCLUSIVE,
+                           ISO_SAMPLES, ISO_SEED, ConeError, ConeModel,
+                           EJACone, SharedCornerCone, System,
+                           UnsupportedQuery, Verdict, first_non_extremal,
+                           is_order_isomorphism)
 from conelab.eja import (_Q_UNITS, COMPLEX, QUAT, REAL, SPIN, JordanAlgebra,
                          SimpleFactor, _orthogonal_unit)
 
@@ -431,3 +439,136 @@ def continuous_pt_by_map(system: System, w1, w2, tol: float) -> Verdict:
         return Verdict(INCONCLUSIVE, margin=resid,
                        detail="constructed path misses w2 or moves the unit")
     return Verdict(HOLDS, witness=path, margin=resid)
+
+
+def pure_inputs_by_pair(system: System, w1, w2, tol: float):
+    """The summand index pair of pure w1 and w2, each in a single summand
+    on an EJA cone (None elsewhere), from one `first_non_extremal` call on
+    the pair and one `summand_of` per state; raises ConeError otherwise."""
+    cone = system.cone
+    pure = first_non_extremal(cone, np.array([w1, w2]), tol) is None
+    where = None
+    if pure and isinstance(cone, EJACone):
+        where = cone.algebra.summand_of(w1), cone.algebra.summand_of(w2)
+        pure = None not in where
+    if not pure:
+        raise ConeError("transitivity checks need pure states, each in a "
+                        "single summand")
+    return where
+
+
+def pure_transitivity_by_pair(system: System, pairs, tol: float) -> Verdict:
+    """The `pure-transitivity` check's verdict on its pairs, each pair
+    validated on its own (`pure_inputs_by_pair`) before its map is built."""
+    worst = 0.0
+    for w1, w2 in pairs:
+        where = pure_inputs_by_pair(system, w1, w2, tol)
+        v = axioms._transitivity_map(system, w1, w2, where, tol)
+        if v.status != HOLDS:
+            return v
+        worst = max(worst, v.margin)
+    return Verdict(HOLDS, margin=worst, detail=f"{len(pairs)} pure pairs")
+
+
+def random_ensemble_by_halving(system: System, target, parts: int,
+                               rng) -> list[np.ndarray]:
+    """Random decomposition of target into `parts` cone members: each part
+    but the last halves hi from 1 until rest - hi * cand is a member, one
+    `member` call per halving."""
+    out = []
+    rest = target.copy()
+    for _ in range(parts - 1):
+        cand = system.cone.sample_extremal(rng)
+        cand = cand / max(float(system.unit @ cand), 1e-12)
+        hi = 1.0
+        while hi > 1e-6 and not system.cone.member(rest - hi * cand, 1e-12):
+            hi *= 0.5
+        take = 0.5 * hi * rng.random()
+        out.append(take * cand)
+        rest = rest - take * cand
+    out.append(rest)
+    return out
+
+
+def validate_measurement_by_effect(system: System, effects,
+                                   tol: float = DEFAULT_TOL) -> bool:
+    """`cones.validate_measurement` one effect at a time: two
+    `dual_member` calls and one `e @ w` per base generator each."""
+    if not effects:
+        raise ConeError("empty effect list")
+    effects = [np.asarray(e, dtype=float) for e in effects]
+    states = system.base_generators()
+    for e in effects:
+        if len(e) != system.dim:
+            raise ConeError("effect dimension mismatch")
+        if not (system.cone.dual_member(e, tol)
+                and system.cone.dual_member(system.unit - e, tol)):
+            return False
+        for w in states:
+            v = float(e @ w)
+            if v < -tol or v > 1 + tol:
+                return False
+    total = np.sum(effects, axis=0)
+    return bool(np.max(np.abs(total - system.unit)) <= max(tol, 1e-10))
+
+
+def steer_by_ensemble(comp, wab, ensemble):
+    """`composite.steer` on one ensemble: one `member` call per target, and
+    on an invertible map one inverse, one `inv @ w` per target and
+    `validate_measurement_by_effect`."""
+    wab = np.asarray(wab, dtype=float)
+    cmap = cp.conditioning_map(comp, wab)
+    wb = cp.marginal_of(comp, wab, "B")
+    ens = [np.asarray(w, dtype=float) for w in ensemble]
+    for w in ens:
+        if not comp.factorB.cone.member(w, 1e-8):
+            raise ConeError("ensemble member outside the B cone")
+    if np.max(np.abs(sum(ens) - wb)) > 1e-8:
+        raise ConeError("ensemble does not sum to the B marginal")
+    if comp.dimA == comp.dimB and \
+            np.linalg.matrix_rank(cmap, tol=1e-10) == comp.dimA:
+        inv = np.linalg.inv(cmap)
+        effects = [inv @ w for w in ens]
+        if validate_measurement_by_effect(comp.factorA, effects, 1e-8):
+            return effects
+        return cp.INFEASIBLE
+    for w in ens:
+        sol = np.linalg.lstsq(cmap, w, rcond=None)[0]
+        if np.max(np.abs(cmap @ sol - w)) > 1e-8:
+            return cp.INFEASIBLE
+    raise UnsupportedQuery("singular conditioning map with every target in "
+                           "its range")
+
+
+def steering_check_by_ensemble(comp, wab, tol: float = DEFAULT_TOL,
+                               steer=steer_by_ensemble) -> Verdict:
+    """`composite.steering_order_iso_check`, drawing, steering (with
+    `steer`) and measuring one spot ensemble at a time."""
+    wab = np.asarray(wab, dtype=float)
+    wb = cp.marginal_of(comp, wab, "B")
+    if comp.factorB.cone.margin(wb) <= tol:
+        raise ConeError("steering check requires an interior B marginal")
+    cmap = cp.conditioning_map(comp, wab)
+    rank = int(np.linalg.matrix_rank(cmap, tol=1e-10))
+    if rank < comp.dimA:
+        return Verdict(FAILS, violation={"rank": rank, "needed": comp.dimA},
+                       detail="conditioning map is not injective")
+    verdict = is_order_isomorphism(cmap, comp.factorA.cone,
+                                   comp.factorB.cone, tol)
+    if verdict.status != HOLDS:
+        return verdict
+    rng = np.random.default_rng(cp.SPOT_SEED)
+    worst = 0.0
+    for _ in range(cp.SPOT_ENSEMBLES):
+        ens = random_ensemble_by_halving(comp.factorB, wb, 3, rng)
+        effects = steer(comp, wab, ens)
+        if isinstance(effects, str):
+            return Verdict(FAILS, violation={"ensemble": ens},
+                           detail="spot ensemble not steerable")
+        for e, w in zip(effects, ens):
+            worst = max(worst, float(np.max(np.abs(cmap @ e - w))))
+    return Verdict(
+        HOLDS, witness={"matrix": cmap}, margin=worst,
+        detail="injective conditioning map with interior marginal is an "
+               "order isomorphism; every ensemble of the marginal is "
+               f"steerable (spot-verified on {cp.SPOT_ENSEMBLES} ensembles)")

@@ -41,7 +41,9 @@ def classical_effect_test(system: System, e: np.ndarray,
                           tol: float = 1e-9) -> bool:
     """Does e evaluate to 0 or 1 on every pure state?"""
     e = np.asarray(e, dtype=float)
-    if not system.effect_member(e, max(tol, 1e-8)):
+    slack = max(tol, 1e-8)
+    if not (system.cone.dual_member(e, slack)
+            and system.cone.dual_member(system.unit - e, slack)):
         raise ConeError("effect outside the interval [0, unit]")
     cone = system.cone
     if isinstance(cone, EJACone):

@@ -183,6 +183,37 @@ MUTANTS = (
            "pairs = list(zip(states[:5], states[5:]))",
            ("tests/test_axioms.py::TestPureTransitivity::"
             "test_stacked_pairs_match_sample_oracle",)),
+    Mutant("max-tensor-admits-non-finite", "src/conelab/composite.py",
+           "        if not np.all(np.isfinite(m)):\n",
+           "        if False:\n",
+           ("tests/test_composite.py::test_max_tensor_refuses_non_finite_input",
+            "tests/test_composite.py::"
+            "test_pairing_minimum_draws_its_starts_once")),
+    Mutant("face-probe-negative-control-passes", "src/conelab/cones.py",
+           "    if rank < cone.dim and all(two_sided_probe(cone, x, c, tol)",
+           "    if False and all(two_sided_probe(cone, x, c, tol)",
+           ("tests/test_cones.py::TestFaceProbe::"
+            "test_probe_that_accepts_everything_is_unsupported",)),
+    Mutant("steering-accepts-every-ensemble", "src/conelab/composite.py",
+           "    if not valid.all():\n",
+           "    if False:\n",
+           ("tests/test_composite.py::TestSteeringStack::"
+            "test_forced_infeasible_ensemble_is_named",
+            "tests/test_composite.py::TestSteeringStack::"
+            "test_ensembles_and_steering_match_loops")),
+    Mutant("bisection-takes-last-inside", "src/conelab/composite.py",
+           "np.argmax(inside, axis=1)",
+           "len(halvings) - 1 - np.argmax(inside[:, ::-1], axis=1)",
+           ("tests/test_composite.py::TestSteeringStack::"
+            "test_ensembles_and_steering_match_loops",
+            "tests/test_cli.py::TestOtherCommands::test_steer_json_pinned")),
+    Mutant("first-infeasible-ensemble-off-by-one", "src/conelab/composite.py",
+           "return effects[:np.argmin(valid)]",
+           "return effects[:np.argmin(valid) + 1]",
+           ("tests/test_composite.py::TestSteeringStack::"
+            "test_forced_infeasible_ensemble_is_named",
+            "tests/test_composite.py::TestSteeringStack::"
+            "test_ensembles_and_steering_match_loops")),
     # `_cell` is bisect_left's only caller in classify.py
     Mutant("classify-bisect-right", "src/conelab/classify.py",
            "from bisect import bisect_left",

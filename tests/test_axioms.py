@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
 from conelab.composite import LinearImageCone
-from conelab.cones import (DEFAULT_TOL, ConeError, ConeModel,
+from conelab.cones import (DEFAULT_TOL, ConeError, ConeModel, EJACone,
                           PolyhedralCone, SharedCornerCone, System,
-                          UnsupportedQuery, Verdict, face_dimension,
+                          UnsupportedQuery, face_dimension,
                           is_order_isomorphism)
 from conftest import make_eja_system
 from eja_oracles import (continuous_pt_by_map, first_dual_extremal_outside,
                          homogeneity_margin_by_pairs, pure_pairs_by_sample,
-                         self_dual_by_pair_gather)
+                         pure_transitivity_by_pair, self_dual_by_pair_gather)
 from helpers import (assert_same_verdict, check_positive,
                      classical_effect_test, face_profile_by_sampling,
                      probabilistic_inverse, random_element, random_interior,
@@ -846,8 +846,9 @@ class TestPureTransitivity:
     @pytest.mark.parametrize("seed", [1, 7, 11])
     def test_stacked_pairs_match_sample_oracle(self, seed, monkeypatch):
         # every builtin EJA fixture, qubit + rebit and classical 3 among
-        # them for the summand picks: the check's pairs, in order, and its
-        # verdict are those of ten `sample_pure` draws
+        # them for the summand picks: the check's pairs, in order, are those
+        # of ten `sample_pure` draws, all in its one stacked call, and its
+        # verdict is that of validating and deciding them pair by pair
         witness = axioms.pure_transitivity_witness
         seen = []
         monkeypatch.setattr(
@@ -861,19 +862,56 @@ class TestPureTransitivity:
             v = fixtures._pure_transitivity(fixtures._Inputs(
                 system, DEFAULT_TOL, s, np.random.default_rng(s)))
             pairs = pure_pairs_by_sample(system, np.random.default_rng(s))
-            worst, ref = 0.0, None
-            for w1, w2 in pairs:
-                r = witness(system, w1, w2, DEFAULT_TOL)
-                if r.status != HOLDS:
-                    ref = r
-                    break
-                worst = max(worst, r.margin)
-            ref = ref or Verdict(HOLDS, margin=worst,
-                                 detail=f"{len(pairs)} pure pairs")
-            assert same_bits(seen, pairs[:len(seen)]), spec.name
-            assert_same_verdict(v, ref)
+            stacked = tuple(np.array(side) for side in zip(*pairs))
+            assert same_bits(seen, [stacked]), spec.name
+            assert_same_verdict(
+                v, pure_transitivity_by_pair(system, pairs, DEFAULT_TOL))
             statuses.add(v.status)
         assert statuses == {HOLDS, FAILS}
+
+    def test_check_validates_its_states_once(self, monkeypatch):
+        # all ten states (twelve on a direct sum) take one
+        # `first_non_extremal` call and no per-point membership test
+        stacked = []
+        first = axioms.first_non_extremal
+        monkeypatch.setattr(axioms, "first_non_extremal",
+                            lambda cone, xs, tol: stacked.append(len(xs))
+                            or first(cone, xs, tol))
+        points = []
+        member = EJACone.member
+        monkeypatch.setattr(EJACone, "member",
+                            lambda self, x, tol=DEFAULT_TOL: points.append(x)
+                            or member(self, x, tol))
+        for spec, system in _builtin_eja_systems():
+            stacked.clear()
+            fixtures._pure_transitivity(fixtures._Inputs(
+                system, DEFAULT_TOL, 7, np.random.default_rng(7)))
+            sums = len(system.cone.algebra.summands) > 1
+            assert stacked == [12 if sums else 10], spec.name
+        assert points == []
+
+    def test_invalid_pair_raises_only_after_holding_pairs(self, rng):
+        # qubit + rebit: a cross-summand pair FAILS; a mixed or null state
+        # in a later pair leaves that FAILS, and raises once every pair
+        # before it holds
+        alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],
+                                 eja.real_sym(2).factors[0]])
+        system = make_eja_system(alg)
+        a, b = (system.normalize(alg.random_pure(rng, summand=0))
+                for _ in range(2))
+        rebit = system.normalize(alg.random_pure(rng, summand=1))
+        mixed = system.normalize(alg.embed(0, np.array([1.0, 1.0, 0, 0])))
+        null = np.zeros(alg.dim)
+        for bad in (mixed, null):
+            pairs = [(a, b), (a, rebit), (bad, b)]
+            v = axioms.pure_transitivity_witness(
+                system, *(np.array(side) for side in zip(*pairs)))
+            assert_same_verdict(
+                v, pure_transitivity_by_pair(system, pairs, DEFAULT_TOL))
+            assert v.status == FAILS
+            with pytest.raises(ConeError):
+                axioms.pure_transitivity_witness(
+                    system, np.array([a, bad]), np.array([b, b]))
 
     def test_requires_pure_inputs(self, qubit):
         mixed = np.array([0.5, 0.5, 0.0, 0.0])

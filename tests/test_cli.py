@@ -1,6 +1,8 @@
 """Command-line surface, registry handling, and report stability."""
 
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -26,6 +28,36 @@ WIDER_SEED_7_JSON_SHA256 = (
     "ed7c96d0543a97bfb14b7c410b0e95276dd4f5b5d992fbd947a7ffdd4fd59daf")
 WIDER_SEED_7_TEXT_SHA256 = (
     "4fa3c36a0a114e2d4d27b2fb7cd01d1b90c8bc3e09aad45114e7737c5cdd0a5f")
+
+# sha256 of `conelab steer --format json` by (fixture, --parts, --seed),
+# recorded before the steering spot check steered its ensembles as one
+# stack
+STEER_JSON_SHA256 = {
+    ("two-qubit-hilbert", 1, 3):
+        "5af45e39edc19f92d5e8c0e9d085b80e66615b2e51494f34f5f62c1bbe7e8dcc",
+    ("two-qubit-hilbert", 1, 5):
+        "0f0ac8dd75f5c9d40b5e16956101e7232878c693cd8cffe0f372d94913f51aa3",
+    ("two-qubit-hilbert", 2, 3):
+        "1a7aefca74bcaa9faa0262b9b4b2f531d58152fd2b29bc030fb1173e02d47740",
+    ("two-qubit-hilbert", 2, 5):
+        "d3f4cb5f6ec950524e1c9c3c5558e836acba6bc49f9c503d8c689a2a26bbea80",
+    ("two-qubit-hilbert", 3, 3):
+        "db857a6959c364d55feec9679c63366f57dd00b62133329b3c96e1e564b20573",
+    ("two-qubit-hilbert", 3, 5):
+        "d511323d5c87041283581f52189b02435b317642324c2f12c71453cb6579ad66",
+    ("classical-bit-bit", 1, 3):
+        "544161bb045c688c26e876795c7f679e694c9f11858a7e4e0db389c8599b0a3c",
+    ("classical-bit-bit", 1, 5):
+        "d11fbf1b330e0e7faf3a66d98e8eee73b7b896f69e552cb49e8da3ba6e584eb9",
+    ("classical-bit-bit", 2, 3):
+        "a837bded97c7133ddbc457531d6948416cc12d52d8408cf0095c03be25571f9b",
+    ("classical-bit-bit", 2, 5):
+        "1a7afe5d9aa478f45d3b7fc977948b51c4c028d3fe030040b7b83b112135b2c0",
+    ("classical-bit-bit", 3, 3):
+        "0453cec1c5d834efe21d0605a2ad2a07661f8d8b3c4d68dee55de50ca0cc63dc",
+    ("classical-bit-bit", 3, 5):
+        "82a5a68a6c197ae642481aae43303b568114d72e3454fafc04bb22358981b7e8",
+}
 
 # The benchmark's record of the seed-7 report; read here, owned there.
 BENCHMARK_EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
@@ -508,6 +540,28 @@ class TestOtherCommands:
         obj = json.loads(result.output)
         assert obj["result"] == "measurement"
         assert obj["residual"] < 1e-8
+
+    @pytest.mark.parametrize("fixture,parts,seed", sorted(STEER_JSON_SHA256))
+    def test_steer_json_pinned(self, runner, fixture, parts, seed):
+        result = runner.invoke(main, [
+            "steer", "--fixture", fixture, "--parts", str(parts),
+            "--seed", str(seed), "--format", "json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() \
+            == STEER_JSON_SHA256[fixture, parts, seed]
+
+    def test_invocations_release_their_captured_output(self, runner):
+        # click caches its default stdout wrapper per stream, and the cache
+        # keeps the stream alive: writing to sys.stdout itself leaves no
+        # captured output behind, however many commands run
+        def live_after(n):
+            for _ in range(n):
+                assert runner.invoke(main, ["classify", "--max-rank",
+                                            "2"]).exit_code == 0
+            gc.collect()
+            return sum(isinstance(o, io.BytesIO) for o in gc.get_objects())
+
+        assert live_after(2) == live_after(8)
 
     @pytest.mark.parametrize("parts", ["0", "-3"])
     def test_steer_needs_a_positive_part_count(self, runner, parts):

@@ -13,11 +13,15 @@ from conelab.cones import (DEFAULT_TOL, ConeError, EJACone, PolyhedralCone,
 from conftest import make_eja_system
 from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          pairing_minimum_by_starts,
-                         pure_effect_minimizing_by_point)
-from helpers import product_effect, sample_state
+                         pure_effect_minimizing_by_point,
+                         random_ensemble_by_halving, steer_by_ensemble,
+                         steering_check_by_ensemble)
+from helpers import (assert_same_verdict, product_effect, same_bits,
+                     sample_state)
 from polyhedral_oracles import (extremal_by_lp, pairing_minimum_by_pairs,
                                 pairing_minimum_rebuilding_facets,
                                 steer_by_lp)
+from test_cli import wider_registry
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 # the normalized pure states of the square, and its maximally mixed state
@@ -187,6 +191,136 @@ class TestSteering:
         prod = two_qubit.product_state(pure, pure)
         with pytest.raises(ConeError):
             cp.steering_order_iso_check(two_qubit, prod)
+
+
+def _steering_states(seed: int):
+    """(name, composite, state) for every builtin and wider-registry
+    composite with a canonical self-steering state: that state, and that
+    state mixed with a seeded pure product state."""
+    rng = np.random.default_rng(seed)
+    out, seen = [], set()
+    for specs in (fixtures.builtin_fixtures(), wider_registry()):
+        lookup = {s.name: s for s in specs}
+        for spec in specs:
+            if spec.kind != "composite" or spec.name in seen:
+                continue
+            seen.add(spec.name)
+            comp = fixtures.build_system(spec, lookup)
+            try:
+                w = cp.canonical_self_steering_state(comp)
+            except ConeError:
+                continue
+            product = comp.product_state(comp.factorA.sample_pure(rng),
+                                         comp.factorB.sample_pure(rng))
+            out += [(spec.name, comp, w),
+                    (spec.name, comp, 0.7 * w + 0.3 * product)]
+    return out
+
+
+def _steer_by_loop(comp, w, stack):
+    """`steer` on a stack, from the one-ensemble oracle: the effects of the
+    ensembles before the first infeasible one."""
+    out = []
+    for ens in stack:
+        effects = steer_by_ensemble(comp, w, list(ens))
+        if isinstance(effects, str):
+            break
+        out.append(effects)
+    return np.reshape(out, (len(out),) + stack.shape[1:-1] + (comp.dimA,))
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except ConeError as exc:
+        return type(exc), str(exc)
+
+
+class TestSteeringStack:
+    """The steering spot check draws, steers and validates its ensembles as
+    one stack; the oracles do it one ensemble and one effect at a time."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_check_matches_ensemble_oracle(self, seed):
+        statuses = set()
+        for name, comp, w in _steering_states(seed):
+            v = cp.steering_order_iso_check(comp, w)
+            assert_same_verdict(v, steering_check_by_ensemble(comp, w))
+            statuses.add(v.status)
+        assert statuses == {HOLDS, FAILS}
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_ensembles_and_steering_match_loops(self, seed, parts):
+        answers = set()
+        for name, comp, w in _steering_states(seed):
+            wb = cp.marginal_of(comp, w, "B")
+            stack = cp.random_ensembles(comp.factorB, wb, parts,
+                                        np.random.default_rng(seed), 8)
+            rng = np.random.default_rng(seed)
+            loop = [random_ensemble_by_halving(comp.factorB, wb, parts, rng)
+                    for _ in range(8)]
+            assert same_bits(stack, np.array(loop)), name
+            one = cp.random_ensemble(comp.factorB, wb, parts,
+                                     np.random.default_rng(seed))
+            assert same_bits(one, loop[0]), name
+            effects = cp.steer(comp, w, stack)
+            assert same_bits(effects, _steer_by_loop(comp, w, stack)), name
+            single = cp.steer(comp, w, loop[0])
+            assert same_bits(single, steer_by_ensemble(comp, w, loop[0]))
+            answers.add(len(effects))
+        # one part is the marginal itself, which every state steers
+        assert 8 in answers and (parts == 1 or min(answers) < 8)
+
+    @pytest.mark.parametrize("k", [0, 7, 19])
+    def test_forced_infeasible_ensemble_is_named(self, two_qubit, k,
+                                                 monkeypatch):
+        # ensemble k of the twenty fails validation: the FAILS names it,
+        # as the loop that steers one ensemble at a time does
+        validate = cp.validate_measurement
+
+        def refuse_k(system, effects, tol):
+            valid = validate(system, effects, tol)
+            valid[k] = False
+            return valid
+
+        calls = []
+
+        def steer_refusing_k(comp, wab, ens):
+            calls.append(1)
+            return (cp.INFEASIBLE if len(calls) == k + 1
+                    else steer_by_ensemble(comp, wab, ens))
+
+        monkeypatch.setattr(cp, "validate_measurement", refuse_k)
+        w = cp.canonical_self_steering_state(two_qubit)
+        v = cp.steering_order_iso_check(two_qubit, w)
+        assert v.status == FAILS
+        assert_same_verdict(v, steering_check_by_ensemble(
+            two_qubit, w, steer=steer_refusing_k))
+
+    def test_invalid_ensemble_raises_at_its_turn(self, two_qubit,
+                                                 monkeypatch):
+        # ensemble 2 does not sum to the marginal: it raises once ensembles
+        # 0 and 1 steer, and not after an infeasible ensemble 1
+        w = cp.canonical_self_steering_state(two_qubit)
+        wb = cp.marginal_of(two_qubit, w, "B")
+        stack = cp.random_ensembles(two_qubit.factorB, wb, 3,
+                                    np.random.default_rng(3), 4)
+        stack[2] *= 1.5
+        for head in (stack[:1], stack):
+            assert same_bits(_outcome(cp.steer, two_qubit, w, head),
+                             _outcome(_steer_by_loop, two_qubit, w, head))
+        with pytest.raises(ConeError, match="does not sum"):
+            cp.steer(two_qubit, w, stack)
+        with pytest.raises(ConeError, match="does not sum"):
+            cp.steer(two_qubit, w, stack[2:])
+        validate = cp.validate_measurement
+        monkeypatch.setattr(
+            cp, "validate_measurement",
+            lambda system, effects, tol: validate(system, effects, tol)
+            & (np.arange(len(effects)) != 1))
+        assert len(cp.steer(two_qubit, w, stack)) == 1
 
 
 class TestSteeringLP:

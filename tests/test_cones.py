@@ -14,7 +14,8 @@ from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, UNSUPPORTED, EJACone,
                            two_sided_probe, validate_measurement)
 from conftest import make_eja_system
 from eja_oracles import (first_non_extremal_by_point,
-                         is_order_isomorphism_by_point)
+                         is_order_isomorphism_by_point,
+                         validate_measurement_by_effect)
 from helpers import random_positive
 from polyhedral_oracles import member_by_lp, to_exact_by_fractions
 
@@ -370,6 +371,29 @@ class TestMeasurements:
         bad = np.array([1.5, -0.5, 0.0, 0.0])
         good = np.array([-0.5, 1.5, 0.0, 0.0])
         assert not validate_measurement(qubit, [bad, good])
+
+    def test_stack_matches_effect_loop(self, qubit, rng):
+        # three-outcome measurements t_i * unit moved by perturbations that
+        # sum to zero, or by ones that do not: one stacked call answers each
+        # as the loop over its effects does, on EJA and polyhedral cones
+        bit = make_eja_system(eja.classical(2), "bit")
+        square = System(PolyhedralCone([[1, 1, 0], [0, 1, 1], [-1, 1, 0],
+                                        [0, 1, -1]]), np.array([0.0, 1, 0]))
+        for system in (qubit, bit, square):
+            stack = []
+            for scale in (0.0, 1e-3, 0.2):
+                for closed in (True, False):
+                    t = rng.dirichlet(np.ones(3))
+                    d = scale * rng.standard_normal((3, system.dim))
+                    if closed:
+                        d[2] = -d[0] - d[1]
+                    stack.append(t[:, None] * system.unit + d)
+            stack = np.array(stack)
+            ref = [validate_measurement_by_effect(system, list(m))
+                   for m in stack]
+            assert validate_measurement(system, stack).tolist() == ref
+            assert [validate_measurement(system, m) for m in stack] == ref
+            assert True in ref and False in ref
 
 
 def test_normalize_stack_equals_row_loop(rng):
