@@ -446,36 +446,24 @@ def _in_summand(alg, i: int, m: np.ndarray) -> np.ndarray:
     return full
 
 
-def _pure_inputs(system: System, w1, w2, tol: float):
-    """For a pair of states, or (k, dim) stacks of pairs: the summand index
-    pairs (None off EJA cones) of the leading pairs of pure states, each in
-    one summand, and the ConeError of the first other pair, or None.  One
-    `first_non_extremal` and one `summand_of` call take every state."""
+def _pure_inputs(system: System, w1, w2, tol: float) -> list:
+    """The summand index pair (None off EJA cones) of a pair of states, or
+    of each pair of (k, dim) stacks.  Raises ConeError unless every state
+    is pure and in one summand; one `first_non_extremal` and one
+    `summand_of` call take every state."""
     # w1[0], w2[0], w1[1], ...: the rows of the pairs in turn
     states = np.array([w1, w2], dtype=float).swapaxes(0, -2)
     states = states.reshape(-1, states.shape[-1])
     cone = system.cone
-    try:
-        lost = first_non_extremal(cone, states, tol)
-    except ValueError as exc:
-        # a state raised: test pair by pair, so that it raises at its turn
-        if len(states) == 2:
-            return [], exc
-        found = []
-        for pair in zip(states[0::2], states[1::2]):
-            where, error = _pure_inputs(system, *pair, tol)
-            found += where
-            if error:
-                break
-        return found, error
-    pure = len(states) // 2 if lost is None else lost // 2
-    where = [None] * pure
-    if isinstance(cone, EJACone):
-        where = cone.algebra.summand_of(states[:2 * pure])
-        where = list(zip(where[0::2], where[1::2]))
-        pure = next((k for k, p in enumerate(where) if None in p), pure)
-    return where[:pure], None if 2 * pure == len(states) else ConeError(
-        "transitivity checks need pure states, each in a single summand")
+    where = [None] * len(states)
+    pure = first_non_extremal(cone, states, tol) is None
+    if pure and isinstance(cone, EJACone):
+        where = cone.algebra.summand_of(states)
+        pure = None not in where
+    if not pure:
+        raise ConeError("transitivity checks need pure states, each in a "
+                        "single summand")
+    return list(zip(where[0::2], where[1::2]))
 
 
 def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
@@ -483,17 +471,16 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
     """Normalized order isomorphism carrying pure w1 to pure w2, or an
     automorphism-invariant reason none exists.  For (k, dim) stacks of
     pairs: the verdict of the first pair that does not hold, else HOLDS with
-    the maps and the largest residual; an invalid pair raises at its turn."""
+    the maps and the largest residual.  An invalid state anywhere raises
+    ConeError before any map is built."""
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    where, error = _pure_inputs(system, w1, w2, tol)
     held = []
-    for a, b, pair in zip(np.atleast_2d(w1), np.atleast_2d(w2), where):
+    for a, b, pair in zip(np.atleast_2d(w1), np.atleast_2d(w2),
+                          _pure_inputs(system, w1, w2, tol)):
         v = _transitivity_map(system, a, b, pair, tol)
         if v.status != HOLDS:
             return v
         held.append(v)
-    if error:
-        raise error
     if w1.ndim == 1:
         return held[0]
     return Verdict(HOLDS, witness=[v.witness for v in held],
@@ -522,8 +509,8 @@ def _transitivity_map(system: System, w1: np.ndarray, w2: np.ndarray, where,
         # the identity's product would turn w1's -0.0 entries into 0.0
         moved = w1 if i1 == i2 else swap @ w1
         sl = alg.summands[i2].sl
-        rot = f2.rotation_generator(moved[sl], w2[sl])
-        phi = _in_summand(alg, i2, rot(1.0)) @ swap
+        [rot] = f2.rotation_maps(moved[sl], w2[sl], [1.0])
+        phi = _in_summand(alg, i2, rot) @ swap
         if not np.all(np.isfinite(phi)):
             return Verdict(INCONCLUSIVE,
                            detail="constructed map is not finite")
@@ -564,20 +551,15 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
         raise UnsupportedQuery("continuous pure transitivity checker needs "
                                "an EJA system")
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    where, error = _pure_inputs(system, w1, w2, tol)
-    if error:
-        raise error
-    [(i1, i2)] = where
+    [(i1, i2)] = _pure_inputs(system, w1, w2, tol)
     if i1 != i2:
         return Verdict(FAILS, violation={"summands": (i1, i2)},
                        detail="pure states of distinct summands lie in "
                               "subspaces intersecting only in {0}")
     alg = cone.algebra
     sl = alg.summands[i1].sl
-    rot = alg.summands[i1].factor.rotation_generator(w1[sl], w2[sl])
-    # the PATH_STEPS + 1 maps as one (PATH_STEPS + 1, dim, dim) stack
-    maps = _in_summand(alg, i1, np.array([rot(k / PATH_STEPS)
-                                          for k in range(PATH_STEPS + 1)]))
+    maps = _in_summand(alg, i1, alg.summands[i1].factor.rotation_maps(
+        w1[sl], w2[sl], [k / PATH_STEPS for k in range(PATH_STEPS + 1)]))
     finite = np.all(np.isfinite(maps), axis=(-2, -1))
     if not finite.all():
         k = int(np.argmin(finite))

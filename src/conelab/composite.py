@@ -287,33 +287,29 @@ def steer(comp: CompositeSystem, wab: np.ndarray, ensemble):
     """Measurement on A whose conditional states realize the ensemble, or
     the string 'infeasible' when none exists; for an (n, parts, dimB) stack,
     the (m, parts, dimA) stack of the measurements of the first m
-    ensembles, m < n naming the first infeasible one.
+    ensembles, m < n naming the first infeasible one.  An ensemble off the
+    B cone or the B marginal anywhere raises ConeError before any steers.
 
     An invertible conditioning map leaves one candidate effect per target,
     its preimage: the answer is that measurement, or 'infeasible' when it
     fails `validate_measurement` (one call for a stack).  A singular map is
     answered 'infeasible' when some target lies off its range (least-squares
-    residual above 1e-8), else UnsupportedQuery.  An ensemble off the B cone
-    or the B marginal raises ConeError once those before it have steered."""
+    residual above 1e-8), else UnsupportedQuery."""
     ens = np.asarray(ensemble, dtype=float)
     if ens.ndim != 3:
         effects = steer(comp, wab, np.reshape(ens, (1, len(ens), comp.dimB)))
         return list(effects[0]) if len(effects) else INFEASIBLE
-    cmap = conditioning_map(comp, wab)
     inside = comp.factorB.cone.members(ens.reshape(-1, comp.dimB), 1e-8)
-    outside = ~inside.reshape(ens.shape[:2]).all(axis=1)
+    if not inside.all():
+        raise ConeError("ensemble member outside the B cone")
     wb = marginal_of(comp, wab, "B")
-    bad = outside | (np.max(np.abs(np.sum(ens, axis=1) - wb), axis=-1) > 1e-8)
-    n = int(np.argmax(bad)) if bad.any() else len(ens)
-    if n < len(ens):
-        error = ConeError("ensemble member outside the B cone" if outside[n]
-                          else "ensemble does not sum to the B marginal")
-        if n == 0:
-            raise error
+    if np.max(np.abs(np.sum(ens, axis=1) - wb)) > 1e-8:
+        raise ConeError("ensemble does not sum to the B marginal")
+    cmap = conditioning_map(comp, wab)
     if comp.dimA != comp.dimB or \
             np.linalg.matrix_rank(cmap, tol=1e-10) < comp.dimA:
         # range certificate: a target off the image has no preimage at all,
-        # so the first ensemble is infeasible or raises
+        # so the first ensemble is infeasible
         for w in ens[0]:
             sol = np.linalg.lstsq(cmap, w, rcond=None)[0]
             if np.max(np.abs(cmap @ sol - w)) > 1e-8:
@@ -321,13 +317,9 @@ def steer(comp: CompositeSystem, wab: np.ndarray, ensemble):
         raise UnsupportedQuery("singular conditioning map with every target "
                                "in its range")
     # one matrix-vector product per target, as in inv @ w for one
-    effects = (np.linalg.inv(cmap) @ ens[:n, ..., None])[..., 0]
+    effects = (np.linalg.inv(cmap) @ ens[..., None])[..., 0]
     valid = validate_measurement(comp.factorA, effects, 1e-8)
-    if not valid.all():
-        return effects[:np.argmin(valid)]
-    if n < len(ens):
-        raise error
-    return effects
+    return effects if valid.all() else effects[:np.argmin(valid)]
 
 
 # ensembles a steering verdict spot-verifies, and the seed that draws them

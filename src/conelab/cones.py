@@ -24,6 +24,7 @@ import numpy as np
 
 from . import exact
 from .eja import JordanAlgebra, _norms
+from .exact import ConeError, UnsupportedQuery
 
 DEFAULT_TOL = 1e-9
 # sampled extremals per side of a positivity or order-isomorphism check,
@@ -36,14 +37,6 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 UNSUPPORTED = "unsupported"
-
-
-class ConeError(ValueError):
-    pass
-
-
-class UnsupportedQuery(ConeError):
-    """A query this cone variant has no sound procedure for."""
 
 
 class ConeModel:
@@ -438,26 +431,17 @@ def is_extremal_ray(cone: ConeModel, x: np.ndarray,
 def first_non_extremal(cone: ConeModel, xs: np.ndarray,
                        tol: float = DEFAULT_TOL) -> int | None:
     """The index of the first row of a (k, dim) stack that `is_extremal_ray`
-    rejects, or None; a row it raises on raises here at its turn.
-
-    Other cones call `is_extremal_ray` row by row.  An EJA cone tests the
-    rows before the first null or non-finite one with one stacked
-    eigenvalue call; each row's null-ray guard has the bits of the 1-D
-    `np.linalg.norm` (`eja._norms`)."""
+    rejects, or None; a null or non-finite row anywhere raises ConeError
+    first (null guard: `eja._norms`, the bits of the 1-D `np.linalg.norm`).
+    An EJA cone tests every row with one stacked eigenvalue call."""
     xs = np.asarray(xs, dtype=float)
+    if not (np.isfinite(xs).all() and (_norms(xs) >= tol).all()):
+        raise ConeError("the null ray and non-finite elements are excluded")
     if not isinstance(cone, EJACone):
         return next((k for k, x in enumerate(xs)
                      if not is_extremal_ray(cone, x, tol)), None)
-    norms = _norms(xs)
-    finite = np.isfinite(xs).all(axis=-1)
-    stop = next((k for k in range(len(xs))
-                 if norms[k] < tol or not finite[k]), len(xs))
-    rejected = np.flatnonzero(~_eja_extremal_rows(cone, xs[:stop], tol))
-    if rejected.size:
-        return int(rejected[0])
-    if stop < len(xs):
-        is_extremal_ray(cone, xs[stop], tol)  # raises as the loop would
-    return None
+    rejected = np.flatnonzero(~_eja_extremal_rows(cone, xs, tol))
+    return int(rejected[0]) if rejected.size else None
 
 
 @dataclass

@@ -354,52 +354,51 @@ class SimpleFactor:
     # -- automorphisms -----------------------------------------------------
 
     def conjugation_matrix(self, u: np.ndarray) -> np.ndarray:
-        """Coordinate matrix of X -> U X U^dagger for a unitary U."""
+        """Coordinate matrices of X -> U X U^dagger, a (k, dim, dim) stack
+        for a (k, side, side) stack of unitaries U."""
+        images = u[:, None] @ self._basis @ u.conj().swapaxes(-1, -2)[:, None]
         return np.ascontiguousarray(
-            self.from_matrix(u @ self._basis @ u.conj().T).T)
+            self.from_matrix(images).swapaxes(-1, -2))
 
-    def rotation_generator(self, w1: np.ndarray, w2: np.ndarray):
-        """Data for the one-parameter automorphism family carrying the pure
-        state w1 to w2; returns a callable t -> coordinate matrix (t in [0,1]).
-        """
+    def rotation_maps(self, w1: np.ndarray, w2: np.ndarray,
+                      ts) -> np.ndarray:
+        """Coordinate matrices of the one-parameter automorphism family
+        carrying the pure state w1 to w2, at each t of `ts` (t in [0, 1]),
+        as a (len(ts), dim, dim) stack: the automorphisms of the unitaries
+        u(t) = I + (cos t theta - 1)(PP* + WW*) + sin t theta (WP* - PW*),
+        theta = acos(cos), which turn p's columns toward q's and fix the
+        rest.  p and q are unit spin axes, top eigenvectors or quaternionic
+        line isometries, aligned so that p* q = cos.  A matrix family
+        conjugates by u(t); a spin factor turns its spatial block by u(t).
+        Only spin axes can be antipodal: W then comes from
+        `_orthogonal_unit`, in complex arithmetic, which fixes its bits.
+        Each map has the bits of one built for its t alone."""
         if self.family == SPIN:
             x1 = w1[1:] / np.linalg.norm(w1[1:])
             x2 = w2[1:] / np.linalg.norm(w2[1:])
-            return self._plane_rotation(x1[:, None], x2[:, None],
-                                        float(np.clip(x1 @ x2, -1.0, 1.0)))
-        if self.family == QUAT:
+            p, q = x1[:, None], x2[:, None]
+            cos = float(np.clip(x1 @ x2, -1.0, 1.0))
+        elif self.family == QUAT:
             p = self._pair_isometry(w1)
             q = self._pair_isometry(w2)
             lam = p.conj().T @ q            # 2x2 image of the quaternion <p,q>
             norm = math.sqrt(max(float(np.trace(lam.conj().T @ lam).real) / 2.0, 0.0))
+            cos = 0.0
             if norm > 1e-12:
                 q = q @ (lam.conj().T / norm)   # right unit-quaternion phase
                 cos = min(norm, 1.0)
-            else:
-                cos = 0.0
-            return self._plane_rotation(p, q, cos)
-        # real / complex: rank-1 projectors, rotate the top eigenvector
-        v1 = self._top_vector(w1)
-        v2 = self._top_vector(w2)
-        ip = v1.conj() @ v2
-        if abs(ip) > 1e-12:     # align the phase (real: the sign) of v2
-            v2 = v2 * (ip.conjugate() / abs(ip))
+        else:
+            # real / complex: rank-1 projectors, rotate the top eigenvector
+            v1 = self._top_vector(w1)
+            v2 = self._top_vector(w2)
             ip = v1.conj() @ v2
-        # aligned, so cos >= -1e-12 and v2 - cos v1 is not null
-        return self._plane_rotation(v1[:, None], v2[:, None],
-                                    min(ip.real, 1.0))
-
-    def _plane_rotation(self, p: np.ndarray, q: np.ndarray, cos: float):
-        """t -> coordinate matrix of the automorphism of the unitary
-        u(t) = I + (cos t theta - 1)(PP* + WW*) + sin t theta (WP* - PW*),
-        theta = acos(cos), which turns p's columns toward q's and fixes the
-        rest.  p and q are (n, 1) unit columns or (side, 2) quaternionic
-        line isometries, aligned so that p* q = cos.  A matrix family
-        conjugates by u(t); a spin factor turns its spatial block by u(t).
-        Only spin axes can be antipodal: W then comes from
-        `_orthogonal_unit`, in complex arithmetic, which fixes its bits."""
+            if abs(ip) > 1e-12:     # align the phase (real: the sign) of v2
+                v2 = v2 * (ip.conjugate() / abs(ip))
+                ip = v1.conj() @ v2
+            # aligned, so cos >= -1e-12 and v2 - cos v1 is not null
+            p, q, cos = v1[:, None], v2[:, None], min(ip.real, 1.0)
         if cos > 1.0 - 1e-14:
-            return lambda t: np.eye(self.dim)
+            return np.tile(np.eye(self.dim), (len(ts), 1, 1))
         if cos < -1.0 + 1e-14:
             x = p[:, 0]
             aux = _orthogonal_unit(x.astype(complex)).real
@@ -408,21 +407,17 @@ class SimpleFactor:
             w = q - cos * p
         w = w / np.linalg.norm(w[:, 0])
         theta = math.acos(cos)
-        # the plane's projector and the rotation's generator, formed once
         plane = _adjoint_product(p, p) + _adjoint_product(w, w)
         gen = _adjoint_product(w, p) - _adjoint_product(p, w)
-        eye = np.eye(len(p), dtype=p.dtype)
-
-        def uni(t):
-            c, s = math.cos(t * theta), math.sin(t * theta)
-            u = eye + (c - 1.0) * plane + s * gen
-            if self.family != SPIN:
-                return self.conjugation_matrix(u)
-            out = np.eye(self.dim)
-            out[1:, 1:] = u
-            return out
-
-        return uni
+        c, s = np.array([(math.cos(t * theta), math.sin(t * theta))
+                         for t in ts]).T[:, :, None, None]
+        u = np.eye(len(p), dtype=p.dtype) + (c - 1.0) * plane + s * gen
+        if self.family != SPIN:
+            return self.conjugation_matrix(u)
+        out = np.zeros((len(ts), self.dim, self.dim))
+        out[:, 0, 0] = 1.0
+        out[:, 1:, 1:] = u
+        return out
 
     def _top_vector(self, w: np.ndarray) -> np.ndarray:
         return self._eigh(w)[1][:, -1]

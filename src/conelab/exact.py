@@ -47,6 +47,19 @@ from typing import Iterable, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
+# most partial generators a facet enumeration cut may leave: every cone in
+# the registries, tests and benchmark peaks at 672 or fewer (the lattice
+# hexagon squared); min(min(square, square), square) passes 1 874
+FACET_WORK_BOUND = 1000
+
+
+# here so that facet enumeration can refuse work; `cones` re-exports both
+class ConeError(ValueError):
+    pass
+
+
+class UnsupportedQuery(ConeError):
+    """A query this cone variant has no sound procedure for."""
 
 
 def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -423,7 +436,8 @@ class PolyhedralData:
 
         Facets are ordered by the pivot columns of the matrix whose columns
         are their tight rays in index order: the lexicographically smallest
-        independent (d-1)-subset of those rays.
+        independent (d-1)-subset of those rays.  A cut that leaves more than
+        FACET_WORK_BOUND partial generators raises UnsupportedQuery.
         """
         if self._facets is not None:
             return self._facets
@@ -436,7 +450,8 @@ class PolyhedralData:
         start_mask = sum(1 << i for i in start)
         gens = [(_coprime_integers(g), start_mask & ~(1 << start[c]))
                 for c, g in enumerate(dual)]
-        for i in (j for j in range(len(rays)) if j not in start):
+        cuts = [j for j in range(len(rays)) if j not in start]
+        for done, i in enumerate(cuts, 1):
             bit = 1 << i
             vals = [_dot(rays[i], y) for y, _ in gens]
             pos = [k for k, v in enumerate(vals) if v > 0]
@@ -454,6 +469,10 @@ class PolyhedralData:
                          for a, b in zip(gens[p][0], gens[n][0])]
                     nxt.append((_coprime_integers(y), common | bit))
             gens = nxt
+            if len(gens) > FACET_WORK_BOUND:
+                raise UnsupportedQuery(
+                    f"facet enumeration passed {FACET_WORK_BOUND} partial "
+                    f"generators after {done} of {len(cuts)} cuts")
 
         def first_subset(mask: int) -> list[int]:
             tight = [i for i in range(len(rays)) if mask >> i & 1]

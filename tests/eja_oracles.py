@@ -19,8 +19,10 @@ spin factor's spatial axes by their own formula.  The sampled
 self-duality check reads its pairs in place from one symmetric Gram
 matrix, here gathered through `np.triu_indices`; the `pure-transitivity`
 check draws and normalizes its ten states as one stack, here one
-`sample_pure` at a time; and a continuous path's maps form one stack,
-here built, tested and checked for the unit one map at a time.  The
+`sample_pure` at a time; a rotation's maps come as one stack over t,
+here from a closure called once per t (`rotation_by_closure`); and a
+continuous path's maps form one stack, here built, tested and checked for
+the unit one map at a time.  The
 steering check draws, steers and validates its spot ensembles as one
 stack, here one halving loop, one `steer` and one effect at a time
 (`steering_check_by_ensemble`); and the `pure-transitivity` check
@@ -45,7 +47,7 @@ from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, INCONCLUSIVE,
                            UnsupportedQuery, Verdict, first_non_extremal,
                            is_order_isomorphism)
 from conelab.eja import (_Q_UNITS, COMPLEX, QUAT, REAL, SPIN, JordanAlgebra,
-                         SimpleFactor, _orthogonal_unit)
+                         SimpleFactor, _adjoint_product, _orthogonal_unit)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -223,6 +225,61 @@ def spin_rotation_by_axes(dim: int, x1: np.ndarray, x2: np.ndarray,
     out = np.eye(dim)
     out[1:, 1:] = rot
     return out
+
+
+def rotation_by_closure(factor: SimpleFactor, w1: np.ndarray,
+                        w2: np.ndarray):
+    """`SimpleFactor.rotation_maps` as a callable t -> coordinate matrix:
+    the plane's projector and the rotation's generator formed once, then
+    per t one unitary, conjugated on its own (a spin factor's spatial
+    block set in a fresh identity)."""
+    if factor.family == SPIN:
+        x1 = w1[1:] / np.linalg.norm(w1[1:])
+        x2 = w2[1:] / np.linalg.norm(w2[1:])
+        p, q = x1[:, None], x2[:, None]
+        cos = float(np.clip(x1 @ x2, -1.0, 1.0))
+    elif factor.family == QUAT:
+        p = factor._pair_isometry(w1)
+        q = factor._pair_isometry(w2)
+        lam = p.conj().T @ q
+        norm = math.sqrt(max(float(np.trace(lam.conj().T @ lam).real) / 2.0,
+                             0.0))
+        cos = 0.0
+        if norm > 1e-12:
+            q = q @ (lam.conj().T / norm)
+            cos = min(norm, 1.0)
+    else:
+        v1, v2 = factor._top_vector(w1), factor._top_vector(w2)
+        ip = v1.conj() @ v2
+        if abs(ip) > 1e-12:
+            v2 = v2 * (ip.conjugate() / abs(ip))
+            ip = v1.conj() @ v2
+        p, q, cos = v1[:, None], v2[:, None], min(ip.real, 1.0)
+    if cos > 1.0 - 1e-14:
+        return lambda t: np.eye(factor.dim)
+    if cos < -1.0 + 1e-14:
+        x = p[:, 0]
+        aux = _orthogonal_unit(x.astype(complex)).real
+        w = (aux - (x @ aux) * x)[:, None]
+    else:
+        w = q - cos * p
+    w = w / np.linalg.norm(w[:, 0])
+    theta = math.acos(cos)
+    plane = _adjoint_product(p, p) + _adjoint_product(w, w)
+    gen = _adjoint_product(w, p) - _adjoint_product(p, w)
+    eye = np.eye(len(p), dtype=p.dtype)
+
+    def uni(t):
+        c, s = math.cos(t * theta), math.sin(t * theta)
+        u = eye + (c - 1.0) * plane + s * gen
+        if factor.family != SPIN:
+            return np.ascontiguousarray(
+                factor.from_matrix(u @ factor._basis @ u.conj().T).T)
+        out = np.eye(factor.dim)
+        out[1:, 1:] = u
+        return out
+
+    return uni
 
 
 def quadratic_rep_by_columns(alg: JordanAlgebra, a: np.ndarray) -> np.ndarray:
@@ -416,7 +473,7 @@ def continuous_pt_by_map(system: System, w1, w2, tol: float) -> Verdict:
     alg = system.cone.algebra
     i = alg.summand_of(w1)
     sl = alg.summands[i].sl
-    rot = alg.summands[i].factor.rotation_generator(w1[sl], w2[sl])
+    rot = rotation_by_closure(alg.summands[i].factor, w1[sl], w2[sl])
     maps = []
     for k in range(axioms.PATH_STEPS + 1):
         full = np.eye(alg.dim)

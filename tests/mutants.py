@@ -195,8 +195,8 @@ MUTANTS = (
            ("tests/test_cones.py::TestFaceProbe::"
             "test_probe_that_accepts_everything_is_unsupported",)),
     Mutant("steering-accepts-every-ensemble", "src/conelab/composite.py",
-           "    if not valid.all():\n",
-           "    if False:\n",
+           "return effects if valid.all() else",
+           "return effects if True else",
            ("tests/test_composite.py::TestSteeringStack::"
             "test_forced_infeasible_ensemble_is_named",
             "tests/test_composite.py::TestSteeringStack::"
@@ -208,12 +208,23 @@ MUTANTS = (
             "test_ensembles_and_steering_match_loops",
             "tests/test_cli.py::TestOtherCommands::test_steer_json_pinned")),
     Mutant("first-infeasible-ensemble-off-by-one", "src/conelab/composite.py",
-           "return effects[:np.argmin(valid)]",
-           "return effects[:np.argmin(valid) + 1]",
+           "effects[:np.argmin(valid)]",
+           "effects[:np.argmin(valid) + 1]",
            ("tests/test_composite.py::TestSteeringStack::"
             "test_forced_infeasible_ensemble_is_named",
             "tests/test_composite.py::TestSteeringStack::"
             "test_ensembles_and_steering_match_loops")),
+    Mutant("random-pures-drops-summand-pick", "src/conelab/eja.py",
+           "picks[k] = rng.integers(len(self.summands))",
+           "picks[k] = k % len(self.summands)",
+           ("tests/test_eja.py::test_stacked_pures_equal_sample_by_sample",
+            "tests/test_cli.py::TestCheckCommand::"
+            "test_builtin_report_digest_pinned")),
+    Mutant("facet-bound-never-refuses", "src/conelab/exact.py",
+           "if len(gens) > FACET_WORK_BOUND:",
+           "if False:",
+           ("tests/test_cli.py::TestCheckCommand::"
+            "test_nested_min_composite_is_refused_in_time",)),
     # `_cell` is bisect_left's only caller in classify.py
     Mutant("classify-bisect-right", "src/conelab/classify.py",
            "from bisect import bisect_left",

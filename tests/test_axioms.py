@@ -826,13 +826,12 @@ class TestPureTransitivity:
                                                      monkeypatch):
         # a NaN map is a failed construction named as such, not a map
         # that misses w2 by a NaN residual
-        generator = eja.SimpleFactor.rotation_generator
+        rotation_maps = eja.SimpleFactor.rotation_maps
 
-        def broken(self, w1, w2):
-            rot = generator(self, w1, w2)
-            return lambda t: rot(t) * np.nan
+        def broken(self, w1, w2, ts):
+            return rotation_maps(self, w1, w2, ts) * np.nan
 
-        monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", broken)
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_maps", broken)
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
         v = axioms.pure_transitivity_witness(qubit, w1, w2)
         assert v.status == INCONCLUSIVE
@@ -890,10 +889,16 @@ class TestPureTransitivity:
             assert stacked == [12 if sums else 10], spec.name
         assert points == []
 
-    def test_invalid_pair_raises_only_after_holding_pairs(self, rng):
-        # qubit + rebit: a cross-summand pair FAILS; a mixed or null state
-        # in a later pair leaves that FAILS, and raises once every pair
-        # before it holds
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_invalid_state_raises_before_any_map(self, at, rng, monkeypatch):
+        # qubit + rebit: a mixed, null or non-finite state in any pair
+        # raises ConeError before any map is built, also after a pair that
+        # holds and a cross-summand pair that FAILS
+        built = []
+        rotation_maps = eja.SimpleFactor.rotation_maps
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_maps",
+                            lambda self, *args: built.append(args)
+                            or rotation_maps(self, *args))
         alg = eja.JordanAlgebra([eja.complex_herm(2).factors[0],
                                  eja.real_sym(2).factors[0]])
         system = make_eja_system(alg)
@@ -901,17 +906,18 @@ class TestPureTransitivity:
                 for _ in range(2))
         rebit = system.normalize(alg.random_pure(rng, summand=1))
         mixed = system.normalize(alg.embed(0, np.array([1.0, 1.0, 0, 0])))
-        null = np.zeros(alg.dim)
-        for bad in (mixed, null):
-            pairs = [(a, b), (a, rebit), (bad, b)]
-            v = axioms.pure_transitivity_witness(
-                system, *(np.array(side) for side in zip(*pairs)))
-            assert_same_verdict(
-                v, pure_transitivity_by_pair(system, pairs, DEFAULT_TOL))
-            assert v.status == FAILS
+        pairs = [(a, b), (a, rebit), (b, a)]
+        w1, w2 = (np.array(side) for side in zip(*pairs))
+        assert axioms.pure_transitivity_witness(system, w1, w2).status \
+            == FAILS
+        for bad in (mixed, np.zeros(alg.dim), np.full(alg.dim, np.nan)):
+            built.clear()
+            w1[at] = bad
             with pytest.raises(ConeError):
-                axioms.pure_transitivity_witness(
-                    system, np.array([a, bad]), np.array([b, b]))
+                axioms.pure_transitivity_witness(system, w1, w2)
+            with pytest.raises(ConeError):
+                axioms.continuous_pure_transitivity(system, bad, b)
+            assert built == []
 
     def test_requires_pure_inputs(self, qubit):
         mixed = np.array([0.5, 0.5, 0.0, 0.0])
@@ -940,19 +946,19 @@ def _faulty_rotations(monkeypatch, fault):
     """Patch every rotation: scaled by 1.01 (misses w2 and moves the unit),
     the identity (misses w2 only) or plus a rank-one term that kills w1 but
     moves the unit."""
-    generator = eja.SimpleFactor.rotation_generator
+    rotation_maps = eja.SimpleFactor.rotation_maps
 
-    def faulty(self, w1, w2):
-        rot = generator(self, w1, w2)
+    def faulty(self, w1, w2, ts):
+        maps = rotation_maps(self, w1, w2, ts)
         if fault == "scaled":
-            return lambda t: 1.01 * rot(t)
+            return 1.01 * maps
         if fault == "identity":
-            return lambda t: np.eye(self.dim)
+            return np.tile(np.eye(self.dim), (len(ts), 1, 1))
         u = self.trace_functional()
         b = u - (u @ w1) / (w1 @ w1) * w1
-        return lambda t: rot(t) + 1e-3 * np.outer(u, b)
+        return maps + 1e-3 * np.outer(u, b)
 
-    monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", faulty)
+    monkeypatch.setattr(eja.SimpleFactor, "rotation_maps", faulty)
 
 
 @pytest.mark.parametrize("fault", ["scaled", "identity", "unit"])
@@ -1024,14 +1030,14 @@ class TestContinuousPureTransitivity:
                                                           monkeypatch):
         # the maps from t = 1/4 to t = 3/4 carry w1 to the unit, which is
         # not pure: the verdict names t = 1/4, not a later step
-        generator = eja.SimpleFactor.rotation_generator
+        rotation_maps = eja.SimpleFactor.rotation_maps
 
-        def lossy(self, w1, w2):
-            rot = generator(self, w1, w2)
+        def lossy(self, w1, w2, ts):
             to_unit = np.outer(self.unit(), w1) / (w1 @ w1)
-            return lambda t: to_unit if 0.25 <= t <= 0.75 else rot(t)
+            return np.array([to_unit if 0.25 <= t <= 0.75 else m for m, t
+                             in zip(rotation_maps(self, w1, w2, ts), ts)])
 
-        monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", lossy)
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_maps", lossy)
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
         v = axioms.continuous_pure_transitivity(qubit, w1, w2)
         assert v.status == INCONCLUSIVE
@@ -1041,13 +1047,14 @@ class TestContinuousPureTransitivity:
                                                       monkeypatch):
         # maps that are NaN for t in (0.4, 0.6) are a failed construction
         # named at their first step, t = 7/16, not an error
-        generator = eja.SimpleFactor.rotation_generator
+        rotation_maps = eja.SimpleFactor.rotation_maps
 
-        def broken(self, w1, w2):
-            rot = generator(self, w1, w2)
-            return lambda t: rot(t) * (np.nan if 0.4 < t < 0.6 else 1.0)
+        def broken(self, w1, w2, ts):
+            scale = [np.nan if 0.4 < t < 0.6 else 1.0 for t in ts]
+            return rotation_maps(self, w1, w2, ts) * np.array(scale)[:, None,
+                                                                      None]
 
-        monkeypatch.setattr(eja.SimpleFactor, "rotation_generator", broken)
+        monkeypatch.setattr(eja.SimpleFactor, "rotation_maps", broken)
         w1, w2 = qubit.sample_pure(rng), qubit.sample_pure(rng)
         v = axioms.continuous_pure_transitivity(qubit, w1, w2)
         assert v.status == INCONCLUSIVE

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conelab import axioms, classify, fixtures
+from conelab import axioms, classify, exact, fixtures
 from conelab.cli import main
 from conelab.cones import ConeError
 
@@ -490,6 +490,34 @@ class TestCheckCommand:
         report = json.loads(result.output)
         assert all("elapsed_s" in f for f in report["fixtures"])
 
+
+    def test_nested_min_composite_is_refused_in_time(self, tmp_path):
+        # min(min(square, square), square) has the 53 856 facets of the
+        # tripartite no-signalling polytope: its self-dual check must be
+        # UNSUPPORTED at the facet bound, in a subprocess that a mutant
+        # without the bound cannot hang
+        square = {"generators": [[1, 1, 0], [0, 1, 1], [-1, 1, 0],
+                                 [0, 1, -1]], "unit": ["0", "1", "0"]}
+        reg = tmp_path / "nested.json"
+        reg.write_text(json.dumps({"fixtures": [
+            {"name": "square", "kind": "polyhedral", "params": square},
+            {"name": "mss", "kind": "composite", "params": {
+                "factorA": "square", "factorB": "square", "model": "min"}},
+            {"name": "msss", "kind": "composite", "params": {
+                "factorA": "mss", "factorB": "square", "model": "min"}}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conelab.cli", "check", "--registry",
+             str(reg), "--checks", "self-dual", "--timings"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        fixtures_out = json.loads(proc.stdout)["fixtures"]
+        assert sum(f["elapsed_s"] for f in fixtures_out) < 2.0
+        [record] = fixtures_out[-1]["checks"]
+        assert record["status"] == "unsupported"
+        assert record["detail"].startswith(
+            f"facet enumeration passed {exact.FACET_WORK_BOUND} partial "
+            "generators after ")
 
 class TestOtherCommands:
     def test_fixtures_dump(self, runner):

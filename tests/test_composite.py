@@ -229,14 +229,6 @@ def _steer_by_loop(comp, w, stack):
     return np.reshape(out, (len(out),) + stack.shape[1:-1] + (comp.dimA,))
 
 
-def _outcome(call, *args):
-    """The value of call(*args), or the type and text of what it raised."""
-    try:
-        return call(*args)
-    except ConeError as exc:
-        return type(exc), str(exc)
-
-
 class TestSteeringStack:
     """The steering spot check draws, steers and validates its ensembles as
     one stack; the oracles do it one ensemble and one effect at a time."""
@@ -299,28 +291,38 @@ class TestSteeringStack:
         assert_same_verdict(v, steering_check_by_ensemble(
             two_qubit, w, steer=steer_refusing_k))
 
-    def test_invalid_ensemble_raises_at_its_turn(self, two_qubit,
-                                                 monkeypatch):
-        # ensemble 2 does not sum to the marginal: it raises once ensembles
-        # 0 and 1 steer, and not after an infeasible ensemble 1
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    @pytest.mark.parametrize("fault", ["does not sum", "outside"])
+    def test_invalid_ensemble_raises_before_any_is_steered(
+            self, two_qubit, k, fault, monkeypatch):
+        # ensemble k leaves the marginal or the B cone: the stack raises
+        # before any effect is validated, also when ensemble 1 is
+        # infeasible
         w = cp.canonical_self_steering_state(two_qubit)
         wb = cp.marginal_of(two_qubit, w, "B")
         stack = cp.random_ensembles(two_qubit.factorB, wb, 3,
                                     np.random.default_rng(3), 4)
-        stack[2] *= 1.5
-        for head in (stack[:1], stack):
-            assert same_bits(_outcome(cp.steer, two_qubit, w, head),
-                             _outcome(_steer_by_loop, two_qubit, w, head))
-        with pytest.raises(ConeError, match="does not sum"):
-            cp.steer(two_qubit, w, stack)
-        with pytest.raises(ConeError, match="does not sum"):
-            cp.steer(two_qubit, w, stack[2:])
+        if fault == "does not sum":
+            stack[k] *= 1.5
+        else:
+            # parts 0 and 1 keep their sum; part 1 becomes minus itself
+            stack[k, 0] += 2 * stack[k, 1]
+            stack[k, 1] *= -1
+        validated = []
         validate = cp.validate_measurement
-        monkeypatch.setattr(
-            cp, "validate_measurement",
-            lambda system, effects, tol: validate(system, effects, tol)
-            & (np.arange(len(effects)) != 1))
-        assert len(cp.steer(two_qubit, w, stack)) == 1
+
+        def refuse_1(system, effects, tol):
+            validated.append(len(effects))
+            return validate(system, effects, tol) & (
+                np.arange(len(effects)) != 1)
+
+        monkeypatch.setattr(cp, "validate_measurement", refuse_1)
+        if k > 1:
+            assert len(cp.steer(two_qubit, w, stack[:k])) == 1
+        validated.clear()
+        with pytest.raises(ConeError, match=fault):
+            cp.steer(two_qubit, w, stack)
+        assert validated == []
 
 
 class TestSteeringLP:

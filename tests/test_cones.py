@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import composite, eja, fixtures
+from conelab import composite, cones, eja, fixtures
 from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, UNSUPPORTED, EJACone,
                            PolyhedralCone, SharedCornerCone,
                            System, UnsupportedQuery,
@@ -277,18 +277,30 @@ class TestExtremality:
             assert first_non_extremal(cone, xs) \
                 == next((k for k, f in enumerate(flags) if not f), None)
 
-    def test_stack_raises_where_the_loop_would(self):
-        cone = EJACone(eja.complex_herm(2))
-        pure, mixed = np.array([1.0, 0, 0, 0]), np.array([1.0, 1, 0, 0])
-        null = np.zeros(4)
-        nan = np.array([np.nan, 0, 0, 0])
-        assert first_non_extremal(cone, np.array([pure, mixed, null])) == 1
-        assert first_non_extremal(cone, np.array([pure, mixed, nan])) == 1
-        assert first_non_extremal(cone, np.array([pure, pure])) is None
-        with pytest.raises(ConeError, match="null ray"):
-            first_non_extremal(cone, np.array([pure, null, mixed]))
-        with pytest.raises(ValueError, match="non-finite"):
-            first_non_extremal(cone, np.array([pure, nan, mixed]))
+    @pytest.mark.parametrize("cone,pure,mixed", [
+        (EJACone(eja.complex_herm(2)), [1.0, 0, 0, 0], [1.0, 1, 0, 0]),
+        (PolyhedralCone(SQUARE), SQUARE[0], [0.0, 1, 0])],
+        ids=["qubit", "square"])
+    def test_null_or_non_finite_row_raises_wherever_it_sits(
+            self, cone, pure, mixed, monkeypatch):
+        # a null or NaN row raises ConeError before any row is tested,
+        # also behind a row that is not extremal
+        tested = []
+        eigenvalues = eja.JordanAlgebra.eigenvalues
+        face = cones.face_dimension
+        monkeypatch.setattr(eja.JordanAlgebra, "eigenvalues",
+                            lambda self, xs: tested.append(1)
+                            or eigenvalues(self, xs))
+        monkeypatch.setattr(cones, "face_dimension",
+                            lambda *args, **kw: tested.append(1)
+                            or face(*args, **kw))
+        assert first_non_extremal(cone, np.array([pure, mixed, pure])) == 1
+        tested.clear()
+        for bad in (np.zeros(cone.dim), np.full(cone.dim, np.nan)):
+            for rows in ([bad, mixed], [pure, mixed, bad], [pure, bad]):
+                with pytest.raises(ConeError, match="null ray and non-fin"):
+                    first_non_extremal(cone, np.array(rows, dtype=float))
+        assert tested == []
 
     def test_other_cones_test_row_by_row(self, square):
         rows = np.array([[1.0, 1, 0], [0, 1, 1], [1, 2, 1], [0, 1, 1],

@@ -14,7 +14,8 @@ from eja_oracles import (basis_by_family_branches,
                          kramers_columns_by_loop, quadratic_rep_by_columns,
                          quaternionic_spectral_by_element,
                          random_interior_by_point, random_pure_by_sample,
-                         spectral_map_by_summand, spin_rotation_by_axes)
+                         rotation_by_closure, spectral_map_by_summand,
+                         spin_rotation_by_axes)
 from helpers import (overlap_state, random_element, random_interior,
                      random_positive, trace_inner)
 
@@ -200,10 +201,9 @@ def test_rotation_generator_path(algebra, rng):
         pytest.skip("rotations act within a simple factor")
     w1 = f.random_pure(rng)
     w2 = f.random_pure(rng)
-    rot = f.rotation_generator(w1, w2)
-    assert np.max(np.abs(rot(1.0) @ w1 - w2)) < 1e-9
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        m = rot(t)
+    maps = f.rotation_maps(w1, w2, (0.0, 0.25, 0.5, 0.75, 1.0))
+    assert np.max(np.abs(maps[-1] @ w1 - w2)) < 1e-9
+    for m in maps:
         wt = m @ w1
         dec = f.spectral(wt)
         assert np.sum(np.abs(dec.eigenvalues) > 1e-7) == 1
@@ -282,9 +282,9 @@ def test_spin_plane_rotation_equals_axis_rotation(dim, rng):
         x1 = w1[1:] / np.linalg.norm(w1[1:])
         x2 = w2[1:] / np.linalg.norm(w2[1:])
         antipodal += x1 @ x2 < -1.0 + 1e-14
-        rot = f.rotation_generator(w1, w2)
-        for t in (0.0, 0.3, 1.0):
-            assert rot(t).tobytes() \
+        maps = f.rotation_maps(w1, w2, (0.0, 0.3, 1.0))
+        for m, t in zip(maps, (0.0, 0.3, 1.0)):
+            assert m.tobytes() \
                 == spin_rotation_by_axes(dim, x1, x2, t).tobytes()
     assert antipodal == 2
 
@@ -345,8 +345,10 @@ def _degenerate_quaternionic_stack(f: eja.SimpleFactor, rng) -> np.ndarray:
     eigenvectors are not Kramers pairs, so the kept columns are not 0::2."""
     rows = [c * f.unit() for c in (1.0, -2.5, 1e-8, 3e5)]
     for _ in range(12):
-        rot = f.rotation_generator(f.random_pure(rng), f.random_pure(rng))
-        rows.append(rng.standard_normal() * (rot(rng.random()) @ f.unit()))
+        w1, w2 = f.random_pure(rng), f.random_pure(rng)
+        scale = rng.standard_normal()
+        [rot] = f.rotation_maps(w1, w2, [rng.random()])
+        rows.append(scale * (rot @ f.unit()))
         rows.append(f.random_pure(rng))
         rows.append(f.unit() + f.random_pure(rng))
     return np.array(rows)
@@ -533,12 +535,40 @@ def test_quadratic_rep_makes_four_products_per_summand(monkeypatch, rng):
 def test_conjugation_matrix_equals_column_loop(family, rank, rng):
     f = eja.SimpleFactor(family, rank)
     side = f._basis.shape[-1]
+    us = []
     for _ in range(5):
         z = rng.standard_normal((side, side))
         if family != eja.REAL:
             z = z + 1j * rng.standard_normal((side, side))
-        u, _ = np.linalg.qr(z)
-        fast = f.conjugation_matrix(u)
-        slow = conjugation_matrix_by_columns(f, u)
-        assert fast.flags.c_contiguous
-        assert fast.tobytes() == slow.tobytes()
+        us.append(np.linalg.qr(z)[0])
+    fast = f.conjugation_matrix(np.array(us))
+    slow = [conjugation_matrix_by_columns(f, u) for u in us]
+    assert fast.flags.c_contiguous
+    assert fast.tobytes() == np.array(slow).tobytes()
+
+
+ROTATION_FACTORS = [(eja.REAL, 2), (eja.REAL, 3), (eja.COMPLEX, 2),
+                    (eja.COMPLEX, 3), (eja.COMPLEX, 4), (eja.QUAT, 2),
+                    (eja.QUAT, 3), (eja.SPIN, 3), (eja.SPIN, 4),
+                    (eja.SPIN, 8)]
+
+
+@pytest.mark.parametrize("family,size", ROTATION_FACTORS)
+def test_rotation_maps_equal_the_closure(family, size, rng):
+    # the stack at the 17 path values and at t = 1 has the bits of the
+    # closure called once per t: random pairs, w1 = w2 and, on spin
+    # factors, an antipodal pair
+    f = (eja.SimpleFactor(family, 2, spin_dim=size) if family == eja.SPIN
+         else eja.SimpleFactor(family, size))
+    path = [k / 16 for k in range(17)]
+    w = f.random_pure(rng)
+    pairs = [(f.random_pure(rng), f.random_pure(rng)) for _ in range(8)]
+    pairs.append((w, w))
+    if family == eja.SPIN:
+        pairs.append((w, np.concatenate([w[:1], -w[1:]])))
+    for w1, w2 in pairs:
+        rot = rotation_by_closure(f, w1, w2)
+        for ts in (path, [1.0]):
+            maps = f.rotation_maps(w1, w2, ts)
+            assert maps.flags.c_contiguous
+            assert maps.tobytes() == np.array([rot(t) for t in ts]).tobytes()
