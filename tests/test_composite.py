@@ -291,6 +291,33 @@ class TestSteeringStack:
         assert_same_verdict(v, steering_check_by_ensemble(
             two_qubit, w, steer=steer_refusing_k))
 
+    def test_invalid_ensemble_raises_at_its_turn(self, two_qubit,
+                                                 monkeypatch):
+        # ensemble 2 does not sum to the marginal: the ensembles ahead of
+        # it steer as the loop steers them, and a stack holding it raises
+        # as the loop does at its turn, also after an infeasible ensemble 1
+        w = cp.canonical_self_steering_state(two_qubit)
+        wb = cp.marginal_of(two_qubit, w, "B")
+        stack = cp.random_ensembles(two_qubit.factorB, wb, 3,
+                                    np.random.default_rng(3), 4)
+        stack[2] *= 1.5
+        for head in (stack[:1], stack[:2]):
+            assert same_bits(cp.steer(two_qubit, w, head),
+                             _steer_by_loop(two_qubit, w, head))
+        for tail in (stack, stack[2:]):
+            with pytest.raises(ConeError, match="does not sum"):
+                _steer_by_loop(two_qubit, w, tail)
+            with pytest.raises(ConeError, match="does not sum"):
+                cp.steer(two_qubit, w, tail)
+        validate = cp.validate_measurement
+        monkeypatch.setattr(
+            cp, "validate_measurement",
+            lambda system, effects, tol: validate(system, effects, tol)
+            & (np.arange(len(effects)) != 1))
+        assert len(cp.steer(two_qubit, w, stack[:2])) == 1
+        with pytest.raises(ConeError, match="does not sum"):
+            cp.steer(two_qubit, w, stack)
+
     @pytest.mark.parametrize("k", [0, 2, 3])
     @pytest.mark.parametrize("fault", ["does not sum", "outside"])
     def test_invalid_ensemble_raises_before_any_is_steered(
