@@ -429,8 +429,8 @@ def preserves_unit(m: np.ndarray, unit: np.ndarray) -> bool:
 
 
 def _summand_swap(alg, i: int, j: int) -> np.ndarray:
-    """The coordinate permutation exchanging summands i and j of equal dim
-    (the identity when i == j): the identity with its rows permuted."""
+    """The coordinate permutation exchanging summands i != j of equal dim:
+    the identity with its rows permuted."""
     order = list(range(alg.dim))
     si, sj = alg.summands[i].sl, alg.summands[j].sl
     order[si], order[sj] = order[sj], order[si]
@@ -505,12 +505,14 @@ def _transitivity_map(system: System, w1: np.ndarray, w2: np.ndarray, where,
         if f1.family != f2.family:
             return Verdict(INCONCLUSIVE,
                            detail="isomorphic summands; no map built")
-        swap = _summand_swap(alg, i1, i2)
-        # the identity's product would turn w1's -0.0 entries into 0.0
-        moved = w1 if i1 == i2 else swap @ w1
+        # within one summand no swap is built or applied
+        swap = None if i1 == i2 else _summand_swap(alg, i1, i2)
+        moved = w1 if swap is None else swap @ w1
         sl = alg.summands[i2].sl
         [rot] = f2.rotation_maps(moved[sl], w2[sl], [1.0])
-        phi = _in_summand(alg, i2, rot) @ swap
+        phi = _in_summand(alg, i2, rot)
+        if swap is not None:
+            phi = phi @ swap
         if not np.all(np.isfinite(phi)):
             return Verdict(INCONCLUSIVE,
                            detail="constructed map is not finite")

@@ -5,15 +5,16 @@ five-dimensional shared-corner cone (two 2x2 PSD blocks agreeing in the
 top-left entry).  Composite cones live in `conelab.composite` and plug into
 the same query functions.
 
-Face spans are computed structurally (tight facets, support-idempotent
-quadratic representation, block range compressions) and then probed with
-membership tests.  Each span direction d counts only if x + eps*d and
-x - eps*d are both members, with the step eps = 10^3 * tol * max(1, |x|)
-well above the membership slack tol; x itself counts, since it lies in its
-own face.  When the span is not the whole space,
-a negative control must see the probe fail: some direction orthogonal to
-the span has to leave the cone on one side, or the query is UNSUPPORTED,
-because a probe that accepts every direction certifies nothing.
+A polyhedral cone's face span is the exact null space of its facet normals
+tight at x (Ziegler, Lectures on Polytopes, 1995).  Other cones compute it
+structurally (support-idempotent quadratic representation, block range
+compressions) and probe it: a direction d counts only if x + eps*d and
+x - eps*d are both members, eps = 10^3 * tol * max(1, |x|) well above the
+membership slack tol; x itself counts, as it lies in its own face.  When the
+span is not the whole space, a negative control must see the probe fail:
+some direction orthogonal to the span has to leave the cone on one side, or
+the query is UNSUPPORTED, as a probe that accepts every direction certifies
+nothing.
 """
 
 from __future__ import annotations
@@ -86,7 +87,12 @@ class ConeModel:
 
 
 class PolyhedralCone(ConeModel):
-    """Cone generated by finitely many rational rays; all verdicts exact."""
+    """Cone generated by finitely many rational rays; all verdicts exact.
+
+    Facet n is tight at x when its normalized float margin (n . x) / |n|,
+    the one `margin` reads, is at most max(tol, 1e-12) * max(1, |x|); the
+    face span is the exact null space of the tight facets' integer normals,
+    so no membership probe runs on a polyhedral cone."""
 
     def __init__(self, generators):
         self.data = exact.PolyhedralData(generators)
@@ -104,8 +110,8 @@ class PolyhedralCone(ConeModel):
         10^12 at tol <= 0), so float noise cannot flip an exact verdict;
         exact inputs pass through unchanged.  The result is an integer row,
         a positive multiple of the rounded point (`exact.rounded_row`):
-        membership, face spans, pairing signs and the rays through a point
-        are the same for every positive multiple of it."""
+        membership, pairing signs and the rays through a point are the same
+        for every positive multiple of it."""
         return exact.rounded_row(
             x, 10**12 if tol <= 0 else max(10, int(2.0 / tol)))
 
@@ -143,12 +149,20 @@ class PolyhedralCone(ConeModel):
         gens = self.generators()
         return gens[int(rng.integers(len(gens)))].copy()
 
+    def tight_normals(self, x: np.ndarray, tol: float) -> list[list[int]]:
+        """The primitive integer normals of the facets tight at x."""
+        bound = max(tol, 1e-12) * max(1.0, float(np.linalg.norm(x)))
+        return [n for n, (nf, norm) in zip(self.data._normals(),
+                                           self.float_facets())
+                if float(nf @ x) / norm <= bound]
+
     def face_span_basis(self, x, tol):
-        try:
-            basis = self.data.face_span(self._to_exact(x, tol))
-        except ValueError as exc:
-            raise ConeError(str(exc)) from exc
-        return [np.array([float(v) for v in b]) for b in basis]
+        """The exact null space of the tight normals, for a member x."""
+        if not self.member(x, tol):
+            raise ConeError("x is not a member of the cone")
+        tight = self.tight_normals(x, tol) or [[0] * self.dim]
+        return [np.array([float(v) for v in b])
+                for b in exact.null_space(tight)]
 
     def reducible(self) -> bool:
         """Exact test: do the extremal rays split into two groups with
@@ -375,17 +389,21 @@ def two_sided_probe(cone: ConeModel, x: np.ndarray, d: np.ndarray,
 
 def face_dimension(cone: ConeModel, x: np.ndarray,
                    tol: float = DEFAULT_TOL) -> int:
-    """dim span(Face(x)): the directions of the structural candidate span
-    that pass one `two_sided_probe` each, together with x itself, which
-    lies in its own face without a probe.
+    """dim span(Face(x)) for a member x.  On a polyhedral cone: d minus the
+    exact rank of the facet normals tight at x (`tight_normals`).
 
-    When the span is not the whole space, the directions of its orthogonal
-    complement are probed in turn until one fails; if none does, the probe
-    cannot tell the face from the space and UnsupportedQuery is raised.
+    On any other cone: the directions of the structural candidate span
+    that pass one `two_sided_probe` each, together with x itself, which
+    lies in its own face without a probe.  When the span is not the whole
+    space, the directions of its orthogonal complement are probed in turn
+    until one fails; if none does, the probe cannot tell the face from the
+    space and UnsupportedQuery is raised.
     """
     x = np.asarray(x, dtype=float)
     if not cone.member(x, tol):
         raise ConeError("x is not a member of the cone")
+    if isinstance(cone, PolyhedralCone):
+        return cone.dim - exact.rank(cone.tight_normals(x, tol))
     basis = cone.face_span_basis(x, tol)
     verified = [d for d in basis if two_sided_probe(cone, x, d, tol)]
     # negative control: the rows of vt past the span's rank are an

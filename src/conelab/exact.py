@@ -23,17 +23,20 @@ searches' positive scales only.
 
 `PolyhedralData` keeps each ray and each facet normal as a primitive
 integer row, a positive multiple of the rational one, and answers every
-sign question about its cone on those rows: membership, the facets tight
-at a point, pairings with the rays and "is x on this ray".  Self-duality
-under the dot product, K* = K, takes two of them: the pairings of the
-extremal rays and the membership of the facet normals.  A rational point
-is scaled once to integers by its positive common denominator
-(`_integer_row`), so each sign, and each answer, is that of the
-`Fraction` sums, with integer products in place of them (as in Avis's
-lrs).  A float point is rounded onto a grid of bounded
-denominators straight into such an integer row (`rounded_row`).
-`Fraction`s stay what leaves the layer: `rays`, `facets()`, null-space
-bases and LP vertices.
+sign question about its cone on those rows: membership, pairings with the
+rays and "is x on this ray".  `cones.PolyhedralCone` picks the facets
+tight at a float point x by their normalized float margins, at most
+max(tol, 1e-12) * max(1, |x|), and reads a face dimension as d minus the
+exact `rank` of their integer normals: membership probes serve only
+non-polyhedral cones.  Self-duality under the dot product, K* = K, takes
+two of those questions: the pairings of the extremal rays and the
+membership of the facet normals.  A rational point is scaled once to
+integers by its positive common denominator (`_integer_row`), so each
+sign, and each answer, is that of the `Fraction` sums, with integer
+products in place of them (as in Avis's lrs).  A float point is rounded
+onto a grid of bounded denominators straight into such an integer row
+(`rounded_row`).  `Fraction`s stay what leaves the layer: `rays`,
+`facets()`, null-space bases and LP vertices.
 """
 
 from __future__ import annotations
@@ -356,8 +359,8 @@ class PolyhedralData:
     """Exact V-description (rays) and derived H-description (facets) of a
     pointed full-dimensional polyhedral cone.
 
-    Facets come from double description; membership and face spans are
-    read off the facets.  The simplex decides pointedness and extremality.
+    Facets come from double description; membership is read off the
+    facets.  The simplex decides pointedness and extremality.
     Each ray and each facet normal is also kept as its primitive integer
     row, and every sign question is an integer dot product on those rows;
     `pairings` and `member` also answer K* = K under the dot product.
@@ -374,6 +377,7 @@ class PolyhedralData:
         self._facets: Matrix | None = None
         self._facet_rows: list[list[int]] | None = None
         self._extremal: list[int] | None = None
+        self._refusal = ""  # the message of a refused facet enumeration
 
     @property
     def full_dimensional(self) -> bool:
@@ -397,12 +401,10 @@ class PolyhedralData:
             self.facets()
         return self._facet_rows
 
-    def _inside(self, x: list[int]) -> bool:
-        return all(_dot(n, x) >= 0 for n in self._normals())
-
     def member(self, x: Sequence) -> bool:
         """Exact membership: every facet inequality holds at x."""
-        return self._inside(_integer_row(x))
+        xi = _integer_row(x)
+        return all(_dot(n, xi) >= 0 for n in self._normals())
 
     def pairings(self, y: Sequence) -> list[int]:
         """y . r for each ray r, each times its own positive factor: the
@@ -437,10 +439,13 @@ class PolyhedralData:
         Facets are ordered by the pivot columns of the matrix whose columns
         are their tight rays in index order: the lexicographically smallest
         independent (d-1)-subset of those rays.  A cut that leaves more than
-        FACET_WORK_BOUND partial generators raises UnsupportedQuery.
+        FACET_WORK_BOUND partial generators raises UnsupportedQuery, and so
+        does every later call, with the same message and no cut.
         """
         if self._facets is not None:
             return self._facets
+        if self._refusal:
+            raise UnsupportedQuery(self._refusal)
         if not self.full_dimensional:
             raise ValueError("facet enumeration requires a full-dimensional cone")
         d = self.dim
@@ -470,9 +475,10 @@ class PolyhedralData:
                     nxt.append((_coprime_integers(y), common | bit))
             gens = nxt
             if len(gens) > FACET_WORK_BOUND:
-                raise UnsupportedQuery(
+                self._refusal = (
                     f"facet enumeration passed {FACET_WORK_BOUND} partial "
                     f"generators after {done} of {len(cuts)} cuts")
+                raise UnsupportedQuery(self._refusal)
 
         def first_subset(mask: int) -> list[int]:
             tight = [i for i in range(len(rays)) if mask >> i & 1]
@@ -508,12 +514,3 @@ class PolyhedralData:
                 kept.add(lines[i])
         self._extremal = out
         return out
-
-    def face_span(self, x: Sequence) -> Matrix:
-        """Basis of span(Face(x)) for a member x: the null space of the facet
-        normals tight at x (the standard basis when none is)."""
-        xi = _integer_row(x)
-        if not self._inside(xi):
-            raise ValueError("x is not a member of the cone")
-        tight = [n for n in self._normals() if _dot(n, xi) == 0]
-        return null_space(tight or [[0] * self.dim])

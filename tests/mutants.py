@@ -38,20 +38,30 @@ class Mutant:
 
 _ORACLES = "tests/test_exact.py::test_integer_queries_match_fraction_oracles"
 _DATA = "tests/test_exact.py::TestPolyhedralData"
+_FACE = "tests/test_cones.py::TestFaceDimension"
+_FACE_ORACLE = "tests/test_cones.py::test_face_dimension_matches_exact_face_span"
 
 MUTANTS = (
     Mutant("member-strict", "src/conelab/exact.py",
-           "return all(_dot(n, x) >= 0 for n in self._normals())",
-           "return all(_dot(n, x) > 0 for n in self._normals())",
+           "return all(_dot(n, xi) >= 0 for n in self._normals())",
+           "return all(_dot(n, xi) > 0 for n in self._normals())",
            (_ORACLES, f"{_DATA}::test_membership_routes_agree")),
     Mutant("member-negated-point", "src/conelab/exact.py",
-           "return self._inside(_integer_row(x))",
-           "return self._inside([-v for v in _integer_row(x)])",
+           "xi = _integer_row(x)\n        return all(",
+           "xi = [-v for v in _integer_row(x)]\n        return all(",
            (_ORACLES, f"{_DATA}::test_membership_routes_agree")),
-    Mutant("face-span-loose-tight", "src/conelab/exact.py",
-           "if _dot(n, xi) == 0]",
-           "if _dot(n, xi) >= 0]",
-           (_ORACLES, f"{_DATA}::test_face_span_dimension")),
+    Mutant("face-span-loose-tight", "src/conelab/cones.py",
+           "if float(nf @ x) / norm <= bound]",
+           "if float(nf @ x) / norm >= -bound]",
+           (f"{_FACE}::test_square", _FACE_ORACLE)),
+    Mutant("polyhedral-tight-drops-norm-scale", "src/conelab/cones.py",
+           "bound = max(tol, 1e-12) * max(1.0, float(np.linalg.norm(x)))",
+           "bound = max(tol, 1e-12)",
+           (f"{_FACE}::test_ray_is_extremal_at_every_scale",)),
+    Mutant("polyhedral-face-skips-membership", "src/conelab/cones.py",
+           "    if not cone.member(x, tol):\n",
+           "    if False:\n",
+           (f"{_FACE}::test_polyhedral_non_member_raises", _FACE_ORACLE)),
     Mutant("ray-negative-multiple", "src/conelab/exact.py",
            "if r == xi]",
            "if r in (xi, [-v for v in xi])]",

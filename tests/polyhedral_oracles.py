@@ -14,7 +14,10 @@ tableau.
 
 `PolyhedralData` answers facets and membership from its double-description
 H-description; these oracles answer them the old way, by brute force over
-(d-1)-subsets of rays and by a phase-I simplex.  It answers every sign
+(d-1)-subsets of rays and by a phase-I simplex.  `PolyhedralCone` reads a
+float point's face dimension off the facets whose float margins are tight;
+`face_span` is the exact face span of a rational point, the null space of
+the integer facet normals whose integer pairing with it is 0.  It answers every sign
 question on primitive integer rows; `member_by_fractions`,
 `face_span_by_fractions`, `dual_member_by_fractions`,
 `extremal_among_generators_by_fractions` and `self_dual_by_fractions` sum
@@ -201,6 +204,17 @@ def member_by_fractions(data: exact.PolyhedralData, x) -> bool:
     """Every facet normal pairs nonnegatively with x, by `Fraction` sums."""
     xf = [Fraction(v) for v in x]
     return all(exact.dot(n, xf) >= 0 for n in data.facets())
+
+
+def face_span(data: exact.PolyhedralData, x) -> exact.Matrix:
+    """Basis of span(Face(x)) for a rational member x: the null space of
+    the facet normals tight at x, as integer rows (the standard basis when
+    none is)."""
+    xi = exact._integer_row(x)
+    if not data.member(xi):
+        raise ValueError("x is not a member of the cone")
+    tight = [n for n in data._normals() if exact._dot(n, xi) == 0]
+    return exact.null_space(tight or [[0] * data.dim])
 
 
 def face_span_by_fractions(data: exact.PolyhedralData, x) -> exact.Matrix:

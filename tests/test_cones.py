@@ -1,5 +1,8 @@
 """Cone models, faces, extremality, order isomorphisms, measurements."""
 
+from fractions import Fraction as F
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +20,12 @@ from eja_oracles import (first_non_extremal_by_point,
                          is_order_isomorphism_by_point,
                          validate_measurement_by_effect)
 from helpers import random_positive
-from polyhedral_oracles import member_by_lp, to_exact_by_fractions
+from polyhedral_oracles import face_span, member_by_lp, to_exact_by_fractions
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
+# the wider registry's lattice hexagon
+HEXAGON = [[x, y, 1] for x, y in [(4, 1), (2, 3), (-2, 3), (-4, 0),
+                                  (-2, -3), (3, -3)]]
 
 
 @pytest.fixture
@@ -146,6 +152,34 @@ class TestFaceDimension:
         assert face_dimension(square, np.array([1.0, 1.0, 0.0])) == 1
         assert face_dimension(square, np.array([0.5, 1.0, 0.5])) == 2
 
+    def test_float_weighted_edge_point_is_not_extremal(self, square, rng):
+        # a g0 + b g1 with float weights lies on one facet only
+        g0, g1 = np.array(SQUARE[:2], dtype=float)
+        for a, b in rng.uniform(0.01, 10, size=(200, 2)):
+            x = a * g0 + b * g1
+            assert face_dimension(square, x) == 2
+            assert not is_extremal_ray(square, x)
+            assert len(square.face_span_basis(x, DEFAULT_TOL)) == 2
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_ray_is_extremal_at_every_scale(self, square, rng, scale):
+        # the tight bound scales with |x|: a ray point 1e-11 |x| inside both
+        # of its facets, and one with 1e-13 |x| noise, read as the ray
+        inward = np.sum(SQUARE, axis=0) / 4
+        for g in np.array(SQUARE, dtype=float):
+            x = scale * g
+            noisy = x + 1e-13 * np.linalg.norm(x) * rng.standard_normal(3)
+            for y in (x, noisy, scale * (g + 1e-11 * inward)):
+                assert face_dimension(square, y) == 1
+                assert is_extremal_ray(square, y)
+
+    def test_polyhedral_non_member_raises(self, square):
+        for x in ([0.0, 1.0, 2.0], [1.0, 1.0, -1e-6], [1e3, 1e3, -1e-6]):
+            with pytest.raises(ConeError):
+                face_dimension(square, np.array(x))
+            with pytest.raises(ConeError):
+                square.face_span_basis(np.array(x), DEFAULT_TOL)
+
     def test_shared_corner_profiles(self, shared):
         p2 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         p3 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
@@ -158,6 +192,50 @@ class TestFaceDimension:
         assert face_dimension(shared, t11 + t_gen) == 5
         for w in (p2, p3, t00, t11, t_gen):
             assert is_extremal_ray(shared, w)
+
+
+@cache
+def _polyhedral(name: str) -> PolyhedralCone:
+    if name == "square":
+        return PolyhedralCone(SQUARE)
+    if name == "lattice-hexagon":
+        return PolyhedralCone(HEXAGON)
+    registry = {s.name: s for s in fixtures.builtin_fixtures()}
+    return fixtures.build_system(registry[name], registry).cone
+
+
+@given(name=st.sampled_from(["square", "pentagon-cone", "lattice-hexagon",
+                             "classical-bit-bit", "min-square-square"]),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_face_dimension_matches_exact_face_span(name, data):
+    # a rational point on the face of 1-4 extremal rays, and one pushed a
+    # tenth of its facet normal outside, passed as floats: exactly, scaled
+    # by 10^-3 and 10^3, and with 1e-13 |x| noise
+    cone = _polyhedral(name)
+    rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
+    picks = data.draw(st.lists(st.integers(0, len(rays) - 1), min_size=1,
+                               max_size=4, unique=True))
+    weights = data.draw(st.lists(st.builds(F, st.integers(1, 100),
+                                           st.integers(1, 100)),
+                                 min_size=len(picks), max_size=len(picks)))
+    x = [sum((w * rays[i][c] for w, i in zip(weights, picks)), F(0))
+         for c in range(cone.dim)]
+    n = data.draw(st.sampled_from(cone.data.facets()))
+    step = sum(a * b for a, b in zip(n, x)) / sum(a * a for a in n) + F(1, 10)
+    outside = [a - step * b for a, b in zip(x, n)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for point, expect in ((x, len(face_span(cone.data, x))), (outside, None)):
+        xf = np.array([float(v) for v in point])
+        noise = 1e-13 * np.linalg.norm(xf) * rng.standard_normal(cone.dim)
+        for y in (xf, 1e-3 * xf, 1e3 * xf, xf + noise):
+            if expect is None:
+                with pytest.raises(ConeError):
+                    face_dimension(cone, y)
+                continue
+            assert face_dimension(cone, y) == expect
+            assert len(cone.face_span_basis(y, DEFAULT_TOL)) == expect
+            assert is_extremal_ray(cone, y) == (expect == 1)
 
 
 def _rebit_max_tensor(rng):
@@ -173,11 +251,12 @@ def _pure_qubit(rng):
     return cone, cone.sample_extremal(rng)
 
 
-# Extremal points of four cone variants: (cone, x) from a seeded rng.
+# Extremal points of the cones whose face dimension takes the probe route:
+# (cone, x) from a seeded rng.
 EXTREMAL_POINTS = {
     "eja-pure-qubit": _pure_qubit,
-    "polyhedral-square-ray": lambda rng: (PolyhedralCone(SQUARE),
-                                          np.array([1.0, 1.0, 0.0])),
+    "shared-corner-block-ray": lambda rng: (
+        SharedCornerCone(), np.array([0.0, 1.0, 0.0, 0.0, 0.0])),
     "shared-corner-extremal": lambda rng: (
         SharedCornerCone(), np.array([1.0, 0.25, 4.0, 0.5, -2.0])),
     "max-tensor-rebit-product": _rebit_max_tensor,
@@ -201,13 +280,14 @@ class TestFaceProbe:
         assert not all(two_sided_probe(cone, x, c) for c in complement)
         assert face_dimension(cone, x) == 1
 
-    def test_hollow_span_claim_is_not_counted(self, square, monkeypatch):
-        # a structural span claiming the whole space at a ray: only x
-        # itself survives, because every coordinate direction leaves the
-        # cone on one side
-        monkeypatch.setattr(PolyhedralCone, "face_span_basis",
-                            lambda self, x, tol: list(np.eye(3)))
-        assert face_dimension(square, np.array([1.0, 1.0, 0.0])) == 1
+    def test_hollow_span_claim_is_not_counted(self, shared, monkeypatch):
+        # a structural span claiming the whole space at an extremal point:
+        # only x itself survives, because every coordinate direction leaves
+        # the cone on one side to first order
+        monkeypatch.setattr(SharedCornerCone, "face_span_basis",
+                            lambda self, x, tol: list(np.eye(5)))
+        x = np.array([1.0, 0.25, 4.0, 0.5, -2.0])
+        assert face_dimension(shared, x) == 1
 
     def test_member_budget_max_tensor(self, rng, monkeypatch):
         cone, x = _rebit_max_tensor(rng)

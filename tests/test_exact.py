@@ -12,14 +12,16 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
-from conelab import axioms, exact, fixtures
-from conelab.composite import _extremal_among_generators
+from conelab import axioms, cones, exact, fixtures
+from conelab.composite import (MIN_TENSOR, CompositeSystem,
+                               _extremal_among_generators)
 from conelab.cones import PolyhedralCone, System, UnsupportedQuery
 from conelab.exact import PolyhedralData
 from polyhedral_oracles import (dual_basis_by_prefix,
                                 dual_member_by_fractions,
                                 extremal_among_generators_by_fractions,
-                                extremal_by_rank, face_span_by_fractions,
+                                extremal_by_rank, face_span,
+                                face_span_by_fractions,
                                 facets_by_subsets,
                                 feasible_nonneg_by_fractions,
                                 independent_prefix, member_by_fractions,
@@ -290,10 +292,10 @@ class TestPolyhedralData:
         assert padded.extremal_ray_indices() == [0, 1, 2, 3]
 
     def test_face_span_dimension(self):
-        assert len(self.cone.face_span([F(0), F(1), F(0)])) == 3
-        assert len(self.cone.face_span([F(1), F(1), F(0)])) == 1
+        assert len(face_span(self.cone, [F(0), F(1), F(0)])) == 3
+        assert len(face_span(self.cone, [F(1), F(1), F(0)])) == 1
         # midpoint of two adjacent rays lies on a 2-dimensional face
-        assert len(self.cone.face_span([F(1, 2), F(1), F(1, 2)])) == 2
+        assert len(face_span(self.cone, [F(1, 2), F(1), F(1, 2)])) == 2
 
 
 def _positive_combination(rays, rng: random.Random):
@@ -435,6 +437,32 @@ def test_rounding_refuses_non_finite_values():
             F(bad)
 
 
+def test_refused_facet_enumeration_is_remembered(monkeypatch):
+    # min(min(square, square), square) passes the facet bound; the refusal
+    # is kept, so a later facets, member or face query raises it again
+    # without a double-description cut (each cut takes `_dot` products)
+    square = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]))
+    mss = CompositeSystem(square, square, MIN_TENSOR)
+    cone = CompositeSystem(mss, square, MIN_TENSOR).cone
+    with pytest.raises(UnsupportedQuery) as first:
+        cone.data.facets()
+    assert str(first.value).startswith(
+        f"facet enumeration passed {exact.FACET_WORK_BOUND} partial "
+        "generators after ")
+    products = []
+    dot = exact._dot
+    monkeypatch.setattr(exact, "_dot",
+                        lambda a, b: products.append(1) or dot(a, b))
+    x = np.array(cone.generators()[0])
+    for query in (cone.data.facets, lambda: cone.data.member([0] * 27),
+                  lambda: cone.member(x),
+                  lambda: cones.face_dimension(cone, x)):
+        with pytest.raises(UnsupportedQuery) as again:
+            query()
+        assert str(again.value) == str(first.value)
+    assert not products
+
+
 @st.composite
 def cone_points(draw):
     """(cone, points): a random pointed cone and rational points inside it,
@@ -482,7 +510,7 @@ def test_integer_queries_match_fraction_oracles(case, data):
         assert inside is member_by_fractions(cone.data, x)
         members += inside
         if inside:
-            assert cone.data.face_span(x) == face_span_by_fractions(
+            assert face_span(cone.data, x) == face_span_by_fractions(
                 cone.data, x)
         sign = [(v > 0) - (v < 0) for v in cone.data.pairings(x)]
         assert sign == [(v > 0) - (v < 0)
