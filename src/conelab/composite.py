@@ -4,6 +4,10 @@ and the classical composite, with marginals, conditioning maps, and steering.
 Coordinates: a bipartite element is the flattened dA x dB matrix of its
 coefficients in the product of the factor coordinate bases, so the pairing
 with a product functional eA (x) eB is eA^T M eB.
+
+Max-tensor membership is exact when a factor is polyhedral or classical: x
+is sliced by that factor's dual extremals.  Alternating sweeps serve only
+two simple factors, and every other pair is refused by name on query.
 """
 
 from __future__ import annotations
@@ -64,25 +68,25 @@ class LinearImageCone(ConeModel):
 
 
 class MaxTensorCone(ConeModel):
-    """All bipartite elements nonnegative against product effects.  Membership
-    is a sampling certificate: a negative pairing is a hard rejection, while a
-    nonnegative minimum over sampled and locally minimized product effects is
-    acceptance at sampling strength only.
+    """All bipartite elements nonnegative against product effects.
 
-    Over two simple factors the minimum alternates exact minimizations over
-    pure effects of A and of B from STARTS seeded pure effects of B, all
-    starts as one stack: a half-sweep is one stacked eigendecomposition in
-    `SimpleFactor.min_pure_effects`.  Each sweep is a fixed function of its
-    start stack, so once a start stack repeats (bit for bit) the state after
-    SWEEPS sweeps is one already seen, and the sweeps stop there.  Over
-    other factors it pairs SAMPLES seeded dual samples of A and B in one
-    stacked product.  The seeded starts or dual samples are drawn once per
-    cone, on the first call.
-    Either way every pairing has the bits of `e @ m @ f` for its own pair."""
+    A polyhedral factor is sliced by its unit facet normals, a classical one
+    by its coordinates: as B** = B, x is a member exactly when every slice
+    f^T M by a dual extremal f of A lies in B (M f of B when B is sliced),
+    so the pairing minimum is the other cone's least margin over the slices.
 
-    # product effects sampled for non-simple factors, starts and alternating
-    # sweeps for simple ones, and the seed of both
-    SAMPLES = 200
+    Only two simple factors are sampled: the minimum alternates exact
+    minimizations over pure effects of A and of B from STARTS seeded pure
+    effects of B, swept as one stack (one stacked eigendecomposition per
+    half-sweep in `SimpleFactor.min_pure_effects`), so a nonnegative minimum
+    is acceptance at sampling strength only.  Each sweep is a fixed function
+    of its start stack, so once a start stack repeats (bit for bit) the
+    state after SWEEPS sweeps is one already seen, and the sweeps stop
+    there.  The starts are drawn once per cone, on the first call, and
+    every pairing has the bits of `e @ m @ f` for its own pair.  Any other
+    pair of factors raises UnsupportedQuery, naming the pair, on query."""
+
+    # starts and alternating sweeps for simple factors, and their seed
     STARTS = 8
     SWEEPS = 25
     SEED = 23
@@ -92,8 +96,8 @@ class MaxTensorCone(ConeModel):
         self.dim = comp.dimA * comp.dimB
         self._factors = (comp._simple_factor(comp.factorA),
                          comp._simple_factor(comp.factorB))
-        # the start stack, or the (e, f) dual sample stacks; drawn on first use
-        self._draws = None
+        # the (STARTS, dimB) start stack of pure effects of B, drawn on use
+        self._starts = None
 
     def pairing_minimum(self, x: np.ndarray) -> float:
         comp = self.comp
@@ -101,32 +105,35 @@ class MaxTensorCone(ConeModel):
         # a NaN pairing would drop out of the min folds below
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite input")
-        if self._draws is None:
-            self._draws = self._draw()
         fa, fb = self._factors
         if fa is not None and fb is not None:
-            e, f = self._sweeps(fa, fb, m, self._draws)
+            if self._starts is None:
+                rng = np.random.default_rng(self.SEED)
+                self._starts = fb.metric * comp.factorB.cone.sample_extremals(
+                    rng, self.STARTS)
+            e, f = self._sweeps(fa, fb, m, self._starts)
             return min(np.inf, *(float(ei @ m @ fi) for ei, fi in zip(e, f)))
-        e, f = self._draws
-        # a 1 x dimA by m product, then a 1 x n by n x 1 one, per row: the
-        # bits of `e @ m @ f` for one pair, which `e @ m` on the stack lacks
-        pairings = (e[:, None, :] @ m) @ f[:, :, None]
-        return min(np.inf, *pairings.ravel().tolist())
+        sliced, other = comp.factorA, comp.factorB
+        duals = self._unit_duals(sliced)
+        if duals is None:
+            # slice B instead: its slices M f are the rows of f^T M^T
+            sliced, other, m = other, sliced, m.T
+            duals = self._unit_duals(sliced)
+        if duals is None:
+            raise UnsupportedQuery(f"no max-tensor membership route for "
+                                   f"{comp.label}")
+        return min(other.cone.margin(s) for s in duals @ m)
 
-    def _draw(self):
-        """The seeded draws of every call: the (STARTS, dimB) start stack of
-        pure effects of B over two simple factors, else the stacked dual
-        samples of A and B."""
-        comp = self.comp
-        rng = np.random.default_rng(self.SEED)
-        fa, fb = self._factors
-        if fa is not None and fb is not None:
-            return fb.metric * comp.factorB.cone.sample_extremals(
-                rng, self.STARTS)
-        return tuple(np.array(side) for side in zip(*[
-            (self._dual_sample(comp.factorA, rng),
-             self._dual_sample(comp.factorB, rng))
-            for _ in range(self.SAMPLES)]))
+    @staticmethod
+    def _unit_duals(system: System) -> np.ndarray | None:
+        """The unit dual extremals of a polyhedral or classical factor, as
+        rows; None for any other factor."""
+        cone = system.cone
+        if isinstance(cone, PolyhedralCone):
+            return np.array([nf / norm for nf, norm in cone.float_facets()])
+        if CompositeSystem._classical_size(system) is not None:
+            return np.eye(system.dim)
+        return None
 
     def _sweeps(self, fa: SimpleFactor, fb: SimpleFactor, m: np.ndarray,
                 f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,17 +151,6 @@ class MaxTensorCone(ConeModel):
             f = fb.min_pure_effects((m.T @ e[:, :, None])[:, :, 0])
             states.append((e, f))
         return e, f
-
-    @staticmethod
-    def _dual_sample(system: System, rng) -> np.ndarray:
-        cone = system.cone
-        if isinstance(cone, PolyhedralCone):
-            facets = cone.float_facets()
-            w = rng.random(len(facets))
-            return sum(wi * f for wi, (f, _) in zip(w, facets))
-        if isinstance(cone, EJACone):
-            return cone.algebra.metric * cone.sample_extremal(rng)
-        raise UnsupportedQuery("no dual sampler for this factor cone")
 
     def member(self, x, tol=DEFAULT_TOL):
         self._check_dim(x)

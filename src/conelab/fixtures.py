@@ -340,8 +340,8 @@ def _composite_self_dual(c: _Inputs) -> Verdict:
         return v
     if isinstance(cone, PolyhedralCone):
         return axioms.check_self_dual(comp, tol=c.tol)
-    return Verdict(SKIPPED, detail="sampled max-tensor membership cannot "
-                                   "settle self-duality")
+    return Verdict(SKIPPED, detail="no self-duality route for max-tensor "
+                                   "composites")
 
 
 def _search(cone, search) -> Verdict:

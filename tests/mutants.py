@@ -40,6 +40,10 @@ _ORACLES = "tests/test_exact.py::test_integer_queries_match_fraction_oracles"
 _DATA = "tests/test_exact.py::TestPolyhedralData"
 _FACE = "tests/test_cones.py::TestFaceDimension"
 _FACE_ORACLE = "tests/test_cones.py::test_face_dimension_matches_exact_face_span"
+_SLICE_SIGNS = ("tests/test_composite.py::"
+                "test_max_tensor_member_matches_exact_pairing_signs")
+_SLICE_OUTSIDE = ("tests/test_composite.py::"
+                  "test_points_outside_a_unit_product_facet_are_rejected")
 
 MUTANTS = (
     Mutant("member-strict", "src/conelab/exact.py",
@@ -199,6 +203,15 @@ MUTANTS = (
            ("tests/test_composite.py::test_max_tensor_refuses_non_finite_input",
             "tests/test_composite.py::"
             "test_pairing_minimum_draws_its_starts_once")),
+    Mutant("max-tensor-slices-wrong-factor", "src/conelab/composite.py",
+           "sliced, other, m = other, sliced, m.T",
+           "sliced, other, m = other, sliced, m",
+           (_SLICE_SIGNS, _SLICE_OUTSIDE)),
+    Mutant("max-tensor-skips-a-dual", "src/conelab/composite.py",
+           "for s in duals @ m)",
+           "for s in duals[1:] @ m)",
+           (_SLICE_SIGNS, _SLICE_OUTSIDE, "tests/test_metamorphic.py::"
+            "test_max_of_two_bits_is_the_classical_orthant")),
     Mutant("face-probe-negative-control-passes", "src/conelab/cones.py",
            "    if rank < cone.dim and all(two_sided_probe(cone, x, c, tol)",
            "    if False and all(two_sided_probe(cone, x, c, tol)",

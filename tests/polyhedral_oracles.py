@@ -38,13 +38,14 @@ primitive integer directions.  `reducible_by_subsets` tries all 2^(n-1)
 splits of the extremal rays instead of matroid components, and
 `self_dual_by_solves` pairs every two rays and solves one system per facet,
 under any inner product G, where `check_self_dual` reads ray pairings and
-facet membership off the integer rows under the dot product.  `pairing_minimum_rebuilding_facets`
-converts the facet normals to floats for every max-tensor dual sample
-instead of reading the cone's cached copy, and `pairing_minimum_by_pairs`
-pairs the dual samples one pair at a time instead of as one stack.  `steer_by_lp` decides steering
-over a polyhedral A factor by an exact LP in effect coordinates, singular
-conditioning maps included, where `composite.steer` inverts an invertible
-map.  The tests compare the routes.
+facet membership off the integer rows under the dot product.
+`max_tensor_pairing_signs` decides max-tensor membership over a polyhedral
+factor in `Fraction`s, by the sign of every integer product-facet pairing
+(or of every slice eigenvalue in a rank-2 matrix factor), where
+`MaxTensorCone` takes float margins of unit slices.  `steer_by_lp`
+decides steering over a polyhedral A factor by an exact LP in effect
+coordinates, singular conditioning maps included, where `composite.steer`
+inverts an invertible map.  The tests compare the routes.
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from conelab import exact
 from conelab.axioms import FAILS, HOLDS
-from conelab.composite import INFEASIBLE, MaxTensorCone, conditioning_map
+from conelab.composite import INFEASIBLE, conditioning_map
 from conelab.cones import PolyhedralCone, UnsupportedQuery
 
 
@@ -480,34 +479,40 @@ def self_dual_by_solves(cone: PolyhedralCone, inner) -> tuple:
     return HOLDS, None, "exact two-sided inclusion"
 
 
-def pairing_minimum_rebuilding_facets(comp, x) -> float:
-    """The sampled pairing minimum with every dual sample converting the
-    exact facet normals to floats again."""
-    def dual_sample(cone, rng):
-        facets = [np.array([float(v) for v in f]) for f in cone.data.facets()]
-        w = rng.random(len(facets))
-        return sum(wi * f for wi, f in zip(w, facets))
-
-    m = x.reshape(comp.dimA, comp.dimB)
-    rng = np.random.default_rng(MaxTensorCone.SEED)
-    best = np.inf
-    for _ in range(MaxTensorCone.SAMPLES):
-        e = dual_sample(comp.factorA.cone, rng)
-        f = dual_sample(comp.factorB.cone, rng)
-        best = min(best, float(e @ m @ f))
-    return best
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def pairing_minimum_by_pairs(comp, x) -> float:
-    """The sampled pairing minimum, one dual-sample pair at a time."""
-    m = x.reshape(comp.dimA, comp.dimB)
-    rng = np.random.default_rng(MaxTensorCone.SEED)
-    best = np.inf
-    for _ in range(MaxTensorCone.SAMPLES):
-        e = MaxTensorCone._dual_sample(comp.factorA, rng)
-        f = MaxTensorCone._dual_sample(comp.factorB, rng)
-        best = min(best, float(e @ m @ f))
-    return best
+def _rank_two_eigenvalue_signs(s) -> list[int]:
+    """The signs of the two eigenvalues, least first, of the rank-2 matrix
+    factor element with trace-form coordinates s = (a, b, off...): the
+    matrix [[a, z], [conj z, b]] with |z|^2 = sum(off^2) / 2, whose trace is
+    a + b and whose determinant is a b - |z|^2."""
+    a, b, *off = s
+    det = a * b - sum(v * v for v in off) / 2
+    if det < 0:
+        return [-1, 1]
+    return sorted([0 if det == 0 else _sign(a + b), _sign(a + b)])
+
+
+def max_tensor_pairing_signs(comp, x) -> list[int]:
+    """The signs, in `Fraction`s, of a rational point x of max(A, B) with a
+    polyhedral factor against its product effects: f_i^T M g_j for every
+    pair of integer facet normals when both factors are polyhedral, else
+    the eigenvalue signs of each slice f_i^T M in the other factor, a
+    simple rank-2 matrix algebra.  x is a member iff no sign is -1."""
+    a, b = comp.factorA.cone, comp.factorB.cone
+    m = [list(x[i * comp.dimB:(i + 1) * comp.dimB]) for i in range(comp.dimA)]
+    if not isinstance(a, PolyhedralCone):
+        a, b, m = b, a, [list(col) for col in zip(*m)]
+    slices = [[sum((fi * row[j] for fi, row in zip(f, m)), Fraction(0))
+               for j in range(len(m[0]))] for f in a.data.facets()]
+    if isinstance(b, PolyhedralCone):
+        return [_sign(sum(u * v for u, v in zip(s, g)))
+                for s in slices for g in b.data.facets()]
+    (factor,) = b.algebra.factors
+    assert factor.rank == 2 and factor.family in ("real", "complex", "quat")
+    return [sign for s in slices for sign in _rank_two_eigenvalue_signs(s)]
 
 
 def steer_by_lp(comp, wab, ensemble):

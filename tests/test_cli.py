@@ -25,9 +25,9 @@ REPORT_SEED_11_SHA256 = (
 # writes it and as `report_text`; recorded before the runner read one
 # verdict record.
 WIDER_SEED_7_JSON_SHA256 = (
-    "ed7c96d0543a97bfb14b7c410b0e95276dd4f5b5d992fbd947a7ffdd4fd59daf")
+    "52c5210ca31ff1a2443daf5a3ba193e22fa9b9511b1678503e58de6d8e9710e0")
 WIDER_SEED_7_TEXT_SHA256 = (
-    "4fa3c36a0a114e2d4d27b2fb7cd01d1b90c8bc3e09aad45114e7737c5cdd0a5f")
+    "533cbb49d5059ca64f775698080d563e557f4b3157bedb614ca07e78c359e69b")
 
 # sha256 of `conelab steer --format json` by (fixture, --parts, --seed),
 # recorded before the steering spot check steered its ensembles as one
@@ -282,15 +282,41 @@ class TestCheckCommand:
         weak = records["hexagon", "weak-self-duality"]
         assert weak["status"] == "fails"
         assert weak["payload"] == {"witness": None, "violation": None}
+        # membership by exact facet slices decides both max composites
+        # with a polyhedral or classical factor
         purity = [records[f"max-{pair}", "purity-preservation"]
                   for pair in ("square-qubit", "corner-bit")]
-        assert [r["status"] for r in purity] == ["unsupported"] * 2
-        assert purity[0]["detail"] != purity[1]["detail"]
+        assert [(r["status"], r["detail"]) for r in purity] == \
+            [("holds", "10 pure product pairs")] * 2
         text = json.dumps(report, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() \
             == WIDER_SEED_7_JSON_SHA256
         assert hashlib.sha256(fixtures.report_text(report).encode()) \
             .hexdigest() == WIDER_SEED_7_TEXT_SHA256
+
+    def test_max_composite_without_a_route_is_a_full_report(self, runner,
+                                                            tmp_path):
+        # max(shared-corner, qubit) has no membership route: it builds, and
+        # the checks that query its cone read UNSUPPORTED, naming the pair
+        specs = [s for s in fixtures.builtin_fixtures()
+                 if s.name in ("qubit", "shared-corner")]
+        specs.append(fixtures.FixtureSpec(
+            "max-corner-qubit", "composite",
+            {"model": "max", "factorA": "shared-corner", "factorB": "qubit"}))
+        reg = tmp_path / "reg.json"
+        reg.write_text(fixtures.registry_to_json(specs))
+        result = runner.invoke(main, ["check", "--registry", str(reg),
+                                      "--seed", "7"])
+        assert result.exit_code == 0, result.output
+        assert "Error:" not in result.output
+        report = json.loads(result.output)
+        records = {(f["fixture"], r["check"]): r
+                   for f in report["fixtures"] for r in f["checks"]}
+        assert len(records) == 3 * len(fixtures.ALL_CHECKS)
+        purity = records["max-corner-qubit", "purity-preservation"]
+        assert purity["status"] == "unsupported"
+        assert purity["detail"] == ("no max-tensor membership route for "
+                                    "shared-corner (x) qubit [max]")
 
     @pytest.mark.parametrize("declared", ["fails", "error"])
     def test_cone_error_is_an_error_that_never_matches(

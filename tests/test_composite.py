@@ -1,8 +1,15 @@
 """Bipartite composites: products, marginals, conditioning, steering,
 purity preservation."""
 
+import itertools
+import re
+from fractions import Fraction as F
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab import composite as cp
 from conelab import eja, exact, fixtures
@@ -18,8 +25,7 @@ from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          steering_check_by_ensemble)
 from helpers import (assert_same_verdict, product_effect, same_bits,
                      sample_state)
-from polyhedral_oracles import (extremal_by_lp, pairing_minimum_by_pairs,
-                                pairing_minimum_rebuilding_facets,
+from polyhedral_oracles import (extremal_by_lp, max_tensor_pairing_signs,
                                 steer_by_lp)
 from test_cli import wider_registry
 
@@ -689,32 +695,119 @@ def test_max_tensor_refuses_non_finite_input(factors, qubit):
                 query(x)
 
 
-def test_max_tensor_dual_samples_read_cached_float_facets(rng, monkeypatch):
-    sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
-    comp = cp.CompositeSystem(sq, sq, cp.MAX_TENSOR)
-    points = [sample_state(comp, rng) for _ in range(3)]
-    points += [rng.standard_normal(comp.dim) for _ in range(3)]
-    expected = [pairing_minimum_rebuilding_facets(comp, x) for x in points]
-    sq.cone.float_facets()
-
-    def no_facets(self):
-        raise AssertionError("exact facets read after the float cache")
-
-    monkeypatch.setattr(exact.PolyhedralData, "facets", no_facets)
-    assert [comp.cone.pairing_minimum(x) for x in points] == expected
+@cache
+def _max_of(pair: str) -> cp.CompositeSystem:
+    """The max composite of two factors named like "square-qubit"."""
+    specs = {s.name: s for s in fixtures.builtin_fixtures()}
+    factors = {
+        "square": System(PolyhedralCone(SQUARE), CENTER, "square"),
+        "pentagon": fixtures.build_system(specs["pentagon-cone"], specs),
+        "qubit": make_eja_system(eja.complex_herm(2), "qubit"),
+        "rebit": make_eja_system(eja.real_sym(2), "rebit")}
+    a, b = pair.split("-")
+    return cp.CompositeSystem(factors[a], factors[b], cp.MAX_TENSOR)
 
 
-def test_sampled_pairing_minimum_equals_pair_by_pair_loop(qubit, rng):
-    # square (x) qubit elements are 3 x 4 and 4 x 3 matrices, where e @ m
-    # on the whole stack of samples sums in another order than for one pair
-    sq = System(PolyhedralCone(SQUARE), np.array([0.0, 1.0, 0.0]), "square")
-    for a, b in ((sq, qubit), (qubit, sq)):
-        comp = cp.CompositeSystem(a, b, cp.MAX_TENSOR)
-        points = [comp.cone.sample_extremal(rng) for _ in range(3)]
-        points += [rng.standard_normal(comp.dim) for _ in range(5)]
-        for x in points:
-            assert comp.cone.pairing_minimum(x).hex() == \
-                pairing_minimum_by_pairs(comp, x).hex()
+def _rational_extremal(system: System, data, dual: bool) -> list[F]:
+    """An integer facet normal (dual) or extremal ray of a polyhedral
+    factor, or a rational pure element of a rank-2 matrix factor, which is
+    its own pure effect: (p, |z|^2 / (2 p), z) for p > 0."""
+    cone = system.cone
+    if isinstance(cone, PolyhedralCone):
+        rows = cone.data.facets() if dual else [
+            cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
+        return list(data.draw(st.sampled_from(rows)))
+    ratio = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    p = abs(data.draw(ratio)) + F(1, 9)
+    z = data.draw(st.lists(ratio, min_size=system.dim - 2,
+                           max_size=system.dim - 2))
+    return [p, sum(v * v for v in z) / (2 * p), *z]
+
+
+def _rational_center(system: System) -> list[F]:
+    """The sum of a polyhedral factor's extremal rays, or the identity of a
+    matrix factor: an interior element."""
+    cone = system.cone
+    if isinstance(cone, PolyhedralCone):
+        rays = [cone.data.rays[i] for i in cone.data.extremal_ray_indices()]
+        return [sum(col, F(0)) for col in zip(*rays)]
+    return [F(v) for v in system.unit]
+
+
+@given(pair=st.sampled_from(["square-square", "pentagon-square",
+                             "square-qubit", "qubit-square", "rebit-square"]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_max_tensor_member_matches_exact_pairing_signs(pair, data):
+    # a rational sum of 1-3 products of factor extremals and a multiple of
+    # the product of their centres, moved along one product effect
+    # d = e (x) f onto its facet hyperplane and then up to a tenth of its
+    # scale to either side, passed as floats
+    comp = _max_of(pair)
+    terms = [(data.draw(st.integers(0, 20)), _rational_center(comp.factorA),
+              _rational_center(comp.factorB))]
+    terms += [(data.draw(st.integers(1, 5)),
+               _rational_extremal(comp.factorA, data, dual=False),
+               _rational_extremal(comp.factorB, data, dual=False))
+              for _ in range(data.draw(st.integers(1, 3)))]
+    x = [F(0)] * comp.dim
+    for w, a, b in terms:
+        x = [xi + w * ai * bj for xi, (ai, bj)
+             in zip(x, itertools.product(a, b))]
+    d = [ei * fj for ei, fj in itertools.product(
+        _rational_extremal(comp.factorA, data, dual=True),
+        _rational_extremal(comp.factorB, data, dual=True))]
+    side = F(data.draw(st.integers(-100, 100)), 1000)
+    step = side * sum(map(abs, x)) / sum(map(abs, d)) \
+        - sum(u * v for u, v in zip(d, x)) / sum(v * v for v in d)
+    x = [xi + step * di for xi, di in zip(x, d)]
+    inside = min(max_tensor_pairing_signs(comp, x)) >= 0
+    assert comp.cone.member(np.array([float(v) for v in x])) == inside
+
+
+def _unit_product_effects(comp: cp.CompositeSystem, rng):
+    """Every pair of unit dual extremals e (x) f, a polyhedral factor's
+    facet normals and a seeded pure effect of a matrix factor."""
+    def unit_duals(system):
+        if isinstance(system.cone, PolyhedralCone):
+            return [nf / norm for nf, norm in system.cone.float_facets()]
+        e = system.cone.algebra.metric * system.sample_pure(rng)
+        return [e / np.linalg.norm(e)]
+    return itertools.product(unit_duals(comp.factorA),
+                             unit_duals(comp.factorB))
+
+
+@pytest.mark.parametrize("pair", ["square-square", "pentagon-square",
+                                  "square-qubit", "qubit-square"])
+def test_points_outside_a_unit_product_facet_are_rejected(pair, rng):
+    # a sum of two pure products moved to pair to -0.05 with a product of
+    # unit dual extremals: the least slice margin is at most -0.05
+    comp = _max_of(pair)
+    for _ in range(5):
+        for e, f in _unit_product_effects(comp, rng):
+            x = comp.cone.sample_extremal(rng) + comp.cone.sample_extremal(rng)
+            d = np.outer(e, f).ravel()
+            x = x - (d @ x + 0.05) * d
+            assert comp.cone.margin(x) <= -0.05 + 1e-12
+            assert not comp.cone.member(x)
+
+
+def test_max_tensor_without_a_route_refuses_each_query(qubit, rng):
+    # neither qubit (+) rebit nor the shared-corner cone is polyhedral,
+    # classical or simple: the composite builds, and every query names it
+    specs = {s.name: s for s in fixtures.builtin_fixtures()}
+    corner = fixtures.build_system(specs["shared-corner"], specs)
+    mixed = make_eja_system(eja.JordanAlgebra(
+        [eja.SimpleFactor(eja.COMPLEX, 2), eja.SimpleFactor(eja.REAL, 2)]),
+        "qubit+rebit")
+    for a in (mixed, corner):
+        cone = cp.CompositeSystem(a, qubit, cp.MAX_TENSOR).cone
+        x = cone.sample_extremal(rng)
+        for query in (cone.member, cone.margin):
+            with pytest.raises(UnsupportedQuery, match=re.escape(
+                    f"no max-tensor membership route for {a.label} (x) "
+                    "qubit [max]")):
+                query(x)
 
 
 def test_min_tensor_needs_polyhedral(qubit):

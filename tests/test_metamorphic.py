@@ -8,6 +8,10 @@ invertible integer matrix.  On every check that both sides decide, the
 two statuses must be equal.  A decided verdict against an open one
 (INCONCLUSIVE, UNSUPPORTED or skipped) is listed, not failed: a route may
 lack a constructor on one side.  An `error` record on either side fails.
+
+One membership relation rides along: the max tensor product of two bits,
+sliced by the coordinates of a classical factor, is the orthant that the
+classical composite of the same bits spans.
 """
 
 from fractions import Fraction as F
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 from conelab import fixtures
+from conelab.composite import MAX_TENSOR, CompositeSystem
 from conelab.cones import FAILS, HOLDS
 
 SEEDS = (1, 7, 11)
@@ -111,3 +116,19 @@ def test_isomorphic_systems_agree_where_both_decide(pair):
             elif a[check] != b[check]:
                 listed.append((seed, check, a[check], b[check]))
     print(pair, "decided on one side only:", listed)
+
+
+def test_max_of_two_bits_is_the_classical_orthant(rng):
+    # random points, points on the orthant's faces, and those points moved
+    # a thousandth out along one coordinate
+    specs = {s.name: s for s in fixtures.builtin_fixtures()}
+    orthant = fixtures.build_system(specs["classical-bit-bit"], specs)
+    bit = orthant.factorA
+    maximal = CompositeSystem(bit, bit, MAX_TENSOR)
+    points = [rng.standard_normal(4) for _ in range(50)]
+    for _ in range(50):
+        x = rng.random(4) * (rng.random(4) < 0.6)
+        points += [x, x - 1e-3 * np.eye(4)[rng.integers(4)]]
+    inside = [orthant.cone.member(x) for x in points]
+    assert [maximal.cone.member(x) for x in points] == inside
+    assert 0 < sum(inside) < len(points)
