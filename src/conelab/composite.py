@@ -168,6 +168,13 @@ class MaxTensorCone(ConeModel):
             self.comp.factorB.cone.sample_extremal(rng))
 
     def face_span_basis(self, x, tol):
+        """span Face(a) (x) span Face(b) at a product x = a (x) b: the
+        products of the factors' bases, which are linearly independent.
+        Proof, y <= l x meaning l x - y in the cone: a' <= l a and b' <= m b
+        give l m a(x)b - a'(x)b' = (l a - a')(x)m b + a'(x)(m b - b') in
+        min(A, B); and 0 <= Y <= l a(x)b gives 0 <= Y g <= l g(b) a for each
+        g in K_B*, which spans, so Y's columns lie in span Face(a); in the
+        same way its rows lie in span Face(b)."""
         comp = self.comp
         wa = marginal_of(comp, x, "A")
         wb = marginal_of(comp, x, "B")

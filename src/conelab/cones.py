@@ -5,16 +5,16 @@ five-dimensional shared-corner cone (two 2x2 PSD blocks agreeing in the
 top-left entry).  Composite cones live in `conelab.composite` and plug into
 the same query functions.
 
-A polyhedral cone's face span is the exact null space of its facet normals
-tight at x (Ziegler, Lectures on Polytopes, 1995).  Other cones compute it
-structurally (support-idempotent quadratic representation, block range
-compressions) and probe it: a direction d counts only if x + eps*d and
-x - eps*d are both members, eps = 10^3 * tol * max(1, |x|) well above the
-membership slack tol; x itself counts, as it lies in its own face.  When the
-span is not the whole space, a negative control must see the probe fail:
-some direction orthogonal to the span has to leave the cone on one side, or
-the query is UNSUPPORTED, as a probe that accepts every direction certifies
-nothing.
+dim span Face(x) has one exact rule per cone kind, each a linearly
+independent `face_span_basis` of the span: the null space of the facet
+normals tight at x on a polyhedral cone (Ziegler, Lectures on Polytopes,
+1995), of which `face_dimension` reads only the rank; the range of U_p, the
+Peirce 1-space of x's support idempotent p, on an EJA cone (Faraut and
+Koranyi, Analysis on Symmetric Cones, 1994); the symmetric matrices on each
+block's range, cut by the shared corner, on the shared-corner cone;
+span Face(a) (x) span Face(b) at a max-tensor product a (x) b; and the
+rotated inner span on a linear image.  A kind without a rule is
+UNSUPPORTED.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .eja import JordanAlgebra, _norms
 from .exact import ConeError, UnsupportedQuery
 
 DEFAULT_TOL = 1e-9
-# sampled extremals per side of a positivity or order-isomorphism check,
-# and the seed of an order-isomorphism check's samples
+# sampled extremals per side of an order-isomorphism check, and the seed
+# of its samples
 ISO_SAMPLES = 50
 ISO_SEED = 7
 
@@ -78,8 +78,10 @@ class ConeModel:
                          for _ in range(count)]).reshape(count, self.dim)
 
     def face_span_basis(self, x: np.ndarray, tol: float) -> list[np.ndarray]:
-        """Basis of the candidate span of Face(x)."""
-        raise NotImplementedError
+        """A linearly independent basis of span Face(x) for a member x, by
+        the cone kind's exact rule; `face_dimension` reads its length.  A
+        kind without a rule raises UnsupportedQuery, naming the class."""
+        raise UnsupportedQuery(f"no face rule for {type(self).__name__}")
 
     def _check_dim(self, x: np.ndarray):
         if len(x) != self.dim:
@@ -91,8 +93,7 @@ class PolyhedralCone(ConeModel):
 
     Facet n is tight at x when its normalized float margin (n . x) / |n|,
     the one `margin` reads, is at most max(tol, 1e-12) * max(1, |x|); the
-    face span is the exact null space of the tight facets' integer normals,
-    so no membership probe runs on a polyhedral cone."""
+    face span is the exact null space of the tight facets' integer normals."""
 
     def __init__(self, generators):
         self.data = exact.PolyhedralData(generators)
@@ -319,18 +320,15 @@ class SharedCornerCone(ConeModel):
         return np.array([1.0, s * s, t * t, s, t])
 
     def face_span_basis(self, x, tol):
-        x = np.asarray(x, dtype=float)
-        if not self.member(x, tol):
-            raise ConeError("x is not a member of the cone")
         m1, m2 = self.blocks(x)
         rows = []
         for bi, m in enumerate((m1, m2)):
             vals, vecs = np.linalg.eigh(m)
+            if vals[0] < -tol:
+                raise ConeError("x is not a member of the cone")
             scale = max(1.0, float(np.max(np.abs(vals))))
-            p = sum(np.outer(vecs[:, k], vecs[:, k])
-                    for k in range(2) if vals[k] > tol * scale)
-            if isinstance(p, int):
-                p = np.zeros((2, 2))
+            p = sum((np.outer(vecs[:, k], vecs[:, k]) for k in range(2)
+                     if vals[k] > tol * scale), np.zeros((2, 2)))
             # constraint: block_i(d) - P block_i(d) P = 0, expanded over the
             # five coordinates
             resid = [d[bi] - p @ d[bi] @ p for d in _UNIT_BLOCKS]
@@ -340,7 +338,7 @@ class SharedCornerCone(ConeModel):
         a = np.array(rows)
         u, sv, vt = np.linalg.svd(a)
         r = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
-        return [vt[k] for k in range(len(vt))][r:] if r < 5 else []
+        return list(vt[r:])
 
     def basepoint(self) -> np.ndarray:
         return np.array([1.0, 1, 1, 0, 0])
@@ -373,53 +371,18 @@ _UNIT_BLOCKS = tuple(SharedCornerCone.blocks(e) for e in np.eye(5))
 # -- generic operations ------------------------------------------------------
 
 
-def two_sided_probe(cone: ConeModel, x: np.ndarray, d: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> bool:
-    """Are x + eps*d/|d| and x - eps*d/|d| both members, with the step
-    eps = 10^3 * max(tol, 1e-12) * max(1, |x|) and membership slack
-    max(tol, 1e-12)?  The step sits well above the slack, so a direction
-    that leaves the cone to first order on one side fails."""
-    norm = float(np.linalg.norm(d))
-    if norm == 0:
-        return False
-    slack = max(tol, 1e-12)
-    step = 1e3 * slack * max(1.0, float(np.linalg.norm(x))) / norm * d
-    return cone.member(x + step, slack) and cone.member(x - step, slack)
-
-
 def face_dimension(cone: ConeModel, x: np.ndarray,
                    tol: float = DEFAULT_TOL) -> int:
-    """dim span(Face(x)) for a member x.  On a polyhedral cone: d minus the
-    exact rank of the facet normals tight at x (`tight_normals`).
-
-    On any other cone: the directions of the structural candidate span
-    that pass one `two_sided_probe` each, together with x itself, which
-    lies in its own face without a probe.  When the span is not the whole
-    space, the directions of its orthogonal complement are probed in turn
-    until one fails; if none does, the probe cannot tell the face from the
-    space and UnsupportedQuery is raised.
-    """
+    """dim span(Face(x)) for a member x; a non-member raises ConeError.  On
+    a polyhedral cone: d minus the exact rank of the facet normals tight at
+    x (`tight_normals`).  On every other cone: the length of the cone
+    kind's linearly independent `face_span_basis`."""
     x = np.asarray(x, dtype=float)
     if not cone.member(x, tol):
         raise ConeError("x is not a member of the cone")
     if isinstance(cone, PolyhedralCone):
         return cone.dim - exact.rank(cone.tight_normals(x, tol))
-    basis = cone.face_span_basis(x, tol)
-    verified = [d for d in basis if two_sided_probe(cone, x, d, tol)]
-    # negative control: the rows of vt past the span's rank are an
-    # orthonormal basis of its orthogonal complement
-    _, sv, vt = np.linalg.svd(np.reshape(basis, (len(basis), cone.dim)))
-    rank = int(np.sum(sv > 1e-8 * sv.max(initial=1.0)))
-    if rank < cone.dim and all(two_sided_probe(cone, x, c, tol)
-                               for c in vt[rank:]):
-        raise UnsupportedQuery("face probe accepts every direction "
-                               "orthogonal to the claimed span")
-    norm = float(np.linalg.norm(x))
-    if norm > 0:
-        verified.append(x / norm)
-    if not verified:
-        return 0
-    return int(np.linalg.matrix_rank(np.array(verified), tol=1e-8))
+    return len(cone.face_span_basis(x, tol))
 
 
 def _eja_extremal_rows(cone: EJACone, xs: np.ndarray,

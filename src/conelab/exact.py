@@ -27,16 +27,15 @@ sign question about its cone on those rows: membership, pairings with the
 rays and "is x on this ray".  `cones.PolyhedralCone` picks the facets
 tight at a float point x by their normalized float margins, at most
 max(tol, 1e-12) * max(1, |x|), and reads a face dimension as d minus the
-exact `rank` of their integer normals: membership probes serve only
-non-polyhedral cones.  Self-duality under the dot product, K* = K, takes
-two of those questions: the pairings of the extremal rays and the
-membership of the facet normals.  A rational point is scaled once to
-integers by its positive common denominator (`_integer_row`), so each
-sign, and each answer, is that of the `Fraction` sums, with integer
-products in place of them (as in Avis's lrs).  A float point is rounded
-onto a grid of bounded denominators straight into such an integer row
-(`rounded_row`).  `Fraction`s stay what leaves the layer: `rays`,
-`facets()`, null-space bases and LP vertices.
+exact `rank` of their integer normals.  Self-duality under the dot
+product, K* = K, takes two of those questions: the pairings of the
+extremal rays and the membership of the facet normals.  A rational point
+is scaled once to integers by its positive common denominator
+(`_integer_row`), so each sign, and each answer, is that of the
+`Fraction` sums, with integer products in place of them (as in Avis's
+lrs).  A float point is rounded onto a grid of bounded denominators
+straight into such an integer row (`rounded_row`).  `Fraction`s stay what
+leaves the layer: `rays`, `facets()`, null-space bases and LP vertices.
 """
 
 from __future__ import annotations

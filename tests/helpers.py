@@ -1,5 +1,5 @@
-"""Test helpers that no package route calls, and the sampled face-profile
-oracle.
+"""Test helpers that no package route calls, the sampled face-profile
+oracle and the float face-probe oracle.
 
 `probabilistic_inverse`, `classical_effect_test`, `check_positive`,
 `sample_state`, `product_effect`, `trace_inner`, `overlap_state`,
@@ -10,6 +10,9 @@ bit.
 `face_profile_by_sampling` is the sampled route that `axioms.face_profile`
 replaced by its closed form: a maximum over sampled pure states, so only a
 lower bound on the profile.
+`two_sided_probe` and `probe_face_span` are the float membership probe and
+its negative control that `cones.face_dimension` replaced by each cone
+kind's exact `face_span_basis`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 
 from conelab import eja
 from conelab.composite import CompositeSystem, LinearImageCone
-from conelab.cones import (DEFAULT_TOL, ISO_SAMPLES, ConeError, EJACone,
-                           System, face_dimension)
+from conelab.cones import (DEFAULT_TOL, ISO_SAMPLES, ConeError, ConeModel,
+                           EJACone, System, face_dimension)
 
 
 def probabilistic_inverse(m: np.ndarray, source: System, target: System,
@@ -110,6 +113,36 @@ def face_profile_by_sampling(system: System, w: np.ndarray,
         if best == system.dim:
             break
     return best
+
+
+def two_sided_probe(cone: ConeModel, x: np.ndarray, d: np.ndarray,
+                    tol: float = DEFAULT_TOL) -> bool:
+    """Are x + eps*d/|d| and x - eps*d/|d| both members, with the step
+    eps = 10^3 * max(tol, 1e-12) * max(1, |x|) and membership slack
+    max(tol, 1e-12)?  The step sits well above the slack, so a direction
+    that leaves the cone to first order on one side fails."""
+    norm = float(np.linalg.norm(d))
+    if norm == 0:
+        return False
+    slack = max(tol, 1e-12)
+    step = 1e3 * slack * max(1.0, float(np.linalg.norm(x))) / norm * d
+    return cone.member(x + step, slack) and cone.member(x - step, slack)
+
+
+def probe_face_span(cone: ConeModel, x: np.ndarray, basis,
+                    tol: float = DEFAULT_TOL) -> tuple[bool, bool]:
+    """The probe's reading of a span claimed for Face(x) at a member x: does
+    every basis direction pass `two_sided_probe`, and does the negative
+    control hold?  The control probes an orthonormal basis of the span's
+    orthogonal complement (the rows of vt past its rank) in turn until one
+    direction fails; it holds when one does, or when the span is the whole
+    space, as a probe that accepts every direction certifies nothing."""
+    inside = all(two_sided_probe(cone, x, d, tol) for d in basis)
+    _, sv, vt = np.linalg.svd(np.reshape(basis, (len(basis), cone.dim)))
+    rank = int(np.sum(sv > 1e-8 * sv.max(initial=1.0)))
+    control = rank == cone.dim or not all(two_sided_probe(cone, x, c, tol)
+                                          for c in vt[rank:])
+    return inside, control
 
 
 def assert_same_text(a: str, b: str) -> None:

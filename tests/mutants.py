@@ -40,6 +40,8 @@ _ORACLES = "tests/test_exact.py::test_integer_queries_match_fraction_oracles"
 _DATA = "tests/test_exact.py::TestPolyhedralData"
 _FACE = "tests/test_cones.py::TestFaceDimension"
 _FACE_ORACLE = "tests/test_cones.py::test_face_dimension_matches_exact_face_span"
+_FACE_PROBE = ("tests/test_cones.py::"
+               "test_face_span_basis_passes_the_probe_oracle")
 _SLICE_SIGNS = ("tests/test_composite.py::"
                 "test_max_tensor_member_matches_exact_pairing_signs")
 _SLICE_OUTSIDE = ("tests/test_composite.py::"
@@ -212,11 +214,18 @@ MUTANTS = (
            "for s in duals[1:] @ m)",
            (_SLICE_SIGNS, _SLICE_OUTSIDE, "tests/test_metamorphic.py::"
             "test_max_of_two_bits_is_the_classical_orthant")),
-    Mutant("face-probe-negative-control-passes", "src/conelab/cones.py",
-           "    if rank < cone.dim and all(two_sided_probe(cone, x, c, tol)",
-           "    if False and all(two_sided_probe(cone, x, c, tol)",
-           ("tests/test_cones.py::TestFaceProbe::"
-            "test_probe_that_accepts_everything_is_unsupported",)),
+    Mutant("eja-face-support-takes-every-idempotent", "src/conelab/cones.py",
+           "if lam > tol * scale:",
+           "if lam > -tol * scale:",
+           (_FACE_PROBE,)),
+    Mutant("shared-corner-face-reads-one-block", "src/conelab/cones.py",
+           "enumerate((m1, m2))",
+           "enumerate((m1,))",
+           (_FACE_PROBE,)),
+    Mutant("max-tensor-face-reads-factor-a-twice", "src/conelab/composite.py",
+           "for b in bb]",
+           "for b in ba]",
+           (_FACE_PROBE,)),
     Mutant("steering-accepts-every-ensemble", "src/conelab/composite.py",
            "return effects if valid.all() else",
            "return effects if True else",

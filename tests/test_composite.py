@@ -23,8 +23,8 @@ from eja_oracles import (hilbert_pairings_by_pairs, hilbert_rotation_by_pairs,
                          pure_effect_minimizing_by_point,
                          random_ensemble_by_halving, steer_by_ensemble,
                          steering_check_by_ensemble)
-from helpers import (assert_same_verdict, product_effect, same_bits,
-                     sample_state)
+from helpers import (assert_same_verdict, probe_face_span, product_effect,
+                     same_bits, sample_state)
 from polyhedral_oracles import (extremal_by_lp, max_tensor_pairing_signs,
                                 steer_by_lp)
 from test_cli import wider_registry
@@ -865,9 +865,9 @@ def test_pairing_minimum_equals_start_by_start_loop(alg_a, alg_b, rng):
 
 def _faces_decision_points(max_rebit, monkeypatch) -> list[np.ndarray]:
     """The points whose pairing minimum one purity decision on a pure
-    product of max rebit (x) rebit asks for: the product x, x + step * d
-    and x - step * d along its face span, and the directions off the face
-    until one leaves the cone."""
+    product x of max rebit (x) rebit asks for (x alone), then those the
+    face-probe oracle asks for: x + step * d and x - step * d along its
+    face span, and the directions off the face until one leaves the cone."""
     rebit = max_rebit.factorA
     rng = np.random.default_rng(13)
     w = max_rebit.product_state(rebit.sample_pure(rng), rebit.sample_pure(rng))
@@ -877,6 +877,8 @@ def _faces_decision_points(max_rebit, monkeypatch) -> list[np.ndarray]:
         patch.setattr(cp.MaxTensorCone, "pairing_minimum",
                       lambda cone, x: points.append(x) or minimum(cone, x))
         assert face_dimension(max_rebit.cone, w) == 1
+        basis = max_rebit.cone.face_span_basis(w, DEFAULT_TOL)
+        assert probe_face_span(max_rebit.cone, w, basis) == (True, True)
     return points
 
 

@@ -5,21 +5,21 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelab import composite, cones, eja, fixtures
-from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, UNSUPPORTED, EJACone,
+from conelab.cones import (DEFAULT_TOL, FAILS, HOLDS, EJACone,
                            PolyhedralCone, SharedCornerCone,
                            System, UnsupportedQuery,
                            ConeError, face_dimension, first_non_extremal,
                            is_extremal_ray, is_order_isomorphism,
-                           two_sided_probe, validate_measurement)
+                           validate_measurement)
 from conftest import make_eja_system
 from eja_oracles import (first_non_extremal_by_point,
                          is_order_isomorphism_by_point,
                          validate_measurement_by_effect)
-from helpers import random_positive
+from helpers import probe_face_span, random_positive
 from polyhedral_oracles import face_span, member_by_lp, to_exact_by_fractions
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
@@ -193,6 +193,16 @@ class TestFaceDimension:
         for w in (p2, p3, t00, t11, t_gen):
             assert is_extremal_ray(shared, w)
 
+    def test_cone_without_a_face_rule_is_unsupported(self):
+        class Bare(cones.ConeModel):
+            dim = 2
+
+            def member(self, x, tol=DEFAULT_TOL):
+                return True
+
+        with pytest.raises(UnsupportedQuery, match="no face rule for Bare"):
+            face_dimension(Bare(), np.array([1.0, 0.0]))
+
 
 @cache
 def _polyhedral(name: str) -> PolyhedralCone:
@@ -251,8 +261,24 @@ def _pure_qubit(rng):
     return cone, cone.sample_extremal(rng)
 
 
-# Extremal points of the cones whose face dimension takes the probe route:
-# (cone, x) from a seeded rng.
+@cache
+def _builtin(name: str) -> System:
+    registry = {s.name: s for s in fixtures.builtin_fixtures()}
+    return fixtures.build_system(registry[name], registry)
+
+
+@cache
+def _composite(model: str, a: str, b: str) -> composite.CompositeSystem:
+    return composite.CompositeSystem(_builtin(a), _builtin(b), model)
+
+
+def _hilbert_qubit_product(rng):
+    comp = _composite(composite.HILBERT, "qubit", "qubit")
+    return comp.cone, comp.cone.sample_extremal(rng)
+
+
+# Extremal points of cones whose face span is not polyhedral: (cone, x)
+# from a seeded rng.
 EXTREMAL_POINTS = {
     "eja-pure-qubit": _pure_qubit,
     "shared-corner-block-ray": lambda rng: (
@@ -263,61 +289,127 @@ EXTREMAL_POINTS = {
 }
 
 
-def _orthogonal_complement(basis, dim):
-    _, sv, vt = np.linalg.svd(np.reshape(basis, (len(basis), dim)))
-    return vt[int(np.sum(sv > 1e-8)):]
-
-
 class TestFaceProbe:
     @pytest.mark.parametrize("case", sorted(EXTREMAL_POINTS))
     def test_out_of_face_direction_fails(self, case, rng):
         cone, x = EXTREMAL_POINTS[case](rng)
         basis = cone.face_span_basis(x, DEFAULT_TOL)
         assert len(basis) == 1
-        assert all(two_sided_probe(cone, x, d) for d in basis)
-        complement = _orthogonal_complement(basis, cone.dim)
-        assert len(complement) == cone.dim - 1
-        assert not all(two_sided_probe(cone, x, c) for c in complement)
+        assert probe_face_span(cone, x, basis) == (True, True)
         assert face_dimension(cone, x) == 1
 
-    def test_hollow_span_claim_is_not_counted(self, shared, monkeypatch):
-        # a structural span claiming the whole space at an extremal point:
-        # only x itself survives, because every coordinate direction leaves
-        # the cone on one side to first order
-        monkeypatch.setattr(SharedCornerCone, "face_span_basis",
-                            lambda self, x, tol: list(np.eye(5)))
-        x = np.array([1.0, 0.25, 4.0, 0.5, -2.0])
-        assert face_dimension(shared, x) == 1
+    def test_one_member_call_per_face_dimension(self, rng, monkeypatch):
+        # the member precondition is the only membership call: no face
+        # rule probes the cone
+        points = [EXTREMAL_POINTS[c](rng) for c in sorted(EXTREMAL_POINTS)]
+        points.append(_hilbert_qubit_product(rng))
+        for cone, x in points:
+            calls = []
+            member = type(cone).member
+            with monkeypatch.context() as patch:
+                patch.setattr(type(cone), "member",
+                              lambda self, y, tol=DEFAULT_TOL:
+                              calls.append(tol) or member(self, y, tol))
+                assert face_dimension(cone, x) == 1
+            assert len(calls) == 1, type(cone).__name__
 
-    def test_member_budget_max_tensor(self, rng, monkeypatch):
-        cone, x = _rebit_max_tensor(rng)
-        basis = cone.face_span_basis(x, DEFAULT_TOL)
-        calls = []
-        member = composite.MaxTensorCone.member
 
-        def counted(self, y, tol=DEFAULT_TOL):
-            calls.append(tol)
-            return member(self, y, tol)
+def _weighted_sum(states: np.ndarray, rng) -> np.ndarray:
+    """A sum of the rows with weights in [0.5, 2)."""
+    return rng.uniform(0.5, 2.0, len(states)) @ states
 
-        monkeypatch.setattr(composite.MaxTensorCone, "member", counted)
-        assert face_dimension(cone, x) == 1
-        assert len(calls) <= 1 + 2 * len(basis) + 2 * (cone.dim - len(basis))
 
-    def test_probe_that_accepts_everything_is_unsupported(self):
-        class AcceptAll(SharedCornerCone):
-            def member(self, x, tol=DEFAULT_TOL):
-                return True
+def _frame_point(alg: eja.JordanAlgebra, k: int, rng) -> np.ndarray:
+    """A weighted sum of k orthogonal pure states, from the spectral frame
+    of a random element: its nonzero eigenvalues are the weights, far above
+    the probe's step, which cannot resolve an eigenvalue near it."""
+    frame = np.array(alg.spectral(rng.standard_normal(alg.dim)).idempotents)
+    return _weighted_sum(frame[rng.choice(len(frame), k, replace=False)], rng)
 
-        cone = AcceptAll()
-        with pytest.raises(UnsupportedQuery):
-            face_dimension(cone, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-        spec = next(s for s in fixtures.builtin_fixtures()
-                    if s.name == "shared-corner")
-        system = System(cone, np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
-                        "accept-all")
-        record = fixtures.run_check("pure-transitivity", spec, system,
-                                    DEFAULT_TOL, 7)
-        assert record["status"] == UNSUPPORTED
+
+def _eja_point(alg: eja.JordanAlgebra):
+    """A sum of 1 + pick % rank pure states."""
+    cone = EJACone(alg)
+    return lambda pick, rng: (cone, _frame_point(alg, 1 + pick % alg.rank,
+                                                 rng))
+
+
+# (corner > 0, rank of block 1, rank of block 2): every pattern of a member
+SHARED_CORNER_PATTERNS = ((False, 0, 0), (False, 0, 1), (False, 1, 0),
+                          (False, 1, 1), (True, 1, 1), (True, 1, 2),
+                          (True, 2, 1), (True, 2, 2))
+
+
+def _shared_corner_point(pick, rng):
+    # a rank-one block is [[c, s], [s, s^2 / c]], or [[0, 0], [0, t]] at a
+    # zero corner c; a rank-two block adds t > 0 at the bottom right
+    corner, *ranks = SHARED_CORNER_PATTERNS[pick % len(SHARED_CORNER_PATTERNS)]
+    c = rng.uniform(0.5, 2.0) if corner else 0.0
+    blocks = []
+    for r in ranks:
+        s = rng.standard_normal() if corner else 0.0
+        full = r == 2 or (r == 1 and not corner)
+        t = rng.uniform(0.5, 2.0) if full else 0.0
+        bottom = (s * s / c if corner else 0.0) + t
+        blocks.append(np.array([[c, s], [s, bottom]]))
+    return SharedCornerCone(), SharedCornerCone.from_blocks(*blocks)
+
+
+def _product_point(model: str, a: str, b: str):
+    """A product of two factor states, each a sum of 1 to 3 pure states on
+    a polyhedral factor, or of 1 to the rank on a symmetric one, as the
+    digits of pick in those bases say."""
+    def point(pick, rng):
+        comp = _composite(model, a, b)
+        states = []
+        for factor in (comp.factorA, comp.factorB):
+            if isinstance(factor.cone, EJACone):
+                alg = factor.cone.algebra
+                pick, k = divmod(pick, alg.rank)
+                states.append(_frame_point(alg, 1 + k, rng))
+                continue
+            pick, k = divmod(pick, 3)
+            pures = [factor.sample_pure(rng) for _ in range(1 + k)]
+            states.append(_weighted_sum(np.array(pures), rng))
+        return comp.cone, comp.product_state(*states)
+    return point
+
+
+FACE_POINTS = {
+    **{f"{name}-{r}": _eja_point(make(r)) for r in (1, 2, 3)
+       for name, make in (("real", eja.real_sym),
+                          ("complex", eja.complex_herm),
+                          ("quat", eja.quat_herm))},
+    **{f"spin-{n}": _eja_point(eja.spin_factor(n)) for n in (3, 4, 5, 6)},
+    "real-2+spin-4": _eja_point(eja.JordanAlgebra(
+        eja.real_sym(2).factors + eja.spin_factor(4).factors)),
+    "shared-corner": _shared_corner_point,
+    "hilbert-qubit-qubit": _product_point(composite.HILBERT, "qubit",
+                                          "qubit"),
+    "max-rebit-rebit": _product_point(composite.MAX_TENSOR, "real-sym-2",
+                                      "real-sym-2"),
+    "max-square-qubit": _product_point(composite.MAX_TENSOR, "square-cone",
+                                       "qubit"),
+}
+
+
+@given(case=st.sampled_from(sorted(FACE_POINTS)),
+       pick=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1))
+@example(case="complex-2", pick=0, seed=0)
+@example(case="shared-corner", pick=4, seed=0)
+@example(case="max-rebit-rebit", pick=0, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_face_span_basis_passes_the_probe_oracle(case, pick, seed):
+    # each kind's exact face span against the float probe: an independent
+    # basis whose every direction the probe accepts, and, below the whole
+    # space, some direction of its complement the probe rejects; the
+    # examples are a pure qubit, both blocks of rank one and a pure product
+    cone, x = FACE_POINTS[case](pick, np.random.default_rng(seed))
+    basis = cone.face_span_basis(x, DEFAULT_TOL)
+    if basis:
+        assert np.linalg.matrix_rank(np.array(basis), tol=1e-8) == len(basis)
+    assert probe_face_span(cone, x, basis) == (True, True)
+    assert face_dimension(cone, x) == len(basis)
 
 
 class TestExtremality:
