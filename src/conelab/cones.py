@@ -14,7 +14,10 @@ Koranyi, Analysis on Symmetric Cones, 1994); the symmetric matrices on each
 block's range, cut by the shared corner, on the shared-corner cone;
 span Face(a) (x) span Face(b) at a max-tensor product a (x) b; and the
 rotated inner span on a linear image.  A kind without a rule is
-UNSUPPORTED.
+UNSUPPORTED.  Extremality has one rule per kind too, `extremal_rows`: one
+eigenvalue above tolerance and none below on an EJA cone (Faraut and
+Koranyi), the inner rule at R x on a linear image after its `member`
+precondition, and face dimension 1 on every other kind.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ class ConeModel:
         the cone kind's exact rule; `face_dimension` reads its length.  A
         kind without a rule raises UnsupportedQuery, naming the class."""
         raise UnsupportedQuery(f"no face rule for {type(self).__name__}")
+
+    def extremal_rows(self, xs: np.ndarray, tol: float) -> np.ndarray:
+        """Is each row of a (k, dim) stack of finite nonzero elements on an
+        extremal ray, as a bool array, by the cone kind's rule; here
+        `face_dimension` is 1, and a non-member row raises ConeError."""
+        return np.array([face_dimension(self, x, tol) == 1 for x in xs],
+                        dtype=bool)
 
     def _check_dim(self, x: np.ndarray):
         if len(x) != self.dim:
@@ -237,6 +247,17 @@ class EJACone(ConeModel):
     def sample_extremals(self, rng, count):
         return self.algebra.random_pures(rng, count)
 
+    def extremal_rows(self, xs, tol):
+        """Exactly one eigenvalue above tol * scale and none below its
+        negative, scale = max(1, max |eigenvalue|) per row, from one
+        stacked `eigenvalues` call; a non-member row is not extremal."""
+        vals = self.algebra.eigenvalues(xs)
+        # the array methods: the same reductions, without the np.* dispatch
+        scale = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
+        positive = (vals > tol * scale).sum(axis=-1)
+        negative = (vals < -tol * scale).sum(axis=-1)
+        return (negative == 0) & (positive == 1)
+
     def face_span_basis(self, x, tol):
         x = np.asarray(x, dtype=float)
         dec = self.algebra.spectral(x)
@@ -385,43 +406,29 @@ def face_dimension(cone: ConeModel, x: np.ndarray,
     return len(cone.face_span_basis(x, tol))
 
 
-def _eja_extremal_rows(cone: EJACone, xs: np.ndarray,
-                       tol: float) -> np.ndarray:
-    """Is each row of a (k, dim) stack of finite nonzero elements on an
-    extremal ray: exactly one eigenvalue above tol * scale and none below
-    its negative, scale = max(1, max |eigenvalue|) per row, from one
-    stacked `eigenvalues` call."""
-    vals = cone.algebra.eigenvalues(xs)
-    # the array methods: the same reductions, without the np.* dispatch
-    scale = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
-    positive = (vals > tol * scale).sum(axis=-1)
-    negative = (vals < -tol * scale).sum(axis=-1)
-    return (negative == 0) & (positive == 1)
-
-
 def is_extremal_ray(cone: ConeModel, x: np.ndarray,
                     tol: float = DEFAULT_TOL) -> bool:
+    """Is x on an extremal ray, by the cone kind's `extremal_rows`: the
+    eigenvalue count on an EJA cone, the inner rule at rot @ x on a linear
+    image after its `member` precondition, else face dimension 1.  The null
+    ray raises ConeError."""
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) < tol:
         raise ConeError("the null ray is excluded")
-    if isinstance(cone, EJACone):
-        return bool(_eja_extremal_rows(cone, x[None], tol)[0])
-    return face_dimension(cone, x, tol=tol) == 1
+    return bool(cone.extremal_rows(x[None], tol)[0])
 
 
 def first_non_extremal(cone: ConeModel, xs: np.ndarray,
                        tol: float = DEFAULT_TOL) -> int | None:
     """The index of the first row of a (k, dim) stack that `is_extremal_ray`
-    rejects, or None; a null or non-finite row anywhere raises ConeError
-    first (null guard: `eja._norms`, the bits of the 1-D `np.linalg.norm`).
-    An EJA cone tests every row with one stacked eigenvalue call."""
+    rejects, or None, from one `cone.extremal_rows` call over every row
+    (one stacked eigenvalue call on an EJA cone).  A null or non-finite row
+    anywhere raises ConeError first (null guard: `eja._norms`, the bits of
+    the 1-D `np.linalg.norm`), and so does a non-member off an EJA cone."""
     xs = np.asarray(xs, dtype=float)
     if not (np.isfinite(xs).all() and (_norms(xs) >= tol).all()):
         raise ConeError("the null ray and non-finite elements are excluded")
-    if not isinstance(cone, EJACone):
-        return next((k for k, x in enumerate(xs)
-                     if not is_extremal_ray(cone, x, tol)), None)
-    rejected = np.flatnonzero(~_eja_extremal_rows(cone, xs, tol))
+    rejected = np.flatnonzero(~cone.extremal_rows(xs, tol))
     return int(rejected[0]) if rejected.size else None
 
 

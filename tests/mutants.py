@@ -42,6 +42,8 @@ _FACE = "tests/test_cones.py::TestFaceDimension"
 _FACE_ORACLE = "tests/test_cones.py::test_face_dimension_matches_exact_face_span"
 _FACE_PROBE = ("tests/test_cones.py::"
                "test_face_span_basis_passes_the_probe_oracle")
+_EXTREMAL_ORACLE = ("tests/test_cones.py::"
+                    "test_extremal_rows_match_face_dimension")
 _SLICE_SIGNS = ("tests/test_composite.py::"
                 "test_max_tensor_member_matches_exact_pairing_signs")
 _SLICE_OUTSIDE = ("tests/test_composite.py::"
@@ -226,6 +228,16 @@ MUTANTS = (
            "for b in bb]",
            "for b in ba]",
            (_FACE_PROBE,)),
+    Mutant("linear-image-extremality-unrotated", "src/conelab/composite.py",
+           "self.inner.extremal_rows((self.rot @ xs[:, :, None])[:, :, 0],",
+           "self.inner.extremal_rows(xs,",
+           (_EXTREMAL_ORACLE,)),
+    Mutant("linear-image-extremality-skips-membership",
+           "src/conelab/composite.py",
+           "            if not self.member(x, tol):\n",
+           "            if False:\n",
+           (_EXTREMAL_ORACLE, "tests/test_cones.py::TestExtremality::"
+            "test_non_member_raises_behind_a_non_extremal_row")),
     Mutant("steering-accepts-every-ensemble", "src/conelab/composite.py",
            "return effects if valid.all() else",
            "return effects if True else",

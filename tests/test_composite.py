@@ -569,6 +569,29 @@ class TestPurityPreservation:
         wb = max_rebit.factorB.sample_pure(rng)
         assert cp.purity_preservation_check(max_rebit, wa, wb)
 
+    def test_hilbert_fails_through_a_wrong_coordinate_change(self, two_qubit,
+                                                             rng):
+        # the Kronecker change followed by a rotation that turns the
+        # product's image a random share of its angle toward the unit: the
+        # image is a member of full rank, so the global eigen-rank reads
+        # the pure product as not pure
+        inner = two_qubit.cone.inner
+        u = inner.algebra.unit() / np.linalg.norm(inner.algebra.unit())
+        kron = two_qubit.cone.rot
+        for _ in range(5):
+            wa = two_qubit.factorA.sample_pure(rng)
+            wb = two_qubit.factorB.sample_pure(rng)
+            v = kron @ two_qubit.product_state(wa, wb)
+            v /= np.linalg.norm(v)
+            p = v - (v @ u) * u
+            p /= np.linalg.norm(p)
+            angle = rng.uniform(0.2, 0.8) * np.arccos(v @ u)
+            turn = (np.eye(len(u)) + np.sin(angle) * (np.outer(u, p)
+                                                      - np.outer(p, u))
+                    + (np.cos(angle) - 1) * (np.outer(u, u) + np.outer(p, p)))
+            two_qubit.cone = cp.LinearImageCone(inner, turn @ kron)
+            assert not cp.purity_preservation_check(two_qubit, wa, wb)
+
     def test_rejects_mixed_input(self, two_qubit):
         mixed = np.array([0.5, 0.5, 0.0, 0.0])
         pure = np.array([1.0, 0.0, 0.0, 0.0])

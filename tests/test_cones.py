@@ -21,6 +21,7 @@ from eja_oracles import (first_non_extremal_by_point,
                          validate_measurement_by_effect)
 from helpers import probe_face_span, random_positive
 from polyhedral_oracles import face_span, member_by_lp, to_exact_by_fractions
+from test_axioms import ROT, WIDE_PYRAMID
 
 SQUARE = [[1, 1, 0], [0, 1, 1], [-1, 1, 0], [0, 1, -1]]
 # the wider registry's lattice hexagon
@@ -412,6 +413,71 @@ def test_face_span_basis_passes_the_probe_oracle(case, pick, seed):
     assert face_dimension(cone, x) == len(basis)
 
 
+def _hilbert_point(pick, rng):
+    """A pure product, the canonical entangled state, or a sum of 2 to 4
+    orthogonal pure states of the global algebra, as pick % 5 says."""
+    comp = _composite(composite.HILBERT, "qubit", "qubit")
+    cone, kind = comp.cone, pick % 5
+    if kind == 0:
+        return cone, comp.product_state(comp.factorA.sample_pure(rng),
+                                        comp.factorB.sample_pure(rng))
+    if kind == 1:
+        return cone, rng.uniform(0.5, 2.0) \
+            * composite.canonical_self_steering_state(comp)
+    return cone, cone.rot.T @ _frame_point(cone.inner.algebra, kind, rng)
+
+
+@cache
+def _rotated_pyramid() -> composite.LinearImageCone:
+    return composite.LinearImageCone(PolyhedralCone(WIDE_PYRAMID), ROT)
+
+
+def _rotated_pyramid_point(pick, rng):
+    """A weighted sum of 1 to 3 of the rotated wide pyramid's rays."""
+    rays = np.array(WIDE_PYRAMID, dtype=float) @ ROT
+    picks = rng.choice(len(rays), 1 + pick % 3, replace=False)
+    return _rotated_pyramid(), _weighted_sum(rays[picks], rng)
+
+
+EXTREMALITY_POINTS = {
+    **{case: FACE_POINTS[case] for case in FACE_POINTS
+       if case.startswith(("real-", "complex-", "quat-", "spin-"))},
+    "hilbert-qubit-qubit": _hilbert_point,
+    "rotated-wide-pyramid": _rotated_pyramid_point,
+}
+
+
+@given(case=st.sampled_from(sorted(EXTREMALITY_POINTS)),
+       picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(case="hilbert-qubit-qubit", picks=[0, 1, 2], seed=0)
+@example(case="rotated-wide-pyramid", picks=[0, 1], seed=0)
+@settings(max_examples=150, deadline=None)
+def test_extremal_rows_match_face_dimension(case, picks, seed):
+    # the old route is the oracle: each member row is extremal exactly when
+    # its face dimension is 1, and the first row that is not is the one
+    # `first_non_extremal` names; a non-member, here -x, raises ConeError
+    # on both routes, except that an EJA cone's eigenvalue count reads it
+    # as not extremal
+    rng = np.random.default_rng(seed)
+    points = [EXTREMALITY_POINTS[case](pick, rng) for pick in picks]
+    cone = points[0][0]
+    xs = np.array([x for _, x in points])
+    expect = [face_dimension(cone, x) == 1 for x in xs]
+    assert cone.extremal_rows(xs, DEFAULT_TOL).tolist() == expect
+    assert first_non_extremal(cone, xs) \
+        == next((k for k, e in enumerate(expect) if not e), None)
+    outside = np.concatenate([xs, -xs[:1]])
+    with pytest.raises(ConeError):
+        face_dimension(cone, outside[-1])
+    if isinstance(cone, EJACone):
+        assert cone.extremal_rows(outside, DEFAULT_TOL).tolist() \
+            == expect + [False]
+        return
+    with pytest.raises(ConeError):
+        cone.extremal_rows(outside, DEFAULT_TOL)
+
+
 class TestExtremality:
     def test_fast_vs_generic_agree(self, rng):
         cone = EJACone(eja.complex_herm(2))
@@ -473,6 +539,20 @@ class TestExtremality:
                 with pytest.raises(ConeError, match="null ray and non-fin"):
                     first_non_extremal(cone, np.array(rows, dtype=float))
         assert tested == []
+
+    def test_non_member_raises_behind_a_non_extremal_row(self, square, rng):
+        # every row of a stack is tested, so a non-member raises ConeError
+        # also behind a row that is not extremal
+        comp = _composite(composite.HILBERT, "qubit", "qubit")
+        pure, other = (comp.cone.sample_extremal(rng) for _ in range(2))
+        for cone, rows in ((square, ([1.0, 1, 0], [0.0, 1, 0], [0.0, 1, 2])),
+                           (comp.cone, (pure, pure + other, -pure))):
+            xs = np.array(rows, dtype=float)
+            assert first_non_extremal(cone, xs[:2]) == 1
+            with pytest.raises(ConeError, match="not a member"):
+                first_non_extremal(cone, xs)
+            with pytest.raises(ConeError, match="not a member"):
+                is_extremal_ray(cone, xs[2])
 
     def test_other_cones_test_row_by_row(self, square):
         rows = np.array([[1.0, 1, 0], [0, 1, 1], [1, 2, 1], [0, 1, 1],
