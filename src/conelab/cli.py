@@ -11,7 +11,6 @@ from its module at call time.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -93,7 +92,7 @@ def check(registry, checks, seed, tol, out, fmt, timings):
     except ConeError as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), out)
+        _emit(fixtures.to_json(report), out)
     else:
         _emit(fixtures.report_text(report), out)
     sys.exit(0 if report["summary"]["ok"] else 1)
@@ -177,11 +176,10 @@ def steer_cmd(fixture, registry, parts, seed, out, fmt):
         payload = {
             "fixture": fixture, "result": "measurement", "parts": parts,
             "seed": seed, "residual": residual,
-            "ensemble": [t.tolist() for t in ensemble],
-            "measurement": [e.tolist() for e in result],
+            "ensemble": ensemble, "measurement": result,
         }
     if fmt == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), out)
+        _emit(fixtures.to_json(payload), out)
     else:
         lines = [f"fixture: {fixture}", f"result: {payload['result']}"]
         if residual is not None:

@@ -411,10 +411,11 @@ def is_extremal_ray(cone: ConeModel, x: np.ndarray,
     """Is x on an extremal ray, by the cone kind's `extremal_rows`: the
     eigenvalue count on an EJA cone, the inner rule at rot @ x on a linear
     image after its `member` precondition, else face dimension 1.  The null
-    ray raises ConeError."""
+    ray and a non-finite x raise ConeError; a finite x's inf norm does not."""
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) < tol:
-        raise ConeError("the null ray is excluded")
+    n = np.linalg.norm(x)
+    if not (tol <= n < np.inf or n == np.inf and np.isfinite(x).all()):
+        raise ConeError("the null ray and non-finite elements are excluded")
     return bool(cone.extremal_rows(x[None], tol)[0])
 
 

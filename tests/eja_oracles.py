@@ -456,13 +456,17 @@ def self_dual_by_pair_gather(system: System, tol: float = 1e-9,
 def pure_pairs_by_sample(system: System, rng) -> list[tuple]:
     """The pure pairs of the `pure-transitivity` check on an EJA system:
     five pairs of `sample_pure` states, drawn and normalized one at a time,
-    and on a direct sum one more pair from summands 0 and 1."""
+    and on a direct sum one more pair from summand 0 and the first summand
+    of another (family, rank, dim), else summand 1."""
     alg = system.cone.algebra
     pairs = [(system.sample_pure(rng), system.sample_pure(rng))
              for _ in range(5)]
     if len(alg.summands) > 1:
+        other = [k for k, f in enumerate(alg.factors)
+                 if f.descriptor() != alg.factors[0].descriptor()]
         pairs.append((system.normalize(alg.random_pure(rng, summand=0)),
-                      system.normalize(alg.random_pure(rng, summand=1))))
+                      system.normalize(alg.random_pure(
+                          rng, summand=other[0] if other else 1))))
     return pairs
 
 

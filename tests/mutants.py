@@ -289,6 +289,27 @@ MUTANTS = (
            ("tests/test_exact.py::test_rref_matches_fraction_elimination",
             "tests/test_exact.py::"
             "test_elimination_matches_fraction_oracle_on_tall_systems")),
+    Mutant("json-rule-writes-fraction-as-float", "src/conelab/fixtures.py",
+           "        return _rat(obj)\n",
+           "        return float(obj)\n",
+           ("tests/test_cli.py::TestRegistry::test_round_trip",
+            "tests/test_cli.py::TestRegistry::"
+            "test_rationals_survive_serialization",
+            "tests/test_cli.py::TestCheckCommand::"
+            "test_builtin_report_digest_pinned",
+            "tests/test_cli.py::TestCheckCommand::"
+            "test_wider_report_digest_pinned")),
+    Mutant("extremal-guard-admits-non-finite", "src/conelab/cones.py",
+           "if not (tol <= n < np.inf or n == np.inf and "
+           "np.isfinite(x).all()):",
+           "if n < tol:",
+           ("tests/test_cones.py::TestExtremality::"
+            "test_null_or_non_finite_ray_raises_one_error",)),
+    Mutant("pt-cross-pair-from-summand-one", "src/conelab/fixtures.py",
+           "k = next((k for k, d in enumerate(kinds) if d != kinds[0]), 1)",
+           "k = 1",
+           ("tests/test_cli.py::"
+            "test_theorem_implications_on_generated_eja_sums",)),
     # the last coordinate is where a polygon cone's rays are 1, and a
     # facet normal can be 0 there
     Mutant("wedge-pair-off-first-nonzero", "src/conelab/axioms.py",

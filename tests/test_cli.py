@@ -10,8 +10,11 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conelab import axioms, classify, exact, fixtures
 from conelab.cli import main
@@ -156,12 +159,50 @@ def test_theorem_implications(registry, seed):
                           for n in corner)
 
 
+# one simple summand of a registry's EJA fixture
+SUMMANDS = st.one_of(
+    st.builds(lambda family, rank: {"family": family, "rank": rank},
+              st.sampled_from(["real", "complex"]), st.integers(1, 3)),
+    st.builds(lambda rank: {"family": "quat", "rank": rank},
+              st.integers(1, 2)),
+    st.builds(lambda dim: {"family": "spin", "dim": dim}, st.integers(3, 6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(SUMMANDS, min_size=1, max_size=3), st.integers(0, 2 ** 16))
+# the random pairs stay in the two quaternionic summands: the check's own
+# cross pair must reach the spin factor
+@example([{"family": "quat", "rank": 2}, {"family": "quat", "rank": 2},
+          {"family": "spin", "dim": 3}], 1)
+def test_theorem_implications_on_generated_eja_sums(summands, seed):
+    # the theorem read on EJA direct sums: a sum splits iff it has two
+    # summands or more, only a simple algebra is continuously purely
+    # transitive, pure transitivity needs isomorphic summands and holds for
+    # copies of one summand, and homogeneity with it implies self-duality.
+    # Isomorphic summands of different families (real 2 + spin 3) may read
+    # inconclusive, so they pin nothing.
+    spec = fixtures.FixtureSpec("sum", "eja", {"summands": summands})
+    checks = [c for c in IMPLICATION_CHECKS if c != "spd-self-duality"]
+    report = fixtures.run_checks([spec], checks, seed=seed)
+    status = {r["check"]: r["status"] for r in report["fixtures"][0]["checks"]}
+    several = len(summands) > 1
+    assert (status["reducibility"] == "holds") == several
+    assert (status["continuous-pure-transitivity"] == "holds") != several
+    alg = fixtures.build_system(spec, {}).cone.algebra
+    if status["pure-transitivity"] == "holds":
+        assert len({(f.rank, f.dim) for f in alg.factors}) == 1
+    if len({(f.family, f.rank, f.dim) for f in alg.factors}) == 1:
+        assert status["pure-transitivity"] == "holds"
+    if status["homogeneity"] == status["pure-transitivity"] == "holds":
+        assert status["self-dual"] == "holds"
+
+
 class TestRegistry:
     def test_round_trip(self):
         specs = fixtures.builtin_fixtures()
         text = fixtures.registry_to_json(specs)
         back = fixtures.registry_from_json(text)
-        assert [s.name for s in back] == [s.name for s in specs]
+        assert back == specs
         assert fixtures.registry_to_json(back) == text
 
     def test_builtin_contents(self):
@@ -185,7 +226,7 @@ class TestRegistry:
     def test_rationals_survive_serialization(self):
         spec = next(s for s in fixtures.builtin_fixtures()
                     if s.name == "square-cone")
-        obj = fixtures.spec_to_json(spec)
+        obj = json.loads(fixtures.registry_to_json([spec]))["fixtures"][0]
         gen0 = obj["params"]["generators"][0]
         assert gen0[0] == {"num": 1, "den": 1}
         back = fixtures.spec_from_json(obj)
@@ -288,7 +329,7 @@ class TestCheckCommand:
                   for pair in ("square-qubit", "corner-bit")]
         assert [(r["status"], r["detail"]) for r in purity] == \
             [("holds", "10 pure product pairs")] * 2
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = fixtures.to_json(report)
         assert hashlib.sha256(text.encode()).hexdigest() \
             == WIDER_SEED_7_JSON_SHA256
         assert hashlib.sha256(fixtures.report_text(report).encode()) \
@@ -350,7 +391,14 @@ class TestCheckCommand:
     def test_report_refuses_values_it_cannot_write(self):
         # a repr could carry a memory address into a byte-stable report
         with pytest.raises(TypeError, match="object"):
-            fixtures._jsonable({"payload": {"witness": object()}})
+            fixtures.to_json({"payload": {"witness": object()}})
+
+    def test_one_rule_writes_arrays_fractions_and_numpy_scalars(self):
+        doc = {"array": np.array([[1.5, 2.0]]), "fraction": F(-3, 4),
+               "numbers": [np.int64(5), np.float32(0.5), np.bool_(True)]}
+        assert json.loads(fixtures.to_json(doc)) == {
+            "array": [[1.5, 2.0]], "fraction": {"num": -3, "den": 4},
+            "numbers": [5, 0.5, True]}
 
     def test_expectation_mismatch_exit_one(self, runner, tmp_path):
         specs = [s for s in fixtures.builtin_fixtures() if s.name == "qubit"]

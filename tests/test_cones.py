@@ -560,6 +560,38 @@ class TestExtremality:
         assert first_non_extremal(square, rows) == 2
         assert first_non_extremal(square, rows[:2]) is None
 
+    @pytest.mark.parametrize("kind", ["eja", "polyhedral", "shared-corner",
+                                      "hilbert", "max-tensor"])
+    def test_null_or_non_finite_ray_raises_one_error(self, kind):
+        # one ConeError on every cone kind, for a single x as for a stack,
+        # before the kind's own rule raises something of its own
+        cone = {
+            "eja": lambda: EJACone(eja.complex_herm(2)),
+            "polyhedral": lambda: PolyhedralCone(SQUARE),
+            "shared-corner": SharedCornerCone,
+            "hilbert": lambda: _composite(composite.HILBERT, "qubit",
+                                          "qubit").cone,
+            "max-tensor": lambda: _composite(composite.MAX_TENSOR,
+                                             "real-sym-2", "real-sym-2").cone,
+        }[kind]()
+        bad = [np.zeros(cone.dim)]
+        for v in (np.nan, np.inf, -np.inf):
+            one = np.ones(cone.dim)
+            one[1] = v
+            bad += [np.full(cone.dim, v), one]
+        for x in bad:
+            with pytest.raises(ConeError, match="null ray and non-finite"):
+                is_extremal_ray(cone, x)
+            with pytest.raises(ConeError, match="null ray and non-finite"):
+                first_non_extremal(cone, x[None])
+
+    def test_a_finite_x_whose_norm_overflows_is_tested(self):
+        cone = EJACone(eja.classical(3))
+        x = np.array([1e200, 0.0, 0.0])
+        with np.errstate(over="ignore"):
+            assert is_extremal_ray(cone, x)
+            assert first_non_extremal(cone, x[None]) is None
+
 
 class TestSharedCornerTransport:
     def test_transport_round_trip(self, shared, rng):
