@@ -361,30 +361,14 @@ def search_weak_self_duality(cone: PolyhedralCone) -> Verdict:
 def homogeneity_witness(system: System, rho: np.ndarray, sigma: np.ndarray,
                         tol: float = 1e-9) -> np.ndarray:
     """Matrix of an order automorphism carrying the interior point rho to
-    sigma, or the (k, d, d) stack of them for (k, d) stacks of pairs.
-
-    On an EJA cone it is P(sqrt(sigma)) P(rho^(-1/2)) (Faraut & Koranyi,
-    Analysis on Symmetric Cones, 1994), with every square root, inverse
-    square root and quadratic representation of the stack at once; each
-    matrix has the bits of its pair's own witness."""
-    cone = system.cone
+    sigma, or the (k, d, d) stack of them for (k, d) stacks of pairs, by
+    the cone kind's `homogeneity_maps`: on an EJA cone P(sqrt(sigma))
+    P(rho^(-1/2))."""
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if rho.ndim == 1:
         return homogeneity_witness(system, rho[None], sigma[None], tol)[0]
-    if isinstance(cone, EJACone):
-        alg = cone.algebra
-        if np.min(alg.min_eigenvalues(np.concatenate([rho, sigma]))) <= tol:
-            raise ConeError("homogeneity witness requires interior points")
-        return (alg.quadratic_rep(alg.sqrt(sigma))
-                @ alg.quadratic_rep(alg.inv_sqrt(rho)))
-    if isinstance(cone, SharedCornerCone):
-        if min(map(cone.margin, [*rho, *sigma])) <= tol:
-            raise ConeError("homogeneity witness requires interior points")
-        return np.array([cone.transport_from_basepoint(s)
-                         @ cone.transport_to_basepoint(r)
-                         for r, s in zip(rho, sigma)])
-    raise UnsupportedQuery("no witness constructor for this cone variant")
+    return system.cone.homogeneity_maps(rho, sigma, tol)
 
 
 # -- pure transitivity -------------------------------------------------------

@@ -93,6 +93,21 @@ class ConeModel:
         return np.array([face_dimension(self, x, tol) == 1 for x in xs],
                         dtype=bool)
 
+    def sample_interiors(self, rng: np.random.Generator,
+                         count: int) -> np.ndarray:
+        """`count` interior points as a (count, dim) stack, drawn in turn."""
+        raise UnsupportedQuery("no interior sampler for this cone")
+
+    def homogeneity_maps(self, rho: np.ndarray, sigma: np.ndarray,
+                         tol: float) -> np.ndarray:
+        """The (k, dim, dim) stack of order automorphisms carrying each row
+        of rho to that of sigma; a non-interior row raises ConeError."""
+        raise UnsupportedQuery("no witness constructor for this cone variant")
+
+    def reducible(self) -> bool:
+        """Is the cone a direct sum of two nonzero cones?"""
+        raise UnsupportedQuery("no splitting test for this cone")
+
     def _check_dim(self, x: np.ndarray):
         if len(x) != self.dim:
             raise ConeError(f"dimension mismatch: {len(x)} != {self.dim}")
@@ -247,6 +262,24 @@ class EJACone(ConeModel):
     def sample_extremals(self, rng, count):
         return self.algebra.random_pures(rng, count)
 
+    def sample_interiors(self, rng, count):
+        return self.algebra.random_interiors(rng, count)
+
+    def homogeneity_maps(self, rho, sigma, tol):
+        """P(sqrt(sigma)) P(rho^(-1/2)) (Faraut & Koranyi, Analysis on
+        Symmetric Cones, 1994), with every square root, inverse square root
+        and quadratic representation of the stack at once; each matrix has
+        the bits of its pair's own map."""
+        alg = self.algebra
+        if np.min(alg.min_eigenvalues(np.concatenate([rho, sigma]))) <= tol:
+            raise ConeError("homogeneity witness requires interior points")
+        return (alg.quadratic_rep(alg.sqrt(sigma))
+                @ alg.quadratic_rep(alg.inv_sqrt(rho)))
+
+    def reducible(self):
+        """More than one simple summand: the cone is their direct sum."""
+        return len(self.algebra.summands) > 1
+
     def extremal_rows(self, xs, tol):
         """Exactly one eigenvalue above tol * scale and none below its
         negative, scale = max(1, max |eigenvalue|) per row, from one
@@ -363,6 +396,26 @@ class SharedCornerCone(ConeModel):
 
     def basepoint(self) -> np.ndarray:
         return np.array([1.0, 1, 1, 0, 0])
+
+    def sample_interiors(self, rng, count):
+        """Congruences of the basepoint by random triangular pairs."""
+        points = []
+        for _ in range(count):
+            shared = 0.2 + rng.random()
+            l1 = np.array([[shared, 0.0],
+                           [rng.standard_normal(), 0.2 + rng.random()]])
+            l2 = np.array([[shared, 0.0],
+                           [rng.standard_normal(), 0.2 + rng.random()]])
+            points.append(self._congruence(l1, l2) @ self.basepoint())
+        return np.array(points)
+
+    def homogeneity_maps(self, rho, sigma, tol):
+        """Through the basepoint: transport rho there, then out to sigma."""
+        if min(map(self.margin, [*rho, *sigma])) <= tol:
+            raise ConeError("homogeneity witness requires interior points")
+        return np.array([self.transport_from_basepoint(s)
+                         @ self.transport_to_basepoint(r)
+                         for r, s in zip(rho, sigma)])
 
     def transport_to_basepoint(self, x: np.ndarray) -> np.ndarray:
         """Coordinate matrix of the cone automorphism carrying the interior

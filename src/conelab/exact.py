@@ -81,34 +81,18 @@ def _integer_row(row: Sequence) -> list[int]:
 
 def rounded_row(values: Iterable, max_den: int) -> list[int]:
     """Each value, as a float, rounded to the nearest fraction whose
-    denominator is at most max_den, the one `Fraction.limit_denominator`
-    picks (the convergent wins a tie), and the row times the lcm of those
+    denominator is at most max_den by `Fraction.limit_denominator` (the
+    convergent wins a tie), and the row times the lcm of those
     denominators: a positive multiple of the rounded point, in integers.
 
-    The continued-fraction steps run on `float.as_integer_ratio()`, so no
-    `Fraction` is built.  NaN raises ValueError and an infinity
-    OverflowError, as `Fraction(v)` does."""
+    A float whose exact denominator is at most max_den is its own
+    `float.as_integer_ratio()`, and no `Fraction` is built.  NaN raises
+    ValueError and an infinity OverflowError, as `Fraction(v)` does."""
     nums, dens = [], []
     for v in values:
         n, d = float(v).as_integer_ratio()
         if d > max_den:
-            den = d
-            p0, q0, p1, q1 = 0, 1, 1, 0
-            while True:
-                a = n // d
-                q2 = q0 + a * q1
-                if q2 > max_den:
-                    break
-                p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-                n, d = d, n - a * d
-            k = (max_den - q0) // q1
-            q = q0 + k * q1
-            # p1/q1 is d / (q1 den) from the value, the other candidate
-            # 1 / (q1 q) - d / (q1 den)
-            if 2 * d * q <= den:
-                n, d = p1, q1
-            else:
-                n, d = p0 + k * p1, q
+            n, d = Fraction(n, d).limit_denominator(max_den).as_integer_ratio()
         nums.append(n)
         dens.append(d)
     scale = lcm(*dens)

@@ -323,32 +323,14 @@ def builtin_fixtures() -> list[FixtureSpec]:
 # -- check implementations ---------------------------------------------------
 
 
-def _sample_interiors(system: System, rng, count: int) -> np.ndarray:
-    """`count` interior points as a (count, dim) stack, drawn in turn."""
-    cone = system.cone
-    if isinstance(cone, EJACone):
-        return cone.algebra.random_interiors(rng, count)
-    if isinstance(cone, SharedCornerCone):
-        points = []
-        for _ in range(count):
-            shared = 0.2 + rng.random()
-            l1 = np.array([[shared, 0.0],
-                           [rng.standard_normal(), 0.2 + rng.random()]])
-            l2 = np.array([[shared, 0.0],
-                           [rng.standard_normal(), 0.2 + rng.random()]])
-            points.append(cone._congruence(l1, l2) @ cone.basepoint())
-        return np.array(points)
-    raise UnsupportedQuery("no interior sampler for this cone")
-
-
 _Inputs = namedtuple("_Inputs", "system tol seed rng")
 
 
 def _composite_self_dual(c: _Inputs) -> Verdict:
     comp, cone = c.system, c.system.cone
     if isinstance(cone, LinearImageCone):
-        v = axioms.check_self_dual(
-            System(cone.inner, cone.rot @ comp.unit, comp.label), tol=c.tol)
+        inner = System(cone.inner, cone.rot @ comp.unit, comp.label)
+        v = axioms.check_self_dual(inner, tol=c.tol, seed=c.seed)
         v.detail = "after orthogonal change of coordinates"
         return v
     if isinstance(cone, PolyhedralCone):
@@ -366,7 +348,7 @@ def _search(cone, search) -> Verdict:
 def _homogeneity(c: _Inputs) -> Verdict:
     pairs = 10
     # rho_1, sigma_1, rho_2, ...: every point drawn first, as one stack
-    points = _sample_interiors(c.system, c.rng, 2 * pairs)
+    points = c.system.cone.sample_interiors(c.rng, 2 * pairs)
     rho, sig = points[0::2], points[1::2]
     phi = axioms.homogeneity_witness(c.system, rho, sig, c.tol)
     # one matrix-vector product per pair, as in phi @ rho for one pair
@@ -418,14 +400,7 @@ def _continuous_pt(c: _Inputs) -> Verdict:
 
 
 def _reducibility(c: _Inputs) -> Verdict:
-    cone = c.system.cone
-    if isinstance(cone, EJACone):
-        reducible = len(cone.algebra.summands) > 1
-    elif isinstance(cone, PolyhedralCone):
-        reducible = cone.reducible()
-    else:
-        raise UnsupportedQuery("no splitting test for this cone")
-    return Verdict(HOLDS if reducible else FAILS,
+    return Verdict(HOLDS if c.system.cone.reducible() else FAILS,
                    detail="direct-sum splitting of the cone")
 
 
@@ -439,11 +414,15 @@ def _steering(c: _Inputs) -> Verdict:
 
 def _purity_preservation(c: _Inputs) -> Verdict:
     comp = c.system
-    preserved = all(purity_preservation_check(
-        comp, comp.factorA.sample_pure(c.rng),
-        comp.factorB.sample_pure(c.rng), c.tol) for _ in range(10))
-    return Verdict(HOLDS if preserved else FAILS,
-                   detail="10 pure product pairs")
+    for _ in range(10):
+        wa = comp.factorA.sample_pure(c.rng)
+        wb = comp.factorB.sample_pure(c.rng)
+        if not purity_preservation_check(comp, wa, wb, c.tol):
+            pair = {"factor_states": [wa, wb],
+                    "product": comp.product_state(wa, wb)}
+            return Verdict(FAILS, violation=pair, detail=f"{comp.model} "
+                           "composite: a pure product pair is not pure")
+    return Verdict(HOLDS, detail="10 pure product pairs")
 
 
 # check -> (route on a single system, route on a composite, record shape); a
@@ -464,7 +443,7 @@ CHECKS = {
     "continuous-pure-transitivity": (_continuous_pt, None, "margin-if-holds"),
     "reducibility": (_reducibility, None, ""),
     "steering": (None, _steering, "payload+margin"),
-    "purity-preservation": (None, _purity_preservation, ""),
+    "purity-preservation": (None, _purity_preservation, "evidence"),
     "local-tomography": (None, lambda c: local_tomography_check(c.system),
                          "evidence"),
 }

@@ -93,12 +93,6 @@ MUTANTS = (
            "states[j + (self.SWEEPS - j) % (k - j)]",
            ("tests/test_composite.py::"
             "test_pairing_minimum_cycle_exits_equal_start_by_start_loop",)),
-    Mutant("rounding-tie-to-semiconvergent", "src/conelab/exact.py",
-           "if 2 * d * q <= den:",
-           "if 2 * d * q < den:",
-           ("tests/test_exact.py::test_rounding_tie_takes_the_convergent",
-            "tests/test_exact.py::"
-            "test_integer_rounding_matches_limit_denominator")),
     Mutant("min-effect-last-column", "src/conelab/eja.py",
            "v = vecs[np.arange(len(a)), :, k]",
            "v = vecs[np.arange(len(a)), :, -1]",
@@ -318,6 +312,28 @@ MUTANTS = (
            ("tests/test_axioms.py::test_scale_space_matches_oracle",
             "tests/test_axioms.py::"
             "test_scale_space_matches_oracle_on_every_bijection")),
+    Mutant("composite-self-dual-fixed-seed", "src/conelab/fixtures.py",
+           "v = axioms.check_self_dual(inner, tol=c.tol, seed=c.seed)",
+           "v = axioms.check_self_dual(inner, tol=c.tol)",
+           ("tests/test_composite.py::"
+            "test_composite_self_dual_draws_from_the_run_seed",)),
+    Mutant("purity-fails-without-pair", "src/conelab/fixtures.py",
+           "return Verdict(FAILS, violation=pair,",
+           "return Verdict(FAILS, violation=None,",
+           ("tests/test_composite.py::test_purity_fails_names_its_pair",)),
+    Mutant("eja-reducible-counts-every-summand", "src/conelab/cones.py",
+           "return len(self.algebra.summands) > 1",
+           "return len(self.algebra.summands) >= 1",
+           ("tests/test_cones.py::"
+            "test_eja_reducible_iff_more_than_one_summand",
+            "tests/test_cli.py::TestCheckCommand::"
+            "test_builtin_report_digest_pinned")),
+    Mutant("homogeneity-maps-square-root-of-rho", "src/conelab/cones.py",
+           "@ alg.quadratic_rep(alg.inv_sqrt(rho)))",
+           "@ alg.quadratic_rep(alg.sqrt(rho)))",
+           ("tests/test_axioms.py::TestHomogeneity::test_eja_witness",
+            "tests/test_acceptance.py::"
+            "test_criterion_1_symmetric_cone_consistency")),
 )
 
 

@@ -60,15 +60,7 @@ def test_criterion_2_homogeneous_non_self_dual_exhibit():
         rng = np.random.default_rng(202)
         worst = 0.0
         for _ in range(50):
-            pts = []
-            for _ in range(2):
-                shared = 0.2 + rng.random()
-                l1 = np.array([[shared, 0.0],
-                               [rng.standard_normal(), 0.2 + rng.random()]])
-                l2 = np.array([[shared, 0.0],
-                               [rng.standard_normal(), 0.2 + rng.random()]])
-                pts.append(cone._congruence(l1, l2) @ cone.basepoint())
-            rho, sig = pts
+            rho, sig = cone.sample_interiors(rng, 2)
             phi = axioms.homogeneity_witness(system, rho, sig)
             worst = max(worst, float(np.max(np.abs(phi @ rho - sig))))
         assert worst < 1e-9, worst

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import composite as cp
-from conelab import eja, exact, fixtures
+from conelab import axioms, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS
 from conelab.cones import (DEFAULT_TOL, ConeError, EJACone, PolyhedralCone,
                           System, UnsupportedQuery, face_dimension,
@@ -575,21 +575,13 @@ class TestPurityPreservation:
         # product's image a random share of its angle toward the unit: the
         # image is a member of full rank, so the global eigen-rank reads
         # the pure product as not pure
-        inner = two_qubit.cone.inner
-        u = inner.algebra.unit() / np.linalg.norm(inner.algebra.unit())
-        kron = two_qubit.cone.rot
+        inner, kron = two_qubit.cone.inner, two_qubit.cone.rot
         for _ in range(5):
             wa = two_qubit.factorA.sample_pure(rng)
             wb = two_qubit.factorB.sample_pure(rng)
-            v = kron @ two_qubit.product_state(wa, wb)
-            v /= np.linalg.norm(v)
-            p = v - (v @ u) * u
-            p /= np.linalg.norm(p)
-            angle = rng.uniform(0.2, 0.8) * np.arccos(v @ u)
-            turn = (np.eye(len(u)) + np.sin(angle) * (np.outer(u, p)
-                                                      - np.outer(p, u))
-                    + (np.cos(angle) - 1) * (np.outer(u, u) + np.outer(p, p)))
-            two_qubit.cone = cp.LinearImageCone(inner, turn @ kron)
+            two_qubit.cone = _turned_toward_unit(
+                inner, kron, two_qubit.product_state(wa, wb),
+                rng.uniform(0.2, 0.8))
             assert not cp.purity_preservation_check(two_qubit, wa, wb)
 
     def test_rejects_mixed_input(self, two_qubit):
@@ -599,16 +591,72 @@ class TestPurityPreservation:
             cp.purity_preservation_check(two_qubit, mixed, pure)
 
 
+def _turned_toward_unit(inner: EJACone, kron: np.ndarray, w: np.ndarray,
+                        share: float) -> cp.LinearImageCone:
+    """The image of inner under kron followed by a rotation that turns
+    kron @ w the given share of its angle toward inner's unit."""
+    u = inner.algebra.unit() / np.linalg.norm(inner.algebra.unit())
+    v = kron @ w
+    v /= np.linalg.norm(v)
+    p = v - (v @ u) * u
+    p /= np.linalg.norm(p)
+    angle = share * np.arccos(v @ u)
+    turn = (np.eye(len(u)) + np.sin(angle) * (np.outer(u, p) - np.outer(p, u))
+            + (np.cos(angle) - 1) * (np.outer(u, u) + np.outer(p, p)))
+    return cp.LinearImageCone(inner, turn @ kron)
+
+
+def _builtin(name: str):
+    specs = fixtures.builtin_fixtures()
+    registry = {s.name: s for s in specs}
+    return registry[name], fixtures.build_system(registry[name], registry)
+
+
+def test_purity_fails_names_its_pair():
+    # a wrong coordinate change that turns the run's first pure product
+    # into the interior: the record names that pair and its product
+    spec, comp = _builtin("two-qubit-hilbert")
+    rng = np.random.default_rng(7 + spec.seed)
+    wa, wb = comp.factorA.sample_pure(rng), comp.factorB.sample_pure(rng)
+    w = comp.product_state(wa, wb)
+    comp.cone = _turned_toward_unit(comp.cone.inner, comp.cone.rot, w, 0.5)
+    record = fixtures.run_check("purity-preservation", spec, comp,
+                                DEFAULT_TOL, 7)
+    assert record["status"] == FAILS
+    assert "hilbert" in record["detail"]
+    assert "margin" not in record
+    pair = record["payload"]["factor_states"]
+    assert [x.tobytes() for x in pair] == [wa.tobytes(), wb.tobytes()]
+    assert record["payload"]["product"].tobytes() == w.tobytes()
+    assert not cp.purity_preservation_check(comp, *pair)
+
+
+def test_composite_self_dual_draws_from_the_run_seed(monkeypatch):
+    # the Hilbert composite's sampled self-duality check takes the run's
+    # seed, as every other sampled check does
+    seeds = []
+    check = axioms.check_self_dual
+
+    def recorded(system, tol=DEFAULT_TOL, seed=0):
+        seeds.append(seed)
+        return check(system, tol, seed)
+
+    monkeypatch.setattr(axioms, "check_self_dual", recorded)
+    spec, comp = _builtin("two-qubit-hilbert")
+    for seed in (3, 11):
+        record = fixtures.run_check("self-dual", spec, comp, DEFAULT_TOL,
+                                    seed)
+        assert record["status"] == HOLDS
+    assert seeds == [3 + spec.seed, 11 + spec.seed]
+
+
 def test_purity_check_fails_on_a_dropped_ray(monkeypatch):
     # a product of pure states that the composite's extremal rays miss is
     # reported, through the check runner, as a purity failure
     extremal = exact.PolyhedralData.extremal_ray_indices
     monkeypatch.setattr(exact.PolyhedralData, "extremal_ray_indices",
                         lambda self: extremal(self)[:-1])
-    specs = fixtures.builtin_fixtures()
-    registry = {s.name: s for s in specs}
-    spec = registry["classical-bit-bit"]
-    comp = fixtures.build_system(spec, registry)
+    spec, comp = _builtin("classical-bit-bit")
     record = fixtures.run_check("purity-preservation", spec, comp,
                                 DEFAULT_TOL, 7)
     assert record["status"] == FAILS

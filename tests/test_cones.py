@@ -595,13 +595,7 @@ class TestExtremality:
 
 class TestSharedCornerTransport:
     def test_transport_round_trip(self, shared, rng):
-        for _ in range(20):
-            shared_scale = 0.2 + rng.random()
-            l1 = np.array([[shared_scale, 0.0],
-                           [rng.standard_normal(), 0.2 + rng.random()]])
-            l2 = np.array([[shared_scale, 0.0],
-                           [rng.standard_normal(), 0.2 + rng.random()]])
-            x = shared._congruence(l1, l2) @ shared.basepoint()
+        for x in shared.sample_interiors(rng, 20):
             assert shared.margin(x) > 0
             back = shared.transport_to_basepoint(x) @ x
             assert np.max(np.abs(back - shared.basepoint())) < 1e-10
@@ -710,3 +704,54 @@ def test_polyhedral_reducibility(square):
     assert not square.reducible()
     orthant = PolyhedralCone([[1, 0], [0, 1]])
     assert orthant.reducible()
+
+
+def test_eja_reducible_iff_more_than_one_summand():
+    assert not EJACone(eja.complex_herm(2)).reducible()
+    assert EJACone(eja.classical(2)).reducible()
+    assert EJACone(eja.JordanAlgebra([eja.complex_herm(2).factors[0],
+                                      eja.real_sym(2).factors[0]])).reducible()
+
+
+# each kind method, asked of any cone, and the text of its refusal
+KIND_QUESTIONS = {
+    "sample_interiors": (lambda c: c.sample_interiors(
+        np.random.default_rng(0), 2), "no interior sampler for this cone"),
+    "homogeneity_maps": (lambda c: c.homogeneity_maps(
+        np.ones((1, c.dim)), np.ones((1, c.dim)), DEFAULT_TOL),
+        "no witness constructor for this cone variant"),
+    "reducible": (lambda c: c.reducible(), "no splitting test for this cone"),
+}
+
+
+def test_kind_methods_refuse_with_one_text(square, shared, qubit):
+    rebit = make_eja_system(eja.real_sym(2), "rebit")
+    image = composite.CompositeSystem(qubit, qubit, composite.HILBERT).cone
+    tensor = composite.CompositeSystem(rebit, rebit,
+                                       composite.MAX_TENSOR).cone
+    assert isinstance(image, composite.LinearImageCone)
+    assert isinstance(tensor, composite.MaxTensorCone)
+    refusals = [(square, ("sample_interiors", "homogeneity_maps")),
+                (shared, ("reducible",)),
+                (image, tuple(KIND_QUESTIONS)), (tensor, tuple(KIND_QUESTIONS))]
+    for cone, names in refusals:
+        for name in names:
+            ask, text = KIND_QUESTIONS[name]
+            with pytest.raises(UnsupportedQuery) as info:
+                ask(cone)
+            assert str(info.value) == text, (type(cone).__name__, name)
+
+
+def test_shared_corner_interiors_are_basepoint_congruences(shared):
+    # the sampler draws, pair by pair, a shared corner and two lower rows
+    rng = np.random.default_rng(202)
+    ref = []
+    for _ in range(2):
+        corner = 0.2 + rng.random()
+        l1 = np.array([[corner, 0.0],
+                       [rng.standard_normal(), 0.2 + rng.random()]])
+        l2 = np.array([[corner, 0.0],
+                       [rng.standard_normal(), 0.2 + rng.random()]])
+        ref.append(shared._congruence(l1, l2) @ shared.basepoint())
+    got = shared.sample_interiors(np.random.default_rng(202), 2)
+    assert got.tobytes() == np.array(ref).tobytes()

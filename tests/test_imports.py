@@ -1,8 +1,9 @@
 """Every import in the package and its tests is used, every parameter of a
 package function is read, every package function has a caller in the
 package, every field of a package dataclass is read in the package, and
-only the functions in `LP_CALLERS` solve an exact LP, and `classify.py`
-and `exact.py` import only the standard library.
+only the functions in `LP_CALLERS` solve an exact LP, `classify.py` and
+`exact.py` import only the standard library, and the check layer reads no
+private attribute of another object.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
@@ -17,7 +18,9 @@ entry points in `ENTRY_POINTS` are exempt.  A dataclass field is read when
 its name is loaded as an attribute, `x.<field>`, anywhere in the package.
 A function refers to `exact.feasible_nonneg` when that name appears, as a
 name or as an attribute, inside its body.  An import's root is its first
-dotted name, or "." for a relative import.
+dotted name, or "." for a relative import.  A private attribute is one
+whose name starts with a single underscore; `self.<name>` and
+`cls.<name>` are the object's own.
 """
 
 import ast
@@ -333,3 +336,32 @@ def test_scan_flags_a_non_standard_import():
     roots = imported_roots(src)
     assert roots == {"__future__", "os", ".", "conelab", "numpy"}
     assert roots - sys.stdlib_module_names == {".", "conelab", "numpy"}
+
+
+# the check layer: it asks the cones, and reaches into none of them
+CHECK_LAYER = ("fixtures.py", "axioms.py", "cli.py")
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) for each attribute whose name starts with a single
+    underscore, read off anything but `self` or `cls`."""
+    return sorted(
+        (n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+        and not n.attr.startswith("__")
+        and not (isinstance(n.value, ast.Name)
+                 and n.value.id in ("self", "cls")))
+
+
+@pytest.mark.parametrize("name", CHECK_LAYER)
+def test_check_layer_reads_no_private_attribute(name):
+    source = (ROOT / "src" / "conelab" / name).read_text(encoding="utf-8")
+    assert private_reads(source) == []
+
+
+def test_scan_flags_a_private_read():
+    src = ("class C:\n    def f(self, cone):\n"
+           "        self._own = cone._congruence(1, 2)\n"
+           "        return type(self).__name__, cls._cache, cone.basepoint\n"
+           "def g(m):\n    return m.data._normals()\n")
+    assert private_reads(src) == [(3, "_congruence"), (6, "_normals")]
