@@ -106,6 +106,8 @@ class MaxTensorCone(ConeModel):
                          comp._simple_factor(comp.factorB))
         # the (STARTS, dimB) start stack of pure effects of B, drawn on use
         self._starts = None
+        # (unit dual rows of the sliced factor, whether it is B), on use
+        self._slicing = None
 
     def pairing_minimum(self, x: np.ndarray) -> float:
         comp = self.comp
@@ -121,27 +123,28 @@ class MaxTensorCone(ConeModel):
                     rng, self.STARTS)
             e, f = self._sweeps(fa, fb, m, self._starts)
             return min(np.inf, *(float(ei @ m @ fi) for ei, fi in zip(e, f)))
-        sliced, other = comp.factorA, comp.factorB
-        duals = self._unit_duals(sliced)
-        if duals is None:
-            # slice B instead: its slices M f are the rows of f^T M^T
-            sliced, other, m = other, sliced, m.T
-            duals = self._unit_duals(sliced)
-        if duals is None:
-            raise UnsupportedQuery(f"no max-tensor membership route for "
-                                   f"{comp.label}")
-        return min(other.cone.margin(s) for s in duals @ m)
+        if self._slicing is None:
+            self._slicing = self._slice()
+        duals, b_sliced = self._slicing
+        other = comp.factorA if b_sliced else comp.factorB
+        # B's slices M f are the rows of f^T M^T; the stacked margins are
+        # folded over Python floats, as the per-slice loop folded them
+        return min(other.cone.margins(duals @ (m.T if b_sliced else m))
+                   .tolist())
 
-    @staticmethod
-    def _unit_duals(system: System) -> np.ndarray | None:
-        """The unit dual extremals of a polyhedral or classical factor, as
-        rows; None for any other factor."""
-        cone = system.cone
-        if isinstance(cone, PolyhedralCone):
-            return np.array([nf / norm for nf, norm in cone.float_facets()])
-        if CompositeSystem._classical_size(system) is not None:
-            return np.eye(system.dim)
-        return None
+    def _slice(self) -> tuple[np.ndarray, bool]:
+        """The unit dual extremals, as rows, of A when it is polyhedral or
+        classical, else of B, and whether they are B's."""
+        for b_sliced, system in enumerate((self.comp.factorA,
+                                           self.comp.factorB)):
+            cone = system.cone
+            if isinstance(cone, PolyhedralCone):
+                return np.array([nf / norm for nf, norm
+                                 in cone.float_facets()]), bool(b_sliced)
+            if CompositeSystem._classical_size(system) is not None:
+                return np.eye(system.dim), bool(b_sliced)
+        raise UnsupportedQuery(f"no max-tensor membership route for "
+                               f"{self.comp.label}")
 
     def _sweeps(self, fa: SimpleFactor, fb: SimpleFactor, m: np.ndarray,
                 f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,10 @@ class ConeModel:
         """Signed membership margin (>= 0 inside, < 0 outside)."""
         raise NotImplementedError
 
+    def margins(self, xs: np.ndarray) -> np.ndarray:
+        """`margin` of each row of a (k, dim) stack, as a float array."""
+        return np.array([self.margin(x) for x in xs], dtype=float)
+
     def dual_member(self, e: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise NotImplementedError
 
@@ -225,14 +229,17 @@ class EJACone(ConeModel):
         return self.margin(x) >= -tol
 
     def members(self, xs, tol=DEFAULT_TOL):
-        """All rows of the stack from one stacked `min_eigenvalues` call."""
-        # the transpose has one row per coordinate
-        self._check_dim(np.transpose(xs))
-        return self.algebra.min_eigenvalues(xs) >= -tol
+        return self.margins(xs) >= -tol
 
     def margin(self, x):
         self._check_dim(x)
         return float(self.algebra.min_eigenvalues(np.asarray(x, dtype=float)))
+
+    def margins(self, xs):
+        """All rows of the stack from one stacked `min_eigenvalues` call."""
+        # the transpose has one row per coordinate
+        self._check_dim(np.transpose(xs))
+        return self.algebra.min_eigenvalues(xs)
 
     def dual_member(self, e, tol=DEFAULT_TOL):
         # The trace form makes the cone self-dual, and the coordinate pairing

@@ -3,9 +3,9 @@
 Small dense problems only (dims well under 100): one fraction-free forward
 elimination on integer rows (`_forward`), which rank, null spaces, `rref`
 and dual bases read, and a Bland-rule phase-I simplex for feasibility
-certificates that pivots on integers with exact division (fraction-free,
-after Bareiss): its tableau holds no `Fraction`, only the vertex it
-returns does.  The forward pass takes the rows one at a time, keeps its
+certificates on primitive integer rows over the structural columns and the
+rhs, with no artificial column: only the vertex it returns holds
+`Fraction`s.  The forward pass takes the rows one at a time, keeps its
 pivot rows primitive and never eliminates upwards, and stops once the rank
 equals the column count; a matrix with any non-int entry has every row
 converted to integers before it starts.  Rank, the facet order key and a
@@ -62,10 +62,6 @@ class ConeError(ValueError):
 
 class UnsupportedQuery(ConeError):
     """A query this cone variant has no sound procedure for."""
-
-
-def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -228,15 +224,21 @@ def _coprime_integers(vec: Sequence[Fraction]) -> list[int]:
 def feasible_nonneg(mat: Matrix, rhs: Row) -> Row | None:
     """Find x >= 0 with mat @ x = rhs, exactly, or None if infeasible.
 
-    Phase-I simplex with Bland's rule (terminates, no tolerances), pivoting
-    on integers.  Row i, flipped so that its rhs is >= 0, is scaled once to
-    integers by s_i.  Its artificial y_i' = s_i y_i keeps an identity column
-    and gets the weight K / s_i, K = lcm(s_i): the same LP, so the entering
-    column, the leaving row and every basis are those of the rational
-    tableau.  The cost row is the last tableau row.  A pivot on (r, e)
-    replaces every other row T_i by (P T_i - T_i[e] T_r) / D, P = T[r][e],
-    and sets D = P; each division is exact (Bareiss 1968, as Avis's lrs
-    uses it for LPs), D stays positive and the rational tableau is T / D.
+    Phase-I simplex with Bland's rule (terminates, no tolerances) on an
+    integer tableau of the structural columns and the rhs only.  Row i,
+    flipped to a rhs >= 0, is scaled once to integers by s_i, and the cost
+    row (the last) is priced out as -sum_i (K / s_i) row_i, K = lcm(s_i).
+    A pivot on (r, e) replaces each other row T_i with T_i[e] != 0 by the
+    primitive form of T[r][e] T_i - T_i[e] T_r.  Every row stays a positive
+    multiple of the rational tableau's, so the signs, the ratios and the
+    vertex are its; the basis starts at the artificials n + i, so ratio ties
+    break by basis index as there.  The vertex is also that of the tableau
+    with artificial columns:
+    - feasible LP: while the objective is positive, phase I on the
+      structural columns still has optimum 0, so a structural column has a
+      negative reduced cost, and Bland takes it before any artificial;
+    - objective at 0: each further pivot there has step 0, x unchanged;
+    - infeasible LP: both end at a positive objective and return None.
     """
     m = len(mat)
     if m == 0:
@@ -244,53 +246,47 @@ def feasible_nonneg(mat: Matrix, rhs: Row) -> Row | None:
     n = len(mat[0])
     tab: list[list[int]] = []
     scales: list[int] = []
-    for i, (a, b) in enumerate(zip(mat, rhs)):
+    for a, b in zip(mat, rhs):
         # the 1 beside the row comes back as the row's scale s_i > 0
         *row, s, c = _integer_row([*a, 1, b])
         if c < 0:
             row, c = [-x for x in row], -c
         scales.append(s)
-        tab.append(row + [int(j == i) for j in range(m)] + [c])
+        tab.append(row + [c])
     k = lcm(*scales)
     weights = [k // s for s in scales]
     # reduced costs, priced out at the artificial basis
-    tab.append([c - sum(w * row[j] for w, row in zip(weights, tab))
-                for j, c in enumerate([0] * n + weights + [0])])
+    tab.append([-_dot(weights, col) for col in zip(*tab)])
     basis = list(range(n, n + m))
-    d = 1
     while True:
-        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)  # Bland
+        enter = next((j for j in range(n) if tab[m][j] < 0), None)  # Bland
         if enter is None:
             break
         leave = None
         for i in range(m):
             a = tab[i][enter]
-            if a <= 0:
-                continue
-            if leave is None:
-                leave = i
-                continue
             # smallest ratio rhs / a by cross-multiplying, ties by basis index
-            this = tab[i][-1] * tab[leave][enter]
-            best = tab[leave][-1] * a
-            if this < best or (this == best and basis[i] < basis[leave]):
+            if a > 0 and (leave is None or (
+                    (tab[i][-1] * tab[leave][enter], basis[i])
+                    < (tab[leave][-1] * a, basis[leave]))):
                 leave = i
         if leave is None:
             break  # phase-I is bounded below by 0; guard anyway
         prow = tab[leave]
         p = prow[enter]
         for i, row in enumerate(tab):
-            if i != leave:
-                f = row[enter]
-                tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-        d = p
+            f = row[enter]
+            if f and i != leave:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                tab[i] = [x // g for x in row] if g > 1 else row
         basis[leave] = enter
     if tab[m][-1] != 0:  # residual artificial mass: infeasible
         return None
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(tab[i][-1], d)
+            x[j] = Fraction(tab[i][-1], tab[i][j])
     return x
 
 
@@ -307,14 +303,10 @@ def strictly_positive_in_span(basis_vecs: list[Row]) -> Row | None:
     k = len(basis_vecs)
     # x = B^T c, x_i = 1 + s_i with s_i >= 0, c free -> c = cp - cm.
     # Columns: cp (k), cm (k), s (n).  Rows: n equations.
-    mat: Matrix = []
-    for i in range(n):
-        row = [basis_vecs[j][i] for j in range(k)]
-        row += [-basis_vecs[j][i] for j in range(k)]
-        row += [Fraction(-1) if t == i else Fraction(0) for t in range(n)]
-        mat.append(row)
-    rhs = [Fraction(1)] * n
-    sol = feasible_nonneg(mat, rhs)
+    mat = [[*col, *(-v for v in col),
+            *(Fraction(-int(t == i)) for t in range(n))]
+           for i, col in enumerate(zip(*basis_vecs))]
+    sol = feasible_nonneg(mat, [Fraction(1)] * n)
     if sol is None:
         return None
     return [sol[j] - sol[k + j] for j in range(k)]
@@ -350,21 +342,18 @@ class PolyhedralData:
     """
 
     def __init__(self, rays: Sequence[Sequence]):
-        self.rays: Matrix = to_fraction_matrix(rays)
+        self.rays: Matrix = [[Fraction(x) for x in r] for r in rays]
         if not self.rays:
             raise ValueError("empty generator list")
         self.dim = len(self.rays[0])
         if any(all(x == 0 for x in r) for r in self.rays):
             raise ValueError("zero generator")
         self._ray_rows = [_coprime_integers(r) for r in self.rays]
+        self.full_dimensional = rank(self._ray_rows) == self.dim
         self._facets: Matrix | None = None
         self._facet_rows: list[list[int]] | None = None
         self._extremal: list[int] | None = None
         self._refusal = ""  # the message of a refused facet enumeration
-
-    @property
-    def full_dimensional(self) -> bool:
-        return rank(self._ray_rows) == self.dim
 
     def is_pointed(self) -> bool:
         """No nonzero x with x and -x both in the cone.

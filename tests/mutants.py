@@ -48,6 +48,8 @@ _SLICE_SIGNS = ("tests/test_composite.py::"
                 "test_max_tensor_member_matches_exact_pairing_signs")
 _SLICE_OUTSIDE = ("tests/test_composite.py::"
                   "test_points_outside_a_unit_product_facet_are_rejected")
+_LP_ORACLE = ("tests/test_exact.py::"
+              "test_feasible_nonneg_matches_fraction_tableau")
 
 MUTANTS = (
     Mutant("member-strict", "src/conelab/exact.py",
@@ -202,12 +204,12 @@ MUTANTS = (
             "tests/test_composite.py::"
             "test_pairing_minimum_draws_its_starts_once")),
     Mutant("max-tensor-slices-wrong-factor", "src/conelab/composite.py",
-           "sliced, other, m = other, sliced, m.T",
-           "sliced, other, m = other, sliced, m",
+           "duals @ (m.T if b_sliced else m)",
+           "duals @ m",
            (_SLICE_SIGNS, _SLICE_OUTSIDE)),
     Mutant("max-tensor-skips-a-dual", "src/conelab/composite.py",
-           "for s in duals @ m)",
-           "for s in duals[1:] @ m)",
+           "margins(duals @ (m.T",
+           "margins(duals[1:] @ (m.T",
            (_SLICE_SIGNS, _SLICE_OUTSIDE, "tests/test_metamorphic.py::"
             "test_max_of_two_bits_is_the_classical_orthant")),
     Mutant("eja-face-support-takes-every-idempotent", "src/conelab/cones.py",
@@ -334,6 +336,20 @@ MUTANTS = (
            ("tests/test_axioms.py::TestHomogeneity::test_eja_witness",
             "tests/test_acceptance.py::"
             "test_criterion_1_symmetric_cone_consistency")),
+    Mutant("simplex-ratio-tie-by-row", "src/conelab/exact.py",
+           "(tab[i][-1] * tab[leave][enter], basis[i])\n"
+           "                    < (tab[leave][-1] * a, basis[leave])",
+           "(tab[i][-1] * tab[leave][enter], i)\n"
+           "                    < (tab[leave][-1] * a, leave)",
+           (_LP_ORACLE,)),
+    Mutant("simplex-keeps-negative-rhs", "src/conelab/exact.py",
+           "        if c < 0:\n            row, c = [-x for x in row], -c\n",
+           "",
+           (_LP_ORACLE,)),
+    Mutant("simplex-cost-row-not-pivoted", "src/conelab/exact.py",
+           "for i, row in enumerate(tab):",
+           "for i, row in enumerate(tab[:m]):",
+           ("tests/test_exact.py::test_feasible_nonneg_stops_in_time",)),
 )
 
 

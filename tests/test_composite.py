@@ -863,6 +863,28 @@ def test_points_outside_a_unit_product_facet_are_rejected(pair, rng):
             assert not comp.cone.member(x)
 
 
+@pytest.mark.parametrize("pair", ["square-qubit", "qubit-square"])
+def test_stacked_slice_margins_equal_the_per_slice_loop(pair, rng):
+    # one stacked margin call over the square's unit facet slices has the
+    # bits of a `margin` call per slice, folded by min, at members, at
+    # non-members and on boundaries
+    comp = _max_of(pair)
+    square_first = pair == "square-qubit"
+    square, other = ((comp.factorA, comp.factorB) if square_first
+                     else (comp.factorB, comp.factorA))
+    duals = np.array([nf / norm for nf, norm in square.cone.float_facets()])
+    for k in range(30):
+        x = comp.cone.sample_extremal(rng)
+        if k % 3:
+            x = x + comp.cone.sample_extremal(rng) \
+                + (k % 3 - 1.5) * rng.normal(size=comp.dim)
+        m = x.reshape(comp.dimA, comp.dimB)
+        m = m if square_first else m.T
+        loop = min(other.cone.margin(s) for s in duals @ m)
+        got = comp.cone.pairing_minimum(x)
+        assert np.float64(got).tobytes() == np.float64(loop).tobytes()
+
+
 def test_max_tensor_without_a_route_refuses_each_query(qubit, rng):
     # neither qubit (+) rebit nor the shared-corner cone is polyhedral,
     # classical or simple: the composite builds, and every query names it

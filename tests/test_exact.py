@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -175,6 +178,19 @@ def test_feasible_nonneg():
     assert exact.feasible_nonneg([[1, 1]], [F(-1)]) is None
 
 
+def test_feasible_nonneg_stops_in_time():
+    # in a subprocess, which a kernel that stops pricing its cost row out
+    # cannot hang: Bland's rule would enter the same column forever
+    code = ("from conelab.exact import feasible_nonneg as lp\n"
+            "assert lp([[1, 1], [1, -1]], [3, 1]) == [2, 1]\n"
+            "assert lp([[1, 1], [1, 2]], [1, 3]) is None\n")
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 @st.composite
 def phase_one_lps(draw):
     """(mat, rhs) with 0-4 rows of ints and Fractions mixed, denominators
@@ -221,6 +237,13 @@ def phase_one_lps(draw):
              [F(63046331, 71111227), -1, F(-21696461, 25974202),
               F(-949245135, 335012743)]))
 @example(lp=([], []))
+# feasible and degenerate: once the objective is 0, the oracle's Bland rule
+# brings a departed artificial back in (3 pivots); the structural-column
+# tableau stops after 2 at the same vertex
+@example(lp=([[-2, -1, 0], [0, 1, 0], [1, 0, 0]], [-1, 1, 0]))
+# infeasible: the structural-column tableau stops after 2 pivots, the
+# oracle after 3, both at a positive objective
+@example(lp=([[0, 0, 1], [0, 1, 0], [0, 1, -1], [0, 0, 1]], [2, 1, 0, 1]))
 @settings(max_examples=300, deadline=None)
 def test_feasible_nonneg_matches_fraction_tableau(lp):
     mat, rhs = lp
