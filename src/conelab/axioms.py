@@ -5,6 +5,11 @@ Soundness discipline: a failed witness construction is never reported as a
 disproof.  Negative verdicts carry an invariant that normalized order
 isomorphisms provably preserve (summand structure, face-dimension profiles);
 anything else is reported as inconclusive or unsupported.
+
+The checkers ask the cone kind (`conelab.cones`) and never branch on it;
+the kind builds maps and invariants, and the purity of the inputs and the
+finiteness, residual, unit and purity re-checks of every transitivity map
+are made here, for every kind.
 """
 
 from __future__ import annotations
@@ -17,10 +22,8 @@ from operator import getitem
 import numpy as np
 
 from . import exact
-from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, EJACone,
-                    PolyhedralCone, SharedCornerCone, System,
-                    UnsupportedQuery, Verdict, face_dimension,
-                    first_non_extremal)
+from .cones import (FAILS, HOLDS, INCONCLUSIVE, ConeError, PolyhedralCone,
+                    System, UnsupportedQuery, Verdict, first_non_extremal)
 
 # sampled members (and dual points) of a non-polyhedral self-duality check
 SELF_DUAL_SAMPLES = 200
@@ -35,76 +38,12 @@ PATH_STEPS = 16
 def check_self_dual(system: System, tol: float = 1e-9,
                     seed: int = 0) -> Verdict:
     """Is the cone its own dual under the coordinate dot product, K* = K?
-
-    Polyhedral cones get an exact two-sided verdict: K is in K* when every
-    two extremal rays pair nonnegatively, and K* is in K when every facet
-    normal (the extremal rays of K*) is a member.  EJA cones sample K in K*
-    only, by pairing about 200 sampled pure states two by two; K* in K
-    rests on the trace form, under which an EJA's dual extremals are its
-    own pure states (Faraut & Koranyi, Analysis on Symmetric Cones, 1994),
-    and is not re-tested.  Every sampled pairing is read from one Gram
-    matrix of the members: a FAILS names the first pair i <= j with a
-    negative entry, and the margin of any other verdict is its smallest
-    entry.  The shared-corner cone has a closed-form dual description, so
-    violations there are explicit.  Anything else is inconclusive by
-    sampling.
-    """
+    Exactly on a polyhedral cone (`exact_self_duality`); on the others by
+    pairing SELF_DUAL_SAMPLES sampled pure states and the generators, then
+    the kind's K* in K (`sampled_self_duality`)."""
     cone = system.cone
-    n = cone.dim
-    rng = np.random.default_rng(seed)
-
-    if isinstance(cone, PolyhedralCone):
-        data = cone.data
-        idx = data.extremal_ray_indices()
-        # the first pair i <= j in combinations_with_replacement order
-        for a, i in enumerate(idx):
-            signs = data.pairings(data.rays[i])
-            j = next((j for j in idx[a:] if signs[j] < 0), None)
-            if j is not None:
-                ri, rj = data.rays[i], data.rays[j]
-                return Verdict(FAILS, violation={
-                    "pair": (ri, rj), "inner_value": exact.dot(ri, rj)},
-                    detail="generator pair with negative inner product")
-        f = next((f for f in data.facets() if not data.member(f)), None)
-        if f is not None:
-            return Verdict(FAILS, violation={"facet_normal": f},
-                           detail="dual extremal pulls back outside the cone")
-        return Verdict(HOLDS, witness={"inner": np.eye(n)}, margin=0.0,
-                       detail="exact two-sided inclusion")
-
-    members = np.concatenate([np.reshape(cone.generators(), (-1, n)),
-                              cone.sample_extremals(rng, SELF_DUAL_SAMPLES)])
-    # exactly symmetric: one syrk, mirrored (or, without BLAS, the same sum
-    # both ways), so its upper triangle read row by row is every pair
-    # i <= j in combinations_with_replacement order
-    gram = members @ members.T
-    # the mask decides, not the minimum, so a NaN hides no negative pair
-    bad = gram < -tol
-    if bad.any():
-        i, j = divmod(int(np.argmax(np.triu(bad))), len(members))
-        v = float(gram[i, j])
-        return Verdict(FAILS, violation={
-            "pair": (members[i], members[j]), "inner_value": v}, margin=v)
-    worst = float(gram.min())
-
-    if isinstance(cone, EJACone):
-        return Verdict(HOLDS, witness={"inner": np.eye(n)}, margin=worst,
-                       detail="trace-form route")
-
-    if isinstance(cone, SharedCornerCone):
-        for _ in range(SELF_DUAL_SAMPLES):
-            e2, e3 = rng.random(2) + 0.1
-            e4, e5 = 2.0 * rng.standard_normal(2)
-            e = np.array([e4 * e4 / (4 * e2) + e5 * e5 / (4 * e3),
-                          e2, e3, e4, e5])
-            if not cone.member(e, tol):
-                return Verdict(FAILS, violation={
-                    "dual_extremal": e}, margin=cone.margin(e),
-                    detail="closed-form dual boundary point outside the cone")
-        return Verdict(INCONCLUSIVE, margin=worst)
-
-    return Verdict(INCONCLUSIVE, margin=worst,
-                   detail="sampled inclusion only")
+    return cone.exact_self_duality() or cone.sampled_self_duality(
+        np.random.default_rng(seed), SELF_DUAL_SAMPLES, tol)
 
 
 # -- ray/facet bijection searches (exact, polyhedral) ------------------------
@@ -374,37 +313,6 @@ def homogeneity_witness(system: System, rho: np.ndarray, sigma: np.ndarray,
 # -- pure transitivity -------------------------------------------------------
 
 
-def face_profile(system: System, w: np.ndarray,
-                 tol: float = 1e-9) -> int | None:
-    """max over pure sigma of dim span Face(w + sigma) for a pure w of the
-    shared-corner cone, in closed form: invariant under normalized order
-    automorphisms.
-
-    dim span Face(x) = t(rank M1) + t(rank M2) - [x1 > 0], t(k) = k(k+1)/2:
-    the face of a PSD block spans the t(rank) symmetric matrices on its
-    range, and the shared corner is one more equation unless both blocks
-    vanish there.  A pure sigma has blocks of rank at most 1, so it raises
-    each block rank rho_i of w by at most 1; and x1 = 0 only when sigma
-    leaves one block at zero, which gives up at least one dimension.  So the
-    profile is at most t(rho1 + 1) + t(rho2 + 1) - 1, and the pure
-    sigma* = (1, s^2, t^2, s, t), with (1, s) and (1, t) off w's block
-    ranges, reaches it.  One `face_dimension` call at sigma* must read that
-    value; None means it did not.
-    """
-    ranks = []
-    for m in SharedCornerCone.blocks(w):
-        vals = np.linalg.eigvalsh(m)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        ranks.append(int(np.sum(vals > tol * scale)))
-    profile = sum((r + 1) * (r + 2) // 2 for r in ranks) - 1
-    x1, _, _, x4, x5 = (float(v) for v in w)
-    s, t = (1 + x4 / x1, 1 + x5 / x1) if x1 > tol else (1.0, 1.0)
-    sigma = system.normalize(np.array([1.0, s * s, t * t, s, t]))
-    if face_dimension(system.cone, w + sigma, tol=tol) != profile:
-        return None
-    return profile
-
-
 def preserves_unit(m: np.ndarray, unit: np.ndarray) -> bool:
     """Is the unit functional pulled back through m the unit again, within
     1e-8: is u(m x) = u(x) for every x?  m may be one matrix or a
@@ -412,39 +320,18 @@ def preserves_unit(m: np.ndarray, unit: np.ndarray) -> bool:
     return bool(np.max(np.abs(np.swapaxes(m, -1, -2) @ unit - unit)) < 1e-8)
 
 
-def _summand_swap(alg, i: int, j: int) -> np.ndarray:
-    """The coordinate permutation exchanging summands i != j of equal dim:
-    the identity with its rows permuted."""
-    order = list(range(alg.dim))
-    si, sj = alg.summands[i].sl, alg.summands[j].sl
-    order[si], order[sj] = order[sj], order[si]
-    return np.eye(alg.dim)[order]
-
-
-def _in_summand(alg, i: int, m: np.ndarray) -> np.ndarray:
-    """The map acting as m on summand i and as the identity elsewhere, or
-    the (k, dim, dim) stack of them for a (k, d_i, d_i) stack m."""
-    full = np.tile(np.eye(alg.dim), np.shape(m)[:-2] + (1, 1))
-    sl = alg.summands[i].sl
-    full[..., sl, sl] = m
-    return full
-
-
 def _pure_inputs(system: System, w1, w2, tol: float) -> list:
-    """The summand index pair (None off EJA cones) of a pair of states, or
+    """The summand index pair (None off summands) of a pair of states, or
     of each pair of (k, dim) stacks.  Raises ConeError unless every state
     is pure and in one summand; one `first_non_extremal` and one
-    `summand_of` call take every state."""
+    `summands_of` call take every state."""
     # w1[0], w2[0], w1[1], ...: the rows of the pairs in turn
     states = np.array([w1, w2], dtype=float).swapaxes(0, -2)
     states = states.reshape(-1, states.shape[-1])
     cone = system.cone
-    where = [None] * len(states)
-    pure = first_non_extremal(cone, states, tol) is None
-    if pure and isinstance(cone, EJACone):
-        where = cone.algebra.summand_of(states)
-        pure = None not in where
-    if not pure:
+    where = (cone.summands_of(states)
+             if first_non_extremal(cone, states, tol) is None else None)
+    if where is None:
         raise ConeError("transitivity checks need pure states, each in a "
                         "single summand")
     return list(zip(where[0::2], where[1::2]))
@@ -473,43 +360,12 @@ def pure_transitivity_witness(system: System, w1: np.ndarray, w2: np.ndarray,
 
 def _transitivity_map(system: System, w1: np.ndarray, w2: np.ndarray, where,
                       tol: float) -> Verdict:
-    """`pure_transitivity_witness` on one valid pair, in summands `where`."""
+    """`pure_transitivity_witness` on one valid pair, in summands `where`:
+    the kind's `transitivity_map`, a map re-checked here or its invariant
+    verdict; off summands, the kind's `face_profile` of each state."""
     cone = system.cone
-    if isinstance(cone, EJACone):
-        alg = cone.algebra
-        i1, i2 = where
-        f1 = alg.summands[i1].factor
-        f2 = alg.summands[i2].factor
-        # (rank, dim) is a complete invariant of the simple summands: real
-        # 2, complex 2 and quat 2 are spin 3, 4 and 6, and rank 1 is R
-        if (f1.rank, f1.dim) != (f2.rank, f2.dim):
-            return Verdict(FAILS, violation={
-                "summands": (f1.descriptor(), f2.descriptor())},
-                detail="pure states lie in non-isomorphic simple summands")
-        if f1.family != f2.family:
-            return Verdict(INCONCLUSIVE,
-                           detail="isomorphic summands; no map built")
-        # within one summand no swap is built or applied
-        swap = None if i1 == i2 else _summand_swap(alg, i1, i2)
-        moved = w1 if swap is None else swap @ w1
-        sl = alg.summands[i2].sl
-        [rot] = f2.rotation_maps(moved[sl], w2[sl], [1.0])
-        phi = _in_summand(alg, i2, rot)
-        if swap is not None:
-            phi = phi @ swap
-        if not np.all(np.isfinite(phi)):
-            return Verdict(INCONCLUSIVE,
-                           detail="constructed map is not finite")
-        resid = float(np.max(np.abs(phi @ w1 - w2)))
-        if not (resid < 1e-8 and preserves_unit(phi, system.unit)):
-            return Verdict(INCONCLUSIVE, margin=resid,
-                           detail="constructed map misses w2 or moves the "
-                                  "unit")
-        return Verdict(HOLDS, witness=phi, margin=resid)
-
-    if isinstance(cone, SharedCornerCone):
-        p1 = face_profile(system, w1, tol=tol)
-        p2 = face_profile(system, w2, tol=tol)
+    if where == (None, None):
+        p1, p2 = (cone.face_profile(system, w, tol) for w in (w1, w2))
         if p1 is None or p2 is None:
             return Verdict(INCONCLUSIVE,
                            detail="face dimension at sigma* misses the "
@@ -522,30 +378,31 @@ def _transitivity_map(system: System, w1: np.ndarray, w2: np.ndarray, where,
         return Verdict(INCONCLUSIVE,
                        detail="profiles agree; no constructor and no "
                               "separating invariant")
-
-    raise UnsupportedQuery("pure transitivity checker needs an EJA or "
-                           "shared-corner system")
+    phi = cone.transitivity_map(w1, w2, where)
+    if isinstance(phi, Verdict):
+        return phi
+    if not np.all(np.isfinite(phi)):
+        return Verdict(INCONCLUSIVE, detail="constructed map is not finite")
+    resid = float(np.max(np.abs(phi @ w1 - w2)))
+    if not (resid < 1e-8 and preserves_unit(phi, system.unit)):
+        return Verdict(INCONCLUSIVE, margin=resid,
+                       detail="constructed map misses w2 or moves the unit")
+    return Verdict(HOLDS, witness=phi, margin=resid)
 
 
 def continuous_pure_transitivity(system: System, w1: np.ndarray,
                                  w2: np.ndarray, tol: float = 1e-9) -> Verdict:
     """Continuous path of pure states carried by normalized automorphisms,
-    PATH_STEPS + 1 (state, matrix) pairs, or the disjoint-summand
-    obstruction."""
-    cone = system.cone
-    if not isinstance(cone, EJACone):
-        raise UnsupportedQuery("continuous pure transitivity checker needs "
-                               "an EJA system")
+    PATH_STEPS + 1 (state, matrix) pairs from the kind's `path_maps`, or
+    the disjoint-summand obstruction."""
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     [(i1, i2)] = _pure_inputs(system, w1, w2, tol)
     if i1 != i2:
         return Verdict(FAILS, violation={"summands": (i1, i2)},
                        detail="pure states of distinct summands lie in "
                               "subspaces intersecting only in {0}")
-    alg = cone.algebra
-    sl = alg.summands[i1].sl
-    maps = _in_summand(alg, i1, alg.summands[i1].factor.rotation_maps(
-        w1[sl], w2[sl], [k / PATH_STEPS for k in range(PATH_STEPS + 1)]))
+    maps = system.cone.path_maps(
+        w1, w2, i1, [k / PATH_STEPS for k in range(PATH_STEPS + 1)])
     finite = np.all(np.isfinite(maps), axis=(-2, -1))
     if not finite.all():
         k = int(np.argmin(finite))
@@ -553,7 +410,7 @@ def continuous_pure_transitivity(system: System, w1: np.ndarray,
                                             f"at t={k / PATH_STEPS}")
     # one matrix-vector product per map, as for a map built alone
     states = np.array([full @ w1 for full in maps])
-    lost = first_non_extremal(cone, states, tol)
+    lost = first_non_extremal(system.cone, states, tol)
     if lost is not None:
         return Verdict(INCONCLUSIVE, detail="constructed path loses purity "
                                             f"at t={lost / PATH_STEPS}")

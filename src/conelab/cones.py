@@ -18,6 +18,12 @@ UNSUPPORTED.  Extremality has one rule per kind too, `extremal_rows`: one
 eigenvalue above tolerance and none below on an EJA cone (Faraut and
 Koranyi), the inner rule at R x on a linear image after its `member`
 precondition, and face dimension 1 on every other kind.
+
+The checks in `conelab.axioms` ask the kind the rest, and a kind without
+an answer is UNSUPPORTED.  Self-duality is exact on a polyhedral cone and
+sampled elsewhere, closed by the trace form on an EJA cone and tested on
+`dual_floor` on the shared corner, whose `face_profile` decides pure
+transitivity as an EJA's `transitivity_map` does; paths are EJA-only.
 """
 
 from __future__ import annotations
@@ -111,6 +117,58 @@ class ConeModel:
     def reducible(self) -> bool:
         """Is the cone a direct sum of two nonzero cones?"""
         raise UnsupportedQuery("no splitting test for this cone")
+
+    def exact_self_duality(self) -> "Verdict | None":
+        """The kind's exact verdict on K* = K, or None to sample it."""
+        return None
+
+    def sampled_self_duality(self, rng: np.random.Generator, count: int,
+                             tol: float) -> "Verdict":
+        """K* = K by sampling.  K in K*: the generators and `count` sampled
+        extremals pair two by two, read from one Gram matrix; a FAILS names
+        the first pair i <= j with a negative entry, and any other verdict
+        has the least entry as margin.  K* in K is the kind's; here open."""
+        members = np.concatenate([
+            np.reshape(self.generators(), (-1, self.dim)),
+            self.sample_extremals(rng, count)])
+        # exactly symmetric: one syrk, mirrored (or, without BLAS, the same
+        # sum both ways), so its upper triangle read row by row is every
+        # pair i <= j in combinations_with_replacement order
+        gram = members @ members.T
+        # the mask decides, not the minimum, so a NaN hides no negative pair
+        bad = gram < -tol
+        if bad.any():
+            i, j = divmod(int(np.argmax(np.triu(bad))), len(members))
+            v = float(gram[i, j])
+            return Verdict(FAILS, violation={
+                "pair": (members[i], members[j]), "inner_value": v}, margin=v)
+        return Verdict(INCONCLUSIVE, margin=float(gram.min()),
+                       detail="sampled inclusion only")
+
+    def pure_pairs(self, c) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Pure pairs a transitivity check draws from c.rng for c.system."""
+        raise UnsupportedQuery("pure transitivity checker needs an EJA or "
+                               "shared-corner system")
+
+    def summands_of(self, states: np.ndarray) -> list | None:
+        """The summand of each row of a (k, dim) stack of pure states, or
+        None unless each lies in exactly one; here None for every row."""
+        return [None] * len(states)
+
+    def face_profile(self, system, w, tol: float) -> int | None:
+        """max over pure sigma of dim span Face(w + sigma), an automorphism
+        invariant of a pure w, or None where `face_dimension` misses it."""
+        raise UnsupportedQuery("no face profile for this cone")
+
+    def path_pair(self, c) -> tuple[np.ndarray, np.ndarray]:
+        """Pure pair a continuous-path check draws from c.rng for c.system."""
+        raise UnsupportedQuery("continuous pure transitivity checker needs "
+                               "an EJA system")
+
+    def path_maps(self, w1, w2, summand, ts: list[float]) -> np.ndarray:
+        """The automorphisms at times ts on a path from pure w1 (t = 0) to
+        w2 (t = 1) in `summand`, as a (len(ts), dim, dim) stack."""
+        raise UnsupportedQuery("no continuous path for this cone")
 
     def _check_dim(self, x: np.ndarray):
         if len(x) != self.dim:
@@ -215,6 +273,26 @@ class PolyhedralCone(ConeModel):
             blocks = [b for b in blocks if not b & touched] + [merged]
         return len(blocks) > 1
 
+    def exact_self_duality(self):
+        """Exact: K in K* when every two extremal rays pair nonnegatively,
+        K* in K when every facet normal (ray of K*) is a member."""
+        data, idx = self.data, self.data.extremal_ray_indices()
+        # the first pair i <= j in combinations_with_replacement order
+        for a, i in enumerate(idx):
+            signs = data.pairings(data.rays[i])
+            j = next((j for j in idx[a:] if signs[j] < 0), None)
+            if j is not None:
+                ri, rj = data.rays[i], data.rays[j]
+                return Verdict(FAILS, violation={
+                    "pair": (ri, rj), "inner_value": exact.dot(ri, rj)},
+                    detail="generator pair with negative inner product")
+        f = next((f for f in data.facets() if not data.member(f)), None)
+        if f is not None:
+            return Verdict(FAILS, violation={"facet_normal": f},
+                           detail="dual extremal pulls back outside the cone")
+        return Verdict(HOLDS, witness={"inner": np.eye(self.dim)},
+                       margin=0.0, detail="exact two-sided inclusion")
+
 
 class EJACone(ConeModel):
     """Positive cone of a Euclidean Jordan algebra: x is a member when its
@@ -287,6 +365,72 @@ class EJACone(ConeModel):
         """More than one simple summand: the cone is their direct sum."""
         return len(self.algebra.summands) > 1
 
+    def sampled_self_duality(self, rng, count, tol):
+        """K* in K by the trace form, under which the dual extremals are the
+        pure states (Faraut & Koranyi, 1994): not re-tested."""
+        v = super().sampled_self_duality(rng, count, tol)
+        if v.status == FAILS:
+            return v
+        return Verdict(HOLDS, witness={"inner": np.eye(self.dim)},
+                       margin=v.margin, detail="trace-form route")
+
+    def pure_pairs(self, c):
+        """Ten `sample_pure` draws as one stack, paired (0, 1), (2, 3), ...,
+        and on a direct sum summand 0 with the first summand unlike it."""
+        system, rng, alg = c.system, c.rng, self.algebra
+        states = system.normalize(self.sample_extremals(rng, 10))
+        pairs = list(zip(states[0::2], states[1::2]))
+        if len(alg.summands) > 1:
+            kinds = alg.descriptor()
+            k = next((k for k, d in enumerate(kinds) if d != kinds[0]), 1)
+            pairs.append(tuple(system.normalize(alg.random_pure(rng, i))
+                               for i in (0, k)))
+        return pairs
+
+    def summands_of(self, states):
+        where = self.algebra.summand_of(states)  # one call for the stack
+        return None if None in where else where
+
+    def transitivity_map(self, w1, w2, where) -> "np.ndarray | Verdict":
+        """A normalized order isomorphism from pure w1 in summand where[0] to
+        pure w2 in where[1], a swap and a rotation; or FAILS for summands not
+        isomorphic, INCONCLUSIVE for isomorphic ones of other families."""
+        alg = self.algebra
+        i1, i2 = where
+        f1, f2 = (alg.summands[i].factor for i in where)
+        # (rank, dim) is a complete invariant of the simple summands: real
+        # 2, complex 2 and quat 2 are spin 3, 4 and 6, and rank 1 is R
+        if (f1.rank, f1.dim) != (f2.rank, f2.dim):
+            return Verdict(FAILS, violation={
+                "summands": (f1.descriptor(), f2.descriptor())},
+                detail="pure states lie in non-isomorphic simple summands")
+        if f1.family != f2.family:
+            return Verdict(INCONCLUSIVE,
+                           detail="isomorphic summands; no map built")
+        # within one summand no swap is built or applied
+        if i1 == i2:
+            return self.path_maps(w1, w2, i2, [1.0])[0]
+        # the identity with the two summands' rows exchanged
+        order = list(range(alg.dim))
+        si, sj = alg.summands[i1].sl, alg.summands[i2].sl
+        order[si], order[sj] = order[sj], order[si]
+        swap = np.eye(alg.dim)[order]
+        return self.path_maps(swap @ w1, w2, i2, [1.0])[0] @ swap
+
+    def path_pair(self, c):
+        """A pure state of summand 0 and one of summand 1 on a direct sum,
+        two `sample_pure` draws on a simple algebra."""
+        picks = (0, 1) if len(self.algebra.summands) > 1 else (None, None)
+        return tuple(c.system.normalize(self.algebra.random_pure(c.rng, k))
+                     for k in picks)
+
+    def path_maps(self, w1, w2, summand, ts):
+        """The summand's `rotation_maps` on its block, else the identity."""
+        s = self.algebra.summands[summand]
+        maps = np.tile(np.eye(self.dim), (len(ts), 1, 1))
+        maps[:, s.sl, s.sl] = s.factor.rotation_maps(w1[s.sl], w2[s.sl], ts)
+        return maps
+
     def extremal_rows(self, xs, tol):
         """Exactly one eigenvalue above tol * scale and none below its
         negative, scale = max(1, max |eigenvalue|) per row, from one
@@ -345,25 +489,24 @@ class SharedCornerCone(ConeModel):
         m1, m2 = self.blocks(x)
         return float(min(np.linalg.eigvalsh(m1).min(), np.linalg.eigvalsh(m2).min()))
 
+    @staticmethod
+    def dual_floor(e2, e3, e4, e5) -> float:
+        """The closed form of K*: for e2, e3 > 0 the least e1 with e in K*,
+        -min over s, t of e2 s^2 + e4 s + e3 t^2 + e5 t, which is e's
+        pairing with the extremal (1, s^2, t^2, s, t) less e1."""
+        return e4 * e4 / (4 * e2) + e5 * e5 / (4 * e3)
+
     def dual_member(self, e, tol=DEFAULT_TOL):
-        # Dual cone: e pairs nonnegatively with every member; members are
-        # nonneg combinations of the extremal families, so test on those.
-        # Extremals: (0,1,0,0,0), (0,0,1,0,0), (1,s^2,t^2,s,t).
+        """By `dual_floor`; a quadratic term whose coefficient is within
+        tol of 0 drops out when its linear term does too."""
         self._check_dim(e)
         e1, e2, e3, e4, e5 = (float(v) for v in e)
-        if e2 < -tol or e3 < -tol:
+        if e2 < -tol or e3 < -tol or e2 <= tol < abs(e4) \
+                or e3 <= tol < abs(e5):
             return False
-        # min over s,t of e1 + e2 s^2 + e4 s  +  e3 t^2 + e5 t  (separable)
-        best = e1
-        if e2 > tol:
-            best -= e4 * e4 / (4 * e2)
-        elif abs(e4) > tol:
-            return False
-        if e3 > tol:
-            best -= e5 * e5 / (4 * e3)
-        elif abs(e5) > tol:
-            return False
-        return best >= -tol
+        e2, e4 = (e2, e4) if e2 > tol else (1.0, 0.0)
+        e3, e5 = (e3, e5) if e3 > tol else (1.0, 0.0)
+        return e1 - self.dual_floor(e2, e3, e4, e5) >= -tol
 
     def generators(self):
         out = [np.array([0, 1, 0, 0, 0.0]), np.array([0, 0, 1, 0, 0.0])]
@@ -400,6 +543,47 @@ class SharedCornerCone(ConeModel):
         u, sv, vt = np.linalg.svd(a)
         r = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
         return list(vt[r:])
+
+    def sampled_self_duality(self, rng, count, tol):
+        """K* in K tested on `count` boundary points of K*, `dual_floor`."""
+        v = super().sampled_self_duality(rng, count, tol)
+        if v.status == FAILS:
+            return v
+        for _ in range(count):
+            e2, e3 = rng.random(2) + 0.1
+            e4, e5 = 2.0 * rng.standard_normal(2)
+            e = np.array([self.dual_floor(e2, e3, e4, e5), e2, e3, e4, e5])
+            if not self.member(e, tol):
+                return Verdict(FAILS, violation={
+                    "dual_extremal": e}, margin=self.margin(e),
+                    detail="closed-form dual boundary point outside the cone")
+        return Verdict(INCONCLUSIVE, margin=v.margin)
+
+    def pure_pairs(self, c):
+        """No draw: e2 and e1, of face profiles 3 and 5."""
+        return [tuple(c.system.normalize(np.eye(5)[[1, 0]]))]
+
+    def face_profile(self, system, w, tol):
+        """dim span Face(x) = t(rank M1) + t(rank M2) - [x1 > 0], t(k) =
+        k(k+1)/2: a PSD block's face spans the t(rank) symmetric matrices on
+        its range, and the shared corner is one more equation unless both
+        blocks vanish there.  A pure sigma raises each block rank rho_i of w
+        by at most 1, and x1 = 0 only when it leaves one block at zero, so
+        the profile is at most t(rho1 + 1) + t(rho2 + 1) - 1; sigma* = (1,
+        s^2, t^2, s, t), with (1, s) and (1, t) off w's block ranges,
+        reaches it, and one `face_dimension` must read that."""
+        ranks = []
+        for m in self.blocks(w):
+            vals = np.linalg.eigvalsh(m)
+            scale = max(1.0, float(np.max(np.abs(vals))))
+            ranks.append(int(np.sum(vals > tol * scale)))
+        profile = sum((r + 1) * (r + 2) // 2 for r in ranks) - 1
+        x1, _, _, x4, x5 = (float(v) for v in w)
+        s, t = (1 + x4 / x1, 1 + x5 / x1) if x1 > tol else (1.0, 1.0)
+        sigma = system.normalize(np.array([1.0, s * s, t * t, s, t]))
+        if face_dimension(self, w + sigma, tol=tol) != profile:
+            return None
+        return profile
 
     def basepoint(self) -> np.ndarray:
         return np.array([1.0, 1, 1, 0, 0])
@@ -526,6 +710,16 @@ class System:
 
     def sample_pure(self, rng) -> np.ndarray:
         return self.normalize(self.cone.sample_extremal(rng))
+
+
+def eja_system(alg: JordanAlgebra, label: str) -> System:
+    """The positive cone of alg, with the trace functional as its unit."""
+    return System(EJACone(alg), alg.trace_functional(), label)
+
+
+def shared_corner_system(label: str) -> System:
+    """The shared-corner cone, with its basepoint (1, 1, 1, 0, 0) as unit."""
+    return System(SharedCornerCone(), SharedCornerCone().basepoint(), label)
 
 
 @dataclass

@@ -21,8 +21,8 @@ from .composite import (CompositeSystem, LinearImageCone, canonical_self_steerin
                         local_tomography_check, purity_preservation_check,
                         steering_order_iso_check)
 from .cones import (FAILS, HOLDS, INCONCLUSIVE, UNSUPPORTED, ConeError,
-                    EJACone, PolyhedralCone, SharedCornerCone, System,
-                    UnsupportedQuery, Verdict)
+                    PolyhedralCone, System, UnsupportedQuery, Verdict,
+                    eja_system, shared_corner_system)
 
 SCHEMA_VERSION = 1
 TOOLKIT_VERSION = __version__
@@ -79,8 +79,13 @@ def spec_from_json(obj: dict) -> FixtureSpec:
     if "generators" in params:
         params["generators"] = [[_unrat(v) for v in row]
                                 for row in params["generators"]]
-    return FixtureSpec(obj["name"], obj["kind"], params,
-                       int(obj.get("seed", 0)), dict(obj.get("expects", {})))
+    seed = obj.get("seed", 0)
+    # numpy takes no negative seed, and int() would read 1.7, "1" or true
+    if int(seed) < 0 or isinstance(seed, (bool, str)) or (
+            isinstance(seed, float) and not seed.is_integer()):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return FixtureSpec(obj["name"], obj["kind"], params, int(seed),
+                       dict(obj.get("expects", {})))
 
 
 def registry_to_json(specs: list[FixtureSpec]) -> str:
@@ -174,7 +179,7 @@ def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
                     if s["family"] == "spin"
                     else eja.SimpleFactor(s["family"], int(s["rank"]))
                     for s in params["summands"]])
-            return System(EJACone(alg), alg.trace_functional(), spec.name)
+            return eja_system(alg, spec.name)
         if spec.kind == "polyhedral":
             gens = params["generators"]
             cone = PolyhedralCone(gens)
@@ -186,8 +191,7 @@ def build_system(spec: FixtureSpec, registry: dict[str, FixtureSpec]):
                 unit /= np.linalg.norm(unit) ** 2
             return System(cone, unit, spec.name)
         if spec.kind == "shared-corner":
-            return System(SharedCornerCone(), np.array([1., 1., 1., 0., 0.]),
-                          spec.name)
+            return shared_corner_system(spec.name)
         if spec.kind == "composite":
             return CompositeSystem(fa, fb, params["model"])
     except KeyError as exc:
@@ -216,14 +220,22 @@ def builtin_fixtures() -> list[FixtureSpec]:
                "pure-transitivity": HOLDS,
                "continuous-pure-transitivity": HOLDS,
                "reducibility": FAILS}
+    # a direct sum: no continuous path between its summands
+    sum_exp = {**eja_exp, "continuous-pure-transitivity": FAILS,
+               "reducibility": HOLDS}
+    poly_exp = {"self-dual": FAILS, "weak-self-duality": HOLDS,
+                "homogeneity": UNSUPPORTED, "pure-transitivity": UNSUPPORTED,
+                "continuous-pure-transitivity": UNSUPPORTED,
+                "reducibility": FAILS}
+    composite_exp = {"homogeneity": SKIPPED, "pure-transitivity": SKIPPED,
+                     "continuous-pure-transitivity": SKIPPED,
+                     "reducibility": SKIPPED, "purity-preservation": HOLDS,
+                     "local-tomography": HOLDS}
 
     for n in (2, 3, 4):
         specs.append(FixtureSpec(
             f"classical-simplex-{n}", "eja", {"classical": n}, seed=n,
-            expects={"self-dual": HOLDS, "homogeneity": HOLDS,
-                     "pure-transitivity": HOLDS,
-                     "continuous-pure-transitivity": FAILS,
-                     "reducibility": HOLDS}))
+            expects=dict(sum_exp)))
     for r in (2, 3):
         specs.append(FixtureSpec(
             f"real-sym-{r}", "eja",
@@ -247,18 +259,12 @@ def builtin_fixtures() -> list[FixtureSpec]:
         "two-qubit-sum", "eja",
         {"summands": [{"family": "complex", "rank": 2},
                       {"family": "complex", "rank": 2}]}, seed=5,
-        expects={"self-dual": HOLDS, "homogeneity": HOLDS,
-                 "pure-transitivity": HOLDS,
-                 "continuous-pure-transitivity": FAILS,
-                 "reducibility": HOLDS}))
+        expects=dict(sum_exp)))
     specs.append(FixtureSpec(
         "qubit-plus-rebit", "eja",
         {"summands": [{"family": "complex", "rank": 2},
                       {"family": "real", "rank": 2}]}, seed=6,
-        expects={"self-dual": HOLDS, "homogeneity": HOLDS,
-                 "pure-transitivity": FAILS,
-                 "continuous-pure-transitivity": FAILS,
-                 "reducibility": HOLDS}))
+        expects={**sum_exp, "pure-transitivity": FAILS}))
     specs.append(FixtureSpec(
         "square-cone", "polyhedral",
         {"generators": [[Fraction(1), Fraction(1), Fraction(0)],
@@ -266,22 +272,11 @@ def builtin_fixtures() -> list[FixtureSpec]:
                         [Fraction(-1), Fraction(1), Fraction(0)],
                         [Fraction(0), Fraction(1), Fraction(-1)]],
          "unit": ["0", "1", "0"]}, seed=7,
-        expects={"self-dual": FAILS, "weak-self-duality": HOLDS,
-                 "spd-self-duality": FAILS,
-                 "homogeneity": UNSUPPORTED,
-                 "pure-transitivity": UNSUPPORTED,
-                 "continuous-pure-transitivity": UNSUPPORTED,
-                 "reducibility": FAILS}))
+        expects={**poly_exp, "spd-self-duality": FAILS}))
     specs.append(FixtureSpec(
         "pentagon-cone", "polyhedral",
         {"generators": _pent_coords(), "unit": ["0", "0", "1"]}, seed=8,
-        expects={"self-dual": FAILS,
-                 "weak-self-duality": HOLDS,
-                 "spd-self-duality": HOLDS,
-                 "homogeneity": UNSUPPORTED,
-                 "pure-transitivity": UNSUPPORTED,
-                 "continuous-pure-transitivity": UNSUPPORTED,
-                 "reducibility": FAILS}))
+        expects={**poly_exp, "spd-self-duality": HOLDS}))
     specs.append(FixtureSpec(
         "shared-corner", "shared-corner", {}, seed=9,
         expects={"self-dual": FAILS, "homogeneity": HOLDS,
@@ -291,32 +286,17 @@ def builtin_fixtures() -> list[FixtureSpec]:
     specs.append(FixtureSpec(
         "two-qubit-hilbert", "composite",
         {"model": "hilbert", "factorA": "qubit", "factorB": "qubit"}, seed=10,
-        expects={"self-dual": HOLDS, "homogeneity": SKIPPED,
-                 "pure-transitivity": SKIPPED,
-                 "continuous-pure-transitivity": SKIPPED,
-                 "reducibility": SKIPPED,
-                 "steering": HOLDS, "purity-preservation": HOLDS,
-                 "local-tomography": HOLDS}))
+        expects={**composite_exp, "self-dual": HOLDS, "steering": HOLDS}))
     specs.append(FixtureSpec(
         "min-square-square", "composite",
         {"model": "min", "factorA": "square-cone",
          "factorB": "square-cone"}, seed=11,
-        expects={"self-dual": FAILS, "homogeneity": SKIPPED,
-                 "pure-transitivity": SKIPPED,
-                 "continuous-pure-transitivity": SKIPPED,
-                 "reducibility": SKIPPED,
-                 "steering": SKIPPED, "purity-preservation": HOLDS,
-                 "local-tomography": HOLDS}))
+        expects={**composite_exp, "self-dual": FAILS, "steering": SKIPPED}))
     specs.append(FixtureSpec(
         "classical-bit-bit", "composite",
         {"model": "classical", "factorA": "classical-simplex-2",
          "factorB": "classical-simplex-2"}, seed=12,
-        expects={"self-dual": HOLDS, "homogeneity": SKIPPED,
-                 "pure-transitivity": SKIPPED,
-                 "continuous-pure-transitivity": SKIPPED,
-                 "reducibility": SKIPPED,
-                 "steering": HOLDS, "purity-preservation": HOLDS,
-                 "local-tomography": HOLDS}))
+        expects={**composite_exp, "self-dual": HOLDS, "steering": HOLDS}))
     return specs
 
 
@@ -359,49 +339,12 @@ def _homogeneity(c: _Inputs) -> Verdict:
 
 
 def _pure_transitivity(c: _Inputs) -> Verdict:
-    system, cone, rng = c.system, c.system.cone, c.rng
-    if isinstance(cone, SharedCornerCone):
-        pairs = [(np.array([0., 1., 0., 0., 0.]),
-                  np.array([1., 0., 0., 0., 0.]))]
-    elif isinstance(cone, EJACone):
-        alg = cone.algebra
-        # ten `sample_pure` draws as one stack, paired (0, 1), (2, 3), ...
-        states = system.normalize(cone.sample_extremals(rng, 10))
-        pairs = list(zip(states[0::2], states[1::2]))
-        if len(alg.summands) > 1:
-            # summand 0 and the first unlike it, which random pairs may miss
-            kinds = alg.descriptor()
-            k = next((k for k, d in enumerate(kinds) if d != kinds[0]), 1)
-            pairs.append((system.normalize(alg.random_pure(rng, summand=0)),
-                          system.normalize(alg.random_pure(rng, summand=k))))
-    else:
-        raise UnsupportedQuery("pure transitivity checker needs an EJA or "
-                               "shared-corner system")
     # every pair at once: the inputs are validated in one stacked call
-    w1, w2 = (np.array(side) for side in zip(*pairs))
-    v = axioms.pure_transitivity_witness(system, w1, w2, c.tol)
+    w1, w2 = (np.array(side) for side in zip(*c.system.cone.pure_pairs(c)))
+    v = axioms.pure_transitivity_witness(c.system, w1, w2, c.tol)
     if v.status != HOLDS:
         return v
-    return Verdict(HOLDS, margin=v.margin, detail=f"{len(pairs)} pure pairs")
-
-
-def _continuous_pt(c: _Inputs) -> Verdict:
-    system, cone, rng = c.system, c.system.cone, c.rng
-    if not isinstance(cone, EJACone):
-        raise UnsupportedQuery("continuous pure transitivity checker needs "
-                               "an EJA system")
-    alg = cone.algebra
-    if len(alg.summands) > 1:
-        w1 = system.normalize(alg.random_pure(rng, summand=0))
-        w2 = system.normalize(alg.random_pure(rng, summand=1))
-    else:
-        w1, w2 = system.sample_pure(rng), system.sample_pure(rng)
-    return axioms.continuous_pure_transitivity(system, w1, w2, tol=c.tol)
-
-
-def _reducibility(c: _Inputs) -> Verdict:
-    return Verdict(HOLDS if c.system.cone.reducible() else FAILS,
-                   detail="direct-sum splitting of the cone")
+    return Verdict(HOLDS, margin=v.margin, detail=f"{len(w1)} pure pairs")
 
 
 def _steering(c: _Inputs) -> Verdict:
@@ -440,8 +383,14 @@ CHECKS = {
         None, "payload"),
     "homogeneity": (_homogeneity, None, "margin"),
     "pure-transitivity": (_pure_transitivity, None, "margin-if-holds"),
-    "continuous-pure-transitivity": (_continuous_pt, None, "margin-if-holds"),
-    "reducibility": (_reducibility, None, ""),
+    "continuous-pure-transitivity": (
+        lambda c: axioms.continuous_pure_transitivity(
+            c.system, *c.system.cone.path_pair(c), tol=c.tol),
+        None, "margin-if-holds"),
+    "reducibility": (
+        lambda c: Verdict(HOLDS if c.system.cone.reducible() else FAILS,
+                          detail="direct-sum splitting of the cone"),
+        None, ""),
     "steering": (None, _steering, "payload+margin"),
     "purity-preservation": (None, _purity_preservation, "evidence"),
     "local-tomography": (None, lambda c: local_tomography_check(c.system),

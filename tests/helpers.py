@@ -7,9 +7,9 @@ oracle and the float face-probe oracle.
 checks for the tests, `assert_same_text` compares long texts, and
 `same_bits` and `assert_same_verdict` compare values and verdicts bit for
 bit.
-`face_profile_by_sampling` is the sampled route that `axioms.face_profile`
-replaced by its closed form: a maximum over sampled pure states, so only a
-lower bound on the profile.
+`face_profile_by_sampling` is the sampled route that the shared corner's
+`face_profile` replaced by its closed form: a maximum over sampled pure
+states, so only a lower bound on the profile.
 `two_sided_probe` and `probe_face_span` are the float membership probe and
 its negative control that `cones.face_dimension` replaced by each cone
 kind's exact `face_span_basis`.

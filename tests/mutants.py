@@ -84,11 +84,9 @@ MUTANTS = (
             "test_path_names_the_first_state_that_loses_purity",
             "tests/test_cones.py::TestExtremality::"
             "test_stack_names_the_first_non_extremal_row")),
-    Mutant("continuous-pt-ignores-split", "src/conelab/fixtures.py",
-           "    if len(alg.summands) > 1:\n"
-           "        w1 = system.normalize(alg.random_pure(rng, summand=0))\n",
-           "    if False:\n"
-           "        w1 = system.normalize(alg.random_pure(rng, summand=0))\n",
+    Mutant("continuous-pt-ignores-split", "src/conelab/cones.py",
+           "picks = (0, 1) if len(self.algebra.summands) > 1 else",
+           "picks = (0, 1) if False else",
            ("tests/test_cli.py::test_theorem_implications",)),
     Mutant("cycle-index-off-by-one", "src/conelab/composite.py",
            "states[j + (self.SWEEPS - 1 - j) % (k - j)]",
@@ -102,7 +100,7 @@ MUTANTS = (
             "test_pure_effect_minimizing_matches_spectral",
             "tests/test_composite.py::"
             "test_pairing_minimum_equals_start_by_start_loop")),
-    Mutant("pt-invariant-compares-family", "src/conelab/axioms.py",
+    Mutant("pt-invariant-compares-family", "src/conelab/cones.py",
            "if (f1.rank, f1.dim) != (f2.rank, f2.dim):",
            "if f1.descriptor() != f2.descriptor():",
            ("tests/test_axioms.py::TestPureTransitivity::"
@@ -140,7 +138,7 @@ MUTANTS = (
             "test_spin_plane_rotation_equals_axis_rotation",
             "tests/test_axioms.py::"
             "test_transitivity_reaches_the_orthogonal_spin_state")),
-    Mutant("summand-swap-one-block", "src/conelab/axioms.py",
+    Mutant("summand-swap-one-block", "src/conelab/cones.py",
            "order[si], order[sj] = order[sj], order[si]",
            "order[sj] = order[si]",
            ("tests/test_axioms.py::TestPureTransitivity::"
@@ -160,8 +158,8 @@ MUTANTS = (
            ("tests/test_cli.py::TestOtherCommands::"
             "test_classify_loads_no_check_layer",)),
     Mutant("pt-skips-finiteness", "src/conelab/axioms.py",
-           "        if not np.all(np.isfinite(phi)):\n",
-           "        if False:\n",
+           "    if not np.all(np.isfinite(phi)):\n",
+           "    if False:\n",
            ("tests/test_axioms.py::TestPureTransitivity::"
             "test_non_finite_map_is_a_failed_construction",)),
     Mutant("search-accepts-any-map", "src/conelab/axioms.py",
@@ -178,21 +176,21 @@ MUTANTS = (
            ("tests/test_axioms.py::test_unit_rule_pulls_the_unit_back",
             "tests/test_axioms.py::"
             "test_faulty_transitivity_map_is_inconclusive")),
-    Mutant("self-dual-facets-never-leave", "src/conelab/axioms.py",
+    Mutant("self-dual-facets-never-leave", "src/conelab/cones.py",
            "if not data.member(f)), None)",
            "if False), None)",
            ("tests/test_axioms.py::TestSelfDuality::"
             "test_square_fails_with_witness",
             "tests/test_exact.py::"
             "test_polyhedral_self_dual_fails_carry_fractions")),
-    Mutant("self-dual-first-pair-lower-triangle", "src/conelab/axioms.py",
+    Mutant("self-dual-first-pair-lower-triangle", "src/conelab/cones.py",
            "np.argmax(np.triu(bad))",
            "np.argmax(np.tril(bad))",
            ("tests/test_axioms.py::TestSelfDuality::"
             "test_pairwise_violation_matches_loop",
             "tests/test_axioms.py::TestSelfDuality::"
             "test_sampled_route_matches_pair_oracle")),
-    Mutant("pt-pairs-misaligned", "src/conelab/fixtures.py",
+    Mutant("pt-pairs-misaligned", "src/conelab/cones.py",
            "pairs = list(zip(states[0::2], states[1::2]))",
            "pairs = list(zip(states[:5], states[5:]))",
            ("tests/test_axioms.py::TestPureTransitivity::"
@@ -301,7 +299,7 @@ MUTANTS = (
            "if n < tol:",
            ("tests/test_cones.py::TestExtremality::"
             "test_null_or_non_finite_ray_raises_one_error",)),
-    Mutant("pt-cross-pair-from-summand-one", "src/conelab/fixtures.py",
+    Mutant("pt-cross-pair-from-summand-one", "src/conelab/cones.py",
            "k = next((k for k, d in enumerate(kinds) if d != kinds[0]), 1)",
            "k = 1",
            ("tests/test_cli.py::"
@@ -346,6 +344,27 @@ MUTANTS = (
            "        if c < 0:\n            row, c = [-x for x in row], -c\n",
            "",
            (_LP_ORACLE,)),
+    # the shared corner's closed forms: its face profile and the boundary
+    # of its dual cone
+    Mutant("shared-corner-profile-drops-corner", "src/conelab/cones.py",
+           "for r in ranks) - 1",
+           "for r in ranks)",
+           ("tests/test_axioms.py::TestPureTransitivity::"
+            "test_shared_corner_profile_violation",
+            "tests/test_axioms.py::TestPureTransitivity::"
+            "test_shared_corner_profile_matches_sampling")),
+    Mutant("shared-corner-dual-point-inside", "src/conelab/cones.py",
+           "e = np.array([self.dual_floor(e2, e3, e4, e5),",
+           "e = np.array([4 * self.dual_floor(e2, e3, e4, e5),",
+           ("tests/test_axioms.py::TestSelfDuality::test_shared_corner_fails",
+            "tests/test_cli.py::TestCheckCommand::"
+            "test_builtin_report_digest_pinned")),
+    Mutant("pure-pairs-refusal-returns", "src/conelab/cones.py",
+           "        raise UnsupportedQuery(\"pure transitivity checker",
+           "        return UnsupportedQuery(\"pure transitivity checker",
+           ("tests/test_cones.py::test_kind_methods_refuse_with_one_text",
+            "tests/test_cli.py::TestCheckCommand::"
+            "test_builtin_report_digest_pinned")),
     Mutant("simplex-cost-row-not-pivoted", "src/conelab/exact.py",
            "for i, row in enumerate(tab):",
            "for i, row in enumerate(tab[:m]):",

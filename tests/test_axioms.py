@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conelab import axioms, eja, exact, fixtures
+from conelab import axioms, cones, eja, exact, fixtures
 from conelab.axioms import FAILS, HOLDS, INCONCLUSIVE
 from conelab.composite import LinearImageCone
 from conelab.cones import (DEFAULT_TOL, ConeError, ConeModel, EJACone,
@@ -795,20 +795,26 @@ class TestPureTransitivity:
     def test_shared_corner_profile_is_one_face_dimension(self, shared_system,
                                                          monkeypatch):
         # the closed form needs one face_dimension call per pure state, and
-        # one that misses it leaves the verdict open
+        # one that misses it leaves the verdict open; the purity check of
+        # the two states takes one call each before them
         calls = []
 
         def counted(cone, x, tol=DEFAULT_TOL):
             calls.append(x)
             return face_dimension(cone, x, tol)
 
-        monkeypatch.setattr(axioms, "face_dimension", counted)
+        monkeypatch.setattr(cones, "face_dimension", counted)
         w1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         w2 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         v = axioms.pure_transitivity_witness(shared_system, w1, w2)
-        assert v.status == FAILS and len(calls) == 2
-        monkeypatch.setattr(axioms, "face_dimension",
-                            lambda cone, x, tol=DEFAULT_TOL: 4)
+        assert v.status == FAILS and len(calls) == 4
+        assert same_bits(calls[:2], [w1, w2])
+
+        def missing(cone, x, tol=DEFAULT_TOL):
+            pure = any(np.array_equal(x, w) for w in (w1, w2))
+            return face_dimension(cone, x, tol) if pure else 4
+
+        monkeypatch.setattr(cones, "face_dimension", missing)
         v = axioms.pure_transitivity_witness(shared_system, w1, w2)
         assert v.status == INCONCLUSIVE
 
@@ -818,7 +824,8 @@ class TestPureTransitivity:
                                    [1.0, 0.25, 4.0, 0.5, -2.0]])
     def test_shared_corner_profile_matches_sampling(self, shared_system, w):
         w = shared_system.normalize(np.array(w))
-        closed = axioms.face_profile(shared_system, w)
+        closed = shared_system.cone.face_profile(shared_system, w,
+                                                 DEFAULT_TOL)
         assert closed in (3, 5)
         assert closed == face_profile_by_sampling(shared_system, w)
 
@@ -1134,10 +1141,10 @@ def test_face_profile_invariant_under_automorphism(shared_system, rng):
     # transport a pure state by a cone automorphism: its profile is unchanged
     cone = shared_system.cone
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0])  # type-(ii) pure state
-    p0 = axioms.face_profile(shared_system, w)
+    p0 = cone.face_profile(shared_system, w, DEFAULT_TOL)
     l1 = np.array([[1.3, 0.0], [0.4, 0.8]])
     l2 = np.array([[1.3, 0.0], [-0.2, 1.1]])
     phi = cone._congruence(l1, l2)
-    p1 = axioms.face_profile(shared_system, phi @ w)
+    p1 = cone.face_profile(shared_system, phi @ w, DEFAULT_TOL)
     assert p0 == p1 == 5
     assert face_profile_by_sampling(shared_system, phi @ w, samples=60) == 5

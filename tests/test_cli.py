@@ -490,6 +490,20 @@ class TestCheckCommand:
                               "invalid literal for int()",
                               prefix="registry ", seed="x")
 
+    @pytest.mark.parametrize("seed", [-100, 1.7, True, "1"])
+    def test_negative_or_fractional_seed_is_an_error(self, runner, tmp_path,
+                                                     seed):
+        # numpy takes no negative seed, and 1.7, true or "1" would run as
+        # seed 1: each is refused before any check runs, with no report
+        self._assert_rejected(runner, tmp_path, "shared-corner", {},
+                              "seed must be a nonnegative integer, got "
+                              f"{seed!r}", prefix="registry ", seed=seed)
+        reg = tmp_path / "bad.json"
+        output = runner.invoke(main, ["check", "--registry", str(reg)]).output
+        assert output.splitlines() == [
+            f"Error: registry fixture 'odd': seed must be a nonnegative "
+            f"integer, got {seed!r}"]
+
     @pytest.mark.parametrize("registry,message", [
         ([1], "registry must be a JSON object with a list of fixtures"),
         ({"fixtures": [1]}, "registry fixture #0: not a JSON object"),

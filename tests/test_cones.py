@@ -721,6 +721,17 @@ KIND_QUESTIONS = {
         np.ones((1, c.dim)), np.ones((1, c.dim)), DEFAULT_TOL),
         "no witness constructor for this cone variant"),
     "reducible": (lambda c: c.reducible(), "no splitting test for this cone"),
+    "pure_pairs": (lambda c: c.pure_pairs(None),
+                   "pure transitivity checker needs an EJA or shared-corner "
+                   "system"),
+    "face_profile": (lambda c: c.face_profile(None, np.ones(c.dim),
+                                              DEFAULT_TOL),
+                     "no face profile for this cone"),
+    "path_pair": (lambda c: c.path_pair(None),
+                  "continuous pure transitivity checker needs an EJA system"),
+    "path_maps": (lambda c: c.path_maps(np.ones(c.dim), np.ones(c.dim), None,
+                                        [1.0]),
+                  "no continuous path for this cone"),
 }
 
 
@@ -731,8 +742,10 @@ def test_kind_methods_refuse_with_one_text(square, shared, qubit):
                                        composite.MAX_TENSOR).cone
     assert isinstance(image, composite.LinearImageCone)
     assert isinstance(tensor, composite.MaxTensorCone)
-    refusals = [(square, ("sample_interiors", "homogeneity_maps")),
-                (shared, ("reducible",)),
+    refusals = [(square, ("sample_interiors", "homogeneity_maps",
+                          "pure_pairs", "face_profile", "path_pair",
+                          "path_maps")),
+                (shared, ("reducible", "path_pair", "path_maps")),
                 (image, tuple(KIND_QUESTIONS)), (tensor, tuple(KIND_QUESTIONS))]
     for cone, names in refusals:
         for name in names:

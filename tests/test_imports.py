@@ -3,7 +3,9 @@ package function is read, every package function has a caller in the
 package, every field of a package dataclass is read in the package, and
 only the functions in `LP_CALLERS` solve an exact LP, `classify.py` and
 `exact.py` import only the standard library, and the check layer reads no
-private attribute of another object.
+private attribute of another object, imports none of the cone kinds it asks
+(`ASKED_KINDS`) and names a cone class in an `isinstance` only in
+`KIND_BRANCHES`.
 
 A static scan with `ast`: a name bound by an import must appear somewhere
 else in the module, as a name, as the root of an attribute chain, inside a
@@ -365,3 +367,76 @@ def test_scan_flags_a_private_read():
            "        return type(self).__name__, cls._cache, cone.basepoint\n"
            "def g(m):\n    return m.data._normals()\n")
     assert private_reads(src) == [(3, "_congruence"), (6, "_normals")]
+
+
+# the kinds the check layer asks and never imports, and the only functions
+# of it that name a cone class in an isinstance: the composite and
+# polyhedral guards of two routes
+ASKED_KINDS = {"EJACone", "SharedCornerCone"}
+KIND_BRANCHES = {("fixtures", "_search"), ("fixtures", "_composite_self_dual")}
+
+
+def cone_classes(sources: dict[str, str]) -> set[str]:
+    """`ConeModel` and every class of the sources derived from it."""
+    bases = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", None)
+                                    or getattr(b, "attr", None)
+                                    for b in node.bases}
+    out = {"ConeModel"}
+    while new := {c for c, b in bases.items() if b & out} - out:
+        out |= new
+    return out
+
+
+def kind_branches(source: str, classes: set[str]) -> list[tuple[str, str]]:
+    """(definition, class) for each `isinstance(x, C)` whose C, or a class
+    of its tuple, is in classes: the top-level function or class around it,
+    or "<module>"."""
+    tree = ast.parse(source)
+    spans = [n for n in tree.body if isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) \
+                == "isinstance" and len(n.args) == 2:
+            arg = n.args[1]
+            kinds = arg.elts if isinstance(arg, ast.Tuple) else [arg]
+            names = {getattr(k, "id", None) or getattr(k, "attr", None)
+                     for k in kinds}
+            where = next((d.name for d in spans
+                          if d.lineno <= n.lineno <= d.end_lineno), "<module>")
+            out += [(where, c) for c in names & classes]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", CHECK_LAYER)
+def test_check_layer_asks_the_cone_kind(name):
+    # a cone kind answers a check by overriding a method, so a new kind
+    # needs no branch in the check layer
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    module = Path(name).stem
+    assert not ASKED_KINDS & set(_imported(ast.parse(sources[module])))
+    branches = kind_branches(sources[module], cone_classes(sources))
+    assert {(module, where) for where, _ in branches} <= KIND_BRANCHES
+
+
+def test_scan_flags_a_kind_branch():
+    sources = {"a": "class ConeModel:\n    pass\nclass EJACone(ConeModel):\n"
+                    "    pass\nclass Plain:\n    pass\n",
+               "b": "import a\nclass Image(a.EJACone):\n    pass\n"}
+    classes = cone_classes(sources)
+    assert classes == {"ConeModel", "EJACone", "Image"}
+    src = ("from .cones import EJACone, System\n"
+           "def route(cone, v):\n"
+           "    if isinstance(v, System) or isinstance(cone, (int, Image)):\n"
+           "        return 1\n"
+           "    return isinstance(cone, cones.EJACone)\n"
+           "class C:\n    def f(self, x):\n"
+           "        return isinstance(x, EJACone)\n"
+           "FLAG = isinstance(None, Plain)\n")
+    assert kind_branches(src, classes) == [
+        ("C", "EJACone"), ("route", "EJACone"), ("route", "Image")]
+    assert ASKED_KINDS & set(_imported(ast.parse(src))) == {"EJACone"}
